@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .errors import DatasetParseError
+from .errors import DatasetParseError, TrainingDivergenceError
 from .harness import (
     run_experiment,
     run_priors_study,
@@ -119,7 +119,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_priors_study(args) -> int:
     cfg = _load_config(args)
-    result = run_priors_study(cfg, args.out)
+    try:
+        result = run_priors_study(cfg, args.out)
+    except TrainingDivergenceError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 3
     print(
         f"priors study on expert {result.target_expert}: "
         f"{len(result.records)} curve sets in {args.out}"

@@ -8,6 +8,12 @@ the expertise class. The deferral logit joins the class logits in a
 whose true label is the expertise class, weighted by the expert's posterior
 mean accuracy there, so no expert predictions on query data are needed.
 
+Training and validation evaluate the whole expert cohort in one stacked
+step per batch (``_ea_stacked``): the experts enter only through their
+(experts, K) matrix of posterior means, so the classifier runs forward and
+backward once, and the rejector once on all (example, expert) rows. The
+single-example ``ea_l2d_loss_grads`` is the same step with one expert.
+
 The population-average baseline instead gates its deferral term on whether
 the mode of all experts' query predictions matches the label, and its
 deferral logit is a function of the raw input only.
@@ -22,10 +28,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TrainingDivergenceError
-from .experts import BehaviouralRepresentation, PriorElicitation, build_representation
+from .experts import (
+    BehaviouralRepresentation,
+    PriorElicitation,
+    posterior_means,
+    prior_arrays,
+)
 from .nets import (
     DenseNet,
-    GradientBundle,
     TrainConfig,
     backward,
     forward,
@@ -203,53 +213,77 @@ def _joint_grad_rows(
     return d
 
 
-def _ea_batch(
+def _rejector_inputs(rho: np.ndarray, kstar: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The four rejector inputs of every (expert, example) pair.
+
+    ``rho`` is the class softmax (batch, K), ``kstar`` its row argmax and
+    ``mu`` the posterior means (experts, K). Rows of the (experts * batch, 4)
+    result are ordered expert-major; expertise-class ties break to the
+    lowest class index.
+    """
+    experts, batch = len(mu), len(rho)
+    estar = np.argmax(mu, axis=1)
+    feats = np.empty((experts, batch, 4))
+    feats[:, :, 0] = rho[:, estar].T
+    feats[:, :, 1] = rho[np.arange(batch), kstar]
+    feats[:, :, 2] = mu[:, kstar]
+    feats[:, :, 3] = mu[np.arange(experts), estar][:, None]
+    return feats.reshape(experts * batch, 4)
+
+
+def _ea_stacked(
     classifier: DenseNet,
     rejector: DenseNet,
     features: np.ndarray,
     labels: np.ndarray,
-    rep: BehaviouralRepresentation,
+    mu: np.ndarray,
     want_grads: bool = True,
 ):
-    """Loss sums and summed gradients across a batch for one expert.
+    """Loss sums and summed gradients across a batch for a whole cohort.
 
-    Gradients flow into the rejector and into the classifier both directly
-    through the class logits and through the class softmax feeding the
-    rejector inputs.
+    ``mu`` holds the posterior mean accuracies, shape (experts, K); the sums
+    run over every (example, expert) pair. The classifier runs once. The
+    rejector runs once on the (experts * batch, 4) block of every expert's
+    inputs, rows ordered expert-major. Gradients flow into the rejector and
+    into the classifier both directly through the class logits and through
+    the class softmax feeding the rejector inputs; both routes are summed
+    over experts before the one classifier backward pass. The returned
+    pattern encodes the discrete choices (relu signs of both networks, the
+    classifier argmax) for finite-difference kink detection.
     """
+    experts, num_classes = mu.shape
     batch = len(labels)
-    num_classes = classifier.output_dim
     logits = forward(classifier, features)
     rho = _softmax_rows(logits)
     kstar = np.argmax(rho, axis=1)
-    estar = rep.expertise_class
+    estar = np.argmax(mu, axis=1)
     rows = np.arange(batch)
-    feats = np.column_stack(
-        [rho[:, estar], rho[rows, kstar], rep.mu[kstar], np.full(batch, rep.mu[estar])]
-    )
+    feats = _rejector_inputs(rho, kstar, mu)
     g_defer = forward(rejector, feats)[:, 0]
-    joint = np.column_stack([logits, g_defer])
-    q = _softmax_rows(joint)
+    joint = np.empty((experts, batch, num_classes + 1))
+    joint[:, :, :num_classes] = logits
+    joint[:, :, num_classes] = g_defer.reshape(experts, batch)
+    q = _softmax_rows(joint.reshape(experts * batch, num_classes + 1))
 
-    weights = np.where(labels == estar, rep.mu[labels], 0.0)
-    classifier_sum, deferral_sum = _loss_sums(q, labels, weights, num_classes)
+    pair_labels = np.tile(labels, experts)
+    weights = np.where(labels == estar[:, None], mu[:, labels], 0.0).ravel()
+    classifier_sum, deferral_sum = _loss_sums(q, pair_labels, weights, num_classes)
 
     if not want_grads:
         return classifier_sum, deferral_sum, None, None, None
 
-    d_joint = _joint_grad_rows(q, labels, weights)
-    d_logits_direct = d_joint[:, :num_classes]
-    d_gdefer = d_joint[:, num_classes]
+    d_joint = _joint_grad_rows(q, pair_labels, weights)
+    rej_grads = backward(rejector, feats, d_joint[:, num_classes:])
+    d_feats = rej_grads.input_grad.reshape(experts, batch, 4)
 
-    rej_grads = backward(rejector, feats, d_gdefer[:, None])
-    d_feats = rej_grads.input_grad
+    onehot_estar = np.zeros((experts, num_classes))
+    onehot_estar[np.arange(experts), estar] = 1.0
+    d_rho = d_feats[:, :, 0].T @ onehot_estar
+    d_rho[rows, kstar] += d_feats[:, :, 1].sum(axis=0)
+    d_logits = d_joint[:, :num_classes].reshape(experts, batch, num_classes).sum(axis=0)
+    d_logits += rho * (d_rho - (d_rho * rho).sum(axis=1, keepdims=True))
 
-    d_rho = np.zeros_like(rho)
-    d_rho[:, estar] += d_feats[:, 0]
-    d_rho[rows, kstar] += d_feats[:, 1]
-    d_logits_via_rho = rho * (d_rho - (d_rho * rho).sum(axis=1, keepdims=True))
-
-    clf_grads = backward(classifier, features, d_logits_direct + d_logits_via_rho)
+    clf_grads = backward(classifier, features, d_logits)
 
     pattern = np.concatenate(
         [
@@ -308,7 +342,7 @@ def ea_l2d_loss_grads(
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.array([true_label])
-    cs, ds, cg, rg, pattern = _ea_batch(classifier, rejector, x, labels, rep)
+    cs, ds, cg, rg, pattern = _ea_stacked(classifier, rejector, x, labels, rep.mu[None, :])
     return LossBreakdown.of(cs, ds), cg, rg, pattern
 
 
@@ -360,34 +394,13 @@ def _resolve_lambda(lam: int | None, contexts: Sequence[ContextSet]) -> list[int
     return [lam] * len(contexts)
 
 
-def _subsampled_reps(
-    contexts: Sequence[ContextSet],
-    priors: Sequence[PriorElicitation | None],
-    lams: Sequence[int],
-    num_classes: int,
-    rng: np.random.Generator,
-) -> list[BehaviouralRepresentation]:
-    reps = []
-    for ctx, prior, lam in zip(contexts, priors, lams):
-        sel = rng.choice(len(ctx), size=lam, replace=False)
-        pairs = zip(ctx.labels[sel], ctx.predictions[sel])
-        reps.append(build_representation(pairs, num_classes, prior))
-    return reps
-
-
 def _mean_loss_ea(
-    classifier: DenseNet,
-    rejector: DenseNet,
-    data: Dataset,
-    reps: Sequence[BehaviouralRepresentation],
+    classifier: DenseNet, rejector: DenseNet, data: Dataset, mu: np.ndarray
 ) -> float:
-    total = 0.0
-    for rep in reps:
-        cs, ds, *_ = _ea_batch(
-            classifier, rejector, data.features, data.labels, rep, want_grads=False
-        )
-        total += cs + ds
-    return total / (len(data) * len(reps))
+    cs, ds, *_ = _ea_stacked(
+        classifier, rejector, data.features, data.labels, mu, want_grads=False
+    )
+    return (cs + ds) / (len(data) * len(mu))
 
 
 def _mean_loss_pop(
@@ -412,11 +425,13 @@ def train(
 ) -> TrainResult:
     """Joint training loop over query batches and the expert cohort.
 
-    Each batch re-subsamples every expert's context to ``lam`` items
-    (default: half the context), rebuilds the behavioural representations,
-    averages the loss over (example, expert) pairs, and takes one SGD step
-    on both networks. Early stopping monitors the validation loss computed
-    with full-context representations.
+    The prior Beta parameters are built once as (experts, K) arrays. Each
+    batch re-subsamples every expert's context to ``lam`` items (default:
+    half the context), recounts the posterior means of the whole cohort with
+    one bincount, averages the loss over (example, expert) pairs in one
+    stacked forward/backward pass, and takes one SGD step on both networks.
+    Early stopping monitors the validation loss computed with full-context
+    posterior means.
     """
     if len(query) == 0:
         raise ValueError("query data must be nonempty")
@@ -429,10 +444,10 @@ def train(
     lams = _resolve_lambda(lam, contexts)
 
     rng = np.random.default_rng(cfg.seed)
-    full_reps = [
-        build_representation(ctx.pairs(), num_classes, prior)
-        for ctx, prior in zip(contexts, prior_list)
-    ]
+    alpha0, beta0 = prior_arrays(prior_list, num_classes)
+    full_mu = posterior_means(
+        alpha0, beta0, [c.labels for c in contexts], [c.predictions for c in contexts]
+    )
 
     history: list[EpochStats] = []
     best_loss = math.inf
@@ -447,31 +462,29 @@ def train(
             idx = order[start : start + cfg.batch_size]
             feats = query.features[idx]
             labels = query.labels[idx]
-            reps = _subsampled_reps(contexts, prior_list, lams, num_classes, rng)
-
-            clf_acc = GradientBundle.zeros_like(classifier)
-            rej_acc = GradientBundle.zeros_like(rejector)
-            batch_c = batch_d = 0.0
-            for rep in reps:
-                cs, ds, cg, rg, _ = _ea_batch(classifier, rejector, feats, labels, rep)
-                batch_c += cs
-                batch_d += ds
-                clf_acc.add_(cg)
-                rej_acc.add_(rg)
-
-            scale = 1.0 / (len(idx) * len(reps))
+            picks = [rng.choice(len(c), size=n, replace=False) for c, n in zip(contexts, lams)]
+            mu = posterior_means(
+                alpha0,
+                beta0,
+                [c.labels[i] for c, i in zip(contexts, picks)],
+                [c.predictions[i] for c, i in zip(contexts, picks)],
+            )
+            batch_c, batch_d, clf_grads, rej_grads, _ = _ea_stacked(
+                classifier, rejector, feats, labels, mu
+            )
             if not math.isfinite(batch_c + batch_d):
                 raise TrainingDivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
-            classifier = sgd_step(classifier, clf_acc.scaled(scale), cfg)
-            rejector = sgd_step(rejector, rej_acc.scaled(scale), cfg)
+            scale = 1.0 / (len(idx) * len(contexts))
+            classifier = sgd_step(classifier, clf_grads.scaled(scale), cfg)
+            rejector = sgd_step(rejector, rej_grads.scaled(scale), cfg)
             c_sum += batch_c
             d_sum += batch_d
-            pair_count += len(idx) * len(reps)
+            pair_count += len(idx) * len(contexts)
 
         val_loss = (
-            _mean_loss_ea(classifier, rejector, val, full_reps) if val is not None else None
+            _mean_loss_ea(classifier, rejector, val, full_mu) if val is not None else None
         )
         history.append(
             EpochStats(epoch, (c_sum + d_sum) / pair_count, c_sum / pair_count,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .deferral import _softmax_rows
+from .deferral import _rejector_inputs, _softmax_rows
 from .experts import BehaviouralRepresentation
 from .nets import DenseNet, forward
 from .simulate import Dataset
@@ -181,7 +181,6 @@ def case_priorities(
     """
     logits = forward(classifier, features)
     num_classes = logits.shape[1]
-    rows = np.arange(len(features))
     if reps is None:
         g_defer = forward(rejector, features)[:, 0]
         q = _softmax_rows(np.column_stack([logits, g_defer]))
@@ -191,10 +190,9 @@ def case_priorities(
     kstar = np.argmax(rho, axis=1)
     out = np.empty((len(reps), len(features)))
     for e, rep in enumerate(reps):
-        estar = rep.expertise_class
-        feats = np.column_stack(
-            [rho[:, estar], rho[rows, kstar], rep.mu[kstar], np.full(len(rows), rep.mu[estar])]
-        )
+        # one expert at a time keeps the rejector's activations at one
+        # (cases, hidden) block on large test sets
+        feats = _rejector_inputs(rho, kstar, rep.mu[None, :])
         g_defer = forward(rejector, feats)[:, 0]
         q = _softmax_rows(np.column_stack([logits, g_defer]))
         out[e] = q[:, num_classes] - q[:, :num_classes].max(axis=1)

@@ -69,12 +69,13 @@ class PriorElicitation:
         self.c = np.asarray(self.c, dtype=np.float64)
         if self.p.shape != self.c.shape or self.p.ndim != 1:
             raise ValueError("p and c must be 1-D arrays of equal length")
-        if np.any(self.p < 0) or np.any(self.p > 1):
+        # written so that NaN fails every range check
+        if not np.all((self.p >= 0) & (self.p <= 1)):
             raise ValueError("self-assessed accuracies p must lie in [0, 1]")
-        if np.any(self.c < 0) or np.any(self.c > 1):
+        if not np.all((self.c >= 0) & (self.c <= 1)):
             raise ValueError("confidences c must lie in [0, 1]")
-        if self.s < 2:
-            raise ValueError("prior strength s must be >= 2")
+        if not (2 <= self.s < math.inf):
+            raise ValueError("prior strength s must be finite and >= 2")
 
     @property
     def num_classes(self) -> int:
@@ -171,6 +172,55 @@ def build_representation(
     return BehaviouralRepresentation.from_posteriors(posterior)
 
 
+def prior_arrays(
+    priors: Sequence[PriorElicitation | None], num_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A cohort's prior Beta parameters as two (experts, K) arrays.
+
+    ``None`` gives the uniform Beta(1, 1). Elicited priors use the same
+    float operations as ``elicit_prior``, so the values are bit-identical.
+    """
+    alpha = np.ones((len(priors), num_classes))
+    beta = np.ones((len(priors), num_classes))
+    for e, el in enumerate(priors):
+        if el is None:
+            continue
+        if el.num_classes != num_classes:
+            raise ValueError("prior elicitation does not cover the requested class count")
+        scale = el.c * (el.s - 2.0)
+        alpha[e] = 1.0 + el.p * scale
+        beta[e] = 1.0 + (1.0 - el.p) * scale
+    return alpha, beta
+
+
+def posterior_means(
+    alpha0: np.ndarray,
+    beta0: np.ndarray,
+    labels: Sequence[np.ndarray],
+    predictions: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Posterior mean accuracies of a cohort, shape (experts, K).
+
+    ``labels[e]`` and ``predictions[e]`` are expert e's context items. The
+    counts come from one ``np.bincount`` over the whole cohort, and the
+    update and mean use the same float operations as ``update_posterior``
+    and ``posterior_mean``, so row e equals ``build_representation(...).mu``
+    bit for bit.
+    """
+    experts, num_classes = alpha0.shape
+    y = np.concatenate([np.asarray(v, dtype=np.int64) for v in labels])
+    m = np.concatenate([np.asarray(v, dtype=np.int64) for v in predictions])
+    if y.size and (min(y.min(), m.min()) < 0 or max(y.max(), m.max()) >= num_classes):
+        raise ValueError(f"context item has out-of-range class index (K={num_classes})")
+    slot = np.repeat(np.arange(experts) * num_classes, [len(v) for v in labels]) + y
+    size = experts * num_classes
+    n = np.bincount(slot, minlength=size).reshape(experts, num_classes)
+    t = np.bincount(slot[m == y], minlength=size).reshape(experts, num_classes)
+    alpha = alpha0 + t
+    beta = beta0 + (n - t)
+    return alpha / (alpha + beta)
+
+
 def sample_complexity_bound(num_classes: int, delta: float, gap: float) -> int:
     """Smallest per-class sample count guaranteeing that the expertise class
     is identified with probability at least 1 - delta, given that the true
@@ -218,6 +268,11 @@ def load_prior_file(path, num_classes: int) -> dict[int, PriorElicitation]:
             if not 0 <= k < num_classes:
                 raise DatasetParseError(
                     f"{path}: line {lineno}: class {k} out of range for K={num_classes}"
+                )
+            # written so that NaN fails every range check
+            if not (0 <= p <= 1 and 0 <= c <= 1 and 2 <= s < math.inf):
+                raise DatasetParseError(
+                    f"{path}: line {lineno}: need p and c in [0, 1] and finite s >= 2"
                 )
             slot = per_expert.setdefault(expert_id, {})
             if k in slot:

@@ -116,12 +116,6 @@ class GradientBundle:
             for wg, bg, l in zip(self.weight_grads, self.bias_grads, net.layers)
         )
 
-    def all_finite(self) -> bool:
-        return all(
-            np.all(np.isfinite(wg)) and np.all(np.isfinite(bg))
-            for wg, bg in zip(self.weight_grads, self.bias_grads)
-        )
-
     def scaled(self, factor: float) -> "GradientBundle":
         return GradientBundle(
             [wg * factor for wg in self.weight_grads],
@@ -264,11 +258,13 @@ def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray) -> GradientBund
 
 
 def sgd_step(net: DenseNet, grads: GradientBundle, cfg: TrainConfig) -> DenseNet:
-    """One SGD update: w <- w - lr * (grad + weight_decay * w)."""
+    """One SGD update: w <- w - lr * (grad + weight_decay * w).
+
+    Finiteness is checked once, on the updated weights: a non-finite
+    gradient always yields a non-finite weight, so it is caught there too.
+    """
     if not grads.matches(net):
         raise ValueError("gradient shapes do not match the network")
-    if not grads.all_finite():
-        raise TrainingDivergenceError("non-finite gradient in sgd_step")
     layers = []
     for layer, wg, bg in zip(net.layers, grads.weight_grads, grads.bias_grads):
         w = layer.weights - cfg.learning_rate * (wg + cfg.weight_decay * layer.weights)
@@ -276,7 +272,7 @@ def sgd_step(net: DenseNet, grads: GradientBundle, cfg: TrainConfig) -> DenseNet
         layers.append(Layer(w, b, layer.activation))
     new_net = DenseNet(layers)
     if not new_net.all_finite():
-        raise TrainingDivergenceError("non-finite weights after sgd_step")
+        raise TrainingDivergenceError("non-finite weights after sgd_step (gradient or update)")
     return new_net
 
 

@@ -147,13 +147,18 @@ def load_csv_dataset(path) -> Dataset:
     if not rows:
         raise DatasetParseError(f"{path}: no rows")
 
+    features = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        lineno = int(np.argmin(finite)) + 2
+        raise DatasetParseError(f"{path}: line {lineno}: non-finite feature")
     label_arr = np.array(labels, dtype=np.int64)
     num_classes = int(label_arr.max()) + 1
     present = set(label_arr.tolist())
     missing = sorted(set(range(num_classes)) - present)
     if missing:
         warnings.warn(f"{path}: no examples for classes {missing}", stacklevel=2)
-    return Dataset(np.array(rows, dtype=np.float64), label_arr)
+    return Dataset(features, label_arr)
 
 
 def save_csv_dataset(path, data: Dataset) -> None:

@@ -232,3 +232,21 @@ class TestPriorFile:
         path.write_text("expert_id,class,p,c,s\n0,0,high,0.8,15\n")
         with pytest.raises(DatasetParseError, match="line 2"):
             load_prior_file(path, 2)
+
+    @pytest.mark.parametrize(
+        "row", ["0,1,nan,0.8,15", "0,1,0.5,nan,15", "0,1,0.5,0.8,nan", "0,1,1.5,0.8,15",
+                "0,1,0.5,0.8,inf", "0,1,0.5,0.8,1"]
+    )
+    def test_non_finite_or_out_of_range_value_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "priors.csv"
+        path.write_text(f"expert_id,class,p,c,s\n0,0,0.8,0.8,15\n{row}\n")
+        with pytest.raises(DatasetParseError, match=r"priors\.csv: line 3"):
+            load_prior_file(path, 2)
+
+    def test_nan_elicitation_rejected(self):
+        with pytest.raises(ValueError, match="p must lie"):
+            PriorElicitation(np.array([0.5, np.nan]), np.zeros(2))
+        with pytest.raises(ValueError, match="c must lie"):
+            PriorElicitation(np.full(2, 0.5), np.array([np.nan, 0.0]))
+        with pytest.raises(ValueError, match="strength"):
+            PriorElicitation(np.full(2, 0.5), np.zeros(2), float("nan"))

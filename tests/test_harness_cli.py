@@ -161,6 +161,12 @@ class TestCli:
         assert code == 1
         assert "overlap_probability" in capsys.readouterr().err
 
+    def test_priors_study_divergence_exits_three(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, method="ea_l2d", learning_rate=1e9)
+        code = main(["priors-study", "--config", str(cfg_path), "--out", str(tmp_path / "s")])
+        assert code == 3
+        assert "training diverged: " in capsys.readouterr().err
+
     def test_all_seeds_divergent_exits_three(self, tmp_path):
         cfg_path = write_config(tmp_path, learning_rate=1e12)
         code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "d")])

@@ -142,6 +142,13 @@ class TestCsvDataset:
         with pytest.raises(DatasetParseError, match="negative label"):
             load_csv_dataset(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_file_and_line(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"y,f0,f1\n0,1.0,2.0\n1,3.0,2.0\n1,{cell},0.5\n")
+        with pytest.raises(DatasetParseError, match=r"d\.csv: line 4: non-finite feature"):
+            load_csv_dataset(path)
+
 
 class TestMakePopulation:
     def test_half_split_covers_all_classes(self):
