@@ -27,7 +27,7 @@ from .errors import DatasetParseError, TrainingDivergenceError, UnsupportedTaskE
 from .evaluation import (
     Curve,
     MetricReport,
-    ScoredCase,
+    ScoredCases,
     area_under,
     build_curves,
     deferral_priority,

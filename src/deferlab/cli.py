@@ -136,9 +136,13 @@ def _cmd_theory_check(args) -> int:
     if args.config is not None:
         cfg = parse_config(args.config)
         seeds = [args.seed] if args.seed is not None else cfg.seeds
-    rows, default_used = run_theory_checks(
-        seeds, out_dir=args.out, bound_scale=args.bound_scale
-    )
+    try:
+        rows, default_used = run_theory_checks(
+            seeds, out_dir=args.out, bound_scale=args.bound_scale
+        )
+    except TrainingDivergenceError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 3
     if default_used:
         print("no seeds given; using default seed 0")
     failed = [r for r in rows if not r.passed]

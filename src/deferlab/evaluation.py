@@ -22,15 +22,32 @@ from .simulate import Dataset
 
 
 @dataclass
-class ScoredCase:
-    priority: float
-    classifier_correct: bool
-    expert_correct: bool
-    chosen_expert: int
+class ScoredCases:
+    """Every scored test case as aligned arrays: its deferral priority,
+    whether the classifier and the deferred expert are correct, and which
+    expert it goes to."""
+
+    priority: np.ndarray
+    classifier_correct: np.ndarray
+    expert_correct: np.ndarray
+    chosen_expert: np.ndarray
 
     def __post_init__(self) -> None:
-        if not -1.0 <= self.priority <= 1.0:
+        self.priority = np.asarray(self.priority, dtype=np.float64)
+        self.classifier_correct = np.asarray(self.classifier_correct, dtype=bool)
+        self.expert_correct = np.asarray(self.expert_correct, dtype=bool)
+        self.chosen_expert = np.asarray(self.chosen_expert, dtype=np.int64)
+        shape = self.priority.shape
+        if len(shape) != 1 or any(
+            a.shape != shape
+            for a in (self.classifier_correct, self.expert_correct, self.chosen_expert)
+        ):
+            raise ValueError("scored-case arrays must be aligned vectors")
+        if not np.all((self.priority >= -1.0) & (self.priority <= 1.0)):
             raise ValueError("priority must lie in [-1, 1]")
+
+    def __len__(self) -> int:
+        return len(self.priority)
 
 
 @dataclass
@@ -114,25 +131,21 @@ def select_expert(
     return chosen, float(pri[best])
 
 
-def build_curves(cases: Sequence[ScoredCase]) -> tuple[Curve, Curve]:
+def deferral_curves(
+    priority: np.ndarray, classifier_correct: np.ndarray, expert_correct: np.ndarray
+) -> tuple[Curve, Curve]:
     """System and deferred-case expert accuracy at every deferral rate j/N.
 
-    Cases are deferred in priority order (ties keep input order). The expert
-    curve at rate 0 is extended by continuity from the first deferred case.
+    Cases are deferred in priority order (ties keep input order). Correctness
+    may be an expectation in [0, 1] rather than 0/1. The expert curve at rate
+    0 is extended by continuity from the first deferred case.
     """
-    if len(cases) == 0:
+    n = len(priority)
+    if n == 0:
         raise ValueError("cannot build curves from zero cases")
-    n = len(cases)
-    priorities = np.array([c.priority for c in cases])
-    expert_correct = np.array([c.expert_correct for c in cases], dtype=np.float64)
-    clf_correct = np.array([c.classifier_correct for c in cases], dtype=np.float64)
-
-    order = np.argsort(-priorities, kind="stable")
-    exp_sorted = expert_correct[order]
-    clf_sorted = clf_correct[order]
-
-    exp_prefix = np.concatenate([[0.0], np.cumsum(exp_sorted)])
-    clf_prefix = np.concatenate([[0.0], np.cumsum(clf_sorted)])
+    order = np.argsort(-priority, kind="stable")
+    exp_prefix = np.concatenate([[0.0], np.cumsum(expert_correct[order])])
+    clf_prefix = np.concatenate([[0.0], np.cumsum(classifier_correct[order])])
     total_clf = clf_prefix[-1]
 
     j = np.arange(n + 1)
@@ -142,6 +155,15 @@ def build_curves(cases: Sequence[ScoredCase]) -> tuple[Curve, Curve]:
     expert[1:] = exp_prefix[1:] / j[1:]
     expert[0] = expert[1]
     return Curve(rates, system), Curve(rates, expert)
+
+
+def build_curves(cases: ScoredCases) -> tuple[Curve, Curve]:
+    """Deferral-budget curves of scored cases (see ``deferral_curves``)."""
+    return deferral_curves(
+        cases.priority,
+        cases.classifier_correct.astype(np.float64),
+        cases.expert_correct.astype(np.float64),
+    )
 
 
 def area_under(curve: Curve, d_min: float, d_max: float) -> float:
@@ -168,18 +190,17 @@ def area_under(curve: Curve, d_min: float, d_max: float) -> float:
 
 
 def case_priorities(
-    classifier: DenseNet,
+    logits: np.ndarray,
     rejector: DenseNet,
     features: np.ndarray,
     reps: Sequence[BehaviouralRepresentation] | None,
 ) -> np.ndarray:
-    """Priority matrix (experts, cases).
+    """Priority matrix (experts, cases) from the classifier's logits.
 
     With representations given, each expert's deferral logit comes from the
     four expert-aware rejector inputs; with ``reps=None`` the rejector reads
     the raw features and every expert shares one expert-independent row.
     """
-    logits = forward(classifier, features)
     num_classes = logits.shape[1]
     if reps is None:
         g_defer = forward(rejector, features)[:, 0]
@@ -200,14 +221,15 @@ def case_priorities(
 
 
 def score_cases(
-    classifier: DenseNet,
+    logits: np.ndarray,
     rejector: DenseNet,
     data: Dataset,
     reps: Sequence[BehaviouralRepresentation] | None,
     expert_predictions: np.ndarray,
     rng: np.random.Generator,
-) -> list[ScoredCase]:
-    """Score every case against a cohort.
+) -> ScoredCases:
+    """Score every case against a cohort, given the classifier's logits on
+    ``data``.
 
     Expert-aware systems defer each case to the argmax-priority expert;
     expert-independent ones cannot discriminate, so the deferred expert is a
@@ -217,8 +239,7 @@ def score_cases(
     cohort = preds.shape[0]
     if cohort == 0:
         raise ValueError("cannot score against an empty cohort")
-    priorities = case_priorities(classifier, rejector, data.features, reps)
-    logits = forward(classifier, data.features)
+    priorities = case_priorities(logits, rejector, data.features, reps)
     clf_correct = np.argmax(logits, axis=1) == data.labels
 
     n = len(data)
@@ -229,10 +250,7 @@ def score_cases(
         chosen = np.argmax(priorities, axis=0)
         case_priority = priorities[chosen, np.arange(n)]
     expert_correct = preds[chosen, np.arange(n)] == data.labels
-    return [
-        ScoredCase(float(case_priority[i]), bool(clf_correct[i]), bool(expert_correct[i]), int(chosen[i]))
-        for i in range(n)
-    ]
+    return ScoredCases(case_priority, clf_correct, expert_correct, chosen)
 
 
 CURVE_CSV_HEADER = ["deferral_rate", "system_accuracy", "expert_accuracy"]
@@ -240,13 +258,18 @@ METRIC_CSV_HEADER = ["metric", "d_min", "d_max", "value", "cohort", "seed"]
 
 
 def write_curve_csv(path, system_curve: Curve, expert_curve: Curve) -> None:
+    """One row per grid point, floats in ``repr`` form (shortest round-trip)."""
     if not np.array_equal(system_curve.rates, expert_curve.rates):
         raise ValueError("system and expert curves must share a grid")
+    rows = zip(
+        system_curve.rates.tolist(),
+        system_curve.accuracies.tolist(),
+        expert_curve.accuracies.tolist(),
+    )
+    lines = [",".join(CURVE_CSV_HEADER)]
+    lines.extend(f"{d!r},{sa!r},{ea!r}" for d, sa, ea in rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CURVE_CSV_HEADER)
-        for d, sa, ea in zip(system_curve.rates, system_curve.accuracies, expert_curve.accuracies):
-            writer.writerow([repr(float(d)), repr(float(sa)), repr(float(ea))])
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_metrics_csv(path, rows: Sequence[tuple]) -> None:

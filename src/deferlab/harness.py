@@ -16,11 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import __version__
 from .checkpoint import save_checkpoint
 from .config import ConfigError, ExperimentConfig, validate_config
 from .deferral import TrainResult, train, train_pop_avg
 from .errors import TrainingDivergenceError
 from .evaluation import (
+    Curve,
     MetricReport,
     area_under,
     build_curves,
@@ -37,7 +39,7 @@ from .experts import (
     sample_complexity_bound,
     write_prior_file,
 )
-from .nets import DenseNet, dense_net, forward
+from .nets import dense_net, forward
 from .simulate import (
     ContextSet,
     Dataset,
@@ -58,7 +60,7 @@ from .theory import (
     misidentification_rate,
 )
 
-VERSION_STRING = "deferlab-0.1.0"
+VERSION_STRING = f"deferlab-{__version__}"
 
 REJECTOR_DIMS = (4, 32, 32, 1)
 
@@ -136,8 +138,25 @@ def _cohort_representations(
     return reps
 
 
-def _classifier_accuracy(classifier: DenseNet, data: Dataset) -> float:
-    return float(np.mean(np.argmax(forward(classifier, data.features), axis=1) == data.labels))
+def _classifier_accuracy(logits: np.ndarray, data: Dataset) -> float:
+    return float(np.mean(np.argmax(logits, axis=1) == data.labels))
+
+
+def _metric_rows(
+    report: MetricReport,
+    ranges: Sequence[tuple[float, float]],
+    cohort: str,
+    seed: int,
+    classifier_accuracy: float | None = None,
+) -> list[tuple]:
+    """Metrics CSV rows of one evaluated cohort."""
+    rows = []
+    for lo, hi in ranges:
+        rows.append(("aursac", lo, hi, report.aursac[(lo, hi)], cohort, seed))
+        rows.append(("aurdac", lo, hi, report.aurdac[(lo, hi)], cohort, seed))
+    if classifier_accuracy is not None:
+        rows.append(("classifier_accuracy", 0.0, 1.0, classifier_accuracy, cohort, seed))
+    return rows
 
 
 def _train_method(
@@ -196,7 +215,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     configured method and evaluate it on the in-distribution and held-out
     cohorts, writing curve and metric CSVs plus a manifest.
 
-    A training divergence is recorded and the remaining seeds still run.
+    A training divergence is recorded and the remaining seeds still run. A
+    seed's records, curves and metric rows are kept only when all of its
+    cells succeed, so a failed seed leaves nothing but its manifest entry.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -215,6 +236,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     ]
 
     for seed in cfg.seeds:
+        seed_records: list[RunRecord] = []
+        seed_oracles: list[OracleRecord] = []
+        seed_rows: dict[tuple[str, str], list[tuple]] = {}
+        seed_curves: list[tuple[Path, tuple[Curve, Curve]]] = []
+
         try:
             task = generate_gaussian_task(cfg.task_spec(seed))
             for pi, p, ei, epe in grid:
@@ -250,7 +276,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
                         method, cfg, task, id_experts, id_contexts, priors_map,
                         seed, stream=100 + pi * 10 + ei,
                     )
-                    clf_acc = _classifier_accuracy(result.classifier, task.test)
+                    logits = forward(result.classifier, task.test.features)
+                    clf_acc = _classifier_accuracy(logits, task.test)
                     for cohort_name, idx in cohorts:
                         cohort_experts = [population[i] for i in idx]
                         cohort_contexts = [contexts[i] for i in idx]
@@ -264,51 +291,49 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
                             _subseed(seed, pi, ei, 13, 0 if cohort_name == "id" else 1)
                         )
                         cases = score_cases(
-                            result.classifier,
-                            result.rejector,
-                            task.test,
-                            reps,
-                            test_preds[idx],
-                            pick_rng,
+                            logits, result.rejector, task.test, reps, test_preds[idx], pick_rng
                         )
-                        system_curve, expert_curve = build_curves(cases)
+                        curves = build_curves(cases)
                         report = build_report(
-                            system_curve, expert_curve, cfg.eval_ranges,
+                            *curves, cfg.eval_ranges,
                             cohort=cohort_name, seed=seed, method=method, p=p, expertise=epe,
                         )
-                        records.append(RunRecord(method, p, epe, seed, cohort_name, clf_acc, report))
-                        write_curve_csv(
-                            out / f"curve_{method}_{tag}_seed{seed}_{cohort_name}.csv",
-                            system_curve,
-                            expert_curve,
+                        seed_records.append(
+                            RunRecord(method, p, epe, seed, cohort_name, clf_acc, report)
                         )
-                        rows = metric_rows.setdefault((method, tag), [])
-                        for r in cfg.eval_ranges:
-                            rows.append(("aursac", r[0], r[1], report.aursac[r], cohort_name, seed))
-                            rows.append(("aurdac", r[0], r[1], report.aurdac[r], cohort_name, seed))
-                        rows.append(("classifier_accuracy", 0.0, 1.0, clf_acc, cohort_name, seed))
+                        seed_curves.append(
+                            (out / f"curve_{method}_{tag}_seed{seed}_{cohort_name}.csv", curves)
+                        )
+                        seed_rows.setdefault((method, tag), []).extend(
+                            _metric_rows(report, cfg.eval_ranges, cohort_name, seed, clf_acc)
+                        )
 
                 for cohort_name, idx in cohorts:
                     acc_matrix = np.stack(
                         [expert_accuracy_by_class(population[i], num_classes) for i in idx]
                     )
-                    system_curve, expert_curve = bayes_optimal_reference(task.spec, acc_matrix)
+                    curves = bayes_optimal_reference(task, acc_matrix)
                     report = build_report(
-                        system_curve, expert_curve, cfg.eval_ranges,
+                        *curves, cfg.eval_ranges,
                         cohort=cohort_name, seed=seed, method="oracle", p=p, expertise=epe,
                     )
-                    oracles.append(OracleRecord(p, epe, seed, cohort_name, report))
-                    write_curve_csv(
-                        out / f"curve_oracle_{tag}_seed{seed}_{cohort_name}.csv",
-                        system_curve,
-                        expert_curve,
+                    seed_oracles.append(OracleRecord(p, epe, seed, cohort_name, report))
+                    seed_curves.append(
+                        (out / f"curve_oracle_{tag}_seed{seed}_{cohort_name}.csv", curves)
                     )
-                    rows = metric_rows.setdefault(("oracle", tag), [])
-                    for r in cfg.eval_ranges:
-                        rows.append(("aursac", r[0], r[1], report.aursac[r], cohort_name, seed))
-                        rows.append(("aurdac", r[0], r[1], report.aurdac[r], cohort_name, seed))
+                    seed_rows.setdefault(("oracle", tag), []).extend(
+                        _metric_rows(report, cfg.eval_ranges, cohort_name, seed)
+                    )
         except TrainingDivergenceError as exc:
             failures[seed] = str(exc)
+            continue
+
+        records.extend(seed_records)
+        oracles.extend(seed_oracles)
+        for key, rows in seed_rows.items():
+            metric_rows.setdefault(key, []).extend(rows)
+        for path, curves in seed_curves:
+            write_curve_csv(path, *curves)
 
     for (method, tag), rows in sorted(metric_rows.items()):
         write_metrics_csv(out / f"metrics_{method}_{tag}.csv", rows)
@@ -434,6 +459,7 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
         test_rng = np.random.default_rng(_subseed(seed, 0, 0, 12))
         target_preds = _prediction_matrix([target], task.test.labels, num_classes, test_rng)
         pick_rng = np.random.default_rng(_subseed(seed, 0, 0, 13))
+        logits = forward(result.classifier, task.test.features)
 
         for arm in PRIOR_STUDY_ARMS:
             prior = _study_arm_priors(arm, num_classes, true_class, wrong_class)
@@ -442,9 +468,7 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
             loaded = load_prior_file(prior_path, num_classes)[target.expert_id]
             rep = build_representation([], num_classes, loaded)
 
-            cases = score_cases(
-                result.classifier, result.rejector, task.test, [rep], target_preds, pick_rng
-            )
+            cases = score_cases(logits, result.rejector, task.test, [rep], target_preds, pick_rng)
             system_curve, expert_curve = build_curves(cases)
             report = build_report(
                 system_curve, expert_curve, [(0.0, 1.0)],
@@ -527,7 +551,7 @@ def _ceiling_row(seed: int) -> TheoryCheckRow:
     test_rng = np.random.default_rng(_subseed(seed, 0, 0, 12))
     preds = _prediction_matrix(id_experts, task.test.labels, cfg.num_classes, test_rng)
     cases = score_cases(
-        result.classifier, result.rejector, task.test, reps, preds,
+        forward(result.classifier, task.test.features), result.rejector, task.test, reps, preds,
         np.random.default_rng(_subseed(seed, 0, 0, 13)),
     )
     system_curve, _ = build_curves(cases)
@@ -535,7 +559,7 @@ def _ceiling_row(seed: int) -> TheoryCheckRow:
     acc_matrix = np.stack(
         [expert_accuracy_by_class(e, cfg.num_classes) for e in id_experts]
     )
-    oracle_system, _ = bayes_optimal_reference(task.spec, acc_matrix)
+    oracle_system, _ = bayes_optimal_reference(task, acc_matrix)
     oracle = area_under(oracle_system, 0.0, 1.0)
     return TheoryCheckRow(
         "reference_ceiling",
@@ -617,7 +641,7 @@ def run_theory_checks(
             train_size=0, val_size=0, test_size=2000, context_pool_size=0,
             seed=_subseed(seed, 23),
         )
-        oracle_system, _ = bayes_optimal_reference(spec, np.ones(5))
+        oracle_system, _ = bayes_optimal_reference(generate_gaussian_task(spec), np.ones(5))
         clf_acc = float(oracle_system.accuracies[0])
         sigma3 = 3.0 * math.sqrt(0.2 * 0.8 / 2000)
         rows.append(

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UnsupportedTaskError
-from .evaluation import Curve
-from .simulate import SyntheticTaskSpec, generate_gaussian_task
+from .evaluation import Curve, deferral_curves
+from .simulate import TaskData
 
 
 @dataclass
@@ -73,9 +73,10 @@ def misidentification_rate(cfg: TrialConfig) -> float:
 
 
 def bayes_optimal_reference(
-    task: SyntheticTaskSpec, expert_accuracies: np.ndarray
+    data: TaskData, expert_accuracies: np.ndarray
 ) -> tuple[Curve, Curve]:
-    """Optimal system/expert accuracy curves on the task's test partition.
+    """Optimal system/expert accuracy curves on a generated Gaussian task's
+    test partition.
 
     The optimal classifier takes the argmax of the exact Gaussian class
     posterior. Deferral value for each case is the best expert's expected
@@ -84,45 +85,38 @@ def bayes_optimal_reference(
     in expectation, so the result is the ceiling any trained system can only
     reach up to sampling noise.
     """
-    if not isinstance(task, SyntheticTaskSpec):
+    if not isinstance(data, TaskData):
         raise UnsupportedTaskError(
-            "the optimal reference needs a Gaussian task with known densities"
+            "the optimal reference needs a generated Gaussian task (TaskData) "
+            "with known densities"
         )
+    task = data.spec
     acc = np.atleast_2d(np.asarray(expert_accuracies, dtype=np.float64))
     if acc.shape[1] != task.num_classes:
         raise ValueError("expert accuracies must have one column per class")
 
-    data = generate_gaussian_task(task)
     x = data.test.features
     y = data.test.labels
     if len(x) == 0:
         raise ValueError("task has an empty test partition")
 
     # Balanced classes and isotropic noise: posterior is a softmax over
-    # -||x - mean_k||^2 / (2 sigma^2).
-    d2 = ((x[:, None, :] - data.class_means[None, :, :]) ** 2).sum(axis=2)
+    # -||x - mean_k||^2 / (2 sigma^2). One class at a time avoids a
+    # (cases, K, dim) temporary.
+    d2 = np.empty((len(x), task.num_classes))
+    for k, mean in enumerate(data.class_means):
+        d2[:, k] = ((x - mean) ** 2).sum(axis=1)
     logp = -d2 / (2.0 * task.noise_scale**2)
     logp -= logp.max(axis=1, keepdims=True)
     post = np.exp(logp)
     post /= post.sum(axis=1, keepdims=True)
 
     clf_correct = (np.argmax(post, axis=1) == y).astype(np.float64)
-    defer_value = (post @ acc.T).max(axis=1)  # best expert per case
-    best_expert = np.argmax(post @ acc.T, axis=1)
+    value = post @ acc.T  # each expert's expected correctness per case
+    best_expert = np.argmax(value, axis=1)
     expert_correct = acc[best_expert, y]  # expected correctness on the true label
-    priority = defer_value - post.max(axis=1)
-
-    order = np.argsort(-priority, kind="stable")
-    exp_prefix = np.concatenate([[0.0], np.cumsum(expert_correct[order])])
-    clf_prefix = np.concatenate([[0.0], np.cumsum(clf_correct[order])])
-    n = len(y)
-    j = np.arange(n + 1)
-    rates = j / n
-    system = (exp_prefix + (clf_prefix[-1] - clf_prefix)) / n
-    expert = np.empty(n + 1)
-    expert[1:] = exp_prefix[1:] / j[1:]
-    expert[0] = expert[1]
-    return Curve(rates, system), Curve(rates, expert)
+    priority = value.max(axis=1) - post.max(axis=1)
+    return deferral_curves(priority, clf_correct, expert_correct)
 
 
 @dataclass

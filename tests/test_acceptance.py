@@ -18,7 +18,7 @@ from deferlab.deferral import (
     ea_l2d_loss_grads,
     pop_avg_loss_grads,
 )
-from deferlab.evaluation import Curve, ScoredCase, area_under, build_curves
+from deferlab.evaluation import Curve, ScoredCases, area_under, build_curves
 from deferlab.experts import (
     BehaviouralRepresentation,
     BetaParams,
@@ -30,7 +30,11 @@ from deferlab.experts import (
 )
 from deferlab.harness import run_experiment, run_priors_study
 from deferlab.nets import dense_net, finite_difference_check
-from deferlab.simulate import SimulatedExpertSpec, expert_accuracy_by_class
+from deferlab.simulate import (
+    SimulatedExpertSpec,
+    expert_accuracy_by_class,
+    generate_gaussian_task,
+)
 from deferlab.theory import TrialConfig, bayes_optimal_reference, misidentification_rate
 
 FULL = (0.0, 1.0)
@@ -173,28 +177,29 @@ def test_criterion_5_metric_oracle():
     detail = ""
     for _ in range(50):
         n = int(rng.integers(1, 21))
-        cases = [
-            ScoredCase(
+        rows = [
+            (
                 float(rng.choice([-0.7, -0.1, 0.0, 0.4, 0.4, 0.9])),
                 bool(rng.integers(2)),
                 bool(rng.integers(2)),
-                0,
             )
             for _ in range(n)
         ]
+        priority, clf_correct, exp_correct = zip(*rows)
+        cases = ScoredCases(priority, clf_correct, exp_correct, np.zeros(n, dtype=np.int64))
         system, expert = build_curves(cases)
         # brute force over every cutoff
-        order = sorted(range(n), key=lambda i: (-cases[i].priority, i))
+        order = sorted(range(n), key=lambda i: (-priority[i], i))
         for j in range(n + 1):
             deferred = set(order[:j])
             acc = sum(
-                cases[i].expert_correct if i in deferred else cases[i].classifier_correct
+                exp_correct[i] if i in deferred else clf_correct[i]
                 for i in range(n)
             ) / n
             if abs(system.accuracies[j] - acc) > 1e-12:
                 ok, detail = False, f"system mismatch at j={j}"
             if j > 0:
-                eacc = sum(cases[i].expert_correct for i in deferred) / j
+                eacc = sum(exp_correct[i] for i in deferred) / j
                 if abs(expert.accuracies[j] - eacc) > 1e-12:
                     ok, detail = False, f"expert mismatch at j={j}"
 
@@ -348,7 +353,9 @@ def test_criterion_10_bayes_ceiling(grid_result, priors_result):
     target = SimulatedExpertSpec(0, frozenset({0}), p, 0)
     acc = expert_accuracy_by_class(target, pcfg.num_classes)
     for rec in presult.records:
-        oracle_system, _ = bayes_optimal_reference(pcfg.task_spec(rec.seed), acc)
+        oracle_system, _ = bayes_optimal_reference(
+            generate_gaussian_task(pcfg.task_spec(rec.seed)), acc
+        )
         margin = area_under(rec.system_curve, *FULL) - area_under(oracle_system, *FULL)
         worst = max(worst, margin)
         ok = ok and margin <= 0.02

@@ -1,9 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from deferlab.evaluation import (
     Curve,
-    ScoredCase,
+    ScoredCases,
     area_under,
     build_curves,
     case_priorities,
@@ -14,23 +18,29 @@ from deferlab.evaluation import (
     write_metrics_csv,
 )
 from deferlab.experts import BehaviouralRepresentation, BetaParams
-from deferlab.nets import dense_net
+from deferlab.nets import dense_net, forward
 from deferlab.simulate import Dataset
+
+
+def scored(priority, classifier_correct, expert_correct):
+    """Scored cases that all went to expert 0."""
+    chosen = np.zeros(len(priority), dtype=np.int64)
+    return ScoredCases(priority, classifier_correct, expert_correct, chosen)
 
 
 def brute_force_curves(cases):
     """Independent oracle: enumerate every deferral cutoff directly."""
     n = len(cases)
-    order = sorted(range(n), key=lambda i: (-cases[i].priority, i))
+    order = sorted(range(n), key=lambda i: (-cases.priority[i], i))
     system, expert = [], []
     for j in range(n + 1):
         deferred = set(order[:j])
         correct = 0.0
-        for i, case in enumerate(cases):
-            correct += case.expert_correct if i in deferred else case.classifier_correct
+        for i in range(n):
+            correct += cases.expert_correct[i] if i in deferred else cases.classifier_correct[i]
         system.append(correct / n)
         if j > 0:
-            expert.append(sum(cases[i].expert_correct for i in deferred) / j)
+            expert.append(sum(cases.expert_correct[i] for i in deferred) / j)
     expert = [expert[0]] + expert
     return system, expert
 
@@ -77,16 +87,33 @@ class TestSelectExpert:
             select_expert([])
 
 
+class TestScoredCases:
+    def test_priority_outside_unit_interval_rejected(self):
+        for bad in (1.5, -1.0 - 1e-9, float("nan")):
+            with pytest.raises(ValueError, match="priority"):
+                scored([0.0, bad, 0.5], [True] * 3, [True] * 3)
+
+    def test_interval_ends_accepted(self):
+        cases = scored([-1.0, 1.0], [True, False], [False, True])
+        assert len(cases) == 2
+
+    def test_misaligned_arrays_rejected(self):
+        with pytest.raises(ValueError, match="aligned"):
+            ScoredCases([0.1, 0.2], [True], [True, False], [0, 0])
+        with pytest.raises(ValueError, match="aligned"):
+            ScoredCases(np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2)))
+
+
 class TestBuildCurves:
     def test_perfect_system_is_constant_one(self):
-        cases = [ScoredCase(0.1 * i - 0.3, True, True, 0) for i in range(5)]
+        cases = scored([0.1 * i - 0.3 for i in range(5)], [True] * 5, [True] * 5)
         system, expert = build_curves(cases)
         assert np.all(system.accuracies == 1.0)
         assert np.all(expert.accuracies == 1.0)
 
     def test_wrong_classifier_oracle_expert_gives_identity_line(self):
         rng = np.random.default_rng(0)
-        cases = [ScoredCase(float(rng.uniform(-1, 1)), False, True, 0) for _ in range(8)]
+        cases = scored([float(rng.uniform(-1, 1)) for _ in range(8)], [False] * 8, [True] * 8)
         system, _ = build_curves(cases)
         assert np.allclose(system.accuracies, system.rates, atol=1e-15)
 
@@ -94,28 +121,28 @@ class TestBuildCurves:
         rng = np.random.default_rng(99)
         for _ in range(50):
             n = int(rng.integers(1, 21))
-            cases = [
-                ScoredCase(
+            rows = [
+                (
                     float(rng.choice([-0.5, 0.0, 0.25, 0.8])),  # ties likely
                     bool(rng.integers(2)),
                     bool(rng.integers(2)),
-                    0,
                 )
                 for _ in range(n)
             ]
+            cases = scored(*zip(*rows))
             system, expert = build_curves(cases)
             bf_system, bf_expert = brute_force_curves(cases)
             assert np.allclose(system.accuracies, bf_system, atol=1e-12)
             assert np.allclose(expert.accuracies, bf_expert, atol=1e-12)
 
     def test_expert_curve_extends_by_continuity_at_zero(self):
-        cases = [ScoredCase(0.9, True, True, 0), ScoredCase(0.1, True, False, 0)]
+        cases = scored([0.9, 0.1], [True, True], [True, False])
         _, expert = build_curves(cases)
         assert expert.accuracies[0] == expert.accuracies[1] == 1.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            build_curves([])
+            build_curves(scored([], [], []))
 
 
 class TestAreaUnder:
@@ -176,17 +203,19 @@ class TestAreaUnder:
 class TestMonotoneTransformInvariance:
     def test_areas_depend_only_on_priority_order(self):
         rng = np.random.default_rng(7)
-        cases = [
-            ScoredCase(float(p), bool(rng.integers(2)), bool(rng.integers(2)), 0)
+        rows = [
+            (float(p), bool(rng.integers(2)), bool(rng.integers(2)))
             for p in rng.uniform(-1, 1, size=30)
         ]
+        cases = scored(*zip(*rows))
         system, expert = build_curves(cases)
         base = (area_under(system, 0.0, 1.0), area_under(expert, 0.0, 1.0))
         for transform in (lambda x: np.tanh(2 * x), lambda x: 0.5 * x + 0.1):
-            warped = [
-                ScoredCase(float(transform(c.priority)), c.classifier_correct, c.expert_correct, 0)
-                for c in cases
-            ]
+            warped = scored(
+                [float(transform(p)) for p in cases.priority],
+                cases.classifier_correct,
+                cases.expert_correct,
+            )
             ws, we = build_curves(warped)
             assert area_under(ws, 0.0, 1.0) == pytest.approx(base[0], abs=1e-12)
             assert area_under(we, 0.0, 1.0) == pytest.approx(base[1], abs=1e-12)
@@ -199,31 +228,36 @@ class TestScoreCases:
         data = Dataset(np.random.default_rng(0).normal(size=(12, 3)), np.zeros(12, dtype=np.int64))
         reps = [rep_from_mu([0.9, 0.4, 0.4]), rep_from_mu([0.4, 0.9, 0.4])]
         preds = np.zeros((2, 12), dtype=np.int64)
-        cases = score_cases(clf, rej, data, reps, preds, np.random.default_rng(0))
-        matrix = case_priorities(clf, rej, data.features, reps)
+        logits = forward(clf, data.features)
+        cases = score_cases(logits, rej, data, reps, preds, np.random.default_rng(0))
+        matrix = case_priorities(logits, rej, data.features, reps)
         expected = np.argmax(matrix, axis=0)
-        assert [c.chosen_expert for c in cases] == expected.tolist()
-        assert all(c.priority == matrix[e, i] for i, (c, e) in enumerate(zip(cases, expected)))
+        assert cases.chosen_expert.tolist() == expected.tolist()
+        assert all(cases.priority[i] == matrix[e, i] for i, e in enumerate(expected))
 
     def test_expert_independent_scoring_draws_uniformly(self):
         clf = dense_net([3, 8, 3], 0)
         rej = dense_net([3, 8, 1], 1)
         data = Dataset(np.random.default_rng(1).normal(size=(400, 3)), np.zeros(400, dtype=np.int64))
         preds = np.zeros((4, 400), dtype=np.int64)
-        cases = score_cases(clf, rej, data, None, preds, np.random.default_rng(5))
-        chosen = np.array([c.chosen_expert for c in cases])
+        logits = forward(clf, data.features)
+        cases = score_cases(logits, rej, data, None, preds, np.random.default_rng(5))
+        chosen = cases.chosen_expert
         counts = np.bincount(chosen, minlength=4)
         assert counts.min() > 0.25 * 400 / 4  # roughly uniform
         # same seed draws identically
-        again = score_cases(clf, rej, data, None, preds, np.random.default_rng(5))
-        assert [c.chosen_expert for c in again] == chosen.tolist()
+        again = score_cases(logits, rej, data, None, preds, np.random.default_rng(5))
+        assert again.chosen_expert.tolist() == chosen.tolist()
 
     def test_empty_cohort_rejected(self):
         clf = dense_net([3, 8, 3], 0)
         rej = dense_net([3, 8, 1], 1)
         data = Dataset(np.zeros((2, 3)), np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError):
-            score_cases(clf, rej, data, None, np.zeros((0, 2), dtype=np.int64), np.random.default_rng(0))
+            score_cases(
+                forward(clf, data.features), rej, data, None,
+                np.zeros((0, 2), dtype=np.int64), np.random.default_rng(0),
+            )
 
 
 class TestCsvWriters:
@@ -249,3 +283,78 @@ class TestCsvWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "metric,d_min,d_max,value,cohort,seed"
         assert lines[1].startswith("aursac,0.0,1.0,0.83,id,1")
+
+
+# One case as (priority, classifier correct, expert correct).
+case_rows = st.lists(
+    st.tuples(st.floats(-1.0, 1.0), st.booleans(), st.booleans()), min_size=1, max_size=60
+)
+
+
+class TestCurveProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(case_rows)
+    def test_endpoints_are_classifier_and_expert_accuracy(self, rows):
+        cases = scored(*zip(*rows))
+        system, expert = build_curves(cases)
+        assert system.accuracies[0] == np.mean(cases.classifier_correct)
+        assert system.accuracies[-1] == np.mean(cases.expert_correct)
+        assert expert.accuracies[-1] == np.mean(cases.expert_correct)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case_rows, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_area_is_additive_over_split_ranges(self, rows, a, b, c):
+        lo, mid, hi = sorted((a, b, c))
+        assume(lo < mid < hi)
+        for curve in build_curves(scored(*zip(*rows))):
+            whole = area_under(curve, lo, hi) * (hi - lo)
+            left = area_under(curve, lo, mid) * (mid - lo)
+            right = area_under(curve, mid, hi) * (hi - mid)
+            assert whole == pytest.approx(left + right, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_permuting_distinct_priorities_leaves_curves_unchanged(self, data):
+        priorities = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=60, unique=True))
+        n = len(priorities)
+        clf = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        exp = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        perm = data.draw(st.permutations(range(n)))
+        system, expert = build_curves(scored(priorities, clf, exp))
+        p_system, p_expert = build_curves(
+            scored([priorities[i] for i in perm], [clf[i] for i in perm], [exp[i] for i in perm])
+        )
+        assert np.array_equal(system.accuracies, p_system.accuracies)
+        assert np.array_equal(expert.accuracies, p_expert.accuracies)
+
+
+def reference_curve_csv(path, system_curve, expert_curve):
+    """The csv-module curve writer the joined writer replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["deferral_rate", "system_accuracy", "expert_accuracy"])
+        for d, sa, ea in zip(system_curve.rates, system_curve.accuracies, expert_curve.accuracies):
+            writer.writerow([repr(float(d)), repr(float(sa)), repr(float(ea))])
+
+
+class TestCurveCsvBytes:
+    @pytest.mark.parametrize("n", [1, 7, 60_000])
+    def test_matches_csv_module_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        cases = scored(rng.uniform(-1, 1, size=n), rng.integers(2, size=n), rng.integers(2, size=n))
+        system, expert = build_curves(cases)
+        if n == 60_000:
+            assert repr(float(system.rates[1])) == "1.6666666666666667e-05"
+        write_curve_csv(tmp_path / "new.csv", system, expert)
+        reference_curve_csv(tmp_path / "ref.csv", system, expert)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_exact_ends_and_inexact_sums(self, tmp_path):
+        rates = np.array([0.0, 0.1 + 0.2, 0.5, 1.0])
+        system = Curve(rates, np.array([0.0, 1.0, 0.1 + 0.2, 1 / 3]))
+        expert = Curve(rates, np.array([1.0, 0.0, 0.7 - 0.4, 2 / 3]))
+        write_curve_csv(tmp_path / "new.csv", system, expert)
+        reference_curve_csv(tmp_path / "ref.csv", system, expert)
+        text = (tmp_path / "new.csv").read_text()
+        assert "0.30000000000000004,1.0,0.0" in text and text.endswith("\n")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

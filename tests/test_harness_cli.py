@@ -1,12 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deferlab
+import deferlab.harness
 from deferlab.checkpoint import load_checkpoint
 from deferlab.cli import main
 from deferlab.config import validate_config
-from deferlab.harness import run_experiment, run_priors_study
+from deferlab.errors import TrainingDivergenceError
+from deferlab.harness import VERSION_STRING, run_experiment, run_priors_study
 
 TINY = dict(
     num_classes=4,
@@ -92,6 +96,37 @@ class TestRunExperiment:
         assert set(result.failures) == {1, 2}
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert set(manifest["failures"]) == {"1", "2"}
+
+    def test_seed_failing_in_a_later_cell_leaves_no_partial_results(self, tmp_path, monkeypatch):
+        real_train = deferlab.harness.train
+        calls = []
+
+        def train_diverging_on_second_call(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise TrainingDivergenceError("loss became non-finite")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(deferlab.harness, "train", train_diverging_on_second_call)
+        cfg = validate_config(
+            dict(TINY, method="ea_l2d", seeds=[1, 2], overlap_probabilities=[0.2, 0.8])
+        )
+        out = tmp_path / "out"
+        result = run_experiment(cfg, out)
+        assert len(calls) == 4  # seed 1 stops at its second cell, seed 2 runs both
+        assert set(result.failures) == {1}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == {"1": "loss became non-finite"}
+        assert {r.seed for r in result.records} == {2}
+        assert {o.seed for o in result.oracles} == {2}
+        names = sorted(p.name for p in out.iterdir())
+        assert not [n for n in names if "_seed1_" in n]
+        # (ea_l2d, oracle) x two p values x (id, ood)
+        assert len([n for n in names if "_seed2_" in n]) == 2 * 2 * 2
+        for name in names:
+            if name.startswith("metrics_"):
+                lines = (out / name).read_text().splitlines()[1:]
+                assert {line.rsplit(",", 1)[1] for line in lines} == {"2"}
 
 
 class TestPriorsStudy:
@@ -179,6 +214,15 @@ class TestCli:
         assert "no seeds given; using default seed 0" in out
         assert "FAIL" not in out
 
+    def test_theory_check_divergence_exits_three(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingDivergenceError("gradient norm inf")
+
+        monkeypatch.setattr(deferlab.harness, "train", diverge)
+        code = main(["theory-check", "--seed", "0", "--out", str(tmp_path / "t")])
+        assert code == 3
+        assert "training diverged: gradient norm inf" in capsys.readouterr().err
+
     def test_theory_check_negative_control_exits_two(self, tmp_path, capsys):
         code = main(
             ["theory-check", "--seed", "0", "--out", str(tmp_path / "t"),
@@ -188,3 +232,11 @@ class TestCli:
         assert "FAIL" in capsys.readouterr().out
         report = (tmp_path / "t" / "theory_report.csv").read_text()
         assert ",fail" in report
+
+
+def test_one_version_string():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == deferlab.__version__
+    assert VERSION_STRING == f"deferlab-{deferlab.__version__}"

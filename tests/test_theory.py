@@ -5,7 +5,7 @@ from deferlab.errors import UnsupportedTaskError
 from deferlab.evaluation import area_under
 from deferlab.experts import sample_complexity_bound
 from deferlab.harness import run_theory_checks
-from deferlab.simulate import SyntheticTaskSpec
+from deferlab.simulate import SyntheticTaskSpec, generate_gaussian_task
 from deferlab.theory import (
     TrialConfig,
     bayes_optimal_reference,
@@ -78,25 +78,50 @@ class TestMisidentificationRate:
             TrialConfig(3, np.array([0.9, 0.9, 0.5]), 0, 10, 100, 0.05, seed=0)
 
 
-def uniform_spec(test_size=2000, separation=0.0):
-    return SyntheticTaskSpec(
-        num_classes=5,
-        dim=6,
-        separation=separation,
-        noise_scale=1.0,
-        train_size=0,
-        val_size=0,
-        test_size=test_size,
-        context_pool_size=0,
-        seed=11,
+def uniform_task(test_size=2000, separation=0.0):
+    return generate_gaussian_task(
+        SyntheticTaskSpec(
+            num_classes=5,
+            dim=6,
+            separation=separation,
+            noise_scale=1.0,
+            train_size=0,
+            val_size=0,
+            test_size=test_size,
+            context_pool_size=0,
+            seed=11,
+        )
     )
+
+
+def broadcast_reference(task, acc):
+    """The oracle as first written: one (cases, K, dim) difference block."""
+    acc = np.atleast_2d(acc)
+    x, y = task.test.features, task.test.labels
+    d2 = ((x[:, None, :] - task.class_means[None, :, :]) ** 2).sum(axis=2)
+    logp = -d2 / (2.0 * task.spec.noise_scale**2)
+    logp -= logp.max(axis=1, keepdims=True)
+    post = np.exp(logp)
+    post /= post.sum(axis=1, keepdims=True)
+    clf_correct = (np.argmax(post, axis=1) == y).astype(np.float64)
+    expert_correct = acc[np.argmax(post @ acc.T, axis=1), y]
+    priority = (post @ acc.T).max(axis=1) - post.max(axis=1)
+    order = np.argsort(-priority, kind="stable")
+    exp_prefix = np.concatenate([[0.0], np.cumsum(expert_correct[order])])
+    clf_prefix = np.concatenate([[0.0], np.cumsum(clf_correct[order])])
+    j = np.arange(len(y) + 1)
+    system = (exp_prefix + (clf_prefix[-1] - clf_prefix)) / len(y)
+    expert = np.empty(len(y) + 1)
+    expert[1:] = exp_prefix[1:] / j[1:]
+    expert[0] = expert[1]
+    return system, expert
 
 
 class TestBayesOptimalReference:
     def test_zero_separation_classifier_at_chance_and_full_deferral(self):
-        spec = uniform_spec()
+        task = uniform_task()
         # any expert better than chance makes deferral worthwhile everywhere
-        system, expert = bayes_optimal_reference(spec, np.full(5, 0.6))
+        system, expert = bayes_optimal_reference(task, np.full(5, 0.6))
         clf_acc = system.accuracies[0]
         assert clf_acc == pytest.approx(0.2, abs=1e-12)  # balanced partition, exact
         # deferring everything reaches the expert's expected accuracy
@@ -105,8 +130,8 @@ class TestBayesOptimalReference:
         assert np.all(expert.accuracies >= 0.6 - 1e-12)
 
     def test_oracle_expert_defers_everywhere(self):
-        spec = uniform_spec(separation=2.0)
-        system, expert = bayes_optimal_reference(spec, np.ones(5))
+        task = uniform_task(separation=2.0)
+        system, expert = bayes_optimal_reference(task, np.ones(5))
         # expected expert correctness is 1 on every deferred case
         assert np.all(expert.accuracies == 1.0)
         assert system.accuracies[-1] == 1.0
@@ -114,15 +139,27 @@ class TestBayesOptimalReference:
         assert area_under(system, 0.0, 1.0) <= 1.0
 
     def test_multi_expert_matrix_takes_best(self):
-        spec = uniform_spec(separation=1.5)
+        task = uniform_task(separation=1.5)
         acc = np.array([[1.0, 0.3, 0.3, 0.3, 0.3], [0.3, 1.0, 0.3, 0.3, 0.3]])
-        system_pair, _ = bayes_optimal_reference(spec, acc)
-        system_single, _ = bayes_optimal_reference(spec, acc[0])
+        system_pair, _ = bayes_optimal_reference(task, acc)
+        system_single, _ = bayes_optimal_reference(task, acc[0])
         assert area_under(system_pair, 0.0, 1.0) >= area_under(system_single, 0.0, 1.0) - 1e-12
 
     def test_non_gaussian_task_rejected(self):
         with pytest.raises(UnsupportedTaskError):
             bayes_optimal_reference({"kind": "csv"}, np.ones(3))
+        with pytest.raises(UnsupportedTaskError):
+            bayes_optimal_reference(uniform_task().spec, np.ones(5))
+
+    @pytest.mark.parametrize("separation", [0.0, 1.5, 3.0])
+    def test_matches_broadcast_reference_exactly(self, separation):
+        task = uniform_task(test_size=3001, separation=separation)
+        acc = np.array([[0.9, 0.3, 0.5, 0.3, 0.3], [0.3, 0.8, 0.3, 0.6, 0.3]])
+        for experts in (acc, acc[1]):
+            system, expert = bayes_optimal_reference(task, experts)
+            ref_system, ref_expert = broadcast_reference(task, experts)
+            assert np.array_equal(system.accuracies, ref_system)
+            assert np.array_equal(expert.accuracies, ref_expert)
 
 
 class TestRunTheoryChecks:
