@@ -56,6 +56,7 @@ from .nets import (
     dense_net,
     finite_difference_check,
     forward,
+    forward_cached,
     sgd_step,
     softmax,
 )

@@ -35,10 +35,12 @@ from .experts import (
     prior_arrays,
 )
 from .nets import (
+    Activations,
     DenseNet,
     TrainConfig,
     backward,
     forward,
+    forward_cached,
     relu_pattern,
     sgd_step,
     softmax,
@@ -213,6 +215,21 @@ def _joint_grad_rows(
     return d
 
 
+def _forward_for(
+    net: DenseNet, x: np.ndarray, want_grads: bool
+) -> tuple[np.ndarray, Activations | None]:
+    """Network output, plus the cached activations when gradients follow.
+
+    Without gradients the plain ``forward`` runs, which keeps no per-layer
+    arrays: validation batches are large and would otherwise raise peak
+    memory for nothing.
+    """
+    if want_grads:
+        acts = forward_cached(net, x)
+        return acts[1][-1], acts
+    return forward(net, x), None
+
+
 def _rejector_inputs(rho: np.ndarray, kstar: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """The four rejector inputs of every (expert, example) pair.
 
@@ -247,19 +264,22 @@ def _ea_stacked(
     inputs, rows ordered expert-major. Gradients flow into the rejector and
     into the classifier both directly through the class logits and through
     the class softmax feeding the rejector inputs; both routes are summed
-    over experts before the one classifier backward pass. The returned
-    pattern encodes the discrete choices (relu signs of both networks, the
-    classifier argmax) for finite-difference kink detection.
+    over experts before the one classifier backward pass. Each network runs
+    forward once; its backward pass and relu pattern read the cached
+    activations. The returned pattern encodes the discrete choices (relu
+    signs of both networks, the classifier argmax) for finite-difference
+    kink detection.
     """
     experts, num_classes = mu.shape
     batch = len(labels)
-    logits = forward(classifier, features)
+    logits, clf_acts = _forward_for(classifier, features, want_grads)
     rho = _softmax_rows(logits)
     kstar = np.argmax(rho, axis=1)
     estar = np.argmax(mu, axis=1)
     rows = np.arange(batch)
     feats = _rejector_inputs(rho, kstar, mu)
-    g_defer = forward(rejector, feats)[:, 0]
+    rej_out, rej_acts = _forward_for(rejector, feats, want_grads)
+    g_defer = rej_out[:, 0]
     joint = np.empty((experts, batch, num_classes + 1))
     joint[:, :, :num_classes] = logits
     joint[:, :, num_classes] = g_defer.reshape(experts, batch)
@@ -273,7 +293,7 @@ def _ea_stacked(
         return classifier_sum, deferral_sum, None, None, None
 
     d_joint = _joint_grad_rows(q, pair_labels, weights)
-    rej_grads = backward(rejector, feats, d_joint[:, num_classes:])
+    rej_grads = backward(rejector, rej_acts, d_joint[:, num_classes:])
     d_feats = rej_grads.input_grad.reshape(experts, batch, 4)
 
     onehot_estar = np.zeros((experts, num_classes))
@@ -283,14 +303,10 @@ def _ea_stacked(
     d_logits = d_joint[:, :num_classes].reshape(experts, batch, num_classes).sum(axis=0)
     d_logits += rho * (d_rho - (d_rho * rho).sum(axis=1, keepdims=True))
 
-    clf_grads = backward(classifier, features, d_logits)
+    clf_grads = backward(classifier, clf_acts, d_logits)
 
     pattern = np.concatenate(
-        [
-            relu_pattern(classifier, features).astype(np.int64),
-            relu_pattern(rejector, feats).astype(np.int64),
-            kstar,
-        ]
+        [relu_pattern(classifier, clf_acts), relu_pattern(rejector, rej_acts), kstar]
     )
     return classifier_sum, deferral_sum, clf_grads, rej_grads, pattern
 
@@ -305,9 +321,9 @@ def _pop_batch(
 ):
     """Baseline batch: the rejector consumes the raw features directly."""
     num_classes = classifier.output_dim
-    logits = forward(classifier, features)
-    g_defer = forward(rejector, features)[:, 0]
-    joint = np.column_stack([logits, g_defer])
+    logits, clf_acts = _forward_for(classifier, features, want_grads)
+    rej_out, rej_acts = _forward_for(rejector, features, want_grads)
+    joint = np.column_stack([logits, rej_out[:, 0]])
     q = _softmax_rows(joint)
 
     classifier_sum, deferral_sum = _loss_sums(q, labels, weights, num_classes)
@@ -316,14 +332,11 @@ def _pop_batch(
         return classifier_sum, deferral_sum, None, None, None
 
     d_joint = _joint_grad_rows(q, labels, weights)
-    rej_grads = backward(rejector, features, d_joint[:, num_classes][:, None])
-    clf_grads = backward(classifier, features, d_joint[:, :num_classes])
+    rej_grads = backward(rejector, rej_acts, d_joint[:, num_classes][:, None])
+    clf_grads = backward(classifier, clf_acts, d_joint[:, :num_classes])
     pattern = np.concatenate(
-        [
-            relu_pattern(classifier, features).astype(np.int64),
-            relu_pattern(rejector, features).astype(np.int64),
-        ]
-    )
+        [relu_pattern(classifier, clf_acts), relu_pattern(rejector, rej_acts)]
+    ).astype(np.int64)
     return classifier_sum, deferral_sum, clf_grads, rej_grads, pattern
 
 
@@ -477,8 +490,8 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
             scale = 1.0 / (len(idx) * len(contexts))
-            classifier = sgd_step(classifier, clf_grads.scaled(scale), cfg)
-            rejector = sgd_step(rejector, rej_grads.scaled(scale), cfg)
+            classifier = sgd_step(classifier, clf_grads, cfg, scale)
+            rejector = sgd_step(rejector, rej_grads, cfg, scale)
             c_sum += batch_c
             d_sum += batch_d
             pair_count += len(idx) * len(contexts)
@@ -510,10 +523,14 @@ def mode_labels(prediction_matrix: np.ndarray, num_classes: int) -> np.ndarray:
     preds = np.asarray(prediction_matrix, dtype=np.int64)
     if preds.ndim != 2 or preds.shape[0] == 0:
         raise ValueError("prediction matrix must be (experts, examples) with >= 1 expert")
-    return np.array(
-        [mode_prediction(preds[:, i], num_classes) for i in range(preds.shape[1])],
-        dtype=np.int64,
-    )
+    if np.any(preds < 0) or np.any(preds >= num_classes):
+        raise ValueError("prediction out of range")
+    examples = preds.shape[1]
+    # Row i of ``counts`` tallies column i's votes; argmax breaks ties to the
+    # lowest class index, as ``mode_prediction`` does.
+    cells = np.arange(examples) * num_classes + preds
+    counts = np.bincount(cells.ravel(), minlength=examples * num_classes)
+    return np.argmax(counts.reshape(examples, num_classes), axis=1)
 
 
 def train_pop_avg(
@@ -559,8 +576,8 @@ def train_pop_avg(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
             scale = 1.0 / len(idx)
-            classifier = sgd_step(classifier, cg.scaled(scale), cfg)
-            rejector = sgd_step(rejector, rg.scaled(scale), cfg)
+            classifier = sgd_step(classifier, cg, cfg, scale)
+            rejector = sgd_step(rejector, rg, cfg, scale)
             c_sum += cs
             d_sum += ds
 

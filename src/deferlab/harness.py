@@ -407,7 +407,8 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
     expert's representation comes purely from an accurate, an uninformative,
     or a misdirected prior file. All three arms share the trained networks
     and the expert's sampled test predictions, so their curves coincide at
-    full deferral.
+    full deferral. Every seed trains before the first file is written, so a
+    seed that diverges leaves none of the study's files behind.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -415,9 +416,14 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
     p = cfg.overlap_probabilities[0]
     epe = cfg.expertise_grid()[0]
 
-    records: list[PriorsStudyRecord] = []
-    metric_rows: list[tuple] = []
-    target_id = -1
+    # The studied expert never appears in training and has no context: its
+    # representation is whatever the prior file says. Expertise sits on
+    # class 0, the class a flat posterior's tie-break also lands on, so the
+    # uninformative arm is neutral rather than misdirected; the misdirected
+    # arm asserts expertise on the last class instead.
+    true_class = 0
+    wrong_class = num_classes - 1
+    trained = []
     for seed in cfg.seeds:
         task = generate_gaussian_task(cfg.task_spec(seed))
         population = make_population(
@@ -429,13 +435,6 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
             expertise_per_expert=epe,
             seed=_subseed(seed, 0, 0, 10),
         )
-        # The studied expert never appears in training and has no context:
-        # its representation is whatever the prior file says. Expertise sits
-        # on class 0, the class a flat posterior's tie-break also lands on,
-        # so the uninformative arm is neutral rather than misdirected; the
-        # misdirected arm asserts expertise on the last class instead.
-        true_class = 0
-        wrong_class = num_classes - 1
         target = SimulatedExpertSpec(
             expert_id=len(population),
             expertise_classes=frozenset({true_class}),
@@ -443,7 +442,6 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
             context_size=0,
             in_distribution=False,
         )
-        target_id = target.expert_id
 
         ctx_rng = np.random.default_rng(_subseed(seed, 0, 0, 11))
         contexts = [
@@ -455,7 +453,13 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
         result = _train_method(
             "ea_l2d", cfg, task, id_experts, contexts, None, seed, stream=500
         )
+        trained.append((seed, task, target, result))
 
+    records: list[PriorsStudyRecord] = []
+    metric_rows: list[tuple] = []
+    target_id = -1
+    for seed, task, target, result in trained:
+        target_id = target.expert_id
         test_rng = np.random.default_rng(_subseed(seed, 0, 0, 12))
         target_preds = _prediction_matrix([target], task.test.labels, num_classes, test_rng)
         pick_rng = np.random.default_rng(_subseed(seed, 0, 0, 13))

@@ -3,6 +3,14 @@
 Everything is float64 numpy. Networks are plain value objects: ``sgd_step``
 returns an updated copy, and nothing here keeps hidden state, so instances
 are safe to share across threads.
+
+Two forward passes serve two purposes. ``forward_cached`` keeps every
+layer's pre-activation and activation; use it when gradients follow, and
+hand its result to ``backward`` and ``relu_pattern``, which then run no
+forward of their own. ``forward`` drops each layer's arrays as soon as the
+next layer has consumed them; use it for inference and for losses without
+gradients (validation), where holding every layer of a large batch would
+only raise peak memory.
 """
 
 from __future__ import annotations
@@ -71,12 +79,6 @@ class DenseNet:
             [Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers]
         )
 
-    def all_finite(self) -> bool:
-        return all(
-            np.all(np.isfinite(l.weights)) and np.all(np.isfinite(l.bias))
-            for l in self.layers
-        )
-
 
 @dataclass
 class TrainConfig:
@@ -114,13 +116,6 @@ class GradientBundle:
         return len(self.weight_grads) == len(net.layers) and all(
             wg.shape == l.weights.shape and bg.shape == l.bias.shape
             for wg, bg, l in zip(self.weight_grads, self.bias_grads, net.layers)
-        )
-
-    def scaled(self, factor: float) -> "GradientBundle":
-        return GradientBundle(
-            [wg * factor for wg in self.weight_grads],
-            [bg * factor for bg in self.bias_grads],
-            None if self.input_grad is None else self.input_grad * factor,
         )
 
     def add_(self, other: "GradientBundle") -> "GradientBundle":
@@ -167,12 +162,6 @@ def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
     return z
 
 
-def _activation_grad(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return (z > 0).astype(np.float64)
-    return np.ones_like(z)
-
-
 def _check_input(net: DenseNet, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
@@ -192,8 +181,16 @@ def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def _forward_cached(net: DenseNet, x: np.ndarray):
-    """Forward pass keeping pre-activations and activations for backprop."""
+Activations = tuple[list[np.ndarray], list[np.ndarray]]
+
+
+def forward_cached(net: DenseNet, x: np.ndarray) -> Activations:
+    """Forward pass keeping what backprop needs, as ``(pre, post)``.
+
+    ``pre[i]`` is layer i's pre-activation, ``post[0]`` the checked input and
+    ``post[i + 1]`` layer i's output, so ``post[-1]`` equals ``forward(net, x)``.
+    """
+    x = _check_input(net, x)
     pre, post = [], [x]
     a = x
     for layer in net.layers:
@@ -204,14 +201,14 @@ def _forward_cached(net: DenseNet, x: np.ndarray):
     return pre, post
 
 
-def relu_pattern(net: DenseNet, x: np.ndarray) -> np.ndarray:
+def relu_pattern(net: DenseNet, acts: Activations) -> np.ndarray:
     """Sign pattern of every relu pre-activation, flattened.
 
-    Two evaluations with different patterns straddle a kink, where finite
-    differences of the loss are meaningless.
+    ``acts`` is ``forward_cached(net, x)``. Two evaluations with different
+    patterns straddle a kink, where finite differences of the loss are
+    meaningless.
     """
-    x = _check_input(net, x)
-    pre, _ = _forward_cached(net, x)
+    pre, _ = acts
     parts = [
         (z > 0).ravel()
         for z, layer in zip(pre, net.layers)
@@ -222,15 +219,23 @@ def relu_pattern(net: DenseNet, x: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray) -> GradientBundle:
+def backward(net: DenseNet, acts: Activations, upstream: np.ndarray) -> GradientBundle:
     """Gradients of a scalar loss given d(loss)/d(output).
 
-    For batched input the per-example contributions are summed, i.e. the
-    result is the gradient of ``sum_i loss_i`` when ``upstream[i]`` is the
-    gradient for example i.
+    ``acts`` is ``forward_cached(net, x)`` for the input the loss was
+    computed on. For batched input the per-example contributions are summed,
+    i.e. the result is the gradient of ``sum_i loss_i`` when ``upstream[i]``
+    is the gradient for example i.
     """
-    x = _check_input(net, x)
-    upstream = np.asarray(upstream, dtype=np.float64)
+    pre, post = acts
+    if len(pre) != len(net.layers):
+        raise ValueError(
+            f"activations of {len(pre)} layers for a {len(net.layers)}-layer network"
+        )
+    x = post[0]
+    # Contiguous, so the matmuls below take the same BLAS path whether the
+    # caller passes an array or a column view of one.
+    upstream = np.ascontiguousarray(upstream, dtype=np.float64)
     expected = (net.output_dim,) if x.ndim == 1 else (x.shape[0], net.output_dim)
     if upstream.shape != expected:
         raise ValueError(
@@ -238,14 +243,14 @@ def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray) -> GradientBund
         )
 
     batched = x.ndim == 2
-    pre, post = _forward_cached(net, x)
     weight_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
     bias_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
 
     delta = upstream
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
-        delta = delta * _activation_grad(pre[i], layer.activation)
+        if layer.activation == "relu":
+            delta = delta * (pre[i] > 0)
         a_prev = post[i]
         if batched:
             weight_grads[i] = delta.T @ a_prev
@@ -257,23 +262,38 @@ def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray) -> GradientBund
     return GradientBundle(weight_grads, bias_grads, input_grad=delta)
 
 
-def sgd_step(net: DenseNet, grads: GradientBundle, cfg: TrainConfig) -> DenseNet:
-    """One SGD update: w <- w - lr * (grad + weight_decay * w).
+def _unchecked(cls, **fields):
+    """An instance of dataclass ``cls`` built without ``__post_init__``, for
+    fields whose invariants the caller has already established."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
-    Finiteness is checked once, on the updated weights: a non-finite
-    gradient always yields a non-finite weight, so it is caught there too.
+
+def sgd_step(
+    net: DenseNet, grads: GradientBundle, cfg: TrainConfig, scale: float = 1.0
+) -> DenseNet:
+    """One SGD update: w <- w - lr * (grad * scale + weight_decay * w).
+
+    Returns a new network and leaves ``net`` untouched. Once the gradient
+    shapes match the network, every updated array has its layer's shape, so
+    the new layers skip the constructors' shape checks. Finiteness is
+    checked on every updated weight and bias: a non-finite gradient always
+    yields a non-finite value there, so it is caught too.
     """
     if not grads.matches(net):
         raise ValueError("gradient shapes do not match the network")
+    lr, wd = cfg.learning_rate, cfg.weight_decay
     layers = []
     for layer, wg, bg in zip(net.layers, grads.weight_grads, grads.bias_grads):
-        w = layer.weights - cfg.learning_rate * (wg + cfg.weight_decay * layer.weights)
-        b = layer.bias - cfg.learning_rate * (bg + cfg.weight_decay * layer.bias)
-        layers.append(Layer(w, b, layer.activation))
-    new_net = DenseNet(layers)
-    if not new_net.all_finite():
-        raise TrainingDivergenceError("non-finite weights after sgd_step (gradient or update)")
-    return new_net
+        w = layer.weights - lr * (wg * scale + wd * layer.weights)
+        b = layer.bias - lr * (bg * scale + wd * layer.bias)
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise TrainingDivergenceError(
+                "non-finite weights after sgd_step (gradient or update)"
+            )
+        layers.append(_unchecked(Layer, weights=w, bias=b, activation=layer.activation))
+    return _unchecked(DenseNet, layers=layers)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import deferlab.deferral
 from deferlab.checkpoint import load_checkpoint, save_checkpoint
 from deferlab.deferral import (
     JointLogits,
@@ -191,6 +194,51 @@ class TestPopAvgLoss:
         assert mode_labels(matrix, 3).tolist() == [1, 2]
 
 
+def column_modes(matrix, num_classes):
+    """Per-column mode by counting in Python; ties go to the lowest class."""
+    modes = []
+    for column in np.asarray(matrix).T:
+        counts = [0] * num_classes
+        for label in column:
+            counts[label] += 1
+        modes.append(counts.index(max(counts)))
+    return modes
+
+
+class TestModeLabels:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_classes=st.integers(3, 40),
+        experts=st.integers(1, 40),
+        examples=st.integers(0, 40),
+        spread=st.integers(1, 40),
+    )
+    def test_matches_per_column_counts(self, seed, num_classes, experts, examples, spread):
+        # a small ``spread`` crowds the votes onto few classes, so ties are common
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(min(spread, num_classes), size=(experts, examples))
+        modes = mode_labels(matrix, num_classes)
+        assert modes.shape == (examples,)
+        assert modes.tolist() == column_modes(matrix, num_classes)
+
+    def test_even_split_breaks_to_lowest_class(self):
+        matrix = np.array([[3, 1, 2], [1, 3, 0], [2, 2, 1], [0, 0, 0]])
+        assert mode_labels(matrix, 4).tolist() == [0, 0, 0]
+
+    def test_out_of_range_prediction_rejected(self):
+        with pytest.raises(ValueError, match="range"):
+            mode_labels(np.array([[0, 3]]), 3)
+        with pytest.raises(ValueError, match="range"):
+            mode_labels(np.array([[0, -1]]), 3)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            mode_labels(np.zeros((0, 4), dtype=np.int64), 3)
+        with pytest.raises(ValueError):
+            mode_labels(np.zeros(4, dtype=np.int64), 3)
+
+
 class TestDecide:
     def test_defer_is_inclusive_at_equality(self):
         d = decide(JointLogits(np.array([1.0, 2.0, 3.0]), 3.0), expert_id=7)
@@ -349,6 +397,52 @@ class TestTrain:
         strong = RejectorInput(0.58, 0.58, 0.89, 0.89)
         weak = RejectorInput(0.0, 0.58, 0.22, 0.89)
         assert deferral_logit(result.rejector, strong) > deferral_logit(result.rejector, weak)
+
+
+class TestOneForwardPerBatch:
+    """Each training batch runs each network forward once, through the cached
+    forward; the plain forward serves only the validation loss."""
+
+    @staticmethod
+    def count_forwards(monkeypatch):
+        calls = {"cached": 0, "plain": 0}
+        real_cached = deferlab.deferral.forward_cached
+        real_plain = deferlab.deferral.forward
+
+        def cached(net, x):
+            calls["cached"] += 1
+            return real_cached(net, x)
+
+        def plain(net, x):
+            calls["plain"] += 1
+            return real_plain(net, x)
+
+        monkeypatch.setattr(deferlab.deferral, "forward_cached", cached)
+        monkeypatch.setattr(deferlab.deferral, "forward", plain)
+        return calls
+
+    def test_ea_l2d_epoch(self, monkeypatch):
+        task, _, contexts = small_training_setup()
+        calls = self.count_forwards(monkeypatch)
+        clf = dense_net([6, 8, 4], 0)
+        rej = dense_net([4, 8, 1], 1)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=48, epochs=1, seed=0)
+        train(clf, rej, task.train, contexts, None, cfg, val=task.val)
+        batches = -(-len(task.train) // cfg.batch_size)
+        assert batches == 4
+        # one validation pass: the classifier and the rejector once each
+        assert calls == {"cached": 2 * batches, "plain": 2}
+
+    def test_pop_avg_epoch(self, monkeypatch):
+        task, experts, _ = small_training_setup(p=0.5)
+        rng = np.random.default_rng(0)
+        qp = np.stack([expert_predict_batch(e, task.train.labels, 4, rng) for e in experts])
+        calls = self.count_forwards(monkeypatch)
+        clf = dense_net([6, 8, 4], 0)
+        rej = dense_net([6, 8, 1], 1)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=48, epochs=1, seed=0)
+        train_pop_avg(clf, rej, task.train, qp, cfg)
+        assert calls == {"cached": 2 * 4, "plain": 0}
 
 
 class TestTrainPopAvg:

@@ -142,6 +142,24 @@ class TestPriorsStudy:
         assert "curve_priors_misdirected_seed1.csv" in names
         assert "metrics_priors_study.csv" in names
 
+    def test_diverging_later_seed_leaves_no_study_files(self, tmp_path, monkeypatch):
+        real_train = deferlab.harness.train
+        calls = []
+
+        def train_diverging_on_second_call(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise TrainingDivergenceError("loss became non-finite")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(deferlab.harness, "train", train_diverging_on_second_call)
+        cfg = validate_config(dict(TINY, method="ea_l2d", seeds=[1, 2]))
+        out = tmp_path / "out"
+        with pytest.raises(TrainingDivergenceError, match="non-finite"):
+            run_priors_study(cfg, out)
+        assert len(calls) == 2
+        assert sorted(p.name for p in out.iterdir()) == []
+
 
 class TestCli:
     def test_generate_writes_datasets(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import deferlab.nets
 from deferlab.errors import TrainingDivergenceError
 from deferlab.nets import (
     DenseNet,
@@ -11,6 +12,8 @@ from deferlab.nets import (
     dense_net,
     finite_difference_check,
     forward,
+    forward_cached,
+    relu_pattern,
     sgd_step,
     softmax,
 )
@@ -65,6 +68,8 @@ class TestForward:
         net = dense_net([3, 2], 0)
         with pytest.raises(ValueError):
             forward(net, np.ones(4))
+        with pytest.raises(ValueError):
+            forward_cached(net, np.ones(4))
 
     def test_mismatched_layer_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -74,6 +79,35 @@ class TestForward:
                     Layer(np.zeros((2, 5)), np.zeros(2), "identity"),
                 ]
             )
+
+
+class TestForwardCached:
+    def test_output_equals_plain_forward_exactly(self):
+        rng = np.random.default_rng(17)
+        net = dense_net([5, 7, 6, 3], rng)
+        for x in (rng.normal(size=5), rng.normal(size=(9, 5))):
+            pre, post = forward_cached(net, x)
+            assert len(pre) == 3 and len(post) == 4
+            assert np.array_equal(post[0], x)
+            assert np.array_equal(post[-1], forward(net, x))
+
+    def test_activations_follow_from_pre_activations(self):
+        rng = np.random.default_rng(18)
+        net = dense_net([4, 6, 2], rng)
+        pre, post = forward_cached(net, rng.normal(size=(5, 4)))
+        assert np.array_equal(post[1], np.maximum(pre[0], 0.0))
+        assert np.array_equal(post[2], pre[1])
+
+    def test_relu_pattern_reads_signs_of_relu_layers_only(self):
+        rng = np.random.default_rng(19)
+        net = dense_net([3, 4, 5, 2], rng)
+        acts = forward_cached(net, rng.normal(size=(6, 3)))
+        pattern = relu_pattern(net, acts)
+        expected = np.concatenate([(acts[0][0] > 0).ravel(), (acts[0][1] > 0).ravel()])
+        assert pattern.dtype == bool
+        assert np.array_equal(pattern, expected)
+        linear = dense_net([3, 2], rng)
+        assert relu_pattern(linear, forward_cached(linear, np.ones(3))).size == 0
 
 
 class TestSoftmax:
@@ -113,7 +147,7 @@ class TestSoftmax:
 class TestBackward:
     def test_zero_upstream_gives_zero_bundle(self):
         net = dense_net([3, 5, 2], 1)
-        g = backward(net, np.ones(3), np.zeros(2))
+        g = backward(net, forward_cached(net, np.ones(3)), np.zeros(2))
         assert all(np.all(wg == 0) for wg in g.weight_grads)
         assert all(np.all(bg == 0) for bg in g.bias_grads)
 
@@ -125,7 +159,7 @@ class TestBackward:
         x = rng.normal(size=3)
         y = rng.normal(size=2)
         yhat = forward(net, x)
-        g = backward(net, x, yhat - y)
+        g = backward(net, forward_cached(net, x), yhat - y)
         assert np.allclose(g.weight_grads[0], np.outer(yhat - y, x), atol=1e-14)
         assert np.allclose(g.bias_grads[0], yhat - y, atol=1e-14)
 
@@ -134,9 +168,9 @@ class TestBackward:
         target = rng.normal(size=1)
 
         def loss_fn(net):
-            out = forward(net, x)
-            diff = out - target
-            g = backward(net, x, diff)
+            acts = forward_cached(net, x)
+            diff = acts[1][-1] - target
+            g = backward(net, acts, diff)
             return 0.5 * float(diff @ diff), g
 
         for seed in range(5):
@@ -148,17 +182,50 @@ class TestBackward:
     def test_shape_mismatch_rejected(self):
         net = dense_net([3, 2], 0)
         with pytest.raises(ValueError):
-            backward(net, np.ones(3), np.zeros(3))
+            backward(net, forward_cached(net, np.ones(3)), np.zeros(3))
+
+    def test_runs_no_forward_of_its_own(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        net = dense_net([4, 6, 6, 2], rng)
+        acts = forward_cached(net, rng.normal(size=(5, 4)))
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("backward ran a forward pass")
+
+        for name in ("forward", "forward_cached", "_apply_activation", "_check_input"):
+            monkeypatch.setattr(deferlab.nets, name, no_forward)
+        g = backward(net, acts, rng.normal(size=(5, 2)))
+        assert g.matches(net)
+        assert relu_pattern(net, acts).size == 5 * 12
+
+    def test_activations_of_another_depth_rejected(self):
+        net = dense_net([3, 2], 0)
+        deeper = dense_net([3, 4, 2], 0)
+        with pytest.raises(ValueError):
+            backward(net, forward_cached(deeper, np.ones(3)), np.zeros(2))
+
+    def test_column_view_upstream_matches_contiguous_copy(self):
+        rng = np.random.default_rng(14)
+        net = dense_net([4, 8, 1], rng)
+        acts = forward_cached(net, rng.normal(size=(12, 4)))
+        block = rng.normal(size=(12, 3))
+        from_view = backward(net, acts, block[:, 2:])
+        from_copy = backward(net, acts, block[:, 2:].copy())
+        for a, b in zip(
+            from_view.weight_grads + from_view.bias_grads + [from_view.input_grad],
+            from_copy.weight_grads + from_copy.bias_grads + [from_copy.input_grad],
+        ):
+            assert np.array_equal(a, b)
 
     def test_batched_grads_sum_per_example(self):
         rng = np.random.default_rng(13)
         net = dense_net([3, 4, 2], rng)
         xs = rng.normal(size=(6, 3))
         ups = rng.normal(size=(6, 2))
-        batched = backward(net, xs, ups)
+        batched = backward(net, forward_cached(net, xs), ups)
         acc = GradientBundle.zeros_like(net)
         for x, u in zip(xs, ups):
-            acc.add_(backward(net, x, u))
+            acc.add_(backward(net, forward_cached(net, x), u))
         for a, b in zip(batched.weight_grads, acc.weight_grads):
             assert np.allclose(a, b, atol=1e-12)
 
@@ -205,6 +272,51 @@ class TestSgdStep:
         with pytest.raises(TrainingDivergenceError):
             sgd_step(net, grads, cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    @pytest.mark.parametrize("attr", ["weight_grads", "bias_grads"])
+    def test_nonfinite_value_in_any_single_array_raises(self, attr, layer, bad):
+        net = dense_net([3, 5, 4, 2], 0)
+        grads = GradientBundle.zeros_like(net)
+        arr = getattr(grads, attr)[layer]
+        arr.flat[arr.size // 2] = bad
+        cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
+        with pytest.raises(TrainingDivergenceError):
+            sgd_step(net, grads, cfg)
+
+    def test_input_net_is_left_unchanged(self):
+        rng = np.random.default_rng(4)
+        net = dense_net([3, 5, 4, 2], rng)
+        before = [(l.weights.copy(), l.bias.copy()) for l in net.layers]
+        grads = GradientBundle(
+            [rng.normal(size=l.weights.shape) for l in net.layers],
+            [rng.normal(size=l.bias.shape) for l in net.layers],
+        )
+        cfg = TrainConfig(learning_rate=0.3, batch_size=1, epochs=1, weight_decay=0.01)
+        out = sgd_step(net, grads, cfg, 0.25)
+        for layer, (w, b), new in zip(net.layers, before, out.layers):
+            assert np.array_equal(layer.weights, w) and np.array_equal(layer.bias, b)
+            assert not np.shares_memory(new.weights, layer.weights)
+            assert not np.shares_memory(new.bias, layer.bias)
+            assert new.activation == layer.activation
+        assert out.input_dim == 3 and out.output_dim == 2
+
+    def test_scale_matches_prescaled_gradient_exactly(self):
+        rng = np.random.default_rng(6)
+        net = dense_net([3, 5, 2], rng)
+        grads = GradientBundle(
+            [rng.normal(size=l.weights.shape) for l in net.layers],
+            [rng.normal(size=l.bias.shape) for l in net.layers],
+        )
+        prescaled = GradientBundle(
+            [g * (1 / 96) for g in grads.weight_grads], [g * (1 / 96) for g in grads.bias_grads]
+        )
+        cfg = TrainConfig(learning_rate=0.2, batch_size=1, epochs=1, weight_decay=1e-3)
+        a = sgd_step(net, grads, cfg, 1 / 96)
+        b = sgd_step(net, prescaled, cfg)
+        for la, lb in zip(a.layers, b.layers):
+            assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
+
     def test_weight_decay_applied(self):
         net = DenseNet([Layer(np.array([[2.0]]), np.zeros(1), "identity")])
         cfg = TrainConfig(learning_rate=0.5, batch_size=1, epochs=1, weight_decay=0.1)
@@ -231,7 +343,7 @@ class TestFiniteDifferenceCheck:
 
         def loss_fn(n):
             out = forward(n, x)
-            return 0.5 * float((out - y) @ (out - y)), backward(n, x, out - y)
+            return 0.5 * float((out - y) @ (out - y)), backward(n, forward_cached(n, x), out - y)
 
         assert finite_difference_check(net, loss_fn, 1e-5) < 1e-8
 
@@ -246,11 +358,9 @@ class TestFiniteDifferenceCheck:
         x = np.array([1.0])
 
         def loss_fn(n):
-            out = forward(n, x)
-            g = backward(n, x, np.ones(1))
-            from deferlab.nets import relu_pattern
-
-            return float(out[0]), g, relu_pattern(n, x).astype(np.int64)
+            acts = forward_cached(n, x)
+            g = backward(n, acts, np.ones(1))
+            return float(acts[1][-1][0]), g, relu_pattern(n, acts).astype(np.int64)
 
         report = finite_difference_check(net, loss_fn, 1e-6, full_report=True)
         assert report.n_skipped >= 1

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from deferlab.errors import DatasetParseError
-from deferlab.nets import GradientBundle, TrainConfig, backward, dense_net, forward, sgd_step, softmax
+from deferlab.nets import (
+    GradientBundle,
+    TrainConfig,
+    backward,
+    dense_net,
+    forward,
+    forward_cached,
+    sgd_step,
+    softmax,
+)
 from deferlab.simulate import (
     Dataset,
     SimulatedExpertSpec,
@@ -45,11 +54,11 @@ def train_plain_classifier(data, num_classes, epochs=40, lr=0.3, seed=0):
             idx = order[start : start + cfg.batch_size]
             x = data.train.features[idx]
             y = data.train.labels[idx]
-            logits = forward(net, x)
-            q = np.apply_along_axis(softmax, 1, logits)
+            acts = forward_cached(net, x)
+            q = np.apply_along_axis(softmax, 1, acts[1][-1])
             up = q.copy()
             up[np.arange(len(idx)), y] -= 1.0
-            grads = backward(net, x, up / len(idx))
+            grads = backward(net, acts, up / len(idx))
             net = sgd_step(net, grads, cfg)
     preds = np.argmax(forward(net, data.test.features), axis=1)
     return float(np.mean(preds == data.test.labels))
