@@ -10,6 +10,7 @@ rate range summarise them.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -62,6 +63,8 @@ class Curve:
             raise ValueError("curve arrays must be aligned vectors")
         if len(self.rates) == 0:
             raise ValueError("curve must have at least one point")
+        if not (np.isfinite(self.rates).all() and np.isfinite(self.accuracies).all()):
+            raise ValueError("curve values must be finite")
         if np.any(np.diff(self.rates) <= 0):
             raise ValueError("deferral rates must be strictly increasing")
         if np.any(self.rates < 0) or np.any(self.rates > 1):
@@ -203,20 +206,32 @@ def case_priorities(
     """
     num_classes = logits.shape[1]
     if reps is None:
-        g_defer = forward(rejector, features)[:, 0]
-        q = _softmax_rows(np.column_stack([logits, g_defer]))
-        return (q[:, num_classes] - q[:, :num_classes].max(axis=1))[None, :]
-
-    rho = _softmax_rows(logits)
-    kstar = np.argmax(rho, axis=1)
-    out = np.empty((len(reps), len(features)))
-    for e, rep in enumerate(reps):
+        deferral_logits = [forward(rejector, features)[:, 0]]
+    else:
+        rho = _softmax_rows(logits)
+        kstar = np.argmax(rho, axis=1)
         # one expert at a time keeps the rejector's activations at one
         # (cases, hidden) block on large test sets
-        feats = _rejector_inputs(rho, kstar, rep.mu[None, :])
-        g_defer = forward(rejector, feats)[:, 0]
-        q = _softmax_rows(np.column_stack([logits, g_defer]))
-        out[e] = q[:, num_classes] - q[:, :num_classes].max(axis=1)
+        deferral_logits = (
+            forward(rejector, _rejector_inputs(rho, kstar, rep.mu[None, :]))[:, 0]
+            for rep in reps
+        )
+
+    # The joint softmax of ``_softmax_rows``, bit for bit: only the deferral
+    # column changes between experts, the row max is the larger of the class
+    # max and the deferral logit, and correctly rounded division keeps the
+    # class max, so only two columns are divided.
+    class_max = logits.max(axis=1)
+    joint = np.empty((len(logits), num_classes + 1))
+    joint[:, :num_classes] = logits
+    e = np.empty_like(joint)
+    out = np.empty((1 if reps is None else len(reps), len(logits)))
+    for i, g_defer in enumerate(deferral_logits):
+        joint[:, num_classes] = g_defer
+        np.subtract(joint, np.maximum(class_max, g_defer)[:, None], out=e)
+        np.exp(e, out=e)
+        total = e.sum(axis=1)
+        out[i] = e[:, num_classes] / total - e[:, :num_classes].max(axis=1) / total
     return out
 
 
@@ -257,19 +272,43 @@ CURVE_CSV_HEADER = ["deferral_rate", "system_accuracy", "expert_accuracy"]
 METRIC_CSV_HEADER = ["metric", "d_min", "d_max", "value", "cohort", "seed"]
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_strings(n: int) -> np.ndarray:
+    """``repr`` of every rate j/n, j = 0..n, as a read-only object array; the
+    curves of one run share n."""
+    table = np.fromiter(map(repr, (np.arange(n + 1) / n).tolist()), dtype=object, count=n + 1)
+    table.flags.writeable = False
+    return table
+
+
+def _float_strings(values: np.ndarray, n: int) -> list[str]:
+    """``repr`` of every value. Values that equal some j/n bit for bit (so
+    not -0.0 for 0.0) are looked up in the shared grid table instead of
+    formatted again."""
+    if n == 0:
+        return list(map(repr, values.tolist()))
+    j = np.clip(np.rint(values * n), 0, n).astype(np.int64)
+    off_grid = (j / n).view(np.int64) != values.view(np.int64)
+    strings = _grid_strings(n)[j]
+    strings[off_grid] = np.fromiter(
+        map(repr, values[off_grid].tolist()), dtype=object, count=np.count_nonzero(off_grid)
+    )
+    return strings.tolist()
+
+
 def write_curve_csv(path, system_curve: Curve, expert_curve: Curve) -> None:
     """One row per grid point, floats in ``repr`` form (shortest round-trip)."""
     if not np.array_equal(system_curve.rates, expert_curve.rates):
         raise ValueError("system and expert curves must share a grid")
-    rows = zip(
-        system_curve.rates.tolist(),
-        system_curve.accuracies.tolist(),
-        expert_curve.accuracies.tolist(),
-    )
-    lines = [",".join(CURVE_CSV_HEADER)]
-    lines.extend(f"{d!r},{sa!r},{ea!r}" for d, sa, ea in rows)
+    rows = len(system_curve.rates)
+    n = rows - 1
+    parts = [","] * (6 * rows)
+    parts[0::6] = _float_strings(system_curve.rates, n)
+    parts[2::6] = _float_strings(system_curve.accuracies, n)
+    parts[4::6] = _float_strings(expert_curve.accuracies, n)
+    parts[5::6] = ["\n"] * rows
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(CURVE_CSV_HEADER) + "\n" + "".join(parts))
 
 
 def write_metrics_csv(path, rows: Sequence[tuple]) -> None:

@@ -2,9 +2,10 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from deferlab.deferral import _rejector_inputs, _softmax_rows
 from deferlab.evaluation import (
     Curve,
     ScoredCases,
@@ -102,6 +103,18 @@ class TestScoredCases:
             ScoredCases([0.1, 0.2], [True], [True, False], [0, 0])
         with pytest.raises(ValueError, match="aligned"):
             ScoredCases(np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2)))
+
+
+class TestCurve:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rate_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Curve(np.array([0.0, bad, 1.0]), np.array([0.2, 0.3, 0.4]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_accuracy_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Curve(np.array([0.0, 0.5, 1.0]), np.array([0.2, bad, 0.4]))
 
 
 class TestBuildCurves:
@@ -260,6 +273,79 @@ class TestScoreCases:
             )
 
 
+def reference_priorities(logits, rejector, features, reps):
+    """Priority rows from one full (cases, K+1) ``column_stack`` and
+    ``_softmax_rows`` per expert."""
+    num_classes = logits.shape[1]
+    if reps is None:
+        g_rows = [forward(rejector, features)[:, 0]]
+    else:
+        rho = _softmax_rows(logits)
+        kstar = np.argmax(rho, axis=1)
+        g_rows = [forward(rejector, _rejector_inputs(rho, kstar, rep.mu[None, :]))[:, 0] for rep in reps]
+    rows = []
+    for g_defer in g_rows:
+        q = _softmax_rows(np.column_stack([logits, g_defer]))
+        rows.append(q[:, num_classes] - q[:, :num_classes].max(axis=1))
+    return np.array(rows)
+
+
+@st.composite
+def priority_inputs(draw):
+    """Logits (at scale 800 most class masses underflow), a rejector and a
+    cohort."""
+    num_classes = draw(st.integers(2, 6))
+    cases = draw(st.integers(1, 40))
+    experts = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1e-3, 1.0, 10.0, 800.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(scale=scale, size=(cases, num_classes))
+    rejector = dense_net([4, 8, 1], rng)
+    reps = [rep_from_mu(rng.uniform(0.01, 0.99, size=num_classes)) for _ in range(experts)]
+    return logits, rejector, reps
+
+
+class TestCasePriorityProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(priority_inputs())
+    def test_rows_equal_per_expert_softmax_reference(self, inputs):
+        logits, rejector, reps = inputs
+        features = np.zeros((len(logits), 4))
+        got = case_priorities(logits, rejector, features, reps)
+        assert got.tobytes() == reference_priorities(logits, rejector, features, reps).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(priority_inputs(), st.integers(0, 2**32 - 1))
+    def test_expert_independent_row_equals_reference(self, inputs, seed):
+        logits, _, _ = inputs
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(len(logits), 3))
+        rejector = dense_net([3, 8, 1], rng)
+        got = case_priorities(logits, rejector, features, None)
+        assert got.shape == (1, len(logits))
+        assert got.tobytes() == reference_priorities(logits, rejector, features, None).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(priority_inputs(), st.data())
+    def test_permuting_the_cohort_permutes_rows(self, inputs, data):
+        logits, rejector, reps = inputs
+        perm = data.draw(st.permutations(range(len(reps))))
+        features = np.zeros((len(logits), 4))
+        rows = case_priorities(logits, rejector, features, reps)
+        permuted = case_priorities(logits, rejector, features, [reps[i] for i in perm])
+        assert permuted.tobytes() == rows[perm].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(priority_inputs(), st.data())
+    def test_identical_experts_get_identical_rows(self, inputs, data):
+        logits, rejector, reps = inputs
+        picks = data.draw(st.lists(st.integers(0, len(reps) - 1), min_size=2, max_size=8))
+        rows = case_priorities(logits, rejector, np.zeros((len(logits), 4)), [reps[i] for i in picks])
+        for r, i in enumerate(picks):
+            first = picks.index(i)
+            assert rows[r].tobytes() == rows[first].tobytes()
+
+
 class TestCsvWriters:
     def test_curve_csv_header_and_determinism(self, tmp_path):
         system = Curve(np.array([0.0, 0.5, 1.0]), np.array([0.9, 0.8, 0.7]))
@@ -357,4 +443,46 @@ class TestCurveCsvBytes:
         reference_curve_csv(tmp_path / "ref.csv", system, expert)
         text = (tmp_path / "new.csv").read_text()
         assert "0.30000000000000004,1.0,0.0" in text and text.endswith("\n")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# Curve values drawn as grid points j/n, off-grid floats, or the edge values
+# the writer must not confuse with grid points.
+edge_values = st.sampled_from(
+    [-0.0, -1e-12, -1e-13, float(np.nextafter(0.0, -1.0)), 1.0 + 1e-12, 1.0 + 1e-13,
+     float(np.nextafter(1.0, 2.0)), 0.1 + 0.2, 1 / 3]
+)
+off_grid_values = st.one_of(st.floats(0.0, 1.0), edge_values)
+
+
+@st.composite
+def curve_pairs(draw):
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        rates = np.array([draw(st.one_of(st.floats(0.0, 1.0), st.just(-0.0)))])
+    elif draw(st.booleans()):
+        rates = np.arange(n + 1) / n
+    else:
+        rates = np.array(sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1, unique=True))))
+        assume(np.all(np.diff(rates) > 0))
+    on_grid_values = st.integers(0, n).map(lambda j: j / n) if n else st.just(0.0)
+
+    def column():
+        kind = draw(st.sampled_from(["on-grid", "off-grid", "mixed"]))
+        if kind == "off-grid":
+            return np.array([draw(off_grid_values) for _ in range(n + 1)])
+        values = np.array([draw(on_grid_values) for _ in range(n + 1)])
+        if kind == "mixed":
+            values[draw(st.integers(0, n))] = draw(off_grid_values)
+        return values
+
+    return Curve(rates, column()), Curve(rates, column())
+
+
+class TestCurveCsvProperties:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(curve_pairs())
+    def test_bytes_equal_csv_module_writer(self, tmp_path, curves):
+        write_curve_csv(tmp_path / "new.csv", *curves)
+        reference_curve_csv(tmp_path / "ref.csv", *curves)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from deferlab.errors import DatasetParseError
 from deferlab.experts import (
@@ -208,6 +210,27 @@ class TestPriorFile:
         assert np.array_equal(loaded[0].p, priors[0].p)
         assert np.array_equal(loaded[0].c, priors[0].c)
         assert loaded[0].s == 15.0
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_round_trip_is_exact(self, tmp_path, data):
+        num_classes = data.draw(st.integers(1, 6))
+        unit = st.lists(st.floats(0.0, 1.0), min_size=num_classes, max_size=num_classes)
+        ids = data.draw(st.sets(st.integers(0, 10_000), min_size=1, max_size=4))
+        priors = {
+            i: PriorElicitation(
+                np.array(data.draw(unit)), np.array(data.draw(unit)), data.draw(st.floats(2.0, 1e300))
+            )
+            for i in ids
+        }
+        path = tmp_path / "priors.csv"
+        write_prior_file(path, priors)
+        loaded = load_prior_file(path, num_classes)
+        assert set(loaded) == ids
+        for i, el in priors.items():
+            assert loaded[i].p.tobytes() == el.p.tobytes()
+            assert loaded[i].c.tobytes() == el.c.tobytes()
+            assert loaded[i].s == el.s
 
     def test_missing_class_entry_rejected(self, tmp_path):
         path = tmp_path / "priors.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from deferlab.errors import DatasetParseError
 from deferlab.nets import (
@@ -107,6 +109,23 @@ class TestCsvDataset:
         loaded = load_csv_dataset(path)
         assert np.array_equal(loaded.features, data.features)
         assert np.array_equal(loaded.labels, data.labels)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_round_trip_is_exact(self, tmp_path, data):
+        num_classes = data.draw(st.integers(1, 5))
+        extra = data.draw(st.lists(st.integers(0, num_classes - 1), max_size=10))
+        labels = data.draw(st.permutations(list(range(num_classes)) + extra))
+        dim = data.draw(st.integers(1, 4))
+        cells = st.floats(allow_nan=False, allow_infinity=False)
+        features = np.array(
+            [data.draw(st.lists(cells, min_size=dim, max_size=dim)) for _ in labels]
+        )
+        path = tmp_path / "data.csv"
+        save_csv_dataset(path, Dataset(features, np.array(labels)))
+        loaded = load_csv_dataset(path)
+        assert loaded.features.tobytes() == features.tobytes()
+        assert loaded.labels.tolist() == labels
 
     def test_two_rows_parsed(self, tmp_path):
         path = tmp_path / "d.csv"
