@@ -678,7 +678,10 @@ def run_theory_checks(
 
 def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, str]:
     """Train every configured method per seed on the first population
-    setting and save checkpoints plus loss histories."""
+    setting and save checkpoints plus loss histories.
+
+    A seed's files are written only once every method of the seed has
+    trained, so a divergence leaves nothing but its manifest entry."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     num_classes = cfg.num_classes
@@ -700,20 +703,24 @@ def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, str]:
             ]
             id_experts = [e for e in population if e.in_distribution]
             id_contexts = contexts[: len(id_experts)]
-            tag = f"p{_ptag(p)}_e{epe}"
-            for method in cfg.methods:
-                result = _train_method(
+            results = {
+                method: _train_method(
                     method, cfg, task, id_experts, id_contexts, priors_map, seed, stream=100
                 )
-                save_checkpoint(
-                    out / f"checkpoint_{method}_{tag}_seed{seed}.npz",
-                    result.classifier,
-                    result.rejector,
-                    cfg.train_config(seed),
-                )
-                _write_history(out / f"history_{method}_{tag}_seed{seed}.csv", result)
+                for method in cfg.methods
+            }
         except TrainingDivergenceError as exc:
             failures[seed] = str(exc)
+            continue
+        tag = f"p{_ptag(p)}_e{epe}"
+        for method, result in results.items():
+            save_checkpoint(
+                out / f"checkpoint_{method}_{tag}_seed{seed}.npz",
+                result.classifier,
+                result.rejector,
+                cfg.train_config(seed),
+            )
+            _write_history(out / f"history_{method}_{tag}_seed{seed}.csv", result)
     _write_manifest(out, cfg, failures)
     return failures
 

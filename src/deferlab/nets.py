@@ -1,8 +1,19 @@
 """Minimal dense feed-forward networks with explicit forward/backward passes.
 
-Everything is float64 numpy. Networks are plain value objects: ``sgd_step``
-returns an updated copy, and nothing here keeps hidden state, so instances
-are safe to share across threads.
+Everything is float64 numpy. A network's parameters live in one contiguous
+vector, ``DenseNet.params``: layer by layer, the weight matrix in row-major
+order, then the bias. ``Layer.weights`` and ``Layer.bias`` are views into
+that vector. The constructor packs the layers it is given into a new
+vector, so a network never shares memory with the arrays it was built
+from. Gradients use the same layout: ``backward`` writes every layer's
+gradient into one vector, ``GradientBundle.flat``, and ``sgd_step`` updates
+the whole parameter vector in one expression.
+
+Networks are plain value objects. ``sgd_step`` and ``DenseNet.copy`` return
+a network over a new vector and leave their input untouched; early stopping
+keeps its best weights by holding on to an earlier network, so it relies on
+this. Nothing here keeps hidden state, so instances are safe to share
+across threads.
 
 Two forward passes serve two purposes. ``forward_cached`` keeps every
 layer's pre-activation and activation; use it when gradients follow, and
@@ -53,9 +64,49 @@ class Layer:
         return self.weights.shape[0]
 
 
+# Per layer: (out_dim, in_dim, weights start, bias start, bias end) in the
+# flat parameter vector.
+Layout = tuple[tuple[int, int, int, int, int], ...]
+
+
+def _layout(layers: Sequence[Layer]) -> Layout:
+    spans, start = [], 0
+    for layer in layers:
+        out_dim, in_dim = layer.weights.shape
+        bias_start = start + out_dim * in_dim
+        spans.append((out_dim, in_dim, start, bias_start, bias_start + out_dim))
+        start = bias_start + out_dim
+    return tuple(spans)
+
+
+def _views(flat: np.ndarray, layout: Layout) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every layer's (weights, bias) as views into ``flat``."""
+    return [
+        (flat[w0:b0].reshape(out_dim, in_dim), flat[b0:end])
+        for out_dim, in_dim, w0, b0, end in layout
+    ]
+
+
+def _unchecked(cls, **fields):
+    """An instance of dataclass ``cls`` built without ``__post_init__``, for
+    fields whose invariants the caller has already established."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _layers_over(flat: np.ndarray, layout: Layout, layers: Sequence[Layer]) -> list[Layer]:
+    return [
+        _unchecked(Layer, weights=w, bias=b, activation=layer.activation)
+        for (w, b), layer in zip(_views(flat, layout), layers)
+    ]
+
+
 @dataclass
 class DenseNet:
     layers: list[Layer]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    layout: Layout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -65,6 +116,11 @@ class DenseNet:
                 raise ValueError(
                     f"layer dims do not compose: {prev.out_dim} -> {nxt.in_dim}"
                 )
+        self.layout = _layout(self.layers)
+        self.params = np.concatenate(
+            [a.ravel() for layer in self.layers for a in (layer.weights, layer.bias)]
+        )
+        self.layers = _layers_over(self.params, self.layout, self.layers)
 
     @property
     def input_dim(self) -> int:
@@ -75,9 +131,18 @@ class DenseNet:
         return self.layers[-1].out_dim
 
     def copy(self) -> "DenseNet":
-        return DenseNet(
-            [Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
+        return _over(self, self.params.copy())
+
+
+def _over(net: DenseNet, params: np.ndarray) -> DenseNet:
+    """A network with ``net``'s layout and activations over ``params``, which
+    has ``net.params``' shape; the constructor's checks already hold."""
+    return _unchecked(
+        DenseNet,
+        layers=_layers_over(params, net.layout, net.layers),
+        params=params,
+        layout=net.layout,
+    )
 
 
 @dataclass
@@ -101,36 +166,44 @@ class TrainConfig:
 
 @dataclass
 class GradientBundle:
-    """Per-layer gradients, shape-matched to the owning network.
+    """Gradients in the owning network's flat layout.
 
-    ``input_grad`` carries the loss gradient with respect to the network
-    input, which is what lets one network's backward pass chain into
-    another's.
+    ``flat[i]`` is the gradient of ``net.params[i]``; ``weight_grads`` and
+    ``bias_grads`` are per-layer views of it. ``input_grad`` carries the loss
+    gradient with respect to the network input, which is what lets one
+    network's backward pass chain into another's.
     """
 
-    weight_grads: list[np.ndarray]
-    bias_grads: list[np.ndarray]
+    flat: np.ndarray
+    layout: Layout
     input_grad: np.ndarray = field(default=None)  # type: ignore[assignment]
 
+    def __post_init__(self) -> None:
+        self.flat = np.asarray(self.flat, dtype=np.float64)
+        size = self.layout[-1][4] if self.layout else 0
+        if self.flat.shape != (size,):
+            raise ValueError(
+                f"flat gradient shape {self.flat.shape} does not fit a layout of {size} parameters"
+            )
+
+    @property
+    def weight_grads(self) -> list[np.ndarray]:
+        return [w for w, _ in _views(self.flat, self.layout)]
+
+    @property
+    def bias_grads(self) -> list[np.ndarray]:
+        return [b for _, b in _views(self.flat, self.layout)]
+
     def matches(self, net: DenseNet) -> bool:
-        return len(self.weight_grads) == len(net.layers) and all(
-            wg.shape == l.weights.shape and bg.shape == l.bias.shape
-            for wg, bg, l in zip(self.weight_grads, self.bias_grads, net.layers)
-        )
+        return self.layout == net.layout
 
     def add_(self, other: "GradientBundle") -> "GradientBundle":
-        for wg, og in zip(self.weight_grads, other.weight_grads):
-            wg += og
-        for bg, og in zip(self.bias_grads, other.bias_grads):
-            bg += og
+        self.flat += other.flat
         return self
 
     @staticmethod
     def zeros_like(net: DenseNet) -> "GradientBundle":
-        return GradientBundle(
-            [np.zeros_like(l.weights) for l in net.layers],
-            [np.zeros_like(l.bias) for l in net.layers],
-        )
+        return GradientBundle(np.zeros_like(net.params), net.layout)
 
 
 def dense_net(
@@ -173,11 +246,13 @@ def _check_input(net: DenseNet, x: np.ndarray) -> np.ndarray:
 
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Forward pass; accepts a single vector or a (batch, in_dim) matrix."""
-    x = _check_input(net, x)
-    a = x
+    a = _check_input(net, x)
     for layer in net.layers:
-        z = a @ layer.weights.T + layer.bias
-        a = _apply_activation(z, layer.activation)
+        z = a @ layer.weights.T
+        z += layer.bias
+        if layer.activation == "relu":
+            np.maximum(z, 0.0, out=z)
+        a = z
     return a
 
 
@@ -194,7 +269,8 @@ def forward_cached(net: DenseNet, x: np.ndarray) -> Activations:
     pre, post = [], [x]
     a = x
     for layer in net.layers:
-        z = a @ layer.weights.T + layer.bias
+        z = a @ layer.weights.T
+        z += layer.bias
         a = _apply_activation(z, layer.activation)
         pre.append(z)
         post.append(a)
@@ -243,57 +319,56 @@ def backward(net: DenseNet, acts: Activations, upstream: np.ndarray) -> Gradient
         )
 
     batched = x.ndim == 2
-    weight_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
-    bias_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore[list-item]
-
+    flat = np.empty(net.params.size)
     delta = upstream
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
+        out_dim, in_dim, w0, b0, end = net.layout[i]
         if layer.activation == "relu":
-            delta = delta * (pre[i] > 0)
+            # Below the top layer ``delta`` is this call's own array; the
+            # upstream gradient is the caller's.
+            if delta is upstream:
+                delta = delta * (pre[i] > 0)
+            else:
+                delta *= pre[i] > 0
         a_prev = post[i]
+        weight_grad = flat[w0:b0].reshape(out_dim, in_dim)
         if batched:
-            weight_grads[i] = delta.T @ a_prev
-            bias_grads[i] = delta.sum(axis=0)
+            np.matmul(delta.T, a_prev, out=weight_grad)
+            np.add.reduce(delta, axis=0, out=flat[b0:end])
         else:
-            weight_grads[i] = np.outer(delta, a_prev)
-            bias_grads[i] = delta.copy()
+            np.multiply.outer(delta, a_prev, out=weight_grad)
+            flat[b0:end] = delta
         delta = delta @ layer.weights
-    return GradientBundle(weight_grads, bias_grads, input_grad=delta)
-
-
-def _unchecked(cls, **fields):
-    """An instance of dataclass ``cls`` built without ``__post_init__``, for
-    fields whose invariants the caller has already established."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+    return _unchecked(GradientBundle, flat=flat, layout=net.layout, input_grad=delta)
 
 
 def sgd_step(
     net: DenseNet, grads: GradientBundle, cfg: TrainConfig, scale: float = 1.0
 ) -> DenseNet:
-    """One SGD update: w <- w - lr * (grad * scale + weight_decay * w).
+    """One SGD update of the flat parameters:
+    w <- w - lr * (grad * scale + weight_decay * w).
 
-    Returns a new network and leaves ``net`` untouched. Once the gradient
-    shapes match the network, every updated array has its layer's shape, so
-    the new layers skip the constructors' shape checks. Finiteness is
-    checked on every updated weight and bias: a non-finite gradient always
-    yields a non-finite value there, so it is caught too.
+    Returns a network over a new vector and leaves ``net`` untouched.
+    Without weight decay the ``weight_decay * w`` term is left out, which
+    gives the same bits for finite ``w``: the term is then a zero with the
+    sign of ``w``, so adding it can only turn a ``-0.0`` step into ``+0.0``
+    where ``w`` is ``+0.0`` or positive, and there ``w - lr * (+-0.0)`` is
+    ``w`` either way. Finiteness is checked on the updated vector: a
+    non-finite gradient always yields a non-finite value there, so it is
+    caught too.
     """
     if not grads.matches(net):
         raise ValueError("gradient shapes do not match the network")
     lr, wd = cfg.learning_rate, cfg.weight_decay
-    layers = []
-    for layer, wg, bg in zip(net.layers, grads.weight_grads, grads.bias_grads):
-        w = layer.weights - lr * (wg * scale + wd * layer.weights)
-        b = layer.bias - lr * (bg * scale + wd * layer.bias)
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise TrainingDivergenceError(
-                "non-finite weights after sgd_step (gradient or update)"
-            )
-        layers.append(_unchecked(Layer, weights=w, bias=b, activation=layer.activation))
-    return _unchecked(DenseNet, layers=layers)
+    w = net.params
+    if wd:
+        new = w - lr * (grads.flat * scale + wd * w)
+    else:
+        new = w - lr * (grads.flat * scale)
+    if not np.isfinite(new).all():
+        raise TrainingDivergenceError("non-finite weights after sgd_step (gradient or update)")
+    return _over(net, new)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -306,14 +381,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _iter_params(net: DenseNet):
-    for li, layer in enumerate(net.layers):
-        for idx in np.ndindex(layer.weights.shape):
-            yield li, "weights", idx
-        for idx in np.ndindex(layer.bias.shape):
-            yield li, "bias", idx
 
 
 @dataclass
@@ -349,26 +416,25 @@ def finite_difference_check(
         raise ValueError("analytic gradient shapes do not match the network")
 
     work = net.copy()
+    params = work.params
     max_err = 0.0
     n_checked = 0
     n_skipped = 0
-    for li, attr, idx in _iter_params(work):
-        arr = getattr(work.layers[li], attr)
-        original = arr[idx]
+    for i in range(params.size):
+        original = params[i]
 
-        arr[idx] = original + epsilon
+        params[i] = original + epsilon
         out_plus = loss_fn(work)
-        arr[idx] = original - epsilon
+        params[i] = original - epsilon
         out_minus = loss_fn(work)
-        arr[idx] = original
+        params[i] = original
 
         if len(out_plus) > 2 and not np.array_equal(out_plus[2], out_minus[2]):
             n_skipped += 1
             continue
 
         central = (out_plus[0] - out_minus[0]) / (2.0 * epsilon)
-        grads = analytic.weight_grads if attr == "weights" else analytic.bias_grads
-        a = grads[li][idx]
+        a = analytic.flat[i]
         err = abs(a - central) / max(1.0, abs(central))
         max_err = max(max_err, err)
         n_checked += 1

@@ -488,3 +488,31 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "a.npz", clf, rej, cfg)
         save_checkpoint(tmp_path / "b.npz", clf, rej, cfg)
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_flat_layout_round_trip_keeps_per_layer_keys_and_bytes(self, tmp_path):
+        rng = np.random.default_rng(8)
+        arrays = {
+            "clf": [(rng.normal(size=(5, 3)), rng.normal(size=5)),
+                    (rng.normal(size=(2, 5)), rng.normal(size=2))],
+            "rej": [(rng.normal(size=(4, 4)), rng.normal(size=4)),
+                    (rng.normal(size=(1, 4)), rng.normal(size=1))],
+        }
+        clf, rej = (
+            DenseNet([Layer(w, b, act) for (w, b), act in zip(arrays[k], ["relu", "identity"])])
+            for k in ("clf", "rej")
+        )
+        cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=2, seed=5)
+        save_checkpoint(tmp_path / "a.npz", clf, rej, cfg)
+        with np.load(tmp_path / "a.npz") as data:
+            assert sorted(data.files) == sorted(
+                ["meta"] + [f"{k}_{p}{i}" for k in ("clf", "rej") for p in "wb" for i in (0, 1)]
+            )
+            for k, layers in arrays.items():
+                for i, (w, b) in enumerate(layers):
+                    assert data[f"{k}_w{i}"].tobytes() == w.tobytes()
+                    assert data[f"{k}_b{i}"].tobytes() == b.tobytes()
+        clf2, rej2, _ = load_checkpoint(tmp_path / "a.npz")
+        assert clf2.params.tobytes() == clf.params.tobytes()
+        assert rej2.params.tobytes() == rej.params.tobytes()
+        save_checkpoint(tmp_path / "b.npz", clf2, rej2, cfg)
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()

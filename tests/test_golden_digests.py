@@ -1,0 +1,121 @@
+"""Golden artifact digests: every CLI command, run on small configs, must
+write byte for byte the files whose sha256 digests ``golden_digests.json``
+records.
+
+Float bytes depend on numpy, on the BLAS build and on the CPU, so the file
+also records the environment it was made on. On any other environment the
+test fails and names the difference; it never skips. Only a change that
+declares a results change may rewrite the file, with
+
+    PYTHONPATH=src python tests/test_golden_digests.py
+"""
+
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from deferlab.cli import main
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+# The TINY config of test_harness_cli.py with two seeds, frozen here so that
+# edits to other tests cannot move the digests.
+CONFIG = dict(
+    num_classes=4,
+    dim=4,
+    separation=2.5,
+    noise_scale=1.0,
+    train_size=120,
+    val_size=40,
+    test_size=60,
+    context_pool_size=80,
+    experts_id=2,
+    experts_ood=2,
+    overlap_probabilities=[0.2],
+    context_size=20,
+    seeds=[1, 2],
+    method=["ea_l2d", "pop_avg"],
+    learning_rate=0.2,
+    batch_size=32,
+    epochs=6,
+    patience=None,
+)
+
+COMMANDS = {
+    "train": ["train", "--config", "{config}"],
+    "evaluate": ["evaluate", "--config", "{config}"],
+    "sweep": ["sweep", "--config", "{config}"],
+    "priors-study": ["priors-study", "--config", "{config}"],
+    "theory-check": ["theory-check", "--seed", "0"],
+}
+
+
+def environment() -> dict:
+    """What the artifact bytes depend on besides the code."""
+    env = {"numpy": np.__version__, "machine": platform.machine()}
+    try:
+        info = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 cannot report its build as data
+        env["blas"] = env["simd"] = "unknown"
+        return env
+    blas = info["Build Dependencies"]["blas"]
+    env["blas"] = {k: blas.get(k) for k in ("name", "version", "openblas configuration")}
+    env["simd"] = info["SIMD Extensions"]["found"]
+    return env
+
+
+def artifact_digests(work: Path) -> dict:
+    """Run every command into ``work`` and digest what each one wrote."""
+    config = work / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    digests = {}
+    for name, args in COMMANDS.items():
+        out = work / name
+        argv = [a.format(config=config) for a in args] + ["--out", str(out)]
+        code = main(argv)
+        if code != 0:
+            raise RuntimeError(f"deferlab {' '.join(argv)} exited {code}")
+        digests[name] = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())
+        }
+    return digests
+
+
+def differences(recorded: dict, actual: dict) -> list[str]:
+    lines = []
+    for key in sorted(set(recorded) | set(actual)):
+        if recorded.get(key) != actual.get(key):
+            lines.append(f"{key}: recorded {recorded.get(key)!r}, here {actual.get(key)!r}")
+    return lines
+
+
+def test_every_artifact_matches_its_golden_digest(tmp_path):
+    golden = json.loads(DIGESTS.read_text())
+    diff = differences(golden["environment"], environment())
+    assert not diff, "golden digests were recorded on another environment:\n" + "\n".join(diff)
+    actual = artifact_digests(tmp_path)
+    changed = []
+    for command in sorted(set(golden["artifacts"]) | set(actual)):
+        recorded, here = golden["artifacts"].get(command, {}), actual.get(command, {})
+        for name in sorted(set(recorded) | set(here)):
+            if name not in here:
+                changed.append(f"{command}: {name} not written")
+            elif name not in recorded:
+                changed.append(f"{command}: {name} not in the golden set")
+            elif recorded[name] != here[name]:
+                changed.append(f"{command}: {name} differs")
+    assert not changed, "artifacts differ from the golden digests:\n" + "\n".join(changed)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {"environment": environment(), "artifacts": artifact_digests(Path(tmp))}
+    DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}", file=sys.stderr)

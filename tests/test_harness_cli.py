@@ -179,6 +179,20 @@ class TestCli:
         assert history[0] == "epoch,train_loss,classifier_term,deferral_term,val_loss"
         assert len(history) == 7  # six epochs
 
+    def test_train_writes_no_files_for_a_seed_whose_later_method_diverges(
+        self, tmp_path, monkeypatch
+    ):
+        def diverge(*args, **kwargs):
+            raise TrainingDivergenceError("loss became non-finite")
+
+        monkeypatch.setattr(deferlab.harness, "train_pop_avg", diverge)
+        cfg_path = write_config(tmp_path, seeds=[1, 2])
+        out = tmp_path / "train"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["failures"]) == {"1", "2"}
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
     def test_evaluate_and_identical_rerun(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

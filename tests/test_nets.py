@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import deferlab.nets
 from deferlab.errors import TrainingDivergenceError
 from deferlab.nets import (
+    ACTIVATIONS,
     DenseNet,
     GradientBundle,
     Layer,
@@ -17,6 +21,53 @@ from deferlab.nets import (
     sgd_step,
     softmax,
 )
+
+
+# Finite values with signed zeros, ones and subnormals drawn often.
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def layered_nets(draw, max_width=5):
+    """A net whose every weight and bias is drawn from ``VALUES``."""
+    dims = draw(st.lists(st.integers(1, max_width), min_size=2, max_size=4))
+    layers = []
+    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+        layers.append(
+            Layer(
+                draw(hnp.arrays(np.float64, (fan_out, fan_in), elements=VALUES)),
+                draw(hnp.arrays(np.float64, fan_out, elements=VALUES)),
+                draw(st.sampled_from(ACTIVATIONS)),
+            )
+        )
+    return DenseNet(layers)
+
+
+def reference_forward_cached(net, x):
+    """The unfused forward pass: ``a @ W.T + b``, then ``np.maximum``."""
+    pre, post = [], [x]
+    a = x
+    for layer in net.layers:
+        z = a @ layer.weights.T + layer.bias
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        pre.append(z)
+        post.append(a)
+    return pre, post
+
+
+def reference_sgd_step(net, grads, cfg, scale):
+    """The update layer by layer, every term kept: (weights, bias) per layer."""
+    lr, wd = cfg.learning_rate, cfg.weight_decay
+    return [
+        (
+            layer.weights - lr * (wg * scale + wd * layer.weights),
+            layer.bias - lr * (bg * scale + wd * layer.bias),
+        )
+        for layer, wg, bg in zip(net.layers, grads.weight_grads, grads.bias_grads)
+    ]
 
 
 def zero_net(dims, activation="identity"):
@@ -108,6 +159,17 @@ class TestForwardCached:
         assert np.array_equal(pattern, expected)
         linear = dense_net([3, 2], rng)
         assert relu_pattern(linear, forward_cached(linear, np.ones(3))).size == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(net=layered_nets(), rows=st.one_of(st.none(), st.integers(0, 6)), data=st.data())
+    def test_both_forwards_equal_the_unfused_path_bit_for_bit(self, net, rows, data):
+        shape = net.input_dim if rows is None else (rows, net.input_dim)
+        x = data.draw(hnp.arrays(np.float64, shape, elements=VALUES))
+        ref_pre, ref_post = reference_forward_cached(net, x)
+        pre, post = forward_cached(net, x)
+        assert forward(net, x).tobytes() == ref_post[-1].tobytes()
+        for a, b in zip(pre + post, ref_pre + ref_post):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestSoftmax:
@@ -241,10 +303,7 @@ class TestSgdStep:
 
     def test_unit_rate_with_self_gradient_zeroes_weights(self):
         net = dense_net([3, 2], 0)
-        grads = GradientBundle(
-            [l.weights.copy() for l in net.layers],
-            [l.bias.copy() for l in net.layers],
-        )
+        grads = GradientBundle(net.params.copy(), net.layout)
         cfg = TrainConfig(learning_rate=1.0, batch_size=1, epochs=1)
         out = sgd_step(net, grads, cfg)
         assert all(np.all(l.weights == 0) and np.all(l.bias == 0) for l in out.layers)
@@ -258,8 +317,9 @@ class TestSgdStep:
             w = n.layers[0].weights[0, 0]
             return (w - 3.0) ** 2
 
+        # flat layout: the one weight, then the one bias
         grads = GradientBundle(
-            [np.array([[2 * (net.layers[0].weights[0, 0] - 3.0)]])], [np.zeros(1)]
+            np.array([2 * (net.layers[0].weights[0, 0] - 3.0), 0.0]), net.layout
         )
         stepped = sgd_step(net, grads, cfg)
         assert loss(stepped) < loss(net)
@@ -288,10 +348,7 @@ class TestSgdStep:
         rng = np.random.default_rng(4)
         net = dense_net([3, 5, 4, 2], rng)
         before = [(l.weights.copy(), l.bias.copy()) for l in net.layers]
-        grads = GradientBundle(
-            [rng.normal(size=l.weights.shape) for l in net.layers],
-            [rng.normal(size=l.bias.shape) for l in net.layers],
-        )
+        grads = GradientBundle(rng.normal(size=net.params.size), net.layout)
         cfg = TrainConfig(learning_rate=0.3, batch_size=1, epochs=1, weight_decay=0.01)
         out = sgd_step(net, grads, cfg, 0.25)
         for layer, (w, b), new in zip(net.layers, before, out.layers):
@@ -300,17 +357,13 @@ class TestSgdStep:
             assert not np.shares_memory(new.bias, layer.bias)
             assert new.activation == layer.activation
         assert out.input_dim == 3 and out.output_dim == 2
+        assert not np.shares_memory(out.params, net.params)
 
     def test_scale_matches_prescaled_gradient_exactly(self):
         rng = np.random.default_rng(6)
         net = dense_net([3, 5, 2], rng)
-        grads = GradientBundle(
-            [rng.normal(size=l.weights.shape) for l in net.layers],
-            [rng.normal(size=l.bias.shape) for l in net.layers],
-        )
-        prescaled = GradientBundle(
-            [g * (1 / 96) for g in grads.weight_grads], [g * (1 / 96) for g in grads.bias_grads]
-        )
+        grads = GradientBundle(rng.normal(size=net.params.size), net.layout)
+        prescaled = GradientBundle(grads.flat * (1 / 96), net.layout)
         cfg = TrainConfig(learning_rate=0.2, batch_size=1, epochs=1, weight_decay=1e-3)
         a = sgd_step(net, grads, cfg, 1 / 96)
         b = sgd_step(net, prescaled, cfg)
@@ -322,6 +375,41 @@ class TestSgdStep:
         cfg = TrainConfig(learning_rate=0.5, batch_size=1, epochs=1, weight_decay=0.1)
         out = sgd_step(net, GradientBundle.zeros_like(net), cfg)
         assert out.layers[0].weights[0, 0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0)
+
+    SCALES = st.one_of(
+        st.just(1.0),
+        st.builds(lambda b, e: 1.0 / (b * e), st.integers(1, 128), st.integers(1, 40)),
+    )
+    DECAYS = st.one_of(st.just(0.0), st.floats(1e-6, 0.5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(net=layered_nets(), lr=st.floats(1e-3, 1.0), wd=DECAYS, scale=SCALES, data=st.data())
+    def test_fused_update_equals_per_layer_reference_bit_for_bit(
+        self, net, lr, wd, scale, data
+    ):
+        grads = GradientBundle(
+            data.draw(hnp.arrays(np.float64, net.params.size, elements=VALUES)), net.layout
+        )
+        cfg = TrainConfig(learning_rate=lr, batch_size=1, epochs=1, weight_decay=wd)
+        out = sgd_step(net, grads, cfg, scale)
+        for layer, (w, b) in zip(out.layers, reference_sgd_step(net, grads, cfg, scale)):
+            assert layer.weights.tobytes() == w.tobytes()
+            assert layer.bias.tobytes() == b.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        net=layered_nets(),
+        wd=DECAYS,
+        scale=SCALES,
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        data=st.data(),
+    )
+    def test_nonfinite_value_in_any_single_gradient_raises(self, net, wd, scale, bad, data):
+        grads = GradientBundle.zeros_like(net)
+        grads.flat[data.draw(st.integers(0, net.params.size - 1))] = bad
+        cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1, weight_decay=wd)
+        with pytest.raises(TrainingDivergenceError):
+            sgd_step(net, grads, cfg, scale)
 
 
 class TestTrainConfig:
@@ -376,6 +464,48 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(ValueError):
             finite_difference_check(net, loss_fn, 1e-2)
 
+    def test_report_equals_a_per_layer_perturbation_loop(self):
+        def reference(net, loss_fn, epsilon):
+            analytic = loss_fn(net)[1]
+            work = net.copy()
+            max_err, n_checked, n_skipped = 0.0, 0, 0
+            for li, layer in enumerate(work.layers):
+                for attr, grads in (("weights", analytic.weight_grads),
+                                    ("bias", analytic.bias_grads)):
+                    arr = getattr(layer, attr)
+                    for idx in np.ndindex(arr.shape):
+                        original = arr[idx]
+                        arr[idx] = original + epsilon
+                        plus = loss_fn(work)
+                        arr[idx] = original - epsilon
+                        minus = loss_fn(work)
+                        arr[idx] = original
+                        if not np.array_equal(plus[2], minus[2]):
+                            n_skipped += 1
+                            continue
+                        central = (plus[0] - minus[0]) / (2.0 * epsilon)
+                        err = abs(grads[li][idx] - central) / max(1.0, abs(central))
+                        max_err = max(max_err, err)
+                        n_checked += 1
+            return max_err, n_checked, n_skipped
+
+        for seed in range(4):
+            rng = np.random.default_rng(40 + seed)
+            net = dense_net([3, 4, 4, 2], rng)
+            x = rng.normal(size=(3, 3))
+            # one pre-activation exactly at the relu kink, so a parameter is skipped
+            net.layers[0].bias[0] = -(x[0] @ net.layers[0].weights[0])
+
+            def loss_fn(n):
+                acts = forward_cached(n, x)
+                out = acts[1][-1]
+                return 0.5 * float((out * out).sum()), backward(n, acts, out), relu_pattern(n, acts)
+
+            report = finite_difference_check(net, loss_fn, 1e-6, full_report=True)
+            expected = reference(net, loss_fn, 1e-6)
+            assert (report.max_rel_error, report.n_checked, report.n_skipped) == expected
+            assert report.n_skipped >= 1
+
 
 class TestDeterminism:
     def test_same_seed_same_network(self):
@@ -395,3 +525,80 @@ class TestDeterminism:
         w = net.layers[0].weights
         assert np.all(np.abs(w) <= limit)
         assert np.all(net.layers[0].bias == 0)
+
+
+class TestFlatLayout:
+    def test_params_pack_the_layers_in_order_and_layers_view_them(self):
+        rng = np.random.default_rng(30)
+        arrays = [(rng.normal(size=(5, 3)), rng.normal(size=5)),
+                  (rng.normal(size=(2, 5)), rng.normal(size=2))]
+        net = DenseNet([Layer(w, b, "relu") for w, b in arrays])
+        expected = np.concatenate([a.ravel() for pair in arrays for a in pair])
+        assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
+        assert np.array_equal(net.params, expected)
+        for layer, (w, b) in zip(net.layers, arrays):
+            assert np.array_equal(layer.weights, w) and np.array_equal(layer.bias, b)
+            assert np.shares_memory(layer.weights, net.params)
+            assert np.shares_memory(layer.bias, net.params)
+            assert not np.shares_memory(net.params, w) and not np.shares_memory(net.params, b)
+        net.params[5 * 3] = 42.0  # first bias entry of layer 0
+        assert net.layers[0].bias[0] == 42.0
+        assert arrays[0][1][0] != 42.0
+
+    def test_copy_shares_no_memory_with_its_source(self):
+        net = dense_net([3, 5, 2], 1)
+        before = net.params.copy()
+        dup = net.copy()
+        assert dup.layout == net.layout
+        assert np.array_equal(dup.params, net.params)
+        assert not np.shares_memory(dup.params, net.params)
+        for a, b in zip(dup.layers, net.layers):
+            assert np.shares_memory(a.weights, dup.params) and np.shares_memory(a.bias, dup.params)
+            assert a.activation == b.activation
+        dup.params[:] = 0.0
+        assert np.array_equal(net.params, before)
+
+    def test_sgd_step_result_is_laid_out_over_its_own_vector(self):
+        net = dense_net([3, 5, 2], 2)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
+        out = sgd_step(net, GradientBundle(np.ones(net.params.size), net.layout), cfg, 0.5)
+        assert out.layout == net.layout
+        assert not np.shares_memory(out.params, net.params)
+        for layer in out.layers:
+            assert np.shares_memory(layer.weights, out.params)
+            assert np.shares_memory(layer.bias, out.params)
+        assert np.array_equal(out.params, net.params - 0.1 * 0.5)
+
+    def test_gradient_bundle_views_and_layout_check(self):
+        net = dense_net([3, 5, 2], 3)
+        g = GradientBundle.zeros_like(net)
+        g.weight_grads[1][1, 2] = 4.0
+        g.bias_grads[0][3] = -1.0
+        _, in_dim, w0, _, _ = net.layout[1]
+        assert g.flat[w0 + in_dim + 2] == 4.0
+        assert g.flat[net.layout[0][3] + 3] == -1.0
+        assert g.matches(net)
+        # same parameter count (32), other shapes
+        other = dense_net([2, 6, 2], 0)
+        assert other.params.size == net.params.size
+        assert not GradientBundle.zeros_like(other).matches(net)
+        with pytest.raises(ValueError):
+            sgd_step(net, GradientBundle.zeros_like(other), TrainConfig(0.1, 1, 1))
+        with pytest.raises(ValueError):
+            GradientBundle(np.zeros(net.params.size + 1), net.layout)
+
+    def test_backward_fills_the_flat_gradient_per_layer(self):
+        rng = np.random.default_rng(31)
+        net = dense_net([4, 6, 3], rng)
+        x = rng.normal(size=(7, 4))
+        up = rng.normal(size=(7, 3))
+        g = backward(net, forward_cached(net, x), up)
+        assert g.matches(net) and g.flat.shape == net.params.shape
+        # per layer, unfused: the top layer reads ``up`` directly
+        h = np.maximum(x @ net.layers[0].weights.T + net.layers[0].bias, 0.0)
+        top_w, top_b = up.T @ h, up.sum(axis=0)
+        delta = (up @ net.layers[1].weights) * (h > 0)
+        low_w, low_b = delta.T @ x, delta.sum(axis=0)
+        expected = np.concatenate([low_w.ravel(), low_b, top_w.ravel(), top_b])
+        assert g.flat.tobytes() == expected.tobytes()
+        assert g.input_grad.tobytes() == (delta @ net.layers[0].weights).tobytes()
