@@ -11,15 +11,10 @@ __version__ = "0.1.0"
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, parse_config
 from .deferral import (
-    DeferralDecision,
-    JointLogits,
     LossBreakdown,
-    RejectorInput,
-    assemble_rejector_inputs,
-    decide,
-    deferral_logit,
-    ea_l2d_loss,
-    pop_avg_loss,
+    ea_l2d_loss_grads,
+    pop_avg_loss_grads,
+    rejector_inputs,
     train,
     train_pop_avg,
 )
@@ -30,22 +25,14 @@ from .evaluation import (
     ScoredCases,
     area_under,
     build_curves,
-    deferral_priority,
+    case_priorities,
     score_cases,
-    select_expert,
 )
 from .experts import (
     BehaviouralRepresentation,
-    BetaParams,
-    ClassCounts,
-    ContextExample,
     PriorElicitation,
     build_representation,
-    count_context,
-    elicit_prior,
-    posterior_mean,
     sample_complexity_bound,
-    update_posterior,
 )
 from .harness import run_experiment, run_priors_study, run_theory_checks
 from .nets import (
@@ -63,7 +50,6 @@ from .nets import (
 from .simulate import (
     ContextSet,
     Dataset,
-    LabeledExample,
     SimulatedExpertSpec,
     SyntheticTaskSpec,
     draw_context_set,
@@ -75,6 +61,6 @@ from .simulate import (
 from .theory import (
     TrialConfig,
     bayes_optimal_reference,
+    median_posterior_errors,
     misidentification_rate,
-    posterior_convergence_errors,
 )

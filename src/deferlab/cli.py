@@ -5,7 +5,8 @@ loss histories), ``evaluate`` (full train-and-evaluate protocol), ``sweep``
 (same plus a method-gap summary), ``priors-study``, ``theory-check``.
 
 Exit codes: 0 success, 1 validation error, 2 failed theory/acceptance check,
-3 training divergence on every seed.
+3 training divergence on every seed (on any seed for ``priors-study`` and
+``theory-check``, which stop at the first divergence).
 """
 
 from __future__ import annotations
@@ -50,12 +51,17 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_config(args)
-    failures = run_training(cfg, args.out)
+def _every_seed_failed(failures: dict[int, str], cfg: ExperimentConfig) -> bool:
+    """Report each diverged seed on stderr, one line per seed, and say
+    whether no seed is left (the command then exits 3)."""
     for seed, msg in failures.items():
         print(f"seed {seed}: training diverged: {msg}", file=sys.stderr)
-    if failures and len(failures) == len(cfg.seeds):
+    return bool(failures) and len(failures) == len(cfg.seeds)
+
+
+def _cmd_train(args) -> int:
+    cfg = _load_config(args)
+    if _every_seed_failed(run_training(cfg, args.out), cfg):
         return 3
     print(f"wrote checkpoints to {args.out}")
     return 0
@@ -64,9 +70,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     result = run_experiment(cfg, args.out)
-    for seed, msg in result.failures.items():
-        print(f"seed {seed}: training diverged: {msg}", file=sys.stderr)
-    if result.failures and len(result.failures) == len(cfg.seeds):
+    if _every_seed_failed(result.failures, cfg):
         return 3
     print(f"wrote {len(result.records)} evaluation records to {args.out}")
     return 0
@@ -75,9 +79,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     result = run_experiment(cfg, args.out)
-    for seed, msg in result.failures.items():
-        print(f"seed {seed}: training diverged: {msg}", file=sys.stderr)
-    if result.failures and len(result.failures) == len(cfg.seeds):
+    if _every_seed_failed(result.failures, cfg):
         return 3
 
     full = (0.0, 1.0)
@@ -89,23 +91,14 @@ def _cmd_sweep(args) -> int:
         for p in cfg.overlap_probabilities:
             for epe in cfg.expertise_grid():
                 for seed in cfg.seeds:
-                    if seed in result.failures:
-                        continue
                     for cohort in ("id", "ood"):
                         a = indexed.get(("ea_l2d", p, epe, seed, cohort))
                         b = indexed.get(("pop_avg", p, epe, seed, cohort))
                         if a is None or b is None or full not in a.aurdac:
                             continue
+                        ea, pop = a.aurdac[full], b.aurdac[full]
                         rows.append(
-                            [
-                                repr(p),
-                                epe,
-                                seed,
-                                cohort,
-                                repr(a.aurdac[full]),
-                                repr(b.aurdac[full]),
-                                repr(a.aurdac[full] - b.aurdac[full]),
-                            ]
+                            [repr(p), epe, seed, cohort, repr(ea), repr(pop), repr(ea - pop)]
                         )
         with open(Path(args.out) / "sweep_summary.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -118,12 +111,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_priors_study(args) -> int:
-    cfg = _load_config(args)
-    try:
-        result = run_priors_study(cfg, args.out)
-    except TrainingDivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 3
+    result = run_priors_study(_load_config(args), args.out)
     print(
         f"priors study on expert {result.target_expert}: "
         f"{len(result.records)} curve sets in {args.out}"
@@ -136,13 +124,7 @@ def _cmd_theory_check(args) -> int:
     if args.config is not None:
         cfg = parse_config(args.config)
         seeds = [args.seed] if args.seed is not None else cfg.seeds
-    try:
-        rows, default_used = run_theory_checks(
-            seeds, out_dir=args.out, bound_scale=args.bound_scale
-        )
-    except TrainingDivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 3
+    rows, default_used = run_theory_checks(seeds, out_dir=args.out, bound_scale=args.bound_scale)
     if default_used:
         print("no seeds given; using default seed 0")
     failed = [r for r in rows if not r.passed]
@@ -197,6 +179,10 @@ def main(argv=None) -> int:
     except (ConfigError, DatasetParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except TrainingDivergenceError as exc:
+        # priors-study and theory-check stop at their first divergence
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .nets import TrainConfig
 from .simulate import SyntheticTaskSpec
@@ -102,32 +102,10 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Round-trippable plain-dict form for manifests."""
-        return {
-            "num_classes": self.num_classes,
-            "dim": self.dim,
-            "separation": self.separation,
-            "noise_scale": self.noise_scale,
-            "train_size": self.train_size,
-            "val_size": self.val_size,
-            "test_size": self.test_size,
-            "context_pool_size": self.context_pool_size,
-            "experts_id": self.experts_id,
-            "experts_ood": self.experts_ood,
-            "overlap_probabilities": self.overlap_probabilities,
-            "context_size": self.context_size,
-            "seeds": self.seeds,
-            "expertise_per_expert": self.expertise_per_expert,
-            "method": self.methods,
-            "prior_file": self.prior_file,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "weight_decay": self.weight_decay,
-            "patience": self.patience,
-            "context_subsample": self.context_subsample,
-            "eval_ranges": [list(r) for r in self.eval_ranges],
-            "classifier_hidden": self.classifier_hidden,
-        }
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        raw["method"] = raw.pop("methods")
+        raw["eval_ranges"] = [list(r) for r in self.eval_ranges]
+        return raw
 
 
 class ConfigError(ValueError):

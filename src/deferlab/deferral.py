@@ -11,8 +11,9 @@ mean accuracy there, so no expert predictions on query data are needed.
 Training and validation evaluate the whole expert cohort in one stacked
 step per batch (``_ea_stacked``): the experts enter only through their
 (experts, K) matrix of posterior means, so the classifier runs forward and
-backward once, and the rejector once on all (example, expert) rows. The
-single-example ``ea_l2d_loss_grads`` is the same step with one expert.
+backward once, and the rejector once on all (example, expert) rows built by
+``rejector_inputs``. The single-example ``ea_l2d_loss_grads`` is the same
+step with one expert. Both methods train through one loop, ``_fit``.
 
 The population-average baseline instead gates its deferral term on whether
 the mode of all experts' query predictions matches the label, and its
@@ -43,53 +44,8 @@ from .nets import (
     forward_cached,
     relu_pattern,
     sgd_step,
-    softmax,
 )
 from .simulate import ContextSet, Dataset
-
-
-@dataclass(frozen=True)
-class RejectorInput:
-    rho_expertise: float
-    rho_max: float
-    mu_at_kstar: float
-    mu_expertise: float
-
-    def __post_init__(self) -> None:
-        if self.rho_max < self.rho_expertise:
-            raise ValueError("rho_max must be >= rho_expertise")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.rho_expertise, self.rho_max, self.mu_at_kstar, self.mu_expertise]
-        )
-
-
-@dataclass
-class JointLogits:
-    class_logits: np.ndarray
-    deferral_logit: float
-
-    def __post_init__(self) -> None:
-        self.class_logits = np.asarray(self.class_logits, dtype=np.float64)
-        if self.class_logits.ndim != 1 or self.class_logits.size == 0:
-            raise ValueError("class_logits must be a nonempty vector")
-        if not (np.all(np.isfinite(self.class_logits)) and math.isfinite(self.deferral_logit)):
-            raise ValueError("logits must be finite")
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_logits)
-
-    def stacked(self) -> np.ndarray:
-        return np.append(self.class_logits, self.deferral_logit)
-
-
-@dataclass(frozen=True)
-class DeferralDecision:
-    defer: bool
-    predicted_class: int | None = None
-    chosen_expert: int | None = None
 
 
 @dataclass(frozen=True)
@@ -103,84 +59,25 @@ class LossBreakdown:
         return LossBreakdown(classifier_term, deferral_term, classifier_term + deferral_term)
 
 
-def assemble_rejector_inputs(
-    class_softmax: np.ndarray, rep: BehaviouralRepresentation
-) -> RejectorInput:
-    """Extract the four rejector scalars from a class distribution and an
-    expert representation; argmax ties break to the lowest class index."""
-    rho = np.asarray(class_softmax, dtype=np.float64)
-    if rho.ndim != 1 or len(rho) != rep.num_classes:
-        raise ValueError("class softmax and representation must agree on the class count")
-    if abs(rho.sum() - 1.0) > 1e-9 or np.any(rho < 0):
-        raise ValueError("class softmax must be a probability vector")
-    kstar = int(np.argmax(rho))
-    estar = rep.expertise_class
-    return RejectorInput(
-        rho_expertise=float(rho[estar]),
-        rho_max=float(rho[kstar]),
-        mu_at_kstar=float(rep.mu[kstar]),
-        mu_expertise=float(rep.mu[estar]),
-    )
-
-
-def deferral_logit(rejector: DenseNet, inputs: RejectorInput) -> float:
-    if rejector.input_dim != 4 or rejector.output_dim != 1:
-        raise ValueError("the deferral rejector must map 4 inputs to 1 logit")
-    return float(forward(rejector, inputs.as_vector())[0])
-
-
-def ea_l2d_loss(
-    joint: JointLogits, true_label: int, rep: BehaviouralRepresentation
-) -> LossBreakdown:
-    """Cross entropy over the K+1 logits plus the gated deferral term.
-
-    The deferral half activates only when the expert's expertise class equals
-    the true label and is scaled by the expert's posterior mean accuracy on
-    that label. Expert predictions are never consumed.
-    """
-    num_classes = joint.num_classes
-    if not 0 <= true_label < num_classes:
-        raise ValueError(f"true_label {true_label} out of range")
-    if rep.num_classes != num_classes:
-        raise ValueError("representation class count does not match the logits")
-    q = softmax(joint.stacked())
-    classifier_term = -math.log(q[true_label])
-    weight = float(rep.mu[true_label]) if rep.expertise_class == true_label else 0.0
-    deferral_term = weight * -math.log(q[num_classes])
-    return LossBreakdown.of(classifier_term, deferral_term)
+def mode_labels(prediction_matrix: np.ndarray, num_classes: int) -> np.ndarray:
+    """Column-wise mode over experts; shape (experts, examples) -> (examples,)."""
+    preds = np.asarray(prediction_matrix, dtype=np.int64)
+    if preds.ndim != 2 or preds.shape[0] == 0:
+        raise ValueError("prediction matrix must be (experts, examples) with >= 1 expert")
+    if np.any(preds < 0) or np.any(preds >= num_classes):
+        raise ValueError("prediction out of range")
+    examples = preds.shape[1]
+    # Row i of ``counts`` tallies column i's votes; argmax breaks ties to the
+    # lowest class index.
+    cells = np.arange(examples) * num_classes + preds
+    counts = np.bincount(cells.ravel(), minlength=examples * num_classes)
+    return np.argmax(counts.reshape(examples, num_classes), axis=1)
 
 
 def mode_prediction(predictions: Sequence[int], num_classes: int) -> int:
-    """Most frequent label; ties break to the lowest class index."""
-    preds = np.asarray(predictions, dtype=np.int64)
-    if preds.size == 0:
-        raise ValueError("mode of an empty prediction list")
-    if np.any(preds < 0) or np.any(preds >= num_classes):
-        raise ValueError("prediction out of range")
-    return int(np.argmax(np.bincount(preds, minlength=num_classes)))
-
-
-def pop_avg_loss(
-    joint: JointLogits, true_label: int, expert_predictions: Sequence[int]
-) -> LossBreakdown:
-    """Baseline loss: the deferral term is active when the mode of the
-    experts' predictions matches the true label."""
-    num_classes = joint.num_classes
-    if not 0 <= true_label < num_classes:
-        raise ValueError(f"true_label {true_label} out of range")
-    mode = mode_prediction(expert_predictions, num_classes)
-    q = softmax(joint.stacked())
-    classifier_term = -math.log(q[true_label])
-    deferral_term = (1.0 if mode == true_label else 0.0) * -math.log(q[num_classes])
-    return LossBreakdown.of(classifier_term, deferral_term)
-
-
-def decide(joint: JointLogits, expert_id: int | None = None) -> DeferralDecision:
-    """Defer exactly when the deferral logit reaches the best class logit."""
-    best = float(np.max(joint.class_logits))
-    if joint.deferral_logit >= best:
-        return DeferralDecision(defer=True, chosen_expert=expert_id)
-    return DeferralDecision(defer=False, predicted_class=int(np.argmax(joint.class_logits)))
+    """Most frequent label of one example's expert predictions; ties break
+    to the lowest class index."""
+    return int(mode_labels(np.asarray(predictions, dtype=np.int64)[:, None], num_classes)[0])
 
 
 # --- batched loss/gradient machinery -------------------------------------
@@ -230,14 +127,17 @@ def _forward_for(
     return forward(net, x), None
 
 
-def _rejector_inputs(rho: np.ndarray, kstar: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def rejector_inputs(rho: np.ndarray, kstar: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """The four rejector inputs of every (expert, example) pair.
 
     ``rho`` is the class softmax (batch, K), ``kstar`` its row argmax and
     ``mu`` the posterior means (experts, K). Rows of the (experts * batch, 4)
-    result are ordered expert-major; expertise-class ties break to the
-    lowest class index.
+    result are ordered expert-major; each row is (rho at the expertise
+    class, rho at kstar, mu at kstar, mu at the expertise class), and
+    expertise-class ties break to the lowest class index.
     """
+    if rho.shape[1] != mu.shape[1]:
+        raise ValueError("class softmax and posterior means must agree on the class count")
     experts, batch = len(mu), len(rho)
     estar = np.argmax(mu, axis=1)
     feats = np.empty((experts, batch, 4))
@@ -277,7 +177,7 @@ def _ea_stacked(
     kstar = np.argmax(rho, axis=1)
     estar = np.argmax(mu, axis=1)
     rows = np.arange(batch)
-    feats = _rejector_inputs(rho, kstar, mu)
+    feats = rejector_inputs(rho, kstar, mu)
     rej_out, rej_acts = _forward_for(rejector, feats, want_grads)
     g_defer = rej_out[:, 0]
     joint = np.empty((experts, batch, num_classes + 1))
@@ -340,6 +240,12 @@ def _pop_batch(
     return classifier_sum, deferral_sum, clf_grads, rej_grads, pattern
 
 
+def _one_row(x: np.ndarray, true_label: int, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    if not 0 <= true_label < num_classes:
+        raise ValueError(f"true_label {true_label} out of range")
+    return np.atleast_2d(np.asarray(x, dtype=np.float64)), np.array([true_label])
+
+
 def ea_l2d_loss_grads(
     classifier: DenseNet,
     rejector: DenseNet,
@@ -347,14 +253,14 @@ def ea_l2d_loss_grads(
     true_label: int,
     rep: BehaviouralRepresentation,
 ):
-    """Single-example loss with gradients for both networks.
+    """One example's loss with gradients for both networks: the batched
+    step on a one-row batch and a one-expert cohort.
 
     Returns ``(LossBreakdown, classifier_grads, rejector_grads, pattern)``
     where the pattern array encodes the discrete choices (relu signs and the
     classifier argmax) for finite-difference kink detection.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels = np.array([true_label])
+    x, labels = _one_row(x, true_label, classifier.output_dim)
     cs, ds, cg, rg, pattern = _ea_stacked(classifier, rejector, x, labels, rep.mu[None, :])
     return LossBreakdown.of(cs, ds), cg, rg, pattern
 
@@ -366,10 +272,11 @@ def pop_avg_loss_grads(
     true_label: int,
     expert_predictions: Sequence[int],
 ):
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """The baseline's counterpart of ``ea_l2d_loss_grads``: the deferral term
+    is active when the mode of the experts' predictions is the true label."""
+    x, labels = _one_row(x, true_label, classifier.output_dim)
     mode = mode_prediction(expert_predictions, classifier.output_dim)
     weights = np.array([1.0 if mode == true_label else 0.0])
-    labels = np.array([true_label])
     cs, ds, cg, rg, pattern = _pop_batch(classifier, rejector, x, labels, weights)
     return LossBreakdown.of(cs, ds), cg, rg, pattern
 
@@ -407,22 +314,80 @@ def _resolve_lambda(lam: int | None, contexts: Sequence[ContextSet]) -> list[int
     return [lam] * len(contexts)
 
 
-def _mean_loss_ea(
-    classifier: DenseNet, rejector: DenseNet, data: Dataset, mu: np.ndarray
-) -> float:
-    cs, ds, *_ = _ea_stacked(
-        classifier, rejector, data.features, data.labels, mu, want_grads=False
-    )
-    return (cs + ds) / (len(data) * len(mu))
+def _fit(
+    classifier: DenseNet,
+    rejector: DenseNet,
+    query: Dataset,
+    cfg: TrainConfig,
+    batch_loss,
+    batch_aux,
+    experts: int,
+    val: Dataset | None,
+    val_aux,
+    patience: int | None,
+) -> TrainResult:
+    """The training loop both methods share.
 
+    ``batch_loss`` is ``_ea_stacked`` or ``_pop_batch``; its last data
+    argument comes from ``batch_aux(idx, rng)`` for the query rows ``idx``
+    of a batch, and is ``val_aux`` on the validation set. Losses are summed
+    over ``experts`` terms per example and averaged over all of them. Each
+    epoch draws one permutation from the ``cfg.seed`` stream, then the
+    batches draw their own picks from it in order. A non-finite loss raises
+    ``TrainingDivergenceError`` naming the epoch and batch. With validation
+    data and ``patience``, training stops once the validation loss has not
+    improved for more than ``patience`` epochs, and the best epoch's
+    networks are returned.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    history: list[EpochStats] = []
+    best_loss = math.inf
+    best_epoch: int | None = None
+    best_nets: tuple[DenseNet, DenseNet] | None = None
+    stale = 0
+    pair_count = len(query) * experts
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(query))
+        c_sum = d_sum = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            batch_c, batch_d, clf_grads, rej_grads, _ = batch_loss(
+                classifier, rejector, query.features[idx], query.labels[idx],
+                batch_aux(idx, rng),
+            )
+            if not math.isfinite(batch_c + batch_d):
+                raise TrainingDivergenceError(
+                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
+                )
+            scale = 1.0 / (len(idx) * experts)
+            classifier = sgd_step(classifier, clf_grads, cfg, scale)
+            rejector = sgd_step(rejector, rej_grads, cfg, scale)
+            c_sum += batch_c
+            d_sum += batch_d
 
-def _mean_loss_pop(
-    classifier: DenseNet, rejector: DenseNet, data: Dataset, weights: np.ndarray
-) -> float:
-    cs, ds, *_ = _pop_batch(
-        classifier, rejector, data.features, data.labels, weights, want_grads=False
-    )
-    return (cs + ds) / len(data)
+        val_loss = None
+        if val is not None:
+            val_c, val_d, *_ = batch_loss(
+                classifier, rejector, val.features, val.labels, val_aux, want_grads=False
+            )
+            val_loss = (val_c + val_d) / (len(val) * experts)
+        history.append(
+            EpochStats(epoch, (c_sum + d_sum) / pair_count, c_sum / pair_count,
+                       d_sum / pair_count, val_loss)
+        )
+        if val_loss is not None and val_loss < best_loss:
+            best_loss = val_loss
+            best_epoch = epoch
+            best_nets = (classifier.copy(), rejector.copy())
+            stale = 0
+        else:
+            stale += 1
+        if patience is not None and val is not None and stale > patience:
+            break
+
+    if patience is not None and best_nets is not None:
+        classifier, rejector = best_nets
+    return TrainResult(classifier, rejector, history, best_epoch)
 
 
 def train(
@@ -456,81 +421,24 @@ def train(
         raise ValueError("priors must align with the expert contexts")
     lams = _resolve_lambda(lam, contexts)
 
-    rng = np.random.default_rng(cfg.seed)
     alpha0, beta0 = prior_arrays(prior_list, num_classes)
     full_mu = posterior_means(
         alpha0, beta0, [c.labels for c in contexts], [c.predictions for c in contexts]
     )
 
-    history: list[EpochStats] = []
-    best_loss = math.inf
-    best_epoch: int | None = None
-    best_nets: tuple[DenseNet, DenseNet] | None = None
-    stale = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(query))
-        c_sum = d_sum = 0.0
-        pair_count = 0
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            feats = query.features[idx]
-            labels = query.labels[idx]
-            picks = [rng.choice(len(c), size=n, replace=False) for c, n in zip(contexts, lams)]
-            mu = posterior_means(
-                alpha0,
-                beta0,
-                [c.labels[i] for c, i in zip(contexts, picks)],
-                [c.predictions[i] for c, i in zip(contexts, picks)],
-            )
-            batch_c, batch_d, clf_grads, rej_grads, _ = _ea_stacked(
-                classifier, rejector, feats, labels, mu
-            )
-            if not math.isfinite(batch_c + batch_d):
-                raise TrainingDivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
-                )
-            scale = 1.0 / (len(idx) * len(contexts))
-            classifier = sgd_step(classifier, clf_grads, cfg, scale)
-            rejector = sgd_step(rejector, rej_grads, cfg, scale)
-            c_sum += batch_c
-            d_sum += batch_d
-            pair_count += len(idx) * len(contexts)
-
-        val_loss = (
-            _mean_loss_ea(classifier, rejector, val, full_mu) if val is not None else None
+    def subsampled_mu(idx, rng):
+        picks = [rng.choice(len(c), size=n, replace=False) for c, n in zip(contexts, lams)]
+        return posterior_means(
+            alpha0,
+            beta0,
+            [c.labels[i] for c, i in zip(contexts, picks)],
+            [c.predictions[i] for c, i in zip(contexts, picks)],
         )
-        history.append(
-            EpochStats(epoch, (c_sum + d_sum) / pair_count, c_sum / pair_count,
-                       d_sum / pair_count, val_loss)
-        )
-        if val_loss is not None and val_loss < best_loss:
-            best_loss = val_loss
-            best_epoch = epoch
-            best_nets = (classifier.copy(), rejector.copy())
-            stale = 0
-        else:
-            stale += 1
-        if patience is not None and val is not None and stale > patience:
-            break
 
-    if patience is not None and best_nets is not None:
-        classifier, rejector = best_nets
-    return TrainResult(classifier, rejector, history, best_epoch)
-
-
-def mode_labels(prediction_matrix: np.ndarray, num_classes: int) -> np.ndarray:
-    """Column-wise mode over experts; shape (experts, examples) -> (examples,)."""
-    preds = np.asarray(prediction_matrix, dtype=np.int64)
-    if preds.ndim != 2 or preds.shape[0] == 0:
-        raise ValueError("prediction matrix must be (experts, examples) with >= 1 expert")
-    if np.any(preds < 0) or np.any(preds >= num_classes):
-        raise ValueError("prediction out of range")
-    examples = preds.shape[1]
-    # Row i of ``counts`` tallies column i's votes; argmax breaks ties to the
-    # lowest class index, as ``mode_prediction`` does.
-    cells = np.arange(examples) * num_classes + preds
-    counts = np.bincount(cells.ravel(), minlength=examples * num_classes)
-    return np.argmax(counts.reshape(examples, num_classes), axis=1)
+    return _fit(
+        classifier, rejector, query, cfg, _ea_stacked, subsampled_mu, len(contexts),
+        val, full_mu, patience,
+    )
 
 
 def train_pop_avg(
@@ -551,51 +459,14 @@ def train_pop_avg(
     if len(modes) != len(query):
         raise ValueError("query predictions must align with the query data")
     weights = (modes == query.labels).astype(np.float64)
+    val_weights = None
     if val is not None:
         if val_predictions is None:
             raise ValueError("validation data requires validation predictions")
         val_modes = mode_labels(val_predictions, num_classes)
         val_weights = (val_modes == val.labels).astype(np.float64)
 
-    rng = np.random.default_rng(cfg.seed)
-    history: list[EpochStats] = []
-    best_loss = math.inf
-    best_epoch: int | None = None
-    best_nets: tuple[DenseNet, DenseNet] | None = None
-    stale = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(query))
-        c_sum = d_sum = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            cs, ds, cg, rg, _ = _pop_batch(
-                classifier, rejector, query.features[idx], query.labels[idx], weights[idx]
-            )
-            if not math.isfinite(cs + ds):
-                raise TrainingDivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
-                )
-            scale = 1.0 / len(idx)
-            classifier = sgd_step(classifier, cg, cfg, scale)
-            rejector = sgd_step(rejector, rg, cfg, scale)
-            c_sum += cs
-            d_sum += ds
-
-        val_loss = (
-            _mean_loss_pop(classifier, rejector, val, val_weights) if val is not None else None
-        )
-        n = len(query)
-        history.append(EpochStats(epoch, (c_sum + d_sum) / n, c_sum / n, d_sum / n, val_loss))
-        if val_loss is not None and val_loss < best_loss:
-            best_loss = val_loss
-            best_epoch = epoch
-            best_nets = (classifier.copy(), rejector.copy())
-            stale = 0
-        else:
-            stale += 1
-        if patience is not None and val is not None and stale > patience:
-            break
-
-    if patience is not None and best_nets is not None:
-        classifier, rejector = best_nets
-    return TrainResult(classifier, rejector, history, best_epoch)
+    return _fit(
+        classifier, rejector, query, cfg, _pop_batch, lambda idx, rng: weights[idx], 1,
+        val, val_weights, patience,
+    )

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .deferral import _rejector_inputs, _softmax_rows
+from .deferral import _softmax_rows, rejector_inputs
 from .experts import BehaviouralRepresentation
 from .nets import DenseNet, forward
 from .simulate import Dataset
@@ -112,28 +112,6 @@ def build_report(
     )
 
 
-def deferral_priority(joint_probabilities: np.ndarray) -> float:
-    """Deferral mass minus the best class mass on the joint simplex."""
-    q = np.asarray(joint_probabilities, dtype=np.float64)
-    if q.ndim != 1 or len(q) < 2:
-        raise ValueError("need a probability vector over K+1 entries")
-    if abs(q.sum() - 1.0) > 1e-9 or np.any(q < 0):
-        raise ValueError("joint probabilities must form a distribution")
-    return float(q[-1] - q[:-1].max())
-
-
-def select_expert(
-    priorities: Sequence[float], expert_ids: Sequence[int] | None = None
-) -> tuple[int, float]:
-    """Pick the expert with maximal priority; ties go to the lowest id."""
-    pri = np.asarray(priorities, dtype=np.float64)
-    if pri.size == 0:
-        raise ValueError("cannot select from an empty cohort")
-    best = int(np.argmax(pri))
-    chosen = expert_ids[best] if expert_ids is not None else best
-    return chosen, float(pri[best])
-
-
 def deferral_curves(
     priority: np.ndarray, classifier_correct: np.ndarray, expert_correct: np.ndarray
 ) -> tuple[Curve, Curve]:
@@ -213,7 +191,7 @@ def case_priorities(
         # one expert at a time keeps the rejector's activations at one
         # (cases, hidden) block on large test sets
         deferral_logits = (
-            forward(rejector, _rejector_inputs(rho, kstar, rep.mu[None, :]))[:, 0]
+            forward(rejector, rejector_inputs(rho, kstar, rep.mu[None, :]))[:, 0]
             for rep in reps
         )
 
@@ -246,9 +224,9 @@ def score_cases(
     """Score every case against a cohort, given the classifier's logits on
     ``data``.
 
-    Expert-aware systems defer each case to the argmax-priority expert;
-    expert-independent ones cannot discriminate, so the deferred expert is a
-    uniform seeded draw.
+    Expert-aware systems defer each case to the argmax-priority expert
+    (ties go to the lowest cohort index); expert-independent ones cannot
+    discriminate, so the deferred expert is a uniform seeded draw.
     """
     preds = np.asarray(expert_predictions, dtype=np.int64)
     cohort = preds.shape[0]

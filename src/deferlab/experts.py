@@ -11,44 +11,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DatasetParseError
 
 DEFAULT_PRIOR_STRENGTH = 10.0
-
-
-class ContextExample(NamedTuple):
-    true_label: int
-    expert_prediction: int
-
-
-@dataclass
-class ClassCounts:
-    n: np.ndarray  # samples with true label k
-    t: np.ndarray  # correct predictions among those samples
-
-    def __post_init__(self) -> None:
-        self.n = np.asarray(self.n, dtype=np.int64)
-        self.t = np.asarray(self.t, dtype=np.int64)
-        if self.n.shape != self.t.shape:
-            raise ValueError("count arrays must have equal length")
-        if np.any(self.t < 0) or np.any(self.n < 0) or np.any(self.t > self.n):
-            raise ValueError("counts must satisfy 0 <= t_k <= n_k")
-
-
-@dataclass(frozen=True)
-class BetaParams:
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("Beta parameters must be strictly positive")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("Beta parameters must be finite")
 
 
 @dataclass
@@ -81,95 +50,55 @@ class PriorElicitation:
     def num_classes(self) -> int:
         return len(self.p)
 
-    @staticmethod
-    def uniform(num_classes: int, s: float = DEFAULT_PRIOR_STRENGTH) -> "PriorElicitation":
-        return PriorElicitation(
-            np.full(num_classes, 0.5), np.zeros(num_classes), s
-        )
-
 
 @dataclass
 class BehaviouralRepresentation:
-    """Posterior summary of one expert: per-class mean accuracies, the
-    posterior Beta parameters behind them, and the expertise class."""
+    """Posterior summary of one expert: the per-class posterior Beta
+    parameters, their means (the expert's accuracy estimates) and the
+    expertise class, the argmax of the means (lowest index on ties)."""
 
-    mu: np.ndarray
-    posterior: list[BetaParams]
-    expertise_class: int
+    alpha: np.ndarray
+    beta: np.ndarray
 
     def __post_init__(self) -> None:
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        if len(self.posterior) != len(self.mu):
-            raise ValueError("posterior list and mu must have equal length")
-        for k, bp in enumerate(self.posterior):
-            if abs(self.mu[k] - posterior_mean(bp)) > 1e-12:
-                raise ValueError(f"mu[{k}] inconsistent with posterior parameters")
-        expected = int(np.argmax(self.mu))
-        if self.expertise_class != expected:
-            raise ValueError("expertise_class must be the argmax of mu (lowest index on ties)")
+        self.alpha = np.asarray(self.alpha, dtype=np.float64)
+        self.beta = np.asarray(self.beta, dtype=np.float64)
+        if self.alpha.shape != self.beta.shape or self.alpha.ndim != 1:
+            raise ValueError("alpha and beta must be 1-D arrays of equal length")
+        if not (np.all(self.alpha > 0) and np.all(self.beta > 0)):
+            raise ValueError("Beta parameters must be strictly positive")
+        if not (np.isfinite(self.alpha).all() and np.isfinite(self.beta).all()):
+            raise ValueError("Beta parameters must be finite")
 
     @property
     def num_classes(self) -> int:
-        return len(self.mu)
+        return len(self.alpha)
 
-    @staticmethod
-    def from_posteriors(posterior: Sequence[BetaParams]) -> "BehaviouralRepresentation":
-        mu = np.array([posterior_mean(bp) for bp in posterior])
-        return BehaviouralRepresentation(mu, list(posterior), int(np.argmax(mu)))
+    @property
+    def mu(self) -> np.ndarray:
+        return self.alpha / (self.alpha + self.beta)
 
-
-def count_context(ctx: Iterable[tuple[int, int]], num_classes: int) -> ClassCounts:
-    """Per-class totals and correct-prediction counts from (y, m) pairs."""
-    n = np.zeros(num_classes, dtype=np.int64)
-    t = np.zeros(num_classes, dtype=np.int64)
-    for i, (y, m) in enumerate(ctx):
-        if not (0 <= y < num_classes and 0 <= m < num_classes):
-            raise ValueError(
-                f"context item {i} has out-of-range class index (y={y}, m={m}, K={num_classes})"
-            )
-        n[y] += 1
-        if m == y:
-            t[y] += 1
-    return ClassCounts(n, t)
-
-
-def elicit_prior(el: PriorElicitation, k: int) -> BetaParams:
-    """Map (p_k, c_k, s) to a Beta prior; c_k = 0 gives Beta(1, 1)."""
-    if not 0 <= k < el.num_classes:
-        raise ValueError(f"class index {k} out of range")
-    scale = el.c[k] * (el.s - 2.0)
-    return BetaParams(1.0 + el.p[k] * scale, 1.0 + (1.0 - el.p[k]) * scale)
-
-
-def update_posterior(prior: BetaParams, n_k: int, t_k: int) -> BetaParams:
-    """Conjugate update with t_k correct predictions out of n_k."""
-    if n_k < 0 or t_k < 0 or t_k > n_k:
-        raise ValueError(f"counts must satisfy 0 <= t ({t_k}) <= n ({n_k})")
-    return BetaParams(prior.alpha + t_k, prior.beta + (n_k - t_k))
-
-
-def posterior_mean(bp: BetaParams) -> float:
-    return bp.alpha / (bp.alpha + bp.beta)
+    @property
+    def expertise_class(self) -> int:
+        return int(np.argmax(self.mu))
 
 
 def build_representation(
-    ctx: Iterable[tuple[int, int]],
+    labels: Sequence[int],
+    predictions: Sequence[int],
     num_classes: int,
-    priors: PriorElicitation | None = None,
+    prior: PriorElicitation | None = None,
 ) -> BehaviouralRepresentation:
-    """Count the context, apply priors, and summarise the posterior.
+    """One expert's representation from its context items.
 
-    With no elicitation every class starts from the uniform Beta(1, 1).
-    Expertise-class ties break to the lowest class index.
+    ``labels[i]`` and ``predictions[i]`` are context item i's true label and
+    the expert's prediction. With no elicitation every class starts from the
+    uniform Beta(1, 1). The values are those of the expert's row in the
+    cohort arrays of ``prior_arrays`` and ``posterior_params``.
     """
-    if priors is not None and priors.num_classes != num_classes:
-        raise ValueError("prior elicitation does not cover the requested class count")
-    counts = count_context(ctx, num_classes)
-    posterior = []
-    for k in range(num_classes):
-        prior = BetaParams(1.0, 1.0) if priors is None else elicit_prior(priors, k)
-        posterior.append(update_posterior(prior, int(counts.n[k]), int(counts.t[k])))
-    return BehaviouralRepresentation.from_posteriors(posterior)
+    alpha0, beta0 = prior_arrays([prior], num_classes)
+    alpha, beta = posterior_params(alpha0, beta0, [labels], [predictions])
+    return BehaviouralRepresentation(alpha[0], beta[0])
 
 
 def prior_arrays(
@@ -177,8 +106,9 @@ def prior_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A cohort's prior Beta parameters as two (experts, K) arrays.
 
-    ``None`` gives the uniform Beta(1, 1). Elicited priors use the same
-    float operations as ``elicit_prior``, so the values are bit-identical.
+    ``None`` gives the uniform Beta(1, 1). An elicitation maps (p_k, c_k, s)
+    to Beta(1 + p_k c_k (s - 2), 1 + (1 - p_k) c_k (s - 2)), so c_k = 0
+    also gives Beta(1, 1).
     """
     alpha = np.ones((len(priors), num_classes))
     beta = np.ones((len(priors), num_classes))
@@ -193,31 +123,42 @@ def prior_arrays(
     return alpha, beta
 
 
-def posterior_means(
+def posterior_params(
     alpha0: np.ndarray,
     beta0: np.ndarray,
-    labels: Sequence[np.ndarray],
-    predictions: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Posterior mean accuracies of a cohort, shape (experts, K).
+    labels: Sequence[Sequence[int]],
+    predictions: Sequence[Sequence[int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior Beta parameters of a cohort, two (experts, K) arrays.
 
-    ``labels[e]`` and ``predictions[e]`` are expert e's context items. The
-    counts come from one ``np.bincount`` over the whole cohort, and the
-    update and mean use the same float operations as ``update_posterior``
-    and ``posterior_mean``, so row e equals ``build_representation(...).mu``
-    bit for bit.
+    ``labels[e]`` and ``predictions[e]`` are expert e's context items. One
+    ``np.bincount`` over the whole cohort counts, per expert and class, the
+    items n and the correct predictions t; the conjugate update adds t to
+    alpha and n - t to beta.
     """
     experts, num_classes = alpha0.shape
     y = np.concatenate([np.asarray(v, dtype=np.int64) for v in labels])
     m = np.concatenate([np.asarray(v, dtype=np.int64) for v in predictions])
+    if y.shape != m.shape:
+        raise ValueError("context labels and predictions must be aligned")
     if y.size and (min(y.min(), m.min()) < 0 or max(y.max(), m.max()) >= num_classes):
         raise ValueError(f"context item has out-of-range class index (K={num_classes})")
     slot = np.repeat(np.arange(experts) * num_classes, [len(v) for v in labels]) + y
     size = experts * num_classes
     n = np.bincount(slot, minlength=size).reshape(experts, num_classes)
     t = np.bincount(slot[m == y], minlength=size).reshape(experts, num_classes)
-    alpha = alpha0 + t
-    beta = beta0 + (n - t)
+    return alpha0 + t, beta0 + (n - t)
+
+
+def posterior_means(
+    alpha0: np.ndarray,
+    beta0: np.ndarray,
+    labels: Sequence[Sequence[int]],
+    predictions: Sequence[Sequence[int]],
+) -> np.ndarray:
+    """Posterior mean accuracies of a cohort, shape (experts, K); row e is
+    ``build_representation(...).mu`` of expert e, bit for bit."""
+    alpha, beta = posterior_params(alpha0, beta0, labels, predictions)
     return alpha / (alpha + beta)
 
 

@@ -8,6 +8,7 @@ context draws, prediction sampling, and training.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -42,7 +43,6 @@ from .experts import (
 from .nets import dense_net, forward
 from .simulate import (
     ContextSet,
-    Dataset,
     SimulatedExpertSpec,
     SyntheticTaskSpec,
     TaskData,
@@ -57,6 +57,7 @@ from .theory import (
     TheoryCheckRow,
     TrialConfig,
     bayes_optimal_reference,
+    median_posterior_errors,
     misidentification_rate,
 )
 
@@ -111,7 +112,6 @@ class ExperimentResult:
     records: list[RunRecord]
     oracles: list[OracleRecord]
     failures: dict[int, str]
-    out_dir: Path
 
 
 def _prediction_matrix(
@@ -120,9 +120,13 @@ def _prediction_matrix(
     num_classes: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    return np.stack(
-        [expert_predict_batch(e, labels, num_classes, rng) for e in experts]
-    )
+    return np.stack([expert_predict_batch(e, labels, num_classes, rng) for e in experts])
+
+
+def _cohort_priors(
+    experts: Sequence[SimulatedExpertSpec], priors_map: dict[int, PriorElicitation] | None
+) -> list[PriorElicitation | None]:
+    return [priors_map.get(e.expert_id) if priors_map else None for e in experts]
 
 
 def _cohort_representations(
@@ -131,15 +135,34 @@ def _cohort_representations(
     num_classes: int,
     priors_map: dict[int, PriorElicitation] | None,
 ) -> list[BehaviouralRepresentation]:
-    reps = []
-    for expert, ctx in zip(experts, contexts):
-        prior = priors_map.get(expert.expert_id) if priors_map else None
-        reps.append(build_representation(ctx.pairs(), num_classes, prior))
-    return reps
+    return [
+        build_representation(ctx.labels, ctx.predictions, num_classes, prior)
+        for ctx, prior in zip(contexts, _cohort_priors(experts, priors_map))
+    ]
 
 
-def _classifier_accuracy(logits: np.ndarray, data: Dataset) -> float:
-    return float(np.mean(np.argmax(logits, axis=1) == data.labels))
+def _cell_setup(cfg: ExperimentConfig, task: TaskData, seed: int, pi: int, ei: int) -> tuple[
+    list[SimulatedExpertSpec], list[ContextSet], list[SimulatedExpertSpec], list[ContextSet]
+]:
+    """The expert population of grid cell (overlap ``pi``, expertise ``ei``)
+    and every expert's context, plus the in-distribution experts and their
+    contexts. In-distribution experts come first in the population, so their
+    contexts are drawn before any held-out expert's."""
+    population = make_population(
+        cfg.num_classes,
+        cfg.experts_id,
+        cfg.experts_ood,
+        cfg.overlap_probabilities[pi],
+        cfg.context_size,
+        expertise_per_expert=cfg.expertise_grid()[ei],
+        seed=_subseed(seed, pi, ei, 10),
+    )
+    ctx_rng = np.random.default_rng(_subseed(seed, pi, ei, 11))
+    contexts = [
+        draw_context_set(e, task.context_pool, cfg.num_classes, ctx_rng) for e in population
+    ]
+    n_id = cfg.experts_id
+    return population, contexts, population[:n_id], contexts[:n_id]
 
 
 def _metric_rows(
@@ -169,43 +192,26 @@ def _train_method(
     seed: int,
     stream: int,
 ) -> TrainResult:
-    num_classes = cfg.num_classes
-    clf = dense_net(
-        [cfg.dim, *cfg.classifier_hidden, num_classes], np.random.default_rng(_subseed(seed, stream, 1))
-    )
+    def net(dims: list[int], part: int):
+        return dense_net(dims, np.random.default_rng(_subseed(seed, stream, part)))
+
+    clf = net([cfg.dim, *cfg.classifier_hidden, cfg.num_classes], 1)
     train_cfg = cfg.train_config(seed)
     if method == "ea_l2d":
-        rej = dense_net(list(REJECTOR_DIMS), np.random.default_rng(_subseed(seed, stream, 2)))
-        priors = [
-            priors_map.get(e.expert_id) if priors_map else None for e in id_experts
-        ]
         return train(
-            clf,
-            rej,
-            task.train,
-            id_contexts,
-            priors,
-            train_cfg,
-            lam=cfg.context_subsample,
-            val=task.val,
-            patience=cfg.patience,
+            clf, net(list(REJECTOR_DIMS), 2), task.train, id_contexts,
+            _cohort_priors(id_experts, priors_map), train_cfg,
+            lam=cfg.context_subsample, val=task.val, patience=cfg.patience,
         )
     if method == "pop_avg":
-        rej = dense_net(
-            [cfg.dim, *cfg.classifier_hidden, 1], np.random.default_rng(_subseed(seed, stream, 2))
-        )
         pred_rng = np.random.default_rng(_subseed(seed, stream, 3))
-        query_preds = _prediction_matrix(id_experts, task.train.labels, num_classes, pred_rng)
-        val_preds = _prediction_matrix(id_experts, task.val.labels, num_classes, pred_rng)
+        query_preds, val_preds = (
+            _prediction_matrix(id_experts, data.labels, cfg.num_classes, pred_rng)
+            for data in (task.train, task.val)
+        )
         return train_pop_avg(
-            clf,
-            rej,
-            task.train,
-            query_preds,
-            train_cfg,
-            val=task.val,
-            val_predictions=val_preds,
-            patience=cfg.patience,
+            clf, net([cfg.dim, *cfg.classifier_hidden, 1], 2), task.train, query_preds,
+            train_cfg, val=task.val, val_predictions=val_preds, patience=cfg.patience,
         )
     raise ConfigError(f"unknown method {method!r}")
 
@@ -244,31 +250,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
         try:
             task = generate_gaussian_task(cfg.task_spec(seed))
             for pi, p, ei, epe in grid:
-                population = make_population(
-                    num_classes,
-                    cfg.experts_id,
-                    cfg.experts_ood,
-                    p,
-                    cfg.context_size,
-                    expertise_per_expert=epe,
-                    seed=_subseed(seed, pi, ei, 10),
+                population, contexts, id_experts, id_contexts = _cell_setup(
+                    cfg, task, seed, pi, ei
                 )
-                ctx_rng = np.random.default_rng(_subseed(seed, pi, ei, 11))
-                contexts = [
-                    draw_context_set(e, task.context_pool, num_classes, ctx_rng)
-                    for e in population
-                ]
                 test_rng = np.random.default_rng(_subseed(seed, pi, ei, 12))
                 test_preds = _prediction_matrix(population, task.test.labels, num_classes, test_rng)
 
-                cohorts = [("id", [i for i, e in enumerate(population) if e.in_distribution])]
-                ood_idx = [i for i, e in enumerate(population) if not e.in_distribution]
-                if ood_idx:
-                    cohorts.append(("ood", ood_idx))
+                n_id = len(id_experts)
+                cohorts = [("id", slice(0, n_id))]
+                if len(population) > n_id:
+                    cohorts.append(("ood", slice(n_id, None)))
 
-                id_idx = cohorts[0][1]
-                id_experts = [population[i] for i in id_idx]
-                id_contexts = [contexts[i] for i in id_idx]
                 tag = f"p{_ptag(p)}_e{epe}"
 
                 for method in cfg.methods:
@@ -277,13 +269,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
                         seed, stream=100 + pi * 10 + ei,
                     )
                     logits = forward(result.classifier, task.test.features)
-                    clf_acc = _classifier_accuracy(logits, task.test)
+                    clf_acc = float(np.mean(np.argmax(logits, axis=1) == task.test.labels))
                     for cohort_name, idx in cohorts:
-                        cohort_experts = [population[i] for i in idx]
-                        cohort_contexts = [contexts[i] for i in idx]
                         if method == "ea_l2d":
                             reps = _cohort_representations(
-                                cohort_experts, cohort_contexts, num_classes, priors_map
+                                population[idx], contexts[idx], num_classes, priors_map
                             )
                         else:
                             reps = None
@@ -310,7 +300,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
 
                 for cohort_name, idx in cohorts:
                     acc_matrix = np.stack(
-                        [expert_accuracy_by_class(population[i], num_classes) for i in idx]
+                        [expert_accuracy_by_class(e, num_classes) for e in population[idx]]
                     )
                     curves = bayes_optimal_reference(task, acc_matrix)
                     report = build_report(
@@ -339,7 +329,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
         write_metrics_csv(out / f"metrics_{method}_{tag}.csv", rows)
 
     _write_manifest(out, cfg, failures)
-    return ExperimentResult(records, oracles, failures, out)
+    return ExperimentResult(records, oracles, failures)
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, failures: dict[int, str]) -> None:
@@ -380,7 +370,6 @@ class PriorsStudyRecord:
 class PriorsStudyResult:
     records: list[PriorsStudyRecord]
     target_expert: int
-    out_dir: Path
 
 
 def _study_arm_priors(
@@ -414,7 +403,6 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
     out.mkdir(parents=True, exist_ok=True)
     num_classes = cfg.num_classes
     p = cfg.overlap_probabilities[0]
-    epe = cfg.expertise_grid()[0]
 
     # The studied expert never appears in training and has no context: its
     # representation is whatever the prior file says. Expertise sits on
@@ -426,15 +414,7 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
     trained = []
     for seed in cfg.seeds:
         task = generate_gaussian_task(cfg.task_spec(seed))
-        population = make_population(
-            num_classes,
-            cfg.experts_id,
-            cfg.experts_ood,
-            p,
-            cfg.context_size,
-            expertise_per_expert=epe,
-            seed=_subseed(seed, 0, 0, 10),
-        )
+        population, _, id_experts, id_contexts = _cell_setup(cfg, task, seed, 0, 0)
         target = SimulatedExpertSpec(
             expert_id=len(population),
             expertise_classes=frozenset({true_class}),
@@ -442,16 +422,8 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
             context_size=0,
             in_distribution=False,
         )
-
-        ctx_rng = np.random.default_rng(_subseed(seed, 0, 0, 11))
-        contexts = [
-            draw_context_set(e, task.context_pool, num_classes, ctx_rng)
-            for e in population
-            if e.in_distribution
-        ]
-        id_experts = [e for e in population if e.in_distribution]
         result = _train_method(
-            "ea_l2d", cfg, task, id_experts, contexts, None, seed, stream=500
+            "ea_l2d", cfg, task, id_experts, id_contexts, None, seed, stream=500
         )
         trained.append((seed, task, target, result))
 
@@ -470,7 +442,7 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
             prior_path = out / f"priors_{arm}_seed{seed}.csv"
             write_prior_file(prior_path, {target.expert_id: prior})
             loaded = load_prior_file(prior_path, num_classes)[target.expert_id]
-            rep = build_representation([], num_classes, loaded)
+            rep = build_representation([], [], num_classes, loaded)
 
             cases = score_cases(logits, result.rejector, task.test, [rep], target_preds, pick_rng)
             system_curve, expert_curve = build_curves(cases)
@@ -489,7 +461,7 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
 
     write_metrics_csv(out / "metrics_priors_study.csv", metric_rows)
     _write_manifest(out, cfg, {})
-    return PriorsStudyResult(records, target_id, out)
+    return PriorsStudyResult(records, target_id)
 
 
 # --- theory checks ---------------------------------------------------------
@@ -514,16 +486,6 @@ CEILING_TASK = dict(
 )
 
 
-def _median_errors(theta: float, seed: int) -> list[float]:
-    rng = np.random.default_rng(seed)
-    medians = []
-    for n in CONVERGENCE_SCHEDULE:
-        t = rng.binomial(n, theta, size=CONVERGENCE_TRIALS)
-        mu = (1.0 + t) / (2.0 + n)
-        medians.append(float(np.median(np.abs(mu - theta))))
-    return medians
-
-
 def _ceiling_row(seed: int) -> TheoryCheckRow:
     cfg = validate_config(
         dict(
@@ -540,16 +502,7 @@ def _ceiling_row(seed: int) -> TheoryCheckRow:
         )
     )
     task = generate_gaussian_task(cfg.task_spec(seed))
-    population = make_population(
-        cfg.num_classes, 2, 2, 0.3, 50, seed=_subseed(seed, 0, 0, 10)
-    )
-    ctx_rng = np.random.default_rng(_subseed(seed, 0, 0, 11))
-    contexts = [
-        draw_context_set(e, task.context_pool, cfg.num_classes, ctx_rng)
-        for e in population
-    ]
-    id_experts = [e for e in population if e.in_distribution]
-    id_contexts = contexts[: len(id_experts)]
+    _, _, id_experts, id_contexts = _cell_setup(cfg, task, seed, 0, 0)
     result = _train_method("ea_l2d", cfg, task, id_experts, id_contexts, None, seed, stream=100)
     reps = _cohort_representations(id_experts, id_contexts, cfg.num_classes, None)
     test_rng = np.random.default_rng(_subseed(seed, 0, 0, 12))
@@ -593,7 +546,10 @@ def run_theory_checks(
     rows: list[TheoryCheckRow] = []
     for seed in seeds:
         for theta in CONVERGENCE_THETAS:
-            medians = _median_errors(theta, _subseed(seed, 21, int(theta * 100)))
+            medians = median_posterior_errors(
+                theta, CONVERGENCE_SCHEDULE, CONVERGENCE_TRIALS,
+                np.random.default_rng(_subseed(seed, 21, int(theta * 100))),
+            )
             rows.append(
                 TheoryCheckRow(
                     "posterior_convergence",
@@ -663,8 +619,6 @@ def run_theory_checks(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        import csv
-
         with open(out / "theory_report.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(THEORY_CSV_HEADER)
@@ -692,17 +646,7 @@ def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, str]:
     for seed in cfg.seeds:
         try:
             task = generate_gaussian_task(cfg.task_spec(seed))
-            population = make_population(
-                num_classes, cfg.experts_id, cfg.experts_ood, p, cfg.context_size,
-                expertise_per_expert=epe, seed=_subseed(seed, 0, 0, 10),
-            )
-            ctx_rng = np.random.default_rng(_subseed(seed, 0, 0, 11))
-            contexts = [
-                draw_context_set(e, task.context_pool, num_classes, ctx_rng)
-                for e in population
-            ]
-            id_experts = [e for e in population if e.in_distribution]
-            id_contexts = contexts[: len(id_experts)]
+            _, _, id_experts, id_contexts = _cell_setup(cfg, task, seed, 0, 0)
             results = {
                 method: _train_method(
                     method, cfg, task, id_experts, id_contexts, priors_map, seed, stream=100
@@ -726,8 +670,6 @@ def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, str]:
 
 
 def _write_history(path, result: TrainResult) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "train_loss", "classifier_term", "deferral_term", "val_loss"])

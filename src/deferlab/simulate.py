@@ -12,16 +12,10 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DatasetParseError
-
-
-class LabeledExample(NamedTuple):
-    features: np.ndarray
-    label: int
 
 
 @dataclass
@@ -39,9 +33,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __getitem__(self, i: int) -> LabeledExample:
-        return LabeledExample(self.features[i], int(self.labels[i]))
 
 
 @dataclass(frozen=True)
@@ -286,9 +277,6 @@ class ContextSet:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(int(y), int(m)) for y, m in zip(self.labels, self.predictions)]
 
 
 def draw_context_set(

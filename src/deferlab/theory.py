@@ -45,19 +45,20 @@ class TrialConfig:
             raise ValueError("best_class must strictly dominate the other accuracies")
 
 
-def posterior_convergence_errors(
-    theta: float, n_schedule: Sequence[int], rng: np.random.Generator
+def median_posterior_errors(
+    theta: float, n_schedule: Sequence[int], trials: int, rng: np.random.Generator
 ) -> list[float]:
-    """|posterior mean - theta| for fresh draws at each schedule point,
-    using the uniform prior."""
+    """Median over ``trials`` fresh draws of |posterior mean - theta| at each
+    schedule point, under the uniform prior: with t ~ Binomial(n, theta)
+    correct answers the posterior mean is (1 + t) / (2 + n)."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    errors = []
+    medians = []
     for n in n_schedule:
-        t = rng.binomial(n, theta) if n > 0 else 0
+        t = rng.binomial(n, theta, size=trials)
         mu = (1.0 + t) / (2.0 + n)
-        errors.append(abs(mu - theta))
-    return errors
+        medians.append(float(np.median(np.abs(mu - theta))))
+    return medians
 
 
 def misidentification_rate(cfg: TrialConfig) -> float:

@@ -12,24 +12,18 @@ import pytest
 
 from deferlab.cli import main
 from deferlab.config import validate_config
-from deferlab.deferral import (
-    assemble_rejector_inputs,
-    deferral_logit,
-    ea_l2d_loss_grads,
-    pop_avg_loss_grads,
-)
+from deferlab.deferral import ea_l2d_loss_grads, pop_avg_loss_grads, rejector_inputs
 from deferlab.evaluation import Curve, ScoredCases, area_under, build_curves
 from deferlab.experts import (
     BehaviouralRepresentation,
-    BetaParams,
     PriorElicitation,
-    elicit_prior,
-    posterior_mean,
+    build_representation,
+    posterior_params,
+    prior_arrays,
     sample_complexity_bound,
-    update_posterior,
 )
 from deferlab.harness import run_experiment, run_priors_study
-from deferlab.nets import dense_net, finite_difference_check
+from deferlab.nets import dense_net, finite_difference_check, forward
 from deferlab.simulate import (
     SimulatedExpertSpec,
     expert_accuracy_by_class,
@@ -88,22 +82,30 @@ def test_criterion_1_posterior_exactness():
         beta = float(rng.uniform(0.01, 60))
         n = int(rng.integers(0, 1000))
         t = int(rng.integers(0, n + 1))
-        post = update_posterior(BetaParams(alpha, beta), n, t)
-        worst = max(worst, abs(posterior_mean(post) - (alpha + t) / (alpha + beta + n)))
-        uniform = update_posterior(BetaParams(1.0, 1.0), n, t)
-        worst = max(worst, abs(posterior_mean(uniform) - (1 + t) / (2 + n)))
+        # class 0 gets n items, t of them answered correctly
+        labels, preds = [0] * n, [0] * t + [1] * (n - t)
+        prior = (np.array([[alpha, 1.0]]), np.array([[beta, 1.0]]))
+        a, b = posterior_params(*prior, [labels], [preds])
+        post = BehaviouralRepresentation(a[0], b[0])
+        worst = max(worst, abs(post.mu[0] - (alpha + t) / (alpha + beta + n)))
+        uniform = build_representation(labels, preds, 2)
+        worst = max(worst, abs(uniform.mu[0] - (1 + t) / (2 + n)))
     report(1, "posterior mean matches the closed form", worst < 1e-12, f"worst error {worst:.2e}")
 
 
+def elicited(p, c):
+    """The one-class Beta prior of elicitation (p, c) at strength 15."""
+    alpha, beta = prior_arrays([PriorElicitation(np.array([p]), np.array([c]), 15.0)], 1)
+    return float(alpha[0, 0]), float(beta[0, 0])
+
+
 def test_criterion_2_prior_elicitation():
-    el = PriorElicitation(np.array([0.8]), np.array([0.8]), 15.0)
-    bp = elicit_prior(el, 0)
-    ok = abs(bp.alpha - 9.32) < 1e-12 and abs(bp.beta - 3.08) < 1e-12
+    alpha, beta = elicited(0.8, 0.8)
+    ok = abs(alpha - 9.32) < 1e-12 and abs(beta - 3.08) < 1e-12
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-        zero_conf = elicit_prior(PriorElicitation(np.array([p]), np.array([0.0]), 15.0), 0)
-        ok = ok and zero_conf.alpha == 1.0 and zero_conf.beta == 1.0
+        ok = ok and elicited(p, 0.0) == (1.0, 1.0)
     report(2, "prior elicitation reference values", ok,
-           f"alpha={bp.alpha!r} beta={bp.beta!r}")
+           f"alpha={alpha!r} beta={beta!r}")
 
 
 def test_criterion_3_sample_bound_grid():
@@ -133,8 +135,7 @@ def test_criterion_4_gradient_correctness():
         rej = dense_net([4, 8, 8, 1], rng)
         x = rng.normal(size=5)
         y = int(rng.integers(k))
-        posts = [BetaParams(float(rng.uniform(1, 9)), float(rng.uniform(1, 9))) for _ in range(k)]
-        rep = BehaviouralRepresentation.from_posteriors(posts)
+        rep = BehaviouralRepresentation(*rng.uniform(1, 9, size=(k, 2)).T)
 
         def clf_loss(net):
             lb, cg, _, pat = ea_l2d_loss_grads(net, rej, x, y, rep)
@@ -227,18 +228,22 @@ def test_criterion_5_metric_oracle():
     report(5, "curves and areas match brute-force oracles", ok, detail or "50+50 fixtures")
 
 
+def deferral_logit(rejector, rho, rep):
+    """The rejector's deferral logit for one example and one expert."""
+    rho = rho[None, :]
+    return forward(rejector, rejector_inputs(rho, np.argmax(rho, axis=1), rep.mu[None, :]))[0, 0]
+
+
 def test_criterion_6_expert_agnosticism():
     rejector = dense_net([4, 32, 32, 1], 77)
     rng = np.random.default_rng(78)
-    posts = [BetaParams(float(a), float(b)) for a, b in rng.uniform(1, 9, size=(6, 2))]
-    rep_a = BehaviouralRepresentation.from_posteriors(posts)
-    rep_b = BehaviouralRepresentation.from_posteriors(list(posts))
+    params = rng.uniform(1, 9, size=(6, 2))  # (alpha_k, beta_k) per class
+    rep_a = BehaviouralRepresentation(params[:, 0], params[:, 1])
+    rep_b = BehaviouralRepresentation(params[:, 0].copy(), params[:, 1].copy())
     ok = True
     for _ in range(1000):
         rho = rng.dirichlet(np.ones(6))
-        ga = deferral_logit(rejector, assemble_rejector_inputs(rho, rep_a))
-        gb = deferral_logit(rejector, assemble_rejector_inputs(rho, rep_b))
-        if ga != gb:
+        if deferral_logit(rejector, rho, rep_a) != deferral_logit(rejector, rho, rep_b):
             ok = False
             break
 
@@ -246,19 +251,17 @@ def test_criterion_6_expert_agnosticism():
     for _ in range(100):
         k = int(rng.integers(3, 9))
         rho = rng.dirichlet(np.ones(k))
-        posts = [BetaParams(float(a), float(b)) for a, b in rng.uniform(1, 9, size=(k, 2))]
-        rep = BehaviouralRepresentation.from_posteriors(posts)
-        g_base = deferral_logit(rejector, assemble_rejector_inputs(rho, rep))
+        params = rng.uniform(1, 9, size=(k, 2))
+        rep = BehaviouralRepresentation(params[:, 0], params[:, 1])
+        g_base = deferral_logit(rejector, rho, rep)
 
         perm = rng.permutation(k)
         rho_p = np.empty(k)
         rho_p[perm] = rho
-        posts_p = [None] * k
-        for i, target in enumerate(perm):
-            posts_p[target] = posts[i]
-        rep_p = BehaviouralRepresentation.from_posteriors(posts_p)
-        g_perm = deferral_logit(rejector, assemble_rejector_inputs(rho_p, rep_p))
-        if g_perm != g_base:
+        params_p = np.empty_like(params)
+        params_p[perm] = params
+        rep_p = BehaviouralRepresentation(params_p[:, 0], params_p[:, 1])
+        if deferral_logit(rejector, rho_p, rep_p) != g_base:
             perm_ok = False
             break
 

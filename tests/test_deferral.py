@@ -9,25 +9,26 @@ from hypothesis import strategies as st
 import deferlab.deferral
 from deferlab.checkpoint import load_checkpoint, save_checkpoint
 from deferlab.deferral import (
-    JointLogits,
-    RejectorInput,
-    assemble_rejector_inputs,
-    decide,
-    deferral_logit,
-    ea_l2d_loss,
     ea_l2d_loss_grads,
     mode_labels,
     mode_prediction,
-    pop_avg_loss,
     pop_avg_loss_grads,
+    rejector_inputs,
     train,
     train_pop_avg,
 )
 from deferlab.errors import TrainingDivergenceError
-from deferlab.experts import BehaviouralRepresentation, BetaParams, build_representation
-from deferlab.nets import DenseNet, Layer, TrainConfig, dense_net, finite_difference_check
+from deferlab.evaluation import case_priorities
+from deferlab.experts import BehaviouralRepresentation
+from deferlab.nets import (
+    DenseNet,
+    Layer,
+    TrainConfig,
+    dense_net,
+    finite_difference_check,
+    forward,
+)
 from deferlab.simulate import (
-    SimulatedExpertSpec,
     SyntheticTaskSpec,
     draw_context_set,
     expert_predict_batch,
@@ -38,49 +39,75 @@ from deferlab.simulate import (
 
 def rep_from_mu(mu_values):
     """Representation with the requested posterior means (denominator 10)."""
-    posts = [BetaParams(10.0 * m, 10.0 * (1.0 - m)) for m in mu_values]
-    return BehaviouralRepresentation.from_posteriors(posts)
+    mu = np.asarray(mu_values, dtype=np.float64)
+    return BehaviouralRepresentation(10.0 * mu, 10.0 * (1.0 - mu))
+
+
+def inputs_row(rho, rep):
+    """The (1, 4) rejector inputs of one example and one expert:
+    (rho at the expertise class, top rho, mu at the top class, mu at the
+    expertise class)."""
+    rho = np.asarray(rho, dtype=np.float64)[None, :]
+    return rejector_inputs(rho, np.argmax(rho, axis=1), rep.mu[None, :])
+
+
+def constant_net(outputs, input_dim):
+    """A one-layer net that outputs ``outputs`` exactly, whatever its input."""
+    outputs = np.atleast_1d(np.asarray(outputs, dtype=np.float64))
+    return DenseNet([Layer(np.zeros((len(outputs), input_dim)), outputs, "identity")])
+
+
+def joint_softmax(class_logits, deferral_logit):
+    z = np.append(class_logits, deferral_logit)
+    q = np.exp(z - z.max())
+    return q / q.sum()
+
+
+def ea_loss(class_logits, deferral_logit, true_label, rep):
+    """The ea_l2d loss of a one-row batch whose joint logits are given."""
+    clf, rej = constant_net(class_logits, 2), constant_net(deferral_logit, 4)
+    return ea_l2d_loss_grads(clf, rej, np.zeros(2), true_label, rep)[0]
+
+
+def pop_loss(class_logits, deferral_logit, true_label, predictions):
+    clf, rej = constant_net(class_logits, 2), constant_net(deferral_logit, 2)
+    return pop_avg_loss_grads(clf, rej, np.zeros(2), true_label, predictions)[0]
 
 
 class TestAssembleRejectorInputs:
     def test_reference_example(self):
         rep = rep_from_mu([0.9, 0.5, 0.5])
-        inputs = assemble_rejector_inputs(np.array([0.1, 0.7, 0.2]), rep)
-        assert inputs.rho_expertise == pytest.approx(0.1)
-        assert inputs.rho_max == pytest.approx(0.7)
-        assert inputs.mu_at_kstar == pytest.approx(0.5)
-        assert inputs.mu_expertise == pytest.approx(0.9)
+        rho_expertise, rho_max, mu_at_kstar, mu_expertise = inputs_row([0.1, 0.7, 0.2], rep)[0]
+        assert rho_expertise == pytest.approx(0.1)
+        assert rho_max == pytest.approx(0.7)
+        assert mu_at_kstar == pytest.approx(0.5)
+        assert mu_expertise == pytest.approx(0.9)
 
     def test_one_hot_at_expertise_class(self):
         rep = rep_from_mu([0.9, 0.4, 0.4])
-        inputs = assemble_rejector_inputs(np.array([1.0, 0.0, 0.0]), rep)
-        assert inputs.rho_expertise == inputs.rho_max == 1.0
-        assert inputs.mu_at_kstar == inputs.mu_expertise
+        rho_expertise, rho_max, mu_at_kstar, mu_expertise = inputs_row([1.0, 0.0, 0.0], rep)[0]
+        assert rho_expertise == rho_max == 1.0
+        assert mu_at_kstar == mu_expertise
 
     def test_low_confidence_contrast_case(self):
         # classifier puts nothing on the expertise class and the expert is
         # weak at the predicted class
         rep = rep_from_mu([0.9, 0.22, 0.5])
-        inputs = assemble_rejector_inputs(np.array([0.0, 0.6, 0.4]), rep)
-        assert inputs.rho_expertise == 0.0
-        assert inputs.rho_max == pytest.approx(0.6)
-        assert inputs.mu_at_kstar == pytest.approx(0.22)
+        rho_expertise, rho_max, mu_at_kstar, _ = inputs_row([0.0, 0.6, 0.4], rep)[0]
+        assert rho_expertise == 0.0
+        assert rho_max == pytest.approx(0.6)
+        assert mu_at_kstar == pytest.approx(0.22)
 
     def test_argmax_tie_breaks_low(self):
         rep = rep_from_mu([0.5, 0.5, 0.9])
-        inputs = assemble_rejector_inputs(np.array([0.4, 0.4, 0.2]), rep)
-        assert inputs.rho_max == pytest.approx(0.4)
-        assert inputs.mu_at_kstar == pytest.approx(0.5)
+        _, rho_max, mu_at_kstar, _ = inputs_row([0.4, 0.4, 0.2], rep)[0]
+        assert rho_max == pytest.approx(0.4)
+        assert mu_at_kstar == pytest.approx(0.5)
 
     def test_dimension_mismatch_rejected(self):
         rep = rep_from_mu([0.5, 0.5])
-        with pytest.raises(ValueError):
-            assemble_rejector_inputs(np.array([0.2, 0.3, 0.5]), rep)
-
-    def test_non_distribution_rejected(self):
-        rep = rep_from_mu([0.5, 0.5])
-        with pytest.raises(ValueError):
-            assemble_rejector_inputs(np.array([0.5, 0.6]), rep)
+        with pytest.raises(ValueError, match="class count"):
+            inputs_row([0.2, 0.3, 0.5], rep)
 
 
 class TestDeferralLogit:
@@ -91,8 +118,7 @@ class TestDeferralLogit:
         rng = np.random.default_rng(0)
         for _ in range(20):
             q = rng.dirichlet(np.ones(3))
-            inputs = assemble_rejector_inputs(q, rep_from_mu([0.6, 0.5, 0.4]))
-            assert deferral_logit(rejector, inputs) == 0.0
+            assert forward(rejector, inputs_row(q, rep_from_mu([0.6, 0.5, 0.4])))[0, 0] == 0.0
 
     def test_identical_representations_identical_logits(self):
         rejector = dense_net([4, 32, 32, 1], 5)
@@ -101,13 +127,13 @@ class TestDeferralLogit:
         rep_b = rep_from_mu([0.8, 0.3, 0.55])
         for _ in range(100):
             rho = rng.dirichlet(np.ones(3))
-            ga = deferral_logit(rejector, assemble_rejector_inputs(rho, rep_a))
-            gb = deferral_logit(rejector, assemble_rejector_inputs(rho, rep_b))
-            assert ga == gb
+            ga = forward(rejector, inputs_row(rho, rep_a))
+            gb = forward(rejector, inputs_row(rho, rep_b))
+            assert ga[0, 0] == gb[0, 0]
 
     def test_wrong_input_dim_rejected(self):
         with pytest.raises(ValueError):
-            deferral_logit(dense_net([3, 1], 0), RejectorInput(0.1, 0.5, 0.5, 0.5))
+            forward(dense_net([3, 1], 0), inputs_row([0.5, 0.5], rep_from_mu([0.5, 0.5])))
 
 
 class TestPermutationInvariance:
@@ -116,76 +142,69 @@ class TestPermutationInvariance:
         for _ in range(100):
             k = int(rng.integers(3, 8))
             rho = rng.dirichlet(np.ones(k))
-            posts = [BetaParams(float(rng.uniform(1, 9)), float(rng.uniform(1, 9))) for _ in range(k)]
-            rep = BehaviouralRepresentation.from_posteriors(posts)
-            base = assemble_rejector_inputs(rho, rep)
+            params = rng.uniform(1, 9, size=(k, 2))  # (alpha_k, beta_k) per class
+            rep = BehaviouralRepresentation(params[:, 0], params[:, 1])
+            base = inputs_row(rho, rep)
 
             perm = rng.permutation(k)
             rho_p = np.empty(k)
             rho_p[perm] = rho
-            posts_p = [None] * k
-            for i, target in enumerate(perm):
-                posts_p[target] = posts[i]
-            rep_p = BehaviouralRepresentation.from_posteriors(posts_p)
-            permuted = assemble_rejector_inputs(rho_p, rep_p)
+            params_p = np.empty_like(params)
+            params_p[perm] = params
+            rep_p = BehaviouralRepresentation(params_p[:, 0], params_p[:, 1])
+            permuted = inputs_row(rho_p, rep_p)
 
-            assert permuted == base
+            assert np.array_equal(permuted, base)
             assert rep_p.expertise_class == perm[rep.expertise_class]
 
 
 class TestEaL2dLoss:
     def test_reduces_to_cross_entropy_when_not_expertise(self):
         rep = rep_from_mu([0.9, 0.5, 0.5])  # expertise class 0
-        joint = JointLogits(np.array([0.3, -0.2, 1.0]), 0.5)
-        lb = ea_l2d_loss(joint, 1, rep)
+        logits = np.array([0.3, -0.2, 1.0])
+        lb = ea_loss(logits, 0.5, 1, rep)
         assert lb.deferral_term == 0.0
-        q = np.exp(joint.stacked() - joint.stacked().max())
-        q /= q.sum()
-        assert lb.total == pytest.approx(-math.log(q[1]), abs=1e-12)
+        assert lb.total == pytest.approx(-math.log(joint_softmax(logits, 0.5)[1]), abs=1e-12)
 
     def test_uniform_logits_reference_values(self):
         rep = rep_from_mu([0.8, 0.5, 0.5])
-        lb = ea_l2d_loss(JointLogits(np.zeros(3), 0.0), 0, rep)
+        lb = ea_loss(np.zeros(3), 0.0, 0, rep)
         assert lb.classifier_term == pytest.approx(math.log(4), abs=1e-12)
         assert lb.deferral_term == pytest.approx(0.8 * math.log(4), abs=1e-12)
         assert lb.total == pytest.approx(lb.classifier_term + lb.deferral_term, abs=1e-12)
 
     def test_deferral_term_linear_in_posterior_mean(self):
-        joint = JointLogits(np.array([0.4, -1.0, 0.2]), 0.7)
-        full = ea_l2d_loss(joint, 0, rep_from_mu([0.8, 0.2, 0.2]))
-        half = ea_l2d_loss(joint, 0, rep_from_mu([0.4, 0.2, 0.2]))
+        logits = np.array([0.4, -1.0, 0.2])
+        full = ea_loss(logits, 0.7, 0, rep_from_mu([0.8, 0.2, 0.2]))
+        half = ea_loss(logits, 0.7, 0, rep_from_mu([0.4, 0.2, 0.2]))
         assert half.deferral_term == pytest.approx(full.deferral_term / 2, abs=1e-12)
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValueError):
-            ea_l2d_loss(JointLogits(np.zeros(3), 0.0), 3, rep_from_mu([0.5, 0.5, 0.5]))
+            ea_loss(np.zeros(3), 0.0, 3, rep_from_mu([0.5, 0.5, 0.5]))
 
     def test_signature_consumes_no_expert_prediction(self):
-        params = list(inspect.signature(ea_l2d_loss).parameters)
-        assert params == ["joint", "true_label", "rep"]
+        params = list(inspect.signature(ea_l2d_loss_grads).parameters)
+        assert params == ["classifier", "rejector", "x", "true_label", "rep"]
 
 
 class TestPopAvgLoss:
     def test_mode_match_activates_deferral(self):
-        lb = pop_avg_loss(JointLogits(np.zeros(3), 0.0), 2, [2, 2, 1])
-        assert lb.deferral_term > 0
+        assert pop_loss(np.zeros(3), 0.0, 2, [2, 2, 1]).deferral_term > 0
 
     def test_mode_tie_breaks_low_and_deactivates(self):
-        lb = pop_avg_loss(JointLogits(np.zeros(3), 0.0), 1, [0, 1])
-        assert lb.deferral_term == 0.0
+        assert pop_loss(np.zeros(3), 0.0, 1, [0, 1]).deferral_term == 0.0
 
     def test_oracle_population_reduces_to_single_expert_loss(self):
-        joint = JointLogits(np.array([0.1, 0.2, -0.5]), 0.3)
-        rng = np.random.default_rng(0)
+        logits = np.array([0.1, 0.2, -0.5])
+        q = joint_softmax(logits, 0.3)
         for y in range(3):
-            lb = pop_avg_loss(joint, y, [y, y, y, y])
-            q = np.exp(joint.stacked() - joint.stacked().max())
-            q /= q.sum()
+            lb = pop_loss(logits, 0.3, y, [y, y, y, y])
             assert lb.total == pytest.approx(-math.log(q[y]) - math.log(q[3]), abs=1e-12)
 
     def test_empty_predictions_rejected(self):
         with pytest.raises(ValueError):
-            pop_avg_loss(JointLogits(np.zeros(3), 0.0), 0, [])
+            pop_loss(np.zeros(3), 0.0, 0, [])
 
     def test_mode_helpers(self):
         assert mode_prediction([2, 2, 1], 3) == 2
@@ -239,31 +258,39 @@ class TestModeLabels:
             mode_labels(np.zeros(4, dtype=np.int64), 3)
 
 
+def decision(class_logits, deferral_logit):
+    """One case's (priority, defer, predicted class): it defers exactly when
+    its priority is >= 0, that is, when the deferral logit reaches the best
+    class logit."""
+    logits = np.asarray(class_logits, dtype=np.float64)[None, :]
+    rejector = constant_net(deferral_logit, 1)
+    priority = case_priorities(logits, rejector, np.zeros((1, 1)), None)[0, 0]
+    return priority, priority >= 0, int(np.argmax(logits))
+
+
 class TestDecide:
     def test_defer_is_inclusive_at_equality(self):
-        d = decide(JointLogits(np.array([1.0, 2.0, 3.0]), 3.0), expert_id=7)
-        assert d.defer and d.chosen_expert == 7 and d.predicted_class is None
+        priority, defer, _ = decision([1.0, 2.0, 3.0], 3.0)
+        assert priority == 0.0 and defer
 
     def test_confident_classifier_predicts(self):
-        d = decide(JointLogits(np.array([5.0, 0.0, 0.0]), -1.0))
-        assert not d.defer and d.predicted_class == 0
+        _, defer, predicted = decision([5.0, 0.0, 0.0], -1.0)
+        assert not defer and predicted == 0
 
     def test_strictly_below_max_predicts(self):
-        d = decide(JointLogits(np.array([1.0, 3.0]), 3.0 - 1e-15))
-        assert not d.defer and d.predicted_class == 1
+        _, defer, predicted = decision([1.0, 3.0], 3.0 - 1e-15)
+        assert not defer and predicted == 1
 
 
 class TestLossGradients:
     def test_joint_loss_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(17)
         for trial in range(5):
             srng = np.random.default_rng(trial)
             clf = dense_net([5, 8, 4], srng)
             rej = dense_net([4, 8, 8, 1], srng)
             x = srng.normal(size=5)
             y = int(srng.integers(4))
-            posts = [BetaParams(float(srng.uniform(1, 9)), float(srng.uniform(1, 9))) for _ in range(4)]
-            rep = BehaviouralRepresentation.from_posteriors(posts)
+            rep = BehaviouralRepresentation(*srng.uniform(1, 9, size=(4, 2)).T)
 
             def clf_loss(net):
                 lb, cg, _, pat = ea_l2d_loss_grads(net, rej, x, y, rep)
@@ -316,16 +343,72 @@ def small_training_setup(seed=0, p=0.0, separation=8.0, num_classes=4):
     return task, experts, contexts
 
 
+METHODS = ("ea_l2d", "pop_avg")
+
+
+def run_method(method, setup, cfg, hidden=8, validate=False, patience=None):
+    """Train one method from fresh networks on a small setup's query data,
+    with the validation split when ``validate`` is set."""
+    task, experts, contexts = setup
+    clf = dense_net([6, hidden, 4], 0)
+    val = task.val if validate else None
+    if method == "ea_l2d":
+        rej = dense_net([4, hidden, 1], 1)
+        return train(clf, rej, task.train, contexts, None, cfg, val=val, patience=patience)
+    rng = np.random.default_rng(0)
+    query_preds, val_preds = (
+        np.stack([expert_predict_batch(e, data.labels, 4, rng) for e in experts])
+        for data in (task.train, task.val)
+    )
+    return train_pop_avg(
+        clf, dense_net([6, hidden, 1], 1), task.train, query_preds, cfg,
+        val=val, val_predictions=val_preds if validate else None, patience=patience,
+    )
+
+
 class TestTrain:
+    # The first four tests cover both methods, which share one training loop.
+
     def test_zero_epochs_leaves_networks_unchanged(self):
-        task, _, contexts = small_training_setup()
-        clf = dense_net([6, 8, 4], 0)
-        rej = dense_net([4, 8, 1], 1)
+        setup = small_training_setup()
         cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=0, seed=0)
-        result = train(clf, rej, task.train, contexts, None, cfg)
-        for a, b in zip(result.classifier.layers, clf.layers):
-            assert np.array_equal(a.weights, b.weights)
-        assert result.history == []
+        for method in METHODS:
+            result = run_method(method, setup, cfg)
+            assert np.array_equal(result.classifier.params, dense_net([6, 8, 4], 0).params)
+            assert result.history == []
+
+    def test_same_seed_identical_history(self):
+        setup = small_training_setup()
+        cfg = TrainConfig(learning_rate=0.2, batch_size=32, epochs=8, seed=3)
+        for method in METHODS:
+            first, second = (run_method(method, setup, cfg) for _ in range(2))
+            assert [e.train_loss for e in first.history] == [e.train_loss for e in second.history]
+            assert np.array_equal(first.classifier.params, second.classifier.params)
+            assert np.array_equal(first.rejector.params, second.rejector.params)
+
+    def test_divergence_names_the_batch(self):
+        setup = small_training_setup()
+        cfg = TrainConfig(learning_rate=1e12, batch_size=32, epochs=10, seed=0)
+        for method in METHODS:
+            with pytest.raises(TrainingDivergenceError, match="batch"):
+                run_method(method, setup, cfg)
+
+    def test_early_stopping_restores_best_epoch(self):
+        setup = small_training_setup(p=0.0, separation=8.0)
+        cfg = TrainConfig(learning_rate=0.3, batch_size=32, epochs=40, seed=0)
+        for method in METHODS:
+            result = run_method(method, setup, cfg, hidden=16, validate=True, patience=3)
+            best = result.best_epoch
+            assert best is not None
+            val_losses = [e.val_loss for e in result.history]
+            assert val_losses[best] == min(val_losses)
+            # training stops once patience + 1 epochs pass without a new best
+            assert len(result.history) in (40, best + 5)
+            # the returned networks are the ones training had after the best
+            # epoch: validation draws nothing from the training stream
+            ref = run_method(method, setup, TrainConfig(0.3, 32, best + 1, seed=0), hidden=16)
+            assert np.array_equal(result.classifier.params, ref.classifier.params)
+            assert np.array_equal(result.rejector.params, ref.rejector.params)
 
     def test_loss_improves_on_separable_task_with_oracle_experts(self):
         task, _, contexts = small_training_setup(p=0.0, separation=8.0)
@@ -334,28 +417,6 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.2, batch_size=32, epochs=50, seed=0)
         result = train(clf, rej, task.train, contexts, None, cfg)
         assert result.history[-1].train_loss < result.history[0].train_loss
-
-    def test_same_seed_identical_history(self):
-        task, _, contexts = small_training_setup()
-        cfg = TrainConfig(learning_rate=0.2, batch_size=32, epochs=8, seed=3)
-        results = []
-        for _ in range(2):
-            clf = dense_net([6, 8, 4], 0)
-            rej = dense_net([4, 8, 1], 1)
-            results.append(train(clf, rej, task.train, contexts, None, cfg))
-        assert [e.train_loss for e in results[0].history] == [
-            e.train_loss for e in results[1].history
-        ]
-        for a, b in zip(results[0].classifier.layers, results[1].classifier.layers):
-            assert np.array_equal(a.weights, b.weights)
-
-    def test_divergence_names_the_batch(self):
-        task, _, contexts = small_training_setup()
-        clf = dense_net([6, 8, 4], 0)
-        rej = dense_net([4, 8, 1], 1)
-        cfg = TrainConfig(learning_rate=1e12, batch_size=32, epochs=10, seed=0)
-        with pytest.raises(TrainingDivergenceError, match="batch"):
-            train(clf, rej, task.train, contexts, None, cfg)
 
     def test_oversized_context_subsample_rejected(self):
         task, _, contexts = small_training_setup()
@@ -374,17 +435,6 @@ class TestTrain:
         with pytest.raises(ValueError, match="nonempty"):
             train(clf, rej, empty, contexts, None, cfg)
 
-    def test_early_stopping_restores_best_epoch(self):
-        task, _, contexts = small_training_setup(p=0.0, separation=8.0)
-        clf = dense_net([6, 16, 4], 0)
-        rej = dense_net([4, 16, 1], 1)
-        cfg = TrainConfig(learning_rate=0.3, batch_size=32, epochs=40, seed=0)
-        result = train(clf, rej, task.train, contexts, None, cfg, val=task.val, patience=3)
-        assert result.best_epoch is not None
-        val_losses = [e.val_loss for e in result.history]
-        assert val_losses[result.best_epoch] == min(val_losses)
-        assert len(result.history) <= 40
-
     def test_trained_rejector_prefers_strong_expert_inputs(self):
         # after training, an input where the expert is strong at the
         # classifier's predicted class should collect a larger deferral
@@ -394,9 +444,9 @@ class TestTrain:
         rej = dense_net([4, 16, 16, 1], 1)
         cfg = TrainConfig(learning_rate=0.2, batch_size=32, epochs=60, seed=0)
         result = train(clf, rej, task.train, contexts, None, cfg)
-        strong = RejectorInput(0.58, 0.58, 0.89, 0.89)
-        weak = RejectorInput(0.0, 0.58, 0.22, 0.89)
-        assert deferral_logit(result.rejector, strong) > deferral_logit(result.rejector, weak)
+        strong, weak = forward(result.rejector, np.array([[0.58, 0.58, 0.89, 0.89],
+                                                          [0.0, 0.58, 0.22, 0.89]]))[:, 0]
+        assert strong > weak
 
 
 class TestOneForwardPerBatch:

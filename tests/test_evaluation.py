@@ -1,25 +1,24 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from deferlab.deferral import _rejector_inputs, _softmax_rows
+from deferlab.deferral import _softmax_rows, rejector_inputs
 from deferlab.evaluation import (
     Curve,
     ScoredCases,
     area_under,
     build_curves,
     case_priorities,
-    deferral_priority,
     score_cases,
-    select_expert,
     write_curve_csv,
     write_metrics_csv,
 )
-from deferlab.experts import BehaviouralRepresentation, BetaParams
-from deferlab.nets import dense_net, forward
+from deferlab.experts import BehaviouralRepresentation
+from deferlab.nets import DenseNet, Layer, dense_net, forward
 from deferlab.simulate import Dataset
 
 
@@ -47,45 +46,79 @@ def brute_force_curves(cases):
 
 
 def rep_from_mu(mu_values):
-    return BehaviouralRepresentation.from_posteriors(
-        [BetaParams(10 * m, 10 * (1 - m)) for m in mu_values]
-    )
+    mu = np.asarray(mu_values, dtype=np.float64)
+    return BehaviouralRepresentation(10 * mu, 10 * (1 - mu))
+
+
+def linear_rejector(weights, bias=0.0):
+    """A one-layer rejector whose deferral logit is ``weights @ x + bias``."""
+    return DenseNet([Layer(np.array([weights], dtype=np.float64), np.array([bias]), "identity")])
+
+
+def priority_of(class_logits, deferral_logit):
+    """One case's priority: deferral mass minus the top class mass on the
+    joint (K+1)-simplex of its class logits and deferral logit."""
+    logits = np.asarray(class_logits, dtype=np.float64)[None, :]
+    rejector = linear_rejector([0.0], deferral_logit)
+    return case_priorities(logits, rejector, np.zeros((1, 1)), None)[0, 0]
 
 
 class TestDeferralPriority:
     def test_all_mass_on_deferral_approaches_one(self):
-        q = np.array([1e-9, 1e-9, 1.0 - 2e-9])
-        assert deferral_priority(q) == pytest.approx(1.0, abs=1e-8)
+        # joint masses ~ (1e-9, 1e-9, 1 - 2e-9)
+        assert priority_of([0.0, 0.0], math.log(1e9)) == pytest.approx(1.0, abs=1e-8)
 
     def test_certain_classifier_approaches_minus_one(self):
-        q = np.array([1.0 - 2e-9, 1e-9, 1e-9])
-        assert deferral_priority(q) == pytest.approx(-1.0, abs=1e-8)
+        assert priority_of([math.log(1e9), 0.0, 0.0], 0.0) == pytest.approx(-1.0, abs=1e-8)
 
     def test_uniform_is_zero(self):
         for k in (2, 5, 11):
-            q = np.full(k + 1, 1.0 / (k + 1))
-            assert deferral_priority(q) == pytest.approx(0.0, abs=1e-12)
+            assert priority_of(np.zeros(k), 0.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_non_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            deferral_priority(np.array([0.5, 0.6]))
+
+def score_cohort(mu_at_expertise, predictions):
+    """Score one case (label 0, flat classifier) against experts whose
+    expertise class is 0. The rejector's deferral logit is 10 times the
+    expert's posterior mean there, so the priorities rank the experts by
+    it. Returns the scored case and every expert's priority."""
+    data = Dataset(np.zeros((1, 3)), np.zeros(1, dtype=np.int64))
+    rejector = linear_rejector([0.0, 0.0, 0.0, 10.0])
+    reps = [rep_from_mu([m, 0.05]) for m in mu_at_expertise]
+    preds = np.array(predictions, dtype=np.int64).reshape(len(reps), 1)
+    logits = np.zeros((1, 2))
+    cases = score_cases(logits, rejector, data, reps, preds, np.random.default_rng(0))
+    return cases, case_priorities(logits, rejector, data.features, reps)[:, 0]
 
 
 class TestSelectExpert:
+    """A case goes to the expert of highest priority; ties go to the lowest
+    cohort index."""
+
     def test_single_expert(self):
-        assert select_expert([0.3]) == (0, 0.3)
+        cases, priorities = score_cohort([0.3], [0])
+        assert cases.chosen_expert.tolist() == [0]
+        assert cases.priority[0] == priorities[0]
 
     def test_tie_goes_to_lowest(self):
-        chosen, priority = select_expert([0.2, 0.9, 0.9])
-        assert chosen == 1 and priority == 0.9
+        cases, priorities = score_cohort([0.2, 0.9, 0.9], [0, 0, 0])
+        assert priorities[1] == priorities[2] > priorities[0]
+        assert cases.chosen_expert.tolist() == [1]
+        assert cases.priority[0] == priorities[1]
 
     def test_explicit_ids(self):
-        chosen, _ = select_expert([0.1, 0.8], expert_ids=[10, 42])
-        assert chosen == 42
+        # the chosen index is the expert's row in the prediction matrix
+        cases, _ = score_cohort([0.1, 0.8], [1, 0])
+        assert cases.chosen_expert.tolist() == [1] and cases.expert_correct.tolist() == [True]
+        cases, _ = score_cohort([0.1, 0.8], [0, 1])
+        assert cases.chosen_expert.tolist() == [1] and cases.expert_correct.tolist() == [False]
 
     def test_empty_cohort_rejected(self):
-        with pytest.raises(ValueError):
-            select_expert([])
+        data = Dataset(np.zeros((2, 3)), np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="empty cohort"):
+            score_cases(
+                np.zeros((2, 2)), linear_rejector([0.0] * 4), data, [],
+                np.zeros((0, 2), dtype=np.int64), np.random.default_rng(0),
+            )
 
 
 class TestScoredCases:
@@ -282,7 +315,7 @@ def reference_priorities(logits, rejector, features, reps):
     else:
         rho = _softmax_rows(logits)
         kstar = np.argmax(rho, axis=1)
-        g_rows = [forward(rejector, _rejector_inputs(rho, kstar, rep.mu[None, :]))[:, 0] for rep in reps]
+        g_rows = [forward(rejector, rejector_inputs(rho, kstar, rep.mu[None, :]))[:, 0] for rep in reps]
     rows = []
     for g_defer in g_rows:
         q = _softmax_rows(np.column_stack([logits, g_defer]))

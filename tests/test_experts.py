@@ -1,74 +1,133 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from deferlab.errors import DatasetParseError
 from deferlab.experts import (
     BehaviouralRepresentation,
-    BetaParams,
     PriorElicitation,
     build_representation,
-    count_context,
-    elicit_prior,
     load_prior_file,
-    posterior_mean,
+    posterior_means,
+    posterior_params,
+    prior_arrays,
     sample_complexity_bound,
-    update_posterior,
     write_prior_file,
 )
 from deferlab.simulate import SimulatedExpertSpec, expert_predict
 
 
+def reference_posterior(labels, predictions, num_classes, prior):
+    """Count-and-update in plain Python floats: per class k, n_k items and
+    t_k correct ones; Beta(a_k, b_k) becomes Beta(a_k + t_k, b_k + n_k - t_k)
+    and the mean is alpha / (alpha + beta). Returns (alpha, beta, mu)."""
+    n = [0] * num_classes
+    t = [0] * num_classes
+    for y, m in zip(labels, predictions):
+        n[y] += 1
+        t[y] += m == y
+    alpha, beta = [], []
+    for k in range(num_classes):
+        a0 = b0 = 1.0
+        if prior is not None:
+            p, scale = float(prior.p[k]), float(prior.c[k]) * (prior.s - 2.0)
+            a0, b0 = 1.0 + p * scale, 1.0 + (1.0 - p) * scale
+        alpha.append(a0 + t[k])
+        beta.append(b0 + (n[k] - t[k]))
+    return alpha, beta, [a / (a + b) for a, b in zip(alpha, beta)]
+
+
+@st.composite
+def expert_contexts(draw, num_classes):
+    """One expert's context (possibly empty) and a uniform or elicited prior."""
+    size = draw(st.integers(0, 30))
+    classes = st.integers(0, num_classes - 1)
+    labels = draw(st.lists(classes, min_size=size, max_size=size))
+    # predictions are often right, so per-class means often tie
+    predictions = [y if draw(st.booleans()) else draw(classes) for y in labels]
+    unit = st.lists(st.floats(0.0, 1.0), min_size=num_classes, max_size=num_classes)
+    prior = draw(st.none() | st.builds(
+        PriorElicitation, unit.map(np.array), unit.map(np.array), st.floats(2.0, 50.0)
+    ))
+    return labels, predictions, prior
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 8).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(expert_contexts(k), min_size=1, max_size=4))
+))
+@example((3, [([], [], None), ([0, 1, 1, 2], [0, 1, 0, 2], None)]))
+def test_representation_matches_count_and_update_reference(case):
+    num_classes, cohort = case
+    alpha0, beta0 = prior_arrays([prior for *_, prior in cohort], num_classes)
+    mu = posterior_means(alpha0, beta0, *zip(*[(y, m) for y, m, _ in cohort]))
+    for e, (labels, predictions, prior) in enumerate(cohort):
+        alpha, beta, ref_mu = reference_posterior(labels, predictions, num_classes, prior)
+        rep = build_representation(labels, predictions, num_classes, prior)
+        assert rep.alpha.tolist() == alpha and rep.beta.tolist() == beta
+        assert rep.mu.tolist() == ref_mu and mu[e].tolist() == ref_mu
+        assert rep.expertise_class == ref_mu.index(max(ref_mu))
+
+
+def counts(labels, predictions, num_classes):
+    """Per-class (items, correct) counts recovered from a uniform-prior
+    representation: alpha = 1 + t and beta = 1 + n - t."""
+    rep = build_representation(labels, predictions, num_classes)
+    t = rep.alpha - 1.0
+    return (t + rep.beta - 1.0).tolist(), t.tolist()
+
+
 class TestCountContext:
     def test_empty_context_all_zero(self):
-        counts = count_context([], 4)
-        assert np.all(counts.n == 0) and np.all(counts.t == 0)
+        n, t = counts([], [], 4)
+        assert n == [0, 0, 0, 0] and t == [0, 0, 0, 0]
 
     def test_small_example(self):
-        counts = count_context([(0, 0), (0, 1), (1, 1)], 2)
-        assert counts.n.tolist() == [2, 1]
-        assert counts.t.tolist() == [1, 1]
+        n, t = counts([0, 0, 1], [0, 1, 1], 2)
+        assert n == [2, 1]
+        assert t == [1, 1]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            count_context([(0, 3)], 2)
+            build_representation([0], [3], 2)
         with pytest.raises(ValueError):
-            count_context([(-1, 0)], 2)
+            build_representation([-1], [0], 2)
 
     def test_counts_track_simulated_expert_accuracy(self):
         expert = SimulatedExpertSpec(0, frozenset({1}), 0.3, 0)
         rng = np.random.default_rng(77)
         num_classes = 5
         labels = rng.integers(num_classes, size=1000)
-        pairs = [(int(y), expert_predict(expert, int(y), num_classes, rng)) for y in labels]
-        counts = count_context(pairs, num_classes)
-        assert counts.t[1] == counts.n[1]  # oracle on the expertise class
+        preds = [expert_predict(expert, int(y), num_classes, rng) for y in labels]
+        n, t = counts(labels, preds, num_classes)
+        assert t[1] == n[1]  # oracle on the expertise class
         expected = 0.3 + 0.7 / num_classes
         for k in (0, 2, 3, 4):
-            n_k = counts.n[k]
-            sigma = np.sqrt(expected * (1 - expected) / n_k)
-            assert abs(counts.t[k] / n_k - expected) < 3 * sigma + 1e-9
+            sigma = np.sqrt(expected * (1 - expected) / n[k])
+            assert abs(t[k] / n[k] - expected) < 3 * sigma + 1e-9
+
+
+def elicited(p, c, s):
+    """The Beta prior one elicitation gives its single class."""
+    alpha0, beta0 = prior_arrays([PriorElicitation(np.array([p]), np.array([c]), s)], 1)
+    return alpha0[0, 0], beta0[0, 0]
 
 
 class TestElicitPrior:
     def test_zero_confidence_gives_uniform(self):
         for p in (0.0, 0.3, 1.0):
-            el = PriorElicitation(np.array([p]), np.array([0.0]), 10.0)
-            bp = elicit_prior(el, 0)
-            assert bp.alpha == 1.0 and bp.beta == 1.0
+            assert elicited(p, 0.0, 10.0) == (1.0, 1.0)
 
     def test_reference_inputs(self):
-        el = PriorElicitation(np.array([0.8]), np.array([0.8]), 15.0)
-        bp = elicit_prior(el, 0)
-        assert bp.alpha == pytest.approx(9.32, abs=1e-12)
-        assert bp.beta == pytest.approx(3.08, abs=1e-12)
+        alpha, beta = elicited(0.8, 0.8, 15.0)
+        assert alpha == pytest.approx(9.32, abs=1e-12)
+        assert beta == pytest.approx(3.08, abs=1e-12)
 
     def test_full_confidence_boundary(self):
-        el = PriorElicitation(np.array([1.0]), np.array([1.0]), 10.0)
-        bp = elicit_prior(el, 0)
-        assert bp.alpha == pytest.approx(9.0, abs=1e-12)
-        assert bp.beta == pytest.approx(1.0, abs=1e-12)
+        alpha, beta = elicited(1.0, 1.0, 10.0)
+        assert alpha == pytest.approx(9.0, abs=1e-12)
+        assert beta == pytest.approx(1.0, abs=1e-12)
 
     def test_weak_strength_rejected(self):
         with pytest.raises(ValueError):
@@ -81,34 +140,41 @@ class TestElicitPrior:
             PriorElicitation(np.array([0.5]), np.array([-0.1]), 10.0)
 
 
+def updated(alpha, beta, n, t):
+    """Class 0's posterior parameters after t correct answers out of n (the
+    wrong answers name class 1)."""
+    alpha1, beta1 = posterior_params(
+        np.array([[alpha, 1.0]]), np.array([[beta, 1.0]]), [[0] * n], [[0] * t + [1] * (n - t)]
+    )
+    return alpha1[0, 0], beta1[0, 0]
+
+
+def mean(alpha, beta):
+    return BehaviouralRepresentation(np.array([alpha]), np.array([beta])).mu[0]
+
+
 class TestUpdatePosterior:
     def test_no_observations_is_identity(self):
-        bp = update_posterior(BetaParams(1, 1), 0, 0)
-        assert bp.alpha == 1 and bp.beta == 1
+        assert updated(1.0, 1.0, 0, 0) == (1.0, 1.0)
 
     def test_uniform_prior_update(self):
-        bp = update_posterior(BetaParams(1, 1), 10, 8)
-        assert bp.alpha == 9 and bp.beta == 3
+        assert updated(1.0, 1.0, 10, 8) == (9.0, 3.0)
 
     def test_informative_prior_update(self):
-        bp = update_posterior(BetaParams(9.32, 3.08), 5, 5)
-        assert bp.alpha == pytest.approx(14.32, abs=1e-12)
-        assert bp.beta == pytest.approx(3.08, abs=1e-12)
-
-    def test_more_correct_than_total_rejected(self):
-        with pytest.raises(ValueError):
-            update_posterior(BetaParams(1, 1), 3, 4)
+        alpha, beta = updated(9.32, 3.08, 5, 5)
+        assert alpha == pytest.approx(14.32, abs=1e-12)
+        assert beta == pytest.approx(3.08, abs=1e-12)
 
 
 class TestPosteriorMean:
     def test_uniform_is_half(self):
-        assert posterior_mean(BetaParams(1, 1)) == 0.5
+        assert mean(1.0, 1.0) == 0.5
 
     def test_uniform_plus_counts(self):
-        assert posterior_mean(update_posterior(BetaParams(1, 1), 10, 8)) == pytest.approx(0.75)
+        assert mean(*updated(1.0, 1.0, 10, 8)) == pytest.approx(0.75)
 
     def test_elicited(self):
-        assert posterior_mean(BetaParams(9.32, 3.08)) == pytest.approx(9.32 / 12.40, abs=1e-12)
+        assert mean(9.32, 3.08) == pytest.approx(9.32 / 12.40, abs=1e-12)
 
     def test_exactness_over_random_tuples(self):
         rng = np.random.default_rng(123)
@@ -117,66 +183,68 @@ class TestPosteriorMean:
             beta = rng.uniform(0.01, 50)
             n = int(rng.integers(0, 500))
             t = int(rng.integers(0, n + 1))
-            post = update_posterior(BetaParams(alpha, beta), n, t)
-            assert posterior_mean(post) == pytest.approx(
+            assert mean(*updated(alpha, beta, n, t)) == pytest.approx(
                 (alpha + t) / (alpha + beta + n), abs=1e-12
             )
 
     def test_monotone_in_observations(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            bp = BetaParams(rng.uniform(0.1, 20), rng.uniform(0.1, 20))
-            up = update_posterior(bp, 1, 1)
-            down = update_posterior(bp, 1, 0)
-            assert posterior_mean(up) > posterior_mean(bp) > posterior_mean(down)
+            alpha, beta = rng.uniform(0.1, 20), rng.uniform(0.1, 20)
+            up = mean(*updated(alpha, beta, 1, 1))
+            down = mean(*updated(alpha, beta, 1, 0))
+            assert up > mean(alpha, beta) > down
 
     def test_sequential_equals_batch(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
             # quarter-step params are exactly representable, so equality is exact
-            prior = BetaParams(rng.integers(1, 40) / 4, rng.integers(1, 40) / 4)
+            prior = (rng.integers(1, 40) / 4, rng.integers(1, 40) / 4)
             chunks = [
                 (int(n), int(rng.integers(0, n + 1)))
                 for n in rng.integers(0, 30, size=4)
             ]
             seq = prior
             for n, t in chunks:
-                seq = update_posterior(seq, n, t)
-            batch = update_posterior(
-                prior, sum(n for n, _ in chunks), sum(t for _, t in chunks)
-            )
-            assert seq.alpha == batch.alpha and seq.beta == batch.beta
+                seq = updated(*seq, n, t)
+            batch = updated(*prior, sum(n for n, _ in chunks), sum(t for _, t in chunks))
+            assert seq == batch
 
 
 class TestBuildRepresentation:
     def test_empty_context_uniform_prior(self):
-        rep = build_representation([], 3)
+        rep = build_representation([], [], 3)
         assert np.allclose(rep.mu, 0.5)
         assert rep.expertise_class == 0  # tie-break to lowest index
 
     def test_counts_example(self):
-        ctx = [(0, 0)] * 10 + [(1, 1)] * 5 + [(1, 0)] * 5
-        rep = build_representation(ctx, 2)
+        labels = [0] * 10 + [1] * 10
+        preds = [0] * 10 + [1] * 5 + [0] * 5
+        rep = build_representation(labels, preds, 2)
         assert rep.mu[0] == pytest.approx(11 / 12)
         assert rep.mu[1] == pytest.approx(6 / 12)
         assert rep.expertise_class == 0
 
     def test_prior_only_representation(self):
         priors = PriorElicitation(np.array([0.8, 0.5]), np.array([0.8, 0.0]), 15.0)
-        rep = build_representation([], 2, priors)
+        rep = build_representation([], [], 2, priors)
         assert rep.mu[0] == pytest.approx(0.7516129032258065, abs=1e-12)
         assert rep.mu[1] == 0.5
         assert rep.expertise_class == 0
 
     def test_invariant_checked_on_construction(self):
-        with pytest.raises(ValueError):
-            BehaviouralRepresentation(
-                np.array([0.9, 0.5]), [BetaParams(1, 1), BetaParams(1, 1)], 0
-            )
+        with pytest.raises(ValueError, match="equal length"):
+            BehaviouralRepresentation(np.array([0.9, 0.5]), np.array([1.0]))
+        with pytest.raises(ValueError, match="positive"):
+            BehaviouralRepresentation(np.array([0.9, 0.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="positive"):
+            BehaviouralRepresentation(np.array([0.9, np.nan]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            BehaviouralRepresentation(np.array([0.9, np.inf]), np.array([1.0, 1.0]))
 
     def test_mismatched_prior_size_rejected(self):
         with pytest.raises(ValueError):
-            build_representation([], 3, PriorElicitation.uniform(2))
+            build_representation([], [], 3, PriorElicitation(np.full(2, 0.5), np.zeros(2)))
 
 
 class TestSampleComplexityBound:
@@ -201,7 +269,7 @@ class TestPriorFile:
     def test_round_trip(self, tmp_path):
         priors = {
             0: PriorElicitation(np.array([0.8, 0.5, 0.2]), np.array([0.8, 0.0, 1.0]), 15.0),
-            3: PriorElicitation.uniform(3),
+            3: PriorElicitation(np.full(3, 0.5), np.zeros(3)),
         }
         path = tmp_path / "priors.csv"
         write_prior_file(path, priors)

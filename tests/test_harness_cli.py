@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from deferlab.cli import main
 from deferlab.config import validate_config
 from deferlab.errors import TrainingDivergenceError
 from deferlab.harness import VERSION_STRING, run_experiment, run_priors_study
+from deferlab.nets import TrainConfig
 
 TINY = dict(
     num_classes=4,
@@ -264,6 +266,117 @@ class TestCli:
         assert "FAIL" in capsys.readouterr().out
         report = (tmp_path / "t" / "theory_report.csv").read_text()
         assert ",fail" in report
+
+
+# --- the CLI contract: every command x failure class ----------------------
+
+METHODS = ("ea_l2d", "pop_avg")
+DIVERGED = "training diverged: loss became non-finite\n"
+
+
+def seed_files(command, seed):
+    """The per-seed files a successful seed leaves on the TINY grid."""
+    if command == "train":
+        return {
+            f"{kind}_{method}_p0_2_e1_seed{seed}.{ext}"
+            for method in METHODS
+            for kind, ext in (("checkpoint", "npz"), ("history", "csv"))
+        }
+    return {
+        f"curve_{method}_p0_2_e1_seed{seed}_{cohort}.csv"
+        for method in (*METHODS, "oracle")
+        for cohort in ("id", "ood")
+    }
+
+
+EVALUATED_SEED1 = (
+    seed_files("evaluate", 1)
+    | {f"metrics_{method}_p0_2_e1.csv" for method in (*METHODS, "oracle")}
+    | {"manifest.json"}
+)
+NOTHING = set()
+THEORY_FAIL_OUT = re.compile(r".*^FAIL identification_bound .*", re.S | re.M)
+
+# (command, failure class, config override, diverging seeds, exit code,
+#  files left in --out, stdout, stderr). Expected streams are exact strings
+#  after formatting {out} and {prior}, or patterns that must match fully.
+# No command reads a dataset CSV (generate only writes them), so the
+# malformed-CSV class applies to the prior file of the commands that load it.
+# priors-study and theory-check fail as a whole when any seed diverges.
+CLI_CONTRACT = [
+    *[
+        (command, "invalid-config", {"overlap_probabilities": [2.0]}, (), 1, NOTHING, "",
+         "error: overlap_probability must lie in [0, 1] (got 2.0)\n")
+        for command in ("generate", "train", "evaluate", "sweep", "priors-study", "theory-check")
+    ],
+    *[
+        (command, "malformed-prior-csv", {"prior_file": "{prior}"}, (), 1, NOTHING, "",
+         "error: {prior}: line 3: need p and c in [0, 1] and finite s >= 2\n")
+        for command in ("train", "evaluate", "sweep")
+    ],
+    ("train", "some-seeds-diverge", {}, (2,), 0, seed_files("train", 1) | {"manifest.json"},
+     "wrote checkpoints to {out}\n", "seed 2: " + DIVERGED),
+    ("evaluate", "some-seeds-diverge", {}, (2,), 0, EVALUATED_SEED1,
+     "wrote 4 evaluation records to {out}\n", "seed 2: " + DIVERGED),
+    ("sweep", "some-seeds-diverge", {}, (2,), 0, EVALUATED_SEED1 | {"sweep_summary.csv"},
+     "sweep complete: 4 records in {out}\n", "seed 2: " + DIVERGED),
+    ("priors-study", "some-seeds-diverge", {}, (2,), 3, NOTHING, "", DIVERGED),
+    *[
+        (command, "every-seed-diverges", {}, (1, 2), 3, {"manifest.json"}, "",
+         "seed 1: " + DIVERGED + "seed 2: " + DIVERGED)
+        for command in ("train", "evaluate", "sweep")
+    ],
+    ("priors-study", "every-seed-diverges", {}, (1, 2), 3, NOTHING, "", DIVERGED),
+    ("theory-check", "every-seed-diverges", {}, (1,), 3, NOTHING, "", DIVERGED),
+    ("theory-check", "theory-check-fails", {}, (), 2, {"theory_report.csv"}, THEORY_FAIL_OUT, ""),
+]
+
+
+def diverge_for_seeds(monkeypatch, seeds):
+    """Make both training loops raise the divergence error for ``seeds``."""
+    for name in ("train", "train_pop_avg"):
+        def maybe_diverge(*args, _real=getattr(deferlab.harness, name), **kwargs):
+            cfg = next(a for a in args if isinstance(a, TrainConfig))
+            if cfg.seed in seeds:
+                raise TrainingDivergenceError("loss became non-finite")
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(deferlab.harness, name, maybe_diverge)
+
+
+@pytest.mark.parametrize(
+    "command, failure, overrides, diverging, code, files, stdout, stderr",
+    CLI_CONTRACT,
+    ids=[f"{row[0]}-{row[1]}" for row in CLI_CONTRACT],
+)
+def test_cli_contract_matrix(
+    tmp_path, capsys, monkeypatch, command, failure, overrides, diverging, code, files,
+    stdout, stderr,
+):
+    prior = tmp_path / "priors.csv"
+    prior.write_text("expert_id,class,p,c,s\n0,0,0.8,0.8,15\n0,1,nan,0.8,15\n")
+    out = tmp_path / "out"
+    fill = {"out": out, "prior": prior}
+    cfg_path = write_config(
+        tmp_path, seeds=[1, 2], **{k: v.format(**fill) if isinstance(v, str) else v
+                                   for k, v in overrides.items()}
+    )
+    diverge_for_seeds(monkeypatch, diverging)
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    if command == "theory-check":
+        argv += ["--seed", "1"]
+        if failure == "theory-check-fails":
+            argv += ["--bound-scale", "0.05"]
+
+    assert main(argv) == code
+    left = {p.name for p in out.iterdir()} if out.exists() else set()
+    assert left == files
+    captured = capsys.readouterr()
+    for got, want in ((captured.out, stdout), (captured.err, stderr)):
+        if isinstance(want, str):
+            assert got == want.format(**fill)
+        else:
+            assert want.fullmatch(got)
 
 
 def test_one_version_string():

@@ -175,6 +175,9 @@ def test_permuting_experts_leaves_loss_and_gradients_unchanged(seed, experts, el
     elicited=st.booleans(),
 )
 def test_bincount_mu_equals_build_representation(seed, experts, num_classes, context, elicited):
+    # the cohort's one bincount keeps experts apart: each row equals that
+    # expert counted on its own (tests/test_experts.py checks both against a
+    # plain-Python count-and-update reference)
     labels, preds, priors, _ = random_cohort(seed, experts, num_classes, context, elicited)
     rng = np.random.default_rng(seed)
     picks = [rng.choice(context, size=context // 2, replace=False) for _ in range(experts)]
@@ -183,7 +186,7 @@ def test_bincount_mu_equals_build_representation(seed, experts, num_classes, con
     alpha0, beta0 = prior_arrays(priors, num_classes)
     mu = posterior_means(alpha0, beta0, sub_labels, sub_preds)
     for e in range(experts):
-        rep = build_representation(zip(sub_labels[e], sub_preds[e]), num_classes, priors[e])
+        rep = build_representation(sub_labels[e], sub_preds[e], num_classes, priors[e])
         assert np.array_equal(mu[e], rep.mu)
         assert int(np.argmax(mu[e])) == rep.expertise_class
 
@@ -202,8 +205,8 @@ class TestPosteriorArrays:
         empty = np.zeros(0, dtype=np.int64)
         mu = posterior_means(alpha0, beta0, [empty, empty], [empty, empty])
         assert mu[0].tolist() == [0.5, 0.5]
-        assert np.array_equal(mu[1], build_representation([], 2, prior).mu)
+        assert np.array_equal(mu[1], alpha0[1] / (alpha0[1] + beta0[1]))
 
     def test_prior_class_count_checked(self):
         with pytest.raises(ValueError, match="class count"):
-            prior_arrays([PriorElicitation.uniform(3)], 4)
+            prior_arrays([PriorElicitation(np.full(3, 0.5), np.zeros(3))], 4)

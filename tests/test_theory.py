@@ -9,40 +9,36 @@ from deferlab.simulate import SyntheticTaskSpec, generate_gaussian_task
 from deferlab.theory import (
     TrialConfig,
     bayes_optimal_reference,
+    median_posterior_errors,
     misidentification_rate,
-    posterior_convergence_errors,
 )
 
 
 class TestPosteriorConvergence:
     def test_certain_expert_closed_form_error(self):
+        # at theta = 1 every draw is all-correct, so every error is 1 / (2 + n)
         rng = np.random.default_rng(0)
         schedule = [1, 10, 100, 1000]
-        errors = posterior_convergence_errors(1.0, schedule, rng)
+        errors = median_posterior_errors(1.0, schedule, 50, rng)
         for n, err in zip(schedule, errors):
             assert err == pytest.approx(1.0 / (2 + n), abs=1e-15)
 
     def test_no_observations_uniform_prior(self):
         rng = np.random.default_rng(0)
-        assert posterior_convergence_errors(0.5, [0], rng) == [0.0]
+        assert median_posterior_errors(0.5, [0], 50, rng) == [0.0]
 
     def test_large_sample_median_error_small(self):
         rng = np.random.default_rng(12)
-        errors = [posterior_convergence_errors(0.7, [100_000], rng)[0] for _ in range(1000)]
-        assert np.median(errors) < 0.005
+        assert median_posterior_errors(0.7, [100_000], 1000, rng)[0] < 0.005
 
     def test_median_errors_shrink_along_schedule(self):
         schedule = [10, 100, 1000, 10_000, 100_000]
-        rng = np.random.default_rng(3)
-        per_step = np.array(
-            [posterior_convergence_errors(0.7, schedule, rng) for _ in range(1000)]
-        )
-        medians = np.median(per_step, axis=0)
+        medians = median_posterior_errors(0.7, schedule, 1000, np.random.default_rng(3))
         assert np.all(np.diff(medians) <= 0)
 
     def test_invalid_theta_rejected(self):
         with pytest.raises(ValueError):
-            posterior_convergence_errors(1.5, [10], np.random.default_rng(0))
+            median_posterior_errors(1.5, [10], 50, np.random.default_rng(0))
 
 
 class TestMisidentificationRate:
