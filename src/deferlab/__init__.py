@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, parse_config
 from .deferral import (
-    LossBreakdown,
     ea_l2d_loss_grads,
     pop_avg_loss_grads,
     rejector_inputs,

@@ -8,12 +8,13 @@ the expertise class. The deferral logit joins the class logits in a
 whose true label is the expertise class, weighted by the expert's posterior
 mean accuracy there, so no expert predictions on query data are needed.
 
-Training and validation evaluate the whole expert cohort in one stacked
-step per batch (``_ea_stacked``): the experts enter only through their
-(experts, K) matrix of posterior means, so the classifier runs forward and
-backward once, and the rejector once on all (example, expert) rows built by
-``rejector_inputs``. The single-example ``ea_l2d_loss_grads`` is the same
-step with one expert. Both methods train through one loop, ``_fit``.
+The loss functions work on batches. ``ea_l2d_loss_grads`` evaluates the
+whole expert cohort in one stacked step per batch: the experts enter only
+through their (experts, K) matrix of posterior means, so the classifier runs
+forward and backward once, and the rejector once on all (example, expert)
+rows built by ``rejector_inputs``. Both methods train through one loop,
+``_fit``; finite-difference checks call the loss functions on one-row
+batches.
 
 The population-average baseline instead gates its deferral term on whether
 the mode of all experts' query predictions matches the label, and its
@@ -29,12 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TrainingDivergenceError
-from .experts import (
-    BehaviouralRepresentation,
-    PriorElicitation,
-    posterior_means,
-    prior_arrays,
-)
+from .experts import PriorElicitation, posterior_means, prior_arrays
 from .nets import (
     Activations,
     DenseNet,
@@ -44,19 +40,9 @@ from .nets import (
     forward_cached,
     relu_pattern,
     sgd_step,
+    softmax,
 )
 from .simulate import ContextSet, Dataset
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    classifier_term: float
-    deferral_term: float
-    total: float
-
-    @staticmethod
-    def of(classifier_term: float, deferral_term: float) -> "LossBreakdown":
-        return LossBreakdown(classifier_term, deferral_term, classifier_term + deferral_term)
 
 
 def mode_labels(prediction_matrix: np.ndarray, num_classes: int) -> np.ndarray:
@@ -74,19 +60,12 @@ def mode_labels(prediction_matrix: np.ndarray, num_classes: int) -> np.ndarray:
     return np.argmax(counts.reshape(examples, num_classes), axis=1)
 
 
-def mode_prediction(predictions: Sequence[int], num_classes: int) -> int:
-    """Most frequent label of one example's expert predictions; ties break
-    to the lowest class index."""
-    return int(mode_labels(np.asarray(predictions, dtype=np.int64)[:, None], num_classes)[0])
-
-
 # --- batched loss/gradient machinery -------------------------------------
 
 
-def _softmax_rows(m: np.ndarray) -> np.ndarray:
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(f"labels must lie in [0, {num_classes})")
 
 
 def _loss_sums(
@@ -148,7 +127,7 @@ def rejector_inputs(rho: np.ndarray, kstar: np.ndarray, mu: np.ndarray) -> np.nd
     return feats.reshape(experts * batch, 4)
 
 
-def _ea_stacked(
+def ea_l2d_loss_grads(
     classifier: DenseNet,
     rejector: DenseNet,
     features: np.ndarray,
@@ -158,22 +137,29 @@ def _ea_stacked(
 ):
     """Loss sums and summed gradients across a batch for a whole cohort.
 
-    ``mu`` holds the posterior mean accuracies, shape (experts, K); the sums
-    run over every (example, expert) pair. The classifier runs once. The
-    rejector runs once on the (experts * batch, 4) block of every expert's
-    inputs, rows ordered expert-major. Gradients flow into the rejector and
-    into the classifier both directly through the class logits and through
-    the class softmax feeding the rejector inputs; both routes are summed
-    over experts before the one classifier backward pass. Each network runs
+    Returns ``(classifier_sum, deferral_sum, classifier_grads,
+    rejector_grads, pattern)``; without ``want_grads`` the last three are
+    ``None``. ``features`` is (batch, dim); ``labels`` (batch,) must lie in
+    [0, K), else ``ValueError``. ``mu`` holds the posterior mean accuracies,
+    shape (experts, K); the sums run over every (example, expert) pair. No
+    expert prediction on the batch is consumed.
+
+    The classifier runs once. The rejector runs once on the
+    (experts * batch, 4) block of every expert's inputs, rows ordered
+    expert-major. Gradients flow into the rejector and into the classifier
+    both directly through the class logits and through the class softmax
+    feeding the rejector inputs; both routes are summed over experts before
+    the one classifier backward pass. Each network runs
     forward once; its backward pass and relu pattern read the cached
     activations. The returned pattern encodes the discrete choices (relu
     signs of both networks, the classifier argmax) for finite-difference
     kink detection.
     """
     experts, num_classes = mu.shape
+    _check_labels(labels, num_classes)
     batch = len(labels)
     logits, clf_acts = _forward_for(classifier, features, want_grads)
-    rho = _softmax_rows(logits)
+    rho = softmax(logits)
     kstar = np.argmax(rho, axis=1)
     estar = np.argmax(mu, axis=1)
     rows = np.arange(batch)
@@ -183,7 +169,7 @@ def _ea_stacked(
     joint = np.empty((experts, batch, num_classes + 1))
     joint[:, :, :num_classes] = logits
     joint[:, :, num_classes] = g_defer.reshape(experts, batch)
-    q = _softmax_rows(joint.reshape(experts * batch, num_classes + 1))
+    q = softmax(joint.reshape(experts * batch, num_classes + 1))
 
     pair_labels = np.tile(labels, experts)
     weights = np.where(labels == estar[:, None], mu[:, labels], 0.0).ravel()
@@ -211,7 +197,7 @@ def _ea_stacked(
     return classifier_sum, deferral_sum, clf_grads, rej_grads, pattern
 
 
-def _pop_batch(
+def pop_avg_loss_grads(
     classifier: DenseNet,
     rejector: DenseNet,
     features: np.ndarray,
@@ -219,12 +205,16 @@ def _pop_batch(
     weights: np.ndarray,
     want_grads: bool = True,
 ):
-    """Baseline batch: the rejector consumes the raw features directly."""
+    """The baseline's counterpart of ``ea_l2d_loss_grads``, with the same
+    return tuple: the rejector consumes the raw features directly, and
+    example i's deferral term is weighted by ``weights[i]``, 1 when the mode
+    of the experts' predictions is its label and 0 otherwise."""
     num_classes = classifier.output_dim
+    _check_labels(labels, num_classes)
     logits, clf_acts = _forward_for(classifier, features, want_grads)
     rej_out, rej_acts = _forward_for(rejector, features, want_grads)
     joint = np.column_stack([logits, rej_out[:, 0]])
-    q = _softmax_rows(joint)
+    q = softmax(joint)
 
     classifier_sum, deferral_sum = _loss_sums(q, labels, weights, num_classes)
 
@@ -238,47 +228,6 @@ def _pop_batch(
         [relu_pattern(classifier, clf_acts), relu_pattern(rejector, rej_acts)]
     ).astype(np.int64)
     return classifier_sum, deferral_sum, clf_grads, rej_grads, pattern
-
-
-def _one_row(x: np.ndarray, true_label: int, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    if not 0 <= true_label < num_classes:
-        raise ValueError(f"true_label {true_label} out of range")
-    return np.atleast_2d(np.asarray(x, dtype=np.float64)), np.array([true_label])
-
-
-def ea_l2d_loss_grads(
-    classifier: DenseNet,
-    rejector: DenseNet,
-    x: np.ndarray,
-    true_label: int,
-    rep: BehaviouralRepresentation,
-):
-    """One example's loss with gradients for both networks: the batched
-    step on a one-row batch and a one-expert cohort.
-
-    Returns ``(LossBreakdown, classifier_grads, rejector_grads, pattern)``
-    where the pattern array encodes the discrete choices (relu signs and the
-    classifier argmax) for finite-difference kink detection.
-    """
-    x, labels = _one_row(x, true_label, classifier.output_dim)
-    cs, ds, cg, rg, pattern = _ea_stacked(classifier, rejector, x, labels, rep.mu[None, :])
-    return LossBreakdown.of(cs, ds), cg, rg, pattern
-
-
-def pop_avg_loss_grads(
-    classifier: DenseNet,
-    rejector: DenseNet,
-    x: np.ndarray,
-    true_label: int,
-    expert_predictions: Sequence[int],
-):
-    """The baseline's counterpart of ``ea_l2d_loss_grads``: the deferral term
-    is active when the mode of the experts' predictions is the true label."""
-    x, labels = _one_row(x, true_label, classifier.output_dim)
-    mode = mode_prediction(expert_predictions, classifier.output_dim)
-    weights = np.array([1.0 if mode == true_label else 0.0])
-    cs, ds, cg, rg, pattern = _pop_batch(classifier, rejector, x, labels, weights)
-    return LossBreakdown.of(cs, ds), cg, rg, pattern
 
 
 # --- training loops -------------------------------------------------------
@@ -328,8 +277,8 @@ def _fit(
 ) -> TrainResult:
     """The training loop both methods share.
 
-    ``batch_loss`` is ``_ea_stacked`` or ``_pop_batch``; its last data
-    argument comes from ``batch_aux(idx, rng)`` for the query rows ``idx``
+    ``batch_loss`` is ``ea_l2d_loss_grads`` or ``pop_avg_loss_grads``; its
+    last data argument comes from ``batch_aux(idx, rng)`` for the query rows ``idx``
     of a batch, and is ``val_aux`` on the validation set. Losses are summed
     over ``experts`` terms per example and averaged over all of them. Each
     epoch draws one permutation from the ``cfg.seed`` stream, then the
@@ -436,7 +385,7 @@ def train(
         )
 
     return _fit(
-        classifier, rejector, query, cfg, _ea_stacked, subsampled_mu, len(contexts),
+        classifier, rejector, query, cfg, ea_l2d_loss_grads, subsampled_mu, len(contexts),
         val, full_mu, patience,
     )
 
@@ -467,6 +416,6 @@ def train_pop_avg(
         val_weights = (val_modes == val.labels).astype(np.float64)
 
     return _fit(
-        classifier, rejector, query, cfg, _pop_batch, lambda idx, rng: weights[idx], 1,
+        classifier, rejector, query, cfg, pop_avg_loss_grads, lambda idx, rng: weights[idx], 1,
         val, val_weights, patience,
     )

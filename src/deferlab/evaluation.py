@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .deferral import _softmax_rows, rejector_inputs
+from .deferral import rejector_inputs
 from .experts import BehaviouralRepresentation
-from .nets import DenseNet, forward
+from .nets import DenseNet, forward, softmax
 from .simulate import Dataset
 
 
@@ -76,15 +76,12 @@ class Curve:
 @dataclass
 class MetricReport:
     """Area metrics over the requested deferral-rate ranges, with the curves
-    they were computed from and enough metadata to re-run."""
+    they were computed from."""
 
     aursac: dict[tuple[float, float], float]
     aurdac: dict[tuple[float, float], float]
     system_curve: Curve
     expert_curve: Curve
-    cohort: str = ""
-    seed: int = 0
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for values in (self.aursac, self.aurdac):
@@ -97,18 +94,12 @@ def build_report(
     system_curve: Curve,
     expert_curve: Curve,
     ranges: Sequence[tuple[float, float]],
-    cohort: str = "",
-    seed: int = 0,
-    **metadata,
 ) -> MetricReport:
     return MetricReport(
         aursac={r: area_under(system_curve, *r) for r in ranges},
         aurdac={r: area_under(expert_curve, *r) for r in ranges},
         system_curve=system_curve,
         expert_curve=expert_curve,
-        cohort=cohort,
-        seed=seed,
-        metadata=dict(metadata),
     )
 
 
@@ -186,7 +177,7 @@ def case_priorities(
     if reps is None:
         deferral_logits = [forward(rejector, features)[:, 0]]
     else:
-        rho = _softmax_rows(logits)
+        rho = softmax(logits)
         kstar = np.argmax(rho, axis=1)
         # one expert at a time keeps the rejector's activations at one
         # (cases, hidden) block on large test sets
@@ -195,7 +186,7 @@ def case_priorities(
             for rep in reps
         )
 
-    # The joint softmax of ``_softmax_rows``, bit for bit: only the deferral
+    # The joint softmax of ``nets.softmax``, bit for bit: only the deferral
     # column changes between experts, the row max is the larger of the class
     # max and the deferral logit, and correctly rounded division keeps the
     # class max, so only two columns are divided.

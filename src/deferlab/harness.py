@@ -25,7 +25,6 @@ from .errors import TrainingDivergenceError
 from .evaluation import (
     Curve,
     MetricReport,
-    area_under,
     build_curves,
     build_report,
     score_cases,
@@ -123,6 +122,11 @@ def _prediction_matrix(
     return np.stack([expert_predict_batch(e, labels, num_classes, rng) for e in experts])
 
 
+def _priors_map(cfg: ExperimentConfig) -> dict[int, PriorElicitation] | None:
+    """The config's prior file by expert id, or ``None`` without one."""
+    return load_prior_file(cfg.prior_file, cfg.num_classes) if cfg.prior_file else None
+
+
 def _cohort_priors(
     experts: Sequence[SimulatedExpertSpec], priors_map: dict[int, PriorElicitation] | None
 ) -> list[PriorElicitation | None]:
@@ -216,6 +220,83 @@ def _train_method(
     raise ConfigError(f"unknown method {method!r}")
 
 
+SeedCurves = list[tuple[str, tuple[Curve, Curve]]]
+
+
+def _evaluate_seed(
+    cfg: ExperimentConfig, seed: int, priors_map: dict[int, PriorElicitation] | None
+) -> tuple[list[RunRecord], list[OracleRecord], dict[tuple[str, str], list[tuple]], SeedCurves]:
+    """One seed of ``run_experiment``: on every grid cell, train every
+    configured method and evaluate it and the oracle on the in-distribution
+    and held-out cohorts.
+
+    Returns the seed's run records, oracle records, metric rows keyed by
+    (method, tag) and the curve CSVs to write as (file name, curves). Writes
+    no files, so a divergence in any cell leaves nothing behind.
+    """
+    num_classes = cfg.num_classes
+    records: list[RunRecord] = []
+    oracles: list[OracleRecord] = []
+    rows: dict[tuple[str, str], list[tuple]] = {}
+    curve_writes: SeedCurves = []
+    task = generate_gaussian_task(cfg.task_spec(seed))
+    for pi, p in enumerate(cfg.overlap_probabilities):
+        for ei, epe in enumerate(cfg.expertise_grid()):
+            population, contexts, id_experts, id_contexts = _cell_setup(cfg, task, seed, pi, ei)
+            test_rng = np.random.default_rng(_subseed(seed, pi, ei, 12))
+            test_preds = _prediction_matrix(population, task.test.labels, num_classes, test_rng)
+
+            n_id = len(id_experts)
+            cohorts = [("id", slice(0, n_id))]
+            if len(population) > n_id:
+                cohorts.append(("ood", slice(n_id, None)))
+
+            tag = f"p{_ptag(p)}_e{epe}"
+
+            for method in cfg.methods:
+                result = _train_method(
+                    method, cfg, task, id_experts, id_contexts, priors_map,
+                    seed, stream=100 + pi * 10 + ei,
+                )
+                logits = forward(result.classifier, task.test.features)
+                clf_acc = float(np.mean(np.argmax(logits, axis=1) == task.test.labels))
+                for cohort_name, idx in cohorts:
+                    if method == "ea_l2d":
+                        reps = _cohort_representations(
+                            population[idx], contexts[idx], num_classes, priors_map
+                        )
+                    else:
+                        reps = None
+                    pick_rng = np.random.default_rng(
+                        _subseed(seed, pi, ei, 13, 0 if cohort_name == "id" else 1)
+                    )
+                    cases = score_cases(
+                        logits, result.rejector, task.test, reps, test_preds[idx], pick_rng
+                    )
+                    curves = build_curves(cases)
+                    report = build_report(*curves, cfg.eval_ranges)
+                    records.append(RunRecord(method, p, epe, seed, cohort_name, clf_acc, report))
+                    curve_writes.append(
+                        (f"curve_{method}_{tag}_seed{seed}_{cohort_name}.csv", curves)
+                    )
+                    rows.setdefault((method, tag), []).extend(
+                        _metric_rows(report, cfg.eval_ranges, cohort_name, seed, clf_acc)
+                    )
+
+            for cohort_name, idx in cohorts:
+                acc_matrix = np.stack(
+                    [expert_accuracy_by_class(e, num_classes) for e in population[idx]]
+                )
+                curves = bayes_optimal_reference(task, acc_matrix)
+                report = build_report(*curves, cfg.eval_ranges)
+                oracles.append(OracleRecord(p, epe, seed, cohort_name, report))
+                curve_writes.append((f"curve_oracle_{tag}_seed{seed}_{cohort_name}.csv", curves))
+                rows.setdefault(("oracle", tag), []).extend(
+                    _metric_rows(report, cfg.eval_ranges, cohort_name, seed)
+                )
+    return records, oracles, rows, curve_writes
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     """Full protocol: per seed and per population setting, train every
     configured method and evaluate it on the in-distribution and held-out
@@ -227,93 +308,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    num_classes = cfg.num_classes
-    priors_map = load_prior_file(cfg.prior_file, num_classes) if cfg.prior_file else None
+    priors_map = _priors_map(cfg)
 
     records: list[RunRecord] = []
     oracles: list[OracleRecord] = []
     failures: dict[int, str] = {}
     metric_rows: dict[tuple[str, str], list[tuple]] = {}
-
-    grid = [
-        (pi, p, ei, epe)
-        for pi, p in enumerate(cfg.overlap_probabilities)
-        for ei, epe in enumerate(cfg.expertise_grid())
-    ]
-
     for seed in cfg.seeds:
-        seed_records: list[RunRecord] = []
-        seed_oracles: list[OracleRecord] = []
-        seed_rows: dict[tuple[str, str], list[tuple]] = {}
-        seed_curves: list[tuple[Path, tuple[Curve, Curve]]] = []
-
         try:
-            task = generate_gaussian_task(cfg.task_spec(seed))
-            for pi, p, ei, epe in grid:
-                population, contexts, id_experts, id_contexts = _cell_setup(
-                    cfg, task, seed, pi, ei
-                )
-                test_rng = np.random.default_rng(_subseed(seed, pi, ei, 12))
-                test_preds = _prediction_matrix(population, task.test.labels, num_classes, test_rng)
-
-                n_id = len(id_experts)
-                cohorts = [("id", slice(0, n_id))]
-                if len(population) > n_id:
-                    cohorts.append(("ood", slice(n_id, None)))
-
-                tag = f"p{_ptag(p)}_e{epe}"
-
-                for method in cfg.methods:
-                    result = _train_method(
-                        method, cfg, task, id_experts, id_contexts, priors_map,
-                        seed, stream=100 + pi * 10 + ei,
-                    )
-                    logits = forward(result.classifier, task.test.features)
-                    clf_acc = float(np.mean(np.argmax(logits, axis=1) == task.test.labels))
-                    for cohort_name, idx in cohorts:
-                        if method == "ea_l2d":
-                            reps = _cohort_representations(
-                                population[idx], contexts[idx], num_classes, priors_map
-                            )
-                        else:
-                            reps = None
-                        pick_rng = np.random.default_rng(
-                            _subseed(seed, pi, ei, 13, 0 if cohort_name == "id" else 1)
-                        )
-                        cases = score_cases(
-                            logits, result.rejector, task.test, reps, test_preds[idx], pick_rng
-                        )
-                        curves = build_curves(cases)
-                        report = build_report(
-                            *curves, cfg.eval_ranges,
-                            cohort=cohort_name, seed=seed, method=method, p=p, expertise=epe,
-                        )
-                        seed_records.append(
-                            RunRecord(method, p, epe, seed, cohort_name, clf_acc, report)
-                        )
-                        seed_curves.append(
-                            (out / f"curve_{method}_{tag}_seed{seed}_{cohort_name}.csv", curves)
-                        )
-                        seed_rows.setdefault((method, tag), []).extend(
-                            _metric_rows(report, cfg.eval_ranges, cohort_name, seed, clf_acc)
-                        )
-
-                for cohort_name, idx in cohorts:
-                    acc_matrix = np.stack(
-                        [expert_accuracy_by_class(e, num_classes) for e in population[idx]]
-                    )
-                    curves = bayes_optimal_reference(task, acc_matrix)
-                    report = build_report(
-                        *curves, cfg.eval_ranges,
-                        cohort=cohort_name, seed=seed, method="oracle", p=p, expertise=epe,
-                    )
-                    seed_oracles.append(OracleRecord(p, epe, seed, cohort_name, report))
-                    seed_curves.append(
-                        (out / f"curve_oracle_{tag}_seed{seed}_{cohort_name}.csv", curves)
-                    )
-                    seed_rows.setdefault(("oracle", tag), []).extend(
-                        _metric_rows(report, cfg.eval_ranges, cohort_name, seed)
-                    )
+            seed_records, seed_oracles, seed_rows, curve_writes = _evaluate_seed(
+                cfg, seed, priors_map
+            )
         except TrainingDivergenceError as exc:
             failures[seed] = str(exc)
             continue
@@ -322,8 +327,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
         oracles.extend(seed_oracles)
         for key, rows in seed_rows.items():
             metric_rows.setdefault(key, []).extend(rows)
-        for path, curves in seed_curves:
-            write_curve_csv(path, *curves)
+        for name, curves in curve_writes:
+            write_curve_csv(out / name, *curves)
 
     for (method, tag), rows in sorted(metric_rows.items()):
         write_metrics_csv(out / f"metrics_{method}_{tag}.csv", rows)
@@ -397,11 +402,13 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
     or a misdirected prior file. All three arms share the trained networks
     and the expert's sampled test predictions, so their curves coincide at
     full deferral. Every seed trains before the first file is written, so a
-    seed that diverges leaves none of the study's files behind.
+    seed that diverges leaves none of the study's files behind. The config's
+    prior file, if any, applies to the in-distribution cohort's training.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     num_classes = cfg.num_classes
+    priors_map = _priors_map(cfg)
     p = cfg.overlap_probabilities[0]
 
     # The studied expert never appears in training and has no context: its
@@ -423,7 +430,7 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
             in_distribution=False,
         )
         result = _train_method(
-            "ea_l2d", cfg, task, id_experts, id_contexts, None, seed, stream=500
+            "ea_l2d", cfg, task, id_experts, id_contexts, priors_map, seed, stream=500
         )
         trained.append((seed, task, target, result))
 
@@ -446,10 +453,7 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
 
             cases = score_cases(logits, result.rejector, task.test, [rep], target_preds, pick_rng)
             system_curve, expert_curve = build_curves(cases)
-            report = build_report(
-                system_curve, expert_curve, [(0.0, 1.0)],
-                cohort=arm, seed=seed, target_expert=target.expert_id,
-            )
+            report = build_report(system_curve, expert_curve, [(0.0, 1.0)])
             records.append(
                 PriorsStudyRecord(arm, seed, report, float(expert_curve.accuracies[-1]))
             )
@@ -501,23 +505,10 @@ def _ceiling_row(seed: int) -> TheoryCheckRow:
             patience=None,
         )
     )
-    task = generate_gaussian_task(cfg.task_spec(seed))
-    _, _, id_experts, id_contexts = _cell_setup(cfg, task, seed, 0, 0)
-    result = _train_method("ea_l2d", cfg, task, id_experts, id_contexts, None, seed, stream=100)
-    reps = _cohort_representations(id_experts, id_contexts, cfg.num_classes, None)
-    test_rng = np.random.default_rng(_subseed(seed, 0, 0, 12))
-    preds = _prediction_matrix(id_experts, task.test.labels, cfg.num_classes, test_rng)
-    cases = score_cases(
-        forward(result.classifier, task.test.features), result.rejector, task.test, reps, preds,
-        np.random.default_rng(_subseed(seed, 0, 0, 13)),
-    )
-    system_curve, _ = build_curves(cases)
-    trained = area_under(system_curve, 0.0, 1.0)
-    acc_matrix = np.stack(
-        [expert_accuracy_by_class(e, cfg.num_classes) for e in id_experts]
-    )
-    oracle_system, _ = bayes_optimal_reference(task, acc_matrix)
-    oracle = area_under(oracle_system, 0.0, 1.0)
+    # One cell and one method: the id-cohort ea_l2d run and its oracle.
+    records, oracles, _, _ = _evaluate_seed(cfg, seed, None)
+    trained = next(r.aursac[(0.0, 1.0)] for r in records if r.cohort == "id")
+    oracle = next(o.aursac[(0.0, 1.0)] for o in oracles if o.cohort == "id")
     return TheoryCheckRow(
         "reference_ceiling",
         {"seed": seed, "task": "gaussian-easy"},
@@ -638,8 +629,7 @@ def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, str]:
     trained, so a divergence leaves nothing but its manifest entry."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    num_classes = cfg.num_classes
-    priors_map = load_prior_file(cfg.prior_file, num_classes) if cfg.prior_file else None
+    priors_map = _priors_map(cfg)
     p = cfg.overlap_probabilities[0]
     epe = cfg.expertise_grid()[0]
     failures: dict[int, str] = {}

@@ -15,13 +15,14 @@ keeps its best weights by holding on to an earlier network, so it relies on
 this. Nothing here keeps hidden state, so instances are safe to share
 across threads.
 
-Two forward passes serve two purposes. ``forward_cached`` keeps every
-layer's pre-activation and activation; use it when gradients follow, and
-hand its result to ``backward`` and ``relu_pattern``, which then run no
-forward of their own. ``forward`` drops each layer's arrays as soon as the
-next layer has consumed them; use it for inference and for losses without
-gradients (validation), where holding every layer of a large batch would
-only raise peak memory.
+Every pass takes a ``(batch, in_dim)`` matrix, one row per example; one
+example is a one-row batch. Two forward passes serve two purposes.
+``forward_cached`` keeps every layer's pre-activation and activation; use it
+when gradients follow, and hand its result to ``backward`` and
+``relu_pattern``, which then run no forward of their own. ``forward`` drops
+each layer's arrays as soon as the next layer has consumed them; use it for
+inference and for losses without gradients (validation), where holding
+every layer of a large batch would only raise peak memory.
 """
 
 from __future__ import annotations
@@ -197,14 +198,6 @@ class GradientBundle:
     def matches(self, net: DenseNet) -> bool:
         return self.layout == net.layout
 
-    def add_(self, other: "GradientBundle") -> "GradientBundle":
-        self.flat += other.flat
-        return self
-
-    @staticmethod
-    def zeros_like(net: DenseNet) -> "GradientBundle":
-        return GradientBundle(np.zeros_like(net.params), net.layout)
-
 
 def dense_net(
     dims: Sequence[int],
@@ -237,7 +230,7 @@ def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
 
 def _check_input(net: DenseNet, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(
             f"input shape {x.shape} incompatible with network input dim {net.input_dim}"
         )
@@ -245,7 +238,7 @@ def _check_input(net: DenseNet, x: np.ndarray) -> np.ndarray:
 
 
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """Forward pass; accepts a single vector or a (batch, in_dim) matrix."""
+    """Forward pass of a (batch, in_dim) matrix."""
     a = _check_input(net, x)
     for layer in net.layers:
         z = a @ layer.weights.T
@@ -299,26 +292,24 @@ def backward(net: DenseNet, acts: Activations, upstream: np.ndarray) -> Gradient
     """Gradients of a scalar loss given d(loss)/d(output).
 
     ``acts`` is ``forward_cached(net, x)`` for the input the loss was
-    computed on. For batched input the per-example contributions are summed,
-    i.e. the result is the gradient of ``sum_i loss_i`` when ``upstream[i]``
-    is the gradient for example i.
+    computed on. The per-example contributions are summed, i.e. the result
+    is the gradient of ``sum_i loss_i`` when ``upstream[i]`` is the gradient
+    for example i.
     """
     pre, post = acts
     if len(pre) != len(net.layers):
         raise ValueError(
             f"activations of {len(pre)} layers for a {len(net.layers)}-layer network"
         )
-    x = post[0]
     # Contiguous, so the matmuls below take the same BLAS path whether the
     # caller passes an array or a column view of one.
     upstream = np.ascontiguousarray(upstream, dtype=np.float64)
-    expected = (net.output_dim,) if x.ndim == 1 else (x.shape[0], net.output_dim)
+    expected = (post[0].shape[0], net.output_dim)
     if upstream.shape != expected:
         raise ValueError(
             f"upstream gradient shape {upstream.shape}, expected {expected}"
         )
 
-    batched = x.ndim == 2
     flat = np.empty(net.params.size)
     delta = upstream
     for i in reversed(range(len(net.layers))):
@@ -333,12 +324,8 @@ def backward(net: DenseNet, acts: Activations, upstream: np.ndarray) -> Gradient
                 delta *= pre[i] > 0
         a_prev = post[i]
         weight_grad = flat[w0:b0].reshape(out_dim, in_dim)
-        if batched:
-            np.matmul(delta.T, a_prev, out=weight_grad)
-            np.add.reduce(delta, axis=0, out=flat[b0:end])
-        else:
-            np.multiply.outer(delta, a_prev, out=weight_grad)
-            flat[b0:end] = delta
+        np.matmul(delta.T, a_prev, out=weight_grad)
+        np.add.reduce(delta, axis=0, out=flat[b0:end])
         delta = delta @ layer.weights
     return _unchecked(GradientBundle, flat=flat, layout=net.layout, input_grad=delta)
 
@@ -372,14 +359,13 @@ def sgd_step(
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.size == 0:
-        raise ValueError("softmax of an empty vector")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("softmax requires finite logits")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    """Softmax over the last axis, shifted by its max for stability.
+
+    Logits are not validated: a non-finite logit yields non-finite
+    probabilities, so in training it reaches the loss check and raises
+    ``TrainingDivergenceError`` there.
+    """
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -394,8 +380,7 @@ def finite_difference_check(
     net: DenseNet,
     loss_fn: Callable[[DenseNet], tuple],
     epsilon: float = 1e-6,
-    full_report: bool = False,
-):
+) -> FiniteDifferenceReport:
     """Compare analytic gradients against central finite differences.
 
     ``loss_fn(net)`` must return ``(loss, GradientBundle)`` and may return a
@@ -404,8 +389,8 @@ def finite_difference_check(
     +-epsilon perturbations land on different patterns sit across a kink and
     are skipped rather than compared.
 
-    Returns the maximum over checked parameters of
-    ``|analytic - central| / max(1, |central|)``.
+    The report's ``max_rel_error`` is the maximum over checked parameters
+    of ``|analytic - central| / max(1, |central|)``.
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError("epsilon must lie in [1e-7, 1e-3]")
@@ -439,6 +424,4 @@ def finite_difference_check(
         max_err = max(max_err, err)
         n_checked += 1
 
-    if full_report:
-        return FiniteDifferenceReport(max_err, n_checked, n_skipped)
-    return max_err
+    return FiniteDifferenceReport(max_err, n_checked, n_skipped)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import UnsupportedTaskError
 from .evaluation import Curve, deferral_curves
+from .nets import softmax
 from .simulate import TaskData
 
 
@@ -107,10 +108,7 @@ def bayes_optimal_reference(
     d2 = np.empty((len(x), task.num_classes))
     for k, mean in enumerate(data.class_means):
         d2[:, k] = ((x - mean) ** 2).sum(axis=1)
-    logp = -d2 / (2.0 * task.noise_scale**2)
-    logp -= logp.max(axis=1, keepdims=True)
-    post = np.exp(logp)
-    post /= post.sum(axis=1, keepdims=True)
+    post = softmax(-d2 / (2.0 * task.noise_scale**2))
 
     clf_correct = (np.argmax(post, axis=1) == y).astype(np.float64)
     value = post @ acc.T  # each expert's expected correctness per case

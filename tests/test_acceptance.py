@@ -12,7 +12,7 @@ import pytest
 
 from deferlab.cli import main
 from deferlab.config import validate_config
-from deferlab.deferral import ea_l2d_loss_grads, pop_avg_loss_grads, rejector_inputs
+from deferlab.deferral import ea_l2d_loss_grads, mode_labels, pop_avg_loss_grads, rejector_inputs
 from deferlab.evaluation import Curve, ScoredCases, area_under, build_curves
 from deferlab.experts import (
     BehaviouralRepresentation,
@@ -133,40 +133,42 @@ def test_criterion_4_gradient_correctness():
         k = int(rng.integers(3, 6))
         clf = dense_net([5, 8, k], rng)
         rej = dense_net([4, 8, 8, 1], rng)
-        x = rng.normal(size=5)
-        y = int(rng.integers(k))
-        rep = BehaviouralRepresentation(*rng.uniform(1, 9, size=(k, 2)).T)
+        x = rng.normal(size=(1, 5))
+        y = np.array([rng.integers(k)])
+        mu = BehaviouralRepresentation(*rng.uniform(1, 9, size=(k, 2)).T).mu[None, :]
 
         def clf_loss(net):
-            lb, cg, _, pat = ea_l2d_loss_grads(net, rej, x, y, rep)
-            return lb.total, cg, pat
+            cs, ds, cg, _, pat = ea_l2d_loss_grads(net, rej, x, y, mu)
+            return cs + ds, cg, pat
 
         def rej_loss(net):
-            lb, _, rg, pat = ea_l2d_loss_grads(clf, net, x, y, rep)
-            return lb.total, rg, pat
+            cs, ds, _, rg, pat = ea_l2d_loss_grads(clf, net, x, y, mu)
+            return cs + ds, rg, pat
 
-        worst = max(worst, finite_difference_check(clf, clf_loss, 1e-6))
-        worst = max(worst, finite_difference_check(rej, rej_loss, 1e-6))
+        worst = max(worst, finite_difference_check(clf, clf_loss, 1e-6).max_rel_error)
+        worst = max(worst, finite_difference_check(rej, rej_loss, 1e-6).max_rel_error)
 
     for trial in range(50):
         rng = np.random.default_rng(20_000 + trial)
         k = int(rng.integers(3, 6))
         clf = dense_net([5, 8, k], rng)
         rej = dense_net([5, 8, 1], rng)
-        x = rng.normal(size=5)
-        y = int(rng.integers(k))
-        preds = rng.integers(k, size=int(rng.integers(1, 6))).tolist()
+        x = rng.normal(size=(1, 5))
+        y = np.array([rng.integers(k)])
+        preds = rng.integers(k, size=int(rng.integers(1, 6)))
+        # the baseline's gate: the mode of the experts' predictions is the label
+        weights = (mode_labels(preds[:, None], k) == y).astype(np.float64)
 
         def clf_loss(net):
-            lb, cg, _, pat = pop_avg_loss_grads(net, rej, x, y, preds)
-            return lb.total, cg, pat
+            cs, ds, cg, _, pat = pop_avg_loss_grads(net, rej, x, y, weights)
+            return cs + ds, cg, pat
 
         def rej_loss(net):
-            lb, _, rg, pat = pop_avg_loss_grads(clf, net, x, y, preds)
-            return lb.total, rg, pat
+            cs, ds, _, rg, pat = pop_avg_loss_grads(clf, net, x, y, weights)
+            return cs + ds, rg, pat
 
-        worst = max(worst, finite_difference_check(clf, clf_loss, 1e-6))
-        worst = max(worst, finite_difference_check(rej, rej_loss, 1e-6))
+        worst = max(worst, finite_difference_check(clf, clf_loss, 1e-6).max_rel_error)
+        worst = max(worst, finite_difference_check(rej, rej_loss, 1e-6).max_rel_error)
 
     report(4, "loss gradients match central finite differences",
            worst < 1e-6, f"worst relative error {worst:.2e} over 100 configurations")

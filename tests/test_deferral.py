@@ -11,7 +11,6 @@ from deferlab.checkpoint import load_checkpoint, save_checkpoint
 from deferlab.deferral import (
     ea_l2d_loss_grads,
     mode_labels,
-    mode_prediction,
     pop_avg_loss_grads,
     rejector_inputs,
     train,
@@ -63,15 +62,26 @@ def joint_softmax(class_logits, deferral_logit):
     return q / q.sum()
 
 
+def mode_weight(predictions, true_label, num_classes):
+    """The baseline's one-row deferral weight: 1 when the mode of one
+    example's expert predictions is its label."""
+    preds = np.asarray(predictions, dtype=np.int64)[:, None]
+    return (mode_labels(preds, num_classes) == true_label).astype(np.float64)
+
+
 def ea_loss(class_logits, deferral_logit, true_label, rep):
-    """The ea_l2d loss of a one-row batch whose joint logits are given."""
+    """The ea_l2d (classifier, deferral) loss of a one-row batch whose joint
+    logits are given."""
     clf, rej = constant_net(class_logits, 2), constant_net(deferral_logit, 4)
-    return ea_l2d_loss_grads(clf, rej, np.zeros(2), true_label, rep)[0]
+    return ea_l2d_loss_grads(
+        clf, rej, np.zeros((1, 2)), np.array([true_label]), rep.mu[None, :]
+    )[:2]
 
 
 def pop_loss(class_logits, deferral_logit, true_label, predictions):
     clf, rej = constant_net(class_logits, 2), constant_net(deferral_logit, 2)
-    return pop_avg_loss_grads(clf, rej, np.zeros(2), true_label, predictions)[0]
+    weights = mode_weight(predictions, true_label, len(class_logits))
+    return pop_avg_loss_grads(clf, rej, np.zeros((1, 2)), np.array([true_label]), weights)[:2]
 
 
 class TestAssembleRejectorInputs:
@@ -162,53 +172,60 @@ class TestEaL2dLoss:
     def test_reduces_to_cross_entropy_when_not_expertise(self):
         rep = rep_from_mu([0.9, 0.5, 0.5])  # expertise class 0
         logits = np.array([0.3, -0.2, 1.0])
-        lb = ea_loss(logits, 0.5, 1, rep)
-        assert lb.deferral_term == 0.0
-        assert lb.total == pytest.approx(-math.log(joint_softmax(logits, 0.5)[1]), abs=1e-12)
+        classifier_term, deferral_term = ea_loss(logits, 0.5, 1, rep)
+        assert deferral_term == 0.0
+        assert classifier_term + deferral_term == pytest.approx(
+            -math.log(joint_softmax(logits, 0.5)[1]), abs=1e-12
+        )
 
     def test_uniform_logits_reference_values(self):
         rep = rep_from_mu([0.8, 0.5, 0.5])
-        lb = ea_loss(np.zeros(3), 0.0, 0, rep)
-        assert lb.classifier_term == pytest.approx(math.log(4), abs=1e-12)
-        assert lb.deferral_term == pytest.approx(0.8 * math.log(4), abs=1e-12)
-        assert lb.total == pytest.approx(lb.classifier_term + lb.deferral_term, abs=1e-12)
+        classifier_term, deferral_term = ea_loss(np.zeros(3), 0.0, 0, rep)
+        assert classifier_term == pytest.approx(math.log(4), abs=1e-12)
+        assert deferral_term == pytest.approx(0.8 * math.log(4), abs=1e-12)
 
     def test_deferral_term_linear_in_posterior_mean(self):
         logits = np.array([0.4, -1.0, 0.2])
-        full = ea_loss(logits, 0.7, 0, rep_from_mu([0.8, 0.2, 0.2]))
-        half = ea_loss(logits, 0.7, 0, rep_from_mu([0.4, 0.2, 0.2]))
-        assert half.deferral_term == pytest.approx(full.deferral_term / 2, abs=1e-12)
+        _, full = ea_loss(logits, 0.7, 0, rep_from_mu([0.8, 0.2, 0.2]))
+        _, half = ea_loss(logits, 0.7, 0, rep_from_mu([0.4, 0.2, 0.2]))
+        assert half == pytest.approx(full / 2, abs=1e-12)
 
     def test_out_of_range_label_rejected(self):
-        with pytest.raises(ValueError):
-            ea_loss(np.zeros(3), 0.0, 3, rep_from_mu([0.5, 0.5, 0.5]))
+        for label in (3, -1):
+            with pytest.raises(ValueError, match="labels"):
+                ea_loss(np.zeros(3), 0.0, label, rep_from_mu([0.5, 0.5, 0.5]))
 
     def test_signature_consumes_no_expert_prediction(self):
         params = list(inspect.signature(ea_l2d_loss_grads).parameters)
-        assert params == ["classifier", "rejector", "x", "true_label", "rep"]
+        assert params == ["classifier", "rejector", "features", "labels", "mu", "want_grads"]
 
 
 class TestPopAvgLoss:
     def test_mode_match_activates_deferral(self):
-        assert pop_loss(np.zeros(3), 0.0, 2, [2, 2, 1]).deferral_term > 0
+        assert pop_loss(np.zeros(3), 0.0, 2, [2, 2, 1])[1] > 0
 
     def test_mode_tie_breaks_low_and_deactivates(self):
-        assert pop_loss(np.zeros(3), 0.0, 1, [0, 1]).deferral_term == 0.0
+        assert pop_loss(np.zeros(3), 0.0, 1, [0, 1])[1] == 0.0
 
     def test_oracle_population_reduces_to_single_expert_loss(self):
         logits = np.array([0.1, 0.2, -0.5])
         q = joint_softmax(logits, 0.3)
         for y in range(3):
-            lb = pop_loss(logits, 0.3, y, [y, y, y, y])
-            assert lb.total == pytest.approx(-math.log(q[y]) - math.log(q[3]), abs=1e-12)
+            total = sum(pop_loss(logits, 0.3, y, [y, y, y, y]))
+            assert total == pytest.approx(-math.log(q[y]) - math.log(q[3]), abs=1e-12)
 
     def test_empty_predictions_rejected(self):
         with pytest.raises(ValueError):
             pop_loss(np.zeros(3), 0.0, 0, [])
 
+    def test_out_of_range_label_rejected(self):
+        for label in (3, -1):
+            with pytest.raises(ValueError, match="labels"):
+                pop_loss(np.zeros(3), 0.0, label, [0, 1, 2])
+
     def test_mode_helpers(self):
-        assert mode_prediction([2, 2, 1], 3) == 2
-        assert mode_prediction([0, 1], 3) == 0
+        assert mode_weight([2, 2, 1], 2, 3) == 1.0
+        assert mode_weight([0, 1], 0, 3) == 1.0
         matrix = np.array([[0, 2], [1, 2], [1, 0]])
         assert mode_labels(matrix, 3).tolist() == [1, 2]
 
@@ -288,40 +305,40 @@ class TestLossGradients:
             srng = np.random.default_rng(trial)
             clf = dense_net([5, 8, 4], srng)
             rej = dense_net([4, 8, 8, 1], srng)
-            x = srng.normal(size=5)
-            y = int(srng.integers(4))
-            rep = BehaviouralRepresentation(*srng.uniform(1, 9, size=(4, 2)).T)
+            x = srng.normal(size=(1, 5))
+            y = np.array([srng.integers(4)])
+            mu = BehaviouralRepresentation(*srng.uniform(1, 9, size=(4, 2)).T).mu[None, :]
 
             def clf_loss(net):
-                lb, cg, _, pat = ea_l2d_loss_grads(net, rej, x, y, rep)
-                return lb.total, cg, pat
+                cs, ds, cg, _, pat = ea_l2d_loss_grads(net, rej, x, y, mu)
+                return cs + ds, cg, pat
 
             def rej_loss(net):
-                lb, _, rg, pat = ea_l2d_loss_grads(clf, net, x, y, rep)
-                return lb.total, rg, pat
+                cs, ds, _, rg, pat = ea_l2d_loss_grads(clf, net, x, y, mu)
+                return cs + ds, rg, pat
 
-            assert finite_difference_check(clf, clf_loss, 1e-6) < 1e-6
-            assert finite_difference_check(rej, rej_loss, 1e-6) < 1e-6
+            assert finite_difference_check(clf, clf_loss, 1e-6).max_rel_error < 1e-6
+            assert finite_difference_check(rej, rej_loss, 1e-6).max_rel_error < 1e-6
 
     def test_baseline_loss_gradients_match_finite_differences(self):
         for trial in range(5):
             srng = np.random.default_rng(trial + 100)
             clf = dense_net([5, 8, 4], srng)
             rej = dense_net([5, 8, 1], srng)
-            x = srng.normal(size=5)
-            y = int(srng.integers(4))
-            preds = srng.integers(4, size=3).tolist()
+            x = srng.normal(size=(1, 5))
+            y = np.array([srng.integers(4)])
+            weights = mode_weight(srng.integers(4, size=3), y[0], 4)
 
             def clf_loss(net):
-                lb, cg, _, pat = pop_avg_loss_grads(net, rej, x, y, preds)
-                return lb.total, cg, pat
+                cs, ds, cg, _, pat = pop_avg_loss_grads(net, rej, x, y, weights)
+                return cs + ds, cg, pat
 
             def rej_loss(net):
-                lb, _, rg, pat = pop_avg_loss_grads(clf, net, x, y, preds)
-                return lb.total, rg, pat
+                cs, ds, _, rg, pat = pop_avg_loss_grads(clf, net, x, y, weights)
+                return cs + ds, rg, pat
 
-            assert finite_difference_check(clf, clf_loss, 1e-6) < 1e-6
-            assert finite_difference_check(rej, rej_loss, 1e-6) < 1e-6
+            assert finite_difference_check(clf, clf_loss, 1e-6).max_rel_error < 1e-6
+            assert finite_difference_check(rej, rej_loss, 1e-6).max_rel_error < 1e-6
 
 
 def small_training_setup(seed=0, p=0.0, separation=8.0, num_classes=4):
@@ -385,6 +402,25 @@ class TestTrain:
             assert [e.train_loss for e in first.history] == [e.train_loss for e in second.history]
             assert np.array_equal(first.classifier.params, second.classifier.params)
             assert np.array_equal(first.rejector.params, second.rejector.params)
+
+    def test_out_of_range_query_label_rejected(self):
+        # a label of K or -1 would otherwise index the deferral column
+        task, experts, contexts = small_training_setup()
+        preds = np.stack(
+            [expert_predict_batch(e, task.train.labels, 4, np.random.default_rng(0))
+             for e in experts]
+        )
+        cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
+        for bad in (4, -1):
+            labels = task.train.labels.copy()
+            labels[5] = bad
+            query = type(task.train)(task.train.features, labels)
+            with pytest.raises(ValueError, match="labels"):
+                train(dense_net([6, 8, 4], 0), dense_net([4, 8, 1], 1), query, contexts,
+                      None, cfg)
+            with pytest.raises(ValueError, match="labels"):
+                train_pop_avg(dense_net([6, 8, 4], 0), dense_net([6, 8, 1], 1), query, preds,
+                              cfg)
 
     def test_divergence_names_the_batch(self):
         setup = small_training_setup()

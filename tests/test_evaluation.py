@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from deferlab.deferral import _softmax_rows, rejector_inputs
+from deferlab.deferral import rejector_inputs
 from deferlab.evaluation import (
     Curve,
     ScoredCases,
@@ -18,7 +18,7 @@ from deferlab.evaluation import (
     write_metrics_csv,
 )
 from deferlab.experts import BehaviouralRepresentation
-from deferlab.nets import DenseNet, Layer, dense_net, forward
+from deferlab.nets import DenseNet, Layer, dense_net, forward, softmax
 from deferlab.simulate import Dataset
 
 
@@ -308,17 +308,17 @@ class TestScoreCases:
 
 def reference_priorities(logits, rejector, features, reps):
     """Priority rows from one full (cases, K+1) ``column_stack`` and
-    ``_softmax_rows`` per expert."""
+    ``nets.softmax`` per expert."""
     num_classes = logits.shape[1]
     if reps is None:
         g_rows = [forward(rejector, features)[:, 0]]
     else:
-        rho = _softmax_rows(logits)
+        rho = softmax(logits)
         kstar = np.argmax(rho, axis=1)
         g_rows = [forward(rejector, rejector_inputs(rho, kstar, rep.mu[None, :]))[:, 0] for rep in reps]
     rows = []
     for g_defer in g_rows:
-        q = _softmax_rows(np.column_stack([logits, g_defer]))
+        q = softmax(np.column_stack([logits, g_defer]))
         rows.append(q[:, num_classes] - q[:, :num_classes].max(axis=1))
     return np.array(rows)
 

@@ -46,6 +46,7 @@ CONFIG = dict(
 )
 
 COMMANDS = {
+    "generate": ["generate", "--config", "{config}"],
     "train": ["train", "--config", "{config}"],
     "evaluate": ["evaluate", "--config", "{config}"],
     "sweep": ["sweep", "--config", "{config}"],

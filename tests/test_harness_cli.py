@@ -11,6 +11,7 @@ from deferlab.checkpoint import load_checkpoint
 from deferlab.cli import main
 from deferlab.config import validate_config
 from deferlab.errors import TrainingDivergenceError
+from deferlab.experts import PriorElicitation, write_prior_file
 from deferlab.harness import VERSION_STRING, run_experiment, run_priors_study
 from deferlab.nets import TrainConfig
 
@@ -143,6 +144,24 @@ class TestPriorsStudy:
         assert "priors_accurate_seed1.csv" in names
         assert "curve_priors_misdirected_seed1.csv" in names
         assert "metrics_priors_study.csv" in names
+
+    def test_in_distribution_cohort_trains_with_the_prior_file(self, tmp_path, monkeypatch):
+        real_train = deferlab.harness.train
+        seen = []
+
+        def recording_train(clf, rej, query, contexts, priors, *args, **kwargs):
+            seen.append(priors)
+            return real_train(clf, rej, query, contexts, priors, *args, **kwargs)
+
+        monkeypatch.setattr(deferlab.harness, "train", recording_train)
+        prior_path = tmp_path / "priors.csv"
+        prior = PriorElicitation(np.full(4, 0.8), np.full(4, 0.5), 10.0)
+        write_prior_file(prior_path, {0: prior})
+        cfg = validate_config(dict(TINY, method="ea_l2d", prior_file=str(prior_path)))
+        run_priors_study(cfg, tmp_path / "out")
+        [(first, second)] = seen
+        assert np.array_equal(first.p, prior.p) and first.s == prior.s
+        assert second is None
 
     def test_diverging_later_seed_leaves_no_study_files(self, tmp_path, monkeypatch):
         real_train = deferlab.harness.train
@@ -312,7 +331,7 @@ CLI_CONTRACT = [
     *[
         (command, "malformed-prior-csv", {"prior_file": "{prior}"}, (), 1, NOTHING, "",
          "error: {prior}: line 3: need p and c in [0, 1] and finite s >= 2\n")
-        for command in ("train", "evaluate", "sweep")
+        for command in ("train", "evaluate", "sweep", "priors-study")
     ],
     ("train", "some-seeds-diverge", {}, (2,), 0, seed_files("train", 1) | {"manifest.json"},
      "wrote checkpoints to {out}\n", "seed 2: " + DIVERGED),

@@ -70,6 +70,10 @@ def reference_sgd_step(net, grads, cfg, scale):
     ]
 
 
+def zero_grads(net):
+    return GradientBundle(np.zeros_like(net.params), net.layout)
+
+
 def zero_net(dims, activation="identity"):
     layers = [
         Layer(np.zeros((o, i)), np.zeros(o), activation)
@@ -81,11 +85,11 @@ def zero_net(dims, activation="identity"):
 class TestForward:
     def test_zero_net_gives_zero_logits(self):
         net = zero_net([3, 4, 2])
-        assert np.array_equal(forward(net, np.ones(3)), np.zeros(2))
+        assert np.array_equal(forward(net, np.ones((1, 3))), np.zeros((1, 2)))
 
     def test_identity_layer_passes_input_through(self):
         net = DenseNet([Layer(np.eye(4), np.zeros(4), "identity")])
-        v = np.array([0.5, -2.0, 3.25, 0.0])
+        v = np.array([[0.5, -2.0, 3.25, 0.0]])
         assert np.array_equal(forward(net, v), v)
 
     def test_matches_independent_matrix_recomputation(self):
@@ -104,23 +108,31 @@ class TestForward:
         out = b1[0]
         for j in range(8):
             out += w1[0, j] * h[j]
-        assert forward(net, x)[0] == pytest.approx(out, abs=1e-12)
+        assert forward(net, x[None, :])[0, 0] == pytest.approx(out, abs=1e-12)
 
     def test_batched_forward_matches_per_row(self):
-        # batched and single-vector paths may differ in the last ulp (BLAS)
+        # a batch and its one-row slices may differ in the last ulp (BLAS)
         rng = np.random.default_rng(3)
         net = dense_net([5, 6, 3], rng)
         xs = rng.normal(size=(10, 5))
         batched = forward(net, xs)
-        for i, x in enumerate(xs):
-            assert np.allclose(batched[i], forward(net, x), atol=1e-12, rtol=0)
+        for i in range(len(xs)):
+            assert np.allclose(batched[i], forward(net, xs[i : i + 1])[0], atol=1e-12, rtol=0)
 
     def test_dimension_mismatch_rejected(self):
         net = dense_net([3, 2], 0)
         with pytest.raises(ValueError):
-            forward(net, np.ones(4))
+            forward(net, np.ones((1, 4)))
         with pytest.raises(ValueError):
-            forward_cached(net, np.ones(4))
+            forward_cached(net, np.ones((1, 4)))
+
+    def test_input_must_be_a_matrix_of_rows(self):
+        net = dense_net([3, 2], 0)
+        for x in (np.ones(3), np.ones((1, 1, 3)), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                forward(net, x)
+            with pytest.raises(ValueError):
+                forward_cached(net, x)
 
     def test_mismatched_layer_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -136,7 +148,7 @@ class TestForwardCached:
     def test_output_equals_plain_forward_exactly(self):
         rng = np.random.default_rng(17)
         net = dense_net([5, 7, 6, 3], rng)
-        for x in (rng.normal(size=5), rng.normal(size=(9, 5))):
+        for x in (rng.normal(size=(1, 5)), rng.normal(size=(9, 5))):
             pre, post = forward_cached(net, x)
             assert len(pre) == 3 and len(post) == 4
             assert np.array_equal(post[0], x)
@@ -158,13 +170,12 @@ class TestForwardCached:
         assert pattern.dtype == bool
         assert np.array_equal(pattern, expected)
         linear = dense_net([3, 2], rng)
-        assert relu_pattern(linear, forward_cached(linear, np.ones(3))).size == 0
+        assert relu_pattern(linear, forward_cached(linear, np.ones((1, 3)))).size == 0
 
     @settings(max_examples=150, deadline=None)
-    @given(net=layered_nets(), rows=st.one_of(st.none(), st.integers(0, 6)), data=st.data())
+    @given(net=layered_nets(), rows=st.integers(0, 6), data=st.data())
     def test_both_forwards_equal_the_unfused_path_bit_for_bit(self, net, rows, data):
-        shape = net.input_dim if rows is None else (rows, net.input_dim)
-        x = data.draw(hnp.arrays(np.float64, shape, elements=VALUES))
+        x = data.draw(hnp.arrays(np.float64, (rows, net.input_dim), elements=VALUES))
         ref_pre, ref_post = reference_forward_cached(net, x)
         pre, post = forward_cached(net, x)
         assert forward(net, x).tobytes() == ref_post[-1].tobytes()
@@ -201,15 +212,24 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax(np.zeros(0))
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            softmax(np.array([np.inf, 0.0]))
+    def test_rows_match_one_row_calls_bit_for_bit(self):
+        m = np.random.default_rng(13).normal(scale=5, size=(7, 4))
+        rows = softmax(m)
+        for i in range(len(m)):
+            assert rows[i].tobytes() == softmax(m[i]).tobytes()
+
+    def test_nonfinite_logits_are_not_validated(self):
+        # training relies on this: the NaN reaches the loss, whose check
+        # raises TrainingDivergenceError
+        with np.errstate(invalid="ignore"):
+            q = softmax(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        assert np.isnan(q[0]).any() and np.isfinite(q[1]).all()
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_bundle(self):
         net = dense_net([3, 5, 2], 1)
-        g = backward(net, forward_cached(net, np.ones(3)), np.zeros(2))
+        g = backward(net, forward_cached(net, np.ones((1, 3))), np.zeros((1, 2)))
         assert all(np.all(wg == 0) for wg in g.weight_grads)
         assert all(np.all(bg == 0) for bg in g.bias_grads)
 
@@ -218,12 +238,12 @@ class TestBackward:
         rng = np.random.default_rng(5)
         w = rng.normal(size=(2, 3))
         net = DenseNet([Layer(w, np.zeros(2), "identity")])
-        x = rng.normal(size=3)
-        y = rng.normal(size=2)
+        x = rng.normal(size=(1, 3))
+        y = rng.normal(size=(1, 2))
         yhat = forward(net, x)
         g = backward(net, forward_cached(net, x), yhat - y)
         assert np.allclose(g.weight_grads[0], np.outer(yhat - y, x), atol=1e-14)
-        assert np.allclose(g.bias_grads[0], yhat - y, atol=1e-14)
+        assert np.allclose(g.bias_grads[0], (yhat - y)[0], atol=1e-14)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -233,18 +253,18 @@ class TestBackward:
             acts = forward_cached(net, x)
             diff = acts[1][-1] - target
             g = backward(net, acts, diff)
-            return 0.5 * float(diff @ diff), g
+            return 0.5 * float((diff * diff).sum()), g
 
         for seed in range(5):
             srng = np.random.default_rng(seed)
             net = dense_net([4, 8, 8, 1], srng)
-            x = srng.normal(size=4)
-            assert finite_difference_check(net, loss_fn, 1e-6) < 1e-5
+            x = srng.normal(size=(1, 4))
+            assert finite_difference_check(net, loss_fn, 1e-6).max_rel_error < 1e-5
 
     def test_shape_mismatch_rejected(self):
         net = dense_net([3, 2], 0)
         with pytest.raises(ValueError):
-            backward(net, forward_cached(net, np.ones(3)), np.zeros(3))
+            backward(net, forward_cached(net, np.ones((1, 3))), np.zeros((1, 3)))
 
     def test_runs_no_forward_of_its_own(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -264,7 +284,7 @@ class TestBackward:
         net = dense_net([3, 2], 0)
         deeper = dense_net([3, 4, 2], 0)
         with pytest.raises(ValueError):
-            backward(net, forward_cached(deeper, np.ones(3)), np.zeros(2))
+            backward(net, forward_cached(deeper, np.ones((1, 3))), np.zeros((1, 2)))
 
     def test_column_view_upstream_matches_contiguous_copy(self):
         rng = np.random.default_rng(14)
@@ -285,9 +305,9 @@ class TestBackward:
         xs = rng.normal(size=(6, 3))
         ups = rng.normal(size=(6, 2))
         batched = backward(net, forward_cached(net, xs), ups)
-        acc = GradientBundle.zeros_like(net)
+        acc = zero_grads(net)
         for x, u in zip(xs, ups):
-            acc.add_(backward(net, forward_cached(net, x), u))
+            acc.flat += backward(net, forward_cached(net, x[None, :]), u[None, :]).flat
         for a, b in zip(batched.weight_grads, acc.weight_grads):
             assert np.allclose(a, b, atol=1e-12)
 
@@ -296,7 +316,7 @@ class TestSgdStep:
     def test_zero_gradient_leaves_net_unchanged(self):
         net = dense_net([3, 2], 0)
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
-        out = sgd_step(net, GradientBundle.zeros_like(net), cfg)
+        out = sgd_step(net, zero_grads(net), cfg)
         for a, b in zip(out.layers, net.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
@@ -326,7 +346,7 @@ class TestSgdStep:
 
     def test_nonfinite_gradient_raises(self):
         net = dense_net([2, 2], 0)
-        grads = GradientBundle.zeros_like(net)
+        grads = zero_grads(net)
         grads.weight_grads[0][0, 0] = np.nan
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
         with pytest.raises(TrainingDivergenceError):
@@ -337,7 +357,7 @@ class TestSgdStep:
     @pytest.mark.parametrize("attr", ["weight_grads", "bias_grads"])
     def test_nonfinite_value_in_any_single_array_raises(self, attr, layer, bad):
         net = dense_net([3, 5, 4, 2], 0)
-        grads = GradientBundle.zeros_like(net)
+        grads = zero_grads(net)
         arr = getattr(grads, attr)[layer]
         arr.flat[arr.size // 2] = bad
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
@@ -373,7 +393,7 @@ class TestSgdStep:
     def test_weight_decay_applied(self):
         net = DenseNet([Layer(np.array([[2.0]]), np.zeros(1), "identity")])
         cfg = TrainConfig(learning_rate=0.5, batch_size=1, epochs=1, weight_decay=0.1)
-        out = sgd_step(net, GradientBundle.zeros_like(net), cfg)
+        out = sgd_step(net, zero_grads(net), cfg)
         assert out.layers[0].weights[0, 0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0)
 
     SCALES = st.one_of(
@@ -405,7 +425,7 @@ class TestSgdStep:
         data=st.data(),
     )
     def test_nonfinite_value_in_any_single_gradient_raises(self, net, wd, scale, bad, data):
-        grads = GradientBundle.zeros_like(net)
+        grads = zero_grads(net)
         grads.flat[data.draw(st.integers(0, net.params.size - 1))] = bad
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1, weight_decay=wd)
         with pytest.raises(TrainingDivergenceError):
@@ -426,14 +446,14 @@ class TestFiniteDifferenceCheck:
     def test_linear_net_squared_loss_is_tight(self):
         rng = np.random.default_rng(21)
         net = dense_net([3, 2], rng, hidden_activation="identity")
-        x = rng.normal(size=3)
-        y = rng.normal(size=2)
+        x = rng.normal(size=(1, 3))
+        y = rng.normal(size=(1, 2))
 
         def loss_fn(n):
             out = forward(n, x)
-            return 0.5 * float((out - y) @ (out - y)), backward(n, forward_cached(n, x), out - y)
+            return 0.5 * float(((out - y) ** 2).sum()), backward(n, forward_cached(n, x), out - y)
 
-        assert finite_difference_check(net, loss_fn, 1e-5) < 1e-8
+        assert finite_difference_check(net, loss_fn, 1e-5).max_rel_error < 1e-8
 
     def test_relu_kink_parameter_is_skipped(self):
         # w=0, x=1 puts the relu pre-activation exactly at the kink
@@ -443,21 +463,21 @@ class TestFiniteDifferenceCheck:
                 Layer(np.array([[1.0]]), np.zeros(1), "identity"),
             ]
         )
-        x = np.array([1.0])
+        x = np.array([[1.0]])
 
         def loss_fn(n):
             acts = forward_cached(n, x)
-            g = backward(n, acts, np.ones(1))
-            return float(acts[1][-1][0]), g, relu_pattern(n, acts).astype(np.int64)
+            g = backward(n, acts, np.ones((1, 1)))
+            return float(acts[1][-1][0, 0]), g, relu_pattern(n, acts).astype(np.int64)
 
-        report = finite_difference_check(net, loss_fn, 1e-6, full_report=True)
+        report = finite_difference_check(net, loss_fn, 1e-6)
         assert report.n_skipped >= 1
 
     def test_epsilon_range_enforced(self):
         net = dense_net([2, 1], 0)
 
         def loss_fn(n):
-            return 0.0, GradientBundle.zeros_like(n)
+            return 0.0, zero_grads(n)
 
         with pytest.raises(ValueError):
             finite_difference_check(net, loss_fn, 1e-8)
@@ -501,7 +521,7 @@ class TestFiniteDifferenceCheck:
                 out = acts[1][-1]
                 return 0.5 * float((out * out).sum()), backward(n, acts, out), relu_pattern(n, acts)
 
-            report = finite_difference_check(net, loss_fn, 1e-6, full_report=True)
+            report = finite_difference_check(net, loss_fn, 1e-6)
             expected = reference(net, loss_fn, 1e-6)
             assert (report.max_rel_error, report.n_checked, report.n_skipped) == expected
             assert report.n_skipped >= 1
@@ -571,7 +591,7 @@ class TestFlatLayout:
 
     def test_gradient_bundle_views_and_layout_check(self):
         net = dense_net([3, 5, 2], 3)
-        g = GradientBundle.zeros_like(net)
+        g = zero_grads(net)
         g.weight_grads[1][1, 2] = 4.0
         g.bias_grads[0][3] = -1.0
         _, in_dim, w0, _, _ = net.layout[1]
@@ -581,9 +601,9 @@ class TestFlatLayout:
         # same parameter count (32), other shapes
         other = dense_net([2, 6, 2], 0)
         assert other.params.size == net.params.size
-        assert not GradientBundle.zeros_like(other).matches(net)
+        assert not zero_grads(other).matches(net)
         with pytest.raises(ValueError):
-            sgd_step(net, GradientBundle.zeros_like(other), TrainConfig(0.1, 1, 1))
+            sgd_step(net, zero_grads(other), TrainConfig(0.1, 1, 1))
         with pytest.raises(ValueError):
             GradientBundle(np.zeros(net.params.size + 1), net.layout)
 

@@ -11,14 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deferlab.deferral import _ea_stacked, _joint_grad_rows, _loss_sums, _softmax_rows
+from deferlab.deferral import (
+    _joint_grad_rows,
+    _loss_sums,
+    ea_l2d_loss_grads,
+    mode_labels,
+    pop_avg_loss_grads,
+)
 from deferlab.experts import (
     PriorElicitation,
     build_representation,
     posterior_means,
     prior_arrays,
 )
-from deferlab.nets import GradientBundle, backward, dense_net, forward_cached
+from deferlab.nets import GradientBundle, backward, dense_net, forward_cached, softmax
 
 
 def reference_expert(classifier, rejector, features, labels, mu):
@@ -27,7 +33,7 @@ def reference_expert(classifier, rejector, features, labels, mu):
     num_classes = classifier.output_dim
     clf_acts = forward_cached(classifier, features)
     logits = clf_acts[1][-1]
-    rho = _softmax_rows(logits)
+    rho = softmax(logits)
     kstar = np.argmax(rho, axis=1)
     estar = int(np.argmax(mu))
     rows = np.arange(batch)
@@ -36,7 +42,7 @@ def reference_expert(classifier, rejector, features, labels, mu):
     )
     rej_acts = forward_cached(rejector, feats)
     g_defer = rej_acts[1][-1][:, 0]
-    q = _softmax_rows(np.column_stack([logits, g_defer]))
+    q = softmax(np.column_stack([logits, g_defer]))
     weights = np.where(labels == estar, mu[labels], 0.0)
     cs, ds = _loss_sums(q, labels, weights, num_classes)
 
@@ -54,15 +60,15 @@ def reference_expert(classifier, rejector, features, labels, mu):
 
 
 def reference_cohort(classifier, rejector, features, labels, mu):
-    clf_acc = GradientBundle.zeros_like(classifier)
-    rej_acc = GradientBundle.zeros_like(rejector)
+    clf_acc = GradientBundle(np.zeros_like(classifier.params), classifier.layout)
+    rej_acc = GradientBundle(np.zeros_like(rejector.params), rejector.layout)
     c_total = d_total = 0.0
     for row in mu:
         cs, ds, cg, rg = reference_expert(classifier, rejector, features, labels, row)
         c_total += cs
         d_total += ds
-        clf_acc.add_(cg)
-        rej_acc.add_(rg)
+        clf_acc.flat += cg.flat
+        rej_acc.flat += rg.flat
     return c_total, d_total, clf_acc, rej_acc
 
 
@@ -104,7 +110,7 @@ class TestStackedMatchesReference:
     def test_loss_and_gradients(self, experts, elicited):
         _, _, _, mu = random_cohort(experts, experts, elicited=elicited)
         clf, rej, features, labels = nets_and_batch(experts)
-        cs, ds, cg, rg, _ = _ea_stacked(clf, rej, features, labels, mu)
+        cs, ds, cg, rg, _ = ea_l2d_loss_grads(clf, rej, features, labels, mu)
         ref_c, ref_d, ref_cg, ref_rg = reference_cohort(clf, rej, features, labels, mu)
         assert cs == pytest.approx(ref_c, rel=0, abs=1e-12)
         assert ds == pytest.approx(ref_d, rel=0, abs=1e-12)
@@ -123,7 +129,7 @@ class TestStackedMatchesReference:
         assert np.all(np.argmax(mu, axis=1) == 2)
         clf, rej, features, labels = nets_and_batch(experts, num_classes)
         labels[:4] = 2  # make the deferral term active
-        cs, ds, cg, rg, _ = _ea_stacked(clf, rej, features, labels, mu)
+        cs, ds, cg, rg, _ = ea_l2d_loss_grads(clf, rej, features, labels, mu)
         ref_c, ref_d, ref_cg, ref_rg = reference_cohort(clf, rej, features, labels, mu)
         assert ds > 0
         assert cs == pytest.approx(ref_c, rel=0, abs=1e-12)
@@ -134,8 +140,8 @@ class TestStackedMatchesReference:
     def test_validation_path_gives_the_same_sums(self):
         _, _, _, mu = random_cohort(5, 4)
         clf, rej, features, labels = nets_and_batch(5)
-        with_grads = _ea_stacked(clf, rej, features, labels, mu)
-        without = _ea_stacked(clf, rej, features, labels, mu, want_grads=False)
+        with_grads = ea_l2d_loss_grads(clf, rej, features, labels, mu)
+        without = ea_l2d_loss_grads(clf, rej, features, labels, mu, want_grads=False)
         assert without[:2] == with_grads[:2]
         assert without[2:] == (None, None, None)
 
@@ -144,7 +150,7 @@ class TestStackedMatchesReference:
         # networks, then the classifier argmax per example
         _, _, _, mu = random_cohort(2, 1)
         clf, rej, features, labels = nets_and_batch(2, batch=3)
-        *_, pattern = _ea_stacked(clf, rej, features, labels, mu)
+        *_, pattern = ea_l2d_loss_grads(clf, rej, features, labels, mu)
         assert len(pattern) == 3 * 12 + 3 * (10 + 10) + 3
 
 
@@ -158,8 +164,8 @@ def test_permuting_experts_leaves_loss_and_gradients_unchanged(seed, experts, el
     _, _, _, mu = random_cohort(seed, experts, elicited=elicited)
     clf, rej, features, labels = nets_and_batch(seed % 1000)
     perm = np.random.default_rng(seed).permutation(experts)
-    cs, ds, cg, rg, _ = _ea_stacked(clf, rej, features, labels, mu)
-    pcs, pds, pcg, prg, _ = _ea_stacked(clf, rej, features, labels, mu[perm])
+    cs, ds, cg, rg, _ = ea_l2d_loss_grads(clf, rej, features, labels, mu)
+    pcs, pds, pcg, prg, _ = ea_l2d_loss_grads(clf, rej, features, labels, mu[perm])
     assert pcs == pytest.approx(cs, rel=0, abs=1e-12)
     assert pds == pytest.approx(ds, rel=0, abs=1e-12)
     assert_bundles_close(pcg, cg)
@@ -210,3 +216,39 @@ class TestPosteriorArrays:
     def test_prior_class_count_checked(self):
         with pytest.raises(ValueError, match="class count"):
             prior_arrays([PriorElicitation(np.full(3, 0.5), np.zeros(3))], 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 9),
+    experts=st.integers(1, 5),
+    pop_avg=st.booleans(),
+)
+def test_batch_sums_equal_the_sum_of_one_row_calls(seed, batch, experts, pop_avg):
+    # what lets the one-row tests of the loss functions speak for batches
+    num_classes = 5
+    clf, rej, features, labels = nets_and_batch(seed % 1000, num_classes, batch=batch)
+    if pop_avg:
+        rej = dense_net([features.shape[1], 10, 1], np.random.default_rng(seed))
+        preds = np.random.default_rng(seed).integers(num_classes, size=(experts, batch))
+        aux = (mode_labels(preds, num_classes) == labels).astype(np.float64)
+        loss = pop_avg_loss_grads
+    else:
+        aux = random_cohort(seed, experts, num_classes)[3]
+        loss = ea_l2d_loss_grads
+
+    cs, ds, cg, rg, _ = loss(clf, rej, features, labels, aux)
+    sums = np.zeros(2)
+    clf_flat, rej_flat = np.zeros_like(clf.params), np.zeros_like(rej.params)
+    for i in range(batch):
+        one = slice(i, i + 1)
+        rcs, rds, rcg, rrg, _ = loss(
+            clf, rej, features[one], labels[one], aux[one] if pop_avg else aux
+        )
+        sums += (rcs, rds)
+        clf_flat += rcg.flat
+        rej_flat += rrg.flat
+    np.testing.assert_allclose([cs, ds], sums, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cg.flat, clf_flat, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rg.flat, rej_flat, rtol=0, atol=1e-12)
