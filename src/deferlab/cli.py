@@ -124,9 +124,10 @@ def _cmd_theory_check(args) -> int:
     if args.config is not None:
         cfg = parse_config(args.config)
         seeds = [args.seed] if args.seed is not None else cfg.seeds
-    rows, default_used = run_theory_checks(seeds, out_dir=args.out, bound_scale=args.bound_scale)
-    if default_used:
+    if not seeds:
         print("no seeds given; using default seed 0")
+        seeds = [0]
+    rows = run_theory_checks(seeds, out_dir=args.out, bound_scale=args.bound_scale)
     failed = [r for r in rows if not r.passed]
     for row in rows:
         status = "pass" if row.passed else "FAIL"

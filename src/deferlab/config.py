@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .nets import TrainConfig
 from .simulate import SyntheticTaskSpec
@@ -62,17 +62,17 @@ class ExperimentConfig:
     overlap_probabilities: list[float]
     context_size: int
     seeds: list[int]
-    expertise_per_expert: int | list[int] = 1
-    methods: list[str] = field(default_factory=lambda: ["ea_l2d"])
-    prior_file: str | None = None
-    learning_rate: float = 0.1
-    batch_size: int = 64
-    epochs: int = 60
-    weight_decay: float = 0.0
-    patience: int | None = 10
-    context_subsample: int | None = None
-    eval_ranges: list[tuple[float, float]] = field(default_factory=lambda: [(0.0, 1.0)])
-    classifier_hidden: list[int] = field(default_factory=lambda: [32])
+    expertise_per_expert: int | list[int]
+    methods: list[str]
+    prior_file: str | None
+    learning_rate: float
+    batch_size: int
+    epochs: int
+    weight_decay: float
+    patience: int | None
+    context_subsample: int | None
+    eval_ranges: list[tuple[float, float]]
+    classifier_hidden: list[int]
 
     def expertise_grid(self) -> list[int]:
         epe = self.expertise_per_expert
@@ -140,10 +140,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     if merged["num_classes"] < 2:
         raise ConfigError("num_classes must be >= 2")
-    for key in ("dim", "context_size", "batch_size"):
+    for key in ("dim", "val_size", "context_size", "batch_size"):
         if merged[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
-    for key in ("train_size", "val_size", "test_size", "context_pool_size",
+    for key in ("train_size", "test_size", "context_pool_size",
                 "experts_id", "experts_ood", "epochs"):
         if merged[key] < 0:
             raise ConfigError(f"{key} must be >= 0")

@@ -23,7 +23,6 @@ from .config import ConfigError, ExperimentConfig, validate_config
 from .deferral import TrainResult, train, train_pop_avg
 from .errors import TrainingDivergenceError
 from .evaluation import (
-    Curve,
     MetricReport,
     build_curves,
     build_report,
@@ -64,6 +63,8 @@ VERSION_STRING = f"deferlab-{__version__}"
 
 REJECTOR_DIMS = (4, 32, 32, 1)
 
+FULL_RANGE = (0.0, 1.0)
+
 
 def _subseed(*parts: int) -> int:
     """Deterministic 63-bit seed derived from a tuple of integers."""
@@ -75,14 +76,18 @@ def _ptag(p: float) -> str:
 
 
 @dataclass
-class RunRecord:
+class Record:
+    """One evaluated cohort of one grid cell and seed: a trained method's (or
+    the ``"oracle"``'s) curves and areas. ``classifier_accuracy`` is ``None``
+    for the oracle and for the priors study's arms."""
+
     method: str
     p: float
     expertise: int
     seed: int
     cohort: str
-    classifier_accuracy: float
     report: MetricReport
+    classifier_accuracy: float | None
 
     @property
     def aursac(self):
@@ -94,22 +99,9 @@ class RunRecord:
 
 
 @dataclass
-class OracleRecord:
-    p: float
-    expertise: int
-    seed: int
-    cohort: str
-    report: MetricReport
-
-    @property
-    def aursac(self):
-        return self.report.aursac
-
-
-@dataclass
 class ExperimentResult:
-    records: list[RunRecord]
-    oracles: list[OracleRecord]
+    records: list[Record]
+    oracles: list[Record]
     failures: dict[int, str]
 
 
@@ -145,13 +137,13 @@ def _cohort_representations(
     ]
 
 
-def _cell_setup(cfg: ExperimentConfig, task: TaskData, seed: int, pi: int, ei: int) -> tuple[
-    list[SimulatedExpertSpec], list[ContextSet], list[SimulatedExpertSpec], list[ContextSet]
-]:
+def _cell_setup(
+    cfg: ExperimentConfig, task: TaskData, seed: int, pi: int, ei: int
+) -> tuple[list[SimulatedExpertSpec], list[ContextSet]]:
     """The expert population of grid cell (overlap ``pi``, expertise ``ei``)
-    and every expert's context, plus the in-distribution experts and their
-    contexts. In-distribution experts come first in the population, so their
-    contexts are drawn before any held-out expert's."""
+    and every expert's context. The first ``cfg.experts_id`` of each are the
+    in-distribution cohort, so their contexts are drawn before any held-out
+    expert's."""
     population = make_population(
         cfg.num_classes,
         cfg.experts_id,
@@ -165,24 +157,18 @@ def _cell_setup(cfg: ExperimentConfig, task: TaskData, seed: int, pi: int, ei: i
     contexts = [
         draw_context_set(e, task.context_pool, cfg.num_classes, ctx_rng) for e in population
     ]
-    n_id = cfg.experts_id
-    return population, contexts, population[:n_id], contexts[:n_id]
+    return population, contexts
 
 
-def _metric_rows(
-    report: MetricReport,
-    ranges: Sequence[tuple[float, float]],
-    cohort: str,
-    seed: int,
-    classifier_accuracy: float | None = None,
-) -> list[tuple]:
+def _metric_rows(record: Record, ranges: Sequence[tuple[float, float]]) -> list[tuple]:
     """Metrics CSV rows of one evaluated cohort."""
+    where = (record.cohort, record.seed)
     rows = []
     for lo, hi in ranges:
-        rows.append(("aursac", lo, hi, report.aursac[(lo, hi)], cohort, seed))
-        rows.append(("aurdac", lo, hi, report.aurdac[(lo, hi)], cohort, seed))
-    if classifier_accuracy is not None:
-        rows.append(("classifier_accuracy", 0.0, 1.0, classifier_accuracy, cohort, seed))
+        rows.append(("aursac", lo, hi, record.aursac[(lo, hi)], *where))
+        rows.append(("aurdac", lo, hi, record.aurdac[(lo, hi)], *where))
+    if record.classifier_accuracy is not None:
+        rows.append(("classifier_accuracy", 0.0, 1.0, record.classifier_accuracy, *where))
     return rows
 
 
@@ -190,12 +176,15 @@ def _train_method(
     method: str,
     cfg: ExperimentConfig,
     task: TaskData,
-    id_experts: Sequence[SimulatedExpertSpec],
-    id_contexts: Sequence[ContextSet],
+    population: Sequence[SimulatedExpertSpec],
+    contexts: Sequence[ContextSet],
     priors_map: dict[int, PriorElicitation] | None,
     seed: int,
     stream: int,
 ) -> TrainResult:
+    """Train ``method`` on the cell's in-distribution cohort."""
+    id_experts, id_contexts = population[: cfg.experts_id], contexts[: cfg.experts_id]
+
     def net(dims: list[int], part: int):
         return dense_net(dims, np.random.default_rng(_subseed(seed, stream, part)))
 
@@ -220,42 +209,34 @@ def _train_method(
     raise ConfigError(f"unknown method {method!r}")
 
 
-SeedCurves = list[tuple[str, tuple[Curve, Curve]]]
-
-
 def _evaluate_seed(
     cfg: ExperimentConfig, seed: int, priors_map: dict[int, PriorElicitation] | None
-) -> tuple[list[RunRecord], list[OracleRecord], dict[tuple[str, str], list[tuple]], SeedCurves]:
+) -> list[Record]:
     """One seed of ``run_experiment``: on every grid cell, train every
     configured method and evaluate it and the oracle on the in-distribution
     and held-out cohorts.
 
-    Returns the seed's run records, oracle records, metric rows keyed by
-    (method, tag) and the curve CSVs to write as (file name, curves). Writes
-    no files, so a divergence in any cell leaves nothing behind.
+    Writes no files, so a divergence in any cell leaves nothing behind.
     """
     num_classes = cfg.num_classes
-    records: list[RunRecord] = []
-    oracles: list[OracleRecord] = []
-    rows: dict[tuple[str, str], list[tuple]] = {}
-    curve_writes: SeedCurves = []
+    records: list[Record] = []
     task = generate_gaussian_task(cfg.task_spec(seed))
     for pi, p in enumerate(cfg.overlap_probabilities):
         for ei, epe in enumerate(cfg.expertise_grid()):
-            population, contexts, id_experts, id_contexts = _cell_setup(cfg, task, seed, pi, ei)
+            population, contexts = _cell_setup(cfg, task, seed, pi, ei)
             test_rng = np.random.default_rng(_subseed(seed, pi, ei, 12))
             test_preds = _prediction_matrix(population, task.test.labels, num_classes, test_rng)
 
-            n_id = len(id_experts)
+            n_id = cfg.experts_id
             cohorts = [("id", slice(0, n_id))]
             if len(population) > n_id:
                 cohorts.append(("ood", slice(n_id, None)))
 
-            tag = f"p{_ptag(p)}_e{epe}"
-
+            # (method, cohort, curves, classifier accuracy) of every cohort
+            evaluated = []
             for method in cfg.methods:
                 result = _train_method(
-                    method, cfg, task, id_experts, id_contexts, priors_map,
+                    method, cfg, task, population, contexts, priors_map,
                     seed, stream=100 + pi * 10 + ei,
                 )
                 logits = forward(result.classifier, task.test.features)
@@ -273,28 +254,19 @@ def _evaluate_seed(
                     cases = score_cases(
                         logits, result.rejector, task.test, reps, test_preds[idx], pick_rng
                     )
-                    curves = build_curves(cases)
-                    report = build_report(*curves, cfg.eval_ranges)
-                    records.append(RunRecord(method, p, epe, seed, cohort_name, clf_acc, report))
-                    curve_writes.append(
-                        (f"curve_{method}_{tag}_seed{seed}_{cohort_name}.csv", curves)
-                    )
-                    rows.setdefault((method, tag), []).extend(
-                        _metric_rows(report, cfg.eval_ranges, cohort_name, seed, clf_acc)
-                    )
+                    evaluated.append((method, cohort_name, build_curves(cases), clf_acc))
 
             for cohort_name, idx in cohorts:
                 acc_matrix = np.stack(
                     [expert_accuracy_by_class(e, num_classes) for e in population[idx]]
                 )
                 curves = bayes_optimal_reference(task, acc_matrix)
+                evaluated.append(("oracle", cohort_name, curves, None))
+
+            for method, cohort_name, curves, clf_acc in evaluated:
                 report = build_report(*curves, cfg.eval_ranges)
-                oracles.append(OracleRecord(p, epe, seed, cohort_name, report))
-                curve_writes.append((f"curve_oracle_{tag}_seed{seed}_{cohort_name}.csv", curves))
-                rows.setdefault(("oracle", tag), []).extend(
-                    _metric_rows(report, cfg.eval_ranges, cohort_name, seed)
-                )
-    return records, oracles, rows, curve_writes
+                records.append(Record(method, p, epe, seed, cohort_name, report, clf_acc))
+    return records
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
@@ -302,39 +274,42 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     configured method and evaluate it on the in-distribution and held-out
     cohorts, writing curve and metric CSVs plus a manifest.
 
-    A training divergence is recorded and the remaining seeds still run. A
-    seed's records, curves and metric rows are kept only when all of its
-    cells succeed, so a failed seed leaves nothing but its manifest entry.
+    A training divergence is recorded and the remaining seeds still run. Every
+    curve and metric file is written from the records after the last seed, so
+    a failed seed leaves nothing but its manifest entry.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     priors_map = _priors_map(cfg)
 
-    records: list[RunRecord] = []
-    oracles: list[OracleRecord] = []
+    records: list[Record] = []
     failures: dict[int, str] = {}
-    metric_rows: dict[tuple[str, str], list[tuple]] = {}
     for seed in cfg.seeds:
         try:
-            seed_records, seed_oracles, seed_rows, curve_writes = _evaluate_seed(
-                cfg, seed, priors_map
-            )
+            records.extend(_evaluate_seed(cfg, seed, priors_map))
         except TrainingDivergenceError as exc:
             failures[seed] = str(exc)
-            continue
 
-        records.extend(seed_records)
-        oracles.extend(seed_oracles)
-        for key, rows in seed_rows.items():
-            metric_rows.setdefault(key, []).extend(rows)
-        for name, curves in curve_writes:
-            write_curve_csv(out / name, *curves)
-
-    for (method, tag), rows in sorted(metric_rows.items()):
-        write_metrics_csv(out / f"metrics_{method}_{tag}.csv", rows)
+    metric_rows: dict[str, list[tuple]] = {}
+    for r in records:
+        tag = f"p{_ptag(r.p)}_e{r.expertise}"
+        write_curve_csv(
+            out / f"curve_{r.method}_{tag}_seed{r.seed}_{r.cohort}.csv",
+            r.report.system_curve,
+            r.report.expert_curve,
+        )
+        metric_rows.setdefault(f"metrics_{r.method}_{tag}.csv", []).extend(
+            _metric_rows(r, cfg.eval_ranges)
+        )
+    for name, rows in metric_rows.items():
+        write_metrics_csv(out / name, rows)
 
     _write_manifest(out, cfg, failures)
-    return ExperimentResult(records, oracles, failures)
+    return ExperimentResult(
+        [r for r in records if r.method != "oracle"],
+        [r for r in records if r.method == "oracle"],
+        failures,
+    )
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, failures: dict[int, str]) -> None:
@@ -352,45 +327,12 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, failures: dict[int, str]) 
 PRIOR_STUDY_P = 0.8
 PRIOR_STUDY_C = 0.8
 PRIOR_STUDY_S = 15.0
-PRIOR_STUDY_ARMS = ("accurate", "uninformative", "misdirected")
-
-
-@dataclass
-class PriorsStudyRecord:
-    arm: str
-    seed: int
-    report: MetricReport
-    expert_accuracy_at_full_deferral: float
-
-    @property
-    def aurdac(self) -> float:
-        return self.report.aurdac[(0.0, 1.0)]
-
-    @property
-    def system_curve(self):
-        return self.report.system_curve
 
 
 @dataclass
 class PriorsStudyResult:
-    records: list[PriorsStudyRecord]
+    records: list[Record]
     target_expert: int
-
-
-def _study_arm_priors(
-    arm: str, num_classes: int, true_class: int, wrong_class: int
-) -> PriorElicitation:
-    p = np.full(num_classes, 0.5)
-    c = np.zeros(num_classes)
-    if arm == "accurate":
-        p[true_class] = PRIOR_STUDY_P
-        c[true_class] = PRIOR_STUDY_C
-    elif arm == "misdirected":
-        p[wrong_class] = PRIOR_STUDY_P
-        c[wrong_class] = PRIOR_STUDY_C
-    elif arm != "uninformative":
-        raise ValueError(f"unknown study arm {arm!r}")
-    return PriorElicitation(p, c, PRIOR_STUDY_S)
 
 
 def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
@@ -404,68 +346,70 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
     full deferral. Every seed trains before the first file is written, so a
     seed that diverges leaves none of the study's files behind. The config's
     prior file, if any, applies to the in-distribution cohort's training.
+    Each arm's record carries the arm's name as its cohort.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     num_classes = cfg.num_classes
     priors_map = _priors_map(cfg)
     p = cfg.overlap_probabilities[0]
+    epe = cfg.expertise_grid()[0]
 
     # The studied expert never appears in training and has no context: its
     # representation is whatever the prior file says. Expertise sits on
     # class 0, the class a flat posterior's tie-break also lands on, so the
     # uninformative arm is neutral rather than misdirected; the misdirected
     # arm asserts expertise on the last class instead.
-    true_class = 0
-    wrong_class = num_classes - 1
+    target = SimulatedExpertSpec(
+        expert_id=cfg.experts_id + cfg.experts_ood,
+        expertise_classes=frozenset({0}),
+        overlap_probability=p,
+        context_size=0,
+        in_distribution=False,
+    )
+    # arm -> the classes its prior asserts expertise on
+    arm_classes = {"accurate": [0], "uninformative": [], "misdirected": [num_classes - 1]}
+    arm_priors = {}
+    for arm, classes in arm_classes.items():
+        prior_p, prior_c = np.full(num_classes, 0.5), np.zeros(num_classes)
+        prior_p[classes] = PRIOR_STUDY_P
+        prior_c[classes] = PRIOR_STUDY_C
+        arm_priors[arm] = PriorElicitation(prior_p, prior_c, PRIOR_STUDY_S)
+
     trained = []
     for seed in cfg.seeds:
         task = generate_gaussian_task(cfg.task_spec(seed))
-        population, _, id_experts, id_contexts = _cell_setup(cfg, task, seed, 0, 0)
-        target = SimulatedExpertSpec(
-            expert_id=len(population),
-            expertise_classes=frozenset({true_class}),
-            overlap_probability=p,
-            context_size=0,
-            in_distribution=False,
-        )
+        population, contexts = _cell_setup(cfg, task, seed, 0, 0)
         result = _train_method(
-            "ea_l2d", cfg, task, id_experts, id_contexts, priors_map, seed, stream=500
+            "ea_l2d", cfg, task, population, contexts, priors_map, seed, stream=500
         )
-        trained.append((seed, task, target, result))
+        trained.append((seed, task, result))
 
-    records: list[PriorsStudyRecord] = []
+    records: list[Record] = []
     metric_rows: list[tuple] = []
-    target_id = -1
-    for seed, task, target, result in trained:
-        target_id = target.expert_id
+    for seed, task, result in trained:
         test_rng = np.random.default_rng(_subseed(seed, 0, 0, 12))
         target_preds = _prediction_matrix([target], task.test.labels, num_classes, test_rng)
         pick_rng = np.random.default_rng(_subseed(seed, 0, 0, 13))
         logits = forward(result.classifier, task.test.features)
 
-        for arm in PRIOR_STUDY_ARMS:
-            prior = _study_arm_priors(arm, num_classes, true_class, wrong_class)
+        for arm, prior in arm_priors.items():
             prior_path = out / f"priors_{arm}_seed{seed}.csv"
             write_prior_file(prior_path, {target.expert_id: prior})
             loaded = load_prior_file(prior_path, num_classes)[target.expert_id]
             rep = build_representation([], [], num_classes, loaded)
 
             cases = score_cases(logits, result.rejector, task.test, [rep], target_preds, pick_rng)
-            system_curve, expert_curve = build_curves(cases)
-            report = build_report(system_curve, expert_curve, [(0.0, 1.0)])
-            records.append(
-                PriorsStudyRecord(arm, seed, report, float(expert_curve.accuracies[-1]))
-            )
-            write_curve_csv(
-                out / f"curve_priors_{arm}_seed{seed}.csv", system_curve, expert_curve
-            )
-            metric_rows.append(("aurdac", 0.0, 1.0, report.aurdac[(0.0, 1.0)], arm, seed))
-            metric_rows.append(("aursac", 0.0, 1.0, report.aursac[(0.0, 1.0)], arm, seed))
+            curves = build_curves(cases)
+            report = build_report(*curves, [FULL_RANGE])
+            records.append(Record("ea_l2d", p, epe, seed, arm, report, None))
+            write_curve_csv(out / f"curve_priors_{arm}_seed{seed}.csv", *curves)
+            metric_rows.append(("aurdac", *FULL_RANGE, report.aurdac[FULL_RANGE], arm, seed))
+            metric_rows.append(("aursac", *FULL_RANGE, report.aursac[FULL_RANGE], arm, seed))
 
     write_metrics_csv(out / "metrics_priors_study.csv", metric_rows)
     _write_manifest(out, cfg, {})
-    return PriorsStudyResult(records, target_id)
+    return PriorsStudyResult(records, target.expert_id)
 
 
 # --- theory checks ---------------------------------------------------------
@@ -506,9 +450,8 @@ def _ceiling_row(seed: int) -> TheoryCheckRow:
         )
     )
     # One cell and one method: the id-cohort ea_l2d run and its oracle.
-    records, oracles, _, _ = _evaluate_seed(cfg, seed, None)
-    trained = next(r.aursac[(0.0, 1.0)] for r in records if r.cohort == "id")
-    oracle = next(o.aursac[(0.0, 1.0)] for o in oracles if o.cohort == "id")
+    area = {(r.method, r.cohort): r.aursac[FULL_RANGE] for r in _evaluate_seed(cfg, seed, None)}
+    trained, oracle = area[("ea_l2d", "id")], area[("oracle", "id")]
     return TheoryCheckRow(
         "reference_ceiling",
         {"seed": seed, "task": "gaussian-easy"},
@@ -522,18 +465,8 @@ def run_theory_checks(
     seeds: Sequence[int],
     out_dir=None,
     bound_scale: float = 1.0,
-    include_ceiling: bool = True,
-) -> tuple[list[TheoryCheckRow], bool]:
-    """Run the full verification grid, optionally writing the report CSV.
-
-    Returns the rows and whether a default seed had to be substituted for an
-    empty seed list.
-    """
-    seeds = list(seeds)
-    default_used = not seeds
-    if default_used:
-        seeds = [0]
-
+) -> list[TheoryCheckRow]:
+    """Run the full verification grid, optionally writing the report CSV."""
     rows: list[TheoryCheckRow] = []
     for seed in seeds:
         for theta in CONVERGENCE_THETAS:
@@ -604,8 +537,7 @@ def run_theory_checks(
                 abs(clf_acc - 0.2) <= sigma3,
             )
         )
-        if include_ceiling:
-            rows.append(_ceiling_row(seed))
+        rows.append(_ceiling_row(seed))
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -615,7 +547,7 @@ def run_theory_checks(
             writer.writerow(THEORY_CSV_HEADER)
             for row in rows:
                 writer.writerow(row.as_csv_row())
-    return rows, default_used
+    return rows
 
 
 # --- checkpoint-producing training entry (CLI `train`) ----------------------
@@ -636,10 +568,10 @@ def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, str]:
     for seed in cfg.seeds:
         try:
             task = generate_gaussian_task(cfg.task_spec(seed))
-            _, _, id_experts, id_contexts = _cell_setup(cfg, task, seed, 0, 0)
+            population, contexts = _cell_setup(cfg, task, seed, 0, 0)
             results = {
                 method: _train_method(
-                    method, cfg, task, id_experts, id_contexts, priors_map, seed, stream=100
+                    method, cfg, task, population, contexts, priors_map, seed, stream=100
                 )
                 for method in cfg.methods
             }

@@ -325,17 +325,15 @@ def test_criterion_9_priors_study(priors_result):
     cfg, result = priors_result
     by_seed = {}
     for rec in result.records:
-        by_seed.setdefault(rec.seed, {})[rec.arm] = rec
+        by_seed.setdefault(rec.seed, {})[rec.cohort] = rec
     ok = True
     details = []
     grid_tol = 1.0 / cfg.test_size
     for seed, arms in sorted(by_seed.items()):
-        a, u, m = (arms[k].aurdac for k in ("accurate", "uninformative", "misdirected"))
+        a, u, m = (arms[k].aurdac[FULL] for k in ("accurate", "uninformative", "misdirected"))
         ordered = a > u > m
-        endpoint = max(arms.values(), key=lambda r: r.expert_accuracy_at_full_deferral)
-        spread = endpoint.expert_accuracy_at_full_deferral - min(
-            r.expert_accuracy_at_full_deferral for r in arms.values()
-        )
+        at_full = [r.report.expert_curve.accuracies[-1] for r in arms.values()]
+        spread = max(at_full) - min(at_full)
         converges = spread <= grid_tol
         details.append(f"seed {seed}: {a:.3f}>{u:.3f}>{m:.3f}={ordered}, d=1 spread {spread:.1e}")
         ok = ok and ordered and converges
@@ -361,7 +359,7 @@ def test_criterion_10_bayes_ceiling(grid_result, priors_result):
         oracle_system, _ = bayes_optimal_reference(
             generate_gaussian_task(pcfg.task_spec(rec.seed)), acc
         )
-        margin = area_under(rec.system_curve, *FULL) - area_under(oracle_system, *FULL)
+        margin = area_under(rec.report.system_curve, *FULL) - area_under(oracle_system, *FULL)
         worst = max(worst, margin)
         ok = ok and margin <= 0.02
     report(10, "trained system never beats the analytic ceiling by more than 0.02",

@@ -76,6 +76,12 @@ class TestValidation:
         cfg = validate_config(minimal_raw(experts_id=1, experts_ood=1, expertise_per_expert=[1, 2]))
         assert cfg.expertise_grid() == [1, 2]
 
+    def test_empty_validation_split_rejected(self):
+        # training always validates on the val split, so it must not be empty
+        with pytest.raises(ConfigError, match="val_size must be >= 1"):
+            validate_config(minimal_raw(val_size=0))
+        assert validate_config(minimal_raw(val_size=1)).val_size == 1
+
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ConfigError, match="seeds"):
             validate_config(minimal_raw(seeds=[]))

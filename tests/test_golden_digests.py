@@ -45,6 +45,16 @@ CONFIG = dict(
     patience=None,
 )
 
+# A sweep over two p values x two expertise values, so that the order of the
+# metric rows and curve files across grid cells is frozen too.
+MULTI_CELL_CONFIG = dict(
+    CONFIG,
+    overlap_probabilities=[0.2, 0.8],
+    experts_id=1,
+    experts_ood=1,
+    expertise_per_expert=[1, 2],
+)
+
 COMMANDS = {
     "generate": ["generate", "--config", "{config}"],
     "train": ["train", "--config", "{config}"],
@@ -52,6 +62,7 @@ COMMANDS = {
     "sweep": ["sweep", "--config", "{config}"],
     "priors-study": ["priors-study", "--config", "{config}"],
     "theory-check": ["theory-check", "--seed", "0"],
+    "sweep-multi-cell": ["sweep", "--config", "{multi_cell_config}"],
 }
 
 
@@ -71,12 +82,14 @@ def environment() -> dict:
 
 def artifact_digests(work: Path) -> dict:
     """Run every command into ``work`` and digest what each one wrote."""
-    config = work / "config.json"
-    config.write_text(json.dumps(CONFIG))
+    configs = {"config": CONFIG, "multi_cell_config": MULTI_CELL_CONFIG}
+    for key, raw in configs.items():
+        (work / f"{key}.json").write_text(json.dumps(raw))
+    paths = {key: work / f"{key}.json" for key in configs}
     digests = {}
     for name, args in COMMANDS.items():
         out = work / name
-        argv = [a.format(config=config) for a in args] + ["--out", str(out)]
+        argv = [a.format(**paths) for a in args] + ["--out", str(out)]
         code = main(argv)
         if code != 0:
             raise RuntimeError(f"deferlab {' '.join(argv)} exited {code}")

@@ -136,9 +136,9 @@ class TestPriorsStudy:
     def test_emits_three_arms_with_matching_endpoint(self, tmp_path):
         cfg = validate_config(dict(TINY, method="ea_l2d", epochs=10))
         result = run_priors_study(cfg, tmp_path / "out")
-        arms = {r.arm for r in result.records}
+        arms = {r.cohort for r in result.records}
         assert arms == {"accurate", "uninformative", "misdirected"}
-        at_full = {r.expert_accuracy_at_full_deferral for r in result.records}
+        at_full = {r.report.expert_curve.accuracies[-1] for r in result.records}
         assert len(at_full) == 1  # all arms defer every case to the same expert
         names = {p.name for p in (tmp_path / "out").iterdir()}
         assert "priors_accurate_seed1.csv" in names

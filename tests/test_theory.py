@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deferlab.cli import main
 from deferlab.errors import UnsupportedTaskError
 from deferlab.evaluation import area_under
 from deferlab.experts import sample_complexity_bound
@@ -160,8 +161,7 @@ class TestBayesOptimalReference:
 
 class TestRunTheoryChecks:
     def test_default_grid_passes(self, tmp_path):
-        rows, default_used = run_theory_checks([0], out_dir=tmp_path)
-        assert not default_used
+        rows = run_theory_checks([0], out_dir=tmp_path)
         failing = [r for r in rows if not r.passed]
         assert failing == []
         report = (tmp_path / "theory_report.csv").read_text().splitlines()
@@ -170,11 +170,15 @@ class TestRunTheoryChecks:
         assert all(line.endswith(",pass") for line in report[1:])
 
     def test_undersized_bound_is_negative_control(self):
-        rows, _ = run_theory_checks([0], bound_scale=0.1, include_ceiling=False)
+        rows = run_theory_checks([0], bound_scale=0.1)
         id_rows = [r for r in rows if r.check == "identification_bound"]
         assert any(not r.passed for r in id_rows)
 
-    def test_empty_seed_list_uses_default(self):
-        rows, default_used = run_theory_checks([], include_ceiling=False)
-        assert default_used
-        assert rows
+    def test_empty_seed_list_uses_default(self, tmp_path, capsys):
+        # the default seed is the CLI's: the harness runs the seeds it is given
+        assert run_theory_checks([]) == []
+        assert main(["theory-check", "--out", str(tmp_path)]) == 0
+        assert "no seeds given; using default seed 0" in capsys.readouterr().out
+        report = (tmp_path / "theory_report.csv").read_text().splitlines()[1:]
+        assert report
+        assert all('""seed"": 0' in line for line in report)
