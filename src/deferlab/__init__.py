@@ -52,7 +52,6 @@ from .simulate import (
     SimulatedExpertSpec,
     SyntheticTaskSpec,
     draw_context_set,
-    expert_predict,
     generate_gaussian_task,
     load_csv_dataset,
     make_population,

@@ -140,15 +140,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     if merged["num_classes"] < 2:
         raise ConfigError("num_classes must be >= 2")
-    for key in ("dim", "val_size", "context_size", "batch_size"):
+    for key in ("dim", "val_size", "experts_id", "context_size", "batch_size"):
         if merged[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
-    for key in ("train_size", "test_size", "context_pool_size",
-                "experts_id", "experts_ood", "epochs"):
+    for key in ("train_size", "test_size", "context_pool_size", "experts_ood", "epochs"):
         if merged[key] < 0:
             raise ConfigError(f"{key} must be >= 0")
-    if merged["experts_id"] + merged["experts_ood"] < 1:
-        raise ConfigError("experts_id + experts_ood must be >= 1")
     if not merged["learning_rate"] > 0:
         raise ConfigError("learning_rate must be > 0")
     if merged["weight_decay"] < 0:

@@ -239,7 +239,7 @@ class EpochStats:
     train_loss: float
     train_classifier_term: float
     train_deferral_term: float
-    val_loss: float | None
+    val_loss: float
 
 
 @dataclass
@@ -271,7 +271,7 @@ def _fit(
     batch_loss,
     batch_aux,
     experts: int,
-    val: Dataset | None,
+    val: Dataset,
     val_aux,
     patience: int | None,
 ) -> TrainResult:
@@ -283,10 +283,10 @@ def _fit(
     over ``experts`` terms per example and averaged over all of them. Each
     epoch draws one permutation from the ``cfg.seed`` stream, then the
     batches draw their own picks from it in order. A non-finite loss raises
-    ``TrainingDivergenceError`` naming the epoch and batch. With validation
-    data and ``patience``, training stops once the validation loss has not
-    improved for more than ``patience`` epochs, and the best epoch's
-    networks are returned.
+    ``TrainingDivergenceError`` naming the epoch and batch. Every epoch ends
+    with the validation loss on ``val``. With ``patience``, training stops
+    once it has not improved for more than ``patience`` epochs, and the best
+    epoch's networks are returned.
     """
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
@@ -314,24 +314,22 @@ def _fit(
             c_sum += batch_c
             d_sum += batch_d
 
-        val_loss = None
-        if val is not None:
-            val_c, val_d, *_ = batch_loss(
-                classifier, rejector, val.features, val.labels, val_aux, want_grads=False
-            )
-            val_loss = (val_c + val_d) / (len(val) * experts)
+        val_c, val_d, *_ = batch_loss(
+            classifier, rejector, val.features, val.labels, val_aux, want_grads=False
+        )
+        val_loss = (val_c + val_d) / (len(val) * experts)
         history.append(
             EpochStats(epoch, (c_sum + d_sum) / pair_count, c_sum / pair_count,
                        d_sum / pair_count, val_loss)
         )
-        if val_loss is not None and val_loss < best_loss:
+        if val_loss < best_loss:
             best_loss = val_loss
             best_epoch = epoch
             best_nets = (classifier.copy(), rejector.copy())
             stale = 0
         else:
             stale += 1
-        if patience is not None and val is not None and stale > patience:
+        if patience is not None and stale > patience:
             break
 
     if patience is not None and best_nets is not None:
@@ -346,8 +344,8 @@ def train(
     contexts: Sequence[ContextSet],
     priors: Sequence[PriorElicitation | None] | None,
     cfg: TrainConfig,
+    val: Dataset,
     lam: int | None = None,
-    val: Dataset | None = None,
     patience: int | None = None,
 ) -> TrainResult:
     """Joint training loop over query batches and the expert cohort.
@@ -396,8 +394,8 @@ def train_pop_avg(
     query: Dataset,
     query_predictions: np.ndarray,
     cfg: TrainConfig,
-    val: Dataset | None = None,
-    val_predictions: np.ndarray | None = None,
+    val: Dataset,
+    val_predictions: np.ndarray,
     patience: int | None = None,
 ) -> TrainResult:
     """Baseline training loop driven by the mode of expert predictions."""
@@ -408,12 +406,7 @@ def train_pop_avg(
     if len(modes) != len(query):
         raise ValueError("query predictions must align with the query data")
     weights = (modes == query.labels).astype(np.float64)
-    val_weights = None
-    if val is not None:
-        if val_predictions is None:
-            raise ValueError("validation data requires validation predictions")
-        val_modes = mode_labels(val_predictions, num_classes)
-        val_weights = (val_modes == val.labels).astype(np.float64)
+    val_weights = (mode_labels(val_predictions, num_classes) == val.labels).astype(np.float64)
 
     return _fit(
         classifier, rejector, query, cfg, pop_avg_loss_grads, lambda idx, rng: weights[idx], 1,

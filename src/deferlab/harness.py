@@ -146,16 +146,15 @@ def _cell_setup(
     expert's."""
     population = make_population(
         cfg.num_classes,
-        cfg.experts_id,
-        cfg.experts_ood,
+        cfg.experts_id + cfg.experts_ood,
         cfg.overlap_probabilities[pi],
-        cfg.context_size,
         expertise_per_expert=cfg.expertise_grid()[ei],
         seed=_subseed(seed, pi, ei, 10),
     )
     ctx_rng = np.random.default_rng(_subseed(seed, pi, ei, 11))
     contexts = [
-        draw_context_set(e, task.context_pool, cfg.num_classes, ctx_rng) for e in population
+        draw_context_set(e, task.context_pool, cfg.context_size, cfg.num_classes, ctx_rng)
+        for e in population
     ]
     return population, contexts
 
@@ -364,8 +363,6 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
         expert_id=cfg.experts_id + cfg.experts_ood,
         expertise_classes=frozenset({0}),
         overlap_probability=p,
-        context_size=0,
-        in_distribution=False,
     )
     # arm -> the classes its prior asserts expertise on
     arm_classes = {"accurate": [0], "uninformative": [], "misdirected": [num_classes - 1]}
@@ -602,6 +599,6 @@ def _write_history(path, result: TrainResult) -> None:
                     repr(row.train_loss),
                     repr(row.train_classifier_term),
                     repr(row.train_deferral_term),
-                    "" if row.val_loss is None else repr(row.val_loss),
+                    repr(row.val_loss),
                 ]
             )

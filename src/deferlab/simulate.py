@@ -71,12 +71,12 @@ class TaskData:
     context_pool: Dataset
 
 
-def _balanced_labels(size: int, num_classes: int) -> np.ndarray:
-    """Class labels for a partition, balanced to within one per class."""
-    base = size // num_classes
-    extra = size % num_classes
-    counts = [base + (1 if k < extra else 0) for k in range(num_classes)]
-    return np.repeat(np.arange(num_classes), counts)
+def _balanced_counts(size: int, num_classes: int) -> np.ndarray:
+    """Per-class counts of ``size`` items, balanced to within one per class;
+    the first ``size % num_classes`` classes take the extra ones."""
+    counts = np.full(num_classes, size // num_classes)
+    counts[: size % num_classes] += 1
+    return counts
 
 
 def generate_gaussian_task(spec: SyntheticTaskSpec) -> TaskData:
@@ -87,7 +87,7 @@ def generate_gaussian_task(spec: SyntheticTaskSpec) -> TaskData:
     means = spec.separation * directions
 
     def draw(size: int) -> Dataset:
-        labels = _balanced_labels(size, spec.num_classes)
+        labels = np.repeat(np.arange(spec.num_classes), _balanced_counts(size, spec.num_classes))
         noise = rng.normal(scale=spec.noise_scale, size=(size, spec.dim))
         return Dataset(means[labels] + noise, labels)
 
@@ -165,71 +165,44 @@ class SimulatedExpertSpec:
     expert_id: int
     expertise_classes: frozenset[int]
     overlap_probability: float
-    context_size: int
-    in_distribution: bool = True
 
     def __post_init__(self) -> None:
         if not self.expertise_classes:
             raise ValueError("an expert needs at least one expertise class")
         if not 0 <= self.overlap_probability <= 1:
             raise ValueError("overlap_probability must lie in [0, 1]")
-        if self.context_size < 0:
-            raise ValueError("context_size must be >= 0")
 
 
 def make_population(
     num_classes: int,
-    id_count: int,
-    ood_count: int,
+    count: int,
     overlap_probability: float,
-    context_size: int,
     expertise_per_expert: int = 1,
     seed: int = 0,
 ) -> list[SimulatedExpertSpec]:
-    """Sample a cohort of experts with disjoint expertise class sets.
-
-    The first ``id_count`` experts are tagged in-distribution (available at
-    training time); the rest are the held-out cohort.
-    """
-    total = id_count + ood_count
-    if total < 1:
+    """Sample ``count`` experts with disjoint expertise class sets."""
+    if count < 1:
         raise ValueError("need at least one expert")
     if expertise_per_expert < 1:
         raise ValueError("expertise_per_expert must be >= 1")
-    if total * expertise_per_expert > num_classes:
+    if count * expertise_per_expert > num_classes:
         raise ValueError(
-            f"cannot assign {total} experts x {expertise_per_expert} classes "
+            f"cannot assign {count} experts x {expertise_per_expert} classes "
             f"without replacement from {num_classes} classes"
         )
     rng = np.random.default_rng(seed)
-    drawn = rng.choice(num_classes, size=total * expertise_per_expert, replace=False)
+    drawn = rng.choice(num_classes, size=count * expertise_per_expert, replace=False)
     experts = []
-    for i in range(total):
+    for i in range(count):
         classes = drawn[i * expertise_per_expert : (i + 1) * expertise_per_expert]
         experts.append(
             SimulatedExpertSpec(
                 expert_id=i,
                 expertise_classes=frozenset(int(k) for k in classes),
                 overlap_probability=overlap_probability,
-                context_size=context_size,
-                in_distribution=i < id_count,
             )
         )
     return experts
-
-
-def expert_predict(
-    expert: SimulatedExpertSpec, true_label: int, num_classes: int, rng: np.random.Generator
-) -> int:
-    """One prediction: oracle on expertise classes, otherwise correct with
-    probability p and a uniform draw over all labels beyond that."""
-    if not 0 <= true_label < num_classes:
-        raise ValueError(f"true_label {true_label} out of range")
-    if true_label in expert.expertise_classes:
-        return true_label
-    if rng.random() < expert.overlap_probability:
-        return true_label
-    return int(rng.integers(num_classes))
 
 
 def expert_predict_batch(
@@ -238,10 +211,13 @@ def expert_predict_batch(
     num_classes: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized predictions under the same rule as ``expert_predict``.
+    """The expert's predictions of ``true_labels``: correct on its expertise
+    classes; elsewhere correct with probability p and otherwise a uniform
+    draw over all labels, which may also hit the true one.
 
-    Consumes one overlap draw and one fallback draw per example regardless
-    of outcome, so results are reproducible from the generator state alone.
+    Consumes one overlap draw per label, then one fallback draw per label,
+    whatever the outcome, so results are reproducible from the generator
+    state alone. Labels outside [0, num_classes) raise ``ValueError``.
     """
     labels = np.asarray(true_labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
@@ -265,14 +241,14 @@ def expert_accuracy_by_class(
 
 @dataclass
 class ContextSet:
-    """An expert's historical examples with their predictions."""
+    """An expert's historical examples: their true labels and the expert's
+    predictions."""
 
-    features: np.ndarray
     labels: np.ndarray
     predictions: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.features) == len(self.labels) == len(self.predictions)):
+        if len(self.labels) != len(self.predictions):
             raise ValueError("context arrays must be aligned")
 
     def __len__(self) -> int:
@@ -282,21 +258,14 @@ class ContextSet:
 def draw_context_set(
     expert: SimulatedExpertSpec,
     pool: Dataset,
+    size: int,
     num_classes: int,
     rng: np.random.Generator,
 ) -> ContextSet:
     """Stratified context draw: per-class counts differ by at most one and
-    sum to the expert's context size; predictions come from the expert."""
-    size = expert.context_size
-    if size == 0:
-        dim = pool.features.shape[1] if len(pool) else 0
-        empty = np.zeros((0, dim))
-        return ContextSet(empty, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-
-    base = size // num_classes
-    extra = size % num_classes
-    per_class = [base + (1 if k < extra else 0) for k in range(num_classes)]
-    needed = max(per_class)
+    sum to ``size``; one ``expert_predict_batch`` call predicts them all."""
+    per_class = _balanced_counts(size, num_classes)
+    needed = per_class.max()
     sel: list[np.ndarray] = []
     for k in range(num_classes):
         pool_k = np.flatnonzero(pool.labels == k)
@@ -305,10 +274,5 @@ def draw_context_set(
                 f"context pool has {len(pool_k)} examples of class {k}, need {needed}"
             )
         sel.append(rng.choice(pool_k, size=per_class[k], replace=False))
-    order = np.concatenate(sel)
-    labels = pool.labels[order]
-    predictions = np.array(
-        [expert_predict(expert, int(y), num_classes, rng) for y in labels],
-        dtype=np.int64,
-    )
-    return ContextSet(pool.features[order], labels, predictions)
+    labels = pool.labels[np.concatenate(sel)]
+    return ContextSet(labels, expert_predict_batch(expert, labels, num_classes, rng))

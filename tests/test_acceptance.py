@@ -353,7 +353,7 @@ def test_criterion_10_bayes_ceiling(grid_result, priors_result):
 
     pcfg, presult = priors_result
     p = pcfg.overlap_probabilities[0]
-    target = SimulatedExpertSpec(0, frozenset({0}), p, 0)
+    target = SimulatedExpertSpec(0, frozenset({0}), p)
     acc = expert_accuracy_by_class(target, pcfg.num_classes)
     for rec in presult.records:
         oracle_system, _ = bayes_optimal_reference(

@@ -82,6 +82,12 @@ class TestValidation:
             validate_config(minimal_raw(val_size=0))
         assert validate_config(minimal_raw(val_size=1)).val_size == 1
 
+    def test_empty_in_distribution_cohort_rejected(self):
+        # every method trains on the in-distribution cohort; the held-out one may be empty
+        with pytest.raises(ConfigError, match="experts_id must be >= 1"):
+            validate_config(minimal_raw(experts_id=0, experts_ood=2))
+        assert validate_config(minimal_raw(experts_id=1, experts_ood=0)).experts_id == 1
+
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ConfigError, match="seeds"):
             validate_config(minimal_raw(seeds=[]))

@@ -354,24 +354,23 @@ def small_training_setup(seed=0, p=0.0, separation=8.0, num_classes=4):
         seed=seed,
     )
     task = generate_gaussian_task(spec)
-    experts = make_population(num_classes, 2, 0, p, 40, seed=seed)
+    experts = make_population(num_classes, 2, p, seed=seed)
     ctx_rng = np.random.default_rng(seed + 1)
-    contexts = [draw_context_set(e, task.context_pool, num_classes, ctx_rng) for e in experts]
+    contexts = [draw_context_set(e, task.context_pool, 40, num_classes, ctx_rng) for e in experts]
     return task, experts, contexts
 
 
 METHODS = ("ea_l2d", "pop_avg")
 
 
-def run_method(method, setup, cfg, hidden=8, validate=False, patience=None):
+def run_method(method, setup, cfg, hidden=8, patience=None):
     """Train one method from fresh networks on a small setup's query data,
-    with the validation split when ``validate`` is set."""
+    validating on its val split."""
     task, experts, contexts = setup
     clf = dense_net([6, hidden, 4], 0)
-    val = task.val if validate else None
     if method == "ea_l2d":
         rej = dense_net([4, hidden, 1], 1)
-        return train(clf, rej, task.train, contexts, None, cfg, val=val, patience=patience)
+        return train(clf, rej, task.train, contexts, None, cfg, val=task.val, patience=patience)
     rng = np.random.default_rng(0)
     query_preds, val_preds = (
         np.stack([expert_predict_batch(e, data.labels, 4, rng) for e in experts])
@@ -379,7 +378,7 @@ def run_method(method, setup, cfg, hidden=8, validate=False, patience=None):
     )
     return train_pop_avg(
         clf, dense_net([6, hidden, 1], 1), task.train, query_preds, cfg,
-        val=val, val_predictions=val_preds if validate else None, patience=patience,
+        val=task.val, val_predictions=val_preds, patience=patience,
     )
 
 
@@ -406,9 +405,10 @@ class TestTrain:
     def test_out_of_range_query_label_rejected(self):
         # a label of K or -1 would otherwise index the deferral column
         task, experts, contexts = small_training_setup()
-        preds = np.stack(
-            [expert_predict_batch(e, task.train.labels, 4, np.random.default_rng(0))
-             for e in experts]
+        preds, val_preds = (
+            np.stack([expert_predict_batch(e, data.labels, 4, np.random.default_rng(0))
+                      for e in experts])
+            for data in (task.train, task.val)
         )
         cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
         for bad in (4, -1):
@@ -417,10 +417,10 @@ class TestTrain:
             query = type(task.train)(task.train.features, labels)
             with pytest.raises(ValueError, match="labels"):
                 train(dense_net([6, 8, 4], 0), dense_net([4, 8, 1], 1), query, contexts,
-                      None, cfg)
+                      None, cfg, val=task.val)
             with pytest.raises(ValueError, match="labels"):
                 train_pop_avg(dense_net([6, 8, 4], 0), dense_net([6, 8, 1], 1), query, preds,
-                              cfg)
+                              cfg, val=task.val, val_predictions=val_preds)
 
     def test_divergence_names_the_batch(self):
         setup = small_training_setup()
@@ -433,7 +433,7 @@ class TestTrain:
         setup = small_training_setup(p=0.0, separation=8.0)
         cfg = TrainConfig(learning_rate=0.3, batch_size=32, epochs=40, seed=0)
         for method in METHODS:
-            result = run_method(method, setup, cfg, hidden=16, validate=True, patience=3)
+            result = run_method(method, setup, cfg, hidden=16, patience=3)
             best = result.best_epoch
             assert best is not None
             val_losses = [e.val_loss for e in result.history]
@@ -451,7 +451,7 @@ class TestTrain:
         clf = dense_net([6, 16, 4], 0)
         rej = dense_net([4, 16, 1], 1)
         cfg = TrainConfig(learning_rate=0.2, batch_size=32, epochs=50, seed=0)
-        result = train(clf, rej, task.train, contexts, None, cfg)
+        result = train(clf, rej, task.train, contexts, None, cfg, val=task.val)
         assert result.history[-1].train_loss < result.history[0].train_loss
 
     def test_oversized_context_subsample_rejected(self):
@@ -460,7 +460,7 @@ class TestTrain:
         rej = dense_net([4, 8, 1], 1)
         cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
         with pytest.raises(ValueError, match="subsample"):
-            train(clf, rej, task.train, contexts, None, cfg, lam=1000)
+            train(clf, rej, task.train, contexts, None, cfg, val=task.val, lam=1000)
 
     def test_empty_query_rejected(self):
         task, _, contexts = small_training_setup()
@@ -469,7 +469,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
         empty = type(task.train)(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match="nonempty"):
-            train(clf, rej, empty, contexts, None, cfg)
+            train(clf, rej, empty, contexts, None, cfg, val=task.val)
 
     def test_trained_rejector_prefers_strong_expert_inputs(self):
         # after training, an input where the expert is strong at the
@@ -479,7 +479,7 @@ class TestTrain:
         clf = dense_net([6, 16, 4], 0)
         rej = dense_net([4, 16, 16, 1], 1)
         cfg = TrainConfig(learning_rate=0.2, batch_size=32, epochs=60, seed=0)
-        result = train(clf, rej, task.train, contexts, None, cfg)
+        result = train(clf, rej, task.train, contexts, None, cfg, val=task.val)
         strong, weak = forward(result.rejector, np.array([[0.58, 0.58, 0.89, 0.89],
                                                           [0.0, 0.58, 0.22, 0.89]]))[:, 0]
         assert strong > weak
@@ -523,12 +523,14 @@ class TestOneForwardPerBatch:
         task, experts, _ = small_training_setup(p=0.5)
         rng = np.random.default_rng(0)
         qp = np.stack([expert_predict_batch(e, task.train.labels, 4, rng) for e in experts])
+        vp = np.stack([expert_predict_batch(e, task.val.labels, 4, rng) for e in experts])
         calls = self.count_forwards(monkeypatch)
         clf = dense_net([6, 8, 4], 0)
         rej = dense_net([6, 8, 1], 1)
         cfg = TrainConfig(learning_rate=0.1, batch_size=48, epochs=1, seed=0)
-        train_pop_avg(clf, rej, task.train, qp, cfg)
-        assert calls == {"cached": 2 * 4, "plain": 0}
+        train_pop_avg(clf, rej, task.train, qp, cfg, val=task.val, val_predictions=vp)
+        # one validation pass: the classifier and the rejector once each
+        assert calls == {"cached": 2 * 4, "plain": 2}
 
 
 class TestTrainPopAvg:
@@ -549,8 +551,10 @@ class TestTrainPopAvg:
         rej = dense_net([6, 8, 1], 1)
         cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
         bad = np.zeros((2, 3), dtype=np.int64)
+        vp = np.stack([expert_predict_batch(e, task.val.labels, 4, np.random.default_rng(0))
+                       for e in experts])
         with pytest.raises(ValueError, match="align"):
-            train_pop_avg(clf, rej, task.train, bad, cfg)
+            train_pop_avg(clf, rej, task.train, bad, cfg, val=task.val, val_predictions=vp)
 
 
 class TestCheckpoint:

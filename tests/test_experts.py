@@ -15,7 +15,7 @@ from deferlab.experts import (
     sample_complexity_bound,
     write_prior_file,
 )
-from deferlab.simulate import SimulatedExpertSpec, expert_predict
+from deferlab.simulate import SimulatedExpertSpec, expert_predict_batch
 
 
 def reference_posterior(labels, predictions, num_classes, prior):
@@ -95,11 +95,11 @@ class TestCountContext:
             build_representation([-1], [0], 2)
 
     def test_counts_track_simulated_expert_accuracy(self):
-        expert = SimulatedExpertSpec(0, frozenset({1}), 0.3, 0)
+        expert = SimulatedExpertSpec(0, frozenset({1}), 0.3)
         rng = np.random.default_rng(77)
         num_classes = 5
         labels = rng.integers(num_classes, size=1000)
-        preds = [expert_predict(expert, int(y), num_classes, rng) for y in labels]
+        preds = expert_predict_batch(expert, labels, num_classes, rng)
         n, t = counts(labels, preds, num_classes)
         assert t[1] == n[1]  # oracle on the expertise class
         expected = 0.3 + 0.7 / num_classes

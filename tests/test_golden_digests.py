@@ -8,6 +8,8 @@ test fails and names the difference; it never skips. Only a change that
 declares a results change may rewrite the file, with
 
     PYTHONPATH=src python tests/test_golden_digests.py
+
+which prints each ``command: file`` entry it changes and their count.
 """
 
 import hashlib
@@ -108,28 +110,39 @@ def differences(recorded: dict, actual: dict) -> list[str]:
     return lines
 
 
+def changed_entries(recorded: dict, actual: dict) -> list[str]:
+    """One ``command: file`` line per artifact that differs between two
+    digest sets, sorted by command and file name."""
+    changed = []
+    for command in sorted(set(recorded) | set(actual)):
+        before, here = recorded.get(command, {}), actual.get(command, {})
+        for name in sorted(set(before) | set(here)):
+            if name not in here:
+                changed.append(f"{command}: {name} not written")
+            elif name not in before:
+                changed.append(f"{command}: {name} not in the golden set")
+            elif before[name] != here[name]:
+                changed.append(f"{command}: {name} differs")
+    return changed
+
+
 def test_every_artifact_matches_its_golden_digest(tmp_path):
     golden = json.loads(DIGESTS.read_text())
     diff = differences(golden["environment"], environment())
     assert not diff, "golden digests were recorded on another environment:\n" + "\n".join(diff)
-    actual = artifact_digests(tmp_path)
-    changed = []
-    for command in sorted(set(golden["artifacts"]) | set(actual)):
-        recorded, here = golden["artifacts"].get(command, {}), actual.get(command, {})
-        for name in sorted(set(recorded) | set(here)):
-            if name not in here:
-                changed.append(f"{command}: {name} not written")
-            elif name not in recorded:
-                changed.append(f"{command}: {name} not in the golden set")
-            elif recorded[name] != here[name]:
-                changed.append(f"{command}: {name} differs")
+    changed = changed_entries(golden["artifacts"], artifact_digests(tmp_path))
     assert not changed, "artifacts differ from the golden digests:\n" + "\n".join(changed)
 
 
 if __name__ == "__main__":
+    import contextlib
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
+    old = json.loads(DIGESTS.read_text())
+    # the commands' own output goes to stderr; stdout lists the changed entries
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
         record = {"environment": environment(), "artifacts": artifact_digests(Path(tmp))}
+    changed = changed_entries(old["artifacts"], record["artifacts"])
+    print("\n".join(changed + [f"{len(changed)} entries changed"]))
     DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}", file=sys.stderr)

@@ -20,7 +20,6 @@ from deferlab.simulate import (
     SyntheticTaskSpec,
     draw_context_set,
     expert_accuracy_by_class,
-    expert_predict,
     expert_predict_batch,
     generate_gaussian_task,
     load_csv_dataset,
@@ -180,55 +179,55 @@ class TestCsvDataset:
 
 class TestMakePopulation:
     def test_half_split_covers_all_classes(self):
-        experts = make_population(10, 5, 5, 0.2, 150, seed=3)
+        experts = make_population(10, 10, 0.2, seed=3)
         assert len(experts) == 10
         classes = [next(iter(e.expertise_classes)) for e in experts]
         assert sorted(classes) == list(range(10))
-        assert [e.in_distribution for e in experts] == [True] * 5 + [False] * 5
 
     def test_multi_expertise_distinct_classes(self):
-        experts = make_population(10, 1, 1, 0.5, 60, expertise_per_expert=3, seed=1)
+        experts = make_population(10, 2, 0.5, expertise_per_expert=3, seed=1)
         for e in experts:
             assert len(e.expertise_classes) == 3
         assert not (experts[0].expertise_classes & experts[1].expertise_classes)
 
     def test_same_seed_identical(self):
-        a = make_population(8, 2, 2, 0.4, 40, seed=9)
-        b = make_population(8, 2, 2, 0.4, 40, seed=9)
+        a = make_population(8, 4, 0.4, seed=9)
+        b = make_population(8, 4, 0.4, seed=9)
         assert a == b
 
     def test_infeasible_counts_rejected(self):
         with pytest.raises(ValueError):
-            make_population(4, 3, 2, 0.2, 10)
+            make_population(4, 5, 0.2)
         with pytest.raises(ValueError):
-            make_population(10, 2, 2, 0.2, 10, expertise_per_expert=3)
+            make_population(10, 4, 0.2, expertise_per_expert=3)
 
 
 class TestExpertPredict:
     def test_oracle_on_expertise_class(self):
-        expert = SimulatedExpertSpec(0, frozenset({2}), 0.0, 0)
+        expert = SimulatedExpertSpec(0, frozenset({2}), 0.0)
         rng = np.random.default_rng(0)
-        assert all(expert_predict(expert, 2, 5, rng) == 2 for _ in range(100))
+        assert np.all(expert_predict_batch(expert, np.full(100, 2), 5, rng) == 2)
 
     def test_full_overlap_always_correct(self):
-        expert = SimulatedExpertSpec(0, frozenset({0}), 1.0, 0)
+        expert = SimulatedExpertSpec(0, frozenset({0}), 1.0)
         rng = np.random.default_rng(0)
-        assert all(expert_predict(expert, 3, 5, rng) == 3 for _ in range(100))
+        assert np.all(expert_predict_batch(expert, np.full(100, 3), 5, rng) == 3)
 
     def test_empirical_accuracy_matches_rule(self):
         num_classes = 10
         rng = np.random.default_rng(1234)
         for p in (0.0, 0.4):
-            expert = SimulatedExpertSpec(0, frozenset({0}), p, 0)
+            expert = SimulatedExpertSpec(0, frozenset({0}), p)
             draws = 100_000
-            correct = sum(expert_predict(expert, 7, num_classes, rng) == 7 for _ in range(draws))
+            preds = expert_predict_batch(expert, np.full(draws, 7), num_classes, rng)
+            correct = np.sum(preds == 7)
             expected = p + (1 - p) / num_classes
             sigma = np.sqrt(expected * (1 - expected) / draws)
             assert abs(correct / draws - expected) < 3 * sigma
 
     def test_batch_version_matches_rule(self):
         num_classes = 6
-        expert = SimulatedExpertSpec(0, frozenset({1}), 0.25, 0)
+        expert = SimulatedExpertSpec(0, frozenset({1}), 0.25)
         rng = np.random.default_rng(5)
         labels = rng.integers(num_classes, size=50_000)
         preds = expert_predict_batch(expert, labels, num_classes, rng)
@@ -240,49 +239,78 @@ class TestExpertPredict:
         assert abs(acc - expected) < 3 * sigma
 
     def test_accuracy_by_class_formula(self):
-        expert = SimulatedExpertSpec(0, frozenset({0, 3}), 0.4, 0)
+        expert = SimulatedExpertSpec(0, frozenset({0, 3}), 0.4)
         acc = expert_accuracy_by_class(expert, 5)
         assert acc[0] == 1.0 and acc[3] == 1.0
         assert np.allclose(acc[[1, 2, 4]], 0.4 + 0.6 / 5)
 
     def test_out_of_range_label_rejected(self):
-        expert = SimulatedExpertSpec(0, frozenset({0}), 0.2, 0)
-        with pytest.raises(ValueError):
-            expert_predict(expert, 7, 5, np.random.default_rng(0))
+        expert = SimulatedExpertSpec(0, frozenset({0}), 0.2)
+        for bad in (7, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                expert_predict_batch(expert, np.array([0, bad]), 5, np.random.default_rng(0))
 
 
 class TestDrawContextSet:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_classes=st.integers(2, 8),
+        per_class=st.integers(0, 6),
+        p=st.sampled_from([0.0, 1.0]),
+        data=st.data(),
+    )
+    def test_stratified_and_predicted_by_the_rule(self, seed, num_classes, per_class, p, data):
+        # a balanced pool of per_class examples each holds every size up to its length
+        rng = np.random.default_rng(seed)
+        pool_labels = rng.permutation(np.repeat(np.arange(num_classes), per_class))
+        pool = Dataset(np.zeros((len(pool_labels), 1)), pool_labels)
+        size = data.draw(st.integers(0, len(pool)), label="size")
+        expertise = data.draw(
+            st.sets(st.integers(0, num_classes - 1), min_size=1), label="expertise"
+        )
+        expert = SimulatedExpertSpec(0, frozenset(expertise), p)
+        ctx = draw_context_set(expert, pool, size, num_classes, rng)
+        assert ctx.labels.dtype == ctx.predictions.dtype == np.int64
+        counts = np.bincount(ctx.labels, minlength=num_classes)
+        assert counts.sum() == size == len(ctx.predictions)
+        assert counts.max() - counts.min() <= 1
+        known = np.isin(ctx.labels, list(expertise))
+        assert np.array_equal(ctx.predictions[known], ctx.labels[known])
+        if p == 1.0:
+            assert np.array_equal(ctx.predictions, ctx.labels)
+
     def test_exact_stratification(self):
         task = generate_gaussian_task(small_spec(num_classes=10, context_pool_size=600, train_size=0, val_size=0, test_size=0))
-        expert = SimulatedExpertSpec(0, frozenset({4}), 0.2, 150)
-        ctx = draw_context_set(expert, task.context_pool, 10, np.random.default_rng(0))
+        expert = SimulatedExpertSpec(0, frozenset({4}), 0.2)
+        ctx = draw_context_set(expert, task.context_pool, 150, 10, np.random.default_rng(0))
         assert len(ctx) == 150
         counts = np.bincount(ctx.labels, minlength=10)
         assert np.all(counts == 15)
 
     def test_uneven_size_within_one(self):
         task = generate_gaussian_task(small_spec(context_pool_size=90))
-        expert = SimulatedExpertSpec(0, frozenset({0}), 0.2, 10)
-        ctx = draw_context_set(expert, task.context_pool, 3, np.random.default_rng(0))
+        expert = SimulatedExpertSpec(0, frozenset({0}), 0.2)
+        ctx = draw_context_set(expert, task.context_pool, 10, 3, np.random.default_rng(0))
         counts = np.bincount(ctx.labels, minlength=3)
         assert counts.sum() == 10
         assert counts.max() - counts.min() <= 1
 
     def test_zero_context_is_empty(self):
         task = generate_gaussian_task(small_spec())
-        expert = SimulatedExpertSpec(0, frozenset({0}), 0.2, 0)
-        ctx = draw_context_set(expert, task.context_pool, 3, np.random.default_rng(0))
+        expert = SimulatedExpertSpec(0, frozenset({0}), 0.2)
+        ctx = draw_context_set(expert, task.context_pool, 0, 3, np.random.default_rng(0))
         assert len(ctx) == 0
 
     def test_oracle_expert_context_is_perfect_on_expertise(self):
         task = generate_gaussian_task(small_spec())
-        expert = SimulatedExpertSpec(0, frozenset({1}), 0.0, 30)
-        ctx = draw_context_set(expert, task.context_pool, 3, np.random.default_rng(2))
+        expert = SimulatedExpertSpec(0, frozenset({1}), 0.0)
+        ctx = draw_context_set(expert, task.context_pool, 30, 3, np.random.default_rng(2))
         mask = ctx.labels == 1
         assert np.all(ctx.predictions[mask] == 1)
 
     def test_insufficient_pool_rejected(self):
         task = generate_gaussian_task(small_spec(context_pool_size=6))
-        expert = SimulatedExpertSpec(0, frozenset({0}), 0.2, 30)
+        expert = SimulatedExpertSpec(0, frozenset({0}), 0.2)
         with pytest.raises(ValueError, match="context pool"):
-            draw_context_set(expert, task.context_pool, 3, np.random.default_rng(0))
+            draw_context_set(expert, task.context_pool, 30, 3, np.random.default_rng(0))
