@@ -28,9 +28,9 @@ from .evaluation import (
     score_cases,
 )
 from .experts import (
-    BehaviouralRepresentation,
     PriorElicitation,
     build_representation,
+    prior_arrays,
     sample_complexity_bound,
 )
 from .harness import run_experiment, run_priors_study, run_theory_checks

@@ -165,6 +165,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("patience must be >= 0 or null")
     if merged["context_subsample"] is not None and merged["context_subsample"] < 1:
         raise ConfigError("context_subsample must be >= 1 or null")
+    if (merged["context_subsample"] or 0) > merged["context_size"]:
+        raise ConfigError("context_subsample must not exceed context_size")
+    # a stratified context takes up to ceil(size / K) items of each class, and
+    # the smallest class of a balanced pool has context_pool_size // K
+    k = merged["num_classes"]
+    if -(-merged["context_size"] // k) > merged["context_pool_size"] // k:
+        raise ConfigError("context_size needs more items per class than context_pool_size has")
 
     probs = []
     for p in merged["overlap_probabilities"]:

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TrainingDivergenceError
-from .experts import PriorElicitation, posterior_means, prior_arrays
+from .experts import PriorElicitation, build_representation, prior_arrays
 from .nets import (
     Activations,
     DenseNet,
@@ -342,7 +342,7 @@ def train(
     rejector: DenseNet,
     query: Dataset,
     contexts: Sequence[ContextSet],
-    priors: Sequence[PriorElicitation | None] | None,
+    priors: Sequence[PriorElicitation | None],
     cfg: TrainConfig,
     val: Dataset,
     lam: int | None = None,
@@ -350,11 +350,13 @@ def train(
 ) -> TrainResult:
     """Joint training loop over query batches and the expert cohort.
 
-    The prior Beta parameters are built once as (experts, K) arrays. Each
-    batch re-subsamples every expert's context to ``lam`` items (default:
-    half the context), recounts the posterior means of the whole cohort with
-    one bincount, averages the loss over (example, expert) pairs in one
-    stacked forward/backward pass, and takes one SGD step on both networks.
+    ``priors`` has one entry per context, an elicitation or ``None`` for the
+    uniform prior; their Beta parameters are built once as (experts, K)
+    arrays. Each batch re-subsamples every expert's context to ``lam`` items
+    (default: half the context), recounts the posterior means of the whole
+    cohort with one bincount, averages the loss over (example, expert) pairs
+    in one stacked forward/backward pass, and takes one SGD step on both
+    networks.
     Early stopping monitors the validation loss computed with full-context
     posterior means.
     """
@@ -362,20 +364,18 @@ def train(
         raise ValueError("query data must be nonempty")
     if not contexts:
         raise ValueError("need at least one expert context set")
-    num_classes = classifier.output_dim
-    prior_list = list(priors) if priors is not None else [None] * len(contexts)
-    if len(prior_list) != len(contexts):
+    if len(priors) != len(contexts):
         raise ValueError("priors must align with the expert contexts")
     lams = _resolve_lambda(lam, contexts)
 
-    alpha0, beta0 = prior_arrays(prior_list, num_classes)
-    full_mu = posterior_means(
+    alpha0, beta0 = prior_arrays(priors, classifier.output_dim)
+    full_mu = build_representation(
         alpha0, beta0, [c.labels for c in contexts], [c.predictions for c in contexts]
     )
 
     def subsampled_mu(idx, rng):
         picks = [rng.choice(len(c), size=n, replace=False) for c, n in zip(contexts, lams)]
-        return posterior_means(
+        return build_representation(
             alpha0,
             beta0,
             [c.labels[i] for c, i in zip(contexts, picks)],

@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .deferral import rejector_inputs
-from .experts import BehaviouralRepresentation
 from .nets import DenseNet, forward, softmax
 from .simulate import Dataset
 
@@ -165,16 +164,17 @@ def case_priorities(
     logits: np.ndarray,
     rejector: DenseNet,
     features: np.ndarray,
-    reps: Sequence[BehaviouralRepresentation] | None,
+    mu: np.ndarray | None,
 ) -> np.ndarray:
     """Priority matrix (experts, cases) from the classifier's logits.
 
-    With representations given, each expert's deferral logit comes from the
-    four expert-aware rejector inputs; with ``reps=None`` the rejector reads
-    the raw features and every expert shares one expert-independent row.
+    With the cohort's (experts, K) posterior means ``mu``, each expert's
+    deferral logit comes from the four expert-aware rejector inputs; with
+    ``mu=None`` the rejector reads the raw features and every expert shares
+    one expert-independent row.
     """
     num_classes = logits.shape[1]
-    if reps is None:
+    if mu is None:
         deferral_logits = [forward(rejector, features)[:, 0]]
     else:
         rho = softmax(logits)
@@ -182,8 +182,8 @@ def case_priorities(
         # one expert at a time keeps the rejector's activations at one
         # (cases, hidden) block on large test sets
         deferral_logits = (
-            forward(rejector, rejector_inputs(rho, kstar, rep.mu[None, :]))[:, 0]
-            for rep in reps
+            forward(rejector, rejector_inputs(rho, kstar, mu[e : e + 1]))[:, 0]
+            for e in range(len(mu))
         )
 
     # The joint softmax of ``nets.softmax``, bit for bit: only the deferral
@@ -194,7 +194,7 @@ def case_priorities(
     joint = np.empty((len(logits), num_classes + 1))
     joint[:, :num_classes] = logits
     e = np.empty_like(joint)
-    out = np.empty((1 if reps is None else len(reps), len(logits)))
+    out = np.empty((1 if mu is None else len(mu), len(logits)))
     for i, g_defer in enumerate(deferral_logits):
         joint[:, num_classes] = g_defer
         np.subtract(joint, np.maximum(class_max, g_defer)[:, None], out=e)
@@ -208,22 +208,23 @@ def score_cases(
     logits: np.ndarray,
     rejector: DenseNet,
     data: Dataset,
-    reps: Sequence[BehaviouralRepresentation] | None,
+    mu: np.ndarray | None,
     expert_predictions: np.ndarray,
     rng: np.random.Generator,
 ) -> ScoredCases:
     """Score every case against a cohort, given the classifier's logits on
     ``data``.
 
-    Expert-aware systems defer each case to the argmax-priority expert
-    (ties go to the lowest cohort index); expert-independent ones cannot
-    discriminate, so the deferred expert is a uniform seeded draw.
+    Expert-aware systems (``mu`` given) defer each case to the
+    argmax-priority expert (ties go to the lowest cohort index);
+    expert-independent ones (``mu=None``) cannot discriminate, so the
+    deferred expert is a uniform seeded draw.
     """
     preds = np.asarray(expert_predictions, dtype=np.int64)
     cohort = preds.shape[0]
     if cohort == 0:
         raise ValueError("cannot score against an empty cohort")
-    priorities = case_priorities(logits, rejector, data.features, reps)
+    priorities = case_priorities(logits, rejector, data.features, mu)
     clf_correct = np.argmax(logits, axis=1) == data.labels
 
     n = len(data)

@@ -2,8 +2,9 @@
 
 An expert's history of (true label, prediction) pairs is reduced to
 per-class correct/total counts, combined with an elicited or uniform Beta
-prior, and summarised as the vector of posterior mean accuracies. The class
-with the largest posterior mean is the expert's expertise class.
+prior, and summarised as the vector of posterior mean accuracies; a cohort's
+vectors are the rows of one (experts, K) matrix. The class with the largest
+posterior mean is the expert's expertise class.
 """
 
 from __future__ import annotations
@@ -51,56 +52,6 @@ class PriorElicitation:
         return len(self.p)
 
 
-@dataclass
-class BehaviouralRepresentation:
-    """Posterior summary of one expert: the per-class posterior Beta
-    parameters, their means (the expert's accuracy estimates) and the
-    expertise class, the argmax of the means (lowest index on ties)."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        self.beta = np.asarray(self.beta, dtype=np.float64)
-        if self.alpha.shape != self.beta.shape or self.alpha.ndim != 1:
-            raise ValueError("alpha and beta must be 1-D arrays of equal length")
-        if not (np.all(self.alpha > 0) and np.all(self.beta > 0)):
-            raise ValueError("Beta parameters must be strictly positive")
-        if not (np.isfinite(self.alpha).all() and np.isfinite(self.beta).all()):
-            raise ValueError("Beta parameters must be finite")
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.alpha)
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.alpha / (self.alpha + self.beta)
-
-    @property
-    def expertise_class(self) -> int:
-        return int(np.argmax(self.mu))
-
-
-def build_representation(
-    labels: Sequence[int],
-    predictions: Sequence[int],
-    num_classes: int,
-    prior: PriorElicitation | None = None,
-) -> BehaviouralRepresentation:
-    """One expert's representation from its context items.
-
-    ``labels[i]`` and ``predictions[i]`` are context item i's true label and
-    the expert's prediction. With no elicitation every class starts from the
-    uniform Beta(1, 1). The values are those of the expert's row in the
-    cohort arrays of ``prior_arrays`` and ``posterior_params``.
-    """
-    alpha0, beta0 = prior_arrays([prior], num_classes)
-    alpha, beta = posterior_params(alpha0, beta0, [labels], [predictions])
-    return BehaviouralRepresentation(alpha[0], beta[0])
-
-
 def prior_arrays(
     priors: Sequence[PriorElicitation | None], num_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -123,18 +74,20 @@ def prior_arrays(
     return alpha, beta
 
 
-def posterior_params(
+def build_representation(
     alpha0: np.ndarray,
     beta0: np.ndarray,
     labels: Sequence[Sequence[int]],
     predictions: Sequence[Sequence[int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior Beta parameters of a cohort, two (experts, K) arrays.
+) -> np.ndarray:
+    """Posterior mean accuracies of a cohort, shape (experts, K).
 
+    ``alpha0``/``beta0`` are the cohort's prior arrays from ``prior_arrays``;
     ``labels[e]`` and ``predictions[e]`` are expert e's context items. One
     ``np.bincount`` over the whole cohort counts, per expert and class, the
-    items n and the correct predictions t; the conjugate update adds t to
-    alpha and n - t to beta.
+    items n and the correct predictions t; the conjugate update gives row e
+    as (alpha0 + t) / (alpha0 + t + beta0 + n - t), which depends on no other
+    row. Row e's argmax, lowest index on ties, is expert e's expertise class.
     """
     experts, num_classes = alpha0.shape
     y = np.concatenate([np.asarray(v, dtype=np.int64) for v in labels])
@@ -147,18 +100,7 @@ def posterior_params(
     size = experts * num_classes
     n = np.bincount(slot, minlength=size).reshape(experts, num_classes)
     t = np.bincount(slot[m == y], minlength=size).reshape(experts, num_classes)
-    return alpha0 + t, beta0 + (n - t)
-
-
-def posterior_means(
-    alpha0: np.ndarray,
-    beta0: np.ndarray,
-    labels: Sequence[Sequence[int]],
-    predictions: Sequence[Sequence[int]],
-) -> np.ndarray:
-    """Posterior mean accuracies of a cohort, shape (experts, K); row e is
-    ``build_representation(...).mu`` of expert e, bit for bit."""
-    alpha, beta = posterior_params(alpha0, beta0, labels, predictions)
+    alpha, beta = alpha0 + t, beta0 + (n - t)
     return alpha / (alpha + beta)
 
 

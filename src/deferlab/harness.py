@@ -31,10 +31,10 @@ from .evaluation import (
     write_metrics_csv,
 )
 from .experts import (
-    BehaviouralRepresentation,
     PriorElicitation,
     build_representation,
     load_prior_file,
+    prior_arrays,
     sample_complexity_bound,
     write_prior_file,
 )
@@ -125,18 +125,6 @@ def _cohort_priors(
     return [priors_map.get(e.expert_id) if priors_map else None for e in experts]
 
 
-def _cohort_representations(
-    experts: Sequence[SimulatedExpertSpec],
-    contexts: Sequence[ContextSet],
-    num_classes: int,
-    priors_map: dict[int, PriorElicitation] | None,
-) -> list[BehaviouralRepresentation]:
-    return [
-        build_representation(ctx.labels, ctx.predictions, num_classes, prior)
-        for ctx, prior in zip(contexts, _cohort_priors(experts, priors_map))
-    ]
-
-
 def _cell_setup(
     cfg: ExperimentConfig, task: TaskData, seed: int, pi: int, ei: int
 ) -> tuple[list[SimulatedExpertSpec], list[ContextSet]]:
@@ -225,6 +213,11 @@ def _evaluate_seed(
             population, contexts = _cell_setup(cfg, task, seed, pi, ei)
             test_rng = np.random.default_rng(_subseed(seed, pi, ei, 12))
             test_preds = _prediction_matrix(population, task.test.labels, num_classes, test_rng)
+            mu = build_representation(
+                *prior_arrays(_cohort_priors(population, priors_map), num_classes),
+                [c.labels for c in contexts],
+                [c.predictions for c in contexts],
+            )
 
             n_id = cfg.experts_id
             cohorts = [("id", slice(0, n_id))]
@@ -241,17 +234,12 @@ def _evaluate_seed(
                 logits = forward(result.classifier, task.test.features)
                 clf_acc = float(np.mean(np.argmax(logits, axis=1) == task.test.labels))
                 for cohort_name, idx in cohorts:
-                    if method == "ea_l2d":
-                        reps = _cohort_representations(
-                            population[idx], contexts[idx], num_classes, priors_map
-                        )
-                    else:
-                        reps = None
                     pick_rng = np.random.default_rng(
                         _subseed(seed, pi, ei, 13, 0 if cohort_name == "id" else 1)
                     )
                     cases = score_cases(
-                        logits, result.rejector, task.test, reps, test_preds[idx], pick_rng
+                        logits, result.rejector, task.test,
+                        mu[idx] if method == "ea_l2d" else None, test_preds[idx], pick_rng,
                     )
                     evaluated.append((method, cohort_name, build_curves(cases), clf_acc))
 
@@ -394,9 +382,9 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
             prior_path = out / f"priors_{arm}_seed{seed}.csv"
             write_prior_file(prior_path, {target.expert_id: prior})
             loaded = load_prior_file(prior_path, num_classes)[target.expert_id]
-            rep = build_representation([], [], num_classes, loaded)
+            mu = build_representation(*prior_arrays([loaded], num_classes), [[]], [[]])
 
-            cases = score_cases(logits, result.rejector, task.test, [rep], target_preds, pick_rng)
+            cases = score_cases(logits, result.rejector, task.test, mu, target_preds, pick_rng)
             curves = build_curves(cases)
             report = build_report(*curves, [FULL_RANGE])
             records.append(Record("ea_l2d", p, epe, seed, arm, report, None))

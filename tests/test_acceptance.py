@@ -15,10 +15,8 @@ from deferlab.config import validate_config
 from deferlab.deferral import ea_l2d_loss_grads, mode_labels, pop_avg_loss_grads, rejector_inputs
 from deferlab.evaluation import Curve, ScoredCases, area_under, build_curves
 from deferlab.experts import (
-    BehaviouralRepresentation,
     PriorElicitation,
     build_representation,
-    posterior_params,
     prior_arrays,
     sample_complexity_bound,
 )
@@ -74,6 +72,11 @@ def priors_result(tmp_path_factory):
     return cfg, run_priors_study(cfg, tmp_path_factory.mktemp("priors"))
 
 
+def beta_means(params):
+    """Posterior-mean row a / (a + b) of per-class (a, b) rows of ``params``."""
+    return params[:, 0] / (params[:, 0] + params[:, 1])
+
+
 def test_criterion_1_posterior_exactness():
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -85,11 +88,10 @@ def test_criterion_1_posterior_exactness():
         # class 0 gets n items, t of them answered correctly
         labels, preds = [0] * n, [0] * t + [1] * (n - t)
         prior = (np.array([[alpha, 1.0]]), np.array([[beta, 1.0]]))
-        a, b = posterior_params(*prior, [labels], [preds])
-        post = BehaviouralRepresentation(a[0], b[0])
-        worst = max(worst, abs(post.mu[0] - (alpha + t) / (alpha + beta + n)))
-        uniform = build_representation(labels, preds, 2)
-        worst = max(worst, abs(uniform.mu[0] - (1 + t) / (2 + n)))
+        post = build_representation(*prior, [labels], [preds])
+        worst = max(worst, abs(post[0, 0] - (alpha + t) / (alpha + beta + n)))
+        uniform = build_representation(*prior_arrays([None], 2), [labels], [preds])
+        worst = max(worst, abs(uniform[0, 0] - (1 + t) / (2 + n)))
     report(1, "posterior mean matches the closed form", worst < 1e-12, f"worst error {worst:.2e}")
 
 
@@ -135,7 +137,7 @@ def test_criterion_4_gradient_correctness():
         rej = dense_net([4, 8, 8, 1], rng)
         x = rng.normal(size=(1, 5))
         y = np.array([rng.integers(k)])
-        mu = BehaviouralRepresentation(*rng.uniform(1, 9, size=(k, 2)).T).mu[None, :]
+        mu = beta_means(rng.uniform(1, 9, size=(k, 2)))[None, :]
 
         def clf_loss(net):
             cs, ds, cg, _, pat = ea_l2d_loss_grads(net, rej, x, y, mu)
@@ -233,15 +235,15 @@ def test_criterion_5_metric_oracle():
 def deferral_logit(rejector, rho, rep):
     """The rejector's deferral logit for one example and one expert."""
     rho = rho[None, :]
-    return forward(rejector, rejector_inputs(rho, np.argmax(rho, axis=1), rep.mu[None, :]))[0, 0]
+    return forward(rejector, rejector_inputs(rho, np.argmax(rho, axis=1), rep[None, :]))[0, 0]
 
 
 def test_criterion_6_expert_agnosticism():
     rejector = dense_net([4, 32, 32, 1], 77)
     rng = np.random.default_rng(78)
     params = rng.uniform(1, 9, size=(6, 2))  # (alpha_k, beta_k) per class
-    rep_a = BehaviouralRepresentation(params[:, 0], params[:, 1])
-    rep_b = BehaviouralRepresentation(params[:, 0].copy(), params[:, 1].copy())
+    rep_a = beta_means(params)
+    rep_b = beta_means(params.copy())
     ok = True
     for _ in range(1000):
         rho = rng.dirichlet(np.ones(6))
@@ -254,7 +256,7 @@ def test_criterion_6_expert_agnosticism():
         k = int(rng.integers(3, 9))
         rho = rng.dirichlet(np.ones(k))
         params = rng.uniform(1, 9, size=(k, 2))
-        rep = BehaviouralRepresentation(params[:, 0], params[:, 1])
+        rep = beta_means(params)
         g_base = deferral_logit(rejector, rho, rep)
 
         perm = rng.permutation(k)
@@ -262,7 +264,7 @@ def test_criterion_6_expert_agnosticism():
         rho_p[perm] = rho
         params_p = np.empty_like(params)
         params_p[perm] = params
-        rep_p = BehaviouralRepresentation(params_p[:, 0], params_p[:, 1])
+        rep_p = beta_means(params_p)
         if deferral_logit(rejector, rho_p, rep_p) != g_base:
             perm_ok = False
             break

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from deferlab.cli import main
 from deferlab.config import ConfigError, parse_config, validate_config
 
 
@@ -87,6 +88,35 @@ class TestValidation:
         with pytest.raises(ConfigError, match="experts_id must be >= 1"):
             validate_config(minimal_raw(experts_id=0, experts_ood=2))
         assert validate_config(minimal_raw(experts_id=1, experts_ood=0)).experts_id == 1
+
+    def test_context_subsample_above_context_size_rejected(self):
+        # training subsamples each expert's context, so it cannot take more items than it holds
+        with pytest.raises(ConfigError, match="context_subsample must not exceed context_size"):
+            validate_config(minimal_raw(context_size=10, context_subsample=15))
+        cfg = validate_config(minimal_raw(context_size=10, context_subsample=10))
+        assert cfg.context_subsample == 10
+
+    def test_context_the_pool_cannot_stratify_rejected(self):
+        # K = 5 and a pool of 60 hold 12 items of each class: a context of 60
+        # takes 12 of each, one of 61 needs 13 of one class
+        with pytest.raises(ConfigError, match="context_size .* context_pool_size"):
+            validate_config(minimal_raw(context_size=61))
+        assert validate_config(minimal_raw(context_size=60)).context_size == 60
+        # a pool of 64 holds 13 items of classes 0..3 but 12 of class 4
+        with pytest.raises(ConfigError, match="context_pool_size"):
+            validate_config(minimal_raw(context_pool_size=64, context_size=61))
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [(dict(context_pool_size=8), "context_size"),
+         (dict(context_size=10, context_subsample=15), "context_subsample")],
+    )
+    def test_generate_rejects_a_context_the_run_cannot_draw(self, tmp_path, capsys, overrides, key):
+        # generate shares the schema with the commands that draw the contexts
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_raw(**overrides)))
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ConfigError, match="seeds"):

@@ -18,7 +18,6 @@ from deferlab.deferral import (
 )
 from deferlab.errors import TrainingDivergenceError
 from deferlab.evaluation import case_priorities
-from deferlab.experts import BehaviouralRepresentation
 from deferlab.nets import (
     DenseNet,
     Layer,
@@ -37,9 +36,11 @@ from deferlab.simulate import (
 
 
 def rep_from_mu(mu_values):
-    """Representation with the requested posterior means (denominator 10)."""
+    """One expert's posterior-mean row a / (a + b) from the Beta parameters
+    a = 10 mu and b = 10 (1 - mu)."""
     mu = np.asarray(mu_values, dtype=np.float64)
-    return BehaviouralRepresentation(10.0 * mu, 10.0 * (1.0 - mu))
+    a, b = 10.0 * mu, 10.0 * (1.0 - mu)
+    return a / (a + b)
 
 
 def inputs_row(rho, rep):
@@ -47,7 +48,7 @@ def inputs_row(rho, rep):
     (rho at the expertise class, top rho, mu at the top class, mu at the
     expertise class)."""
     rho = np.asarray(rho, dtype=np.float64)[None, :]
-    return rejector_inputs(rho, np.argmax(rho, axis=1), rep.mu[None, :])
+    return rejector_inputs(rho, np.argmax(rho, axis=1), rep[None, :])
 
 
 def constant_net(outputs, input_dim):
@@ -74,7 +75,7 @@ def ea_loss(class_logits, deferral_logit, true_label, rep):
     logits are given."""
     clf, rej = constant_net(class_logits, 2), constant_net(deferral_logit, 4)
     return ea_l2d_loss_grads(
-        clf, rej, np.zeros((1, 2)), np.array([true_label]), rep.mu[None, :]
+        clf, rej, np.zeros((1, 2)), np.array([true_label]), rep[None, :]
     )[:2]
 
 
@@ -153,7 +154,7 @@ class TestPermutationInvariance:
             k = int(rng.integers(3, 8))
             rho = rng.dirichlet(np.ones(k))
             params = rng.uniform(1, 9, size=(k, 2))  # (alpha_k, beta_k) per class
-            rep = BehaviouralRepresentation(params[:, 0], params[:, 1])
+            rep = params[:, 0] / (params[:, 0] + params[:, 1])
             base = inputs_row(rho, rep)
 
             perm = rng.permutation(k)
@@ -161,11 +162,11 @@ class TestPermutationInvariance:
             rho_p[perm] = rho
             params_p = np.empty_like(params)
             params_p[perm] = params
-            rep_p = BehaviouralRepresentation(params_p[:, 0], params_p[:, 1])
+            rep_p = params_p[:, 0] / (params_p[:, 0] + params_p[:, 1])
             permuted = inputs_row(rho_p, rep_p)
 
             assert np.array_equal(permuted, base)
-            assert rep_p.expertise_class == perm[rep.expertise_class]
+            assert np.argmax(rep_p) == perm[np.argmax(rep)]
 
 
 class TestEaL2dLoss:
@@ -307,7 +308,8 @@ class TestLossGradients:
             rej = dense_net([4, 8, 8, 1], srng)
             x = srng.normal(size=(1, 5))
             y = np.array([srng.integers(4)])
-            mu = BehaviouralRepresentation(*srng.uniform(1, 9, size=(4, 2)).T).mu[None, :]
+            a, b = srng.uniform(1, 9, size=(4, 2)).T
+            mu = (a / (a + b))[None, :]
 
             def clf_loss(net):
                 cs, ds, cg, _, pat = ea_l2d_loss_grads(net, rej, x, y, mu)
@@ -370,7 +372,10 @@ def run_method(method, setup, cfg, hidden=8, patience=None):
     clf = dense_net([6, hidden, 4], 0)
     if method == "ea_l2d":
         rej = dense_net([4, hidden, 1], 1)
-        return train(clf, rej, task.train, contexts, None, cfg, val=task.val, patience=patience)
+        return train(
+            clf, rej, task.train, contexts, [None] * len(contexts), cfg, val=task.val,
+            patience=patience,
+        )
     rng = np.random.default_rng(0)
     query_preds, val_preds = (
         np.stack([expert_predict_batch(e, data.labels, 4, rng) for e in experts])
@@ -417,7 +422,7 @@ class TestTrain:
             query = type(task.train)(task.train.features, labels)
             with pytest.raises(ValueError, match="labels"):
                 train(dense_net([6, 8, 4], 0), dense_net([4, 8, 1], 1), query, contexts,
-                      None, cfg, val=task.val)
+                      [None] * len(contexts), cfg, val=task.val)
             with pytest.raises(ValueError, match="labels"):
                 train_pop_avg(dense_net([6, 8, 4], 0), dense_net([6, 8, 1], 1), query, preds,
                               cfg, val=task.val, val_predictions=val_preds)
@@ -451,7 +456,7 @@ class TestTrain:
         clf = dense_net([6, 16, 4], 0)
         rej = dense_net([4, 16, 1], 1)
         cfg = TrainConfig(learning_rate=0.2, batch_size=32, epochs=50, seed=0)
-        result = train(clf, rej, task.train, contexts, None, cfg, val=task.val)
+        result = train(clf, rej, task.train, contexts, [None] * len(contexts), cfg, val=task.val)
         assert result.history[-1].train_loss < result.history[0].train_loss
 
     def test_oversized_context_subsample_rejected(self):
@@ -460,7 +465,9 @@ class TestTrain:
         rej = dense_net([4, 8, 1], 1)
         cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
         with pytest.raises(ValueError, match="subsample"):
-            train(clf, rej, task.train, contexts, None, cfg, val=task.val, lam=1000)
+            train(
+                clf, rej, task.train, contexts, [None] * len(contexts), cfg, val=task.val, lam=1000
+            )
 
     def test_empty_query_rejected(self):
         task, _, contexts = small_training_setup()
@@ -469,7 +476,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
         empty = type(task.train)(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match="nonempty"):
-            train(clf, rej, empty, contexts, None, cfg, val=task.val)
+            train(clf, rej, empty, contexts, [None] * len(contexts), cfg, val=task.val)
 
     def test_trained_rejector_prefers_strong_expert_inputs(self):
         # after training, an input where the expert is strong at the
@@ -479,7 +486,7 @@ class TestTrain:
         clf = dense_net([6, 16, 4], 0)
         rej = dense_net([4, 16, 16, 1], 1)
         cfg = TrainConfig(learning_rate=0.2, batch_size=32, epochs=60, seed=0)
-        result = train(clf, rej, task.train, contexts, None, cfg, val=task.val)
+        result = train(clf, rej, task.train, contexts, [None] * len(contexts), cfg, val=task.val)
         strong, weak = forward(result.rejector, np.array([[0.58, 0.58, 0.89, 0.89],
                                                           [0.0, 0.58, 0.22, 0.89]]))[:, 0]
         assert strong > weak
@@ -513,7 +520,7 @@ class TestOneForwardPerBatch:
         clf = dense_net([6, 8, 4], 0)
         rej = dense_net([4, 8, 1], 1)
         cfg = TrainConfig(learning_rate=0.1, batch_size=48, epochs=1, seed=0)
-        train(clf, rej, task.train, contexts, None, cfg, val=task.val)
+        train(clf, rej, task.train, contexts, [None] * len(contexts), cfg, val=task.val)
         batches = -(-len(task.train) // cfg.batch_size)
         assert batches == 4
         # one validation pass: the classifier and the rejector once each

@@ -17,7 +17,6 @@ from deferlab.evaluation import (
     write_curve_csv,
     write_metrics_csv,
 )
-from deferlab.experts import BehaviouralRepresentation
 from deferlab.nets import DenseNet, Layer, dense_net, forward, softmax
 from deferlab.simulate import Dataset
 
@@ -46,8 +45,11 @@ def brute_force_curves(cases):
 
 
 def rep_from_mu(mu_values):
+    """One expert's posterior-mean row a / (a + b) from the Beta parameters
+    a = 10 mu and b = 10 (1 - mu)."""
     mu = np.asarray(mu_values, dtype=np.float64)
-    return BehaviouralRepresentation(10 * mu, 10 * (1 - mu))
+    a, b = 10 * mu, 10 * (1 - mu)
+    return a / (a + b)
 
 
 def linear_rejector(weights, bias=0.0):
@@ -83,11 +85,11 @@ def score_cohort(mu_at_expertise, predictions):
     it. Returns the scored case and every expert's priority."""
     data = Dataset(np.zeros((1, 3)), np.zeros(1, dtype=np.int64))
     rejector = linear_rejector([0.0, 0.0, 0.0, 10.0])
-    reps = [rep_from_mu([m, 0.05]) for m in mu_at_expertise]
-    preds = np.array(predictions, dtype=np.int64).reshape(len(reps), 1)
+    mu = np.stack([rep_from_mu([m, 0.05]) for m in mu_at_expertise])
+    preds = np.array(predictions, dtype=np.int64).reshape(len(mu), 1)
     logits = np.zeros((1, 2))
-    cases = score_cases(logits, rejector, data, reps, preds, np.random.default_rng(0))
-    return cases, case_priorities(logits, rejector, data.features, reps)[:, 0]
+    cases = score_cases(logits, rejector, data, mu, preds, np.random.default_rng(0))
+    return cases, case_priorities(logits, rejector, data.features, mu)[:, 0]
 
 
 class TestSelectExpert:
@@ -116,7 +118,7 @@ class TestSelectExpert:
         data = Dataset(np.zeros((2, 3)), np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError, match="empty cohort"):
             score_cases(
-                np.zeros((2, 2)), linear_rejector([0.0] * 4), data, [],
+                np.zeros((2, 2)), linear_rejector([0.0] * 4), data, np.zeros((0, 2)),
                 np.zeros((0, 2), dtype=np.int64), np.random.default_rng(0),
             )
 
@@ -272,11 +274,11 @@ class TestScoreCases:
         clf = dense_net([3, 8, 3], 0)
         rej = dense_net([4, 8, 1], 1)
         data = Dataset(np.random.default_rng(0).normal(size=(12, 3)), np.zeros(12, dtype=np.int64))
-        reps = [rep_from_mu([0.9, 0.4, 0.4]), rep_from_mu([0.4, 0.9, 0.4])]
+        mu = np.stack([rep_from_mu([0.9, 0.4, 0.4]), rep_from_mu([0.4, 0.9, 0.4])])
         preds = np.zeros((2, 12), dtype=np.int64)
         logits = forward(clf, data.features)
-        cases = score_cases(logits, rej, data, reps, preds, np.random.default_rng(0))
-        matrix = case_priorities(logits, rej, data.features, reps)
+        cases = score_cases(logits, rej, data, mu, preds, np.random.default_rng(0))
+        matrix = case_priorities(logits, rej, data.features, mu)
         expected = np.argmax(matrix, axis=0)
         assert cases.chosen_expert.tolist() == expected.tolist()
         assert all(cases.priority[i] == matrix[e, i] for i, e in enumerate(expected))
@@ -306,16 +308,16 @@ class TestScoreCases:
             )
 
 
-def reference_priorities(logits, rejector, features, reps):
+def reference_priorities(logits, rejector, features, mu):
     """Priority rows from one full (cases, K+1) ``column_stack`` and
     ``nets.softmax`` per expert."""
     num_classes = logits.shape[1]
-    if reps is None:
+    if mu is None:
         g_rows = [forward(rejector, features)[:, 0]]
     else:
         rho = softmax(logits)
         kstar = np.argmax(rho, axis=1)
-        g_rows = [forward(rejector, rejector_inputs(rho, kstar, rep.mu[None, :]))[:, 0] for rep in reps]
+        g_rows = [forward(rejector, rejector_inputs(rho, kstar, row[None, :]))[:, 0] for row in mu]
     rows = []
     for g_defer in g_rows:
         q = softmax(np.column_stack([logits, g_defer]))
@@ -334,18 +336,18 @@ def priority_inputs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     logits = rng.normal(scale=scale, size=(cases, num_classes))
     rejector = dense_net([4, 8, 1], rng)
-    reps = [rep_from_mu(rng.uniform(0.01, 0.99, size=num_classes)) for _ in range(experts)]
-    return logits, rejector, reps
+    mu = np.stack([rep_from_mu(rng.uniform(0.01, 0.99, size=num_classes)) for _ in range(experts)])
+    return logits, rejector, mu
 
 
 class TestCasePriorityProperties:
     @settings(max_examples=100, deadline=None)
     @given(priority_inputs())
     def test_rows_equal_per_expert_softmax_reference(self, inputs):
-        logits, rejector, reps = inputs
+        logits, rejector, mu = inputs
         features = np.zeros((len(logits), 4))
-        got = case_priorities(logits, rejector, features, reps)
-        assert got.tobytes() == reference_priorities(logits, rejector, features, reps).tobytes()
+        got = case_priorities(logits, rejector, features, mu)
+        assert got.tobytes() == reference_priorities(logits, rejector, features, mu).tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(priority_inputs(), st.integers(0, 2**32 - 1))
@@ -361,19 +363,19 @@ class TestCasePriorityProperties:
     @settings(max_examples=100, deadline=None)
     @given(priority_inputs(), st.data())
     def test_permuting_the_cohort_permutes_rows(self, inputs, data):
-        logits, rejector, reps = inputs
-        perm = data.draw(st.permutations(range(len(reps))))
+        logits, rejector, mu = inputs
+        perm = data.draw(st.permutations(range(len(mu))))
         features = np.zeros((len(logits), 4))
-        rows = case_priorities(logits, rejector, features, reps)
-        permuted = case_priorities(logits, rejector, features, [reps[i] for i in perm])
+        rows = case_priorities(logits, rejector, features, mu)
+        permuted = case_priorities(logits, rejector, features, mu[perm])
         assert permuted.tobytes() == rows[perm].tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(priority_inputs(), st.data())
     def test_identical_experts_get_identical_rows(self, inputs, data):
-        logits, rejector, reps = inputs
-        picks = data.draw(st.lists(st.integers(0, len(reps) - 1), min_size=2, max_size=8))
-        rows = case_priorities(logits, rejector, np.zeros((len(logits), 4)), [reps[i] for i in picks])
+        logits, rejector, mu = inputs
+        picks = data.draw(st.lists(st.integers(0, len(mu) - 1), min_size=2, max_size=8))
+        rows = case_priorities(logits, rejector, np.zeros((len(logits), 4)), mu[picks])
         for r, i in enumerate(picks):
             first = picks.index(i)
             assert rows[r].tobytes() == rows[first].tobytes()

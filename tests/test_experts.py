@@ -3,14 +3,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from deferlab.deferral import rejector_inputs
 from deferlab.errors import DatasetParseError
 from deferlab.experts import (
-    BehaviouralRepresentation,
     PriorElicitation,
     build_representation,
     load_prior_file,
-    posterior_means,
-    posterior_params,
     prior_arrays,
     sample_complexity_bound,
     write_prior_file,
@@ -21,7 +19,7 @@ from deferlab.simulate import SimulatedExpertSpec, expert_predict_batch
 def reference_posterior(labels, predictions, num_classes, prior):
     """Count-and-update in plain Python floats: per class k, n_k items and
     t_k correct ones; Beta(a_k, b_k) becomes Beta(a_k + t_k, b_k + n_k - t_k)
-    and the mean is alpha / (alpha + beta). Returns (alpha, beta, mu)."""
+    and the mean is alpha / (alpha + beta). Returns the means."""
     n = [0] * num_classes
     t = [0] * num_classes
     for y, m in zip(labels, predictions):
@@ -35,7 +33,22 @@ def reference_posterior(labels, predictions, num_classes, prior):
             a0, b0 = 1.0 + p * scale, 1.0 + (1.0 - p) * scale
         alpha.append(a0 + t[k])
         beta.append(b0 + (n[k] - t[k]))
-    return alpha, beta, [a / (a + b) for a, b in zip(alpha, beta)]
+    return [a / (a + b) for a, b in zip(alpha, beta)]
+
+
+def expertise_class(mu_row):
+    """The expertise class as the rejector reads it: with the class softmax
+    set to rho_k = k, rejector input column 0 is the class index, and column
+    3 is the posterior mean there."""
+    rho = np.arange(len(mu_row), dtype=np.float64)[None, :]
+    inputs = rejector_inputs(rho, np.zeros(1, dtype=np.int64), mu_row[None, :])[0]
+    assert inputs[3] == mu_row[int(inputs[0])]
+    return int(inputs[0])
+
+
+def one_expert(labels, predictions, num_classes, prior=None):
+    """One expert's posterior means, a (K,) row."""
+    return build_representation(*prior_arrays([prior], num_classes), [labels], [predictions])[0]
 
 
 @st.composite
@@ -61,21 +74,25 @@ def expert_contexts(draw, num_classes):
 def test_representation_matches_count_and_update_reference(case):
     num_classes, cohort = case
     alpha0, beta0 = prior_arrays([prior for *_, prior in cohort], num_classes)
-    mu = posterior_means(alpha0, beta0, *zip(*[(y, m) for y, m, _ in cohort]))
+    mu = build_representation(alpha0, beta0, *zip(*[(y, m) for y, m, _ in cohort]))
+    assert mu.shape == (len(cohort), num_classes)
     for e, (labels, predictions, prior) in enumerate(cohort):
-        alpha, beta, ref_mu = reference_posterior(labels, predictions, num_classes, prior)
-        rep = build_representation(labels, predictions, num_classes, prior)
-        assert rep.alpha.tolist() == alpha and rep.beta.tolist() == beta
-        assert rep.mu.tolist() == ref_mu and mu[e].tolist() == ref_mu
-        assert rep.expertise_class == ref_mu.index(max(ref_mu))
+        ref_mu = reference_posterior(labels, predictions, num_classes, prior)
+        assert one_expert(labels, predictions, num_classes, prior).tolist() == ref_mu
+        assert mu[e].tolist() == ref_mu
+        assert expertise_class(mu[e]) == ref_mu.index(max(ref_mu))
 
 
 def counts(labels, predictions, num_classes):
-    """Per-class (items, correct) counts recovered from a uniform-prior
-    representation: alpha = 1 + t and beta = 1 + n - t."""
-    rep = build_representation(labels, predictions, num_classes)
-    t = rep.alpha - 1.0
-    return (t + rep.beta - 1.0).tolist(), t.tolist()
+    """Per-class (items, correct) counts recovered from the means under the
+    priors Beta(1, 1) and Beta(1, 2): 1 / mu = (1 + beta0 + n) / (1 + t)."""
+    ones = np.ones((1, num_classes))
+    mu1, mu2 = (
+        build_representation(ones, b * ones, [labels], [predictions])[0] for b in (1.0, 2.0)
+    )
+    t = 1.0 / (1.0 / mu2 - 1.0 / mu1) - 1.0
+    n = (1.0 + t) / mu1 - 2.0
+    return np.rint(n).tolist(), np.rint(t).tolist()
 
 
 class TestCountContext:
@@ -90,9 +107,9 @@ class TestCountContext:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            build_representation([0], [3], 2)
+            one_expert([0], [3], 2)
         with pytest.raises(ValueError):
-            build_representation([-1], [0], 2)
+            one_expert([-1], [0], 2)
 
     def test_counts_track_simulated_expert_accuracy(self):
         expert = SimulatedExpertSpec(0, frozenset({1}), 0.3)
@@ -141,29 +158,27 @@ class TestElicitPrior:
 
 
 def updated(alpha, beta, n, t):
-    """Class 0's posterior parameters after t correct answers out of n (the
-    wrong answers name class 1)."""
-    alpha1, beta1 = posterior_params(
+    """Class 0's posterior mean from a Beta(alpha, beta) prior after t
+    correct answers out of n (the wrong answers name class 1)."""
+    mu = build_representation(
         np.array([[alpha, 1.0]]), np.array([[beta, 1.0]]), [[0] * n], [[0] * t + [1] * (n - t)]
     )
-    return alpha1[0, 0], beta1[0, 0]
+    return mu[0, 0]
 
 
 def mean(alpha, beta):
-    return BehaviouralRepresentation(np.array([alpha]), np.array([beta])).mu[0]
+    return updated(alpha, beta, 0, 0)
 
 
 class TestUpdatePosterior:
     def test_no_observations_is_identity(self):
-        assert updated(1.0, 1.0, 0, 0) == (1.0, 1.0)
+        assert updated(1.0, 1.0, 0, 0) == 1.0 / (1.0 + 1.0)
 
     def test_uniform_prior_update(self):
-        assert updated(1.0, 1.0, 10, 8) == (9.0, 3.0)
+        assert updated(1.0, 1.0, 10, 8) == 9.0 / (9.0 + 3.0)
 
     def test_informative_prior_update(self):
-        alpha, beta = updated(9.32, 3.08, 5, 5)
-        assert alpha == pytest.approx(14.32, abs=1e-12)
-        assert beta == pytest.approx(3.08, abs=1e-12)
+        assert updated(9.32, 3.08, 5, 5) == pytest.approx(14.32 / (14.32 + 3.08), abs=1e-12)
 
 
 class TestPosteriorMean:
@@ -171,7 +186,7 @@ class TestPosteriorMean:
         assert mean(1.0, 1.0) == 0.5
 
     def test_uniform_plus_counts(self):
-        assert mean(*updated(1.0, 1.0, 10, 8)) == pytest.approx(0.75)
+        assert updated(1.0, 1.0, 10, 8) == pytest.approx(0.75)
 
     def test_elicited(self):
         assert mean(9.32, 3.08) == pytest.approx(9.32 / 12.40, abs=1e-12)
@@ -183,7 +198,7 @@ class TestPosteriorMean:
             beta = rng.uniform(0.01, 50)
             n = int(rng.integers(0, 500))
             t = int(rng.integers(0, n + 1))
-            assert mean(*updated(alpha, beta, n, t)) == pytest.approx(
+            assert updated(alpha, beta, n, t) == pytest.approx(
                 (alpha + t) / (alpha + beta + n), abs=1e-12
             )
 
@@ -191,8 +206,8 @@ class TestPosteriorMean:
         rng = np.random.default_rng(5)
         for _ in range(200):
             alpha, beta = rng.uniform(0.1, 20), rng.uniform(0.1, 20)
-            up = mean(*updated(alpha, beta, 1, 1))
-            down = mean(*updated(alpha, beta, 1, 0))
+            up = updated(alpha, beta, 1, 1)
+            down = updated(alpha, beta, 1, 0)
             assert up > mean(alpha, beta) > down
 
     def test_sequential_equals_batch(self):
@@ -204,47 +219,42 @@ class TestPosteriorMean:
                 (int(n), int(rng.integers(0, n + 1)))
                 for n in rng.integers(0, 30, size=4)
             ]
-            seq = prior
-            for n, t in chunks:
-                seq = updated(*seq, n, t)
             batch = updated(*prior, sum(n for n, _ in chunks), sum(t for _, t in chunks))
-            assert seq == batch
+            # updating on the first i chunks gives the prior of the rest
+            for i in range(len(chunks) + 1):
+                done, rest = chunks[:i], chunks[i:]
+                posterior = (
+                    prior[0] + sum(t for _, t in done),
+                    prior[1] + sum(n - t for n, t in done),
+                )
+                n_rest, t_rest = sum(n for n, _ in rest), sum(t for _, t in rest)
+                assert updated(*posterior, n_rest, t_rest) == batch
 
 
 class TestBuildRepresentation:
     def test_empty_context_uniform_prior(self):
-        rep = build_representation([], [], 3)
-        assert np.allclose(rep.mu, 0.5)
-        assert rep.expertise_class == 0  # tie-break to lowest index
+        mu = one_expert([], [], 3)
+        assert np.allclose(mu, 0.5)
+        assert expertise_class(mu) == 0  # tie-break to lowest index
 
     def test_counts_example(self):
         labels = [0] * 10 + [1] * 10
         preds = [0] * 10 + [1] * 5 + [0] * 5
-        rep = build_representation(labels, preds, 2)
-        assert rep.mu[0] == pytest.approx(11 / 12)
-        assert rep.mu[1] == pytest.approx(6 / 12)
-        assert rep.expertise_class == 0
+        mu = one_expert(labels, preds, 2)
+        assert mu[0] == pytest.approx(11 / 12)
+        assert mu[1] == pytest.approx(6 / 12)
+        assert expertise_class(mu) == 0
 
     def test_prior_only_representation(self):
         priors = PriorElicitation(np.array([0.8, 0.5]), np.array([0.8, 0.0]), 15.0)
-        rep = build_representation([], [], 2, priors)
-        assert rep.mu[0] == pytest.approx(0.7516129032258065, abs=1e-12)
-        assert rep.mu[1] == 0.5
-        assert rep.expertise_class == 0
-
-    def test_invariant_checked_on_construction(self):
-        with pytest.raises(ValueError, match="equal length"):
-            BehaviouralRepresentation(np.array([0.9, 0.5]), np.array([1.0]))
-        with pytest.raises(ValueError, match="positive"):
-            BehaviouralRepresentation(np.array([0.9, 0.0]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="positive"):
-            BehaviouralRepresentation(np.array([0.9, np.nan]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="finite"):
-            BehaviouralRepresentation(np.array([0.9, np.inf]), np.array([1.0, 1.0]))
+        mu = one_expert([], [], 2, priors)
+        assert mu[0] == pytest.approx(0.7516129032258065, abs=1e-12)
+        assert mu[1] == 0.5
+        assert expertise_class(mu) == 0
 
     def test_mismatched_prior_size_rejected(self):
         with pytest.raises(ValueError):
-            build_representation([], [], 3, PriorElicitation(np.full(2, 0.5), np.zeros(2)))
+            one_expert([], [], 3, PriorElicitation(np.full(2, 0.5), np.zeros(2)))
 
 
 class TestSampleComplexityBound:

@@ -404,3 +404,27 @@ def test_one_version_string():
     with open(pyproject, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == deferlab.__version__
     assert VERSION_STRING == f"deferlab-{deferlab.__version__}"
+
+
+def test_every_benchmark_span_fires_on_evaluate(tmp_path, monkeypatch):
+    # The benchmark traces the functions in bench/tracing.py SPANS by module,
+    # name and parameter names; evaluate with both methods calls all of them,
+    # so a rename fails here and not only in a traced benchmark run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import run
+    import tracing
+
+    prefix = str(tmp_path / "spans")
+    args = ["evaluate", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    assert run.spawn(str(tmp_path), "run", args, prefix)["exit_code"] == 0
+    layers = run.layer_metrics(prefix, set(tracing.SPANS))  # raises on a span that never fired
+    cfg = validate_config(TINY)
+    assert cfg.methods == ["ea_l2d", "pop_avg"] and cfg.patience is None
+    assert layers["deferral.train.calls"] == layers["deferral.train_pop_avg.calls"] == 1
+    # without patience each of the two runs trains every epoch
+    assert layers["deferral.epochs_run"] == 2 * cfg.epochs
+    batches_per_epoch = -(-cfg.train_size // cfg.batch_size)
+    assert layers["deferral.batches"] == 2 * cfg.epochs * batches_per_epoch
+    # ea_l2d pairs every query example with each in-distribution expert,
+    # the baseline has one term per example
+    assert layers["deferral.pair_steps"] == cfg.epochs * cfg.train_size * (cfg.experts_id + 1)

@@ -18,12 +18,7 @@ from deferlab.deferral import (
     mode_labels,
     pop_avg_loss_grads,
 )
-from deferlab.experts import (
-    PriorElicitation,
-    build_representation,
-    posterior_means,
-    prior_arrays,
-)
+from deferlab.experts import PriorElicitation, build_representation, prior_arrays
 from deferlab.nets import GradientBundle, backward, dense_net, forward_cached, softmax
 
 
@@ -78,11 +73,13 @@ def assert_bundles_close(a, b, tol=1e-12):
 
 
 def random_cohort(seed, experts, num_classes=5, context=30, elicited=False):
-    """Contexts and priors for a random cohort, with its stacked mu."""
+    """Contexts and priors for a random cohort, with its stacked mu.
+    ``context`` is every expert's context length, or a list of them."""
     rng = np.random.default_rng(seed)
-    labels = [rng.integers(num_classes, size=context) for _ in range(experts)]
+    sizes = context if isinstance(context, list) else [context] * experts
+    labels = [rng.integers(num_classes, size=n) for n in sizes]
     preds = [
-        np.where(rng.random(context) < rng.random(), y, rng.integers(num_classes, size=context))
+        np.where(rng.random(len(y)) < rng.random(), y, rng.integers(num_classes, size=len(y)))
         for y in labels
     ]
     priors = [
@@ -92,7 +89,7 @@ def random_cohort(seed, experts, num_classes=5, context=30, elicited=False):
         for _ in range(experts)
     ]
     alpha0, beta0 = prior_arrays(priors, num_classes)
-    return labels, preds, priors, posterior_means(alpha0, beta0, labels, preds)
+    return labels, preds, priors, build_representation(alpha0, beta0, labels, preds)
 
 
 def nets_and_batch(seed, num_classes=5, dim=6, batch=16):
@@ -175,41 +172,42 @@ def test_permuting_experts_leaves_loss_and_gradients_unchanged(seed, experts, el
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    experts=st.integers(1, 5),
     num_classes=st.integers(2, 8),
-    context=st.integers(0, 40),
+    contexts=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    split=st.integers(1, 6),
     elicited=st.booleans(),
 )
-def test_bincount_mu_equals_build_representation(seed, experts, num_classes, context, elicited):
+def test_bincount_mu_equals_build_representation(seed, num_classes, contexts, split, elicited):
     # the cohort's one bincount keeps experts apart: each row equals that
-    # expert counted on its own (tests/test_experts.py checks both against a
-    # plain-Python count-and-update reference)
-    labels, preds, priors, _ = random_cohort(seed, experts, num_classes, context, elicited)
-    rng = np.random.default_rng(seed)
-    picks = [rng.choice(context, size=context // 2, replace=False) for _ in range(experts)]
-    sub_labels = [y[i] for y, i in zip(labels, picks)]
-    sub_preds = [m[i] for m, i in zip(preds, picks)]
+    # expert counted on its own, and the harness's id/ood slices of the
+    # cohort's matrix equal each cohort counted on its own
+    # (tests/test_experts.py checks rows against a plain-Python reference)
+    experts = len(contexts)
+    labels, preds, priors, mu = random_cohort(seed, experts, num_classes, contexts, elicited)
     alpha0, beta0 = prior_arrays(priors, num_classes)
-    mu = posterior_means(alpha0, beta0, sub_labels, sub_preds)
+    assert mu.shape == (experts, num_classes)
     for e in range(experts):
-        rep = build_representation(sub_labels[e], sub_preds[e], num_classes, priors[e])
-        assert np.array_equal(mu[e], rep.mu)
-        assert int(np.argmax(mu[e])) == rep.expertise_class
+        one = build_representation(alpha0[e : e + 1], beta0[e : e + 1], [labels[e]], [preds[e]])
+        assert mu[e].tobytes() == one[0].tobytes()
+    for idx in (slice(0, min(split, experts)), slice(min(split, experts), None)):
+        if len(labels[idx]):
+            part = build_representation(alpha0[idx], beta0[idx], labels[idx], preds[idx])
+            assert mu[idx].tobytes() == part.tobytes()
 
 
 class TestPosteriorArrays:
     def test_out_of_range_context_rejected(self):
         alpha0, beta0 = prior_arrays([None], 3)
         with pytest.raises(ValueError, match="out-of-range"):
-            posterior_means(alpha0, beta0, [np.array([0, 3])], [np.array([0, 1])])
+            build_representation(alpha0, beta0, [np.array([0, 3])], [np.array([0, 1])])
         with pytest.raises(ValueError, match="out-of-range"):
-            posterior_means(alpha0, beta0, [np.array([0, 1])], [np.array([-1, 1])])
+            build_representation(alpha0, beta0, [np.array([0, 1])], [np.array([-1, 1])])
 
     def test_empty_contexts_give_the_prior_mean(self):
         prior = PriorElicitation(np.array([0.9, 0.2]), np.array([1.0, 0.5]), 12.0)
         alpha0, beta0 = prior_arrays([None, prior], 2)
         empty = np.zeros(0, dtype=np.int64)
-        mu = posterior_means(alpha0, beta0, [empty, empty], [empty, empty])
+        mu = build_representation(alpha0, beta0, [empty, empty], [empty, empty])
         assert mu[0].tolist() == [0.5, 0.5]
         assert np.array_equal(mu[1], alpha0[1] / (alpha0[1] + beta0[1]))
 
