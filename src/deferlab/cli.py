@@ -4,7 +4,8 @@ Subcommands: ``generate`` (emit dataset CSVs), ``train`` (checkpoints and
 loss histories), ``evaluate`` (full train-and-evaluate protocol), ``sweep``
 (same plus a method-gap summary), ``priors-study``, ``theory-check``.
 
-Exit codes: 0 success, 1 validation error, 2 failed theory/acceptance check,
+Exit codes: 0 success, 1 validation error (a bad config, data file or
+``--bound-scale``), 2 failed theory/acceptance check,
 3 training divergence on every seed (on any seed for ``priors-study`` and
 ``theory-check``, which stop at the first divergence).
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -120,6 +122,8 @@ def _cmd_priors_study(args) -> int:
 
 
 def _cmd_theory_check(args) -> int:
+    if not (math.isfinite(args.bound_scale) and args.bound_scale > 0):
+        raise ConfigError("--bound-scale must be finite and > 0")
     seeds = [args.seed] if args.seed is not None else []
     if args.config is not None:
         cfg = parse_config(args.config)
@@ -158,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bound-scale",
         type=float,
         default=1.0,
-        help="scale the sample bound (e.g. 0.1 as a negative control)",
+        help="scale the sample bound, finite and > 0 (e.g. 0.1 as a negative control)",
     )
     return parser
 

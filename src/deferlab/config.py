@@ -1,13 +1,19 @@
 """Experiment configuration: a strict flat JSON schema.
 
-Unknown keys are rejected so sweep-script typos fail loudly. Evaluation
-ranges may be given either as fractions in [0, 1] or as percentages (any
-endpoint above 1 switches the pair to the percent scale).
+``_SCHEMA`` is the one table of keys: each key's accepted JSON types and its
+default, or ``...`` for a required key. Unknown keys are rejected so
+sweep-script typos fail loudly. A bool is never a number, every number must
+be finite, and null is accepted only where the table lists it. ``_MIN``
+holds the lower bounds; every list-valued key in ``_ENTRIES`` must be
+nonempty, and its entries (or its one bare value) pass the entry check
+there. Evaluation ranges may be given either as fractions in [0, 1] or as
+percentages (any endpoint above 1 switches the pair to the percent scale).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, fields
 
@@ -16,34 +22,71 @@ from .simulate import SyntheticTaskSpec
 
 VALID_METHODS = ("ea_l2d", "pop_avg")
 
-_REQUIRED = {
-    "num_classes": int,
-    "dim": int,
-    "separation": (int, float),
-    "noise_scale": (int, float),
-    "train_size": int,
-    "val_size": int,
-    "test_size": int,
-    "context_pool_size": int,
-    "experts_id": int,
-    "experts_ood": int,
-    "overlap_probabilities": list,
-    "context_size": int,
-    "seeds": list,
+_INT, _NUMBER, _LIST, _NULL = (int,), (int, float), (list,), type(None)
+
+# key: (accepted JSON types, default); a default of ... marks a required key.
+# Keys typed _NUMBER are stored as floats.
+_SCHEMA = {
+    "num_classes": (_INT, ...),
+    "dim": (_INT, ...),
+    "separation": (_NUMBER, ...),
+    "noise_scale": (_NUMBER, ...),
+    "train_size": (_INT, ...),
+    "val_size": (_INT, ...),
+    "test_size": (_INT, ...),
+    "context_pool_size": (_INT, ...),
+    "experts_id": (_INT, ...),
+    "experts_ood": (_INT, ...),
+    "overlap_probabilities": (_LIST, ...),
+    "context_size": (_INT, ...),
+    "seeds": (_LIST, ...),
+    "expertise_per_expert": ((int, list), 1),
+    "method": ((str, list), "ea_l2d"),
+    "prior_file": ((str, _NULL), None),
+    "learning_rate": (_NUMBER, 0.1),
+    "batch_size": (_INT, 64),
+    "epochs": (_INT, 60),
+    "weight_decay": (_NUMBER, 0.0),
+    "patience": ((int, _NULL), 10),
+    "context_subsample": ((int, _NULL), None),
+    "eval_ranges": (_LIST, [[0.0, 1.0]]),
+    "classifier_hidden": (_LIST, [32]),
 }
 
-_OPTIONAL_DEFAULTS = {
-    "expertise_per_expert": 1,
-    "method": "ea_l2d",
-    "prior_file": None,
-    "learning_rate": 0.1,
-    "batch_size": 64,
-    "epochs": 60,
-    "weight_decay": 0.0,
-    "patience": 10,
-    "context_subsample": None,
-    "eval_ranges": [[0.0, 1.0]],
-    "classifier_hidden": [32],
+# inclusive lower bounds; learning_rate alone must be strictly positive
+_MIN = {
+    "num_classes": 2, "dim": 1, "train_size": 0, "val_size": 1, "test_size": 0,
+    "context_pool_size": 0, "experts_id": 1, "experts_ood": 0, "context_size": 1,
+    "batch_size": 1, "epochs": 0, "weight_decay": 0, "patience": 0, "context_subsample": 1,
+}
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; a bool is not one."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float64
+        return False
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and value >= 1
+
+
+# list-valued key: (check of one entry, error message formatted with the entry)
+_ENTRIES = {
+    "overlap_probabilities": (
+        lambda p: _is_number(p) and 0.0 <= p <= 1.0,
+        "overlap_probability must lie in [0, 1] (got {})",
+    ),
+    "seeds": (lambda s: isinstance(s, int), "seeds entries must be integers (got {!r})"),
+    "method": (lambda m: m in VALID_METHODS, f"method must be one of {VALID_METHODS} (got {{!r}})"),
+    "expertise_per_expert": (
+        _positive_int, "expertise_per_expert must be a positive int or list of them"
+    ),
+    "classifier_hidden": (
+        _positive_int, "classifier_hidden must be a nonempty list of positive ints"
+    ),
 }
 
 
@@ -115,6 +158,8 @@ class ConfigError(ValueError):
 def _normalize_range(pair, index: int) -> tuple[float, float]:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ConfigError(f"eval_ranges[{index}] must be a [d_min, d_max] pair")
+    if not all(map(_is_number, pair)):
+        raise ConfigError(f"eval_ranges[{index}] endpoints must be finite numbers")
     lo, hi = float(pair[0]), float(pair[1])
     if max(lo, hi) > 1.0:  # percent scale
         lo, hi = lo / 100.0, hi / 100.0
@@ -126,114 +171,57 @@ def _normalize_range(pair, index: int) -> tuple[float, float]:
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
-    unknown = set(raw) - set(_REQUIRED) - set(_OPTIONAL_DEFAULTS)
+    unknown = set(raw) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, types in _REQUIRED.items():
-        if key not in raw:
+    merged = {}
+    for key, (types, default) in _SCHEMA.items():
+        if key not in raw and default is ...:
             raise ConfigError(f"missing required key: {key}")
-        if not isinstance(raw[key], types) or isinstance(raw[key], bool):
+        value = raw.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, types):
             raise ConfigError(f"key {key} has the wrong type")
+        if isinstance(value, (int, float)) and not _is_number(value):
+            raise ConfigError(f"key {key} must be a finite number")
+        merged[key] = float(value) if types is _NUMBER else value
 
-    merged = dict(_OPTIONAL_DEFAULTS)
-    merged.update(raw)
-
-    if merged["num_classes"] < 2:
-        raise ConfigError("num_classes must be >= 2")
-    for key in ("dim", "val_size", "experts_id", "context_size", "batch_size"):
-        if merged[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    for key in ("train_size", "test_size", "context_pool_size", "experts_ood", "epochs"):
-        if merged[key] < 0:
-            raise ConfigError(f"{key} must be >= 0")
+    for key, low in _MIN.items():
+        if merged[key] is not None and merged[key] < low:
+            or_null = " or null" if _NULL in _SCHEMA[key][0] else ""
+            raise ConfigError(f"{key} must be >= {low}{or_null}")
     if not merged["learning_rate"] > 0:
         raise ConfigError("learning_rate must be > 0")
-    if merged["weight_decay"] < 0:
-        raise ConfigError("weight_decay must be >= 0")
-    epe_raw = merged["expertise_per_expert"]
-    epe_grid = epe_raw if isinstance(epe_raw, list) else [epe_raw]
-    if not epe_grid or not all(
-        isinstance(e, int) and not isinstance(e, bool) and e >= 1 for e in epe_grid
-    ):
-        raise ConfigError("expertise_per_expert must be a positive int or list of them")
-    total_experts = merged["experts_id"] + merged["experts_ood"]
-    if total_experts * max(epe_grid) > merged["num_classes"]:
+
+    for key, (valid, message) in _ENTRIES.items():
+        entries = merged[key] if isinstance(merged[key], list) else [merged[key]]
+        if not entries:
+            raise ConfigError(f"{key} must be nonempty")
+        for entry in entries:
+            if isinstance(entry, bool) or not valid(entry):
+                raise ConfigError(message.format(entry))
+
+    merged["overlap_probabilities"] = [float(p) for p in merged["overlap_probabilities"]]
+    seeds = merged["seeds"] = list(dict.fromkeys(merged["seeds"]))
+    if len(seeds) != len(raw["seeds"]):
+        warnings.warn("duplicate seeds removed from config", stacklevel=2)
+    method = merged.pop("method")
+    merged["methods"] = list(dict.fromkeys([method] if isinstance(method, str) else method))
+    merged["classifier_hidden"] = list(merged["classifier_hidden"])
+    merged["eval_ranges"] = [_normalize_range(r, i) for i, r in enumerate(merged["eval_ranges"])]
+    cfg = ExperimentConfig(**merged)
+
+    if (cfg.experts_id + cfg.experts_ood) * max(cfg.expertise_grid()) > cfg.num_classes:
         raise ConfigError(
             "expertise_per_expert infeasible: experts x classes-per-expert exceeds num_classes"
         )
-    if merged["patience"] is not None and merged["patience"] < 0:
-        raise ConfigError("patience must be >= 0 or null")
-    if merged["context_subsample"] is not None and merged["context_subsample"] < 1:
-        raise ConfigError("context_subsample must be >= 1 or null")
-    if (merged["context_subsample"] or 0) > merged["context_size"]:
+    if (cfg.context_subsample or 0) > cfg.context_size:
         raise ConfigError("context_subsample must not exceed context_size")
     # a stratified context takes up to ceil(size / K) items of each class, and
     # the smallest class of a balanced pool has context_pool_size // K
-    k = merged["num_classes"]
-    if -(-merged["context_size"] // k) > merged["context_pool_size"] // k:
+    k = cfg.num_classes
+    if -(-cfg.context_size // k) > cfg.context_pool_size // k:
         raise ConfigError("context_size needs more items per class than context_pool_size has")
-
-    probs = []
-    for p in merged["overlap_probabilities"]:
-        if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-            raise ConfigError(f"overlap_probability must lie in [0, 1] (got {p})")
-        probs.append(float(p))
-    if not probs:
-        raise ConfigError("overlap_probabilities must be nonempty")
-
-    raw_seeds = merged["seeds"]
-    if not raw_seeds:
-        raise ConfigError("seeds must be nonempty")
-    seeds = []
-    for s in raw_seeds:
-        if not isinstance(s, int) or isinstance(s, bool):
-            raise ConfigError(f"seeds entries must be integers (got {s!r})")
-        if s not in seeds:
-            seeds.append(s)
-    if len(seeds) != len(raw_seeds):
-        warnings.warn("duplicate seeds removed from config", stacklevel=2)
-
-    method = merged["method"]
-    methods = [method] if isinstance(method, str) else list(method)
-    deduped = []
-    for m in methods:
-        if m not in VALID_METHODS:
-            raise ConfigError(f"method must be one of {VALID_METHODS} (got {m!r})")
-        if m not in deduped:
-            deduped.append(m)
-
-    hidden = merged["classifier_hidden"]
-    if not (isinstance(hidden, list) and hidden and all(isinstance(h, int) and h >= 1 for h in hidden)):
-        raise ConfigError("classifier_hidden must be a nonempty list of positive ints")
-
-    ranges = [_normalize_range(pair, i) for i, pair in enumerate(merged["eval_ranges"])]
-
-    return ExperimentConfig(
-        num_classes=merged["num_classes"],
-        dim=merged["dim"],
-        separation=float(merged["separation"]),
-        noise_scale=float(merged["noise_scale"]),
-        train_size=merged["train_size"],
-        val_size=merged["val_size"],
-        test_size=merged["test_size"],
-        context_pool_size=merged["context_pool_size"],
-        experts_id=merged["experts_id"],
-        experts_ood=merged["experts_ood"],
-        overlap_probabilities=probs,
-        context_size=merged["context_size"],
-        seeds=seeds,
-        expertise_per_expert=epe_raw,
-        methods=deduped,
-        prior_file=merged["prior_file"],
-        learning_rate=float(merged["learning_rate"]),
-        batch_size=merged["batch_size"],
-        epochs=merged["epochs"],
-        weight_decay=float(merged["weight_decay"]),
-        patience=merged["patience"],
-        context_subsample=merged["context_subsample"],
-        eval_ranges=ranges,
-        classifier_hidden=hidden,
-    )
+    return cfg
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -1,6 +1,9 @@
 import json
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deferlab.cli import main
 from deferlab.config import ConfigError, parse_config, validate_config
@@ -136,3 +139,133 @@ class TestValidation:
         cfg = validate_config(minimal_raw(method=["ea_l2d", "pop_avg"], eval_ranges=[[0, 100]]))
         again = validate_config(cfg.echo())
         assert again == cfg
+
+
+# One wrong value at a time on a valid config: each must fail validation
+# with one error line that names the key, before any file is written.
+MISTYPED = [
+    ("learning_rate", "0.1"), ("learning_rate", True), ("learning_rate", float("inf")),
+    ("epochs", 2.5), ("batch_size", 32.0), ("patience", "3"), ("patience", 1.5),
+    ("context_subsample", "5"), ("context_subsample", 2.5),
+    ("weight_decay", "0"), ("weight_decay", True), ("weight_decay", float("nan")),
+    ("method", 5), ("method", []), ("prior_file", 5),
+    ("overlap_probabilities", [True]), ("classifier_hidden", [True]),
+    ("eval_ranges", [[0, "a"]]),
+]
+# the entries of overlap_probabilities are named in the singular
+NAMED = {"overlap_probabilities": "overlap_probability"}
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+@pytest.mark.parametrize("key, value", MISTYPED, ids=[f"{k}={json.dumps(v)}" for k, v in MISTYPED])
+def test_mistyped_value_is_one_error_line_naming_the_key(tmp_path, capsys, command, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal_raw(**{key: value})))  # NaN and Infinity included
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert NAMED.get(key, key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(1e400, "key learning_rate must be a finite number"),
+     (10**400, "key learning_rate must be a finite number"),
+     (float("nan"), "key learning_rate must be a finite number"),
+     (True, "key learning_rate has the wrong type")],
+    ids=["1e400", "10**400", "nan", "true"],
+)
+def test_numbers_are_finite_and_never_bools(value, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        validate_config(minimal_raw(learning_rate=value))
+
+
+@pytest.mark.parametrize("key", ["overlap_probabilities", "seeds", "method",
+                                 "expertise_per_expert", "classifier_hidden"])
+def test_list_keys_must_be_nonempty(key):
+    with pytest.raises(ConfigError, match=f"^{key} must be nonempty$"):
+        validate_config(minimal_raw(**{key: []}))
+
+
+@pytest.mark.parametrize(
+    "pair", [[0, "a"], [0, True], [0, None], [0, float("nan")], [0, 10**400]],
+    ids=["str", "bool", "null", "nan", "10**400"],
+)
+def test_range_endpoints_are_finite_numbers(pair):
+    with pytest.raises(ConfigError, match=r"^eval_ranges\[1\] endpoints must be finite numbers$"):
+        validate_config(minimal_raw(eval_ranges=[[0, 1], pair]))
+
+
+def test_null_only_where_the_schema_allows_it():
+    cfg = validate_config(minimal_raw(prior_file=None, patience=None, context_subsample=None))
+    assert (cfg.prior_file, cfg.patience, cfg.context_subsample) == (None, None, None)
+    for key in ("learning_rate", "method", "eval_ranges", "expertise_per_expert"):
+        with pytest.raises(ConfigError, match=f"^key {key} has the wrong type$"):
+            validate_config(minimal_raw(**{key: None}))
+
+
+ALL_KEYS = sorted(validate_config(minimal_raw()).echo())
+
+
+def json_containers(children):
+    return st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=3)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(), json_containers, max_leaves=8
+)
+
+
+def validate_quietly(raw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicate seeds
+        return validate_config(raw)
+
+
+def assert_echo_round_trips(cfg):
+    # through JSON, as manifest.json stores it
+    assert validate_quietly(json.loads(json.dumps(cfg.echo()))) == cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(ALL_KEYS), value=JSON_VALUES)
+@example(key="learning_rate", value="0.1")
+@example(key="separation", value=10**400)
+@example(key="eval_ranges", value=[[0, 10**400]])
+@example(key="method", value=[[]])
+def test_any_json_value_is_accepted_or_a_config_error(key, value):
+    try:
+        cfg = validate_quietly(minimal_raw(**{key: value}))
+    except ConfigError:
+        return
+    assert_echo_round_trips(cfg)
+
+
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**6), 10**6)
+METHOD = st.sampled_from(["ea_l2d", "pop_avg"])
+FRACTION_PAIRS = st.tuples(st.floats(0, 1), st.floats(0, 1)).filter(lambda t: t[0] < t[1])
+PERCENT_PAIRS = st.tuples(st.integers(0, 100), st.integers(2, 100)).filter(lambda t: t[0] < t[1])
+VALID_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "separation": NUMBERS,
+    "noise_scale": NUMBERS,
+    "overlap_probabilities": st.lists(st.floats(0, 1) | st.integers(0, 1), min_size=1),
+    "seeds": st.lists(st.integers(), min_size=1),
+    "method": METHOD | st.lists(METHOD, min_size=1),
+    "prior_file": st.none() | st.text(),
+    "learning_rate": st.floats(0, 1e6, exclude_min=True) | st.integers(1, 10**6),
+    "batch_size": st.integers(1, 10**6),
+    "epochs": st.integers(0, 10**6),
+    "weight_decay": st.floats(0, 1e6) | st.integers(0, 10**6),
+    "patience": st.none() | st.integers(0, 10**6),
+    "context_subsample": st.none() | st.integers(1, 20),
+    "eval_ranges": st.lists((FRACTION_PAIRS | PERCENT_PAIRS).map(list), max_size=4),
+    "classifier_hidden": st.lists(st.integers(1, 10**6), min_size=1),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(overrides=VALID_OVERRIDES)
+def test_valid_config_echo_validates_back_to_an_equal_config(overrides):
+    assert_echo_round_trips(validate_quietly(minimal_raw(**overrides)))

@@ -322,12 +322,20 @@ THEORY_FAIL_OUT = re.compile(r".*^FAIL identification_bound .*", re.S | re.M)
 # No command reads a dataset CSV (generate only writes them), so the
 # malformed-CSV class applies to the prior file of the commands that load it.
 # priors-study and theory-check fail as a whole when any seed diverges.
+# theory-check rows also pass the --bound-scale their failure class names.
 CLI_CONTRACT = [
     *[
         (command, "invalid-config", {"overlap_probabilities": [2.0]}, (), 1, NOTHING, "",
          "error: overlap_probability must lie in [0, 1] (got 2.0)\n")
         for command in ("generate", "train", "evaluate", "sweep", "priors-study", "theory-check")
     ],
+    *[
+        (command, "wrong-type-config", {"learning_rate": "0.1"}, (), 1, NOTHING, "",
+         "error: key learning_rate has the wrong type\n")
+        for command in ("generate", "train", "evaluate", "sweep", "priors-study", "theory-check")
+    ],
+    ("theory-check", "bound-scale-inf", {}, (), 1, NOTHING, "",
+     "error: --bound-scale must be finite and > 0\n"),
     *[
         (command, "malformed-prior-csv", {"prior_file": "{prior}"}, (), 1, NOTHING, "",
          "error: {prior}: line 3: need p and c in [0, 1] and finite s >= 2\n")
@@ -384,8 +392,10 @@ def test_cli_contract_matrix(
     argv = [command, "--config", str(cfg_path), "--out", str(out)]
     if command == "theory-check":
         argv += ["--seed", "1"]
-        if failure == "theory-check-fails":
-            argv += ["--bound-scale", "0.05"]
+        argv += {
+            "theory-check-fails": ["--bound-scale", "0.05"],
+            "bound-scale-inf": ["--bound-scale", "inf"],
+        }.get(failure, [])
 
     assert main(argv) == code
     left = {p.name for p in out.iterdir()} if out.exists() else set()
