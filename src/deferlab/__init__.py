@@ -20,7 +20,6 @@ from .deferral import (
 from .errors import DatasetParseError, TrainingDivergenceError, UnsupportedTaskError
 from .evaluation import (
     Curve,
-    MetricReport,
     ScoredCases,
     area_under,
     build_curves,

@@ -5,9 +5,10 @@ loss histories), ``evaluate`` (full train-and-evaluate protocol), ``sweep``
 (same plus a method-gap summary), ``priors-study``, ``theory-check``.
 
 Exit codes: 0 success, 1 validation error (a bad config, data file or
-``--bound-scale``), 2 failed theory/acceptance check,
+``--bound-scale``) or a file that cannot be read or written (such as a
+missing config or prior file), 2 failed theory/acceptance check,
 3 training divergence on every seed (on any seed for ``priors-study`` and
-``theory-check``, which stop at the first divergence).
+``theory-check``, which fail as a whole on a divergence).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _every_seed_failed(failures: dict[int, str], cfg: ExperimentConfig) -> bool:
+def _every_seed_failed(failures: dict[int, Exception], cfg: ExperimentConfig) -> bool:
     """Report each diverged seed on stderr, one line per seed, and say
     whether no seed is left (the command then exits 3)."""
     for seed, msg in failures.items():
@@ -181,11 +182,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, DatasetParseError, ValueError) as exc:
+    except (ConfigError, DatasetParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TrainingDivergenceError as exc:
-        # priors-study and theory-check stop at their first divergence
+        # priors-study and theory-check fail as a whole on a divergence
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
 

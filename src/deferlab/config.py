@@ -55,7 +55,7 @@ _SCHEMA = {
 
 # inclusive lower bounds; learning_rate alone must be strictly positive
 _MIN = {
-    "num_classes": 2, "dim": 1, "train_size": 0, "val_size": 1, "test_size": 0,
+    "num_classes": 2, "dim": 1, "train_size": 1, "val_size": 1, "test_size": 0,
     "context_pool_size": 0, "experts_id": 1, "experts_ood": 0, "context_size": 1,
     "batch_size": 1, "epochs": 0, "weight_decay": 0, "patience": 0, "context_subsample": 1,
 }

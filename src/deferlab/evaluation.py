@@ -72,36 +72,6 @@ class Curve:
             raise ValueError("accuracies must lie in [0, 1]")
 
 
-@dataclass
-class MetricReport:
-    """Area metrics over the requested deferral-rate ranges, with the curves
-    they were computed from."""
-
-    aursac: dict[tuple[float, float], float]
-    aurdac: dict[tuple[float, float], float]
-    system_curve: Curve
-    expert_curve: Curve
-
-    def __post_init__(self) -> None:
-        for values in (self.aursac, self.aurdac):
-            for rng, v in values.items():
-                if not -1e-12 <= v <= 1 + 1e-12:
-                    raise ValueError(f"metric value {v} for range {rng} outside [0, 1]")
-
-
-def build_report(
-    system_curve: Curve,
-    expert_curve: Curve,
-    ranges: Sequence[tuple[float, float]],
-) -> MetricReport:
-    return MetricReport(
-        aursac={r: area_under(system_curve, *r) for r in ranges},
-        aurdac={r: area_under(expert_curve, *r) for r in ranges},
-        system_curve=system_curve,
-        expert_curve=expert_curve,
-    )
-
-
 def deferral_curves(
     priority: np.ndarray, classifier_correct: np.ndarray, expert_correct: np.ndarray
 ) -> tuple[Curve, Curve]:

@@ -9,11 +9,12 @@ context draws, prediction sampling, and training.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,9 +24,9 @@ from .config import ConfigError, ExperimentConfig, validate_config
 from .deferral import TrainResult, train, train_pop_avg
 from .errors import TrainingDivergenceError
 from .evaluation import (
-    MetricReport,
+    Curve,
+    area_under,
     build_curves,
-    build_report,
     score_cases,
     write_curve_csv,
     write_metrics_csv,
@@ -78,31 +79,41 @@ def _ptag(p: float) -> str:
 @dataclass
 class Record:
     """One evaluated cohort of one grid cell and seed: a trained method's (or
-    the ``"oracle"``'s) curves and areas. ``classifier_accuracy`` is ``None``
-    for the oracle and for the priors study's arms."""
+    the ``"oracle"``'s) curves and their areas over each evaluation range.
+    ``classifier_accuracy`` is ``None`` for the oracle and for the priors
+    study's arms."""
 
     method: str
     p: float
     expertise: int
     seed: int
     cohort: str
-    report: MetricReport
+    system_curve: Curve
+    expert_curve: Curve
+    aursac: dict[tuple[float, float], float]
+    aurdac: dict[tuple[float, float], float]
     classifier_accuracy: float | None
 
-    @property
-    def aursac(self):
-        return self.report.aursac
 
-    @property
-    def aurdac(self):
-        return self.report.aurdac
+def _record(
+    method: str, p: float, expertise: int, seed: int, cohort: str,
+    curves: tuple[Curve, Curve], ranges: Sequence[tuple[float, float]],
+    classifier_accuracy: float | None = None,
+) -> Record:
+    system, expert = curves
+    return Record(
+        method, p, expertise, seed, cohort, system, expert,
+        {r: area_under(system, *r) for r in ranges},
+        {r: area_under(expert, *r) for r in ranges},
+        classifier_accuracy,
+    )
 
 
 @dataclass
 class ExperimentResult:
     records: list[Record]
     oracles: list[Record]
-    failures: dict[int, str]
+    failures: dict[int, TrainingDivergenceError]
 
 
 def _prediction_matrix(
@@ -114,24 +125,44 @@ def _prediction_matrix(
     return np.stack([expert_predict_batch(e, labels, num_classes, rng) for e in experts])
 
 
-def _priors_map(cfg: ExperimentConfig) -> dict[int, PriorElicitation] | None:
-    """The config's prior file by expert id, or ``None`` without one."""
-    return load_prior_file(cfg.prior_file, cfg.num_classes) if cfg.prior_file else None
-
-
 def _cohort_priors(
     experts: Sequence[SimulatedExpertSpec], priors_map: dict[int, PriorElicitation] | None
 ) -> list[PriorElicitation | None]:
     return [priors_map.get(e.expert_id) if priors_map else None for e in experts]
 
 
-def _cell_setup(
-    cfg: ExperimentConfig, task: TaskData, seed: int, pi: int, ei: int
-) -> tuple[list[SimulatedExpertSpec], list[ContextSet]]:
-    """The expert population of grid cell (overlap ``pi``, expertise ``ei``)
-    and every expert's context. The first ``cfg.experts_id`` of each are the
-    in-distribution cohort, so their contexts are drawn before any held-out
-    expert's."""
+def _each_seed(
+    cfg: ExperimentConfig, run_seed: Callable
+) -> tuple[dict, dict[int, TrainingDivergenceError]]:
+    """Load the config's prior file once, then call ``run_seed(seed,
+    priors_map)`` for every seed. Returns each finished seed's result and
+    each diverged seed's ``TrainingDivergenceError``, by seed; any other
+    error propagates. Commands create ``--out`` only after it returns."""
+    priors_map = load_prior_file(cfg.prior_file, cfg.num_classes) if cfg.prior_file else None
+    results, failures = {}, {}
+    for seed in cfg.seeds:
+        try:
+            results[seed] = run_seed(seed, priors_map)
+        except TrainingDivergenceError as exc:
+            failures[seed] = exc
+    return results, failures
+
+
+def _train_cell(
+    cfg: ExperimentConfig,
+    task: TaskData,
+    seed: int,
+    pi: int,
+    ei: int,
+    priors_map: dict[int, PriorElicitation] | None,
+    methods: Sequence[str],
+    stream: int,
+) -> tuple[list[SimulatedExpertSpec], list[ContextSet], dict[str, TrainResult]]:
+    """The expert population of grid cell (overlap ``pi``, expertise ``ei``),
+    every expert's context, and ``methods`` trained on the cell's
+    in-distribution cohort (its first ``cfg.experts_id`` experts, whose
+    contexts are drawn first), by method. Every method's networks start from
+    the same draw of substream ``stream``."""
     population = make_population(
         cfg.num_classes,
         cfg.experts_id + cfg.experts_ood,
@@ -144,7 +175,34 @@ def _cell_setup(
         draw_context_set(e, task.context_pool, cfg.context_size, cfg.num_classes, ctx_rng)
         for e in population
     ]
-    return population, contexts
+    id_experts, id_contexts = population[: cfg.experts_id], contexts[: cfg.experts_id]
+
+    def net(dims: list[int], part: int):
+        return dense_net(dims, np.random.default_rng(_subseed(seed, stream, part)))
+
+    train_cfg = cfg.train_config(seed)
+    trained = {}
+    for method in methods:
+        clf = net([cfg.dim, *cfg.classifier_hidden, cfg.num_classes], 1)
+        if method == "ea_l2d":
+            trained[method] = train(
+                clf, net(list(REJECTOR_DIMS), 2), task.train, id_contexts,
+                _cohort_priors(id_experts, priors_map), train_cfg,
+                lam=cfg.context_subsample, val=task.val, patience=cfg.patience,
+            )
+        elif method == "pop_avg":
+            pred_rng = np.random.default_rng(_subseed(seed, stream, 3))
+            query_preds, val_preds = (
+                _prediction_matrix(id_experts, data.labels, cfg.num_classes, pred_rng)
+                for data in (task.train, task.val)
+            )
+            trained[method] = train_pop_avg(
+                clf, net([cfg.dim, *cfg.classifier_hidden, 1], 2), task.train, query_preds,
+                train_cfg, val=task.val, val_predictions=val_preds, patience=cfg.patience,
+            )
+        else:
+            raise ConfigError(f"unknown method {method!r}")
+    return population, contexts, trained
 
 
 def _metric_rows(record: Record, ranges: Sequence[tuple[float, float]]) -> list[tuple]:
@@ -157,43 +215,6 @@ def _metric_rows(record: Record, ranges: Sequence[tuple[float, float]]) -> list[
     if record.classifier_accuracy is not None:
         rows.append(("classifier_accuracy", 0.0, 1.0, record.classifier_accuracy, *where))
     return rows
-
-
-def _train_method(
-    method: str,
-    cfg: ExperimentConfig,
-    task: TaskData,
-    population: Sequence[SimulatedExpertSpec],
-    contexts: Sequence[ContextSet],
-    priors_map: dict[int, PriorElicitation] | None,
-    seed: int,
-    stream: int,
-) -> TrainResult:
-    """Train ``method`` on the cell's in-distribution cohort."""
-    id_experts, id_contexts = population[: cfg.experts_id], contexts[: cfg.experts_id]
-
-    def net(dims: list[int], part: int):
-        return dense_net(dims, np.random.default_rng(_subseed(seed, stream, part)))
-
-    clf = net([cfg.dim, *cfg.classifier_hidden, cfg.num_classes], 1)
-    train_cfg = cfg.train_config(seed)
-    if method == "ea_l2d":
-        return train(
-            clf, net(list(REJECTOR_DIMS), 2), task.train, id_contexts,
-            _cohort_priors(id_experts, priors_map), train_cfg,
-            lam=cfg.context_subsample, val=task.val, patience=cfg.patience,
-        )
-    if method == "pop_avg":
-        pred_rng = np.random.default_rng(_subseed(seed, stream, 3))
-        query_preds, val_preds = (
-            _prediction_matrix(id_experts, data.labels, cfg.num_classes, pred_rng)
-            for data in (task.train, task.val)
-        )
-        return train_pop_avg(
-            clf, net([cfg.dim, *cfg.classifier_hidden, 1], 2), task.train, query_preds,
-            train_cfg, val=task.val, val_predictions=val_preds, patience=cfg.patience,
-        )
-    raise ConfigError(f"unknown method {method!r}")
 
 
 def _evaluate_seed(
@@ -210,7 +231,9 @@ def _evaluate_seed(
     task = generate_gaussian_task(cfg.task_spec(seed))
     for pi, p in enumerate(cfg.overlap_probabilities):
         for ei, epe in enumerate(cfg.expertise_grid()):
-            population, contexts = _cell_setup(cfg, task, seed, pi, ei)
+            population, contexts, trained = _train_cell(
+                cfg, task, seed, pi, ei, priors_map, cfg.methods, stream=100 + pi * 10 + ei
+            )
             test_rng = np.random.default_rng(_subseed(seed, pi, ei, 12))
             test_preds = _prediction_matrix(population, task.test.labels, num_classes, test_rng)
             mu = build_representation(
@@ -224,13 +247,7 @@ def _evaluate_seed(
             if len(population) > n_id:
                 cohorts.append(("ood", slice(n_id, None)))
 
-            # (method, cohort, curves, classifier accuracy) of every cohort
-            evaluated = []
-            for method in cfg.methods:
-                result = _train_method(
-                    method, cfg, task, population, contexts, priors_map,
-                    seed, stream=100 + pi * 10 + ei,
-                )
+            for method, result in trained.items():
                 logits = forward(result.classifier, task.test.features)
                 clf_acc = float(np.mean(np.argmax(logits, axis=1) == task.test.labels))
                 for cohort_name, idx in cohorts:
@@ -241,18 +258,19 @@ def _evaluate_seed(
                         logits, result.rejector, task.test,
                         mu[idx] if method == "ea_l2d" else None, test_preds[idx], pick_rng,
                     )
-                    evaluated.append((method, cohort_name, build_curves(cases), clf_acc))
+                    records.append(_record(
+                        method, p, epe, seed, cohort_name, build_curves(cases),
+                        cfg.eval_ranges, clf_acc,
+                    ))
 
             for cohort_name, idx in cohorts:
                 acc_matrix = np.stack(
                     [expert_accuracy_by_class(e, num_classes) for e in population[idx]]
                 )
-                curves = bayes_optimal_reference(task, acc_matrix)
-                evaluated.append(("oracle", cohort_name, curves, None))
-
-            for method, cohort_name, curves, clf_acc in evaluated:
-                report = build_report(*curves, cfg.eval_ranges)
-                records.append(Record(method, p, epe, seed, cohort_name, report, clf_acc))
+                records.append(_record(
+                    "oracle", p, epe, seed, cohort_name,
+                    bayes_optimal_reference(task, acc_matrix), cfg.eval_ranges,
+                ))
     return records
 
 
@@ -265,25 +283,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     curve and metric file is written from the records after the last seed, so
     a failed seed leaves nothing but its manifest entry.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    priors_map = _priors_map(cfg)
+    evaluated, failures = _each_seed(cfg, functools.partial(_evaluate_seed, cfg))
+    records = [r for seed_records in evaluated.values() for r in seed_records]
 
-    records: list[Record] = []
-    failures: dict[int, str] = {}
-    for seed in cfg.seeds:
-        try:
-            records.extend(_evaluate_seed(cfg, seed, priors_map))
-        except TrainingDivergenceError as exc:
-            failures[seed] = str(exc)
-
+    out = _write_manifest(out_dir, cfg, failures)
     metric_rows: dict[str, list[tuple]] = {}
     for r in records:
         tag = f"p{_ptag(r.p)}_e{r.expertise}"
         write_curve_csv(
             out / f"curve_{r.method}_{tag}_seed{r.seed}_{r.cohort}.csv",
-            r.report.system_curve,
-            r.report.expert_curve,
+            r.system_curve,
+            r.expert_curve,
         )
         metric_rows.setdefault(f"metrics_{r.method}_{tag}.csv", []).extend(
             _metric_rows(r, cfg.eval_ranges)
@@ -291,7 +301,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     for name, rows in metric_rows.items():
         write_metrics_csv(out / name, rows)
 
-    _write_manifest(out, cfg, failures)
     return ExperimentResult(
         [r for r in records if r.method != "oracle"],
         [r for r in records if r.method == "oracle"],
@@ -299,14 +308,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     )
 
 
-def _write_manifest(out: Path, cfg: ExperimentConfig, failures: dict[int, str]) -> None:
+def _write_manifest(out_dir, cfg: ExperimentConfig, failures: dict[int, Exception]) -> Path:
+    """Create ``out_dir`` and write its manifest; return the directory."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "version": VERSION_STRING,
         "config": cfg.echo(),
         "seeds": cfg.seeds,
-        "failures": {str(k): v for k, v in sorted(failures.items())},
+        "failures": {str(k): str(v) for k, v in sorted(failures.items())},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return out
 
 
 # --- priors study ----------------------------------------------------------
@@ -330,15 +343,13 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
     expert's representation comes purely from an accurate, an uninformative,
     or a misdirected prior file. All three arms share the trained networks
     and the expert's sampled test predictions, so their curves coincide at
-    full deferral. Every seed trains before the first file is written, so a
-    seed that diverges leaves none of the study's files behind. The config's
-    prior file, if any, applies to the in-distribution cohort's training.
-    Each arm's record carries the arm's name as its cohort.
+    full deferral. Every seed runs before the first file is written, and the
+    first seed that diverges is raised after the last one, so a divergence
+    leaves no ``--out``. The config's prior file, if any, applies to the
+    in-distribution cohort's training. Each arm's record carries the arm's
+    name as its cohort.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     num_classes = cfg.num_classes
-    priors_map = _priors_map(cfg)
     p = cfg.overlap_probabilities[0]
     epe = cfg.expertise_grid()[0]
 
@@ -360,40 +371,43 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
         prior_p[classes] = PRIOR_STUDY_P
         prior_c[classes] = PRIOR_STUDY_C
         arm_priors[arm] = PriorElicitation(prior_p, prior_c, PRIOR_STUDY_S)
+    # the prior file's repr round trip is exact, so the written file yields these
+    arm_mu = {
+        arm: build_representation(*prior_arrays([prior], num_classes), [[]], [[]])
+        for arm, prior in arm_priors.items()
+    }
 
-    trained = []
-    for seed in cfg.seeds:
+    def study_seed(seed: int, priors_map) -> list[Record]:
         task = generate_gaussian_task(cfg.task_spec(seed))
-        population, contexts = _cell_setup(cfg, task, seed, 0, 0)
-        result = _train_method(
-            "ea_l2d", cfg, task, population, contexts, priors_map, seed, stream=500
-        )
-        trained.append((seed, task, result))
-
-    records: list[Record] = []
-    metric_rows: list[tuple] = []
-    for seed, task, result in trained:
+        _, _, trained = _train_cell(cfg, task, seed, 0, 0, priors_map, ["ea_l2d"], stream=500)
+        result = trained["ea_l2d"]
         test_rng = np.random.default_rng(_subseed(seed, 0, 0, 12))
         target_preds = _prediction_matrix([target], task.test.labels, num_classes, test_rng)
         pick_rng = np.random.default_rng(_subseed(seed, 0, 0, 13))
         logits = forward(result.classifier, task.test.features)
-
-        for arm, prior in arm_priors.items():
-            prior_path = out / f"priors_{arm}_seed{seed}.csv"
-            write_prior_file(prior_path, {target.expert_id: prior})
-            loaded = load_prior_file(prior_path, num_classes)[target.expert_id]
-            mu = build_representation(*prior_arrays([loaded], num_classes), [[]], [[]])
-
+        records = []
+        for arm, mu in arm_mu.items():
             cases = score_cases(logits, result.rejector, task.test, mu, target_preds, pick_rng)
-            curves = build_curves(cases)
-            report = build_report(*curves, [FULL_RANGE])
-            records.append(Record("ea_l2d", p, epe, seed, arm, report, None))
-            write_curve_csv(out / f"curve_priors_{arm}_seed{seed}.csv", *curves)
-            metric_rows.append(("aurdac", *FULL_RANGE, report.aurdac[FULL_RANGE], arm, seed))
-            metric_rows.append(("aursac", *FULL_RANGE, report.aursac[FULL_RANGE], arm, seed))
+            records.append(_record("ea_l2d", p, epe, seed, arm, build_curves(cases), [FULL_RANGE]))
+        return records
 
+    studied, failures = _each_seed(cfg, study_seed)
+    if failures:
+        raise next(iter(failures.values()))
+    records = [r for seed_records in studied.values() for r in seed_records]
+
+    out = _write_manifest(out_dir, cfg, {})
+    metric_rows: list[tuple] = []
+    for r in records:
+        write_prior_file(
+            out / f"priors_{r.cohort}_seed{r.seed}.csv", {target.expert_id: arm_priors[r.cohort]}
+        )
+        write_curve_csv(
+            out / f"curve_priors_{r.cohort}_seed{r.seed}.csv", r.system_curve, r.expert_curve
+        )
+        metric_rows.append(("aurdac", *FULL_RANGE, r.aurdac[FULL_RANGE], r.cohort, r.seed))
+        metric_rows.append(("aursac", *FULL_RANGE, r.aursac[FULL_RANGE], r.cohort, r.seed))
     write_metrics_csv(out / "metrics_priors_study.csv", metric_rows)
-    _write_manifest(out, cfg, {})
     return PriorsStudyResult(records, target.expert_id)
 
 
@@ -538,32 +552,20 @@ def run_theory_checks(
 # --- checkpoint-producing training entry (CLI `train`) ----------------------
 
 
-def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, str]:
+def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, TrainingDivergenceError]:
     """Train every configured method per seed on the first population
     setting and save checkpoints plus loss histories.
 
-    A seed's files are written only once every method of the seed has
-    trained, so a divergence leaves nothing but its manifest entry."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    priors_map = _priors_map(cfg)
-    p = cfg.overlap_probabilities[0]
-    epe = cfg.expertise_grid()[0]
-    failures: dict[int, str] = {}
-    for seed in cfg.seeds:
-        try:
-            task = generate_gaussian_task(cfg.task_spec(seed))
-            population, contexts = _cell_setup(cfg, task, seed, 0, 0)
-            results = {
-                method: _train_method(
-                    method, cfg, task, population, contexts, priors_map, seed, stream=100
-                )
-                for method in cfg.methods
-            }
-        except TrainingDivergenceError as exc:
-            failures[seed] = str(exc)
-            continue
-        tag = f"p{_ptag(p)}_e{epe}"
+    Every file is written after the last seed has trained, so a seed that
+    diverges leaves nothing but its manifest entry."""
+    def train_seed(seed: int, priors_map) -> dict[str, TrainResult]:
+        task = generate_gaussian_task(cfg.task_spec(seed))
+        return _train_cell(cfg, task, seed, 0, 0, priors_map, cfg.methods, stream=100)[2]
+
+    trained, failures = _each_seed(cfg, train_seed)
+    out = _write_manifest(out_dir, cfg, failures)
+    tag = f"p{_ptag(cfg.overlap_probabilities[0])}_e{cfg.expertise_grid()[0]}"
+    for seed, results in trained.items():
         for method, result in results.items():
             save_checkpoint(
                 out / f"checkpoint_{method}_{tag}_seed{seed}.npz",
@@ -572,7 +574,6 @@ def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, str]:
                 cfg.train_config(seed),
             )
             _write_history(out / f"history_{method}_{tag}_seed{seed}.csv", result)
-    _write_manifest(out, cfg, failures)
     return failures
 
 

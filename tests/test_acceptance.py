@@ -334,7 +334,7 @@ def test_criterion_9_priors_study(priors_result):
     for seed, arms in sorted(by_seed.items()):
         a, u, m = (arms[k].aurdac[FULL] for k in ("accurate", "uninformative", "misdirected"))
         ordered = a > u > m
-        at_full = [r.report.expert_curve.accuracies[-1] for r in arms.values()]
+        at_full = [r.expert_curve.accuracies[-1] for r in arms.values()]
         spread = max(at_full) - min(at_full)
         converges = spread <= grid_tol
         details.append(f"seed {seed}: {a:.3f}>{u:.3f}>{m:.3f}={ordered}, d=1 spread {spread:.1e}")
@@ -361,7 +361,7 @@ def test_criterion_10_bayes_ceiling(grid_result, priors_result):
         oracle_system, _ = bayes_optimal_reference(
             generate_gaussian_task(pcfg.task_spec(rec.seed)), acc
         )
-        margin = area_under(rec.report.system_curve, *FULL) - area_under(oracle_system, *FULL)
+        margin = area_under(rec.system_curve, *FULL) - area_under(oracle_system, *FULL)
         worst = max(worst, margin)
         ok = ok and margin <= 0.02
     report(10, "trained system never beats the analytic ceiling by more than 0.02",

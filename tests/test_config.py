@@ -150,7 +150,7 @@ MISTYPED = [
     ("weight_decay", "0"), ("weight_decay", True), ("weight_decay", float("nan")),
     ("method", 5), ("method", []), ("prior_file", 5),
     ("overlap_probabilities", [True]), ("classifier_hidden", [True]),
-    ("eval_ranges", [[0, "a"]]),
+    ("eval_ranges", [[0, "a"]]), ("train_size", 0),
 ]
 # the entries of overlap_probabilities are named in the singular
 NAMED = {"overlap_probabilities": "overlap_probability"}

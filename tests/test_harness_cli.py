@@ -7,13 +7,14 @@ import pytest
 
 import deferlab
 import deferlab.harness
-from deferlab.checkpoint import load_checkpoint
+from deferlab.checkpoint import load_checkpoint, save_checkpoint
 from deferlab.cli import main
 from deferlab.config import validate_config
 from deferlab.errors import TrainingDivergenceError
 from deferlab.experts import PriorElicitation, write_prior_file
 from deferlab.harness import VERSION_STRING, run_experiment, run_priors_study
 from deferlab.nets import TrainConfig
+from deferlab.simulate import generate_gaussian_task
 
 TINY = dict(
     num_classes=4,
@@ -138,7 +139,7 @@ class TestPriorsStudy:
         result = run_priors_study(cfg, tmp_path / "out")
         arms = {r.cohort for r in result.records}
         assert arms == {"accurate", "uninformative", "misdirected"}
-        at_full = {r.report.expert_curve.accuracies[-1] for r in result.records}
+        at_full = {r.expert_curve.accuracies[-1] for r in result.records}
         assert len(at_full) == 1  # all arms defer every case to the same expert
         names = {p.name for p in (tmp_path / "out").iterdir()}
         assert "priors_accurate_seed1.csv" in names
@@ -179,7 +180,7 @@ class TestPriorsStudy:
         with pytest.raises(TrainingDivergenceError, match="non-finite"):
             run_priors_study(cfg, out)
         assert len(calls) == 2
-        assert sorted(p.name for p in out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestCli:
@@ -213,6 +214,32 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["failures"]) == {"1", "2"}
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_train_and_evaluate_share_the_first_cell_trainer(self, tmp_path, monkeypatch):
+        # train's checkpoints are the networks evaluate trains and scores on cell (0, 0)
+        cfg_path = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 0
+        cfg = validate_config(dict(TINY))
+        task = generate_gaussian_task(cfg.task_spec(1))
+        direct = deferlab.harness._train_cell(cfg, task, 1, 0, 0, None, cfg.methods, 100)[2]
+
+        real_train_cell = deferlab.harness._train_cell
+        from_evaluate = []
+
+        def recording_train_cell(*args, **kwargs):
+            cell = real_train_cell(*args, **kwargs)
+            from_evaluate.append(cell[2])
+            return cell
+
+        monkeypatch.setattr(deferlab.harness, "_train_cell", recording_train_cell)
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "e")]) == 0
+        for trained in (direct, from_evaluate[0]):
+            assert list(trained) == cfg.methods
+            for method, result in trained.items():
+                path = tmp_path / f"{method}.npz"
+                save_checkpoint(path, result.classifier, result.rejector, cfg.train_config(1))
+                saved = tmp_path / "t" / f"checkpoint_{method}_p0_2_e1_seed1.npz"
+                assert path.read_bytes() == saved.read_bytes()
 
     def test_evaluate_and_identical_rerun(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -313,33 +340,53 @@ EVALUATED_SEED1 = (
     | {f"metrics_{method}_p0_2_e1.csv" for method in (*METHODS, "oracle")}
     | {"manifest.json"}
 )
-NOTHING = set()
+NO_OUT = None  # the command leaves no --out directory at all
+ENOENT = "error: [Errno 2] No such file or directory: '{missing}'\n"
 THEORY_FAIL_OUT = re.compile(r".*^FAIL identification_bound .*", re.S | re.M)
 
 # (command, failure class, config override, diverging seeds, exit code,
-#  files left in --out, stdout, stderr). Expected streams are exact strings
-#  after formatting {out} and {prior}, or patterns that must match fully.
+#  files left in --out or NO_OUT, stdout, stderr). Expected streams are exact
+#  strings after formatting {out}, {prior}, {missing} and {tmp}, or patterns that
+#  must match fully. The missing-config rows pass {missing} as --config.
 # No command reads a dataset CSV (generate only writes them), so the
 # malformed-CSV class applies to the prior file of the commands that load it.
 # priors-study and theory-check fail as a whole when any seed diverges.
 # theory-check rows also pass the --bound-scale their failure class names.
 CLI_CONTRACT = [
     *[
-        (command, "invalid-config", {"overlap_probabilities": [2.0]}, (), 1, NOTHING, "",
+        (command, "invalid-config", {"overlap_probabilities": [2.0]}, (), 1, NO_OUT, "",
          "error: overlap_probability must lie in [0, 1] (got 2.0)\n")
         for command in ("generate", "train", "evaluate", "sweep", "priors-study", "theory-check")
     ],
     *[
-        (command, "wrong-type-config", {"learning_rate": "0.1"}, (), 1, NOTHING, "",
+        (command, "wrong-type-config", {"learning_rate": "0.1"}, (), 1, NO_OUT, "",
          "error: key learning_rate has the wrong type\n")
         for command in ("generate", "train", "evaluate", "sweep", "priors-study", "theory-check")
     ],
-    ("theory-check", "bound-scale-inf", {}, (), 1, NOTHING, "",
+    ("theory-check", "bound-scale-inf", {}, (), 1, NO_OUT, "",
      "error: --bound-scale must be finite and > 0\n"),
     *[
-        (command, "malformed-prior-csv", {"prior_file": "{prior}"}, (), 1, NOTHING, "",
+        (command, "missing-config", {}, (), 1, NO_OUT, "", ENOENT)
+        for command in ("generate", "train", "evaluate", "sweep", "priors-study", "theory-check")
+    ],
+    *[
+        (command, "malformed-prior-csv", {"prior_file": "{prior}"}, (), 1, NO_OUT, "",
          "error: {prior}: line 3: need p and c in [0, 1] and finite s >= 2\n")
         for command in ("train", "evaluate", "sweep", "priors-study")
+    ],
+    *[
+        (command, "missing-prior-file", {"prior_file": "{missing}"}, (), 1, NO_OUT, "", ENOENT)
+        for command in ("train", "evaluate", "sweep", "priors-study")
+    ],
+    *[
+        (command, "prior-file-is-a-directory", {"prior_file": "{tmp}"}, (), 1, NO_OUT, "",
+         "error: [Errno 21] Is a directory: '{tmp}'\n")
+        for command in ("train", "evaluate", "sweep", "priors-study")
+    ],
+    *[
+        (command, "no-test-cases", {"test_size": 0}, (), 1, NO_OUT, "",
+         "error: cannot build curves from zero cases\n")
+        for command in ("evaluate", "sweep", "priors-study")
     ],
     ("train", "some-seeds-diverge", {}, (2,), 0, seed_files("train", 1) | {"manifest.json"},
      "wrote checkpoints to {out}\n", "seed 2: " + DIVERGED),
@@ -347,14 +394,14 @@ CLI_CONTRACT = [
      "wrote 4 evaluation records to {out}\n", "seed 2: " + DIVERGED),
     ("sweep", "some-seeds-diverge", {}, (2,), 0, EVALUATED_SEED1 | {"sweep_summary.csv"},
      "sweep complete: 4 records in {out}\n", "seed 2: " + DIVERGED),
-    ("priors-study", "some-seeds-diverge", {}, (2,), 3, NOTHING, "", DIVERGED),
+    ("priors-study", "some-seeds-diverge", {}, (2,), 3, NO_OUT, "", DIVERGED),
     *[
         (command, "every-seed-diverges", {}, (1, 2), 3, {"manifest.json"}, "",
          "seed 1: " + DIVERGED + "seed 2: " + DIVERGED)
         for command in ("train", "evaluate", "sweep")
     ],
-    ("priors-study", "every-seed-diverges", {}, (1, 2), 3, NOTHING, "", DIVERGED),
-    ("theory-check", "every-seed-diverges", {}, (1,), 3, NOTHING, "", DIVERGED),
+    ("priors-study", "every-seed-diverges", {}, (1, 2), 3, NO_OUT, "", DIVERGED),
+    ("theory-check", "every-seed-diverges", {}, (1,), 3, NO_OUT, "", DIVERGED),
     ("theory-check", "theory-check-fails", {}, (), 2, {"theory_report.csv"}, THEORY_FAIL_OUT, ""),
 ]
 
@@ -383,13 +430,15 @@ def test_cli_contract_matrix(
     prior = tmp_path / "priors.csv"
     prior.write_text("expert_id,class,p,c,s\n0,0,0.8,0.8,15\n0,1,nan,0.8,15\n")
     out = tmp_path / "out"
-    fill = {"out": out, "prior": prior}
+    missing = tmp_path / "missing"
+    fill = {"out": out, "prior": prior, "missing": missing, "tmp": tmp_path}
     cfg_path = write_config(
         tmp_path, seeds=[1, 2], **{k: v.format(**fill) if isinstance(v, str) else v
                                    for k, v in overrides.items()}
     )
     diverge_for_seeds(monkeypatch, diverging)
-    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    config = missing if failure == "missing-config" else cfg_path
+    argv = [command, "--config", str(config), "--out", str(out)]
     if command == "theory-check":
         argv += ["--seed", "1"]
         argv += {
@@ -398,7 +447,7 @@ def test_cli_contract_matrix(
         }.get(failure, [])
 
     assert main(argv) == code
-    left = {p.name for p in out.iterdir()} if out.exists() else set()
+    left = {p.name for p in out.iterdir()} if out.exists() else NO_OUT
     assert left == files
     captured = capsys.readouterr()
     for got, want in ((captured.out, stdout), (captured.err, stderr)):
