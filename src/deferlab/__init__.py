@@ -58,6 +58,7 @@ from .simulate import (
 from .theory import (
     TrialConfig,
     bayes_optimal_reference,
+    gaussian_posterior,
     median_posterior_errors,
     misidentification_rate,
 )

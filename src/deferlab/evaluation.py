@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .deferral import rejector_inputs
-from .nets import DenseNet, forward, softmax
+from .nets import DenseNet, forward, row_blocks, softmax
 from .simulate import Dataset
 
 
@@ -142,35 +142,39 @@ def case_priorities(
     deferral logit comes from the four expert-aware rejector inputs; with
     ``mu=None`` the rejector reads the raw features and every expert shares
     one expert-independent row.
+
+    Cases are scored in ``nets.row_blocks``, one expert at a time within a
+    block, so the working arrays hold one block's rows whatever the test set
+    size; a case's priority does not depend on the block it falls in.
     """
     num_classes = logits.shape[1]
-    if mu is None:
-        deferral_logits = [forward(rejector, features)[:, 0]]
-    else:
-        rho = softmax(logits)
-        kstar = np.argmax(rho, axis=1)
-        # one expert at a time keeps the rejector's activations at one
-        # (cases, hidden) block on large test sets
-        deferral_logits = (
-            forward(rejector, rejector_inputs(rho, kstar, mu[e : e + 1]))[:, 0]
-            for e in range(len(mu))
-        )
-
-    # The joint softmax of ``nets.softmax``, bit for bit: only the deferral
-    # column changes between experts, the row max is the larger of the class
-    # max and the deferral logit, and correctly rounded division keeps the
-    # class max, so only two columns are divided.
-    class_max = logits.max(axis=1)
-    joint = np.empty((len(logits), num_classes + 1))
-    joint[:, :num_classes] = logits
-    e = np.empty_like(joint)
     out = np.empty((1 if mu is None else len(mu), len(logits)))
-    for i, g_defer in enumerate(deferral_logits):
-        joint[:, num_classes] = g_defer
-        np.subtract(joint, np.maximum(class_max, g_defer)[:, None], out=e)
-        np.exp(e, out=e)
-        total = e.sum(axis=1)
-        out[i] = e[:, num_classes] / total - e[:, :num_classes].max(axis=1) / total
+    for rows in row_blocks(len(logits)):
+        block = logits[rows]
+        if mu is None:
+            deferral_logits = [forward(rejector, features[rows])[:, 0]]
+        else:
+            rho = softmax(block)
+            kstar = np.argmax(rho, axis=1)
+            deferral_logits = (
+                forward(rejector, rejector_inputs(rho, kstar, mu[e : e + 1]))[:, 0]
+                for e in range(len(mu))
+            )
+
+        # The joint softmax of ``nets.softmax``, bit for bit: only the
+        # deferral column changes between experts, the row max is the larger
+        # of the class max and the deferral logit, and correctly rounded
+        # division keeps the class max, so only two columns are divided.
+        class_max = block.max(axis=1)
+        joint = np.empty((len(block), num_classes + 1))
+        joint[:, :num_classes] = block
+        e = np.empty_like(joint)
+        for i, g_defer in enumerate(deferral_logits):
+            joint[:, num_classes] = g_defer
+            np.subtract(joint, np.maximum(class_max, g_defer)[:, None], out=e)
+            np.exp(e, out=e)
+            total = e.sum(axis=1)
+            out[i, rows] = e[:, num_classes] / total - e[:, :num_classes].max(axis=1) / total
     return out
 
 

@@ -56,6 +56,7 @@ from .theory import (
     TheoryCheckRow,
     TrialConfig,
     bayes_optimal_reference,
+    gaussian_posterior,
     median_posterior_errors,
     misidentification_rate,
 )
@@ -148,6 +149,13 @@ def _each_seed(
     return results, failures
 
 
+def _require_test_cases(cfg: ExperimentConfig) -> None:
+    """Evaluating commands need test cases to build curves from; ``train``
+    and ``generate`` accept ``test_size`` 0. Checked before any training."""
+    if cfg.test_size < 1:
+        raise ConfigError("test_size must be >= 1 to evaluate")
+
+
 def _train_cell(
     cfg: ExperimentConfig,
     task: TaskData,
@@ -222,12 +230,13 @@ def _evaluate_seed(
 ) -> list[Record]:
     """One seed of ``run_experiment``: on every grid cell, train every
     configured method and evaluate it and the oracle on the in-distribution
-    and held-out cohorts.
+    and held-out cohorts. The oracle records follow the trained methods'.
 
     Writes no files, so a divergence in any cell leaves nothing behind.
     """
     num_classes = cfg.num_classes
     records: list[Record] = []
+    oracle_cohorts = []  # (p, expertise, cohort, per-class accuracy matrix)
     task = generate_gaussian_task(cfg.task_spec(seed))
     for pi, p in enumerate(cfg.overlap_probabilities):
         for ei, epe in enumerate(cfg.expertise_grid()):
@@ -267,10 +276,17 @@ def _evaluate_seed(
                 acc_matrix = np.stack(
                     [expert_accuracy_by_class(e, num_classes) for e in population[idx]]
                 )
-                records.append(_record(
-                    "oracle", p, epe, seed, cohort_name,
-                    bayes_optimal_reference(task, acc_matrix), cfg.eval_ranges,
-                ))
+                oracle_cohorts.append((p, epe, cohort_name, acc_matrix))
+
+    # The oracle's class posterior depends only on the task, so every cell
+    # and cohort shares one. It is computed after the last cell has trained,
+    # so it is not held through training.
+    posterior = gaussian_posterior(task)
+    for p, epe, cohort_name, acc_matrix in oracle_cohorts:
+        records.append(_record(
+            "oracle", p, epe, seed, cohort_name,
+            bayes_optimal_reference(posterior, task.test.labels, acc_matrix), cfg.eval_ranges,
+        ))
     return records
 
 
@@ -283,6 +299,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     curve and metric file is written from the records after the last seed, so
     a failed seed leaves nothing but its manifest entry.
     """
+    _require_test_cases(cfg)
     evaluated, failures = _each_seed(cfg, functools.partial(_evaluate_seed, cfg))
     records = [r for seed_records in evaluated.values() for r in seed_records]
 
@@ -349,6 +366,7 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
     in-distribution cohort's training. Each arm's record carries the arm's
     name as its cohort.
     """
+    _require_test_cases(cfg)
     num_classes = cfg.num_classes
     p = cfg.overlap_probabilities[0]
     epe = cfg.expertise_grid()[0]
@@ -524,7 +542,10 @@ def run_theory_checks(
             train_size=0, val_size=0, test_size=2000, context_pool_size=0,
             seed=_subseed(seed, 23),
         )
-        oracle_system, _ = bayes_optimal_reference(generate_gaussian_task(spec), np.ones(5))
+        uniform = generate_gaussian_task(spec)
+        oracle_system, _ = bayes_optimal_reference(
+            gaussian_posterior(uniform), uniform.test.labels, np.ones(5)
+        )
         clf_acc = float(oracle_system.accuracies[0])
         sigma3 = 3.0 * math.sqrt(0.2 * 0.8 / 2000)
         rows.append(

@@ -23,6 +23,17 @@ when gradients follow, and hand its result to ``backward`` and
 each layer's arrays as soon as the next layer has consumed them; use it for
 inference and for losses without gradients (validation), where holding
 every layer of a large batch would only raise peak memory.
+
+``forward`` also runs a large batch in row blocks (``row_blocks``): fixed
+blocks of ``BLOCK_ROWS`` rows from the top, so that one block's activations
+stay in cache instead of streaming every layer of the whole batch through
+memory. Each row's output does not depend on the batch around it in exact
+arithmetic, but the BLAS matrix product may take a different kernel path
+for a short block, and then the low bits of a row change. Full blocks and
+a tail of at least half a block reproduce the whole-batch bits (checked on
+numpy 2.4 with OpenBLAS 0.3.31, Haswell kernels); a shorter tail does not
+always, so it joins the block before it. A batch under
+``1.5 * BLOCK_ROWS`` rows therefore runs in one pass.
 """
 
 from __future__ import annotations
@@ -237,9 +248,32 @@ def _check_input(net: DenseNet, x: np.ndarray) -> np.ndarray:
     return x
 
 
+BLOCK_ROWS = 2048
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Row slices that cover ``range(n)`` in order: blocks of ``BLOCK_ROWS``
+    rows from the top, where a tail shorter than ``BLOCK_ROWS // 2`` rows
+    joins the block before it. Every block but a sole one has at least
+    ``BLOCK_ROWS // 2`` rows; ``n < 1.5 * BLOCK_ROWS`` gives one block."""
+    count = max(1, (n + BLOCK_ROWS // 2) // BLOCK_ROWS)
+    starts = [i * BLOCK_ROWS for i in range(count)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """Forward pass of a (batch, in_dim) matrix."""
-    a = _check_input(net, x)
+    """Forward pass of a (batch, in_dim) matrix, in ``row_blocks``."""
+    x = _check_input(net, x)
+    blocks = row_blocks(len(x))
+    if len(blocks) == 1:
+        return _forward_rows(net, x)
+    out = np.empty((len(x), net.output_dim))
+    for rows in blocks:
+        out[rows] = _forward_rows(net, x[rows])
+    return out
+
+
+def _forward_rows(net: DenseNet, a: np.ndarray) -> np.ndarray:
     for layer in net.layers:
         z = a @ layer.weights.T
         z += layer.bias

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnsupportedTaskError
 from .evaluation import Curve, deferral_curves
-from .nets import softmax
+from .nets import row_blocks, softmax
 from .simulate import TaskData
 
 
@@ -74,18 +74,14 @@ def misidentification_rate(cfg: TrialConfig) -> float:
     return float(np.mean(predicted != cfg.best_class))
 
 
-def bayes_optimal_reference(
-    data: TaskData, expert_accuracies: np.ndarray
-) -> tuple[Curve, Curve]:
-    """Optimal system/expert accuracy curves on a generated Gaussian task's
-    test partition.
+def gaussian_posterior(data: TaskData) -> np.ndarray:
+    """The exact class posterior P(y|x) of every case in a generated
+    Gaussian task's test partition, (cases, K).
 
-    The optimal classifier takes the argmax of the exact Gaussian class
-    posterior. Deferral value for each case is the best expert's expected
-    correctness Sum_y P(y|x) acc_E(y); cases are deferred in order of that
-    value minus the top posterior, and expert correctness enters the curves
-    in expectation, so the result is the ceiling any trained system can only
-    reach up to sampling noise.
+    Classes are balanced and the noise isotropic, so the posterior is a
+    softmax over -||x - mean_k||^2 / (2 sigma^2). Cases run in
+    ``nets.row_blocks`` and one class at a time, which keeps every
+    temporary at one block's (rows, dim).
     """
     if not isinstance(data, TaskData):
         raise UnsupportedTaskError(
@@ -93,28 +89,45 @@ def bayes_optimal_reference(
             "with known densities"
         )
     task = data.spec
-    acc = np.atleast_2d(np.asarray(expert_accuracies, dtype=np.float64))
-    if acc.shape[1] != task.num_classes:
-        raise ValueError("expert accuracies must have one column per class")
-
     x = data.test.features
-    y = data.test.labels
     if len(x) == 0:
         raise ValueError("task has an empty test partition")
+    post = np.empty((len(x), task.num_classes))
+    for rows in row_blocks(len(x)):
+        block = x[rows]
+        d2 = np.empty((len(block), task.num_classes))
+        for k, mean in enumerate(data.class_means):
+            d2[:, k] = ((block - mean) ** 2).sum(axis=1)
+        post[rows] = softmax(-d2 / (2.0 * task.noise_scale**2))
+    return post
 
-    # Balanced classes and isotropic noise: posterior is a softmax over
-    # -||x - mean_k||^2 / (2 sigma^2). One class at a time avoids a
-    # (cases, K, dim) temporary.
-    d2 = np.empty((len(x), task.num_classes))
-    for k, mean in enumerate(data.class_means):
-        d2[:, k] = ((x - mean) ** 2).sum(axis=1)
-    post = softmax(-d2 / (2.0 * task.noise_scale**2))
 
-    clf_correct = (np.argmax(post, axis=1) == y).astype(np.float64)
-    value = post @ acc.T  # each expert's expected correctness per case
+def bayes_optimal_reference(
+    posterior: np.ndarray, labels: np.ndarray, expert_accuracies: np.ndarray
+) -> tuple[Curve, Curve]:
+    """Optimal system/expert accuracy curves of the cases whose exact class
+    posterior is ``posterior`` (``gaussian_posterior(task)``, one row per
+    case) and whose true classes are ``labels``.
+
+    The optimal classifier takes the argmax of the posterior. Deferral value
+    for each case is the best expert's expected correctness
+    Sum_y P(y|x) acc_E(y); cases are deferred in order of that value minus
+    the top posterior, and expert correctness enters the curves in
+    expectation, so the result is the ceiling any trained system can only
+    reach up to sampling noise. ``expert_accuracies`` is one expert's
+    per-class accuracy (K,) or a cohort's (experts, K).
+    """
+    acc = np.atleast_2d(np.asarray(expert_accuracies, dtype=np.float64))
+    if acc.shape[1] != posterior.shape[1]:
+        raise ValueError("expert accuracies must have one column per class")
+    if len(labels) != len(posterior):
+        raise ValueError("need one label per posterior row")
+
+    clf_correct = (np.argmax(posterior, axis=1) == labels).astype(np.float64)
+    value = posterior @ acc.T  # each expert's expected correctness per case
     best_expert = np.argmax(value, axis=1)
-    expert_correct = acc[best_expert, y]  # expected correctness on the true label
-    priority = value.max(axis=1) - post.max(axis=1)
+    expert_correct = acc[best_expert, labels]  # expected correctness on the true label
+    priority = value.max(axis=1) - posterior.max(axis=1)
     return deferral_curves(priority, clf_correct, expert_correct)
 
 

@@ -27,7 +27,12 @@ from deferlab.simulate import (
     expert_accuracy_by_class,
     generate_gaussian_task,
 )
-from deferlab.theory import TrialConfig, bayes_optimal_reference, misidentification_rate
+from deferlab.theory import (
+    TrialConfig,
+    bayes_optimal_reference,
+    gaussian_posterior,
+    misidentification_rate,
+)
 
 FULL = (0.0, 1.0)
 
@@ -358,8 +363,9 @@ def test_criterion_10_bayes_ceiling(grid_result, priors_result):
     target = SimulatedExpertSpec(0, frozenset({0}), p)
     acc = expert_accuracy_by_class(target, pcfg.num_classes)
     for rec in presult.records:
+        task = generate_gaussian_task(pcfg.task_spec(rec.seed))
         oracle_system, _ = bayes_optimal_reference(
-            generate_gaussian_task(pcfg.task_spec(rec.seed)), acc
+            gaussian_posterior(task), task.test.labels, acc
         )
         margin = area_under(rec.system_curve, *FULL) - area_under(oracle_system, *FULL)
         worst = max(worst, margin)

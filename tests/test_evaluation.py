@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from deferlab.evaluation import (
     write_curve_csv,
     write_metrics_csv,
 )
-from deferlab.nets import DenseNet, Layer, dense_net, forward, softmax
+from deferlab.nets import BLOCK_ROWS, DenseNet, Layer, dense_net, forward, softmax
 from deferlab.simulate import Dataset
 
 
@@ -379,6 +380,84 @@ class TestCasePriorityProperties:
         for r, i in enumerate(picks):
             first = picks.index(i)
             assert rows[r].tobytes() == rows[first].tobytes()
+
+
+def whole_forward(net, x):
+    """``nets.forward`` without row blocks: every layer on the whole batch."""
+    a = x
+    for layer in net.layers:
+        z = a @ layer.weights.T
+        z += layer.bias
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return a
+
+
+def whole_matrix_priorities(logits, rejector, features, mu):
+    """``case_priorities`` on the whole matrix: every rejector pass and the
+    joint softmax run on all cases at once, one expert at a time."""
+    num_classes = logits.shape[1]
+    if mu is None:
+        deferral_logits = [whole_forward(rejector, features)[:, 0]]
+    else:
+        rho = softmax(logits)
+        kstar = np.argmax(rho, axis=1)
+        deferral_logits = (
+            whole_forward(rejector, rejector_inputs(rho, kstar, mu[e : e + 1]))[:, 0]
+            for e in range(len(mu))
+        )
+    class_max = logits.max(axis=1)
+    joint = np.empty((len(logits), num_classes + 1))
+    joint[:, :num_classes] = logits
+    e = np.empty_like(joint)
+    out = np.empty((1 if mu is None else len(mu), len(logits)))
+    for i, g_defer in enumerate(deferral_logits):
+        joint[:, num_classes] = g_defer
+        np.subtract(joint, np.maximum(class_max, g_defer)[:, None], out=e)
+        np.exp(e, out=e)
+        total = e.sum(axis=1)
+        out[i] = e[:, num_classes] / total - e[:, :num_classes].max(axis=1) / total
+    return out
+
+
+def large_cohort_inputs(cases, num_classes=10, dim=16, experts=5, seed=0):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=3.0, size=(cases, num_classes))
+    features = rng.normal(size=(cases, dim))
+    mu = np.stack([rep_from_mu(rng.uniform(0.01, 0.99, size=num_classes)) for _ in range(experts)])
+    return logits, features, mu
+
+
+class TestBlockedCasePriorities:
+    @pytest.mark.parametrize(
+        "cases",
+        [BLOCK_ROWS + 1, 3 * BLOCK_ROWS // 2 - 1, 3 * BLOCK_ROWS // 2, 2 * BLOCK_ROWS,
+         5003, 3 * BLOCK_ROWS + BLOCK_ROWS // 2 - 1, 3 * BLOCK_ROWS + BLOCK_ROWS // 2],
+    )
+    def test_equals_the_whole_matrix_algorithm_bit_for_bit(self, cases):
+        logits, features, mu = large_cohort_inputs(cases, seed=cases)
+        rng = np.random.default_rng(cases)
+        rejector = dense_net([4, 32, 32, 1], rng)
+        got = case_priorities(logits, rejector, features, mu)
+        assert got.tobytes() == whole_matrix_priorities(logits, rejector, features, mu).tobytes()
+        baseline = dense_net([features.shape[1], 32, 1], rng)
+        got = case_priorities(logits, baseline, features, None)
+        want = whole_matrix_priorities(logits, baseline, features, None)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_stays_below_one_full_hidden_activation(self):
+        # One (cases, 32) float64 hidden activation of the whole test set is
+        # the least that an unblocked rejector pass holds; blocks stay far
+        # below it. The (experts, cases) result itself is 2.4 MB here.
+        cases = 60_000
+        logits, features, mu = large_cohort_inputs(cases)
+        rejector = dense_net([4, 32, 32, 1], 1)
+        tracemalloc.start()
+        try:
+            case_priorities(logits, rejector, features, mu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cases * 32 * 8, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestCsvWriters:

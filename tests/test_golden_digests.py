@@ -57,6 +57,11 @@ MULTI_CELL_CONFIG = dict(
     expertise_per_expert=[1, 2],
 )
 
+# Large enough that evaluation runs in more than one row block (see
+# ``nets.row_blocks``): 5 003 test cases, and a validation pass of 1 700
+# cases x 2 experts = 3 400 rejector rows.
+ROW_BLOCKS_CONFIG = dict(CONFIG, test_size=5003, val_size=1700)
+
 COMMANDS = {
     "generate": ["generate", "--config", "{config}"],
     "train": ["train", "--config", "{config}"],
@@ -65,6 +70,7 @@ COMMANDS = {
     "priors-study": ["priors-study", "--config", "{config}"],
     "theory-check": ["theory-check", "--seed", "0"],
     "sweep-multi-cell": ["sweep", "--config", "{multi_cell_config}"],
+    "evaluate-row-blocks": ["evaluate", "--config", "{row_blocks_config}"],
 }
 
 
@@ -84,7 +90,11 @@ def environment() -> dict:
 
 def artifact_digests(work: Path) -> dict:
     """Run every command into ``work`` and digest what each one wrote."""
-    configs = {"config": CONFIG, "multi_cell_config": MULTI_CELL_CONFIG}
+    configs = {
+        "config": CONFIG,
+        "multi_cell_config": MULTI_CELL_CONFIG,
+        "row_blocks_config": ROW_BLOCKS_CONFIG,
+    }
     for key, raw in configs.items():
         (work / f"{key}.json").write_text(json.dumps(raw))
     paths = {key: work / f"{key}.json" for key in configs}

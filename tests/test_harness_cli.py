@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -385,7 +386,7 @@ CLI_CONTRACT = [
     ],
     *[
         (command, "no-test-cases", {"test_size": 0}, (), 1, NO_OUT, "",
-         "error: cannot build curves from zero cases\n")
+         "error: test_size must be >= 1 to evaluate\n")
         for command in ("evaluate", "sweep", "priors-study")
     ],
     ("train", "some-seeds-diverge", {}, (2,), 0, seed_files("train", 1) | {"manifest.json"},
@@ -455,6 +456,25 @@ def test_cli_contract_matrix(
             assert got == want.format(**fill)
         else:
             assert want.fullmatch(got)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep", "priors-study"])
+def test_zero_test_size_fails_before_any_training(tmp_path, capsys, monkeypatch, command):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained before test_size was checked")
+
+    monkeypatch.setattr(deferlab.harness, "_train_cell", no_training)
+    cfg_path = write_config(tmp_path, test_size=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: test_size must be >= 1 to evaluate\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_zero_test_size_is_accepted_where_nothing_is_evaluated(tmp_path, command):
+    cfg_path = write_config(tmp_path, test_size=0, seeds=[1])
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_one_version_string():

@@ -8,6 +8,7 @@ import deferlab.nets
 from deferlab.errors import TrainingDivergenceError
 from deferlab.nets import (
     ACTIVATIONS,
+    BLOCK_ROWS,
     DenseNet,
     GradientBundle,
     Layer,
@@ -18,6 +19,7 @@ from deferlab.nets import (
     forward,
     forward_cached,
     relu_pattern,
+    row_blocks,
     sgd_step,
     softmax,
 )
@@ -142,6 +144,68 @@ class TestForward:
                     Layer(np.zeros((2, 5)), np.zeros(2), "identity"),
                 ]
             )
+
+
+def whole_forward(net, x):
+    """``forward`` without row blocks: every layer on the whole batch."""
+    a = x
+    for layer in net.layers:
+        z = a @ layer.weights.T
+        z += layer.bias
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return a
+
+
+# Every batch size at or next to a block edge or a tail-merge threshold.
+BOUNDARY_ROWS = sorted(
+    {0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1}
+    | {
+        k * BLOCK_ROWS + d
+        for k in range(1, 7)
+        for d in (-1, 0, 1, BLOCK_ROWS // 2 - 1, BLOCK_ROWS // 2)
+    }
+)
+
+# The networks the benchmark workloads run inference on: the acceptance
+# grid's classifier, the expert-aware rejector, the baseline's rejector and
+# the wide cohort's classifier.
+WORKLOAD_DIMS = [[16, 32, 10], [4, 32, 32, 1], [16, 32, 1], [32, 32, 40]]
+
+
+class TestRowBlocks:
+    def test_blocks_cover_every_row_in_order(self):
+        for n in range(6 * BLOCK_ROWS + 1):
+            blocks = row_blocks(n)
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            for a, b in zip(blocks, blocks[1:]):
+                assert a.stop == b.start
+            sizes = [b.stop - b.start for b in blocks]
+            assert all(b.step is None for b in blocks)
+            if len(blocks) > 1:
+                assert min(sizes) >= BLOCK_ROWS // 2
+                assert all(size == BLOCK_ROWS for size in sizes[:-1])
+
+    def test_short_inputs_stay_one_pass(self):
+        assert row_blocks(0) == [slice(0, 0)]
+        assert row_blocks(3 * BLOCK_ROWS // 2 - 1) == [slice(0, 3 * BLOCK_ROWS // 2 - 1)]
+        assert len(row_blocks(3 * BLOCK_ROWS // 2)) == 2
+
+    @pytest.mark.parametrize("dims", WORKLOAD_DIMS, ids=str)
+    def test_blocked_forward_is_the_whole_batch_forward_bit_for_bit(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        net = dense_net(dims, rng)
+        big = rng.normal(size=(BOUNDARY_ROWS[-1], dims[0]))
+        for n in BOUNDARY_ROWS:
+            x = big[:n]
+            out = forward(net, x)
+            assert out.shape == (n, dims[-1])
+            assert out.tobytes() == whole_forward(net, x).tobytes(), n
+
+    def test_blocked_forward_of_a_strided_input(self):
+        rng = np.random.default_rng(5)
+        net = dense_net([4, 32, 32, 1], rng)
+        x = rng.normal(size=(5 * BLOCK_ROWS + 7, 8))[:, ::2]
+        assert forward(net, x).tobytes() == whole_forward(net, x).tobytes()
 
 
 class TestForwardCached:

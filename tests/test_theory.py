@@ -6,10 +6,12 @@ from deferlab.errors import UnsupportedTaskError
 from deferlab.evaluation import area_under
 from deferlab.experts import sample_complexity_bound
 from deferlab.harness import run_theory_checks
+from deferlab.nets import softmax
 from deferlab.simulate import SyntheticTaskSpec, generate_gaussian_task
 from deferlab.theory import (
     TrialConfig,
     bayes_optimal_reference,
+    gaussian_posterior,
     median_posterior_errors,
     misidentification_rate,
 )
@@ -91,6 +93,22 @@ def uniform_task(test_size=2000, separation=0.0):
     )
 
 
+def reference(task, acc):
+    """The oracle's curves on a task, from its posterior computed here."""
+    return bayes_optimal_reference(gaussian_posterior(task), task.test.labels, acc)
+
+
+def per_call_reference(task, acc):
+    """The oracle with its posterior recomputed per call, for the whole test
+    partition in one pass, one class at a time."""
+    x = task.test.features
+    d2 = np.empty((len(x), task.spec.num_classes))
+    for k, mean in enumerate(task.class_means):
+        d2[:, k] = ((x - mean) ** 2).sum(axis=1)
+    post = softmax(-d2 / (2.0 * task.spec.noise_scale**2))
+    return bayes_optimal_reference(post, task.test.labels, acc)
+
+
 def broadcast_reference(task, acc):
     """The oracle as first written: one (cases, K, dim) difference block."""
     acc = np.atleast_2d(acc)
@@ -114,11 +132,20 @@ def broadcast_reference(task, acc):
     return system, expert
 
 
+def assert_matches_broadcast_reference(task):
+    acc = np.array([[0.9, 0.3, 0.5, 0.3, 0.3], [0.3, 0.8, 0.3, 0.6, 0.3]])
+    for experts in (acc, acc[1]):
+        system, expert = reference(task, experts)
+        ref_system, ref_expert = broadcast_reference(task, experts)
+        assert np.array_equal(system.accuracies, ref_system)
+        assert np.array_equal(expert.accuracies, ref_expert)
+
+
 class TestBayesOptimalReference:
     def test_zero_separation_classifier_at_chance_and_full_deferral(self):
         task = uniform_task()
         # any expert better than chance makes deferral worthwhile everywhere
-        system, expert = bayes_optimal_reference(task, np.full(5, 0.6))
+        system, expert = reference(task, np.full(5, 0.6))
         clf_acc = system.accuracies[0]
         assert clf_acc == pytest.approx(0.2, abs=1e-12)  # balanced partition, exact
         # deferring everything reaches the expert's expected accuracy
@@ -128,7 +155,7 @@ class TestBayesOptimalReference:
 
     def test_oracle_expert_defers_everywhere(self):
         task = uniform_task(separation=2.0)
-        system, expert = bayes_optimal_reference(task, np.ones(5))
+        system, expert = reference(task, np.ones(5))
         # expected expert correctness is 1 on every deferred case
         assert np.all(expert.accuracies == 1.0)
         assert system.accuracies[-1] == 1.0
@@ -138,25 +165,56 @@ class TestBayesOptimalReference:
     def test_multi_expert_matrix_takes_best(self):
         task = uniform_task(separation=1.5)
         acc = np.array([[1.0, 0.3, 0.3, 0.3, 0.3], [0.3, 1.0, 0.3, 0.3, 0.3]])
-        system_pair, _ = bayes_optimal_reference(task, acc)
-        system_single, _ = bayes_optimal_reference(task, acc[0])
+        system_pair, _ = reference(task, acc)
+        system_single, _ = reference(task, acc[0])
         assert area_under(system_pair, 0.0, 1.0) >= area_under(system_single, 0.0, 1.0) - 1e-12
 
     def test_non_gaussian_task_rejected(self):
         with pytest.raises(UnsupportedTaskError):
-            bayes_optimal_reference({"kind": "csv"}, np.ones(3))
+            gaussian_posterior({"kind": "csv"})
         with pytest.raises(UnsupportedTaskError):
-            bayes_optimal_reference(uniform_task().spec, np.ones(5))
+            gaussian_posterior(uniform_task().spec)
+
+    def test_empty_test_partition_rejected(self):
+        with pytest.raises(ValueError, match="empty test partition"):
+            gaussian_posterior(uniform_task(test_size=0))
+
+    def test_mismatched_shapes_rejected(self):
+        task = uniform_task(test_size=50)
+        post = gaussian_posterior(task)
+        with pytest.raises(ValueError, match="one column per class"):
+            bayes_optimal_reference(post, task.test.labels, np.ones(4))
+        with pytest.raises(ValueError, match="one label per posterior row"):
+            bayes_optimal_reference(post, task.test.labels[:-1], np.ones(5))
 
     @pytest.mark.parametrize("separation", [0.0, 1.5, 3.0])
     def test_matches_broadcast_reference_exactly(self, separation):
-        task = uniform_task(test_size=3001, separation=separation)
-        acc = np.array([[0.9, 0.3, 0.5, 0.3, 0.3], [0.3, 0.8, 0.3, 0.6, 0.3]])
-        for experts in (acc, acc[1]):
-            system, expert = bayes_optimal_reference(task, experts)
-            ref_system, ref_expert = broadcast_reference(task, experts)
-            assert np.array_equal(system.accuracies, ref_system)
-            assert np.array_equal(expert.accuracies, ref_expert)
+        assert_matches_broadcast_reference(uniform_task(test_size=3001, separation=separation))
+
+    def test_matches_broadcast_reference_across_row_blocks(self):
+        # 5 003 cases: the posterior runs in two row blocks
+        assert_matches_broadcast_reference(uniform_task(test_size=5003, separation=1.5))
+
+    @pytest.mark.parametrize("test_size", [40, 3071, 3072, 6143, 6144])
+    def test_shared_posterior_equals_per_cohort_recomputation(self, test_size):
+        # the harness computes one posterior per seed, in row blocks, and
+        # scores every cohort of every cell against it; each cohort
+        # recomputing it in one whole-partition pass gives the same curves
+        # bit for bit
+        task = uniform_task(test_size=test_size, separation=1.5)
+        cohorts = [
+            np.array([[0.9, 0.3, 0.5, 0.3, 0.3], [0.3, 0.8, 0.3, 0.6, 0.3]]),
+            np.array([[0.2, 0.2, 0.9, 0.2, 0.7]]),
+            np.full(5, 0.6),
+        ]
+        shared = gaussian_posterior(task)
+        for acc in cohorts:
+            once = bayes_optimal_reference(shared, task.test.labels, acc)
+            again = per_call_reference(task, acc)
+            for a, b in zip(once, again):
+                assert a.rates.tobytes() == b.rates.tobytes()
+                assert a.accuracies.tobytes() == b.accuracies.tobytes()
+        assert shared.tobytes() == gaussian_posterior(task).tobytes()
 
 
 class TestRunTheoryChecks:
