@@ -38,8 +38,8 @@ def _net_arrays(prefix: str, net: DenseNet) -> dict[str, np.ndarray]:
 def save_checkpoint(path, classifier: DenseNet, rejector: DenseNet, cfg: TrainConfig) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
-        "classifier_activations": [l.activation for l in classifier.layers],
-        "rejector_activations": [l.activation for l in rejector.layers],
+        "classifier_activations": list(classifier.activations),
+        "rejector_activations": list(rejector.activations),
         "train_config": {
             "learning_rate": cfg.learning_rate,
             "batch_size": cfg.batch_size,
@@ -54,19 +54,48 @@ def save_checkpoint(path, classifier: DenseNet, rejector: DenseNet, cfg: TrainCo
     _write_arrays(path, arrays)
 
 
+# Each network's array prefix and the meta key that lists its activations.
+_NETS = {"clf": "classifier_activations", "rej": "rejector_activations"}
+
+
 def _load_net(data, prefix: str, activations: list[str]) -> DenseNet:
-    layers = []
-    for i, act in enumerate(activations):
-        layers.append(Layer(data[f"{prefix}_w{i}"], data[f"{prefix}_b{i}"], act))
-    return DenseNet(layers)
+    return DenseNet.from_layers(
+        [
+            Layer(data[f"{prefix}_w{i}"], data[f"{prefix}_b{i}"], act)
+            for i, act in enumerate(activations)
+        ]
+    )
 
 
 def load_checkpoint(path) -> tuple[DenseNet, DenseNet, TrainConfig]:
+    """The networks and training config saved at ``path``.
+
+    A file whose arrays are not exactly ``meta`` plus one weight and one
+    bias per listed activation, or whose meta lacks a key, raises
+    ``ValueError`` naming the file and the key.
+    """
     with np.load(path) as data:
+        if "meta" not in data.files:
+            raise ValueError(f"checkpoint {path}: missing array 'meta'")
         meta = json.loads(bytes(data["meta"]).decode())
+        for key in ("format_version", *_NETS.values(), "train_config"):
+            if key not in meta:
+                raise ValueError(f"checkpoint {path}: meta has no {key!r}")
         if meta["format_version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
-        classifier = _load_net(data, "clf", meta["classifier_activations"])
-        rejector = _load_net(data, "rej", meta["rejector_activations"])
+            raise ValueError(
+                f"checkpoint {path}: unsupported format_version {meta['format_version']}"
+            )
+        expected = {"meta"} | {
+            f"{p}_{c}{i}" for p, k in _NETS.items() for i in range(len(meta[k])) for c in "wb"
+        }
+        files = set(data.files)
+        for name in sorted(expected - files):
+            raise ValueError(f"checkpoint {path}: missing array {name!r}")
+        for name in sorted(files - expected):
+            raise ValueError(
+                f"checkpoint {path}: array {name!r} is not a layer of "
+                "classifier_activations or rejector_activations"
+            )
+        classifier, rejector = (_load_net(data, p, meta[k]) for p, k in _NETS.items())
         cfg = TrainConfig(**meta["train_config"])
     return classifier, rejector, cfg

@@ -1,19 +1,23 @@
 """Minimal dense feed-forward networks with explicit forward/backward passes.
 
-Everything is float64 numpy. A network's parameters live in one contiguous
-vector, ``DenseNet.params``: layer by layer, the weight matrix in row-major
-order, then the bias. ``Layer.weights`` and ``Layer.bias`` are views into
-that vector. The constructor packs the layers it is given into a new
-vector, so a network never shares memory with the arrays it was built
-from. Gradients use the same layout: ``backward`` writes every layer's
-gradient into one vector, ``GradientBundle.flat``, and ``sgd_step`` updates
-the whole parameter vector in one expression.
+Everything is float64 numpy. A network is three things: one contiguous
+parameter vector, ``DenseNet.params`` (layer by layer, the weight matrix in
+row-major order, then the bias); its ``layout``, every layer's shape and
+offsets in that vector; and every layer's activation. The passes take each
+layer's weight and bias as views into the vector at the layout's offsets.
+``DenseNet.from_layers`` builds a network from a list of ``Layer`` objects
+and packs their arrays into a new vector, so a network never shares memory
+with the arrays it was built from; ``net.layers`` turns the vector back
+into ``Layer`` views, for readers outside the passes such as checkpoints.
+Gradients use the same layout: ``backward`` writes every layer's gradient
+into one vector, ``GradientBundle.flat``, and ``sgd_step`` updates the
+whole parameter vector in one expression.
 
 Networks are plain value objects. ``sgd_step`` and ``DenseNet.copy`` return
-a network over a new vector and leave their input untouched; early stopping
-keeps its best weights by holding on to an earlier network, so it relies on
-this. Nothing here keeps hidden state, so instances are safe to share
-across threads.
+a network over a new vector, with the same layout and activations, and
+leave their input untouched; early stopping keeps its best weights by
+holding on to an earlier network, so it relies on this. Nothing here keeps
+hidden state, so instances are safe to share across threads.
 
 Every pass takes a ``(batch, in_dim)`` matrix, one row per example; one
 example is a one-row batch. Two forward passes serve two purposes.
@@ -51,6 +55,8 @@ ACTIVATIONS = ("relu", "identity")
 
 @dataclass
 class Layer:
+    """One layer as a network is built from or read by outside code."""
+
     weights: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray  # (out_dim,)
     activation: str
@@ -67,28 +73,10 @@ class Layer:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
 
 # Per layer: (out_dim, in_dim, weights start, bias start, bias end) in the
 # flat parameter vector.
 Layout = tuple[tuple[int, int, int, int, int], ...]
-
-
-def _layout(layers: Sequence[Layer]) -> Layout:
-    spans, start = [], 0
-    for layer in layers:
-        out_dim, in_dim = layer.weights.shape
-        bias_start = start + out_dim * in_dim
-        spans.append((out_dim, in_dim, start, bias_start, bias_start + out_dim))
-        start = bias_start + out_dim
-    return tuple(spans)
 
 
 def _views(flat: np.ndarray, layout: Layout) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -99,62 +87,52 @@ def _views(flat: np.ndarray, layout: Layout) -> list[tuple[np.ndarray, np.ndarra
     ]
 
 
-def _unchecked(cls, **fields):
-    """An instance of dataclass ``cls`` built without ``__post_init__``, for
-    fields whose invariants the caller has already established."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
-def _layers_over(flat: np.ndarray, layout: Layout, layers: Sequence[Layer]) -> list[Layer]:
-    return [
-        _unchecked(Layer, weights=w, bias=b, activation=layer.activation)
-        for (w, b), layer in zip(_views(flat, layout), layers)
-    ]
-
-
 @dataclass
 class DenseNet:
-    layers: list[Layer]
-    params: np.ndarray = field(init=False, repr=False, compare=False)
-    layout: Layout = field(init=False, repr=False, compare=False)
+    """A network over ``params``, laid out by ``layout``, one activation per
+    layer. The fields are taken as given: build a network with
+    ``from_layers`` or ``dense_net``, and derive one from another only with
+    a vector of the same size."""
 
-    def __post_init__(self) -> None:
-        if not self.layers:
+    params: np.ndarray
+    layout: Layout
+    activations: tuple[str, ...]
+
+    @classmethod
+    def from_layers(cls, layers: Sequence[Layer]) -> "DenseNet":
+        """Check that ``layers`` compose and pack them into a new vector."""
+        if not layers:
             raise ValueError("a network needs at least one layer")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ValueError(
-                    f"layer dims do not compose: {prev.out_dim} -> {nxt.in_dim}"
-                )
-        self.layout = _layout(self.layers)
-        self.params = np.concatenate(
-            [a.ravel() for layer in self.layers for a in (layer.weights, layer.bias)]
-        )
-        self.layers = _layers_over(self.params, self.layout, self.layers)
+        spans, start = [], 0
+        for layer in layers:
+            out_dim, in_dim = layer.weights.shape
+            if spans and spans[-1][0] != in_dim:
+                raise ValueError(f"layer dims do not compose: {spans[-1][0]} -> {in_dim}")
+            bias_start = start + out_dim * in_dim
+            spans.append((out_dim, in_dim, start, bias_start, bias_start + out_dim))
+            start = bias_start + out_dim
+        params = np.concatenate([a.ravel() for l in layers for a in (l.weights, l.bias)])
+        return cls(params, tuple(spans), tuple(l.activation for l in layers))
+
+    @property
+    def layers(self) -> list[Layer]:
+        """Every layer over views into ``params``, built on each read; for
+        readers outside the passes, which use ``layout`` instead."""
+        return [
+            Layer(w, b, act)
+            for (w, b), act in zip(_views(self.params, self.layout), self.activations)
+        ]
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.layout[0][1]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].out_dim
+        return self.layout[-1][0]
 
     def copy(self) -> "DenseNet":
-        return _over(self, self.params.copy())
-
-
-def _over(net: DenseNet, params: np.ndarray) -> DenseNet:
-    """A network with ``net``'s layout and activations over ``params``, which
-    has ``net.params``' shape; the constructor's checks already hold."""
-    return _unchecked(
-        DenseNet,
-        layers=_layers_over(params, net.layout, net.layers),
-        params=params,
-        layout=net.layout,
-    )
+        return DenseNet(self.params.copy(), self.layout, self.activations)
 
 
 @dataclass
@@ -180,10 +158,9 @@ class TrainConfig:
 class GradientBundle:
     """Gradients in the owning network's flat layout.
 
-    ``flat[i]`` is the gradient of ``net.params[i]``; ``weight_grads`` and
-    ``bias_grads`` are per-layer views of it. ``input_grad`` carries the loss
-    gradient with respect to the network input, which is what lets one
-    network's backward pass chain into another's.
+    ``flat[i]`` is the gradient of ``net.params[i]``. ``input_grad`` carries
+    the loss gradient with respect to the network input, which is what lets
+    one network's backward pass chain into another's.
     """
 
     flat: np.ndarray
@@ -197,14 +174,6 @@ class GradientBundle:
             raise ValueError(
                 f"flat gradient shape {self.flat.shape} does not fit a layout of {size} parameters"
             )
-
-    @property
-    def weight_grads(self) -> list[np.ndarray]:
-        return [w for w, _ in _views(self.flat, self.layout)]
-
-    @property
-    def bias_grads(self) -> list[np.ndarray]:
-        return [b for _, b in _views(self.flat, self.layout)]
 
     def matches(self, net: DenseNet) -> bool:
         return self.layout == net.layout
@@ -230,7 +199,7 @@ def dense_net(
         w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
         act = output_activation if i == len(dims) - 2 else hidden_activation
         layers.append(Layer(w, np.zeros(fan_out), act))
-    return DenseNet(layers)
+    return DenseNet.from_layers(layers)
 
 
 def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
@@ -274,10 +243,10 @@ def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_rows(net: DenseNet, a: np.ndarray) -> np.ndarray:
-    for layer in net.layers:
-        z = a @ layer.weights.T
-        z += layer.bias
-        if layer.activation == "relu":
+    for (w, b), activation in zip(_views(net.params, net.layout), net.activations):
+        z = a @ w.T
+        z += b
+        if activation == "relu":
             np.maximum(z, 0.0, out=z)
         a = z
     return a
@@ -295,10 +264,10 @@ def forward_cached(net: DenseNet, x: np.ndarray) -> Activations:
     x = _check_input(net, x)
     pre, post = [], [x]
     a = x
-    for layer in net.layers:
-        z = a @ layer.weights.T
-        z += layer.bias
-        a = _apply_activation(z, layer.activation)
+    for (w, b), activation in zip(_views(net.params, net.layout), net.activations):
+        z = a @ w.T
+        z += b
+        a = _apply_activation(z, activation)
         pre.append(z)
         post.append(a)
     return pre, post
@@ -314,8 +283,8 @@ def relu_pattern(net: DenseNet, acts: Activations) -> np.ndarray:
     pre, _ = acts
     parts = [
         (z > 0).ravel()
-        for z, layer in zip(pre, net.layers)
-        if layer.activation == "relu"
+        for z, activation in zip(pre, net.activations)
+        if activation == "relu"
     ]
     if not parts:
         return np.zeros(0, dtype=bool)
@@ -331,9 +300,9 @@ def backward(net: DenseNet, acts: Activations, upstream: np.ndarray) -> Gradient
     for example i.
     """
     pre, post = acts
-    if len(pre) != len(net.layers):
+    if len(pre) != len(net.layout):
         raise ValueError(
-            f"activations of {len(pre)} layers for a {len(net.layers)}-layer network"
+            f"activations of {len(pre)} layers for a {len(net.layout)}-layer network"
         )
     # Contiguous, so the matmuls below take the same BLAS path whether the
     # caller passes an array or a column view of one.
@@ -346,22 +315,19 @@ def backward(net: DenseNet, acts: Activations, upstream: np.ndarray) -> Gradient
 
     flat = np.empty(net.params.size)
     delta = upstream
-    for i in reversed(range(len(net.layers))):
-        layer = net.layers[i]
+    for i in reversed(range(len(net.layout))):
         out_dim, in_dim, w0, b0, end = net.layout[i]
-        if layer.activation == "relu":
+        if net.activations[i] == "relu":
             # Below the top layer ``delta`` is this call's own array; the
             # upstream gradient is the caller's.
             if delta is upstream:
                 delta = delta * (pre[i] > 0)
             else:
                 delta *= pre[i] > 0
-        a_prev = post[i]
-        weight_grad = flat[w0:b0].reshape(out_dim, in_dim)
-        np.matmul(delta.T, a_prev, out=weight_grad)
+        np.matmul(delta.T, post[i], out=flat[w0:b0].reshape(out_dim, in_dim))
         np.add.reduce(delta, axis=0, out=flat[b0:end])
-        delta = delta @ layer.weights
-    return _unchecked(GradientBundle, flat=flat, layout=net.layout, input_grad=delta)
+        delta = delta @ net.params[w0:b0].reshape(out_dim, in_dim)
+    return GradientBundle(flat, net.layout, delta)
 
 
 def sgd_step(
@@ -389,7 +355,7 @@ def sgd_step(
         new = w - lr * (grads.flat * scale)
     if not np.isfinite(new).all():
         raise TrainingDivergenceError("non-finite weights after sgd_step (gradient or update)")
-    return _over(net, new)
+    return DenseNet(new, net.layout, net.activations)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

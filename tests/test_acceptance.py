@@ -65,6 +65,12 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num} failed{suffix}"
 
 
+def against(bound, margin, fmt=".3f"):
+    """A detail's bound and margin, the distance to the bound: positive
+    while the criterion holds, negative by as much as it fails."""
+    return f"(bound {bound:.3g}, margin {margin:+{fmt}})"
+
+
 @pytest.fixture(scope="module")
 def grid_result(tmp_path_factory):
     cfg = validate_config(dict(ACCEPTANCE_RAW))
@@ -290,19 +296,23 @@ def test_criterion_7_method_gap_and_held_out_robustness(grid_result):
 
     clf_accs = [recs[("ea_l2d", s, "id")].classifier_accuracy for s in cfg.seeds]
     in_band = all(0.70 <= a <= 0.85 for a in clf_accs)
-    details.append(f"clf acc {['%.3f' % a for a in clf_accs]}")
+    band_margin = min(min(a - 0.70, 0.85 - a) for a in clf_accs)
+    details.append(
+        f"clf acc {['%.3f' % a for a in clf_accs]} (band [0.70, 0.85], margin {band_margin:+.3f})"
+    )
     ok = ok and in_band
 
     for cohort in ("id", "ood"):
         ea = _mean([recs[("ea_l2d", s, cohort)].aurdac[FULL] for s in cfg.seeds])
         pop = _mean([recs[("pop_avg", s, cohort)].aurdac[FULL] for s in cfg.seeds])
-        details.append(f"{cohort} gap {ea - pop:.3f}")
+        details.append(f"{cohort} gap {ea - pop:.3f} {against(0.10, ea - pop - 0.10)}")
         ok = ok and (ea - pop >= 0.10)
 
     ea_id = _mean([recs[("ea_l2d", s, "id")].aurdac[FULL] for s in cfg.seeds])
     ea_ood = _mean([recs[("ea_l2d", s, "ood")].aurdac[FULL] for s in cfg.seeds])
-    details.append(f"id-vs-ood {abs(ea_id - ea_ood):.3f}")
-    ok = ok and abs(ea_id - ea_ood) <= 0.05
+    spread = abs(ea_id - ea_ood)
+    details.append(f"id-vs-ood {spread:.3f} {against(0.05, 0.05 - spread)}")
+    ok = ok and spread <= 0.05
 
     report(7, "deferral-accuracy gap >= 0.10 and held-out robustness <= 0.05",
            ok, "; ".join(details))
@@ -323,7 +333,12 @@ def test_criterion_8_diversity_trend(grid_result):
             ]
             if gaps[0] > gaps[1] > gaps[2]:
                 monotone += 1
-        details.append(f"{cohort}: {monotone}/{len(cfg.seeds)} seeds monotone")
+        # more than half the seeds: at least this many
+        need = len(cfg.seeds) // 2 + 1
+        details.append(
+            f"{cohort}: {monotone}/{len(cfg.seeds)} seeds monotone "
+            + against(need, monotone - need, "d")
+        )
         ok = ok and monotone * 2 > len(cfg.seeds)
     report(8, "method gap shrinks monotonically as expert overlap grows", ok, "; ".join(details))
 
@@ -342,7 +357,10 @@ def test_criterion_9_priors_study(priors_result):
         at_full = [r.expert_curve.accuracies[-1] for r in arms.values()]
         spread = max(at_full) - min(at_full)
         converges = spread <= grid_tol
-        details.append(f"seed {seed}: {a:.3f}>{u:.3f}>{m:.3f}={ordered}, d=1 spread {spread:.1e}")
+        details.append(
+            f"seed {seed}: {a:.3f}>{u:.3f}>{m:.3f}={ordered} {against(0, min(a - u, u - m))}, "
+            f"d=1 spread {spread:.1e} {against(grid_tol, grid_tol - spread, '.1e')}"
+        )
         ok = ok and ordered and converges
     report(9, "prior quality orders deferral accuracy; arms converge at full deferral",
            ok, "; ".join(details))
@@ -371,7 +389,7 @@ def test_criterion_10_bayes_ceiling(grid_result, priors_result):
         worst = max(worst, margin)
         ok = ok and margin <= 0.02
     report(10, "trained system never beats the analytic ceiling by more than 0.02",
-           ok, f"worst margin {worst:+.4f}")
+           ok, f"worst margin {worst:+.4f} {against(0.02, 0.02 - worst, '.4f')}")
 
 
 def test_criterion_11_cli_determinism(tmp_path):

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 
 import numpy as np
@@ -54,7 +55,9 @@ def inputs_row(rho, rep):
 def constant_net(outputs, input_dim):
     """A one-layer net that outputs ``outputs`` exactly, whatever its input."""
     outputs = np.atleast_1d(np.asarray(outputs, dtype=np.float64))
-    return DenseNet([Layer(np.zeros((len(outputs), input_dim)), outputs, "identity")])
+    return DenseNet.from_layers(
+        [Layer(np.zeros((len(outputs), input_dim)), outputs, "identity")]
+    )
 
 
 def joint_softmax(class_logits, deferral_logit):
@@ -123,7 +126,7 @@ class TestAssembleRejectorInputs:
 
 class TestDeferralLogit:
     def test_zero_rejector_outputs_zero(self):
-        rejector = DenseNet(
+        rejector = DenseNet.from_layers(
             [Layer(np.zeros((8, 4)), np.zeros(8), "relu"), Layer(np.zeros((1, 8)), np.zeros(1), "identity")]
         )
         rng = np.random.default_rng(0)
@@ -595,7 +598,9 @@ class TestCheckpoint:
                     (rng.normal(size=(1, 4)), rng.normal(size=1))],
         }
         clf, rej = (
-            DenseNet([Layer(w, b, act) for (w, b), act in zip(arrays[k], ["relu", "identity"])])
+            DenseNet.from_layers(
+                [Layer(w, b, act) for (w, b), act in zip(arrays[k], ["relu", "identity"])]
+            )
             for k in ("clf", "rej")
         )
         cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=2, seed=5)
@@ -613,3 +618,40 @@ class TestCheckpoint:
         assert rej2.params.tobytes() == rej.params.tobytes()
         save_checkpoint(tmp_path / "b.npz", clf2, rej2, cfg)
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    # Each defect edits a saved file's arrays and decoded meta in place, and
+    # names the key the error must report.
+    DEFECTS = {
+        "one_classifier_activation": (
+            lambda arrays, meta: meta.update(classifier_activations=["relu"]),
+            "clf_b1",
+        ),
+        "extra_classifier_layer": (
+            lambda arrays, meta: arrays.update(clf_w2=np.zeros((3, 3)), clf_b2=np.zeros(3)),
+            "clf_b2",
+        ),
+        "missing_array": (lambda arrays, meta: arrays.pop("rej_w1"), "rej_w1"),
+        "missing_format_version": (
+            lambda arrays, meta: meta.pop("format_version"),
+            "format_version",
+        ),
+        "missing_meta": (lambda arrays, meta: arrays.pop("meta"), "meta"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_malformed_file_rejected_naming_file_and_key(self, tmp_path, defect):
+        edit, key = self.DEFECTS[defect]
+        clf = dense_net([6, 8, 3], 0)
+        rej = dense_net([4, 8, 1], 1)
+        save_checkpoint(tmp_path / "good.npz", clf, rej, TrainConfig(0.1, 8, 2))
+        with np.load(tmp_path / "good.npz") as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        edit(arrays, meta)
+        if "meta" in arrays:
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        path = tmp_path / "bad.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and repr(key) in str(err.value)

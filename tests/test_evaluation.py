@@ -55,7 +55,9 @@ def rep_from_mu(mu_values):
 
 def linear_rejector(weights, bias=0.0):
     """A one-layer rejector whose deferral logit is ``weights @ x + bias``."""
-    return DenseNet([Layer(np.array([weights], dtype=np.float64), np.array([bias]), "identity")])
+    return DenseNet.from_layers(
+        [Layer(np.array([weights], dtype=np.float64), np.array([bias]), "identity")]
+    )
 
 
 def priority_of(class_logits, deferral_logit):

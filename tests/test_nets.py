@@ -33,19 +33,30 @@ VALUES = st.one_of(
 
 
 @st.composite
-def layered_nets(draw, max_width=5):
-    """A net whose every weight and bias is drawn from ``VALUES``."""
+def layer_stacks(draw, max_width=5):
+    """Composable layers whose every weight and bias is drawn from ``VALUES``."""
     dims = draw(st.lists(st.integers(1, max_width), min_size=2, max_size=4))
-    layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-        layers.append(
-            Layer(
-                draw(hnp.arrays(np.float64, (fan_out, fan_in), elements=VALUES)),
-                draw(hnp.arrays(np.float64, fan_out, elements=VALUES)),
-                draw(st.sampled_from(ACTIVATIONS)),
-            )
+    return [
+        Layer(
+            draw(hnp.arrays(np.float64, (fan_out, fan_in), elements=VALUES)),
+            draw(hnp.arrays(np.float64, fan_out, elements=VALUES)),
+            draw(st.sampled_from(ACTIVATIONS)),
         )
-    return DenseNet(layers)
+        for fan_in, fan_out in zip(dims, dims[1:])
+    ]
+
+
+def layered_nets():
+    return layer_stacks().map(DenseNet.from_layers)
+
+
+def layer_grads(grads, net):
+    """Every layer's (weight gradient, bias gradient): views into
+    ``grads.flat`` at ``net.layout``'s offsets."""
+    return [
+        (grads.flat[w0:b0].reshape(out_dim, in_dim), grads.flat[b0:end])
+        for out_dim, in_dim, w0, b0, end in net.layout
+    ]
 
 
 def reference_forward_cached(net, x):
@@ -68,7 +79,7 @@ def reference_sgd_step(net, grads, cfg, scale):
             layer.weights - lr * (wg * scale + wd * layer.weights),
             layer.bias - lr * (bg * scale + wd * layer.bias),
         )
-        for layer, wg, bg in zip(net.layers, grads.weight_grads, grads.bias_grads)
+        for layer, (wg, bg) in zip(net.layers, layer_grads(grads, net))
     ]
 
 
@@ -81,7 +92,7 @@ def zero_net(dims, activation="identity"):
         Layer(np.zeros((o, i)), np.zeros(o), activation)
         for i, o in zip(dims, dims[1:])
     ]
-    return DenseNet(layers)
+    return DenseNet.from_layers(layers)
 
 
 class TestForward:
@@ -90,7 +101,7 @@ class TestForward:
         assert np.array_equal(forward(net, np.ones((1, 3))), np.zeros((1, 2)))
 
     def test_identity_layer_passes_input_through(self):
-        net = DenseNet([Layer(np.eye(4), np.zeros(4), "identity")])
+        net = DenseNet.from_layers([Layer(np.eye(4), np.zeros(4), "identity")])
         v = np.array([[0.5, -2.0, 3.25, 0.0]])
         assert np.array_equal(forward(net, v), v)
 
@@ -138,7 +149,7 @@ class TestForward:
 
     def test_mismatched_layer_dims_rejected(self):
         with pytest.raises(ValueError):
-            DenseNet(
+            DenseNet.from_layers(
                 [
                     Layer(np.zeros((4, 3)), np.zeros(4), "relu"),
                     Layer(np.zeros((2, 5)), np.zeros(2), "identity"),
@@ -294,20 +305,21 @@ class TestBackward:
     def test_zero_upstream_gives_zero_bundle(self):
         net = dense_net([3, 5, 2], 1)
         g = backward(net, forward_cached(net, np.ones((1, 3))), np.zeros((1, 2)))
-        assert all(np.all(wg == 0) for wg in g.weight_grads)
-        assert all(np.all(bg == 0) for bg in g.bias_grads)
+        assert all(np.all(wg == 0) for wg, _ in layer_grads(g, net))
+        assert all(np.all(bg == 0) for _, bg in layer_grads(g, net))
 
     def test_linear_layer_squared_error_closed_form(self):
         # loss = 0.5 * (w x - y)^2, dW = (yhat - y) x^T
         rng = np.random.default_rng(5)
         w = rng.normal(size=(2, 3))
-        net = DenseNet([Layer(w, np.zeros(2), "identity")])
+        net = DenseNet.from_layers([Layer(w, np.zeros(2), "identity")])
         x = rng.normal(size=(1, 3))
         y = rng.normal(size=(1, 2))
         yhat = forward(net, x)
         g = backward(net, forward_cached(net, x), yhat - y)
-        assert np.allclose(g.weight_grads[0], np.outer(yhat - y, x), atol=1e-14)
-        assert np.allclose(g.bias_grads[0], (yhat - y)[0], atol=1e-14)
+        [(wg, bg)] = layer_grads(g, net)
+        assert np.allclose(wg, np.outer(yhat - y, x), atol=1e-14)
+        assert np.allclose(bg, (yhat - y)[0], atol=1e-14)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -357,11 +369,8 @@ class TestBackward:
         block = rng.normal(size=(12, 3))
         from_view = backward(net, acts, block[:, 2:])
         from_copy = backward(net, acts, block[:, 2:].copy())
-        for a, b in zip(
-            from_view.weight_grads + from_view.bias_grads + [from_view.input_grad],
-            from_copy.weight_grads + from_copy.bias_grads + [from_copy.input_grad],
-        ):
-            assert np.array_equal(a, b)
+        assert np.array_equal(from_view.flat, from_copy.flat)
+        assert np.array_equal(from_view.input_grad, from_copy.input_grad)
 
     def test_batched_grads_sum_per_example(self):
         rng = np.random.default_rng(13)
@@ -372,7 +381,7 @@ class TestBackward:
         acc = zero_grads(net)
         for x, u in zip(xs, ups):
             acc.flat += backward(net, forward_cached(net, x[None, :]), u[None, :]).flat
-        for a, b in zip(batched.weight_grads, acc.weight_grads):
+        for (a, _), (b, _) in zip(layer_grads(batched, net), layer_grads(acc, net)):
             assert np.allclose(a, b, atol=1e-12)
 
 
@@ -394,7 +403,7 @@ class TestSgdStep:
 
     def test_one_step_reduces_quadratic_loss(self):
         # single parameter w, loss = (w - 3)^2
-        net = DenseNet([Layer(np.array([[0.0]]), np.zeros(1), "identity")])
+        net = DenseNet.from_layers([Layer(np.array([[0.0]]), np.zeros(1), "identity")])
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
 
         def loss(n):
@@ -411,7 +420,7 @@ class TestSgdStep:
     def test_nonfinite_gradient_raises(self):
         net = dense_net([2, 2], 0)
         grads = zero_grads(net)
-        grads.weight_grads[0][0, 0] = np.nan
+        layer_grads(grads, net)[0][0][0, 0] = np.nan
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
         with pytest.raises(TrainingDivergenceError):
             sgd_step(net, grads, cfg)
@@ -422,26 +431,11 @@ class TestSgdStep:
     def test_nonfinite_value_in_any_single_array_raises(self, attr, layer, bad):
         net = dense_net([3, 5, 4, 2], 0)
         grads = zero_grads(net)
-        arr = getattr(grads, attr)[layer]
+        arr = layer_grads(grads, net)[layer][("weight_grads", "bias_grads").index(attr)]
         arr.flat[arr.size // 2] = bad
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
         with pytest.raises(TrainingDivergenceError):
             sgd_step(net, grads, cfg)
-
-    def test_input_net_is_left_unchanged(self):
-        rng = np.random.default_rng(4)
-        net = dense_net([3, 5, 4, 2], rng)
-        before = [(l.weights.copy(), l.bias.copy()) for l in net.layers]
-        grads = GradientBundle(rng.normal(size=net.params.size), net.layout)
-        cfg = TrainConfig(learning_rate=0.3, batch_size=1, epochs=1, weight_decay=0.01)
-        out = sgd_step(net, grads, cfg, 0.25)
-        for layer, (w, b), new in zip(net.layers, before, out.layers):
-            assert np.array_equal(layer.weights, w) and np.array_equal(layer.bias, b)
-            assert not np.shares_memory(new.weights, layer.weights)
-            assert not np.shares_memory(new.bias, layer.bias)
-            assert new.activation == layer.activation
-        assert out.input_dim == 3 and out.output_dim == 2
-        assert not np.shares_memory(out.params, net.params)
 
     def test_scale_matches_prescaled_gradient_exactly(self):
         rng = np.random.default_rng(6)
@@ -455,7 +449,7 @@ class TestSgdStep:
             assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
 
     def test_weight_decay_applied(self):
-        net = DenseNet([Layer(np.array([[2.0]]), np.zeros(1), "identity")])
+        net = DenseNet.from_layers([Layer(np.array([[2.0]]), np.zeros(1), "identity")])
         cfg = TrainConfig(learning_rate=0.5, batch_size=1, epochs=1, weight_decay=0.1)
         out = sgd_step(net, zero_grads(net), cfg)
         assert out.layers[0].weights[0, 0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0)
@@ -521,7 +515,7 @@ class TestFiniteDifferenceCheck:
 
     def test_relu_kink_parameter_is_skipped(self):
         # w=0, x=1 puts the relu pre-activation exactly at the kink
-        net = DenseNet(
+        net = DenseNet.from_layers(
             [
                 Layer(np.array([[0.0]]), np.zeros(1), "relu"),
                 Layer(np.array([[1.0]]), np.zeros(1), "identity"),
@@ -553,10 +547,8 @@ class TestFiniteDifferenceCheck:
             analytic = loss_fn(net)[1]
             work = net.copy()
             max_err, n_checked, n_skipped = 0.0, 0, 0
-            for li, layer in enumerate(work.layers):
-                for attr, grads in (("weights", analytic.weight_grads),
-                                    ("bias", analytic.bias_grads)):
-                    arr = getattr(layer, attr)
+            for layer, (wg, bg) in zip(work.layers, layer_grads(analytic, net)):
+                for arr, grad in ((layer.weights, wg), (layer.bias, bg)):
                     for idx in np.ndindex(arr.shape):
                         original = arr[idx]
                         arr[idx] = original + epsilon
@@ -568,7 +560,7 @@ class TestFiniteDifferenceCheck:
                             n_skipped += 1
                             continue
                         central = (plus[0] - minus[0]) / (2.0 * epsilon)
-                        err = abs(grads[li][idx] - central) / max(1.0, abs(central))
+                        err = abs(grad[idx] - central) / max(1.0, abs(central))
                         max_err = max(max_err, err)
                         n_checked += 1
             return max_err, n_checked, n_skipped
@@ -612,52 +604,65 @@ class TestDeterminism:
 
 
 class TestFlatLayout:
-    def test_params_pack_the_layers_in_order_and_layers_view_them(self):
-        rng = np.random.default_rng(30)
-        arrays = [(rng.normal(size=(5, 3)), rng.normal(size=5)),
-                  (rng.normal(size=(2, 5)), rng.normal(size=2))]
-        net = DenseNet([Layer(w, b, "relu") for w, b in arrays])
-        expected = np.concatenate([a.ravel() for pair in arrays for a in pair])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        layers=layer_stacks(),
+        wd=TestSgdStep.DECAYS,
+        scale=TestSgdStep.SCALES,
+        data=st.data(),
+    )
+    def test_layers_view_params_and_copy_and_step_own_new_vectors(
+        self, layers, wd, scale, data
+    ):
+        net = DenseNet.from_layers(layers)
+        packed = b"".join(a.tobytes() for l in layers for a in (l.weights, l.bias))
         assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
-        assert np.array_equal(net.params, expected)
-        for layer, (w, b) in zip(net.layers, arrays):
-            assert np.array_equal(layer.weights, w) and np.array_equal(layer.bias, b)
-            assert np.shares_memory(layer.weights, net.params)
-            assert np.shares_memory(layer.bias, net.params)
-            assert not np.shares_memory(net.params, w) and not np.shares_memory(net.params, b)
-        net.params[5 * 3] = 42.0  # first bias entry of layer 0
-        assert net.layers[0].bias[0] == 42.0
-        assert arrays[0][1][0] != 42.0
+        assert net.params.tobytes() == packed
+        assert net.activations == tuple(l.activation for l in layers)
+        assert net.input_dim == layers[0].weights.shape[1]
+        assert net.output_dim == layers[-1].weights.shape[0]
+        for l in layers:
+            assert not np.shares_memory(net.params, l.weights)
+            assert not np.shares_memory(net.params, l.bias)
 
-    def test_copy_shares_no_memory_with_its_source(self):
-        net = dense_net([3, 5, 2], 1)
-        before = net.params.copy()
+        grads = GradientBundle(
+            data.draw(hnp.arrays(np.float64, net.params.size, elements=VALUES)), net.layout
+        )
+        cfg = TrainConfig(learning_rate=0.3, batch_size=1, epochs=1, weight_decay=wd)
         dup = net.copy()
-        assert dup.layout == net.layout
-        assert np.array_equal(dup.params, net.params)
-        assert not np.shares_memory(dup.params, net.params)
-        for a, b in zip(dup.layers, net.layers):
-            assert np.shares_memory(a.weights, dup.params) and np.shares_memory(a.bias, dup.params)
-            assert a.activation == b.activation
+        stepped = sgd_step(net, grads, cfg, scale)
+        assert net.params.tobytes() == packed and dup.params.tobytes() == packed
+        for new in (dup, stepped):
+            assert new.layout == net.layout and new.activations == net.activations
+            assert not np.shares_memory(new.params, net.params)
         dup.params[:] = 0.0
-        assert np.array_equal(net.params, before)
+        assert net.params.tobytes() == packed
 
-    def test_sgd_step_result_is_laid_out_over_its_own_vector(self):
-        net = dense_net([3, 5, 2], 2)
-        cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
-        out = sgd_step(net, GradientBundle(np.ones(net.params.size), net.layout), cfg, 0.5)
-        assert out.layout == net.layout
-        assert not np.shares_memory(out.params, net.params)
-        for layer in out.layers:
-            assert np.shares_memory(layer.weights, out.params)
-            assert np.shares_memory(layer.bias, out.params)
-        assert np.array_equal(out.params, net.params - 0.1 * 0.5)
+        # ``layers`` reads every layer back as views into ``params``, in
+        # layout order.
+        for other in (net, dup, stepped):
+            start = other.params.__array_interface__["data"][0]
+            views = other.layers
+            assert len(views) == len(layers)
+            for view, built, (out_dim, in_dim, w0, b0, end) in zip(views, layers, other.layout):
+                assert view.activation == built.activation
+                assert view.weights.shape == built.weights.shape == (out_dim, in_dim)
+                assert view.bias.shape == built.bias.shape == (end - b0,)
+                assert view.weights.flags.c_contiguous
+                assert view.weights.__array_interface__["data"][0] == start + 8 * w0
+                assert view.bias.__array_interface__["data"][0] == start + 8 * b0
+            read_back = b"".join(a.tobytes() for v in views for a in (v.weights, v.bias))
+            assert read_back == other.params.tobytes()
+        for view, built in zip(net.layers, layers):
+            assert view.weights.tobytes() == built.weights.tobytes()
+            assert view.bias.tobytes() == built.bias.tobytes()
 
     def test_gradient_bundle_views_and_layout_check(self):
         net = dense_net([3, 5, 2], 3)
         g = zero_grads(net)
-        g.weight_grads[1][1, 2] = 4.0
-        g.bias_grads[0][3] = -1.0
+        (_, b0), (w1, _) = layer_grads(g, net)
+        w1[1, 2] = 4.0
+        b0[3] = -1.0
         _, in_dim, w0, _, _ = net.layout[1]
         assert g.flat[w0 + in_dim + 2] == 4.0
         assert g.flat[net.layout[0][3] + 3] == -1.0
