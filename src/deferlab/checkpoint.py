@@ -58,20 +58,26 @@ def save_checkpoint(path, classifier: DenseNet, rejector: DenseNet, cfg: TrainCo
 _NETS = {"clf": "classifier_activations", "rej": "rejector_activations"}
 
 
-def _load_net(data, prefix: str, activations: list[str]) -> DenseNet:
-    return DenseNet.from_layers(
-        [
-            Layer(data[f"{prefix}_w{i}"], data[f"{prefix}_b{i}"], act)
-            for i, act in enumerate(activations)
-        ]
-    )
+def _load_net(path, data, meta: dict, prefix: str) -> DenseNet:
+    key = _NETS[prefix]
+    try:
+        return DenseNet.from_layers(
+            [
+                Layer(data[f"{prefix}_w{i}"], data[f"{prefix}_b{i}"], act)
+                for i, act in enumerate(meta[key])
+            ]
+        )
+    except ValueError as err:
+        raise ValueError(f"checkpoint {path}: network {prefix!r} of {key!r}: {err}") from err
 
 
 def load_checkpoint(path) -> tuple[DenseNet, DenseNet, TrainConfig]:
     """The networks and training config saved at ``path``.
 
     A file whose arrays are not exactly ``meta`` plus one weight and one
-    bias per listed activation, or whose meta lacks a key, raises
+    bias per listed activation, whose meta lacks a key, whose networks do
+    not build (an unknown activation, layer shapes that do not compose) or
+    whose ``train_config`` is not a valid ``TrainConfig`` raises
     ``ValueError`` naming the file and the key.
     """
     with np.load(path) as data:
@@ -96,6 +102,9 @@ def load_checkpoint(path) -> tuple[DenseNet, DenseNet, TrainConfig]:
                 f"checkpoint {path}: array {name!r} is not a layer of "
                 "classifier_activations or rejector_activations"
             )
-        classifier, rejector = (_load_net(data, p, meta[k]) for p, k in _NETS.items())
+        classifier, rejector = (_load_net(path, data, meta, p) for p in _NETS)
+    try:
         cfg = TrainConfig(**meta["train_config"])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"checkpoint {path}: bad 'train_config': {err}") from err
     return classifier, rejector, cfg

@@ -94,15 +94,15 @@ def _joint_grad_rows(
 def _forward_for(
     net: DenseNet, x: np.ndarray, want_grads: bool
 ) -> tuple[np.ndarray, Activations | None]:
-    """Network output, plus the cached activations when gradients follow.
+    """Network output, plus every layer's cached output when gradients follow.
 
     Without gradients the plain ``forward`` runs, which keeps no per-layer
     arrays: validation batches are large and would otherwise raise peak
     memory for nothing.
     """
     if want_grads:
-        acts = forward_cached(net, x)
-        return acts[1][-1], acts
+        outs = forward_cached(net, x)
+        return outs[-1], outs
     return forward(net, x), None
 
 
@@ -151,7 +151,7 @@ def ea_l2d_loss_grads(
     feeding the rejector inputs; both routes are summed over experts before
     the one classifier backward pass. Each network runs
     forward once; its backward pass and relu pattern read the cached
-    activations. The returned pattern encodes the discrete choices (relu
+    layer outputs. The returned pattern encodes the discrete choices (relu
     signs of both networks, the classifier argmax) for finite-difference
     kink detection.
     """

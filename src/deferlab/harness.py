@@ -518,12 +518,10 @@ def run_theory_checks(
             accuracies[best] = 0.75
             rate = misidentification_rate(
                 TrialConfig(
-                    num_classes=k,
                     accuracies=accuracies,
                     best_class=best,
                     samples_per_class=n,
                     trials=IDENTIFICATION_TRIALS,
-                    delta=delta,
                     seed=_subseed(seed, 22, k, int(gap * 100), int(delta * 100)),
                 )
             )

@@ -11,7 +11,8 @@ with the arrays it was built from; ``net.layers`` turns the vector back
 into ``Layer`` views, for readers outside the passes such as checkpoints.
 Gradients use the same layout: ``backward`` writes every layer's gradient
 into one vector, ``GradientBundle.flat``, and ``sgd_step`` updates the
-whole parameter vector in one expression.
+whole parameter vector in one expression,
+``w - lr * (grad * scale + weight_decay * w)``.
 
 Networks are plain value objects. ``sgd_step`` and ``DenseNet.copy`` return
 a network over a new vector, with the same layout and activations, and
@@ -20,13 +21,17 @@ holding on to an earlier network, so it relies on this. Nothing here keeps
 hidden state, so instances are safe to share across threads.
 
 Every pass takes a ``(batch, in_dim)`` matrix, one row per example; one
-example is a one-row batch. Two forward passes serve two purposes.
-``forward_cached`` keeps every layer's pre-activation and activation; use it
-when gradients follow, and hand its result to ``backward`` and
-``relu_pattern``, which then run no forward of their own. ``forward`` drops
-each layer's arrays as soon as the next layer has consumed them; use it for
-inference and for losses without gradients (validation), where holding
-every layer of a large batch would only raise peak memory.
+example is a one-row batch. Both forward passes run the same layer step,
+``z = a @ w.T``, then ``z += b`` and the relu in place, and differ only in
+what they keep. ``forward_cached`` keeps the checked input and every
+layer's output; use it when gradients follow, and hand its list to
+``backward`` and ``relu_pattern``, which then run no forward of their own.
+Neither needs the pre-activations: a relu output ``max(z, 0)`` is positive
+exactly where ``z`` is, NaN included, so each reads its relu masks as
+``output > 0``. ``forward`` drops each layer's output as soon as the next
+layer has consumed it; use it for inference and for losses without
+gradients (validation), where holding every layer of a large batch would
+only raise peak memory.
 
 ``forward`` also runs a large batch in row blocks (``row_blocks``): fixed
 blocks of ``BLOCK_ROWS`` rows from the top, so that one block's activations
@@ -37,7 +42,7 @@ for a short block, and then the low bits of a row change. Full blocks and
 a tail of at least half a block reproduce the whole-batch bits (checked on
 numpy 2.4 with OpenBLAS 0.3.31, Haswell kernels); a shorter tail does not
 always, so it joins the block before it. A batch under
-``1.5 * BLOCK_ROWS`` rows therefore runs in one pass.
+``1.5 * BLOCK_ROWS`` rows therefore runs as one block.
 """
 
 from __future__ import annotations
@@ -202,12 +207,6 @@ def dense_net(
     return DenseNet.from_layers(layers)
 
 
-def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
 def _check_input(net: DenseNet, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
@@ -230,60 +229,51 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
+    """One layer's output on rows ``a``, computed in place on a new array."""
+    z = a @ w.T
+    z += b
+    if activation == "relu":
+        np.maximum(z, 0.0, out=z)
+    return z
+
+
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Forward pass of a (batch, in_dim) matrix, in ``row_blocks``."""
     x = _check_input(net, x)
-    blocks = row_blocks(len(x))
-    if len(blocks) == 1:
-        return _forward_rows(net, x)
+    layers = list(zip(_views(net.params, net.layout), net.activations))
     out = np.empty((len(x), net.output_dim))
-    for rows in blocks:
-        out[rows] = _forward_rows(net, x[rows])
+    for rows in row_blocks(len(x)):
+        a = x[rows]
+        for (w, b), activation in layers:
+            a = _layer(a, w, b, activation)
+        out[rows] = a
     return out
 
 
-def _forward_rows(net: DenseNet, a: np.ndarray) -> np.ndarray:
-    for (w, b), activation in zip(_views(net.params, net.layout), net.activations):
-        z = a @ w.T
-        z += b
-        if activation == "relu":
-            np.maximum(z, 0.0, out=z)
-        a = z
-    return a
-
-
-Activations = tuple[list[np.ndarray], list[np.ndarray]]
+Activations = list[np.ndarray]
 
 
 def forward_cached(net: DenseNet, x: np.ndarray) -> Activations:
-    """Forward pass keeping what backprop needs, as ``(pre, post)``.
-
-    ``pre[i]`` is layer i's pre-activation, ``post[0]`` the checked input and
-    ``post[i + 1]`` layer i's output, so ``post[-1]`` equals ``forward(net, x)``.
-    """
-    x = _check_input(net, x)
-    pre, post = [], [x]
-    a = x
+    """Forward pass keeping what backprop needs: the checked input, then
+    every layer's output, so the last entry equals ``forward(net, x)``."""
+    outs = [_check_input(net, x)]
     for (w, b), activation in zip(_views(net.params, net.layout), net.activations):
-        z = a @ w.T
-        z += b
-        a = _apply_activation(z, activation)
-        pre.append(z)
-        post.append(a)
-    return pre, post
+        outs.append(_layer(outs[-1], w, b, activation))
+    return outs
 
 
-def relu_pattern(net: DenseNet, acts: Activations) -> np.ndarray:
+def relu_pattern(net: DenseNet, outs: Activations) -> np.ndarray:
     """Sign pattern of every relu pre-activation, flattened.
 
-    ``acts`` is ``forward_cached(net, x)``. Two evaluations with different
+    ``outs`` is ``forward_cached(net, x)``; a relu output is positive
+    exactly where its pre-activation is. Two evaluations with different
     patterns straddle a kink, where finite differences of the loss are
     meaningless.
     """
-    pre, _ = acts
     parts = [
-        (z > 0).ravel()
-        for z, activation in zip(pre, net.activations)
+        (a > 0).ravel()
+        for a, activation in zip(outs[1:], net.activations)
         if activation == "relu"
     ]
     if not parts:
@@ -291,42 +281,44 @@ def relu_pattern(net: DenseNet, acts: Activations) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def backward(net: DenseNet, acts: Activations, upstream: np.ndarray) -> GradientBundle:
+def backward(net: DenseNet, outs: Activations, upstream: np.ndarray) -> GradientBundle:
     """Gradients of a scalar loss given d(loss)/d(output).
 
-    ``acts`` is ``forward_cached(net, x)`` for the input the loss was
-    computed on. The per-example contributions are summed, i.e. the result
+    ``outs`` is ``forward_cached(net, x)`` for the input the loss was
+    computed on; a relu layer passes the gradient where its output is
+    positive. The per-example contributions are summed, i.e. the result
     is the gradient of ``sum_i loss_i`` when ``upstream[i]`` is the gradient
     for example i.
     """
-    pre, post = acts
-    if len(pre) != len(net.layout):
+    if len(outs) != len(net.layout) + 1:
         raise ValueError(
-            f"activations of {len(pre)} layers for a {len(net.layout)}-layer network"
+            f"outputs of {len(outs) - 1} layers for a {len(net.layout)}-layer network"
         )
     # Contiguous, so the matmuls below take the same BLAS path whether the
     # caller passes an array or a column view of one.
     upstream = np.ascontiguousarray(upstream, dtype=np.float64)
-    expected = (post[0].shape[0], net.output_dim)
+    expected = (outs[0].shape[0], net.output_dim)
     if upstream.shape != expected:
         raise ValueError(
             f"upstream gradient shape {upstream.shape}, expected {expected}"
         )
 
     flat = np.empty(net.params.size)
+    weights = _views(net.params, net.layout)
+    grads = _views(flat, net.layout)
     delta = upstream
     for i in reversed(range(len(net.layout))):
-        out_dim, in_dim, w0, b0, end = net.layout[i]
         if net.activations[i] == "relu":
             # Below the top layer ``delta`` is this call's own array; the
             # upstream gradient is the caller's.
             if delta is upstream:
-                delta = delta * (pre[i] > 0)
+                delta = delta * (outs[i + 1] > 0)
             else:
-                delta *= pre[i] > 0
-        np.matmul(delta.T, post[i], out=flat[w0:b0].reshape(out_dim, in_dim))
-        np.add.reduce(delta, axis=0, out=flat[b0:end])
-        delta = delta @ net.params[w0:b0].reshape(out_dim, in_dim)
+                delta *= outs[i + 1] > 0
+        w_grad, b_grad = grads[i]
+        np.matmul(delta.T, outs[i], out=w_grad)
+        np.add.reduce(delta, axis=0, out=b_grad)
+        delta = delta @ weights[i][0]
     return GradientBundle(flat, net.layout, delta)
 
 
@@ -337,22 +329,13 @@ def sgd_step(
     w <- w - lr * (grad * scale + weight_decay * w).
 
     Returns a network over a new vector and leaves ``net`` untouched.
-    Without weight decay the ``weight_decay * w`` term is left out, which
-    gives the same bits for finite ``w``: the term is then a zero with the
-    sign of ``w``, so adding it can only turn a ``-0.0`` step into ``+0.0``
-    where ``w`` is ``+0.0`` or positive, and there ``w - lr * (+-0.0)`` is
-    ``w`` either way. Finiteness is checked on the updated vector: a
-    non-finite gradient always yields a non-finite value there, so it is
-    caught too.
+    Finiteness is checked on the updated vector: a non-finite gradient
+    always yields a non-finite value there, so it is caught too.
     """
     if not grads.matches(net):
         raise ValueError("gradient shapes do not match the network")
-    lr, wd = cfg.learning_rate, cfg.weight_decay
     w = net.params
-    if wd:
-        new = w - lr * (grads.flat * scale + wd * w)
-    else:
-        new = w - lr * (grads.flat * scale)
+    new = w - cfg.learning_rate * (grads.flat * scale + cfg.weight_decay * w)
     if not np.isfinite(new).all():
         raise TrainingDivergenceError("non-finite weights after sgd_step (gradient or update)")
     return DenseNet(new, net.layout, net.activations)

@@ -25,18 +25,14 @@ from .simulate import TaskData
 class TrialConfig:
     """Monte Carlo setup for expertise identification trials."""
 
-    num_classes: int
     accuracies: np.ndarray  # true per-class accuracy
     best_class: int
     samples_per_class: int
     trials: int
-    delta: float
     seed: int
 
     def __post_init__(self) -> None:
         self.accuracies = np.asarray(self.accuracies, dtype=np.float64)
-        if len(self.accuracies) != self.num_classes:
-            raise ValueError("accuracies must have one entry per class")
         if np.any(self.accuracies < 0) or np.any(self.accuracies > 1):
             raise ValueError("accuracies must lie in [0, 1]")
         if self.trials < 1:
@@ -68,7 +64,7 @@ def misidentification_rate(cfg: TrialConfig) -> float:
     priors."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.samples_per_class
-    t = rng.binomial(n, cfg.accuracies, size=(cfg.trials, cfg.num_classes))
+    t = rng.binomial(n, cfg.accuracies, size=(cfg.trials, len(cfg.accuracies)))
     mu = (1.0 + t) / (2.0 + n)
     predicted = np.argmax(mu, axis=1)
     return float(np.mean(predicted != cfg.best_class))

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete. The trend criteria share one experiment grid (3 seeds x 3 overlap
-probabilities x 2 methods) built once per session.
+probabilities x 2 methods) and one priors study, built once per seed group:
+the tested seeds 1-3 and the held-out seeds 4-6, with the same bounds.
 """
 
 import json
@@ -71,15 +72,25 @@ def against(bound, margin, fmt=".3f"):
     return f"(bound {bound:.3g}, margin {margin:+{fmt}})"
 
 
+SEED_GROUPS = {"seeds1-3": [1, 2, 3], "seeds4-6": [4, 5, 6]}
+
+
+@pytest.fixture(scope="module", params=list(SEED_GROUPS.values()), ids=list(SEED_GROUPS))
+def seeds(request):
+    return request.param
+
+
 @pytest.fixture(scope="module")
-def grid_result(tmp_path_factory):
-    cfg = validate_config(dict(ACCEPTANCE_RAW))
+def grid_result(tmp_path_factory, seeds):
+    cfg = validate_config(dict(ACCEPTANCE_RAW, seeds=seeds))
     return cfg, run_experiment(cfg, tmp_path_factory.mktemp("grid"))
 
 
 @pytest.fixture(scope="module")
-def priors_result(tmp_path_factory):
-    cfg = validate_config(dict(ACCEPTANCE_RAW, overlap_probabilities=[0.2], method="ea_l2d"))
+def priors_result(tmp_path_factory, seeds):
+    cfg = validate_config(
+        dict(ACCEPTANCE_RAW, seeds=seeds, overlap_probabilities=[0.2], method="ea_l2d")
+    )
     return cfg, run_priors_study(cfg, tmp_path_factory.mktemp("priors"))
 
 
@@ -131,7 +142,7 @@ def test_criterion_3_sample_bound_grid():
                 best = min(1, k - 1)
                 acc[best] = 0.75
                 rate = misidentification_rate(
-                    TrialConfig(k, acc, best, n, 2000, delta, seed=k * 1000 + int(gap * 100))
+                    TrialConfig(acc, best, n, 2000, seed=k * 1000 + int(gap * 100))
                 )
                 if rate > delta:
                     failures.append((k, gap, delta, rate))

@@ -636,6 +636,26 @@ class TestCheckpoint:
             "format_version",
         ),
         "missing_meta": (lambda arrays, meta: arrays.pop("meta"), "meta"),
+        "missing_train_config_key": (
+            lambda arrays, meta: meta["train_config"].pop("epochs"),
+            "epochs",
+        ),
+        "extra_train_config_key": (
+            lambda arrays, meta: meta["train_config"].update(momentum=0.9),
+            "momentum",
+        ),
+        "bad_train_config_value": (
+            lambda arrays, meta: meta["train_config"].update(learning_rate=0.0),
+            "train_config",
+        ),
+        "unknown_activation": (
+            lambda arrays, meta: meta.update(classifier_activations=["tanh", "identity"]),
+            "classifier_activations",
+        ),
+        "layers_do_not_compose": (
+            lambda arrays, meta: arrays.update(rej_w1=np.zeros((1, 5))),
+            "rejector_activations",
+        ),
     }
 
     @pytest.mark.parametrize("defect", sorted(DEFECTS))

@@ -71,6 +71,19 @@ def reference_forward_cached(net, x):
     return pre, post
 
 
+def reference_backward(net, x, upstream):
+    """Unfused backprop, its relu masks read from ``reference_forward_cached``'s
+    pre-activations: (flat gradient, input gradient)."""
+    pre, post = reference_forward_cached(net, x)
+    parts, delta = [], upstream
+    for layer, z, a in reversed(list(zip(net.layers, pre, post))):
+        if layer.activation == "relu":
+            delta = delta * (z > 0)
+        parts[:0] = [(delta.T @ a).ravel(), delta.sum(axis=0)]
+        delta = delta @ layer.weights
+    return np.concatenate(parts), delta
+
+
 def reference_sgd_step(net, grads, cfg, scale):
     """The update layer by layer, every term kept: (weights, bias) per layer."""
     lr, wd = cfg.learning_rate, cfg.weight_decay
@@ -224,24 +237,32 @@ class TestForwardCached:
         rng = np.random.default_rng(17)
         net = dense_net([5, 7, 6, 3], rng)
         for x in (rng.normal(size=(1, 5)), rng.normal(size=(9, 5))):
-            pre, post = forward_cached(net, x)
-            assert len(pre) == 3 and len(post) == 4
-            assert np.array_equal(post[0], x)
-            assert np.array_equal(post[-1], forward(net, x))
+            outs = forward_cached(net, x)
+            assert len(outs) == 4
+            assert np.array_equal(outs[0], x)
+            assert np.array_equal(outs[-1], forward(net, x))
 
-    def test_activations_follow_from_pre_activations(self):
-        rng = np.random.default_rng(18)
-        net = dense_net([4, 6, 2], rng)
-        pre, post = forward_cached(net, rng.normal(size=(5, 4)))
-        assert np.array_equal(post[1], np.maximum(pre[0], 0.0))
-        assert np.array_equal(post[2], pre[1])
+    @settings(max_examples=150, deadline=None)
+    @given(net=layered_nets(), rows=st.integers(0, 6), data=st.data())
+    def test_activations_follow_from_pre_activations(self, net, rows, data):
+        # non-finite inputs give NaN pre-activations too
+        elements = st.one_of(VALUES, st.sampled_from([np.nan, np.inf, -np.inf]))
+        x = data.draw(hnp.arrays(np.float64, (rows, net.input_dim), elements=elements))
+        with np.errstate(invalid="ignore", over="ignore"):
+            ref_pre, _ = reference_forward_cached(net, x)
+            outs = forward_cached(net, x)
+        for out, z, activation in zip(outs[1:], ref_pre, net.activations):
+            assert np.array_equal(out > 0, z > 0)
+            expected = np.maximum(z, 0.0) if activation == "relu" else z
+            assert np.array_equal(out, expected, equal_nan=True)
 
     def test_relu_pattern_reads_signs_of_relu_layers_only(self):
         rng = np.random.default_rng(19)
         net = dense_net([3, 4, 5, 2], rng)
-        acts = forward_cached(net, rng.normal(size=(6, 3)))
-        pattern = relu_pattern(net, acts)
-        expected = np.concatenate([(acts[0][0] > 0).ravel(), (acts[0][1] > 0).ravel()])
+        x = rng.normal(size=(6, 3))
+        pattern = relu_pattern(net, forward_cached(net, x))
+        ref_pre, _ = reference_forward_cached(net, x)
+        expected = np.concatenate([(ref_pre[0] > 0).ravel(), (ref_pre[1] > 0).ravel()])
         assert pattern.dtype == bool
         assert np.array_equal(pattern, expected)
         linear = dense_net([3, 2], rng)
@@ -251,10 +272,11 @@ class TestForwardCached:
     @given(net=layered_nets(), rows=st.integers(0, 6), data=st.data())
     def test_both_forwards_equal_the_unfused_path_bit_for_bit(self, net, rows, data):
         x = data.draw(hnp.arrays(np.float64, (rows, net.input_dim), elements=VALUES))
-        ref_pre, ref_post = reference_forward_cached(net, x)
-        pre, post = forward_cached(net, x)
+        _, ref_post = reference_forward_cached(net, x)
+        outs = forward_cached(net, x)
         assert forward(net, x).tobytes() == ref_post[-1].tobytes()
-        for a, b in zip(pre + post, ref_pre + ref_post):
+        assert len(outs) == len(ref_post)
+        for a, b in zip(outs, ref_post):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -326,9 +348,9 @@ class TestBackward:
         target = rng.normal(size=1)
 
         def loss_fn(net):
-            acts = forward_cached(net, x)
-            diff = acts[1][-1] - target
-            g = backward(net, acts, diff)
+            outs = forward_cached(net, x)
+            diff = outs[-1] - target
+            g = backward(net, outs, diff)
             return 0.5 * float((diff * diff).sum()), g
 
         for seed in range(5):
@@ -345,16 +367,16 @@ class TestBackward:
     def test_runs_no_forward_of_its_own(self, monkeypatch):
         rng = np.random.default_rng(15)
         net = dense_net([4, 6, 6, 2], rng)
-        acts = forward_cached(net, rng.normal(size=(5, 4)))
+        outs = forward_cached(net, rng.normal(size=(5, 4)))
 
         def no_forward(*args, **kwargs):
             raise AssertionError("backward ran a forward pass")
 
-        for name in ("forward", "forward_cached", "_apply_activation", "_check_input"):
+        for name in ("forward", "forward_cached", "_layer", "_check_input"):
             monkeypatch.setattr(deferlab.nets, name, no_forward)
-        g = backward(net, acts, rng.normal(size=(5, 2)))
+        g = backward(net, outs, rng.normal(size=(5, 2)))
         assert g.matches(net)
-        assert relu_pattern(net, acts).size == 5 * 12
+        assert relu_pattern(net, outs).size == 5 * 12
 
     def test_activations_of_another_depth_rejected(self):
         net = dense_net([3, 2], 0)
@@ -365,10 +387,10 @@ class TestBackward:
     def test_column_view_upstream_matches_contiguous_copy(self):
         rng = np.random.default_rng(14)
         net = dense_net([4, 8, 1], rng)
-        acts = forward_cached(net, rng.normal(size=(12, 4)))
+        outs = forward_cached(net, rng.normal(size=(12, 4)))
         block = rng.normal(size=(12, 3))
-        from_view = backward(net, acts, block[:, 2:])
-        from_copy = backward(net, acts, block[:, 2:].copy())
+        from_view = backward(net, outs, block[:, 2:])
+        from_copy = backward(net, outs, block[:, 2:].copy())
         assert np.array_equal(from_view.flat, from_copy.flat)
         assert np.array_equal(from_view.input_grad, from_copy.input_grad)
 
@@ -524,9 +546,9 @@ class TestFiniteDifferenceCheck:
         x = np.array([[1.0]])
 
         def loss_fn(n):
-            acts = forward_cached(n, x)
-            g = backward(n, acts, np.ones((1, 1)))
-            return float(acts[1][-1][0, 0]), g, relu_pattern(n, acts).astype(np.int64)
+            outs = forward_cached(n, x)
+            g = backward(n, outs, np.ones((1, 1)))
+            return float(outs[-1][0, 0]), g, relu_pattern(n, outs).astype(np.int64)
 
         report = finite_difference_check(net, loss_fn, 1e-6)
         assert report.n_skipped >= 1
@@ -573,9 +595,9 @@ class TestFiniteDifferenceCheck:
             net.layers[0].bias[0] = -(x[0] @ net.layers[0].weights[0])
 
             def loss_fn(n):
-                acts = forward_cached(n, x)
-                out = acts[1][-1]
-                return 0.5 * float((out * out).sum()), backward(n, acts, out), relu_pattern(n, acts)
+                outs = forward_cached(n, x)
+                out = outs[-1]
+                return 0.5 * float((out * out).sum()), backward(n, outs, out), relu_pattern(n, outs)
 
             report = finite_difference_check(net, loss_fn, 1e-6)
             expected = reference(net, loss_fn, 1e-6)
@@ -676,18 +698,14 @@ class TestFlatLayout:
         with pytest.raises(ValueError):
             GradientBundle(np.zeros(net.params.size + 1), net.layout)
 
-    def test_backward_fills_the_flat_gradient_per_layer(self):
-        rng = np.random.default_rng(31)
-        net = dense_net([4, 6, 3], rng)
-        x = rng.normal(size=(7, 4))
-        up = rng.normal(size=(7, 3))
+    @settings(max_examples=150, deadline=None)
+    @given(net=layered_nets(), rows=st.integers(0, 6), data=st.data())
+    def test_backward_fills_the_flat_gradient_per_layer(self, net, rows, data):
+        x = data.draw(hnp.arrays(np.float64, (rows, net.input_dim), elements=VALUES))
+        up = data.draw(hnp.arrays(np.float64, (rows, net.output_dim), elements=VALUES))
         g = backward(net, forward_cached(net, x), up)
         assert g.matches(net) and g.flat.shape == net.params.shape
-        # per layer, unfused: the top layer reads ``up`` directly
-        h = np.maximum(x @ net.layers[0].weights.T + net.layers[0].bias, 0.0)
-        top_w, top_b = up.T @ h, up.sum(axis=0)
-        delta = (up @ net.layers[1].weights) * (h > 0)
-        low_w, low_b = delta.T @ x, delta.sum(axis=0)
-        expected = np.concatenate([low_w.ravel(), low_b, top_w.ravel(), top_b])
-        assert g.flat.tobytes() == expected.tobytes()
-        assert g.input_grad.tobytes() == (delta @ net.layers[0].weights).tobytes()
+        flat, input_grad = reference_backward(net, x, up)
+        assert g.flat.tobytes() == flat.tobytes()
+        assert g.input_grad.shape == input_grad.shape
+        assert g.input_grad.tobytes() == input_grad.tobytes()

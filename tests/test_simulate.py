@@ -55,11 +55,11 @@ def train_plain_classifier(data, num_classes, epochs=40, lr=0.3, seed=0):
             idx = order[start : start + cfg.batch_size]
             x = data.train.features[idx]
             y = data.train.labels[idx]
-            acts = forward_cached(net, x)
-            q = np.apply_along_axis(softmax, 1, acts[1][-1])
+            outs = forward_cached(net, x)
+            q = np.apply_along_axis(softmax, 1, outs[-1])
             up = q.copy()
             up[np.arange(len(idx)), y] -= 1.0
-            grads = backward(net, acts, up / len(idx))
+            grads = backward(net, outs, up / len(idx))
             net = sgd_step(net, grads, cfg)
     preds = np.argmax(forward(net, data.test.features), axis=1)
     return float(np.mean(preds == data.test.labels))

@@ -26,8 +26,8 @@ def reference_expert(classifier, rejector, features, labels, mu):
     """Loss sums and gradients of one expert, computed on its own."""
     batch = len(labels)
     num_classes = classifier.output_dim
-    clf_acts = forward_cached(classifier, features)
-    logits = clf_acts[1][-1]
+    clf_outs = forward_cached(classifier, features)
+    logits = clf_outs[-1]
     rho = softmax(logits)
     kstar = np.argmax(rho, axis=1)
     estar = int(np.argmax(mu))
@@ -35,14 +35,14 @@ def reference_expert(classifier, rejector, features, labels, mu):
     feats = np.column_stack(
         [rho[:, estar], rho[rows, kstar], mu[kstar], np.full(batch, mu[estar])]
     )
-    rej_acts = forward_cached(rejector, feats)
-    g_defer = rej_acts[1][-1][:, 0]
+    rej_outs = forward_cached(rejector, feats)
+    g_defer = rej_outs[-1][:, 0]
     q = softmax(np.column_stack([logits, g_defer]))
     weights = np.where(labels == estar, mu[labels], 0.0)
     cs, ds = _loss_sums(q, labels, weights, num_classes)
 
     d_joint = _joint_grad_rows(q, labels, weights)
-    rej_grads = backward(rejector, rej_acts, d_joint[:, num_classes][:, None])
+    rej_grads = backward(rejector, rej_outs, d_joint[:, num_classes][:, None])
     d_feats = rej_grads.input_grad
     d_rho = np.zeros_like(rho)
     d_rho[:, estar] += d_feats[:, 0]
@@ -50,7 +50,7 @@ def reference_expert(classifier, rejector, features, labels, mu):
     d_logits = d_joint[:, :num_classes] + rho * (
         d_rho - (d_rho * rho).sum(axis=1, keepdims=True)
     )
-    clf_grads = backward(classifier, clf_acts, d_logits)
+    clf_grads = backward(classifier, clf_outs, d_logits)
     return cs, ds, clf_grads, rej_grads
 
 

@@ -48,9 +48,9 @@ class TestMisidentificationRate:
     def test_no_samples_predicts_class_zero(self):
         # with n=0 every posterior mean is 0.5 and the argmax tie-break
         # lands on class 0
-        cfg = TrialConfig(3, np.array([0.5, 0.9, 0.5]), 1, 0, 50, 0.05, seed=0)
+        cfg = TrialConfig(np.array([0.5, 0.9, 0.5]), 1, 0, 50, seed=0)
         assert misidentification_rate(cfg) == 1.0
-        cfg0 = TrialConfig(3, np.array([0.9, 0.5, 0.5]), 0, 0, 50, 0.05, seed=0)
+        cfg0 = TrialConfig(np.array([0.9, 0.5, 0.5]), 0, 0, 50, seed=0)
         assert misidentification_rate(cfg0) == 0.0
 
     def test_rate_within_bound_at_reference_cell(self):
@@ -58,7 +58,7 @@ class TestMisidentificationRate:
         assert n == 134
         acc = np.full(10, 0.6)
         acc[3] = 0.9
-        cfg = TrialConfig(10, acc, 3, n, 2000, 0.05, seed=7)
+        cfg = TrialConfig(acc, 3, n, 2000, seed=7)
         assert misidentification_rate(cfg) <= 0.05
 
     def test_rate_shrinks_with_ten_times_bound(self):
@@ -66,15 +66,15 @@ class TestMisidentificationRate:
         acc = np.full(5, 0.55)
         acc[2] = 0.75
         for seed in (0, 1, 2):
-            small = misidentification_rate(TrialConfig(5, acc, 2, max(1, n // 10), 2000, 0.1, seed=seed))
-            at_bound = misidentification_rate(TrialConfig(5, acc, 2, n, 2000, 0.1, seed=seed))
-            big = misidentification_rate(TrialConfig(5, acc, 2, 10 * n, 2000, 0.1, seed=seed))
+            small = misidentification_rate(TrialConfig(acc, 2, max(1, n // 10), 2000, seed=seed))
+            at_bound = misidentification_rate(TrialConfig(acc, 2, n, 2000, seed=seed))
+            big = misidentification_rate(TrialConfig(acc, 2, 10 * n, 2000, seed=seed))
             assert big <= at_bound <= small
             assert big < small
 
     def test_dominance_requirement_enforced(self):
         with pytest.raises(ValueError):
-            TrialConfig(3, np.array([0.9, 0.9, 0.5]), 0, 10, 100, 0.05, seed=0)
+            TrialConfig(np.array([0.9, 0.9, 0.5]), 0, 10, 100, seed=0)
 
 
 def uniform_task(test_size=2000, separation=0.0):
