@@ -74,19 +74,28 @@ def _load_net(path, data, meta: dict, prefix: str) -> DenseNet:
 def load_checkpoint(path) -> tuple[DenseNet, DenseNet, TrainConfig]:
     """The networks and training config saved at ``path``.
 
-    A file whose arrays are not exactly ``meta`` plus one weight and one
-    bias per listed activation, whose meta lacks a key, whose networks do
-    not build (an unknown activation, layer shapes that do not compose) or
-    whose ``train_config`` is not a valid ``TrainConfig`` raises
+    A file whose ``meta`` is not a JSON object, whose arrays are not exactly
+    ``meta`` plus one weight and one bias per listed activation, whose meta
+    lacks a key or stores an activation list as anything but a list, whose
+    networks do not build (an unknown activation, layer shapes that do not
+    compose) or whose ``train_config`` is not a valid ``TrainConfig`` raises
     ``ValueError`` naming the file and the key.
     """
     with np.load(path) as data:
         if "meta" not in data.files:
             raise ValueError(f"checkpoint {path}: missing array 'meta'")
-        meta = json.loads(bytes(data["meta"]).decode())
+        try:
+            meta = json.loads(bytes(data["meta"]).decode())
+        except ValueError as err:  # not UTF-8, or not JSON
+            raise ValueError(f"checkpoint {path}: 'meta' is not JSON: {err}") from err
+        if not isinstance(meta, dict):
+            raise ValueError(f"checkpoint {path}: 'meta' is not a JSON object")
         for key in ("format_version", *_NETS.values(), "train_config"):
             if key not in meta:
                 raise ValueError(f"checkpoint {path}: meta has no {key!r}")
+        for key in _NETS.values():
+            if not isinstance(meta[key], list):
+                raise ValueError(f"checkpoint {path}: meta {key!r} is not a list")
         if meta["format_version"] != FORMAT_VERSION:
             raise ValueError(
                 f"checkpoint {path}: unsupported format_version {meta['format_version']}"

@@ -14,13 +14,13 @@ missing config or prior file), 2 failed theory/acceptance check,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .errors import DatasetParseError, TrainingDivergenceError
+from .evaluation import area_under
 from .harness import (
     run_experiment,
     run_priors_study,
@@ -28,6 +28,7 @@ from .harness import (
     run_training,
 )
 from .simulate import generate_gaussian_task, save_csv_dataset
+from .tables import write_table
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -85,30 +86,18 @@ def _cmd_sweep(args) -> int:
     if _every_seed_failed(result.failures, cfg):
         return 3
 
-    full = (0.0, 1.0)
-    indexed = {
-        (r.method, r.p, r.expertise, r.seed, r.cohort): r for r in result.records
-    }
     if {"ea_l2d", "pop_avg"} <= set(cfg.methods):
+        # Records come seed by seed; sorted stably by grid cell, they list the
+        # seeds within each cell, and the two methods' records pair up.
+        cells = [(p, e) for p in cfg.overlap_probabilities for e in cfg.expertise_grid()]
+        by_cell = sorted(result.records, key=lambda r: cells.index((r.p, r.expertise)))
+        ea, pop = ([r for r in by_cell if r.method == m] for m in ("ea_l2d", "pop_avg"))
         rows = []
-        for p in cfg.overlap_probabilities:
-            for epe in cfg.expertise_grid():
-                for seed in cfg.seeds:
-                    for cohort in ("id", "ood"):
-                        a = indexed.get(("ea_l2d", p, epe, seed, cohort))
-                        b = indexed.get(("pop_avg", p, epe, seed, cohort))
-                        if a is None or b is None or full not in a.aurdac:
-                            continue
-                        ea, pop = a.aurdac[full], b.aurdac[full]
-                        rows.append(
-                            [repr(p), epe, seed, cohort, repr(ea), repr(pop), repr(ea - pop)]
-                        )
-        with open(Path(args.out) / "sweep_summary.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["p", "expertise", "seed", "cohort", "ea_l2d_aurdac", "pop_avg_aurdac", "gap"]
-            )
-            writer.writerows(rows)
+        for a, b in zip(ea, pop):
+            x, y = area_under(a.expert_curve, 0.0, 1.0), area_under(b.expert_curve, 0.0, 1.0)
+            rows.append([a.p, a.expertise, a.seed, a.cohort, x, y, x - y])
+        header = ["p", "expertise", "seed", "cohort", "ea_l2d_aurdac", "pop_avg_aurdac", "gap"]
+        write_table(Path(args.out) / "sweep_summary.csv", header, rows)
     print(f"sweep complete: {len(result.records)} records in {args.out}")
     return 0
 

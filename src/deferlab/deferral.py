@@ -325,7 +325,7 @@ def _fit(
         if val_loss < best_loss:
             best_loss = val_loss
             best_epoch = epoch
-            best_nets = (classifier.copy(), rejector.copy())
+            best_nets = (classifier, rejector)  # sgd_step never mutates a network
             stale = 0
         else:
             stale += 1

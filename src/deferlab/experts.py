@@ -9,7 +9,6 @@ posterior mean is the expert's expertise class.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DatasetParseError
+from .tables import read_table, write_table
 
 DEFAULT_PRIOR_STRENGTH = 10.0
 
@@ -125,49 +125,35 @@ def load_prior_file(path, num_classes: int) -> dict[int, PriorElicitation]:
     """
     per_expert: dict[int, dict[int, tuple[float, float]]] = {}
     strengths: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    header, rows = read_table(path)
+    if [h.strip() for h in header] != PRIOR_FILE_HEADER:
+        raise DatasetParseError(f"{path}: line 1: expected header {','.join(PRIOR_FILE_HEADER)}")
+    for lineno, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetParseError(f"{path}: empty prior file") from None
-        if [h.strip() for h in header] != PRIOR_FILE_HEADER:
+            expert_id, k = int(row[0]), int(row[1])
+            p, c, s = float(row[2]), float(row[3]), float(row[4])
+        except ValueError:
+            raise DatasetParseError(f"{path}: line {lineno}: non-numeric field") from None
+        if not 0 <= k < num_classes:
             raise DatasetParseError(
-                f"{path}: line 1: expected header {','.join(PRIOR_FILE_HEADER)}"
+                f"{path}: line {lineno}: class {k} out of range for K={num_classes}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise DatasetParseError(f"{path}: line {lineno}: expected 5 fields")
-            try:
-                expert_id = int(row[0])
-                k = int(row[1])
-                p = float(row[2])
-                c = float(row[3])
-                s = float(row[4])
-            except ValueError:
-                raise DatasetParseError(
-                    f"{path}: line {lineno}: non-numeric field"
-                ) from None
-            if not 0 <= k < num_classes:
-                raise DatasetParseError(
-                    f"{path}: line {lineno}: class {k} out of range for K={num_classes}"
-                )
-            # written so that NaN fails every range check
-            if not (0 <= p <= 1 and 0 <= c <= 1 and 2 <= s < math.inf):
-                raise DatasetParseError(
-                    f"{path}: line {lineno}: need p and c in [0, 1] and finite s >= 2"
-                )
-            slot = per_expert.setdefault(expert_id, {})
-            if k in slot:
-                raise DatasetParseError(
-                    f"{path}: line {lineno}: duplicate entry for expert {expert_id} class {k}"
-                )
-            slot[k] = (p, c)
-            if expert_id in strengths and strengths[expert_id] != s:
-                raise DatasetParseError(
-                    f"{path}: line {lineno}: inconsistent strength s for expert {expert_id}"
-                )
-            strengths[expert_id] = s
+        # written so that NaN fails every range check
+        if not (0 <= p <= 1 and 0 <= c <= 1 and 2 <= s < math.inf):
+            raise DatasetParseError(
+                f"{path}: line {lineno}: need p and c in [0, 1] and finite s >= 2"
+            )
+        slot = per_expert.setdefault(expert_id, {})
+        if k in slot:
+            raise DatasetParseError(
+                f"{path}: line {lineno}: duplicate entry for expert {expert_id} class {k}"
+            )
+        slot[k] = (p, c)
+        if expert_id in strengths and strengths[expert_id] != s:
+            raise DatasetParseError(
+                f"{path}: line {lineno}: inconsistent strength s for expert {expert_id}"
+            )
+        strengths[expert_id] = s
 
     result = {}
     for expert_id, entries in per_expert.items():
@@ -183,10 +169,8 @@ def load_prior_file(path, num_classes: int) -> dict[int, PriorElicitation]:
 
 
 def write_prior_file(path, priors: dict[int, PriorElicitation]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PRIOR_FILE_HEADER)
-        for expert_id in sorted(priors):
-            el = priors[expert_id]
-            for k in range(el.num_classes):
-                writer.writerow([expert_id, k, repr(float(el.p[k])), repr(float(el.c[k])), repr(float(el.s))])
+    write_table(path, PRIOR_FILE_HEADER, (
+        [expert_id, k, float(el.p[k]), float(el.c[k]), float(el.s)]
+        for expert_id, el in sorted(priors.items())
+        for k in range(el.num_classes)
+    ))

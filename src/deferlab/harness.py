@@ -8,11 +8,10 @@ context draws, prediction sampling, and training.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -51,6 +50,7 @@ from .simulate import (
     generate_gaussian_task,
     make_population,
 )
+from .tables import write_table
 from .theory import (
     THEORY_CSV_HEADER,
     TheoryCheckRow,
@@ -560,11 +560,7 @@ def run_theory_checks(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "theory_report.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(THEORY_CSV_HEADER)
-            for row in rows:
-                writer.writerow(row.as_csv_row())
+        write_table(out / "theory_report.csv", THEORY_CSV_HEADER, (r.as_csv_row() for r in rows))
     return rows
 
 
@@ -597,16 +593,5 @@ def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, TrainingDivergence
 
 
 def _write_history(path, result: TrainResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "classifier_term", "deferral_term", "val_loss"])
-        for row in result.history:
-            writer.writerow(
-                [
-                    row.epoch,
-                    repr(row.train_loss),
-                    repr(row.train_classifier_term),
-                    repr(row.train_deferral_term),
-                    repr(row.val_loss),
-                ]
-            )
+    header = ["epoch", "train_loss", "classifier_term", "deferral_term", "val_loss"]
+    write_table(path, header, map(astuple, result.history))

@@ -9,13 +9,13 @@ draw over all labels.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DatasetParseError
+from .tables import read_table, write_table
 
 
 @dataclass
@@ -108,40 +108,25 @@ def load_csv_dataset(path) -> Dataset:
     with a warning so downstream per-class machinery knows some classes are
     empty.
     """
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetParseError(f"{path}: no rows") from None
-        if not header or header[0].strip() != "y":
-            raise DatasetParseError(f"{path}: line 1: header must start with 'y'")
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise DatasetParseError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
-                )
-            try:
-                label = int(row[0])
-                feats = [float(v) for v in row[1:]]
-            except ValueError:
-                raise DatasetParseError(
-                    f"{path}: line {lineno}: non-numeric cell"
-                ) from None
-            if label < 0:
-                raise DatasetParseError(f"{path}: line {lineno}: negative label {label}")
-            labels.append(label)
-            rows.append(feats)
+    header, rows = read_table(path)
+    if not header or header[0].strip() != "y":
+        raise DatasetParseError(f"{path}: line 1: header must start with 'y'")
     if not rows:
         raise DatasetParseError(f"{path}: no rows")
+    labels, feats = [], []
+    for lineno, row in rows:
+        try:
+            labels.append(int(row[0]))
+            feats.append([float(v) for v in row[1:]])
+        except ValueError:
+            raise DatasetParseError(f"{path}: line {lineno}: non-numeric cell") from None
+        if labels[-1] < 0:
+            raise DatasetParseError(f"{path}: line {lineno}: negative label {labels[-1]}")
 
-    features = np.array(rows, dtype=np.float64)
+    features = np.array(feats, dtype=np.float64)
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
-        lineno = int(np.argmin(finite)) + 2
+        lineno = rows[int(np.argmin(finite))][0]
         raise DatasetParseError(f"{path}: line {lineno}: non-finite feature")
     label_arr = np.array(labels, dtype=np.int64)
     num_classes = int(label_arr.max()) + 1
@@ -153,11 +138,11 @@ def load_csv_dataset(path) -> Dataset:
 
 
 def save_csv_dataset(path, data: Dataset) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y"] + [f"f{j}" for j in range(data.features.shape[1])])
-        for y, x in zip(data.labels, data.features):
-            writer.writerow([int(y)] + [repr(float(v)) for v in x])
+    write_table(
+        path,
+        ["y"] + [f"f{j}" for j in range(data.features.shape[1])],
+        ([y, *x] for y, x in zip(data.labels.tolist(), data.features.tolist())),
+    )
 
 
 @dataclass(frozen=True)

@@ -139,8 +139,8 @@ class TheoryCheckRow:
         return [
             self.check,
             json.dumps(self.params, sort_keys=True),
-            repr(float(self.observed)),
-            repr(float(self.threshold)),
+            float(self.observed),
+            float(self.threshold),
             "pass" if self.passed else "fail",
         ]
 

@@ -131,6 +131,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config(path)
 
+    def test_non_utf8_bytes_reported_naming_the_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"num_classes": 4, "name": "caf\xe9"}')
+        with pytest.raises(ConfigError, match=r"latin1\.json: .*utf-8"):
+            parse_config(path)
+
     def test_wrong_type_rejected(self):
         with pytest.raises(ConfigError, match="num_classes"):
             validate_config(minimal_raw(num_classes="ten"))

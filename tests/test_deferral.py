@@ -620,8 +620,25 @@ class TestCheckpoint:
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
     # Each defect edits a saved file's arrays and decoded meta in place, and
-    # names the key the error must report.
+    # names the key the error must report. An edit that replaces the 'meta'
+    # array itself keeps its bytes.
     DEFECTS = {
+        "meta_not_json": (
+            lambda arrays, meta: arrays.update(meta=np.frombuffer(b"{relu", dtype=np.uint8)),
+            "meta",
+        ),
+        "meta_not_utf8": (
+            lambda arrays, meta: arrays.update(meta=np.frombuffer(b"\xff{}", dtype=np.uint8)),
+            "meta",
+        ),
+        "meta_a_number": (
+            lambda arrays, meta: arrays.update(meta=np.frombuffer(b"7", dtype=np.uint8)),
+            "meta",
+        ),
+        "activations_a_string": (
+            lambda arrays, meta: meta.update(classifier_activations="relu"),
+            "classifier_activations",
+        ),
         "one_classifier_activation": (
             lambda arrays, meta: meta.update(classifier_activations=["relu"]),
             "clf_b1",
@@ -667,8 +684,9 @@ class TestCheckpoint:
         with np.load(tmp_path / "good.npz") as data:
             arrays = dict(data)
         meta = json.loads(bytes(arrays["meta"]).decode())
+        saved_meta = arrays["meta"]
         edit(arrays, meta)
-        if "meta" in arrays:
+        if arrays.get("meta") is saved_meta:
             arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         path = tmp_path / "bad.npz"
         np.savez(path, **arrays)

@@ -1,4 +1,3 @@
-import csv
 import math
 import tracemalloc
 
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from deferlab.deferral import rejector_inputs
 from deferlab.evaluation import (
+    CURVE_CSV_HEADER,
     Curve,
     ScoredCases,
     area_under,
@@ -20,6 +20,7 @@ from deferlab.evaluation import (
 )
 from deferlab.nets import BLOCK_ROWS, DenseNet, Layer, dense_net, forward, softmax
 from deferlab.simulate import Dataset
+from deferlab.tables import write_table
 
 
 def scored(priority, classifier_correct, expert_correct):
@@ -531,17 +532,14 @@ class TestCurveProperties:
 
 
 def reference_curve_csv(path, system_curve, expert_curve):
-    """The csv-module curve writer the joined writer replaced."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["deferral_rate", "system_accuracy", "expert_accuracy"])
-        for d, sa, ea in zip(system_curve.rates, system_curve.accuracies, expert_curve.accuracies):
-            writer.writerow([repr(float(d)), repr(float(sa)), repr(float(ea))])
+    """The package's one table writer, which the curve fast path must match."""
+    rows = zip(system_curve.rates, system_curve.accuracies, expert_curve.accuracies)
+    write_table(path, CURVE_CSV_HEADER, rows)
 
 
 class TestCurveCsvBytes:
-    @pytest.mark.parametrize("n", [1, 7, 60_000])
-    def test_matches_csv_module_writer(self, tmp_path, n):
+    @pytest.mark.parametrize("n", [1, 7, 5_003, 60_000])
+    def test_matches_write_table(self, tmp_path, n):
         rng = np.random.default_rng(n)
         cases = scored(rng.uniform(-1, 1, size=n), rng.integers(2, size=n), rng.integers(2, size=n))
         system, expert = build_curves(cases)
@@ -598,7 +596,7 @@ def curve_pairs(draw):
 class TestCurveCsvProperties:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(curve_pairs())
-    def test_bytes_equal_csv_module_writer(self, tmp_path, curves):
+    def test_bytes_equal_write_table(self, tmp_path, curves):
         write_curve_csv(tmp_path / "new.csv", *curves)
         reference_curve_csv(tmp_path / "ref.csv", *curves)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -344,6 +344,23 @@ class TestPriorFile:
         with pytest.raises(DatasetParseError, match=r"priors\.csv: line 3"):
             load_prior_file(path, 2)
 
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"expert_id,class,p,c,s\n0,0,0.8,0.8,15\n0,1,0.8,0.8,1\xff\n", "line 3: not UTF-8"),
+            (b"expert_id,class,p,c,s\n0,0,0.8,0.8," + b"1" * 200_000 + b"\n",
+             "line 2: field larger than"),
+            (b'expert_id,class,p,c,s\n0,0,"0.8\n",0.8,15\n0,1,high,0.8,15\n',
+             "line 4: non-numeric field"),
+        ],
+        ids=["not-utf8", "huge-field", "quoted-newline"],
+    )
+    def test_unreadable_file_names_file_and_line(self, tmp_path, data, where):
+        path = tmp_path / "priors.csv"
+        path.write_bytes(data)
+        with pytest.raises(DatasetParseError, match=rf"priors\.csv: {where}"):
+            load_prior_file(path, 2)
+
     def test_nan_elicitation_rejected(self):
         with pytest.raises(ValueError, match="p must lie"):
             PriorElicitation(np.array([0.5, np.nan]), np.zeros(2))

@@ -258,6 +258,18 @@ class TestCli:
         assert lines[0] == "p,expertise,seed,cohort,ea_l2d_aurdac,pop_avg_aurdac,gap"
         assert len(lines) == 1 + 2 * 2  # two p values x two cohorts
 
+    def test_sweep_summary_does_not_depend_on_eval_ranges(self, tmp_path):
+        """The summary holds each cell's full-range AURDAC, whatever ranges
+        the metric files cover."""
+        summaries = []
+        for i, ranges in enumerate([[[0, 1]], [[0, 0.5]]]):
+            cfg_path = write_config(tmp_path, eval_ranges=ranges)
+            out = tmp_path / f"sweep{i}"
+            assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+            summaries.append((out / "sweep_summary.csv").read_bytes())
+        assert summaries[1] == summaries[0]
+        assert len(summaries[1].splitlines()) == 1 + 2  # one seed x two cohorts
+
     def test_priors_study_command(self, tmp_path):
         cfg_path = write_config(tmp_path, method="ea_l2d", epochs=8)
         out = tmp_path / "study"

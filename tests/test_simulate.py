@@ -177,6 +177,23 @@ class TestCsvDataset:
             load_csv_dataset(path)
 
 
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"y,f0\n0,1.0\n1,caf\xe9\n", "line 3: not UTF-8"),
+            (b"y,f0\n0," + b"1" * 200_000 + b"\n", "line 2: field larger than"),
+            (b'y,f0\n0,"1.0\n"\n1,abc\n', "line 4: non-numeric cell"),
+            (b'y,f0\n0,"1.0\n"\n1,nan\n', "line 4: non-finite feature"),
+        ],
+        ids=["not-utf8", "huge-field", "quoted-newline", "quoted-newline-non-finite"],
+    )
+    def test_unreadable_file_names_file_and_line(self, tmp_path, data, where):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with pytest.raises(DatasetParseError, match=rf"d\.csv: {where}"):
+            load_csv_dataset(path)
+
+
 class TestMakePopulation:
     def test_half_split_covers_all_classes(self):
         experts = make_population(10, 10, 0.2, seed=3)
