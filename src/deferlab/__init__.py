@@ -56,7 +56,6 @@ from .simulate import (
     make_population,
 )
 from .theory import (
-    TrialConfig,
     bayes_optimal_reference,
     gaussian_posterior,
     median_posterior_errors,

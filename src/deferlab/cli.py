@@ -18,9 +18,8 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, check_seed, parse_config
 from .errors import DatasetParseError, TrainingDivergenceError
-from .evaluation import area_under
 from .harness import (
     run_experiment,
     run_priors_study,
@@ -34,7 +33,7 @@ from .tables import write_table
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg.seeds = [args.seed]
+        cfg.seeds = [check_seed(args.seed)]
     return cfg
 
 
@@ -94,7 +93,7 @@ def _cmd_sweep(args) -> int:
         ea, pop = ([r for r in by_cell if r.method == m] for m in ("ea_l2d", "pop_avg"))
         rows = []
         for a, b in zip(ea, pop):
-            x, y = area_under(a.expert_curve, 0.0, 1.0), area_under(b.expert_curve, 0.0, 1.0)
+            x, y = a.aurdac(), b.aurdac()
             rows.append([a.p, a.expertise, a.seed, a.cohort, x, y, x - y])
         header = ["p", "expertise", "seed", "cohort", "ea_l2d_aurdac", "pop_avg_aurdac", "gap"]
         write_table(Path(args.out) / "sweep_summary.csv", header, rows)
@@ -114,10 +113,9 @@ def _cmd_priors_study(args) -> int:
 def _cmd_theory_check(args) -> int:
     if not (math.isfinite(args.bound_scale) and args.bound_scale > 0):
         raise ConfigError("--bound-scale must be finite and > 0")
-    seeds = [args.seed] if args.seed is not None else []
-    if args.config is not None:
-        cfg = parse_config(args.config)
-        seeds = [args.seed] if args.seed is not None else cfg.seeds
+    seeds = parse_config(args.config).seeds if args.config is not None else []
+    if args.seed is not None:
+        seeds = [check_seed(args.seed)]
     if not seeds:
         print("no seeds given; using default seed 0")
         seeds = [0]

@@ -4,10 +4,12 @@
 default, or ``...`` for a required key. Unknown keys are rejected so
 sweep-script typos fail loudly. A bool is never a number, every number must
 be finite, and null is accepted only where the table lists it. ``_MIN``
-holds the lower bounds; every list-valued key in ``_ENTRIES`` must be
-nonempty, and its entries (or its one bare value) pass the entry check
-there. Evaluation ranges may be given either as fractions in [0, 1] or as
-percentages (any endpoint above 1 switches the pair to the percent scale).
+holds the lower bounds and ``_POSITIVE`` the keys that must be > 0; every
+list-valued key in ``_ENTRIES`` must be nonempty, and its entries (or its
+one bare value) pass the entry check there. No two grid cells may share a
+file tag (``cell_tag``). Evaluation ranges may be given either as fractions
+in [0, 1] or as percentages (any endpoint above 1 switches the pair to the
+percent scale).
 """
 
 from __future__ import annotations
@@ -53,12 +55,13 @@ _SCHEMA = {
     "classifier_hidden": (_LIST, [32]),
 }
 
-# inclusive lower bounds; learning_rate alone must be strictly positive
+# inclusive lower bounds; the _POSITIVE keys must be strictly positive
 _MIN = {
-    "num_classes": 2, "dim": 1, "train_size": 1, "val_size": 1, "test_size": 0,
+    "num_classes": 2, "dim": 1, "separation": 0, "train_size": 1, "val_size": 1, "test_size": 0,
     "context_pool_size": 0, "experts_id": 1, "experts_ood": 0, "context_size": 1,
     "batch_size": 1, "epochs": 0, "weight_decay": 0, "patience": 0, "context_subsample": 1,
 }
+_POSITIVE = ("noise_scale", "learning_rate")
 
 
 def _is_number(value) -> bool:
@@ -79,7 +82,7 @@ _ENTRIES = {
         lambda p: _is_number(p) and 0.0 <= p <= 1.0,
         "overlap_probability must lie in [0, 1] (got {})",
     ),
-    "seeds": (lambda s: isinstance(s, int), "seeds entries must be integers (got {!r})"),
+    "seeds": (lambda s: isinstance(s, int) and s >= 0, "seeds must be ints >= 0 (got {!r})"),
     "method": (lambda m: m in VALID_METHODS, f"method must be one of {VALID_METHODS} (got {{!r}})"),
     "expertise_per_expert": (
         _positive_int, "expertise_per_expert must be a positive int or list of them"
@@ -155,6 +158,20 @@ class ConfigError(ValueError):
     pass
 
 
+def cell_tag(p: float, expertise: int) -> str:
+    """The tag in the file names of grid cell (p, expertise): ``p0_2_e1``
+    for (0.2, 1)."""
+    return f"p{format(p, 'g').replace('.', '_')}_e{expertise}"
+
+
+def check_seed(seed: int) -> int:
+    """The CLI's ``--seed``, held to the check of every ``seeds`` entry."""
+    valid, message = _ENTRIES["seeds"]
+    if not valid(seed):
+        raise ConfigError(message.format(seed))
+    return seed
+
+
 def _normalize_range(pair, index: int) -> tuple[float, float]:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ConfigError(f"eval_ranges[{index}] must be a [d_min, d_max] pair")
@@ -189,8 +206,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if merged[key] is not None and merged[key] < low:
             or_null = " or null" if _NULL in _SCHEMA[key][0] else ""
             raise ConfigError(f"{key} must be >= {low}{or_null}")
-    if not merged["learning_rate"] > 0:
-        raise ConfigError("learning_rate must be > 0")
+    for key in _POSITIVE:
+        if not merged[key] > 0:
+            raise ConfigError(f"{key} must be > 0")
 
     for key, (valid, message) in _ENTRIES.items():
         entries = merged[key] if isinstance(merged[key], list) else [merged[key]]
@@ -214,6 +232,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             "expertise_per_expert infeasible: experts x classes-per-expert exceeds num_classes"
         )
+    first_p = {}  # every grid cell writes its files under a tag of its own
+    for pi, p in enumerate(cfg.overlap_probabilities):
+        for e in cfg.expertise_grid():
+            tag = cell_tag(p, e)
+            if tag in first_p:
+                key = "overlap_probabilities" if first_p[tag] != pi else "expertise_per_expert"
+                raise ConfigError(f"{key} gives two grid cells the file tag {tag}")
+            first_p[tag] = pi
     if (cfg.context_subsample or 0) > cfg.context_size:
         raise ConfigError("context_subsample must not exceed context_size")
     # a stratified context takes up to ceil(size / K) items of each class, and

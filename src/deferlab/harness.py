@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import save_checkpoint
-from .config import ConfigError, ExperimentConfig, validate_config
+from .config import ConfigError, ExperimentConfig, cell_tag, validate_config
 from .deferral import TrainResult, train, train_pop_avg
 from .errors import TrainingDivergenceError
 from .evaluation import (
@@ -54,7 +54,6 @@ from .tables import write_table
 from .theory import (
     THEORY_CSV_HEADER,
     TheoryCheckRow,
-    TrialConfig,
     bayes_optimal_reference,
     gaussian_posterior,
     median_posterior_errors,
@@ -65,24 +64,18 @@ VERSION_STRING = f"deferlab-{__version__}"
 
 REJECTOR_DIMS = (4, 32, 32, 1)
 
-FULL_RANGE = (0.0, 1.0)
-
 
 def _subseed(*parts: int) -> int:
     """Deterministic 63-bit seed derived from a tuple of integers."""
     return int(np.random.default_rng(list(parts)).integers(0, 2**63 - 1))
 
 
-def _ptag(p: float) -> str:
-    return format(p, "g").replace(".", "_")
-
-
 @dataclass
 class Record:
     """One evaluated cohort of one grid cell and seed: a trained method's (or
-    the ``"oracle"``'s) curves and their areas over each evaluation range.
-    ``classifier_accuracy`` is ``None`` for the oracle and for the priors
-    study's arms."""
+    the ``"oracle"``'s) system and expert curves. Every metric is read off
+    the curves: the areas over a deferral-rate range, and the classifier's
+    accuracy, which is the system accuracy at deferral rate 0."""
 
     method: str
     p: float
@@ -91,23 +84,16 @@ class Record:
     cohort: str
     system_curve: Curve
     expert_curve: Curve
-    aursac: dict[tuple[float, float], float]
-    aurdac: dict[tuple[float, float], float]
-    classifier_accuracy: float | None
 
+    def aursac(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        return area_under(self.system_curve, lo, hi)
 
-def _record(
-    method: str, p: float, expertise: int, seed: int, cohort: str,
-    curves: tuple[Curve, Curve], ranges: Sequence[tuple[float, float]],
-    classifier_accuracy: float | None = None,
-) -> Record:
-    system, expert = curves
-    return Record(
-        method, p, expertise, seed, cohort, system, expert,
-        {r: area_under(system, *r) for r in ranges},
-        {r: area_under(expert, *r) for r in ranges},
-        classifier_accuracy,
-    )
+    def aurdac(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        return area_under(self.expert_curve, lo, hi)
+
+    @property
+    def classifier_accuracy(self) -> float:
+        return float(self.system_curve.accuracies[0])
 
 
 @dataclass
@@ -218,9 +204,9 @@ def _metric_rows(record: Record, ranges: Sequence[tuple[float, float]]) -> list[
     where = (record.cohort, record.seed)
     rows = []
     for lo, hi in ranges:
-        rows.append(("aursac", lo, hi, record.aursac[(lo, hi)], *where))
-        rows.append(("aurdac", lo, hi, record.aurdac[(lo, hi)], *where))
-    if record.classifier_accuracy is not None:
+        rows.append(("aursac", lo, hi, record.aursac(lo, hi), *where))
+        rows.append(("aurdac", lo, hi, record.aurdac(lo, hi), *where))
+    if record.method != "oracle":
         rows.append(("classifier_accuracy", 0.0, 1.0, record.classifier_accuracy, *where))
     return rows
 
@@ -258,7 +244,6 @@ def _evaluate_seed(
 
             for method, result in trained.items():
                 logits = forward(result.classifier, task.test.features)
-                clf_acc = float(np.mean(np.argmax(logits, axis=1) == task.test.labels))
                 for cohort_name, idx in cohorts:
                     pick_rng = np.random.default_rng(
                         _subseed(seed, pi, ei, 13, 0 if cohort_name == "id" else 1)
@@ -267,10 +252,9 @@ def _evaluate_seed(
                         logits, result.rejector, task.test,
                         mu[idx] if method == "ea_l2d" else None, test_preds[idx], pick_rng,
                     )
-                    records.append(_record(
-                        method, p, epe, seed, cohort_name, build_curves(cases),
-                        cfg.eval_ranges, clf_acc,
-                    ))
+                    records.append(
+                        Record(method, p, epe, seed, cohort_name, *build_curves(cases))
+                    )
 
             for cohort_name, idx in cohorts:
                 acc_matrix = np.stack(
@@ -283,9 +267,9 @@ def _evaluate_seed(
     # so it is not held through training.
     posterior = gaussian_posterior(task)
     for p, epe, cohort_name, acc_matrix in oracle_cohorts:
-        records.append(_record(
+        records.append(Record(
             "oracle", p, epe, seed, cohort_name,
-            bayes_optimal_reference(posterior, task.test.labels, acc_matrix), cfg.eval_ranges,
+            *bayes_optimal_reference(posterior, task.test.labels, acc_matrix),
         ))
     return records
 
@@ -306,7 +290,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentResult:
     out = _write_manifest(out_dir, cfg, failures)
     metric_rows: dict[str, list[tuple]] = {}
     for r in records:
-        tag = f"p{_ptag(r.p)}_e{r.expertise}"
+        tag = cell_tag(r.p, r.expertise)
         write_curve_csv(
             out / f"curve_{r.method}_{tag}_seed{r.seed}_{r.cohort}.csv",
             r.system_curve,
@@ -406,7 +390,7 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
         records = []
         for arm, mu in arm_mu.items():
             cases = score_cases(logits, result.rejector, task.test, mu, target_preds, pick_rng)
-            records.append(_record("ea_l2d", p, epe, seed, arm, build_curves(cases), [FULL_RANGE]))
+            records.append(Record("ea_l2d", p, epe, seed, arm, *build_curves(cases)))
         return records
 
     studied, failures = _each_seed(cfg, study_seed)
@@ -423,8 +407,8 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
         write_curve_csv(
             out / f"curve_priors_{r.cohort}_seed{r.seed}.csv", r.system_curve, r.expert_curve
         )
-        metric_rows.append(("aurdac", *FULL_RANGE, r.aurdac[FULL_RANGE], r.cohort, r.seed))
-        metric_rows.append(("aursac", *FULL_RANGE, r.aursac[FULL_RANGE], r.cohort, r.seed))
+        metric_rows.append(("aurdac", 0.0, 1.0, r.aurdac(), r.cohort, r.seed))
+        metric_rows.append(("aursac", 0.0, 1.0, r.aursac(), r.cohort, r.seed))
     write_metrics_csv(out / "metrics_priors_study.csv", metric_rows)
     return PriorsStudyResult(records, target.expert_id)
 
@@ -467,8 +451,8 @@ def _ceiling_row(seed: int) -> TheoryCheckRow:
         )
     )
     # One cell and one method: the id-cohort ea_l2d run and its oracle.
-    area = {(r.method, r.cohort): r.aursac[FULL_RANGE] for r in _evaluate_seed(cfg, seed, None)}
-    trained, oracle = area[("ea_l2d", "id")], area[("oracle", "id")]
+    records = {(r.method, r.cohort): r for r in _evaluate_seed(cfg, seed, None)}
+    trained, oracle = (records[(m, "id")].aursac() for m in ("ea_l2d", "oracle"))
     return TheoryCheckRow(
         "reference_ceiling",
         {"seed": seed, "task": "gaussian-easy"},
@@ -517,13 +501,8 @@ def run_theory_checks(
             best = min(1, k - 1)
             accuracies[best] = 0.75
             rate = misidentification_rate(
-                TrialConfig(
-                    accuracies=accuracies,
-                    best_class=best,
-                    samples_per_class=n,
-                    trials=IDENTIFICATION_TRIALS,
-                    seed=_subseed(seed, 22, k, int(gap * 100), int(delta * 100)),
-                )
+                accuracies, n, IDENTIFICATION_TRIALS,
+                np.random.default_rng(_subseed(seed, 22, k, int(gap * 100), int(delta * 100))),
             )
             rows.append(
                 TheoryCheckRow(
@@ -579,7 +558,7 @@ def run_training(cfg: ExperimentConfig, out_dir) -> dict[int, TrainingDivergence
 
     trained, failures = _each_seed(cfg, train_seed)
     out = _write_manifest(out_dir, cfg, failures)
-    tag = f"p{_ptag(cfg.overlap_probabilities[0])}_e{cfg.expertise_grid()[0]}"
+    tag = cell_tag(cfg.overlap_probabilities[0], cfg.expertise_grid()[0])
     for seed, results in trained.items():
         for method, result in results.items():
             save_checkpoint(

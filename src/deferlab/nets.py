@@ -184,13 +184,9 @@ class GradientBundle:
         return self.layout == net.layout
 
 
-def dense_net(
-    dims: Sequence[int],
-    seed: int | np.random.Generator = 0,
-    hidden_activation: str = "relu",
-    output_activation: str = "identity",
-) -> DenseNet:
-    """Build a network with the given layer widths.
+def dense_net(dims: Sequence[int], seed: int | np.random.Generator = 0) -> DenseNet:
+    """Build a network with the given layer widths: relu hidden layers and
+    an identity output layer.
 
     Weights are drawn uniformly from +-sqrt(6 / (fan_in + fan_out)), biases
     start at zero; everything is reproducible from the seed.
@@ -202,7 +198,7 @@ def dense_net(
     for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        act = output_activation if i == len(dims) - 2 else hidden_activation
+        act = "identity" if i == len(dims) - 2 else "relu"
         layers.append(Layer(w, np.zeros(fan_out), act))
     return DenseNet.from_layers(layers)
 

@@ -21,27 +21,6 @@ from .nets import row_blocks, softmax
 from .simulate import TaskData
 
 
-@dataclass
-class TrialConfig:
-    """Monte Carlo setup for expertise identification trials."""
-
-    accuracies: np.ndarray  # true per-class accuracy
-    best_class: int
-    samples_per_class: int
-    trials: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        self.accuracies = np.asarray(self.accuracies, dtype=np.float64)
-        if np.any(self.accuracies < 0) or np.any(self.accuracies > 1):
-            raise ValueError("accuracies must lie in [0, 1]")
-        if self.trials < 1:
-            raise ValueError("trial count must be >= 1")
-        others = np.delete(self.accuracies, self.best_class)
-        if others.size and self.accuracies[self.best_class] <= others.max():
-            raise ValueError("best_class must strictly dominate the other accuracies")
-
-
 def median_posterior_errors(
     theta: float, n_schedule: Sequence[int], trials: int, rng: np.random.Generator
 ) -> list[float]:
@@ -58,16 +37,25 @@ def median_posterior_errors(
     return medians
 
 
-def misidentification_rate(cfg: TrialConfig) -> float:
-    """Fraction of trials where the argmax posterior mean is not the best
-    class, with ``samples_per_class`` observations per class and uniform
-    priors."""
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.samples_per_class
-    t = rng.binomial(n, cfg.accuracies, size=(cfg.trials, len(cfg.accuracies)))
+def misidentification_rate(
+    accuracies: np.ndarray, samples_per_class: int, trials: int, rng: np.random.Generator
+) -> float:
+    """Fraction of ``trials`` fresh draws in which the argmax posterior mean
+    is not the best class (the unique argmax of the true per-class
+    ``accuracies``), with ``samples_per_class`` observations per class and
+    uniform priors."""
+    accuracies = np.asarray(accuracies, dtype=np.float64)
+    if np.any(accuracies < 0) or np.any(accuracies > 1):
+        raise ValueError("accuracies must lie in [0, 1]")
+    if trials < 1:
+        raise ValueError("trial count must be >= 1")
+    best = np.argmax(accuracies)
+    if np.count_nonzero(accuracies == accuracies[best]) > 1:
+        raise ValueError("the best class must be the unique argmax of the accuracies")
+    n = samples_per_class
+    t = rng.binomial(n, accuracies, size=(trials, len(accuracies)))
     mu = (1.0 + t) / (2.0 + n)
-    predicted = np.argmax(mu, axis=1)
-    return float(np.mean(predicted != cfg.best_class))
+    return float(np.mean(np.argmax(mu, axis=1) != best))
 
 
 def gaussian_posterior(data: TaskData) -> np.ndarray:

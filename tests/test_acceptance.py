@@ -29,7 +29,6 @@ from deferlab.simulate import (
     generate_gaussian_task,
 )
 from deferlab.theory import (
-    TrialConfig,
     bayes_optimal_reference,
     gaussian_posterior,
     misidentification_rate,
@@ -141,9 +140,8 @@ def test_criterion_3_sample_bound_grid():
                 acc = np.full(k, 0.75 - gap)
                 best = min(1, k - 1)
                 acc[best] = 0.75
-                rate = misidentification_rate(
-                    TrialConfig(acc, best, n, 2000, seed=k * 1000 + int(gap * 100))
-                )
+                rng = np.random.default_rng(k * 1000 + int(gap * 100))
+                rate = misidentification_rate(acc, n, 2000, rng)
                 if rate > delta:
                     failures.append((k, gap, delta, rate))
     report(3, "misidentification rate within delta at the sample bound",
@@ -314,13 +312,13 @@ def test_criterion_7_method_gap_and_held_out_robustness(grid_result):
     ok = ok and in_band
 
     for cohort in ("id", "ood"):
-        ea = _mean([recs[("ea_l2d", s, cohort)].aurdac[FULL] for s in cfg.seeds])
-        pop = _mean([recs[("pop_avg", s, cohort)].aurdac[FULL] for s in cfg.seeds])
+        ea = _mean([recs[("ea_l2d", s, cohort)].aurdac() for s in cfg.seeds])
+        pop = _mean([recs[("pop_avg", s, cohort)].aurdac() for s in cfg.seeds])
         details.append(f"{cohort} gap {ea - pop:.3f} {against(0.10, ea - pop - 0.10)}")
         ok = ok and (ea - pop >= 0.10)
 
-    ea_id = _mean([recs[("ea_l2d", s, "id")].aurdac[FULL] for s in cfg.seeds])
-    ea_ood = _mean([recs[("ea_l2d", s, "ood")].aurdac[FULL] for s in cfg.seeds])
+    ea_id = _mean([recs[("ea_l2d", s, "id")].aurdac() for s in cfg.seeds])
+    ea_ood = _mean([recs[("ea_l2d", s, "ood")].aurdac() for s in cfg.seeds])
     spread = abs(ea_id - ea_ood)
     details.append(f"id-vs-ood {spread:.3f} {against(0.05, 0.05 - spread)}")
     ok = ok and spread <= 0.05
@@ -338,8 +336,8 @@ def test_criterion_8_diversity_trend(grid_result):
         monotone = 0
         for seed in cfg.seeds:
             gaps = [
-                recs[("ea_l2d", p, seed, cohort)].aurdac[FULL]
-                - recs[("pop_avg", p, seed, cohort)].aurdac[FULL]
+                recs[("ea_l2d", p, seed, cohort)].aurdac()
+                - recs[("pop_avg", p, seed, cohort)].aurdac()
                 for p in (0.2, 0.5, 0.8)
             ]
             if gaps[0] > gaps[1] > gaps[2]:
@@ -363,7 +361,7 @@ def test_criterion_9_priors_study(priors_result):
     details = []
     grid_tol = 1.0 / cfg.test_size
     for seed, arms in sorted(by_seed.items()):
-        a, u, m = (arms[k].aurdac[FULL] for k in ("accurate", "uninformative", "misdirected"))
+        a, u, m = (arms[k].aurdac() for k in ("accurate", "uninformative", "misdirected"))
         ordered = a > u > m
         at_full = [r.expert_curve.accuracies[-1] for r in arms.values()]
         spread = max(at_full) - min(at_full)
@@ -379,11 +377,11 @@ def test_criterion_9_priors_study(priors_result):
 
 def test_criterion_10_bayes_ceiling(grid_result, priors_result):
     cfg, result = grid_result
-    oracle = {(o.p, o.seed, o.cohort): o.aursac[FULL] for o in result.oracles}
+    oracle = {(o.p, o.seed, o.cohort): o.aursac() for o in result.oracles}
     worst = -np.inf
     ok = True
     for r in result.records:
-        margin = r.aursac[FULL] - oracle[(r.p, r.seed, r.cohort)]
+        margin = r.aursac() - oracle[(r.p, r.seed, r.cohort)]
         worst = max(worst, margin)
         ok = ok and margin <= 0.02
 

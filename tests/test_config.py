@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deferlab.cli import main
-from deferlab.config import ConfigError, parse_config, validate_config
+from deferlab.config import ConfigError, cell_tag, parse_config, validate_config
 
 
 def minimal_raw(**overrides):
@@ -157,6 +157,8 @@ MISTYPED = [
     ("method", 5), ("method", []), ("prior_file", 5),
     ("overlap_probabilities", [True]), ("classifier_hidden", [True]),
     ("eval_ranges", [[0, "a"]]), ("train_size", 0),
+    ("separation", -1), ("separation", -1e-300), ("noise_scale", 0), ("noise_scale", -2.5),
+    ("seeds", [-1]), ("seeds", [3, -2]),
 ]
 # the entries of overlap_probabilities are named in the singular
 NAMED = {"overlap_probabilities": "overlap_probability"}
@@ -249,15 +251,15 @@ def test_any_json_value_is_accepted_or_a_config_error(key, value):
     assert_echo_round_trips(cfg)
 
 
-NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**6), 10**6)
+PROBABILITY = st.floats(0, 1) | st.integers(0, 1)
 METHOD = st.sampled_from(["ea_l2d", "pop_avg"])
 FRACTION_PAIRS = st.tuples(st.floats(0, 1), st.floats(0, 1)).filter(lambda t: t[0] < t[1])
 PERCENT_PAIRS = st.tuples(st.integers(0, 100), st.integers(2, 100)).filter(lambda t: t[0] < t[1])
 VALID_OVERRIDES = st.fixed_dictionaries({}, optional={
-    "separation": NUMBERS,
-    "noise_scale": NUMBERS,
-    "overlap_probabilities": st.lists(st.floats(0, 1) | st.integers(0, 1), min_size=1),
-    "seeds": st.lists(st.integers(), min_size=1),
+    "separation": st.floats(0, allow_infinity=False) | st.integers(0, 10**6),
+    "noise_scale": st.floats(0, exclude_min=True, allow_infinity=False) | st.integers(1, 10**6),
+    "overlap_probabilities": st.lists(PROBABILITY, min_size=1, unique_by=lambda p: cell_tag(p, 1)),
+    "seeds": st.lists(st.integers(0), min_size=1),
     "method": METHOD | st.lists(METHOD, min_size=1),
     "prior_file": st.none() | st.text(),
     "learning_rate": st.floats(0, 1e6, exclude_min=True) | st.integers(1, 10**6),
@@ -275,3 +277,67 @@ VALID_OVERRIDES = st.fixed_dictionaries({}, optional={
 @given(overrides=VALID_OVERRIDES)
 def test_valid_config_echo_validates_back_to_an_equal_config(overrides):
     assert_echo_round_trips(validate_quietly(minimal_raw(**overrides)))
+
+
+# The values VALID_OVERRIDES leaves out, each rejected with the message that
+# names its key: a negative separation, a noise scale that is not positive, a
+# negative seed, and two overlap probabilities that give cells one file tag.
+OUT_OF_CONTRACT = {
+    "separation": (
+        (st.floats(0, exclude_min=True, allow_infinity=False) | st.integers(1)).map(lambda v: -v),
+        r"separation must be >= 0",
+    ),
+    "noise_scale": (
+        st.floats(max_value=0, allow_nan=False, allow_infinity=False) | st.integers(max_value=0),
+        r"noise_scale must be > 0",
+    ),
+    "seeds": (
+        st.lists(st.integers(), min_size=1).filter(lambda seeds: min(seeds) < 0),
+        r"seeds must be ints >= 0 \(got -\d+\)",
+    ),
+    "overlap_probabilities": (
+        st.lists(PROBABILITY, min_size=1)
+        .flatmap(lambda ps: st.sampled_from(ps).map(lambda p: [*ps, float(p)]))
+        .flatmap(st.permutations),
+        r"overlap_probabilities gives two grid cells the file tag p\S+_e1",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OUT_OF_CONTRACT))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_out_of_contract_value_rejected_naming_the_key(key, data):
+    values, message = OUT_OF_CONTRACT[key]
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        validate_quietly(minimal_raw(**{key: data.draw(values)}))
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [(dict(overlap_probabilities=[0.2, 0.2000001]),
+      "overlap_probabilities gives two grid cells the file tag p0_2_e1"),
+     (dict(overlap_probabilities=[0.5, 1, 0.5]),
+      "overlap_probabilities gives two grid cells the file tag p0_5_e1"),
+     (dict(overlap_probabilities=[0, 0.0]),
+      "overlap_probabilities gives two grid cells the file tag p0_e1"),
+     (dict(experts_id=1, experts_ood=1, expertise_per_expert=[1, 2, 1]),
+      "expertise_per_expert gives two grid cells the file tag p0_2_e1")],
+    ids=["close-p", "repeated-p", "int-and-float-p", "repeated-expertise"],
+)
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate", "sweep"])
+def test_grid_cells_sharing_a_file_tag_rejected(tmp_path, capsys, command, overrides, message):
+    # each cell writes its curves, metrics and checkpoints under its tag, so a
+    # second cell with the same tag would overwrite the first one's files
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal_raw(**overrides)))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_distinct_file_tags_accepted():
+    cfg = validate_config(minimal_raw(overlap_probabilities=[0.2, 0.200001, 0.0, 1.0]))
+    tags = [cell_tag(p, e) for p in cfg.overlap_probabilities for e in cfg.expertise_grid()]
+    assert tags == ["p0_2_e1", "p0_200001_e1", "p0_e1", "p1_e1"]

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from deferlab.deferral import rejector_inputs
@@ -14,6 +14,7 @@ from deferlab.evaluation import (
     area_under,
     build_curves,
     case_priorities,
+    deferral_curves,
     score_cases,
     write_curve_csv,
     write_metrics_csv,
@@ -503,6 +504,27 @@ class TestCurveProperties:
         assert system.accuracies[0] == np.mean(cases.classifier_correct)
         assert system.accuracies[-1] == np.mean(cases.expert_correct)
         assert expert.accuracies[-1] == np.mean(cases.expert_correct)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 3 * BLOCK_ROWS + BLOCK_ROWS // 2),
+        seed=st.integers(0, 2**32 - 1),
+        rate=st.floats(0.0, 1.0),
+    )
+    @example(n=1, seed=0, rate=1.0)
+    @example(n=3 * BLOCK_ROWS + 1, seed=1, rate=0.5)
+    @example(n=60_000, seed=2, rate=0.7)
+    def test_system_accuracy_at_rate_zero_is_the_classifier_accuracy_bit_for_bit(
+        self, n, seed, rate
+    ):
+        # a record's classifier accuracy is its system curve at rate 0; it
+        # equals the mean of the 0/1 classifier correctness to the last bit
+        rng = np.random.default_rng(seed)
+        correct = rng.random(n) < rate
+        system, _ = deferral_curves(
+            rng.uniform(-1.0, 1.0, n), correct.astype(np.float64), rng.random(n)
+        )
+        assert system.accuracies[0].tobytes() == np.mean(correct).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(case_rows, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))

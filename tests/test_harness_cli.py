@@ -61,7 +61,7 @@ class TestRunExperiment:
         assert "metrics_oracle_p0_2_e1.csv" in names
         assert "curve_pop_avg_p0_2_e1_seed1_ood.csv" in names
         for r in result.records:
-            for v in list(r.aursac.values()) + list(r.aurdac.values()):
+            for v in (r.aursac(), r.aurdac(), r.classifier_accuracy):
                 assert 0.0 <= v <= 1.0
 
     def test_manifest_echoes_config(self, tmp_path):
@@ -326,6 +326,12 @@ class TestCli:
         report = (tmp_path / "t" / "theory_report.csv").read_text()
         assert ",fail" in report
 
+    def test_theory_check_without_config_checks_its_seed(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert main(["theory-check", "--seed", "-3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seeds must be ints >= 0 (got -3)\n"
+        assert not out.exists()
+
 
 # --- the CLI contract: every command x failure class ----------------------
 
@@ -360,7 +366,8 @@ THEORY_FAIL_OUT = re.compile(r".*^FAIL identification_bound .*", re.S | re.M)
 # (command, failure class, config override, diverging seeds, exit code,
 #  files left in --out or NO_OUT, stdout, stderr). Expected streams are exact
 #  strings after formatting {out}, {prior}, {missing} and {tmp}, or patterns that
-#  must match fully. The missing-config rows pass {missing} as --config.
+#  must match fully. The missing-config rows pass {missing} as --config, and
+#  the negative-seed-flag rows pass --seed -3.
 # No command reads a dataset CSV (generate only writes them), so the
 # malformed-CSV class applies to the prior file of the commands that load it.
 # priors-study and theory-check fail as a whole when any seed diverges.
@@ -374,6 +381,18 @@ CLI_CONTRACT = [
     *[
         (command, "wrong-type-config", {"learning_rate": "0.1"}, (), 1, NO_OUT, "",
          "error: key learning_rate has the wrong type\n")
+        for command in ("generate", "train", "evaluate", "sweep", "priors-study", "theory-check")
+    ],
+    *[
+        (command, failure, overrides, (), 1, NO_OUT, "", f"error: {message}\n")
+        for failure, overrides, message in (
+            ("zero-noise-scale", {"noise_scale": 0}, "noise_scale must be > 0"),
+            ("negative-separation", {"separation": -1}, "separation must be >= 0"),
+            ("negative-seed", {"seeds": [-1]}, "seeds must be ints >= 0 (got -1)"),
+            ("negative-seed-flag", {}, "seeds must be ints >= 0 (got -3)"),
+            ("cells-share-a-file-tag", {"overlap_probabilities": [0.2, 0.2000001]},
+             "overlap_probabilities gives two grid cells the file tag p0_2_e1"),
+        )
         for command in ("generate", "train", "evaluate", "sweep", "priors-study", "theory-check")
     ],
     ("theory-check", "bound-scale-inf", {}, (), 1, NO_OUT, "",
@@ -445,19 +464,20 @@ def test_cli_contract_matrix(
     out = tmp_path / "out"
     missing = tmp_path / "missing"
     fill = {"out": out, "prior": prior, "missing": missing, "tmp": tmp_path}
-    cfg_path = write_config(
-        tmp_path, seeds=[1, 2], **{k: v.format(**fill) if isinstance(v, str) else v
-                                   for k, v in overrides.items()}
-    )
+    cfg_path = write_config(tmp_path, **{
+        "seeds": [1, 2],
+        **{k: v.format(**fill) if isinstance(v, str) else v for k, v in overrides.items()},
+    })
     diverge_for_seeds(monkeypatch, diverging)
     config = missing if failure == "missing-config" else cfg_path
     argv = [command, "--config", str(config), "--out", str(out)]
     if command == "theory-check":
         argv += ["--seed", "1"]
-        argv += {
-            "theory-check-fails": ["--bound-scale", "0.05"],
-            "bound-scale-inf": ["--bound-scale", "inf"],
-        }.get(failure, [])
+    argv += {
+        "theory-check-fails": ["--bound-scale", "0.05"],
+        "bound-scale-inf": ["--bound-scale", "inf"],
+        "negative-seed-flag": ["--seed", "-3"],
+    }.get(failure, [])
 
     assert main(argv) == code
     left = {p.name for p in out.iterdir()} if out.exists() else NO_OUT

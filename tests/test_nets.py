@@ -525,7 +525,7 @@ class TestTrainConfig:
 class TestFiniteDifferenceCheck:
     def test_linear_net_squared_loss_is_tight(self):
         rng = np.random.default_rng(21)
-        net = dense_net([3, 2], rng, hidden_activation="identity")
+        net = dense_net([3, 2], rng)  # one identity layer: a linear map
         x = rng.normal(size=(1, 3))
         y = rng.normal(size=(1, 2))
 

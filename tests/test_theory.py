@@ -9,7 +9,6 @@ from deferlab.harness import run_theory_checks
 from deferlab.nets import softmax
 from deferlab.simulate import SyntheticTaskSpec, generate_gaussian_task
 from deferlab.theory import (
-    TrialConfig,
     bayes_optimal_reference,
     gaussian_posterior,
     median_posterior_errors,
@@ -48,33 +47,45 @@ class TestMisidentificationRate:
     def test_no_samples_predicts_class_zero(self):
         # with n=0 every posterior mean is 0.5 and the argmax tie-break
         # lands on class 0
-        cfg = TrialConfig(np.array([0.5, 0.9, 0.5]), 1, 0, 50, seed=0)
-        assert misidentification_rate(cfg) == 1.0
-        cfg0 = TrialConfig(np.array([0.9, 0.5, 0.5]), 0, 0, 50, seed=0)
-        assert misidentification_rate(cfg0) == 0.0
+        rng = np.random.default_rng(0)
+        assert misidentification_rate(np.array([0.5, 0.9, 0.5]), 0, 50, rng) == 1.0
+        assert misidentification_rate(np.array([0.9, 0.5, 0.5]), 0, 50, rng) == 0.0
 
     def test_rate_within_bound_at_reference_cell(self):
         n = sample_complexity_bound(10, 0.05, 0.3)
         assert n == 134
         acc = np.full(10, 0.6)
         acc[3] = 0.9
-        cfg = TrialConfig(acc, 3, n, 2000, seed=7)
-        assert misidentification_rate(cfg) <= 0.05
+        assert misidentification_rate(acc, n, 2000, np.random.default_rng(7)) <= 0.05
 
     def test_rate_shrinks_with_ten_times_bound(self):
         n = sample_complexity_bound(5, 0.1, 0.2)
         acc = np.full(5, 0.55)
         acc[2] = 0.75
         for seed in (0, 1, 2):
-            small = misidentification_rate(TrialConfig(acc, 2, max(1, n // 10), 2000, seed=seed))
-            at_bound = misidentification_rate(TrialConfig(acc, 2, n, 2000, seed=seed))
-            big = misidentification_rate(TrialConfig(acc, 2, 10 * n, 2000, seed=seed))
+            small, at_bound, big = (
+                misidentification_rate(acc, count, 2000, np.random.default_rng(seed))
+                for count in (max(1, n // 10), n, 10 * n)
+            )
             assert big <= at_bound <= small
             assert big < small
 
-    def test_dominance_requirement_enforced(self):
+    def test_rng_stream_is_the_callers(self):
+        # one draw of the (trials, K) binomial matrix from the given generator
+        acc = np.array([0.6, 0.7, 0.5])
+        t = np.random.default_rng(5).binomial(20, acc, size=(300, 3))
+        want = np.mean(np.argmax((1.0 + t) / 22.0, axis=1) != 1)
+        assert misidentification_rate(acc, 20, 300, np.random.default_rng(5)) == want
+
+    @pytest.mark.parametrize(
+        "acc, trials",
+        [([0.9, 0.9, 0.5], 100), ([0.5, 0.5], 100), ([0.9, 1.5], 100), ([-0.1, 0.9], 100),
+         ([0.5, 0.9], 0)],
+        ids=["tied-best", "all-tied", "above-one", "below-zero", "no-trials"],
+    )
+    def test_invalid_setup_rejected(self, acc, trials):
         with pytest.raises(ValueError):
-            TrialConfig(np.array([0.9, 0.9, 0.5]), 0, 10, 100, seed=0)
+            misidentification_rate(np.array(acc), 10, trials, np.random.default_rng(0))
 
 
 def uniform_task(test_size=2000, separation=0.0):
