@@ -12,9 +12,16 @@ The loss functions work on batches. ``ea_l2d_loss_grads`` evaluates the
 whole expert cohort in one stacked step per batch: the experts enter only
 through their (experts, K) matrix of posterior means, so the classifier runs
 forward and backward once, and the rejector once on all (example, expert)
-rows built by ``rejector_inputs``. Both methods train through one loop,
-``_fit``; finite-difference checks call the loss functions on one-row
-batches.
+rows built by ``rejector_inputs``. The (K+1)-way joint softmax of every
+pair is never built: its K class columns are the same for every expert, so
+``_joint_terms`` factors it through the class softmax and logsumexp of each
+example, and a batch costs O(experts * batch + batch * K). Both methods
+train through one loop, ``_fit``; finite-difference checks call the loss
+functions on one-row batches.
+
+Each ea_l2d batch recounts the cohort's posterior means from a fresh
+context subsample, all experts drawn at once by ``_ContextDraw``: one
+uniform key per context item, and each expert's ``lam`` smallest keys.
 
 The population-average baseline instead gates its deferral term on whether
 the mode of all experts' query predictions matches the label, and its
@@ -30,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TrainingDivergenceError
-from .experts import PriorElicitation, build_representation, prior_arrays
+from .experts import PriorElicitation, build_representation, posterior_means, prior_arrays
 from .nets import (
     Activations,
     DenseNet,
@@ -40,7 +47,6 @@ from .nets import (
     forward_cached,
     relu_pattern,
     sgd_step,
-    softmax,
 )
 from .simulate import ContextSet, Dataset
 
@@ -68,27 +74,59 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"labels must lie in [0, {num_classes})")
 
 
-def _loss_sums(
-    q: np.ndarray, labels: np.ndarray, weights: np.ndarray, num_classes: int
-) -> tuple[float, float]:
-    """Summed loss terms; an inactive deferral term stays zero even when the
-    deferral probability underflows."""
-    with np.errstate(divide="ignore"):
-        classifier_sum = float(-np.log(q[np.arange(len(labels)), labels]).sum())
-        defer_nll = -np.log(q[:, num_classes])
-    deferral_sum = float((weights * np.where(weights > 0, defer_nll, 0.0)).sum())
-    return classifier_sum, deferral_sum
+def _class_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's class softmax ``rho`` (batch, K) and logsumexp ``lse``
+    (batch,), from one exponential of the max-shifted logits. A non-finite
+    logit gives NaN, which the training loop's loss check catches."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = logits.max(axis=1, keepdims=True)
+        e = np.exp(logits - top)
+        total = e.sum(axis=1, keepdims=True)
+        return e / total, (top + np.log(total))[:, 0]
 
 
-def _joint_grad_rows(
-    q: np.ndarray, labels: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """d/d(logits) of sum_i [-log q_y - w_i * log q_defer], rows = examples."""
-    batch, width = q.shape
-    d = (1.0 + weights)[:, None] * q
-    d[np.arange(batch), labels] -= 1.0
-    d[:, width - 1] -= weights
-    return d
+def _joint_terms(
+    logits: np.ndarray,
+    rho: np.ndarray,
+    lse: np.ndarray,
+    g: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Loss sums and gradients of every (expert, example) pair's (K+1)-way
+    joint softmax, without building it.
+
+    Pair (e, i) puts example i's class logits and the deferral logit
+    ``g[e, i]`` into one softmax. With ``z = g - lse``, its deferral
+    probability is sigmoid(z) and its class probabilities are
+    ``rho * (1 - sigmoid(z))``, so -log q_y = lse - logit_y + softplus(z) and
+    -log q_defer = softplus(-z). ``g`` and ``weights`` are (experts, batch);
+    ``rho`` and ``lse`` come from ``_class_softmax(logits)``. Returns
+    ``(classifier_sum, deferral_sum, d_g, d_logits)``:
+
+    - classifier_sum = experts * sum_i (lse - logit_y) + sum softplus(z);
+    - deferral_sum = sum w * softplus(-z) over the pairs with w > 0, so an
+      inactive term stays zero even for an infinitely negative g;
+    - d_g = (1 + w) sigmoid(z) - w, shape (experts, batch);
+    - d_logits = rho * sum_e (1 + w)(1 - sigmoid(z)) - experts * onehot(y),
+      shape (batch, K).
+
+    Every term is a softplus, so a finite logit gives a finite loss however
+    far apart the logits are.
+    """
+    experts, batch = g.shape
+    rows = np.arange(batch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = g - lse
+        soft = np.logaddexp(0.0, z)
+        active = weights > 0
+        classifier_sum = float(experts * (lse - logits[rows, labels]).sum() + soft.sum())
+        deferral_sum = float((weights[active] * np.logaddexp(0.0, -z[active])).sum())
+        defer = np.exp(z - soft)
+        d_g = (1.0 + weights) * defer - weights
+        d_logits = rho * ((1.0 + weights) * np.exp(-soft)).sum(axis=0)[:, None]
+    d_logits[rows, labels] -= experts
+    return classifier_sum, deferral_sum, d_g, d_logits
 
 
 def _forward_for(
@@ -98,12 +136,15 @@ def _forward_for(
 
     Without gradients the plain ``forward`` runs, which keeps no per-layer
     arrays: validation batches are large and would otherwise raise peak
-    memory for nothing.
+    memory for nothing. A layer that overflows raises no numpy warning: its
+    infinite outputs make the loss non-finite, and the training loop
+    reports that as divergence.
     """
-    if want_grads:
-        outs = forward_cached(net, x)
-        return outs[-1], outs
-    return forward(net, x), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if want_grads:
+            outs = forward_cached(net, x)
+            return outs[-1], outs
+        return forward(net, x), None
 
 
 def rejector_inputs(rho: np.ndarray, kstar: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -146,47 +187,42 @@ def ea_l2d_loss_grads(
 
     The classifier runs once. The rejector runs once on the
     (experts * batch, 4) block of every expert's inputs, rows ordered
-    expert-major. Gradients flow into the rejector and into the classifier
-    both directly through the class logits and through the class softmax
-    feeding the rejector inputs; both routes are summed over experts before
-    the one classifier backward pass. Each network runs
-    forward once; its backward pass and relu pattern read the cached
-    layer outputs. The returned pattern encodes the discrete choices (relu
-    signs of both networks, the classifier argmax) for finite-difference
-    kink detection.
+    expert-major. The loss is the factored joint of ``_joint_terms``: each
+    pair's (K+1)-way softmax is expressed through the example's class
+    softmax ``rho`` and logsumexp, so no (experts * batch, K+1) array is
+    built and a finite logit always gives a finite loss. Gradients flow
+    into the rejector and into the classifier both directly through the
+    class logits and through the class softmax feeding the rejector inputs;
+    both routes are summed over experts before the one classifier backward
+    pass. Each network runs forward once; its backward pass and relu
+    pattern read the cached layer outputs, and only the rejector's backward
+    computes an input gradient. The returned pattern encodes the discrete
+    choices (relu signs of both networks, the classifier argmax) for
+    finite-difference kink detection.
     """
     experts, num_classes = mu.shape
     _check_labels(labels, num_classes)
     batch = len(labels)
     logits, clf_acts = _forward_for(classifier, features, want_grads)
-    rho = softmax(logits)
+    rho, lse = _class_softmax(logits)
     kstar = np.argmax(rho, axis=1)
     estar = np.argmax(mu, axis=1)
-    rows = np.arange(batch)
-    feats = rejector_inputs(rho, kstar, mu)
-    rej_out, rej_acts = _forward_for(rejector, feats, want_grads)
-    g_defer = rej_out[:, 0]
-    joint = np.empty((experts, batch, num_classes + 1))
-    joint[:, :, :num_classes] = logits
-    joint[:, :, num_classes] = g_defer.reshape(experts, batch)
-    q = softmax(joint.reshape(experts * batch, num_classes + 1))
-
-    pair_labels = np.tile(labels, experts)
-    weights = np.where(labels == estar[:, None], mu[:, labels], 0.0).ravel()
-    classifier_sum, deferral_sum = _loss_sums(q, pair_labels, weights, num_classes)
+    rej_out, rej_acts = _forward_for(rejector, rejector_inputs(rho, kstar, mu), want_grads)
+    weights = np.where(labels == estar[:, None], mu[:, labels], 0.0)
+    classifier_sum, deferral_sum, d_g, d_logits = _joint_terms(
+        logits, rho, lse, rej_out.reshape(experts, batch), labels, weights
+    )
 
     if not want_grads:
         return classifier_sum, deferral_sum, None, None, None
 
-    d_joint = _joint_grad_rows(q, pair_labels, weights)
-    rej_grads = backward(rejector, rej_acts, d_joint[:, num_classes:])
+    rej_grads = backward(rejector, rej_acts, d_g.reshape(-1, 1), want_input_grad=True)
     d_feats = rej_grads.input_grad.reshape(experts, batch, 4)
 
     onehot_estar = np.zeros((experts, num_classes))
     onehot_estar[np.arange(experts), estar] = 1.0
     d_rho = d_feats[:, :, 0].T @ onehot_estar
-    d_rho[rows, kstar] += d_feats[:, :, 1].sum(axis=0)
-    d_logits = d_joint[:, :num_classes].reshape(experts, batch, num_classes).sum(axis=0)
+    d_rho[np.arange(batch), kstar] += d_feats[:, :, 1].sum(axis=0)
     d_logits += rho * (d_rho - (d_rho * rho).sum(axis=1, keepdims=True))
 
     clf_grads = backward(classifier, clf_acts, d_logits)
@@ -208,22 +244,21 @@ def pop_avg_loss_grads(
     """The baseline's counterpart of ``ea_l2d_loss_grads``, with the same
     return tuple: the rejector consumes the raw features directly, and
     example i's deferral term is weighted by ``weights[i]``, 1 when the mode
-    of the experts' predictions is its label and 0 otherwise."""
-    num_classes = classifier.output_dim
-    _check_labels(labels, num_classes)
+    of the experts' predictions is its label and 0 otherwise. It is the
+    one-expert case of the same factored joint loss."""
+    _check_labels(labels, classifier.output_dim)
     logits, clf_acts = _forward_for(classifier, features, want_grads)
     rej_out, rej_acts = _forward_for(rejector, features, want_grads)
-    joint = np.column_stack([logits, rej_out[:, 0]])
-    q = softmax(joint)
-
-    classifier_sum, deferral_sum = _loss_sums(q, labels, weights, num_classes)
+    rho, lse = _class_softmax(logits)
+    classifier_sum, deferral_sum, d_g, d_logits = _joint_terms(
+        logits, rho, lse, rej_out.T, labels, weights[None, :]
+    )
 
     if not want_grads:
         return classifier_sum, deferral_sum, None, None, None
 
-    d_joint = _joint_grad_rows(q, labels, weights)
-    rej_grads = backward(rejector, rej_acts, d_joint[:, num_classes][:, None])
-    clf_grads = backward(classifier, clf_acts, d_joint[:, :num_classes])
+    rej_grads = backward(rejector, rej_acts, d_g.T)
+    clf_grads = backward(classifier, clf_acts, d_logits)
     pattern = np.concatenate(
         [relu_pattern(classifier, clf_acts), relu_pattern(rejector, rej_acts)]
     ).astype(np.int64)
@@ -250,17 +285,80 @@ class TrainResult:
     best_epoch: int | None = None
 
 
-def _resolve_lambda(lam: int | None, contexts: Sequence[ContextSet]) -> list[int]:
+def _resolve_lambda(lam: int | None, contexts: Sequence[ContextSet]) -> np.ndarray:
     sizes = [len(c) for c in contexts]
     if lam is None:
-        return [math.ceil(s / 2) for s in sizes]
+        return np.array([math.ceil(s / 2) for s in sizes])
     if lam < 0:
         raise ValueError("context subsample size must be >= 0")
     if lam > min(sizes):
         raise ValueError(
             f"context subsample size {lam} exceeds the smallest context ({min(sizes)})"
         )
-    return [lam] * len(contexts)
+    return np.full(len(contexts), lam)
+
+
+@dataclass(frozen=True)
+class _ContextDraw:
+    """A cohort's contexts laid out once for one batched subsample per batch.
+
+    Row e of the (experts, C_max) blocks holds expert e's context items:
+    ``slots`` their cells ``e * K + y``, ``correct`` whether each prediction
+    was right, and ``pad`` marks the columns past the context. Row e of
+    ``keep``, (experts, max subsample size), is true on its first ``lam_e``
+    entries, expert e's subsample size; ``kth`` holds every distinct nonzero
+    ``lam_e - 1``. ``alpha0``/``beta0`` are the cohort's prior arrays.
+    """
+
+    alpha0: np.ndarray
+    beta0: np.ndarray
+    slots: np.ndarray
+    correct: np.ndarray
+    pad: np.ndarray
+    keep: np.ndarray
+    kth: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        contexts: Sequence[ContextSet],
+        lams: np.ndarray,
+        alpha0: np.ndarray,
+        beta0: np.ndarray,
+    ) -> "_ContextDraw":
+        sizes = np.array([len(c) for c in contexts])
+        shape = (len(contexts), int(sizes.max()))
+        slots = np.zeros(shape, dtype=np.int64)
+        correct = np.zeros(shape, dtype=bool)
+        for e, c in enumerate(contexts):
+            slots[e, : len(c)] = e * alpha0.shape[1] + c.labels
+            correct[e, : len(c)] = c.predictions == c.labels
+        pad = np.arange(shape[1]) >= sizes[:, None]
+        keep = np.arange(lams.max()) < lams[:, None]
+        # a set, not np.unique, which imports numpy.ma (about 1 MB) on first use
+        kth = np.array(sorted({int(n) - 1 for n in lams if n > 0}), dtype=np.intp)
+        return cls(alpha0, beta0, slots, correct, pad, keep, kth)
+
+    def picks(self, rng: np.random.Generator) -> np.ndarray:
+        """One uniform subset without replacement per expert, all from one
+        ``rng.random`` draw: every item gets a uniform key, padding ``inf``,
+        and row e takes its ``lam_e`` smallest keys, one ``argpartition``
+        for every row. Returns (experts, max subsample size) columns; expert
+        e's subset is ``picks[e][keep[e]]``."""
+        keys = rng.random(self.pad.shape)
+        keys[self.pad] = np.inf
+        if not self.kth.size:
+            return np.zeros(self.keep.shape, dtype=np.intp)
+        return np.argpartition(keys, self.kth, axis=1)[:, : self.keep.shape[1]]
+
+    def mu(self, rng: np.random.Generator) -> np.ndarray:
+        """The cohort's posterior means on one fresh subsample, counted by
+        ``posterior_means`` as ``build_representation`` counts them."""
+        experts, width = self.pad.shape
+        items = (self.picks(rng) + width * np.arange(experts)[:, None])[self.keep]
+        return posterior_means(
+            self.alpha0, self.beta0, self.slots.ravel()[items], self.correct.ravel()[items]
+        )
 
 
 def _fit(
@@ -352,13 +450,15 @@ def train(
 
     ``priors`` has one entry per context, an elicitation or ``None`` for the
     uniform prior; their Beta parameters are built once as (experts, K)
-    arrays. Each batch re-subsamples every expert's context to ``lam`` items
-    (default: half the context), recounts the posterior means of the whole
-    cohort with one bincount, averages the loss over (example, expert) pairs
-    in one stacked forward/backward pass, and takes one SGD step on both
-    networks.
+    arrays. Every expert's context is laid out once as (experts, C_max)
+    arrays (``_ContextDraw``). Each batch re-subsamples every expert's
+    context to ``lam`` items (default: half the context) with one
+    ``rng.random`` draw and one ``argpartition`` for the whole cohort,
+    recounts the cohort's posterior means with two bincounts, averages the
+    factored joint loss over (example, expert) pairs in one stacked
+    forward/backward pass, and takes one SGD step on both networks.
     Early stopping monitors the validation loss computed with full-context
-    posterior means.
+    posterior means, built by ``build_representation`` before the loop.
     """
     if len(query) == 0:
         raise ValueError("query data must be nonempty")
@@ -372,19 +472,11 @@ def train(
     full_mu = build_representation(
         alpha0, beta0, [c.labels for c in contexts], [c.predictions for c in contexts]
     )
-
-    def subsampled_mu(idx, rng):
-        picks = [rng.choice(len(c), size=n, replace=False) for c, n in zip(contexts, lams)]
-        return build_representation(
-            alpha0,
-            beta0,
-            [c.labels[i] for c, i in zip(contexts, picks)],
-            [c.predictions[i] for c, i in zip(contexts, picks)],
-        )
+    draw = _ContextDraw.build(contexts, lams, alpha0, beta0)
 
     return _fit(
-        classifier, rejector, query, cfg, ea_l2d_loss_grads, subsampled_mu, len(contexts),
-        val, full_mu, patience,
+        classifier, rejector, query, cfg, ea_l2d_loss_grads, lambda idx, rng: draw.mu(rng),
+        len(contexts), val, full_mu, patience,
     )
 
 

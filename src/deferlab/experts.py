@@ -97,9 +97,22 @@ def build_representation(
     if y.size and (min(y.min(), m.min()) < 0 or max(y.max(), m.max()) >= num_classes):
         raise ValueError(f"context item has out-of-range class index (K={num_classes})")
     slot = np.repeat(np.arange(experts) * num_classes, [len(v) for v in labels]) + y
+    return posterior_means(alpha0, beta0, slot, m == y)
+
+
+def posterior_means(
+    alpha0: np.ndarray, beta0: np.ndarray, slots: np.ndarray, correct: np.ndarray
+) -> np.ndarray:
+    """The conjugate update of ``build_representation`` on counted items.
+
+    ``slots`` holds each context item's cell ``e * K + y`` and ``correct``
+    whether its prediction was right; one ``np.bincount`` each gives the
+    (experts, K) item counts n and correct counts t.
+    """
+    experts, num_classes = alpha0.shape
     size = experts * num_classes
-    n = np.bincount(slot, minlength=size).reshape(experts, num_classes)
-    t = np.bincount(slot[m == y], minlength=size).reshape(experts, num_classes)
+    n = np.bincount(slots, minlength=size).reshape(experts, num_classes)
+    t = np.bincount(slots[correct], minlength=size).reshape(experts, num_classes)
     alpha, beta = alpha0 + t, beta0 + (n - t)
     return alpha / (alpha + beta)
 

@@ -165,7 +165,8 @@ class GradientBundle:
 
     ``flat[i]`` is the gradient of ``net.params[i]``. ``input_grad`` carries
     the loss gradient with respect to the network input, which is what lets
-    one network's backward pass chain into another's.
+    one network's backward pass chain into another's; it is ``None`` unless
+    ``backward`` was asked for it.
     """
 
     flat: np.ndarray
@@ -277,14 +278,20 @@ def relu_pattern(net: DenseNet, outs: Activations) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def backward(net: DenseNet, outs: Activations, upstream: np.ndarray) -> GradientBundle:
+def backward(
+    net: DenseNet, outs: Activations, upstream: np.ndarray, want_input_grad: bool = False
+) -> GradientBundle:
     """Gradients of a scalar loss given d(loss)/d(output).
 
     ``outs`` is ``forward_cached(net, x)`` for the input the loss was
     computed on; a relu layer passes the gradient where its output is
     positive. The per-example contributions are summed, i.e. the result
     is the gradient of ``sum_i loss_i`` when ``upstream[i]`` is the gradient
-    for example i.
+    for example i: a weight gradient is ``delta.T @ input`` and a bias
+    gradient ``ones @ delta``, both BLAS products. The gradient with respect
+    to the input, one more product with the first layer's weights, is
+    computed only with ``want_input_grad``; otherwise ``input_grad`` is
+    ``None``.
     """
     if len(outs) != len(net.layout) + 1:
         raise ValueError(
@@ -302,6 +309,7 @@ def backward(net: DenseNet, outs: Activations, upstream: np.ndarray) -> Gradient
     flat = np.empty(net.params.size)
     weights = _views(net.params, net.layout)
     grads = _views(flat, net.layout)
+    ones = np.ones(len(upstream))
     delta = upstream
     for i in reversed(range(len(net.layout))):
         if net.activations[i] == "relu":
@@ -313,9 +321,10 @@ def backward(net: DenseNet, outs: Activations, upstream: np.ndarray) -> Gradient
                 delta *= outs[i + 1] > 0
         w_grad, b_grad = grads[i]
         np.matmul(delta.T, outs[i], out=w_grad)
-        np.add.reduce(delta, axis=0, out=b_grad)
-        delta = delta @ weights[i][0]
-    return GradientBundle(flat, net.layout, delta)
+        np.matmul(ones, delta, out=b_grad)
+        if i or want_input_grad:
+            delta = delta @ weights[i][0]
+    return GradientBundle(flat, net.layout, delta if want_input_grad else None)
 
 
 def sgd_step(

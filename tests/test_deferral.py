@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import deferlab.deferral
 from deferlab.checkpoint import load_checkpoint, save_checkpoint
 from deferlab.deferral import (
+    _ContextDraw,
+    _resolve_lambda,
     ea_l2d_loss_grads,
     mode_labels,
     pop_avg_loss_grads,
@@ -19,6 +21,7 @@ from deferlab.deferral import (
 )
 from deferlab.errors import TrainingDivergenceError
 from deferlab.evaluation import case_priorities
+from deferlab.experts import PriorElicitation, build_representation, prior_arrays
 from deferlab.nets import (
     DenseNet,
     Layer,
@@ -28,6 +31,7 @@ from deferlab.nets import (
     forward,
 )
 from deferlab.simulate import (
+    ContextSet,
     SyntheticTaskSpec,
     draw_context_set,
     expert_predict_batch,
@@ -199,6 +203,20 @@ class TestEaL2dLoss:
             with pytest.raises(ValueError, match="labels"):
                 ea_loss(np.zeros(3), 0.0, label, rep_from_mu([0.5, 0.5, 0.5]))
 
+    def test_far_apart_logits_give_the_exact_finite_loss(self):
+        # the label logit and the deferral logit both trail by 800, so their
+        # joint softmax entries underflow to 0; the loss is still finite
+        rep = rep_from_mu([0.9, 0.5, 0.5])  # expertise class 0, mu 0.9
+        logits = np.array([-800.0, 0.0, 0.0])
+        c, d = ea_loss(logits, -800.0, 0, rep)
+        assert c == pytest.approx(800 + math.log(2), rel=1e-15)
+        assert d == pytest.approx(0.9 * (800 + math.log(2)), rel=1e-15)
+        clf, rej = constant_net(logits, 2), constant_net(-800.0, 4)
+        _, _, cg, rg, _ = ea_l2d_loss_grads(clf, rej, np.zeros((1, 2)), np.array([0]), rep[None])
+        assert np.isfinite(cg.flat).all()
+        # d/dg = (1 + w) sigmoid(g - lse) - w, and sigmoid(-800 - log 2) = 0
+        assert rg.flat[-1] == pytest.approx(-0.9, rel=1e-15)
+
     def test_signature_consumes_no_expert_prediction(self):
         params = list(inspect.signature(ea_l2d_loss_grads).parameters)
         assert params == ["classifier", "rejector", "features", "labels", "mu", "want_grads"]
@@ -217,6 +235,10 @@ class TestPopAvgLoss:
         for y in range(3):
             total = sum(pop_loss(logits, 0.3, y, [y, y, y, y]))
             assert total == pytest.approx(-math.log(q[y]) - math.log(q[3]), abs=1e-12)
+
+    def test_far_apart_logits_give_the_exact_finite_loss(self):
+        # label 1 trails the top logit by 800, and so does the deferral logit
+        assert pop_loss(np.array([800.0, 0.0]), 0.0, 1, [1, 1]) == (800.0, 800.0)
 
     def test_empty_predictions_rejected(self):
         with pytest.raises(ValueError):
@@ -493,6 +515,99 @@ class TestTrain:
         strong, weak = forward(result.rejector, np.array([[0.58, 0.58, 0.89, 0.89],
                                                           [0.0, 0.58, 0.22, 0.89]]))[:, 0]
         assert strong > weak
+
+
+def random_contexts(seed, sizes, num_classes):
+    rng = np.random.default_rng(seed)
+    return [
+        ContextSet(rng.integers(num_classes, size=n), rng.integers(num_classes, size=n))
+        for n in sizes
+    ]
+
+
+def context_draw(contexts, lam, num_classes, priors=None):
+    priors = priors or [None] * len(contexts)
+    alpha0, beta0 = prior_arrays(priors, num_classes)
+    return _ContextDraw.build(contexts, _resolve_lambda(lam, contexts), alpha0, beta0)
+
+
+def subsets(draw, picks):
+    return [row[keep] for row, keep in zip(picks, draw.keep)]
+
+
+class TestContextDraw:
+    """The batched per-batch context subsample: one uniform draw for the
+    whole cohort, ragged contexts included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(0, 30), min_size=1, max_size=6),
+        lam=st.none() | st.integers(0, 30),
+    )
+    def test_each_expert_gets_its_size_of_distinct_real_items(self, seed, sizes, lam):
+        if lam is not None:
+            lam = min(lam, min(sizes))
+        contexts = random_contexts(seed, sizes, 3)
+        draw = context_draw(contexts, lam, 3)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            for size, subset in zip(sizes, subsets(draw, draw.picks(rng))):
+                want = math.ceil(size / 2) if lam is None else lam
+                assert len(subset) == len(set(subset.tolist())) == want
+                assert np.all((subset >= 0) & (subset < size))
+
+    @pytest.mark.parametrize("lam", [0, 5])
+    def test_none_and_all_of_the_smallest_context(self, lam):
+        sizes = [5, 9, 7]
+        draw = context_draw(random_contexts(0, sizes, 3), lam, 3)
+        picked = subsets(draw, draw.picks(np.random.default_rng(0)))
+        assert [len(p) for p in picked] == [lam] * 3
+        if lam == 5:
+            assert sorted(picked[0].tolist()) == list(range(5))
+
+    def test_every_item_is_picked_at_the_uniform_rate(self):
+        # a uniform subset of lam out of C includes each item with
+        # probability lam / C; the count over n draws is binomial
+        sizes, n = [7, 3, 10, 1], 20_000
+        draw = context_draw(random_contexts(1, sizes, 3), None, 3)
+        rng = np.random.default_rng(2024)
+        counts = [np.zeros(size) for size in sizes]
+        for _ in range(n):
+            for count, subset in zip(counts, subsets(draw, draw.picks(rng))):
+                count[subset] += 1
+        for size, count in zip(sizes, counts):
+            rate = math.ceil(size / 2) / size
+            sigma = math.sqrt(n * rate * (1 - rate))
+            assert np.all(np.abs(count - n * rate) <= 5 * sigma + 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(0, 30), min_size=1, max_size=6),
+        num_classes=st.integers(2, 6),
+        elicited=st.booleans(),
+    )
+    def test_mu_equals_build_representation_on_the_same_picks(
+        self, seed, sizes, num_classes, elicited
+    ):
+        contexts = random_contexts(seed, sizes, num_classes)
+        rng = np.random.default_rng(seed)
+        priors = [
+            PriorElicitation(rng.random(num_classes), rng.random(num_classes), 2 + 20 * rng.random())
+            if elicited else None
+            for _ in sizes
+        ]
+        draw = context_draw(contexts, None, num_classes, priors)
+        mu = draw.mu(np.random.default_rng(seed))
+        picked = subsets(draw, draw.picks(np.random.default_rng(seed)))
+        alpha0, beta0 = prior_arrays(priors, num_classes)
+        expected = build_representation(
+            alpha0, beta0,
+            [c.labels[p] for c, p in zip(contexts, picked)],
+            [c.predictions[p] for c, p in zip(contexts, picked)],
+        )
+        assert mu.tobytes() == expected.tobytes()
 
 
 class TestOneForwardPerBatch:

@@ -73,13 +73,14 @@ def reference_forward_cached(net, x):
 
 def reference_backward(net, x, upstream):
     """Unfused backprop, its relu masks read from ``reference_forward_cached``'s
-    pre-activations: (flat gradient, input gradient)."""
+    pre-activations, each bias gradient the product ``ones @ delta``: (flat
+    gradient, input gradient)."""
     pre, post = reference_forward_cached(net, x)
     parts, delta = [], upstream
     for layer, z, a in reversed(list(zip(net.layers, pre, post))):
         if layer.activation == "relu":
             delta = delta * (z > 0)
-        parts[:0] = [(delta.T @ a).ravel(), delta.sum(axis=0)]
+        parts[:0] = [(delta.T @ a).ravel(), np.ones(len(delta)) @ delta]
         delta = delta @ layer.weights
     return np.concatenate(parts), delta
 
@@ -389,8 +390,8 @@ class TestBackward:
         net = dense_net([4, 8, 1], rng)
         outs = forward_cached(net, rng.normal(size=(12, 4)))
         block = rng.normal(size=(12, 3))
-        from_view = backward(net, outs, block[:, 2:])
-        from_copy = backward(net, outs, block[:, 2:].copy())
+        from_view = backward(net, outs, block[:, 2:], want_input_grad=True)
+        from_copy = backward(net, outs, block[:, 2:].copy(), want_input_grad=True)
         assert np.array_equal(from_view.flat, from_copy.flat)
         assert np.array_equal(from_view.input_grad, from_copy.input_grad)
 
@@ -703,9 +704,13 @@ class TestFlatLayout:
     def test_backward_fills_the_flat_gradient_per_layer(self, net, rows, data):
         x = data.draw(hnp.arrays(np.float64, (rows, net.input_dim), elements=VALUES))
         up = data.draw(hnp.arrays(np.float64, (rows, net.output_dim), elements=VALUES))
-        g = backward(net, forward_cached(net, x), up)
+        g = backward(net, forward_cached(net, x), up, want_input_grad=True)
         assert g.matches(net) and g.flat.shape == net.params.shape
         flat, input_grad = reference_backward(net, x, up)
         assert g.flat.tobytes() == flat.tobytes()
         assert g.input_grad.shape == input_grad.shape
         assert g.input_grad.tobytes() == input_grad.tobytes()
+        # without the input gradient, the same parameter gradients
+        plain = backward(net, forward_cached(net, x), up)
+        assert plain.input_grad is None
+        assert plain.flat.tobytes() == flat.tobytes()

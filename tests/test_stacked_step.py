@@ -2,7 +2,9 @@
 
 ``reference_cohort`` below is the per-expert computation the stacked step
 replaces: one classifier forward/backward and one rejector forward/backward
-per expert, gradients summed over experts afterwards. It lives here, not in
+per expert, gradients summed over experts afterwards, each through the
+explicit (K+1)-way joint softmax that the package's factored loss never
+builds (``joint_loss_sums``, ``joint_grad_rows``). It lives here, not in
 the package, so the package keeps one loss/gradient path.
 """
 
@@ -12,14 +14,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deferlab.deferral import (
-    _joint_grad_rows,
-    _loss_sums,
+    _class_softmax,
+    _joint_terms,
     ea_l2d_loss_grads,
     mode_labels,
     pop_avg_loss_grads,
 )
 from deferlab.experts import PriorElicitation, build_representation, prior_arrays
 from deferlab.nets import GradientBundle, backward, dense_net, forward_cached, softmax
+
+
+def joint_loss_sums(q, labels, weights, num_classes):
+    """Summed loss terms of explicit joint softmax rows ``q`` (rows, K+1); an
+    inactive deferral term stays zero even when the deferral probability
+    underflows."""
+    with np.errstate(divide="ignore"):
+        classifier_sum = float(-np.log(q[np.arange(len(labels)), labels]).sum())
+        defer_nll = -np.log(q[:, num_classes])
+    deferral_sum = float((weights * np.where(weights > 0, defer_nll, 0.0)).sum())
+    return classifier_sum, deferral_sum
+
+
+def joint_grad_rows(q, labels, weights):
+    """d/d(joint logits) of sum_i [-log q_y - w_i * log q_defer], one row per
+    (expert, example) pair."""
+    batch, width = q.shape
+    d = (1.0 + weights)[:, None] * q
+    d[np.arange(batch), labels] -= 1.0
+    d[:, width - 1] -= weights
+    return d
 
 
 def reference_expert(classifier, rejector, features, labels, mu):
@@ -39,10 +62,12 @@ def reference_expert(classifier, rejector, features, labels, mu):
     g_defer = rej_outs[-1][:, 0]
     q = softmax(np.column_stack([logits, g_defer]))
     weights = np.where(labels == estar, mu[labels], 0.0)
-    cs, ds = _loss_sums(q, labels, weights, num_classes)
+    cs, ds = joint_loss_sums(q, labels, weights, num_classes)
 
-    d_joint = _joint_grad_rows(q, labels, weights)
-    rej_grads = backward(rejector, rej_outs, d_joint[:, num_classes][:, None])
+    d_joint = joint_grad_rows(q, labels, weights)
+    rej_grads = backward(
+        rejector, rej_outs, d_joint[:, num_classes][:, None], want_input_grad=True
+    )
     d_feats = rej_grads.input_grad
     d_rho = np.zeros_like(rho)
     d_rho[:, estar] += d_feats[:, 0]
@@ -149,6 +174,35 @@ class TestStackedMatchesReference:
         clf, rej, features, labels = nets_and_batch(2, batch=3)
         *_, pattern = ea_l2d_loss_grads(clf, rej, features, labels, mu)
         assert len(pattern) == 3 * 12 + 3 * (10 + 10) + 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    experts=st.integers(1, 5),
+    batch=st.integers(1, 6),
+    num_classes=st.integers(2, 6),
+)
+def test_factored_joint_terms_match_the_explicit_softmax(seed, experts, batch, num_classes):
+    # logits and deferral logits from +-30; about half the weights inactive
+    rng = np.random.default_rng(seed)
+    logits = rng.uniform(-30, 30, size=(batch, num_classes))
+    g = rng.uniform(-30, 30, size=(experts, batch))
+    labels = rng.integers(num_classes, size=batch)
+    weights = np.where(rng.random((experts, batch)) < 0.5, rng.random((experts, batch)), 0.0)
+    rho, lse = _class_softmax(logits)
+    cs, ds, d_g, d_logits = _joint_terms(logits, rho, lse, g, labels, weights)
+
+    joint = np.concatenate([np.broadcast_to(logits, (experts, batch, num_classes)),
+                            g[:, :, None]], axis=2).reshape(experts * batch, num_classes + 1)
+    q = softmax(joint)
+    pair_labels = np.tile(labels, experts)
+    ref_c, ref_d = joint_loss_sums(q, pair_labels, weights.ravel(), num_classes)
+    d_joint = joint_grad_rows(q, pair_labels, weights.ravel()).reshape(experts, batch, -1)
+    assert np.array_equal(rho, softmax(logits))
+    np.testing.assert_allclose([cs, ds], [ref_c, ref_d], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(d_g, d_joint[:, :, num_classes], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d_logits, d_joint[:, :, :num_classes].sum(axis=0), rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
