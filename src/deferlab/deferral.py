@@ -74,15 +74,18 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"labels must lie in [0, {num_classes})")
 
 
-def _class_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's class softmax ``rho`` (batch, K) and logsumexp ``lse``
-    (batch,), from one exponential of the max-shifted logits. A non-finite
-    logit gives NaN, which the training loop's loss check catches."""
+def _class_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's class softmax ``rho`` (rows, K), its max logit ``top`` and
+    ``total = sum_k exp(logit_k - top)`` (rows,), from one exponential of
+    the max-shifted logits. The row's logsumexp is ``top + log(total)``;
+    training and evaluation read the (K+1)-way joint softmax through these
+    three. A non-finite logit gives NaN, which the training loop's loss check
+    and ``ScoredCases`` catch."""
     with np.errstate(over="ignore", invalid="ignore"):
         top = logits.max(axis=1, keepdims=True)
         e = np.exp(logits - top)
         total = e.sum(axis=1, keepdims=True)
-        return e / total, (top + np.log(total))[:, 0]
+        return e / total, top[:, 0], total[:, 0]
 
 
 def _joint_terms(
@@ -101,7 +104,8 @@ def _joint_terms(
     probability is sigmoid(z) and its class probabilities are
     ``rho * (1 - sigmoid(z))``, so -log q_y = lse - logit_y + softplus(z) and
     -log q_defer = softplus(-z). ``g`` and ``weights`` are (experts, batch);
-    ``rho`` and ``lse`` come from ``_class_softmax(logits)``. Returns
+    ``rho`` comes from ``_class_softmax(logits)``, and ``lse`` is
+    ``top + log(total)`` from its other two terms. Returns
     ``(classifier_sum, deferral_sum, d_g, d_logits)``:
 
     - classifier_sum = experts * sum_i (lse - logit_y) + sum softplus(z);
@@ -204,7 +208,8 @@ def ea_l2d_loss_grads(
     _check_labels(labels, num_classes)
     batch = len(labels)
     logits, clf_acts = _forward_for(classifier, features, want_grads)
-    rho, lse = _class_softmax(logits)
+    rho, top, total = _class_softmax(logits)
+    lse = top + np.log(total)
     kstar = np.argmax(rho, axis=1)
     estar = np.argmax(mu, axis=1)
     rej_out, rej_acts = _forward_for(rejector, rejector_inputs(rho, kstar, mu), want_grads)
@@ -249,7 +254,8 @@ def pop_avg_loss_grads(
     _check_labels(labels, classifier.output_dim)
     logits, clf_acts = _forward_for(classifier, features, want_grads)
     rej_out, rej_acts = _forward_for(rejector, features, want_grads)
-    rho, lse = _class_softmax(logits)
+    rho, top, total = _class_softmax(logits)
+    lse = top + np.log(total)
     classifier_sum, deferral_sum, d_g, d_logits = _joint_terms(
         logits, rho, lse, rej_out.T, labels, weights[None, :]
     )

@@ -1,10 +1,11 @@
 """Deferral-budget evaluation.
 
-Every test case gets a deferral priority per expert (deferral softmax mass
-minus the top class softmax mass, both on the joint (K+1)-simplex). Sorting
-cases by priority sweeps the deferral rate from 0 to 1 and yields the system
-and deferred-case expert accuracy curves; normalized trapezoidal areas over a
-rate range summarise them.
+Every test case gets a deferral priority per expert: deferral softmax mass
+minus the top class softmax mass, both on the joint (K+1)-simplex, which is
+read through the class softmax the training losses use and never built.
+Sorting cases by priority sweeps the deferral rate from 0 to 1 and yields the
+system and deferred-case expert accuracy curves; normalized trapezoidal areas
+over a rate range summarise them.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .deferral import rejector_inputs
-from .nets import DenseNet, forward, row_blocks, softmax
+from .deferral import _class_softmax, rejector_inputs
+from .nets import DenseNet, forward, row_blocks
 from .simulate import Dataset
 from .tables import write_table
 
@@ -130,6 +131,24 @@ def area_under(curve: Curve, d_min: float, d_max: float) -> float:
     return integral / (d_max - d_min)
 
 
+def _defer_priority(top: np.ndarray, total: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Deferral mass minus top class mass in each row's (K+1)-way joint
+    softmax, from the row's max class logit ``top``, ``total = sum_k
+    exp(logit_k - top)`` and deferral logit ``g``.
+
+    With ``m = max(top, g)``, ``a = exp(g - m)`` and ``b = exp(top - m)``,
+    the joint's normaliser is ``(a + total * b) * exp(m)``, so the priority
+    is ``(a - b) / (a + total * b)``. Neither exponent is positive, so
+    nothing overflows. A float difference is 0 only between equal floats,
+    so the priority is 0 exactly when ``a == b``, ``g == top`` included,
+    and its sign is that of ``g - top`` or 0.
+    """
+    m = np.maximum(top, g)
+    a = np.exp(g - m)
+    b = np.exp(top - m)
+    return (a - b) / (a + total * b)
+
+
 def case_priorities(
     logits: np.ndarray,
     rejector: DenseNet,
@@ -140,41 +159,33 @@ def case_priorities(
 
     With the cohort's (experts, K) posterior means ``mu``, each expert's
     deferral logit comes from the four expert-aware rejector inputs; with
-    ``mu=None`` the rejector reads the raw features and every expert shares
-    one expert-independent row.
+    ``mu=None`` the rejector reads the raw features, one row per case, and
+    every expert shares one expert-independent row.
 
-    Cases are scored in ``nets.row_blocks``, one expert at a time within a
-    block, so the working arrays hold one block's rows whatever the test set
-    size; a case's priority does not depend on the block it falls in.
+    Cases are scored in ``nets.row_blocks``. Each block takes one class
+    pass, ``deferral._class_softmax``, the same one the training losses
+    take; then each expert costs one rejector forward and one
+    ``_defer_priority``, and no (cases, K+1) joint is built. The working
+    arrays hold one block's rows whatever the test set size, and a case's
+    priority does not depend on the block it falls in.
     """
-    num_classes = logits.shape[1]
+    if mu is None and len(features) != len(logits):
+        raise ValueError(
+            f"features have {len(features)} rows but the logits have {len(logits)} cases"
+        )
     out = np.empty((1 if mu is None else len(mu), len(logits)))
     for rows in row_blocks(len(logits)):
-        block = logits[rows]
+        rho, top, total = _class_softmax(logits[rows])
         if mu is None:
             deferral_logits = [forward(rejector, features[rows])[:, 0]]
         else:
-            rho = softmax(block)
             kstar = np.argmax(rho, axis=1)
             deferral_logits = (
                 forward(rejector, rejector_inputs(rho, kstar, mu[e : e + 1]))[:, 0]
                 for e in range(len(mu))
             )
-
-        # The joint softmax of ``nets.softmax``, bit for bit: only the
-        # deferral column changes between experts, the row max is the larger
-        # of the class max and the deferral logit, and correctly rounded
-        # division keeps the class max, so only two columns are divided.
-        class_max = block.max(axis=1)
-        joint = np.empty((len(block), num_classes + 1))
-        joint[:, :num_classes] = block
-        e = np.empty_like(joint)
-        for i, g_defer in enumerate(deferral_logits):
-            joint[:, num_classes] = g_defer
-            np.subtract(joint, np.maximum(class_max, g_defer)[:, None], out=e)
-            np.exp(e, out=e)
-            total = e.sum(axis=1)
-            out[i, rows] = e[:, num_classes] / total - e[:, :num_classes].max(axis=1) / total
+        for i, g in enumerate(deferral_logits):
+            out[i, rows] = _defer_priority(top, total, g)
     return out
 
 
@@ -189,19 +200,31 @@ def score_cases(
     """Score every case against a cohort, given the classifier's logits on
     ``data``.
 
-    Expert-aware systems (``mu`` given) defer each case to the
-    argmax-priority expert (ties go to the lowest cohort index);
+    The logits, ``data`` and every expert's predictions (experts, cases)
+    must cover the same cases, and ``mu`` the same experts, else
+    ``ValueError``. Expert-aware systems (``mu`` given) defer each case to
+    the argmax-priority expert (ties go to the lowest cohort index);
     expert-independent ones (``mu=None``) cannot discriminate, so the
     deferred expert is a uniform seeded draw.
     """
     preds = np.asarray(expert_predictions, dtype=np.int64)
+    n = len(data)
+    if preds.ndim != 2:
+        raise ValueError("expert predictions must be (experts, cases)")
     cohort = preds.shape[0]
     if cohort == 0:
         raise ValueError("cannot score against an empty cohort")
+    if mu is not None and len(mu) != cohort:
+        raise ValueError(f"mu has {len(mu)} experts but the predictions have {cohort}")
+    if len(logits) != n:
+        raise ValueError(f"logits have {len(logits)} rows but the data has {n} cases")
+    if preds.shape[1] != n:
+        raise ValueError(
+            f"expert predictions have {preds.shape[1]} columns but the data has {n} cases"
+        )
     priorities = case_priorities(logits, rejector, data.features, mu)
     clf_correct = np.argmax(logits, axis=1) == data.labels
 
-    n = len(data)
     if priorities.shape[0] == 1 and cohort > 1:
         chosen = rng.integers(cohort, size=n)
         case_priority = priorities[0]

@@ -350,8 +350,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by its max for stability.
 
     Logits are not validated: a non-finite logit yields non-finite
-    probabilities, so in training it reaches the loss check and raises
-    ``TrainingDivergenceError`` there.
+    probabilities.
     """
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)

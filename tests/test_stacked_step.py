@@ -190,7 +190,8 @@ def test_factored_joint_terms_match_the_explicit_softmax(seed, experts, batch, n
     g = rng.uniform(-30, 30, size=(experts, batch))
     labels = rng.integers(num_classes, size=batch)
     weights = np.where(rng.random((experts, batch)) < 0.5, rng.random((experts, batch)), 0.0)
-    rho, lse = _class_softmax(logits)
+    rho, top, total = _class_softmax(logits)
+    lse = top + np.log(total)
     cs, ds, d_g, d_logits = _joint_terms(logits, rho, lse, g, labels, weights)
 
     joint = np.concatenate([np.broadcast_to(logits, (experts, batch, num_classes)),
