@@ -35,11 +35,17 @@ def _net_arrays(prefix: str, net: DenseNet) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _activations(depth: int) -> list[str]:
+    """The activation list of a network with ``depth`` layers, which the one
+    architecture of ``nets`` fixes."""
+    return ["relu"] * (depth - 1) + ["identity"]
+
+
 def save_checkpoint(path, classifier: DenseNet, rejector: DenseNet, cfg: TrainConfig) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
-        "classifier_activations": list(classifier.activations),
-        "rejector_activations": list(rejector.activations),
+        "classifier_activations": _activations(len(classifier.layout)),
+        "rejector_activations": _activations(len(rejector.layout)),
         "train_config": {
             "learning_rate": cfg.learning_rate,
             "batch_size": cfg.batch_size,
@@ -63,8 +69,8 @@ def _load_net(path, data, meta: dict, prefix: str) -> DenseNet:
     try:
         return DenseNet.from_layers(
             [
-                Layer(data[f"{prefix}_w{i}"], data[f"{prefix}_b{i}"], act)
-                for i, act in enumerate(meta[key])
+                Layer(data[f"{prefix}_w{i}"], data[f"{prefix}_b{i}"])
+                for i in range(len(meta[key]))
             ]
         )
     except ValueError as err:
@@ -76,10 +82,10 @@ def load_checkpoint(path) -> tuple[DenseNet, DenseNet, TrainConfig]:
 
     A file whose ``meta`` is not a JSON object, whose arrays are not exactly
     ``meta`` plus one weight and one bias per listed activation, whose meta
-    lacks a key or stores an activation list as anything but a list, whose
-    networks do not build (an unknown activation, layer shapes that do not
-    compose) or whose ``train_config`` is not a valid ``TrainConfig`` raises
-    ``ValueError`` naming the file and the key.
+    lacks a key, whose activation list is not ``relu`` for every layer but
+    the last and then ``identity``, whose networks do not build (layer
+    shapes that do not compose) or whose ``train_config`` is not a valid
+    ``TrainConfig`` raises ``ValueError`` naming the file and the key.
     """
     with np.load(path) as data:
         if "meta" not in data.files:
@@ -94,8 +100,11 @@ def load_checkpoint(path) -> tuple[DenseNet, DenseNet, TrainConfig]:
             if key not in meta:
                 raise ValueError(f"checkpoint {path}: meta has no {key!r}")
         for key in _NETS.values():
-            if not isinstance(meta[key], list):
-                raise ValueError(f"checkpoint {path}: meta {key!r} is not a list")
+            if not isinstance(meta[key], list) or meta[key] != _activations(len(meta[key])):
+                raise ValueError(
+                    f"checkpoint {path}: meta {key!r} is {meta[key]!r}, not 'relu' "
+                    "for every layer but the last and then 'identity'"
+                )
         if meta["format_version"] != FORMAT_VERSION:
             raise ValueError(
                 f"checkpoint {path}: unsupported format_version {meta['format_version']}"

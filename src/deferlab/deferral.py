@@ -47,6 +47,7 @@ from .nets import (
     forward_cached,
     relu_pattern,
     sgd_step,
+    softmax,
 )
 from .simulate import ContextSet, Dataset
 
@@ -74,20 +75,6 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"labels must lie in [0, {num_classes})")
 
 
-def _class_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's class softmax ``rho`` (rows, K), its max logit ``top`` and
-    ``total = sum_k exp(logit_k - top)`` (rows,), from one exponential of
-    the max-shifted logits. The row's logsumexp is ``top + log(total)``;
-    training and evaluation read the (K+1)-way joint softmax through these
-    three. A non-finite logit gives NaN, which the training loop's loss check
-    and ``ScoredCases`` catch."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        top = logits.max(axis=1, keepdims=True)
-        e = np.exp(logits - top)
-        total = e.sum(axis=1, keepdims=True)
-        return e / total, top[:, 0], total[:, 0]
-
-
 def _joint_terms(
     logits: np.ndarray,
     rho: np.ndarray,
@@ -104,7 +91,7 @@ def _joint_terms(
     probability is sigmoid(z) and its class probabilities are
     ``rho * (1 - sigmoid(z))``, so -log q_y = lse - logit_y + softplus(z) and
     -log q_defer = softplus(-z). ``g`` and ``weights`` are (experts, batch);
-    ``rho`` comes from ``_class_softmax(logits)``, and ``lse`` is
+    ``rho`` comes from ``nets.softmax(logits)``, and ``lse`` is
     ``top + log(total)`` from its other two terms. Returns
     ``(classifier_sum, deferral_sum, d_g, d_logits)``:
 
@@ -208,7 +195,7 @@ def ea_l2d_loss_grads(
     _check_labels(labels, num_classes)
     batch = len(labels)
     logits, clf_acts = _forward_for(classifier, features, want_grads)
-    rho, top, total = _class_softmax(logits)
+    rho, top, total = softmax(logits)
     lse = top + np.log(total)
     kstar = np.argmax(rho, axis=1)
     estar = np.argmax(mu, axis=1)
@@ -254,7 +241,7 @@ def pop_avg_loss_grads(
     _check_labels(labels, classifier.output_dim)
     logits, clf_acts = _forward_for(classifier, features, want_grads)
     rej_out, rej_acts = _forward_for(rejector, features, want_grads)
-    rho, top, total = _class_softmax(logits)
+    rho, top, total = softmax(logits)
     lse = top + np.log(total)
     classifier_sum, deferral_sum, d_g, d_logits = _joint_terms(
         logits, rho, lse, rej_out.T, labels, weights[None, :]
@@ -486,6 +473,17 @@ def train(
     )
 
 
+def _mode_weights(preds: np.ndarray, data: Dataset, num_classes: int, name: str) -> np.ndarray:
+    """1.0 where the mode of the experts' predictions is a row's label, else 0.0."""
+    modes = mode_labels(preds, num_classes)
+    if len(modes) != len(data):
+        raise ValueError(
+            f"{name} predictions have {len(modes)} columns, which must align with "
+            f"the {len(data)} rows of the {name} data"
+        )
+    return (modes == data.labels).astype(np.float64)
+
+
 def train_pop_avg(
     classifier: DenseNet,
     rejector: DenseNet,
@@ -496,15 +494,12 @@ def train_pop_avg(
     val_predictions: np.ndarray,
     patience: int | None = None,
 ) -> TrainResult:
-    """Baseline training loop driven by the mode of expert predictions."""
+    """Baseline training loop driven by the mode of expert predictions, which
+    must have one column per row of ``query`` and of ``val``."""
     if len(query) == 0:
         raise ValueError("query data must be nonempty")
-    num_classes = classifier.output_dim
-    modes = mode_labels(query_predictions, num_classes)
-    if len(modes) != len(query):
-        raise ValueError("query predictions must align with the query data")
-    weights = (modes == query.labels).astype(np.float64)
-    val_weights = (mode_labels(val_predictions, num_classes) == val.labels).astype(np.float64)
+    weights = _mode_weights(query_predictions, query, classifier.output_dim, "query")
+    val_weights = _mode_weights(val_predictions, val, classifier.output_dim, "validation")
 
     return _fit(
         classifier, rejector, query, cfg, pop_avg_loss_grads, lambda idx, rng: weights[idx], 1,

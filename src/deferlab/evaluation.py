@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .deferral import _class_softmax, rejector_inputs
-from .nets import DenseNet, forward, row_blocks
+from .deferral import rejector_inputs
+from .nets import DenseNet, forward, row_blocks, softmax
 from .simulate import Dataset
 from .tables import write_table
 
@@ -80,8 +80,12 @@ def deferral_curves(
 
     Cases are deferred in priority order (ties keep input order). Correctness
     may be an expectation in [0, 1] rather than 0/1. The expert curve at rate
-    0 is extended by continuity from the first deferred case.
+    0 is extended by continuity from the first deferred case. The three
+    arrays must be 1-D vectors of one length, else ``ValueError``.
     """
+    shapes = [np.shape(a) for a in (priority, classifier_correct, expert_correct)]
+    if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
+        raise ValueError(f"curve inputs must be 1-D vectors of one length, got shapes {shapes}")
     n = len(priority)
     if n == 0:
         raise ValueError("cannot build curves from zero cases")
@@ -163,11 +167,11 @@ def case_priorities(
     every expert shares one expert-independent row.
 
     Cases are scored in ``nets.row_blocks``. Each block takes one class
-    pass, ``deferral._class_softmax``, the same one the training losses
-    take; then each expert costs one rejector forward and one
-    ``_defer_priority``, and no (cases, K+1) joint is built. The working
-    arrays hold one block's rows whatever the test set size, and a case's
-    priority does not depend on the block it falls in.
+    pass, ``nets.softmax``, the same one the training losses take; then
+    each expert costs one rejector forward and one ``_defer_priority``, and
+    no (cases, K+1) joint is built. The working arrays hold one block's rows
+    whatever the test set size, and a case's priority does not depend on
+    the block it falls in.
     """
     if mu is None and len(features) != len(logits):
         raise ValueError(
@@ -175,7 +179,7 @@ def case_priorities(
         )
     out = np.empty((1 if mu is None else len(mu), len(logits)))
     for rows in row_blocks(len(logits)):
-        rho, top, total = _class_softmax(logits[rows])
+        rho, top, total = softmax(logits[rows])
         if mu is None:
             deferral_logits = [forward(rejector, features[rows])[:, 0]]
         else:

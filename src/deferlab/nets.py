@@ -1,10 +1,12 @@
 """Minimal dense feed-forward networks with explicit forward/backward passes.
 
-Everything is float64 numpy. A network is three things: one contiguous
-parameter vector, ``DenseNet.params`` (layer by layer, the weight matrix in
-row-major order, then the bias); its ``layout``, every layer's shape and
-offsets in that vector; and every layer's activation. The passes take each
-layer's weight and bias as views into the vector at the layout's offsets.
+Everything is float64 numpy. Every network has one architecture: each
+layer but the last applies relu, and the last is linear. So a network is
+two things: one contiguous parameter vector, ``DenseNet.params`` (layer by
+layer, the weight matrix in row-major order, then the bias), and its
+``layout``, every layer's shape and offsets in that vector. The passes take
+each layer's weight and bias as views into the vector at the layout's
+offsets.
 ``DenseNet.from_layers`` builds a network from a list of ``Layer`` objects
 and packs their arrays into a new vector, so a network never shares memory
 with the arrays it was built from; ``net.layers`` turns the vector back
@@ -15,23 +17,23 @@ whole parameter vector in one expression,
 ``w - lr * (grad * scale + weight_decay * w)``.
 
 Networks are plain value objects. ``sgd_step`` and ``DenseNet.copy`` return
-a network over a new vector, with the same layout and activations, and
-leave their input untouched; early stopping keeps its best weights by
-holding on to an earlier network, so it relies on this. Nothing here keeps
-hidden state, so instances are safe to share across threads.
+a network over a new vector, with the same layout, and leave their input
+untouched; early stopping keeps its best weights by holding on to an
+earlier network, so it relies on this. Nothing here keeps hidden state, so
+instances are safe to share across threads.
 
 Every pass takes a ``(batch, in_dim)`` matrix, one row per example; one
 example is a one-row batch. Both forward passes run the same layer step,
-``z = a @ w.T``, then ``z += b`` and the relu in place, and differ only in
-what they keep. ``forward_cached`` keeps the checked input and every
-layer's output; use it when gradients follow, and hand its list to
-``backward`` and ``relu_pattern``, which then run no forward of their own.
-Neither needs the pre-activations: a relu output ``max(z, 0)`` is positive
-exactly where ``z`` is, NaN included, so each reads its relu masks as
-``output > 0``. ``forward`` drops each layer's output as soon as the next
-layer has consumed it; use it for inference and for losses without
-gradients (validation), where holding every layer of a large batch would
-only raise peak memory.
+``z = a @ w.T``, then ``z += b`` and, below the last layer, the relu in
+place, and differ only in what they keep. ``forward_cached`` keeps the
+checked input and every layer's output; use it when gradients follow, and
+hand its list to ``backward`` and ``relu_pattern``, which then run no
+forward of their own. Neither needs the pre-activations: a relu output
+``max(z, 0)`` is positive exactly where ``z`` is, NaN included, so each
+reads a hidden layer's relu mask as ``output > 0``. ``forward`` drops each
+layer's output as soon as the next layer has consumed it; use it for
+inference and for losses without gradients (validation), where holding
+every layer of a large batch would only raise peak memory.
 
 ``forward`` also runs a large batch in row blocks (``row_blocks``): fixed
 blocks of ``BLOCK_ROWS`` rows from the top, so that one block's activations
@@ -55,16 +57,12 @@ import numpy as np
 
 from .errors import TrainingDivergenceError
 
-ACTIVATIONS = ("relu", "identity")
-
-
 @dataclass
 class Layer:
     """One layer as a network is built from or read by outside code."""
 
     weights: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray  # (out_dim,)
-    activation: str
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -75,8 +73,6 @@ class Layer:
             raise ValueError(
                 f"bias shape {self.bias.shape} does not match weight rows {self.weights.shape[0]}"
             )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 # Per layer: (out_dim, in_dim, weights start, bias start, bias end) in the
@@ -94,14 +90,13 @@ def _views(flat: np.ndarray, layout: Layout) -> list[tuple[np.ndarray, np.ndarra
 
 @dataclass
 class DenseNet:
-    """A network over ``params``, laid out by ``layout``, one activation per
-    layer. The fields are taken as given: build a network with
-    ``from_layers`` or ``dense_net``, and derive one from another only with
-    a vector of the same size."""
+    """A network over ``params``, laid out by ``layout``: relu after every
+    layer but the last, which is linear. The fields are taken as given:
+    build a network with ``from_layers`` or ``dense_net``, and derive one
+    from another only with a vector of the same size."""
 
     params: np.ndarray
     layout: Layout
-    activations: tuple[str, ...]
 
     @classmethod
     def from_layers(cls, layers: Sequence[Layer]) -> "DenseNet":
@@ -117,16 +112,13 @@ class DenseNet:
             spans.append((out_dim, in_dim, start, bias_start, bias_start + out_dim))
             start = bias_start + out_dim
         params = np.concatenate([a.ravel() for l in layers for a in (l.weights, l.bias)])
-        return cls(params, tuple(spans), tuple(l.activation for l in layers))
+        return cls(params, tuple(spans))
 
     @property
     def layers(self) -> list[Layer]:
         """Every layer over views into ``params``, built on each read; for
         readers outside the passes, which use ``layout`` instead."""
-        return [
-            Layer(w, b, act)
-            for (w, b), act in zip(_views(self.params, self.layout), self.activations)
-        ]
+        return [Layer(w, b) for w, b in _views(self.params, self.layout)]
 
     @property
     def input_dim(self) -> int:
@@ -137,7 +129,7 @@ class DenseNet:
         return self.layout[-1][0]
 
     def copy(self) -> "DenseNet":
-        return DenseNet(self.params.copy(), self.layout, self.activations)
+        return DenseNet(self.params.copy(), self.layout)
 
 
 @dataclass
@@ -186,8 +178,7 @@ class GradientBundle:
 
 
 def dense_net(dims: Sequence[int], seed: int | np.random.Generator = 0) -> DenseNet:
-    """Build a network with the given layer widths: relu hidden layers and
-    an identity output layer.
+    """Build a network with the given layer widths.
 
     Weights are drawn uniformly from +-sqrt(6 / (fan_in + fan_out)), biases
     start at zero; everything is reproducible from the seed.
@@ -196,11 +187,10 @@ def dense_net(dims: Sequence[int], seed: int | np.random.Generator = 0) -> Dense
         raise ValueError("need at least input and output dims")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+    for fan_in, fan_out in zip(dims, dims[1:]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        act = "identity" if i == len(dims) - 2 else "relu"
-        layers.append(Layer(w, np.zeros(fan_out), act))
+        layers.append(Layer(w, np.zeros(fan_out)))
     return DenseNet.from_layers(layers)
 
 
@@ -226,11 +216,11 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
+def _layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
     """One layer's output on rows ``a``, computed in place on a new array."""
     z = a @ w.T
     z += b
-    if activation == "relu":
+    if relu:
         np.maximum(z, 0.0, out=z)
     return z
 
@@ -238,12 +228,13 @@ def _layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, activation: str) -> np.n
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Forward pass of a (batch, in_dim) matrix, in ``row_blocks``."""
     x = _check_input(net, x)
-    layers = list(zip(_views(net.params, net.layout), net.activations))
+    layers = _views(net.params, net.layout)
+    last = len(layers) - 1
     out = np.empty((len(x), net.output_dim))
     for rows in row_blocks(len(x)):
         a = x[rows]
-        for (w, b), activation in layers:
-            a = _layer(a, w, b, activation)
+        for i, (w, b) in enumerate(layers):
+            a = _layer(a, w, b, i < last)
         out[rows] = a
     return out
 
@@ -255,27 +246,22 @@ def forward_cached(net: DenseNet, x: np.ndarray) -> Activations:
     """Forward pass keeping what backprop needs: the checked input, then
     every layer's output, so the last entry equals ``forward(net, x)``."""
     outs = [_check_input(net, x)]
-    for (w, b), activation in zip(_views(net.params, net.layout), net.activations):
-        outs.append(_layer(outs[-1], w, b, activation))
+    last = len(net.layout) - 1
+    for i, (w, b) in enumerate(_views(net.params, net.layout)):
+        outs.append(_layer(outs[-1], w, b, i < last))
     return outs
 
 
 def relu_pattern(net: DenseNet, outs: Activations) -> np.ndarray:
-    """Sign pattern of every relu pre-activation, flattened.
+    """Sign pattern of every hidden layer's relu pre-activation, flattened.
 
     ``outs`` is ``forward_cached(net, x)``; a relu output is positive
     exactly where its pre-activation is. Two evaluations with different
     patterns straddle a kink, where finite differences of the loss are
     meaningless.
     """
-    parts = [
-        (a > 0).ravel()
-        for a, activation in zip(outs[1:], net.activations)
-        if activation == "relu"
-    ]
-    if not parts:
-        return np.zeros(0, dtype=bool)
-    return np.concatenate(parts)
+    parts = [(a > 0).ravel() for a in outs[1:-1]]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
 
 
 def backward(
@@ -284,8 +270,8 @@ def backward(
     """Gradients of a scalar loss given d(loss)/d(output).
 
     ``outs`` is ``forward_cached(net, x)`` for the input the loss was
-    computed on; a relu layer passes the gradient where its output is
-    positive. The per-example contributions are summed, i.e. the result
+    computed on; a hidden layer passes the gradient where its relu output
+    is positive. The per-example contributions are summed, i.e. the result
     is the gradient of ``sum_i loss_i`` when ``upstream[i]`` is the gradient
     for example i: a weight gradient is ``delta.T @ input`` and a bias
     gradient ``ones @ delta``, both BLAS products. The gradient with respect
@@ -311,14 +297,11 @@ def backward(
     grads = _views(flat, net.layout)
     ones = np.ones(len(upstream))
     delta = upstream
+    last = len(net.layout) - 1
     for i in reversed(range(len(net.layout))):
-        if net.activations[i] == "relu":
-            # Below the top layer ``delta`` is this call's own array; the
-            # upstream gradient is the caller's.
-            if delta is upstream:
-                delta = delta * (outs[i + 1] > 0)
-            else:
-                delta *= outs[i + 1] > 0
+        if i < last:
+            # below the linear top layer, ``delta`` is this call's own array
+            delta *= outs[i + 1] > 0
         w_grad, b_grad = grads[i]
         np.matmul(delta.T, outs[i], out=w_grad)
         np.matmul(ones, delta, out=b_grad)
@@ -343,17 +326,21 @@ def sgd_step(
     new = w - cfg.learning_rate * (grads.flat * scale + cfg.weight_decay * w)
     if not np.isfinite(new).all():
         raise TrainingDivergenceError("non-finite weights after sgd_step (gradient or update)")
-    return DenseNet(new, net.layout, net.activations)
+    return DenseNet(new, net.layout)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, shifted by its max for stability.
-
-    Logits are not validated: a non-finite logit yields non-finite
-    probabilities.
-    """
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's class softmax ``rho`` (rows, K), its max logit ``top`` and
+    ``total = sum_k exp(logit_k - top)`` (rows,), from one exponential of
+    the max-shifted logits. The row's logsumexp is ``top + log(total)``;
+    training and evaluation read the (K+1)-way joint softmax through these
+    three. Logits are not validated: a non-finite logit gives NaN, which the
+    training loop's loss check and ``ScoredCases`` catch."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = logits.max(axis=1, keepdims=True)
+        e = np.exp(logits - top)
+        total = e.sum(axis=1, keepdims=True)
+        return e / total, top[:, 0], total[:, 0]
 
 
 @dataclass

@@ -82,7 +82,7 @@ def gaussian_posterior(data: TaskData) -> np.ndarray:
         d2 = np.empty((len(block), task.num_classes))
         for k, mean in enumerate(data.class_means):
             d2[:, k] = ((block - mean) ** 2).sum(axis=1)
-        post[rows] = softmax(-d2 / (2.0 * task.noise_scale**2))
+        post[rows] = softmax(-d2 / (2.0 * task.noise_scale**2))[0]
     return post
 
 

@@ -60,7 +60,7 @@ def constant_net(outputs, input_dim):
     """A one-layer net that outputs ``outputs`` exactly, whatever its input."""
     outputs = np.atleast_1d(np.asarray(outputs, dtype=np.float64))
     return DenseNet.from_layers(
-        [Layer(np.zeros((len(outputs), input_dim)), outputs, "identity")]
+        [Layer(np.zeros((len(outputs), input_dim)), outputs)]
     )
 
 
@@ -131,7 +131,7 @@ class TestAssembleRejectorInputs:
 class TestDeferralLogit:
     def test_zero_rejector_outputs_zero(self):
         rejector = DenseNet.from_layers(
-            [Layer(np.zeros((8, 4)), np.zeros(8), "relu"), Layer(np.zeros((1, 8)), np.zeros(1), "identity")]
+            [Layer(np.zeros((8, 4)), np.zeros(8)), Layer(np.zeros((1, 8)), np.zeros(1))]
         )
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -681,6 +681,19 @@ class TestTrainPopAvg:
         with pytest.raises(ValueError, match="align"):
             train_pop_avg(clf, rej, task.train, bad, cfg, val=task.val, val_predictions=vp)
 
+    @pytest.mark.parametrize("columns", [1, 3, 61])
+    def test_validation_prediction_alignment_checked(self, columns):
+        # a single column would broadcast its votes over every validation row
+        task, _, _ = small_training_setup()
+        clf = dense_net([6, 8, 4], 0)
+        rej = dense_net([6, 8, 1], 1)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
+        qp = np.stack([task.train.labels] * 2)
+        bad = np.zeros((2, columns), dtype=np.int64)
+        match = f"validation predictions have {columns} columns.* 60 rows"
+        with pytest.raises(ValueError, match=match):
+            train_pop_avg(clf, rej, task.train, qp, cfg, val=task.val, val_predictions=bad)
+
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -694,7 +707,6 @@ class TestCheckpoint:
         for a, b in zip(clf.layers + rej.layers, clf2.layers + rej2.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
-            assert a.activation == b.activation
 
     def test_repeated_saves_are_byte_identical(self, tmp_path):
         clf = dense_net([3, 4, 2], 0)
@@ -714,7 +726,7 @@ class TestCheckpoint:
         }
         clf, rej = (
             DenseNet.from_layers(
-                [Layer(w, b, act) for (w, b), act in zip(arrays[k], ["relu", "identity"])]
+                [Layer(w, b) for w, b in arrays[k]]
             )
             for k in ("clf", "rej")
         )
@@ -755,7 +767,7 @@ class TestCheckpoint:
             "classifier_activations",
         ),
         "one_classifier_activation": (
-            lambda arrays, meta: meta.update(classifier_activations=["relu"]),
+            lambda arrays, meta: meta.update(classifier_activations=["identity"]),
             "clf_b1",
         ),
         "extra_classifier_layer": (
@@ -783,6 +795,14 @@ class TestCheckpoint:
         "unknown_activation": (
             lambda arrays, meta: meta.update(classifier_activations=["tanh", "identity"]),
             "classifier_activations",
+        ),
+        "all_identity_classifier": (
+            lambda arrays, meta: meta.update(classifier_activations=["identity", "identity"]),
+            "classifier_activations",
+        ),
+        "all_relu_rejector": (
+            lambda arrays, meta: meta.update(rejector_activations=["relu", "relu"]),
+            "rejector_activations",
         ),
         "layers_do_not_compose": (
             lambda arrays, meta: arrays.update(rej_w1=np.zeros((1, 5))),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -21,7 +22,7 @@ from deferlab.evaluation import (
     write_curve_csv,
     write_metrics_csv,
 )
-from deferlab.nets import BLOCK_ROWS, DenseNet, Layer, dense_net, forward, softmax
+from deferlab.nets import BLOCK_ROWS, DenseNet, Layer, dense_net, forward
 from deferlab.simulate import Dataset
 from deferlab.tables import write_table
 
@@ -60,7 +61,7 @@ def rep_from_mu(mu_values):
 def linear_rejector(weights, bias=0.0):
     """A one-layer rejector whose deferral logit is ``weights @ x + bias``."""
     return DenseNet.from_layers(
-        [Layer(np.array([weights], dtype=np.float64), np.array([bias]), "identity")]
+        [Layer(np.array([weights], dtype=np.float64), np.array([bias]))]
     )
 
 
@@ -198,6 +199,17 @@ class TestBuildCurves:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             build_curves(scored([], [], []))
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(3,), (5,), (3,)], [(3,), (3,), (5,)], [(3,), (3,), (2,)], [(3,), (2,), (3,)],
+         [(5,), (3,), (3,)], [(2, 2), (2, 2), (2, 2)]],
+        ids=str,
+    )
+    def test_misaligned_inputs_rejected(self, shapes):
+        # longer correctness vectors used to be cut to the priorities' length
+        with pytest.raises(ValueError, match=re.escape(f"got shapes {shapes}")):
+            deferral_curves(*(np.zeros(shape) for shape in shapes))
 
 
 class TestAreaUnder:
@@ -352,10 +364,17 @@ class TestRowAlignment:
         assert len(self.score()) == 5
 
 
+def reference_softmax(logits):
+    """The row softmax on its own: ``exp`` of the max-shifted logits over
+    their row sum."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def explicit_joint_priority(logits, g):
     """Deferral mass minus top class mass, from the explicit (cases, K+1)
-    joint of ``nets.softmax``."""
-    q = softmax(np.column_stack([logits, g]))
+    joint softmax."""
+    q = reference_softmax(np.column_stack([logits, g]))
     return q[:, -1] - q[:, :-1].max(axis=1)
 
 
@@ -364,7 +383,7 @@ def deferral_logit_rows(logits, rejector, features, mu):
     expert; one expert-independent row for ``mu=None``."""
     if mu is None:
         return [forward(rejector, features)[:, 0]]
-    rho = softmax(logits)
+    rho = reference_softmax(logits)
     kstar = np.argmax(rho, axis=1)
     return [forward(rejector, rejector_inputs(rho, kstar, row[None, :]))[:, 0] for row in mu]
 
@@ -504,10 +523,10 @@ class TestFactoredPrioritySign:
 def whole_forward(net, x):
     """``nets.forward`` without row blocks: every layer on the whole batch."""
     a = x
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         z = a @ layer.weights.T
         z += layer.bias
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        a = np.maximum(z, 0.0) if i < len(net.layout) - 1 else z
     return a
 
 
@@ -520,7 +539,7 @@ def whole_matrix_priorities(logits, rejector, features, mu):
     if mu is None:
         deferral_logits = [whole_forward(rejector, features)[:, 0]]
     else:
-        rho = softmax(logits)
+        rho = reference_softmax(logits)
         kstar = np.argmax(rho, axis=1)
         deferral_logits = (
             whole_forward(rejector, rejector_inputs(rho, kstar, mu[e : e + 1]))[:, 0]

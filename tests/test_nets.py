@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 import deferlab.nets
 from deferlab.errors import TrainingDivergenceError
 from deferlab.nets import (
-    ACTIVATIONS,
     BLOCK_ROWS,
     DenseNet,
     GradientBundle,
@@ -40,7 +41,6 @@ def layer_stacks(draw, max_width=5):
         Layer(
             draw(hnp.arrays(np.float64, (fan_out, fan_in), elements=VALUES)),
             draw(hnp.arrays(np.float64, fan_out, elements=VALUES)),
-            draw(st.sampled_from(ACTIVATIONS)),
         )
         for fan_in, fan_out in zip(dims, dims[1:])
     ]
@@ -60,12 +60,13 @@ def layer_grads(grads, net):
 
 
 def reference_forward_cached(net, x):
-    """The unfused forward pass: ``a @ W.T + b``, then ``np.maximum``."""
+    """The unfused forward pass: ``a @ W.T + b``, then ``np.maximum`` on
+    every layer but the last."""
     pre, post = [], [x]
     a = x
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         z = a @ layer.weights.T + layer.bias
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        a = np.maximum(z, 0.0) if i < len(net.layout) - 1 else z
         pre.append(z)
         post.append(a)
     return pre, post
@@ -77,8 +78,8 @@ def reference_backward(net, x, upstream):
     gradient, input gradient)."""
     pre, post = reference_forward_cached(net, x)
     parts, delta = [], upstream
-    for layer, z, a in reversed(list(zip(net.layers, pre, post))):
-        if layer.activation == "relu":
+    for i, (layer, z, a) in reversed(list(enumerate(zip(net.layers, pre, post)))):
+        if i < len(net.layout) - 1:
             delta = delta * (z > 0)
         parts[:0] = [(delta.T @ a).ravel(), np.ones(len(delta)) @ delta]
         delta = delta @ layer.weights
@@ -101,11 +102,8 @@ def zero_grads(net):
     return GradientBundle(np.zeros_like(net.params), net.layout)
 
 
-def zero_net(dims, activation="identity"):
-    layers = [
-        Layer(np.zeros((o, i)), np.zeros(o), activation)
-        for i, o in zip(dims, dims[1:])
-    ]
+def zero_net(dims):
+    layers = [Layer(np.zeros((o, i)), np.zeros(o)) for i, o in zip(dims, dims[1:])]
     return DenseNet.from_layers(layers)
 
 
@@ -115,7 +113,7 @@ class TestForward:
         assert np.array_equal(forward(net, np.ones((1, 3))), np.zeros((1, 2)))
 
     def test_identity_layer_passes_input_through(self):
-        net = DenseNet.from_layers([Layer(np.eye(4), np.zeros(4), "identity")])
+        net = DenseNet.from_layers([Layer(np.eye(4), np.zeros(4))])
         v = np.array([[0.5, -2.0, 3.25, 0.0]])
         assert np.array_equal(forward(net, v), v)
 
@@ -165,8 +163,8 @@ class TestForward:
         with pytest.raises(ValueError):
             DenseNet.from_layers(
                 [
-                    Layer(np.zeros((4, 3)), np.zeros(4), "relu"),
-                    Layer(np.zeros((2, 5)), np.zeros(2), "identity"),
+                    Layer(np.zeros((4, 3)), np.zeros(4)),
+                    Layer(np.zeros((2, 5)), np.zeros(2)),
                 ]
             )
 
@@ -174,10 +172,10 @@ class TestForward:
 def whole_forward(net, x):
     """``forward`` without row blocks: every layer on the whole batch."""
     a = x
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         z = a @ layer.weights.T
         z += layer.bias
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        a = np.maximum(z, 0.0) if i < len(net.layout) - 1 else z
     return a
 
 
@@ -252,9 +250,9 @@ class TestForwardCached:
         with np.errstate(invalid="ignore", over="ignore"):
             ref_pre, _ = reference_forward_cached(net, x)
             outs = forward_cached(net, x)
-        for out, z, activation in zip(outs[1:], ref_pre, net.activations):
+        for i, (out, z) in enumerate(zip(outs[1:], ref_pre)):
             assert np.array_equal(out > 0, z > 0)
-            expected = np.maximum(z, 0.0) if activation == "relu" else z
+            expected = np.maximum(z, 0.0) if i < len(net.layout) - 1 else z
             assert np.array_equal(out, expected, equal_nan=True)
 
     def test_relu_pattern_reads_signs_of_relu_layers_only(self):
@@ -281,47 +279,72 @@ class TestForwardCached:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def reference_softmax(logits):
+    """The row softmax on its own: ``exp`` of the max-shifted logits over
+    their row sum."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):
-        assert np.allclose(softmax(np.zeros(3)), np.full(3, 1 / 3), atol=1e-15)
+        rho, top, total = softmax(np.zeros((1, 3)))
+        assert np.allclose(rho, np.full((1, 3), 1 / 3), atol=1e-15)
+        assert top[0] == 0.0 and total[0] == 3.0
 
     def test_large_logits_do_not_overflow(self):
-        q = softmax(np.array([1000.0, 0.0]))
-        assert np.all(np.isfinite(q))
-        assert q[0] == pytest.approx(1.0, abs=1e-12)
-        assert q[1] == pytest.approx(0.0, abs=1e-12)
+        rho, _, _ = softmax(np.array([[1000.0, 0.0]]))
+        assert np.all(np.isfinite(rho))
+        assert rho[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert rho[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            v = rng.normal(scale=5, size=rng.integers(2, 12))
+            v = rng.normal(scale=5, size=(1, rng.integers(2, 12)))
             c = rng.normal()
-            assert np.allclose(softmax(v), softmax(v + c), atol=1e-12)
+            assert np.allclose(softmax(v)[0], softmax(v + c)[0], atol=1e-12)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
-            v = rng.normal(scale=10, size=rng.integers(1, 15))
-            q = softmax(v)
-            assert abs(q.sum() - 1.0) < 1e-12
-            assert np.all(q > 0) and np.all(q < 1 + 1e-12)
+            rho, _, _ = softmax(rng.normal(scale=10, size=(1, rng.integers(1, 15))))
+            assert abs(rho.sum() - 1.0) < 1e-12
+            assert np.all(rho > 0) and np.all(rho < 1 + 1e-12)
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
-            softmax(np.zeros(0))
+            softmax(np.zeros((1, 0)))
 
     def test_rows_match_one_row_calls_bit_for_bit(self):
         m = np.random.default_rng(13).normal(scale=5, size=(7, 4))
         rows = softmax(m)
         for i in range(len(m)):
-            assert rows[i].tobytes() == softmax(m[i]).tobytes()
+            one = softmax(m[i : i + 1])
+            for whole, single in zip(rows, one):
+                assert whole[i].tobytes() == single[0].tobytes()
 
     def test_nonfinite_logits_are_not_validated(self):
         # training relies on this: the NaN reaches the loss, whose check
         # raises TrainingDivergenceError
-        with np.errstate(invalid="ignore"):
-            q = softmax(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-        assert np.isnan(q[0]).any() and np.isfinite(q[1]).all()
+        rho, _, _ = softmax(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        assert np.isnan(rho[0]).any() and np.isfinite(rho[1]).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+            elements=st.one_of(VALUES, st.floats(-50.0, 50.0), st.sampled_from([1e300, -1e300])),
+        )
+    )
+    def test_rho_is_the_reference_and_the_terms_give_the_logsumexp(self, logits):
+        rho, top, total = softmax(logits)
+        assert rho.tobytes() == reference_softmax(logits).tobytes()
+        # atol for rows whose logsumexp cancels to near 0
+        np.testing.assert_allclose(
+            top + np.log(total), np.logaddexp.reduce(logits, axis=1), rtol=1e-12, atol=1e-12
+        )
 
 
 class TestBackward:
@@ -335,7 +358,7 @@ class TestBackward:
         # loss = 0.5 * (w x - y)^2, dW = (yhat - y) x^T
         rng = np.random.default_rng(5)
         w = rng.normal(size=(2, 3))
-        net = DenseNet.from_layers([Layer(w, np.zeros(2), "identity")])
+        net = DenseNet.from_layers([Layer(w, np.zeros(2))])
         x = rng.normal(size=(1, 3))
         y = rng.normal(size=(1, 2))
         yhat = forward(net, x)
@@ -426,7 +449,7 @@ class TestSgdStep:
 
     def test_one_step_reduces_quadratic_loss(self):
         # single parameter w, loss = (w - 3)^2
-        net = DenseNet.from_layers([Layer(np.array([[0.0]]), np.zeros(1), "identity")])
+        net = DenseNet.from_layers([Layer(np.array([[0.0]]), np.zeros(1))])
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
 
         def loss(n):
@@ -472,7 +495,7 @@ class TestSgdStep:
             assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
 
     def test_weight_decay_applied(self):
-        net = DenseNet.from_layers([Layer(np.array([[2.0]]), np.zeros(1), "identity")])
+        net = DenseNet.from_layers([Layer(np.array([[2.0]]), np.zeros(1))])
         cfg = TrainConfig(learning_rate=0.5, batch_size=1, epochs=1, weight_decay=0.1)
         out = sgd_step(net, zero_grads(net), cfg)
         assert out.layers[0].weights[0, 0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0)
@@ -540,8 +563,8 @@ class TestFiniteDifferenceCheck:
         # w=0, x=1 puts the relu pre-activation exactly at the kink
         net = DenseNet.from_layers(
             [
-                Layer(np.array([[0.0]]), np.zeros(1), "relu"),
-                Layer(np.array([[1.0]]), np.zeros(1), "identity"),
+                Layer(np.array([[0.0]]), np.zeros(1)),
+                Layer(np.array([[1.0]]), np.zeros(1)),
             ]
         )
         x = np.array([[1.0]])
@@ -641,7 +664,8 @@ class TestFlatLayout:
         packed = b"".join(a.tobytes() for l in layers for a in (l.weights, l.bias))
         assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
         assert net.params.tobytes() == packed
-        assert net.activations == tuple(l.activation for l in layers)
+        assert [f.name for f in dataclasses.fields(net)] == ["params", "layout"]
+        assert [f.name for f in dataclasses.fields(layers[0])] == ["weights", "bias"]
         assert net.input_dim == layers[0].weights.shape[1]
         assert net.output_dim == layers[-1].weights.shape[0]
         for l in layers:
@@ -656,7 +680,7 @@ class TestFlatLayout:
         stepped = sgd_step(net, grads, cfg, scale)
         assert net.params.tobytes() == packed and dup.params.tobytes() == packed
         for new in (dup, stepped):
-            assert new.layout == net.layout and new.activations == net.activations
+            assert new.layout == net.layout
             assert not np.shares_memory(new.params, net.params)
         dup.params[:] = 0.0
         assert net.params.tobytes() == packed
@@ -668,7 +692,6 @@ class TestFlatLayout:
             views = other.layers
             assert len(views) == len(layers)
             for view, built, (out_dim, in_dim, w0, b0, end) in zip(views, layers, other.layout):
-                assert view.activation == built.activation
                 assert view.weights.shape == built.weights.shape == (out_dim, in_dim)
                 assert view.bias.shape == built.bias.shape == (end - b0,)
                 assert view.weights.flags.c_contiguous

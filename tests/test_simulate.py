@@ -56,7 +56,7 @@ def train_plain_classifier(data, num_classes, epochs=40, lr=0.3, seed=0):
             x = data.train.features[idx]
             y = data.train.labels[idx]
             outs = forward_cached(net, x)
-            q = np.apply_along_axis(softmax, 1, outs[-1])
+            q, _, _ = softmax(outs[-1])
             up = q.copy()
             up[np.arange(len(idx)), y] -= 1.0
             grads = backward(net, outs, up / len(idx))

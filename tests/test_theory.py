@@ -6,7 +6,6 @@ from deferlab.errors import UnsupportedTaskError
 from deferlab.evaluation import area_under
 from deferlab.experts import sample_complexity_bound
 from deferlab.harness import run_theory_checks
-from deferlab.nets import softmax
 from deferlab.simulate import SyntheticTaskSpec, generate_gaussian_task
 from deferlab.theory import (
     bayes_optimal_reference,
@@ -116,7 +115,9 @@ def per_call_reference(task, acc):
     d2 = np.empty((len(x), task.spec.num_classes))
     for k, mean in enumerate(task.class_means):
         d2[:, k] = ((x - mean) ** 2).sum(axis=1)
-    post = softmax(-d2 / (2.0 * task.spec.noise_scale**2))
+    z = -d2 / (2.0 * task.spec.noise_scale**2)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    post = e / e.sum(axis=1, keepdims=True)
     return bayes_optimal_reference(post, task.test.labels, acc)
 
 
