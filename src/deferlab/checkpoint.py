@@ -60,6 +60,16 @@ def save_checkpoint(path, classifier: DenseNet, rejector: DenseNet, cfg: TrainCo
     _write_arrays(path, arrays)
 
 
+# The ``train_config`` keys that hold counts; the others hold real numbers.
+_INT_KEYS = frozenset({"batch_size", "epochs", "seed"})
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``2.0`` compare equal to 1 and 2 in
+    Python, but are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # Each network's array prefix and the meta key that lists its activations.
 _NETS = {"clf": "classifier_activations", "rej": "rejector_activations"}
 
@@ -84,8 +94,11 @@ def load_checkpoint(path) -> tuple[DenseNet, DenseNet, TrainConfig]:
     ``meta`` plus one weight and one bias per listed activation, whose meta
     lacks a key, whose activation list is not ``relu`` for every layer but
     the last and then ``identity``, whose networks do not build (layer
-    shapes that do not compose) or whose ``train_config`` is not a valid
-    ``TrainConfig`` raises ``ValueError`` naming the file and the key.
+    shapes that do not compose), whose ``format_version`` is not the integer
+    ``FORMAT_VERSION`` or whose ``train_config`` is not a valid
+    ``TrainConfig``, with an integer (not a bool) ``batch_size``, ``epochs``
+    and ``seed`` and a number for every other value, raises ``ValueError``
+    naming the file and the key.
     """
     with np.load(path) as data:
         if "meta" not in data.files:
@@ -105,10 +118,9 @@ def load_checkpoint(path) -> tuple[DenseNet, DenseNet, TrainConfig]:
                     f"checkpoint {path}: meta {key!r} is {meta[key]!r}, not 'relu' "
                     "for every layer but the last and then 'identity'"
                 )
-        if meta["format_version"] != FORMAT_VERSION:
-            raise ValueError(
-                f"checkpoint {path}: unsupported format_version {meta['format_version']}"
-            )
+        version = meta["format_version"]
+        if not _is_int(version) or version != FORMAT_VERSION:
+            raise ValueError(f"checkpoint {path}: unsupported 'format_version' {version!r}")
         expected = {"meta"} | {
             f"{p}_{c}{i}" for p, k in _NETS.items() for i in range(len(meta[k])) for c in "wb"
         }
@@ -121,8 +133,17 @@ def load_checkpoint(path) -> tuple[DenseNet, DenseNet, TrainConfig]:
                 "classifier_activations or rejector_activations"
             )
         classifier, rejector = (_load_net(path, data, meta, p) for p in _NETS)
+    values = meta["train_config"]
+    if isinstance(values, dict):
+        for key, value in values.items():
+            want_int = key in _INT_KEYS
+            if not (_is_int(value) or (not want_int and isinstance(value, float))):
+                raise ValueError(
+                    f"checkpoint {path}: 'train_config' {key!r} is {value!r}, "
+                    f"not {'an int' if want_int else 'a number'}"
+                )
     try:
-        cfg = TrainConfig(**meta["train_config"])
+        cfg = TrainConfig(**values)
     except (TypeError, ValueError) as err:
         raise ValueError(f"checkpoint {path}: bad 'train_config': {err}") from err
     return classifier, rejector, cfg

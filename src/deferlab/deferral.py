@@ -16,8 +16,10 @@ rows built by ``rejector_inputs``. The (K+1)-way joint softmax of every
 pair is never built: its K class columns are the same for every expert, so
 ``_joint_terms`` factors it through the class softmax and logsumexp of each
 example, and a batch costs O(experts * batch + batch * K). Both methods
-train through one loop, ``_fit``; finite-difference checks call the loss
-functions on one-row batches.
+train through one loop, ``_fit``, which calls the loss cores that the
+public loss functions wrap, ``_ea_l2d`` and ``_pop_avg``, and steps both
+networks in place as one packed vector; finite-difference checks call the
+loss functions on one-row batches.
 
 Each ea_l2d batch recounts the cohort's posterior means from a fresh
 context subsample, all experts drawn at once by ``_ContextDraw``: one
@@ -41,6 +43,7 @@ from .experts import PriorElicitation, build_representation, posterior_means, pr
 from .nets import (
     Activations,
     DenseNet,
+    GradientBundle,
     TrainConfig,
     backward,
     forward,
@@ -70,9 +73,17 @@ def mode_labels(prediction_matrix: np.ndarray, num_classes: int) -> np.ndarray:
 # --- batched loss/gradient machinery -------------------------------------
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+def _check_labels(labels: np.ndarray, num_classes: int, what: str = "labels") -> None:
     if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(f"labels must lie in [0, {num_classes})")
+        raise ValueError(f"{what} must lie in [0, {num_classes})")
+
+
+def _check_split(data: Dataset, num_classes: int, name: str) -> None:
+    """A training call's data split is nonempty and its labels lie in
+    [0, K); checked once per call, so the loss cores check nothing."""
+    if len(data) == 0:
+        raise ValueError(f"{name} data must be nonempty")
+    _check_labels(data.labels, num_classes, f"{name} labels")
 
 
 def _joint_terms(
@@ -107,15 +118,14 @@ def _joint_terms(
     """
     experts, batch = g.shape
     rows = np.arange(batch)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = g - lse
-        soft = np.logaddexp(0.0, z)
-        active = weights > 0
-        classifier_sum = float(experts * (lse - logits[rows, labels]).sum() + soft.sum())
-        deferral_sum = float((weights[active] * np.logaddexp(0.0, -z[active])).sum())
-        defer = np.exp(z - soft)
-        d_g = (1.0 + weights) * defer - weights
-        d_logits = rho * ((1.0 + weights) * np.exp(-soft)).sum(axis=0)[:, None]
+    z = g - lse
+    soft = np.logaddexp(0.0, z)
+    active = weights > 0
+    classifier_sum = float(experts * (lse - logits[rows, labels]).sum() + soft.sum())
+    deferral_sum = float((weights[active] * np.logaddexp(0.0, -z[active])).sum())
+    defer = np.exp(z - soft)
+    d_g = (1.0 + weights) * defer - weights
+    d_logits = rho * ((1.0 + weights) * np.exp(-soft)).sum(axis=0)[:, None]
     d_logits[rows, labels] -= experts
     return classifier_sum, deferral_sum, d_g, d_logits
 
@@ -127,15 +137,12 @@ def _forward_for(
 
     Without gradients the plain ``forward`` runs, which keeps no per-layer
     arrays: validation batches are large and would otherwise raise peak
-    memory for nothing. A layer that overflows raises no numpy warning: its
-    infinite outputs make the loss non-finite, and the training loop
-    reports that as divergence.
+    memory for nothing.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if want_grads:
-            outs = forward_cached(net, x)
-            return outs[-1], outs
-        return forward(net, x), None
+    if want_grads:
+        outs = forward_cached(net, x)
+        return outs[-1], outs
+    return forward(net, x), None
 
 
 def rejector_inputs(rho: np.ndarray, kstar: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -157,6 +164,19 @@ def rejector_inputs(rho: np.ndarray, kstar: np.ndarray, mu: np.ndarray) -> np.nd
     feats[:, :, 2] = mu[:, kstar]
     feats[:, :, 3] = mu[np.arange(experts), estar][:, None]
     return feats.reshape(experts * batch, 4)
+
+
+# A pair of gradient destinations, (classifier, rejector); ``None`` asks
+# ``backward`` for a new bundle.
+_GradOut = tuple[GradientBundle | None, GradientBundle | None]
+
+
+def _quiet() -> np.errstate:
+    """The floating-point state the loss cores run in: an overflow or an
+    invalid operation raises no numpy warning, because its non-finite values
+    make the loss non-finite (or, in training, the updated weights), and
+    that is reported instead."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def ea_l2d_loss_grads(
@@ -191,8 +211,24 @@ def ea_l2d_loss_grads(
     choices (relu signs of both networks, the classifier argmax) for
     finite-difference kink detection.
     """
+    _check_labels(labels, mu.shape[1])
+    with _quiet():
+        return _ea_l2d(classifier, rejector, features, labels, mu, want_grads)
+
+
+def _ea_l2d(
+    classifier: DenseNet,
+    rejector: DenseNet,
+    features: np.ndarray,
+    labels: np.ndarray,
+    mu: np.ndarray,
+    want_grads: bool,
+    out: _GradOut = (None, None),
+):
+    """The body of ``ea_l2d_loss_grads``, for a caller that has checked the
+    labels and entered ``_quiet``; the gradients go into ``out``'s bundles,
+    or new ones where ``None``."""
     experts, num_classes = mu.shape
-    _check_labels(labels, num_classes)
     batch = len(labels)
     logits, clf_acts = _forward_for(classifier, features, want_grads)
     rho, top, total = softmax(logits)
@@ -208,7 +244,9 @@ def ea_l2d_loss_grads(
     if not want_grads:
         return classifier_sum, deferral_sum, None, None, None
 
-    rej_grads = backward(rejector, rej_acts, d_g.reshape(-1, 1), want_input_grad=True)
+    rej_grads = backward(
+        rejector, rej_acts, d_g.reshape(-1, 1), want_input_grad=True, out=out[1]
+    )
     d_feats = rej_grads.input_grad.reshape(experts, batch, 4)
 
     onehot_estar = np.zeros((experts, num_classes))
@@ -217,7 +255,7 @@ def ea_l2d_loss_grads(
     d_rho[np.arange(batch), kstar] += d_feats[:, :, 1].sum(axis=0)
     d_logits += rho * (d_rho - (d_rho * rho).sum(axis=1, keepdims=True))
 
-    clf_grads = backward(classifier, clf_acts, d_logits)
+    clf_grads = backward(classifier, clf_acts, d_logits, out=out[0])
 
     pattern = np.concatenate(
         [relu_pattern(classifier, clf_acts), relu_pattern(rejector, rej_acts), kstar]
@@ -239,6 +277,22 @@ def pop_avg_loss_grads(
     of the experts' predictions is its label and 0 otherwise. It is the
     one-expert case of the same factored joint loss."""
     _check_labels(labels, classifier.output_dim)
+    with _quiet():
+        return _pop_avg(classifier, rejector, features, labels, weights, want_grads)
+
+
+def _pop_avg(
+    classifier: DenseNet,
+    rejector: DenseNet,
+    features: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    want_grads: bool,
+    out: _GradOut = (None, None),
+):
+    """The body of ``pop_avg_loss_grads``, for a caller that has checked
+    the labels and entered ``_quiet``; the gradients go into ``out``'s
+    bundles, or new ones where ``None``."""
     logits, clf_acts = _forward_for(classifier, features, want_grads)
     rej_out, rej_acts = _forward_for(rejector, features, want_grads)
     rho, top, total = softmax(logits)
@@ -250,8 +304,8 @@ def pop_avg_loss_grads(
     if not want_grads:
         return classifier_sum, deferral_sum, None, None, None
 
-    rej_grads = backward(rejector, rej_acts, d_g.T)
-    clf_grads = backward(classifier, clf_acts, d_logits)
+    rej_grads = backward(rejector, rej_acts, d_g.T, out=out[1])
+    clf_grads = backward(classifier, clf_acts, d_logits, out=out[0])
     pattern = np.concatenate(
         [relu_pattern(classifier, clf_acts), relu_pattern(rejector, rej_acts)]
     ).astype(np.int64)
@@ -368,64 +422,92 @@ def _fit(
 ) -> TrainResult:
     """The training loop both methods share.
 
-    ``batch_loss`` is ``ea_l2d_loss_grads`` or ``pop_avg_loss_grads``; its
-    last data argument comes from ``batch_aux(idx, rng)`` for the query rows ``idx``
-    of a batch, and is ``val_aux`` on the validation set. Losses are summed
-    over ``experts`` terms per example and averaged over all of them. Each
-    epoch draws one permutation from the ``cfg.seed`` stream, then the
-    batches draw their own picks from it in order. A non-finite loss raises
-    ``TrainingDivergenceError`` naming the epoch and batch. Every epoch ends
-    with the validation loss on ``val``. With ``patience``, training stops
-    once it has not improved for more than ``patience`` epochs, and the best
-    epoch's networks are returned.
+    ``batch_loss`` is ``_ea_l2d`` or ``_pop_avg``, the loss cores, whose
+    labels the caller has checked; its last data argument comes from
+    ``batch_aux(idx, rng)`` for the query rows ``idx`` of a batch, and is
+    ``val_aux`` on the validation set. Losses are summed over ``experts``
+    terms per example and averaged over all of them. Each epoch draws one
+    permutation from the ``cfg.seed`` stream, then the batches draw their
+    own picks from it in order.
+
+    Training works on one packed vector, the classifier's parameters then
+    the rejector's, copied from the given networks, which stay untouched;
+    both networks are views into it. Each batch's backward passes write
+    into one gradient vector of the same layout, and one ``sgd_step``
+    updates the whole vector in place. A non-finite loss, or a non-finite
+    weight after the update, raises ``TrainingDivergenceError`` naming the
+    epoch and batch, and for a weight which network. Every epoch ends with
+    the validation loss on ``val``. With ``patience``, training stops once
+    it has not improved for more than ``patience`` epochs, and the best
+    epoch's networks are returned. The returned networks own their vectors.
     """
+    params = np.concatenate([classifier.params, rejector.params])
+    grads = np.empty_like(params)
+    split = classifier.params.size
+    nets = (DenseNet(params[:split], classifier.layout), DenseNet(params[split:], rejector.layout))
+    grad_out = (
+        GradientBundle(grads[:split], classifier.layout),
+        GradientBundle(grads[split:], rejector.layout),
+    )
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
     best_loss = math.inf
     best_epoch: int | None = None
-    best_nets: tuple[DenseNet, DenseNet] | None = None
+    best_params: np.ndarray | None = None
     stale = 0
     pair_count = len(query) * experts
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(query))
-        c_sum = d_sum = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            batch_c, batch_d, clf_grads, rej_grads, _ = batch_loss(
-                classifier, rejector, query.features[idx], query.labels[idx],
-                batch_aux(idx, rng),
-            )
-            if not math.isfinite(batch_c + batch_d):
-                raise TrainingDivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
+    with _quiet():
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(query))
+            c_sum = d_sum = 0.0
+            for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
+                idx = order[start : start + cfg.batch_size]
+                batch_c, batch_d, *_ = batch_loss(
+                    *nets, query.features[idx], query.labels[idx], batch_aux(idx, rng), True,
+                    grad_out,
                 )
-            scale = 1.0 / (len(idx) * experts)
-            classifier = sgd_step(classifier, clf_grads, cfg, scale)
-            rejector = sgd_step(rejector, rej_grads, cfg, scale)
-            c_sum += batch_c
-            d_sum += batch_d
+                if not math.isfinite(batch_c + batch_d):
+                    raise TrainingDivergenceError(
+                        f"non-finite loss at epoch {epoch}, batch {batch}"
+                    )
+                try:
+                    sgd_step(params, grads, cfg, 1.0 / (len(idx) * experts))
+                except TrainingDivergenceError:
+                    bad = [
+                        name for name, net in zip(("classifier", "rejector"), nets)
+                        if not np.isfinite(net.params).all()
+                    ]
+                    raise TrainingDivergenceError(
+                        f"non-finite {' and '.join(bad)} weights after the update at "
+                        f"epoch {epoch}, batch {batch}"
+                    ) from None
+                c_sum += batch_c
+                d_sum += batch_d
 
-        val_c, val_d, *_ = batch_loss(
-            classifier, rejector, val.features, val.labels, val_aux, want_grads=False
-        )
-        val_loss = (val_c + val_d) / (len(val) * experts)
-        history.append(
-            EpochStats(epoch, (c_sum + d_sum) / pair_count, c_sum / pair_count,
-                       d_sum / pair_count, val_loss)
-        )
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_epoch = epoch
-            best_nets = (classifier, rejector)  # sgd_step never mutates a network
-            stale = 0
-        else:
-            stale += 1
-        if patience is not None and stale > patience:
-            break
+            val_c, val_d, *_ = batch_loss(*nets, val.features, val.labels, val_aux, False)
+            val_loss = (val_c + val_d) / (len(val) * experts)
+            history.append(
+                EpochStats(epoch, (c_sum + d_sum) / pair_count, c_sum / pair_count,
+                           d_sum / pair_count, val_loss)
+            )
+            if val_loss < best_loss:
+                best_loss = val_loss
+                best_epoch = epoch
+                best_params = params.copy()
+                stale = 0
+            else:
+                stale += 1
+            if patience is not None and stale > patience:
+                break
 
-    if patience is not None and best_nets is not None:
-        classifier, rejector = best_nets
-    return TrainResult(classifier, rejector, history, best_epoch)
+    if patience is not None and best_params is not None:
+        params = best_params
+    return TrainResult(
+        DenseNet(params[:split].copy(), classifier.layout),
+        DenseNet(params[split:].copy(), rejector.layout),
+        history,
+        best_epoch,
+    )
 
 
 def train(
@@ -449,12 +531,13 @@ def train(
     ``rng.random`` draw and one ``argpartition`` for the whole cohort,
     recounts the cohort's posterior means with two bincounts, averages the
     factored joint loss over (example, expert) pairs in one stacked
-    forward/backward pass, and takes one SGD step on both networks.
+    forward/backward pass, and takes one SGD step on both networks, packed
+    into one vector (see ``_fit``). The given networks stay untouched.
     Early stopping monitors the validation loss computed with full-context
     posterior means, built by ``build_representation`` before the loop.
     """
-    if len(query) == 0:
-        raise ValueError("query data must be nonempty")
+    _check_split(query, classifier.output_dim, "query")
+    _check_split(val, classifier.output_dim, "validation")
     if not contexts:
         raise ValueError("need at least one expert context set")
     if len(priors) != len(contexts):
@@ -468,7 +551,7 @@ def train(
     draw = _ContextDraw.build(contexts, lams, alpha0, beta0)
 
     return _fit(
-        classifier, rejector, query, cfg, ea_l2d_loss_grads, lambda idx, rng: draw.mu(rng),
+        classifier, rejector, query, cfg, _ea_l2d, lambda idx, rng: draw.mu(rng),
         len(contexts), val, full_mu, patience,
     )
 
@@ -496,12 +579,12 @@ def train_pop_avg(
 ) -> TrainResult:
     """Baseline training loop driven by the mode of expert predictions, which
     must have one column per row of ``query`` and of ``val``."""
-    if len(query) == 0:
-        raise ValueError("query data must be nonempty")
+    _check_split(query, classifier.output_dim, "query")
+    _check_split(val, classifier.output_dim, "validation")
     weights = _mode_weights(query_predictions, query, classifier.output_dim, "query")
     val_weights = _mode_weights(val_predictions, val, classifier.output_dim, "validation")
 
     return _fit(
-        classifier, rejector, query, cfg, pop_avg_loss_grads, lambda idx, rng: weights[idx], 1,
+        classifier, rejector, query, cfg, _pop_avg, lambda idx, rng: weights[idx], 1,
         val, val_weights, patience,
     )

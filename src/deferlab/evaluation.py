@@ -171,7 +171,8 @@ def case_priorities(
     each expert costs one rejector forward and one ``_defer_priority``, and
     no (cases, K+1) joint is built. The working arrays hold one block's rows
     whatever the test set size, and a case's priority does not depend on
-    the block it falls in.
+    the block it falls in. Row e depends only on ``mu[e]``, so the rows of
+    a slice of experts equal the same slice of the whole matrix bit for bit.
     """
     if mu is None and len(features) != len(logits):
         raise ValueError(
@@ -195,38 +196,41 @@ def case_priorities(
 
 def score_cases(
     logits: np.ndarray,
-    rejector: DenseNet,
+    priorities: np.ndarray,
     data: Dataset,
-    mu: np.ndarray | None,
     expert_predictions: np.ndarray,
     rng: np.random.Generator,
 ) -> ScoredCases:
-    """Score every case against a cohort, given the classifier's logits on
-    ``data``.
+    """Score every case against a cohort from the classifier's logits on
+    ``data`` and the system's ``case_priorities``: (experts, cases) for an
+    expert-aware system, or (1, cases) for an expert-independent one, whose
+    one row every expert shares.
 
-    The logits, ``data`` and every expert's predictions (experts, cases)
-    must cover the same cases, and ``mu`` the same experts, else
-    ``ValueError``. Expert-aware systems (``mu`` given) defer each case to
-    the argmax-priority expert (ties go to the lowest cohort index);
-    expert-independent ones (``mu=None``) cannot discriminate, so the
-    deferred expert is a uniform seeded draw.
+    The logits, ``data``, the priorities and the predictions (experts,
+    cases) must cover the same cases, and the priorities have one row or
+    one per expert, else ``ValueError``. An expert-aware system defers each
+    case to the argmax-priority expert (ties go to the lowest cohort
+    index); an expert-independent one cannot discriminate, so in a cohort
+    of more than one the deferred expert is a uniform seeded draw.
     """
     preds = np.asarray(expert_predictions, dtype=np.int64)
+    priorities = np.asarray(priorities, dtype=np.float64)
     n = len(data)
     if preds.ndim != 2:
         raise ValueError("expert predictions must be (experts, cases)")
     cohort = preds.shape[0]
     if cohort == 0:
         raise ValueError("cannot score against an empty cohort")
-    if mu is not None and len(mu) != cohort:
-        raise ValueError(f"mu has {len(mu)} experts but the predictions have {cohort}")
+    if priorities.ndim != 2 or priorities.shape[0] not in (1, cohort):
+        raise ValueError(
+            f"priorities of shape {priorities.shape} need 1 or {cohort} rows, "
+            f"one per expert of the predictions"
+        )
     if len(logits) != n:
         raise ValueError(f"logits have {len(logits)} rows but the data has {n} cases")
-    if preds.shape[1] != n:
-        raise ValueError(
-            f"expert predictions have {preds.shape[1]} columns but the data has {n} cases"
-        )
-    priorities = case_priorities(logits, rejector, data.features, mu)
+    for name, cols in (("expert predictions", preds.shape[1]), ("priorities", priorities.shape[1])):
+        if cols != n:
+            raise ValueError(f"{name} have {cols} columns but the data has {n} cases")
     clf_correct = np.argmax(logits, axis=1) == data.labels
 
     if priorities.shape[0] == 1 and cohort > 1:

@@ -26,6 +26,7 @@ from .evaluation import (
     Curve,
     area_under,
     build_curves,
+    case_priorities,
     score_cases,
     write_curve_csv,
     write_metrics_csv,
@@ -244,13 +245,19 @@ def _evaluate_seed(
 
             for method, result in trained.items():
                 logits = forward(result.classifier, task.test.features)
+                # ea_l2d: one row per expert of the population, which each
+                # cohort slices; pop_avg: one row that every cohort shares
+                priorities = case_priorities(
+                    logits, result.rejector, task.test.features,
+                    mu if method == "ea_l2d" else None,
+                )
                 for cohort_name, idx in cohorts:
                     pick_rng = np.random.default_rng(
                         _subseed(seed, pi, ei, 13, 0 if cohort_name == "id" else 1)
                     )
                     cases = score_cases(
-                        logits, result.rejector, task.test,
-                        mu[idx] if method == "ea_l2d" else None, test_preds[idx], pick_rng,
+                        logits, priorities[idx] if method == "ea_l2d" else priorities,
+                        task.test, test_preds[idx], pick_rng,
                     )
                     records.append(
                         Record(method, p, epe, seed, cohort_name, *build_curves(cases))
@@ -389,7 +396,10 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
         logits = forward(result.classifier, task.test.features)
         records = []
         for arm, mu in arm_mu.items():
-            cases = score_cases(logits, result.rejector, task.test, mu, target_preds, pick_rng)
+            cases = score_cases(
+                logits, case_priorities(logits, result.rejector, task.test.features, mu),
+                task.test, target_preds, pick_rng,
+            )
             records.append(Record("ea_l2d", p, epe, seed, arm, *build_curves(cases)))
         return records
 

@@ -4,23 +4,25 @@ Everything is float64 numpy. Every network has one architecture: each
 layer but the last applies relu, and the last is linear. So a network is
 two things: one contiguous parameter vector, ``DenseNet.params`` (layer by
 layer, the weight matrix in row-major order, then the bias), and its
-``layout``, every layer's shape and offsets in that vector. The passes take
-each layer's weight and bias as views into the vector at the layout's
-offsets.
+``layout``, every layer's shape and offsets in that vector. A network
+builds every layer's weight and bias as views into the vector once, when
+it is constructed (``DenseNet.views``), and the passes read those; a
+``DenseNet`` is frozen, so ``params`` is never rebound under its views,
+and a change to the vector's values is a change to the network.
 ``DenseNet.from_layers`` builds a network from a list of ``Layer`` objects
 and packs their arrays into a new vector, so a network never shares memory
-with the arrays it was built from; ``net.layers`` turns the vector back
-into ``Layer`` views, for readers outside the passes such as checkpoints.
-Gradients use the same layout: ``backward`` writes every layer's gradient
-into one vector, ``GradientBundle.flat``, and ``sgd_step`` updates the
-whole parameter vector in one expression,
-``w - lr * (grad * scale + weight_decay * w)``.
+with the arrays it was built from; ``net.layers`` turns the views back
+into ``Layer`` objects, for readers outside the passes such as
+checkpoints. A network may also be built over a slice of a longer vector:
+training packs the classifier and the rejector into one vector.
 
-Networks are plain value objects. ``sgd_step`` and ``DenseNet.copy`` return
-a network over a new vector, with the same layout, and leave their input
-untouched; early stopping keeps its best weights by holding on to an
-earlier network, so it relies on this. Nothing here keeps hidden state, so
-instances are safe to share across threads.
+Gradients use the same layout: ``backward`` writes every layer's gradient
+into one vector, ``GradientBundle.flat``, a new one or the caller's
+``out``. ``sgd_step`` updates a parameter vector in place from a gradient
+vector of the same layout, so one call can step every network packed into
+the vector; it consumes the gradient. The forward and backward passes
+write nothing but their own results, so a network is safe to share across
+threads while no step runs on it.
 
 Every pass takes a ``(batch, in_dim)`` matrix, one row per example; one
 example is a one-row batch. Both forward passes run the same layer step,
@@ -80,23 +82,43 @@ class Layer:
 Layout = tuple[tuple[int, int, int, int, int], ...]
 
 
-def _views(flat: np.ndarray, layout: Layout) -> list[tuple[np.ndarray, np.ndarray]]:
+LayerViews = tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _views(flat: np.ndarray, layout: Layout) -> LayerViews:
     """Every layer's (weights, bias) as views into ``flat``."""
-    return [
+    return tuple(
         (flat[w0:b0].reshape(out_dim, in_dim), flat[b0:end])
         for out_dim, in_dim, w0, b0, end in layout
-    ]
+    )
 
 
-@dataclass
+def _layout_size(layout: Layout) -> int:
+    return layout[-1][4] if layout else 0
+
+
+@dataclass(frozen=True)
 class DenseNet:
     """A network over ``params``, laid out by ``layout``: relu after every
-    layer but the last, which is linear. The fields are taken as given:
-    build a network with ``from_layers`` or ``dense_net``, and derive one
-    from another only with a vector of the same size."""
+    layer but the last, which is linear. ``views`` holds every layer's
+    (weights, bias) as views into ``params``, built once here. ``params``
+    must be a float64 vector of the layout's size, else ``ValueError``;
+    the layout is taken as given: build a network with ``from_layers`` or
+    ``dense_net``, and a network over another vector with an existing
+    network's layout."""
 
     params: np.ndarray
     layout: Layout
+    views: LayerViews = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        size = _layout_size(self.layout)
+        if self.params.dtype != np.float64 or self.params.shape != (size,):
+            raise ValueError(
+                f"parameters of dtype {self.params.dtype} and shape {self.params.shape} "
+                f"do not fit a float64 layout of {size} parameters"
+            )
+        object.__setattr__(self, "views", _views(self.params, self.layout))
 
     @classmethod
     def from_layers(cls, layers: Sequence[Layer]) -> "DenseNet":
@@ -116,9 +138,9 @@ class DenseNet:
 
     @property
     def layers(self) -> list[Layer]:
-        """Every layer over views into ``params``, built on each read; for
-        readers outside the passes, which use ``layout`` instead."""
-        return [Layer(w, b) for w, b in _views(self.params, self.layout)]
+        """Every layer over its views into ``params``; for readers outside
+        the passes, which use ``views``."""
+        return [Layer(w, b) for w, b in self.views]
 
     @property
     def input_dim(self) -> int:
@@ -129,6 +151,7 @@ class DenseNet:
         return self.layout[-1][0]
 
     def copy(self) -> "DenseNet":
+        """The network over a new vector of its own."""
         return DenseNet(self.params.copy(), self.layout)
 
 
@@ -155,8 +178,11 @@ class TrainConfig:
 class GradientBundle:
     """Gradients in the owning network's flat layout.
 
-    ``flat[i]`` is the gradient of ``net.params[i]``. ``input_grad`` carries
-    the loss gradient with respect to the network input, which is what lets
+    ``flat[i]`` is the gradient of ``net.params[i]``, and ``views`` holds
+    every layer's (weight gradient, bias gradient) as views into ``flat``,
+    built once here, so rebinding ``flat`` would detach them; ``backward``
+    writes through them into a caller's bundle. ``input_grad`` carries the
+    loss gradient with respect to the network input, which is what lets
     one network's backward pass chain into another's; it is ``None`` unless
     ``backward`` was asked for it.
     """
@@ -164,14 +190,16 @@ class GradientBundle:
     flat: np.ndarray
     layout: Layout
     input_grad: np.ndarray = field(default=None)  # type: ignore[assignment]
+    views: LayerViews = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.flat = np.asarray(self.flat, dtype=np.float64)
-        size = self.layout[-1][4] if self.layout else 0
+        size = _layout_size(self.layout)
         if self.flat.shape != (size,):
             raise ValueError(
                 f"flat gradient shape {self.flat.shape} does not fit a layout of {size} parameters"
             )
+        self.views = _views(self.flat, self.layout)
 
     def matches(self, net: DenseNet) -> bool:
         return self.layout == net.layout
@@ -228,7 +256,7 @@ def _layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarra
 def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Forward pass of a (batch, in_dim) matrix, in ``row_blocks``."""
     x = _check_input(net, x)
-    layers = _views(net.params, net.layout)
+    layers = net.views
     last = len(layers) - 1
     out = np.empty((len(x), net.output_dim))
     for rows in row_blocks(len(x)):
@@ -247,7 +275,7 @@ def forward_cached(net: DenseNet, x: np.ndarray) -> Activations:
     every layer's output, so the last entry equals ``forward(net, x)``."""
     outs = [_check_input(net, x)]
     last = len(net.layout) - 1
-    for i, (w, b) in enumerate(_views(net.params, net.layout)):
+    for i, (w, b) in enumerate(net.views):
         outs.append(_layer(outs[-1], w, b, i < last))
     return outs
 
@@ -265,7 +293,11 @@ def relu_pattern(net: DenseNet, outs: Activations) -> np.ndarray:
 
 
 def backward(
-    net: DenseNet, outs: Activations, upstream: np.ndarray, want_input_grad: bool = False
+    net: DenseNet,
+    outs: Activations,
+    upstream: np.ndarray,
+    want_input_grad: bool = False,
+    out: GradientBundle | None = None,
 ) -> GradientBundle:
     """Gradients of a scalar loss given d(loss)/d(output).
 
@@ -278,6 +310,9 @@ def backward(
     to the input, one more product with the first layer's weights, is
     computed only with ``want_input_grad``; otherwise ``input_grad`` is
     ``None``.
+
+    The gradients go into a new bundle, or with ``out`` into that bundle of
+    the network's layout, which is overwritten and returned.
     """
     if len(outs) != len(net.layout) + 1:
         raise ValueError(
@@ -291,10 +326,11 @@ def backward(
         raise ValueError(
             f"upstream gradient shape {upstream.shape}, expected {expected}"
         )
+    if out is None:
+        out = GradientBundle(np.empty(net.params.size), net.layout)
+    elif not out.matches(net):
+        raise ValueError("gradient destination layout does not match the network")
 
-    flat = np.empty(net.params.size)
-    weights = _views(net.params, net.layout)
-    grads = _views(flat, net.layout)
     ones = np.ones(len(upstream))
     delta = upstream
     last = len(net.layout) - 1
@@ -302,31 +338,39 @@ def backward(
         if i < last:
             # below the linear top layer, ``delta`` is this call's own array
             delta *= outs[i + 1] > 0
-        w_grad, b_grad = grads[i]
+        w_grad, b_grad = out.views[i]
         np.matmul(delta.T, outs[i], out=w_grad)
         np.matmul(ones, delta, out=b_grad)
         if i or want_input_grad:
-            delta = delta @ weights[i][0]
-    return GradientBundle(flat, net.layout, delta if want_input_grad else None)
+            delta = delta @ net.views[i][0]
+    out.input_grad = delta if want_input_grad else None
+    return out
 
 
 def sgd_step(
-    net: DenseNet, grads: GradientBundle, cfg: TrainConfig, scale: float = 1.0
-) -> DenseNet:
-    """One SGD update of the flat parameters:
-    w <- w - lr * (grad * scale + weight_decay * w).
+    params: np.ndarray, grads: np.ndarray, cfg: TrainConfig, scale: float = 1.0
+) -> None:
+    """One SGD update of a parameter vector, in place:
+    params <- params - lr * (grads * scale + weight_decay * params).
 
-    Returns a network over a new vector and leaves ``net`` untouched.
-    Finiteness is checked on the updated vector: a non-finite gradient
-    always yields a non-finite value there, so it is caught too.
+    ``grads`` is the gradient vector in the same layout; it is consumed, as
+    the update is formed in it: ``grads *= scale``, ``grads += weight_decay
+    * params``, ``grads *= lr``, ``params -= grads``, which gives the bits
+    of the one expression above. One call steps every network whose
+    parameters are slices of ``params``. Finiteness is checked once, on the
+    updated vector: a non-finite gradient always yields a non-finite value
+    there, so it is caught too, and raises ``TrainingDivergenceError``.
     """
-    if not grads.matches(net):
-        raise ValueError("gradient shapes do not match the network")
-    w = net.params
-    new = w - cfg.learning_rate * (grads.flat * scale + cfg.weight_decay * w)
-    if not np.isfinite(new).all():
+    if grads.shape != params.shape:
+        raise ValueError(
+            f"gradient shape {grads.shape} does not match the parameters' {params.shape}"
+        )
+    grads *= scale
+    grads += cfg.weight_decay * params
+    grads *= cfg.learning_rate
+    params -= grads
+    if not np.isfinite(params).all():
         raise TrainingDivergenceError("non-finite weights after sgd_step (gradient or update)")
-    return DenseNet(new, net.layout)
 
 
 def softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deferlab.deferral
 from deferlab.checkpoint import load_checkpoint, save_checkpoint
 from deferlab.deferral import (
+    EpochStats,
     _ContextDraw,
     _resolve_lambda,
     ea_l2d_loss_grads,
@@ -610,6 +611,194 @@ class TestContextDraw:
         assert mu.tobytes() == expected.tobytes()
 
 
+def reference_train(method, setup, clf, rej, cfg, patience=None):
+    """``run_method``'s training as a plain loop in test code: the public
+    loss functions, and a value-semantics SGD step that builds each
+    network's next vector as a new array,
+    ``w - lr * (grad * scale + weight_decay * w)``. Returns
+    ``(classifier, rejector, history, best_epoch)``."""
+    task, experts, contexts = setup
+    if method == "ea_l2d":
+        draw = context_draw(contexts, None, 4)
+        val_aux = build_representation(
+            *prior_arrays([None] * len(contexts), 4),
+            [c.labels for c in contexts], [c.predictions for c in contexts],
+        )
+        loss, aux, cohort = ea_l2d_loss_grads, lambda idx, rng: draw.mu(rng), len(contexts)
+    else:
+        rng = np.random.default_rng(0)
+        weights, val_aux = (
+            (mode_labels(np.stack([expert_predict_batch(e, d.labels, 4, rng) for e in experts]), 4)
+             == d.labels).astype(np.float64)
+            for d in (task.train, task.val)
+        )
+        loss, aux, cohort = pop_avg_loss_grads, lambda idx, rng: weights[idx], 1
+
+    def step(net, grads, scale):
+        w = net.params
+        new = w - cfg.learning_rate * (grads.flat * scale + cfg.weight_decay * w)
+        return DenseNet(new, net.layout)
+
+    rng = np.random.default_rng(cfg.seed)
+    history, best, best_epoch, stale = [], (math.inf, None), None, 0
+    n, pairs = len(task.train), len(task.train) * cohort
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        c_sum = d_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            c, d, clf_grads, rej_grads, _ = loss(
+                clf, rej, task.train.features[idx], task.train.labels[idx], aux(idx, rng)
+            )
+            scale = 1.0 / (len(idx) * cohort)
+            clf, rej = step(clf, clf_grads, scale), step(rej, rej_grads, scale)
+            c_sum, d_sum = c_sum + c, d_sum + d
+        val_c, val_d, *_ = loss(clf, rej, task.val.features, task.val.labels, val_aux, False)
+        val_loss = (val_c + val_d) / (len(task.val) * cohort)
+        history.append(EpochStats(
+            epoch, (c_sum + d_sum) / pairs, c_sum / pairs, d_sum / pairs, val_loss
+        ))
+        if val_loss < best[0]:
+            best, best_epoch, stale = (val_loss, (clf, rej)), epoch, 0
+        else:
+            stale += 1
+        if patience is not None and stale > patience:
+            break
+    if patience is not None and best_epoch is not None:
+        clf, rej = best[1]
+    return clf, rej, history, best_epoch
+
+
+class TestPackedTraining:
+    """Training steps one packed vector in place; it must equal a loop that
+    steps fresh arrays, and must leave its inputs alone."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        method=st.sampled_from(METHODS),
+        seed=st.integers(0, 2**16),
+        lr=st.sampled_from([0.1, 0.4, 0.9]),
+        wd=st.sampled_from([0.0, 1e-3, 0.05]),
+        batch_size=st.sampled_from([16, 48, 160]),
+        epochs=st.integers(0, 8),
+        patience=st.sampled_from([None, 0, 1]),
+    )
+    # each of these stops early, on an epoch after the best one
+    @example(method="ea_l2d", seed=0, lr=0.9, wd=1e-3, batch_size=16, epochs=8, patience=0)
+    @example(method="pop_avg", seed=0, lr=0.9, wd=1e-3, batch_size=16, epochs=8, patience=0)
+    def test_matches_a_value_semantics_reference_loop(
+        self, method, seed, lr, wd, batch_size, epochs, patience
+    ):
+        setup = small_training_setup()
+        cfg = TrainConfig(lr, batch_size, epochs, weight_decay=wd, seed=seed)
+        clf, rej = dense_net([6, 8, 4], 0), dense_net([4 if method == "ea_l2d" else 6, 8, 1], 1)
+        given_bytes = clf.params.tobytes(), rej.params.tobytes()
+        result = run_method(method, setup, cfg, patience=patience)
+        ref_clf, ref_rej, history, best_epoch = reference_train(
+            method, setup, clf, rej, cfg, patience
+        )
+        assert result.classifier.params.tobytes() == ref_clf.params.tobytes()
+        assert result.rejector.params.tobytes() == ref_rej.params.tobytes()
+        assert result.history == history and result.best_epoch == best_epoch
+        assert (clf.params.tobytes(), rej.params.tobytes()) == given_bytes
+
+    def test_given_networks_untouched_and_results_own_their_memory(self):
+        setup = small_training_setup()
+        task, experts, contexts = setup
+        cfg = TrainConfig(learning_rate=0.3, batch_size=32, epochs=3, seed=0)
+        for method in METHODS:
+            for patience in (None, 1):
+                clf = dense_net([6, 8, 4], 0)
+                rej = dense_net([4 if method == "ea_l2d" else 6, 8, 1], 1)
+                given_bytes = clf.params.tobytes(), rej.params.tobytes()
+                if method == "ea_l2d":
+                    result = train(clf, rej, task.train, contexts, [None] * len(contexts), cfg,
+                                   val=task.val, patience=patience)
+                else:
+                    preds = np.stack([task.train.labels] * 2)
+                    val_preds = np.stack([task.val.labels] * 2)
+                    result = train_pop_avg(clf, rej, task.train, preds, cfg, val=task.val,
+                                           val_predictions=val_preds, patience=patience)
+                assert (clf.params.tobytes(), rej.params.tobytes()) == given_bytes
+                out = (result.classifier.params, result.rejector.params)
+                assert not np.shares_memory(*out)
+                for a in out:
+                    assert a.base is None and a.flags.c_contiguous
+                    assert not np.shares_memory(a, clf.params)
+                    assert not np.shares_memory(a, rej.params)
+                assert result.classifier.params.tobytes() != given_bytes[0]
+
+    @pytest.mark.parametrize("network", ["classifier", "rejector"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_weight_divergence_names_the_network(self, method, network):
+        # Weights scaled to ~1e10 keep the loss finite, but a weight decay of
+        # 1e300 times them overflows in the update; the other network's
+        # weights, below 1, stay finite for one step.
+        task, experts, contexts = small_training_setup()
+        clf = dense_net([6, 8, 4], 0)
+        rej = dense_net([4 if method == "ea_l2d" else 6, 8, 1], 1)
+        if network == "classifier":
+            clf = DenseNet(clf.params * 1e10, clf.layout)
+        else:
+            rej = DenseNet(rej.params * 1e10, rej.layout)
+        cfg = TrainConfig(learning_rate=1.0, batch_size=32, epochs=2, weight_decay=1e300)
+        with pytest.raises(TrainingDivergenceError) as err:
+            if method == "ea_l2d":
+                train(clf, rej, task.train, contexts, [None] * len(contexts), cfg, val=task.val)
+            else:
+                preds, val_preds = np.stack([task.train.labels]), np.stack([task.val.labels])
+                train_pop_avg(clf, rej, task.train, preds, cfg, val=task.val,
+                              val_predictions=val_preds)
+        other = {"classifier": "rejector", "rejector": "classifier"}[network]
+        assert str(err.value) == (
+            f"non-finite {network} weights after the update at epoch 0, batch 0"
+        )
+        assert other not in str(err.value)
+
+    def test_empty_validation_set_rejected_by_name(self):
+        task, experts, contexts = small_training_setup()
+        empty = type(task.val)(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
+        cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
+        with pytest.raises(ValueError, match="validation data must be nonempty"):
+            train(dense_net([6, 8, 4], 0), dense_net([4, 8, 1], 1), task.train, contexts,
+                  [None] * len(contexts), cfg, val=empty)
+        with pytest.raises(ValueError, match="validation data must be nonempty"):
+            train_pop_avg(dense_net([6, 8, 4], 0), dense_net([6, 8, 1], 1), task.train,
+                          np.stack([task.train.labels]), cfg, val=empty,
+                          val_predictions=np.zeros((1, 0), dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_out_of_range_validation_label_rejected_by_name(self, bad):
+        task, experts, contexts = small_training_setup()
+        labels = task.val.labels.copy()
+        labels[7] = bad
+        val = type(task.val)(task.val.features, labels)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
+        with pytest.raises(ValueError, match=r"validation labels must lie in \[0, 4\)"):
+            train(dense_net([6, 8, 4], 0), dense_net([4, 8, 1], 1), task.train, contexts,
+                  [None] * len(contexts), cfg, val=val)
+        with pytest.raises(ValueError, match=r"validation labels must lie in \[0, 4\)"):
+            train_pop_avg(dense_net([6, 8, 4], 0), dense_net([6, 8, 1], 1), task.train,
+                          np.stack([task.train.labels]), cfg, val=val,
+                          val_predictions=np.stack([labels.clip(0, 3)]))
+
+    def test_labels_checked_once_per_training_call(self, monkeypatch):
+        checked = []
+        real = deferlab.deferral._check_labels
+
+        def counting(labels, *args):
+            checked.append(len(labels))
+            return real(labels, *args)
+
+        monkeypatch.setattr(deferlab.deferral, "_check_labels", counting)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=16, epochs=3, seed=0)
+        for method in METHODS:
+            checked.clear()
+            run_method(method, small_training_setup(), cfg)
+            # the query set and the validation set, not every batch
+            assert checked == [160, 60]
+
+
 class TestOneForwardPerBatch:
     """Each training batch runs each network forward once, through the cached
     forward; the plain forward serves only the validation loss."""
@@ -807,6 +996,35 @@ class TestCheckpoint:
         "layers_do_not_compose": (
             lambda arrays, meta: arrays.update(rej_w1=np.zeros((1, 5))),
             "rejector_activations",
+        ),
+        # JSON ``true`` and ``2.0`` compare equal to 1 and 2 in Python
+        "format_version_true": (
+            lambda arrays, meta: meta.update(format_version=True),
+            "format_version",
+        ),
+        "format_version_float": (
+            lambda arrays, meta: meta.update(format_version=1.0),
+            "format_version",
+        ),
+        "batch_size_true": (
+            lambda arrays, meta: meta["train_config"].update(batch_size=True),
+            "batch_size",
+        ),
+        "epochs_float": (
+            lambda arrays, meta: meta["train_config"].update(epochs=2.0),
+            "epochs",
+        ),
+        "seed_true": (
+            lambda arrays, meta: meta["train_config"].update(seed=True),
+            "seed",
+        ),
+        "learning_rate_true": (
+            lambda arrays, meta: meta["train_config"].update(learning_rate=True),
+            "learning_rate",
+        ),
+        "weight_decay_a_string": (
+            lambda arrays, meta: meta["train_config"].update(weight_decay="0"),
+            "weight_decay",
         ),
     }
 

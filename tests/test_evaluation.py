@@ -96,8 +96,9 @@ def score_cohort(mu_at_expertise, predictions):
     mu = np.stack([rep_from_mu([m, 0.05]) for m in mu_at_expertise])
     preds = np.array(predictions, dtype=np.int64).reshape(len(mu), 1)
     logits = np.zeros((1, 2))
-    cases = score_cases(logits, rejector, data, mu, preds, np.random.default_rng(0))
-    return cases, case_priorities(logits, rejector, data.features, mu)[:, 0]
+    priorities = case_priorities(logits, rejector, data.features, mu)
+    cases = score_cases(logits, priorities, data, preds, np.random.default_rng(0))
+    return cases, priorities[:, 0]
 
 
 class TestSelectExpert:
@@ -126,8 +127,8 @@ class TestSelectExpert:
         data = Dataset(np.zeros((2, 3)), np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError, match="empty cohort"):
             score_cases(
-                np.zeros((2, 2)), linear_rejector([0.0] * 4), data, np.zeros((0, 2)),
-                np.zeros((0, 2), dtype=np.int64), np.random.default_rng(0),
+                np.zeros((2, 2)), np.zeros((0, 2)), data, np.zeros((0, 2), dtype=np.int64),
+                np.random.default_rng(0),
             )
 
 
@@ -296,8 +297,8 @@ class TestScoreCases:
         mu = np.stack([rep_from_mu([0.9, 0.4, 0.4]), rep_from_mu([0.4, 0.9, 0.4])])
         preds = np.zeros((2, 12), dtype=np.int64)
         logits = forward(clf, data.features)
-        cases = score_cases(logits, rej, data, mu, preds, np.random.default_rng(0))
         matrix = case_priorities(logits, rej, data.features, mu)
+        cases = score_cases(logits, matrix, data, preds, np.random.default_rng(0))
         expected = np.argmax(matrix, axis=0)
         assert cases.chosen_expert.tolist() == expected.tolist()
         assert all(cases.priority[i] == matrix[e, i] for i, e in enumerate(expected))
@@ -308,21 +309,23 @@ class TestScoreCases:
         data = Dataset(np.random.default_rng(1).normal(size=(400, 3)), np.zeros(400, dtype=np.int64))
         preds = np.zeros((4, 400), dtype=np.int64)
         logits = forward(clf, data.features)
-        cases = score_cases(logits, rej, data, None, preds, np.random.default_rng(5))
+        row = case_priorities(logits, rej, data.features, None)
+        cases = score_cases(logits, row, data, preds, np.random.default_rng(5))
         chosen = cases.chosen_expert
         counts = np.bincount(chosen, minlength=4)
         assert counts.min() > 0.25 * 400 / 4  # roughly uniform
         # same seed draws identically
-        again = score_cases(logits, rej, data, None, preds, np.random.default_rng(5))
+        again = score_cases(logits, row, data, preds, np.random.default_rng(5))
         assert again.chosen_expert.tolist() == chosen.tolist()
 
     def test_empty_cohort_rejected(self):
         clf = dense_net([3, 8, 3], 0)
         rej = dense_net([3, 8, 1], 1)
         data = Dataset(np.zeros((2, 3)), np.zeros(2, dtype=np.int64))
+        logits = forward(clf, data.features)
         with pytest.raises(ValueError):
             score_cases(
-                forward(clf, data.features), rej, data, None,
+                logits, case_priorities(logits, rej, data.features, None), data,
                 np.zeros((0, 2), dtype=np.int64), np.random.default_rng(0),
             )
 
@@ -335,10 +338,12 @@ class TestRowAlignment:
     logits = np.random.default_rng(4).normal(size=(5, 2))
     rejector = dense_net([3, 8, 1], 5)
 
-    def score(self, logits=None, preds_cols=5, mu=None):
+    def score(self, logits=None, preds_cols=5, priorities=None):
         preds = np.zeros((2, preds_cols), dtype=np.int64)
+        if priorities is None:
+            priorities = case_priorities(self.logits, self.rejector, self.data.features, None)
         return score_cases(
-            self.logits if logits is None else logits, self.rejector, self.data, mu, preds,
+            self.logits if logits is None else logits, priorities, self.data, preds,
             np.random.default_rng(0),
         )
 
@@ -357,8 +362,15 @@ class TestRowAlignment:
 
     def test_mu_rows_must_match_the_cohort(self):
         mu = np.stack([rep_from_mu([0.9, 0.4])] * 3)
-        with pytest.raises(ValueError, match="mu has 3 experts but the predictions have 2"):
-            self.score(mu=mu)
+        rejector = dense_net([4, 8, 1], 5)
+        priorities = case_priorities(self.logits, rejector, self.data.features, mu)
+        with pytest.raises(ValueError, match=r"shape \(3, 5\) need 1 or 2 rows"):
+            self.score(priorities=priorities)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (1, 6), (5,)])
+    def test_priority_columns_must_match_the_cases(self, shape):
+        with pytest.raises(ValueError, match="priorities"):
+            self.score(priorities=np.zeros(shape))
 
     def test_aligned_inputs_score(self):
         assert len(self.score()) == 5
@@ -446,6 +458,18 @@ class TestCasePriorityProperties:
         rows = case_priorities(logits, rejector, features, mu)
         permuted = case_priorities(logits, rejector, features, mu[perm])
         assert permuted.tobytes() == rows[perm].tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(priority_inputs(), st.data())
+    def test_a_slice_of_the_cohort_scores_the_slice_of_the_rows(self, inputs, data):
+        # the harness scores a cell's whole population once and slices each cohort
+        logits, rejector, mu = inputs
+        start = data.draw(st.integers(0, len(mu) - 1))
+        stop = data.draw(st.integers(start + 1, len(mu)))
+        features = np.zeros((len(logits), 4))
+        rows = case_priorities(logits, rejector, features, mu)
+        part = case_priorities(logits, rejector, features, mu[start:stop])
+        assert part.tobytes() == rows[start:stop].tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(priority_inputs(), st.data())

@@ -539,3 +539,10 @@ def test_every_benchmark_span_fires_on_evaluate(tmp_path, monkeypatch):
     # ea_l2d pairs every query example with each in-distribution expert,
     # the baseline has one term per example
     assert layers["deferral.pair_steps"] == cfg.epochs * cfg.train_size * (cfg.experts_id + 1)
+    # one update of both networks' packed parameters per batch
+    assert layers["nets.sgd_step.calls"] == layers["deferral.batches"]
+    # one grid cell: each trained method scores every cohort from one
+    # priority matrix, and each cohort picks its own cases
+    assert len(cfg.overlap_probabilities) * len(cfg.expertise_grid()) == 1
+    assert layers["evaluation.case_priorities.calls"] == 2
+    assert layers["evaluation.score_cases.calls"] == 2 * 2

@@ -431,11 +431,22 @@ class TestBackward:
             assert np.allclose(a, b, atol=1e-12)
 
 
+def stepped(net, grads, cfg, scale=1.0):
+    """A copy of ``net`` after one ``sgd_step`` on copies of its vector and
+    of ``grads``; ``net`` and ``grads`` stay untouched."""
+    out = net.copy()
+    sgd_step(out.params, grads.flat.copy(), cfg, scale)
+    return out
+
+
 class TestSgdStep:
+    """``sgd_step(params, grads, cfg, scale)`` updates ``params`` in place
+    and consumes ``grads``."""
+
     def test_zero_gradient_leaves_net_unchanged(self):
         net = dense_net([3, 2], 0)
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
-        out = sgd_step(net, zero_grads(net), cfg)
+        out = stepped(net, zero_grads(net), cfg)
         for a, b in zip(out.layers, net.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
@@ -444,7 +455,7 @@ class TestSgdStep:
         net = dense_net([3, 2], 0)
         grads = GradientBundle(net.params.copy(), net.layout)
         cfg = TrainConfig(learning_rate=1.0, batch_size=1, epochs=1)
-        out = sgd_step(net, grads, cfg)
+        out = stepped(net, grads, cfg)
         assert all(np.all(l.weights == 0) and np.all(l.bias == 0) for l in out.layers)
 
     def test_one_step_reduces_quadratic_loss(self):
@@ -460,8 +471,7 @@ class TestSgdStep:
         grads = GradientBundle(
             np.array([2 * (net.layers[0].weights[0, 0] - 3.0), 0.0]), net.layout
         )
-        stepped = sgd_step(net, grads, cfg)
-        assert loss(stepped) < loss(net)
+        assert loss(stepped(net, grads, cfg)) < loss(net)
 
     def test_nonfinite_gradient_raises(self):
         net = dense_net([2, 2], 0)
@@ -469,7 +479,7 @@ class TestSgdStep:
         layer_grads(grads, net)[0][0][0, 0] = np.nan
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
         with pytest.raises(TrainingDivergenceError):
-            sgd_step(net, grads, cfg)
+            sgd_step(net.params, grads.flat, cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("layer", [0, 1, 2])
@@ -481,7 +491,7 @@ class TestSgdStep:
         arr.flat[arr.size // 2] = bad
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
         with pytest.raises(TrainingDivergenceError):
-            sgd_step(net, grads, cfg)
+            sgd_step(net.params, grads.flat, cfg)
 
     def test_scale_matches_prescaled_gradient_exactly(self):
         rng = np.random.default_rng(6)
@@ -489,16 +499,22 @@ class TestSgdStep:
         grads = GradientBundle(rng.normal(size=net.params.size), net.layout)
         prescaled = GradientBundle(grads.flat * (1 / 96), net.layout)
         cfg = TrainConfig(learning_rate=0.2, batch_size=1, epochs=1, weight_decay=1e-3)
-        a = sgd_step(net, grads, cfg, 1 / 96)
-        b = sgd_step(net, prescaled, cfg)
+        a = stepped(net, grads, cfg, 1 / 96)
+        b = stepped(net, prescaled, cfg)
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
 
     def test_weight_decay_applied(self):
         net = DenseNet.from_layers([Layer(np.array([[2.0]]), np.zeros(1))])
         cfg = TrainConfig(learning_rate=0.5, batch_size=1, epochs=1, weight_decay=0.1)
-        out = sgd_step(net, zero_grads(net), cfg)
+        out = stepped(net, zero_grads(net), cfg)
         assert out.layers[0].weights[0, 0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0)
+
+    def test_shape_mismatch_rejected(self):
+        net = dense_net([3, 2], 0)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
+        with pytest.raises(ValueError, match="shape"):
+            sgd_step(net.params, np.zeros(net.params.size + 1), cfg)
 
     SCALES = st.one_of(
         st.just(1.0),
@@ -515,10 +531,32 @@ class TestSgdStep:
             data.draw(hnp.arrays(np.float64, net.params.size, elements=VALUES)), net.layout
         )
         cfg = TrainConfig(learning_rate=lr, batch_size=1, epochs=1, weight_decay=wd)
-        out = sgd_step(net, grads, cfg, scale)
-        for layer, (w, b) in zip(out.layers, reference_sgd_step(net, grads, cfg, scale)):
+        expected = reference_sgd_step(net, grads, cfg, scale)
+        # in place: views taken before the step read the updated weights
+        out = net.copy()
+        views, buffer = out.layers, out.params.__array_interface__["data"][0]
+        sgd_step(out.params, grads.flat.copy(), cfg, scale)
+        assert out.params.__array_interface__["data"][0] == buffer
+        for layer, (w, b) in zip(views, expected):
             assert layer.weights.tobytes() == w.tobytes()
             assert layer.bias.tobytes() == b.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        nets=st.lists(layered_nets(), min_size=1, max_size=3),
+        wd=DECAYS,
+        scale=SCALES,
+        data=st.data(),
+    )
+    def test_one_step_over_packed_networks_equals_a_step_each(self, nets, wd, scale, data):
+        cfg = TrainConfig(learning_rate=0.3, batch_size=1, epochs=1, weight_decay=wd)
+        flats = [
+            data.draw(hnp.arrays(np.float64, n.params.size, elements=VALUES)) for n in nets
+        ]
+        packed = np.concatenate([n.params for n in nets])
+        sgd_step(packed, np.concatenate(flats), cfg, scale)
+        alone = [stepped(n, GradientBundle(f, n.layout), cfg, scale) for n, f in zip(nets, flats)]
+        assert packed.tobytes() == b"".join(n.params.tobytes() for n in alone)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -533,7 +571,7 @@ class TestSgdStep:
         grads.flat[data.draw(st.integers(0, net.params.size - 1))] = bad
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1, weight_decay=wd)
         with pytest.raises(TrainingDivergenceError):
-            sgd_step(net, grads, cfg, scale)
+            sgd_step(net.params, grads.flat, cfg, scale)
 
 
 class TestTrainConfig:
@@ -657,51 +695,72 @@ class TestFlatLayout:
         scale=TestSgdStep.SCALES,
         data=st.data(),
     )
-    def test_layers_view_params_and_copy_and_step_own_new_vectors(
+    def test_views_built_once_follow_params_and_copy_owns_a_new_vector(
         self, layers, wd, scale, data
     ):
         net = DenseNet.from_layers(layers)
         packed = b"".join(a.tobytes() for l in layers for a in (l.weights, l.bias))
         assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
         assert net.params.tobytes() == packed
-        assert [f.name for f in dataclasses.fields(net)] == ["params", "layout"]
+        assert [f.name for f in dataclasses.fields(net)] == ["params", "layout", "views"]
         assert [f.name for f in dataclasses.fields(layers[0])] == ["weights", "bias"]
         assert net.input_dim == layers[0].weights.shape[1]
         assert net.output_dim == layers[-1].weights.shape[0]
         for l in layers:
             assert not np.shares_memory(net.params, l.weights)
             assert not np.shares_memory(net.params, l.bias)
+        # frozen: the vector under the views is never rebound
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.params = net.params.copy()
 
         grads = GradientBundle(
             data.draw(hnp.arrays(np.float64, net.params.size, elements=VALUES)), net.layout
         )
         cfg = TrainConfig(learning_rate=0.3, batch_size=1, epochs=1, weight_decay=wd)
         dup = net.copy()
-        stepped = sgd_step(net, grads, cfg, scale)
-        assert net.params.tobytes() == packed and dup.params.tobytes() == packed
-        for new in (dup, stepped):
-            assert new.layout == net.layout
-            assert not np.shares_memory(new.params, net.params)
+        assert dup.layout == net.layout
+        assert not np.shares_memory(dup.params, net.params)
+        views = dup.views
+        sgd_step(dup.params, grads.flat.copy(), cfg, scale)
+        assert dup.views is views
+        assert net.params.tobytes() == packed
         dup.params[:] = 0.0
         assert net.params.tobytes() == packed
 
-        # ``layers`` reads every layer back as views into ``params``, in
-        # layout order.
-        for other in (net, dup, stepped):
+        # ``views`` and ``layers`` read every layer as views into ``params``,
+        # in layout order, and follow every change to its values.
+        for other in (net, dup):
             start = other.params.__array_interface__["data"][0]
-            views = other.layers
-            assert len(views) == len(layers)
-            for view, built, (out_dim, in_dim, w0, b0, end) in zip(views, layers, other.layout):
-                assert view.weights.shape == built.weights.shape == (out_dim, in_dim)
-                assert view.bias.shape == built.bias.shape == (end - b0,)
-                assert view.weights.flags.c_contiguous
-                assert view.weights.__array_interface__["data"][0] == start + 8 * w0
-                assert view.bias.__array_interface__["data"][0] == start + 8 * b0
-            read_back = b"".join(a.tobytes() for v in views for a in (v.weights, v.bias))
+            assert len(other.views) == len(other.layers) == len(layers)
+            for (w, b), view, built, (out_dim, in_dim, w0, b0, end) in zip(
+                other.views, other.layers, layers, other.layout
+            ):
+                for arr in (w, view.weights):
+                    assert arr.shape == built.weights.shape == (out_dim, in_dim)
+                    assert arr.flags.c_contiguous
+                    assert arr.__array_interface__["data"][0] == start + 8 * w0
+                for arr in (b, view.bias):
+                    assert arr.shape == built.bias.shape == (end - b0,)
+                    assert arr.__array_interface__["data"][0] == start + 8 * b0
+            read_back = b"".join(a.tobytes() for v in other.layers for a in (v.weights, v.bias))
             assert read_back == other.params.tobytes()
         for view, built in zip(net.layers, layers):
             assert view.weights.tobytes() == built.weights.tobytes()
             assert view.bias.tobytes() == built.bias.tobytes()
+
+    def test_network_over_a_slice_of_a_longer_vector(self):
+        a, b = dense_net([3, 4, 2], 0), dense_net([4, 3, 1], 1)
+        packed = np.concatenate([a.params, b.params])
+        split = a.params.size
+        first, second = DenseNet(packed[:split], a.layout), DenseNet(packed[split:], b.layout)
+        x = np.arange(12.0).reshape(4, 3) / 7
+        assert forward(first, x).tobytes() == forward(a, x).tobytes()
+        packed[split:] *= 2.0
+        assert np.array_equal(second.layers[-1].bias, 2.0 * b.layers[-1].bias)
+        assert np.array_equal(second.views[0][0], 2.0 * b.views[0][0])
+        for bad in (packed, packed[:split].astype(np.float32), packed[:split].reshape(1, -1)):
+            with pytest.raises(ValueError, match="do not fit"):
+                DenseNet(bad, a.layout)
 
     def test_gradient_bundle_views_and_layout_check(self):
         net = dense_net([3, 5, 2], 3)
@@ -712,15 +771,41 @@ class TestFlatLayout:
         _, in_dim, w0, _, _ = net.layout[1]
         assert g.flat[w0 + in_dim + 2] == 4.0
         assert g.flat[net.layout[0][3] + 3] == -1.0
+        assert all(
+            np.shares_memory(view, g.flat) and np.array_equal(view, ref)
+            for built, refs in zip(g.views, layer_grads(g, net))
+            for view, ref in zip(built, refs)
+        )
         assert g.matches(net)
         # same parameter count (32), other shapes
         other = dense_net([2, 6, 2], 0)
         assert other.params.size == net.params.size
         assert not zero_grads(other).matches(net)
-        with pytest.raises(ValueError):
-            sgd_step(net, zero_grads(other), TrainConfig(0.1, 1, 1))
+        outs = forward_cached(net, np.ones((1, 3)))
+        with pytest.raises(ValueError, match="layout"):
+            backward(net, outs, np.ones((1, 2)), out=zero_grads(other))
         with pytest.raises(ValueError):
             GradientBundle(np.zeros(net.params.size + 1), net.layout)
+
+    @settings(max_examples=100, deadline=None)
+    @given(net=layered_nets(), rows=st.integers(0, 6), data=st.data())
+    def test_backward_into_a_destination_overwrites_and_returns_it(self, net, rows, data):
+        x = data.draw(hnp.arrays(np.float64, (rows, net.input_dim), elements=VALUES))
+        up = data.draw(hnp.arrays(np.float64, (rows, net.output_dim), elements=VALUES))
+        outs = forward_cached(net, x)
+        fresh = backward(net, outs, up, want_input_grad=True)
+        # a slice of a longer vector, filled with garbage first
+        buffer = np.full(net.params.size + 3, np.nan)
+        dest = GradientBundle(buffer[2:-1], net.layout)
+        for want in (True, False):
+            got = backward(net, outs, up, want_input_grad=want, out=dest)
+            assert got is dest and got.flat.base is buffer
+            assert got.flat.tobytes() == fresh.flat.tobytes()
+            if want:
+                assert got.input_grad.tobytes() == fresh.input_grad.tobytes()
+            else:
+                assert got.input_grad is None
+        assert np.isnan(buffer[:2]).all() and np.isnan(buffer[-1])
 
     @settings(max_examples=150, deadline=None)
     @given(net=layered_nets(), rows=st.integers(0, 6), data=st.data())

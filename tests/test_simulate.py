@@ -60,7 +60,7 @@ def train_plain_classifier(data, num_classes, epochs=40, lr=0.3, seed=0):
             up = q.copy()
             up[np.arange(len(idx)), y] -= 1.0
             grads = backward(net, outs, up / len(idx))
-            net = sgd_step(net, grads, cfg)
+            sgd_step(net.params, grads.flat, cfg)
     preds = np.argmax(forward(net, data.test.features), axis=1)
     return float(np.mean(preds == data.test.labels))
 
