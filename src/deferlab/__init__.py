@@ -10,13 +10,7 @@ __version__ = "0.1.0"
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, parse_config
-from .deferral import (
-    ea_l2d_loss_grads,
-    pop_avg_loss_grads,
-    rejector_inputs,
-    train,
-    train_pop_avg,
-)
+from .deferral import rejector_inputs, train, train_pop_avg
 from .errors import DatasetParseError, TrainingDivergenceError, UnsupportedTaskError
 from .evaluation import (
     Curve,
@@ -39,7 +33,6 @@ from .nets import (
     TrainConfig,
     backward,
     dense_net,
-    finite_difference_check,
     forward,
     forward_cached,
     sgd_step,

@@ -60,10 +60,6 @@ def save_checkpoint(path, classifier: DenseNet, rejector: DenseNet, cfg: TrainCo
     _write_arrays(path, arrays)
 
 
-# The ``train_config`` keys that hold counts; the others hold real numbers.
-_INT_KEYS = frozenset({"batch_size", "epochs", "seed"})
-
-
 def _is_int(value) -> bool:
     """A JSON integer: ``true`` and ``2.0`` compare equal to 1 and 2 in
     Python, but are not."""
@@ -96,8 +92,7 @@ def load_checkpoint(path) -> tuple[DenseNet, DenseNet, TrainConfig]:
     the last and then ``identity``, whose networks do not build (layer
     shapes that do not compose), whose ``format_version`` is not the integer
     ``FORMAT_VERSION`` or whose ``train_config`` is not a valid
-    ``TrainConfig``, with an integer (not a bool) ``batch_size``, ``epochs``
-    and ``seed`` and a number for every other value, raises ``ValueError``
+    ``TrainConfig`` (whose own checks name the key) raises ``ValueError``
     naming the file and the key.
     """
     with np.load(path) as data:
@@ -133,17 +128,8 @@ def load_checkpoint(path) -> tuple[DenseNet, DenseNet, TrainConfig]:
                 "classifier_activations or rejector_activations"
             )
         classifier, rejector = (_load_net(path, data, meta, p) for p in _NETS)
-    values = meta["train_config"]
-    if isinstance(values, dict):
-        for key, value in values.items():
-            want_int = key in _INT_KEYS
-            if not (_is_int(value) or (not want_int and isinstance(value, float))):
-                raise ValueError(
-                    f"checkpoint {path}: 'train_config' {key!r} is {value!r}, "
-                    f"not {'an int' if want_int else 'a number'}"
-                )
     try:
-        cfg = TrainConfig(**values)
+        cfg = TrainConfig(**meta["train_config"])
     except (TypeError, ValueError) as err:
         raise ValueError(f"checkpoint {path}: bad 'train_config': {err}") from err
     return classifier, rejector, cfg

@@ -8,7 +8,8 @@ the expertise class. The deferral logit joins the class logits in a
 whose true label is the expertise class, weighted by the expert's posterior
 mean accuracy there, so no expert predictions on query data are needed.
 
-The loss functions work on batches. ``ea_l2d_loss_grads`` evaluates the
+The losses work on batches, and each method has one loss path, the core
+that training runs: ``_ea_l2d`` or ``_pop_avg``. ``_ea_l2d`` evaluates the
 whole expert cohort in one stacked step per batch: the experts enter only
 through their (experts, K) matrix of posterior means, so the classifier runs
 forward and backward once, and the rejector once on all (example, expert)
@@ -16,10 +17,9 @@ rows built by ``rejector_inputs``. The (K+1)-way joint softmax of every
 pair is never built: its K class columns are the same for every expert, so
 ``_joint_terms`` factors it through the class softmax and logsumexp of each
 example, and a batch costs O(experts * batch + batch * K). Both methods
-train through one loop, ``_fit``, which calls the loss cores that the
-public loss functions wrap, ``_ea_l2d`` and ``_pop_avg``, and steps both
-networks in place as one packed vector; finite-difference checks call the
-loss functions on one-row batches.
+train through one loop, ``_fit``, which checks nothing per batch and steps
+both networks in place as one packed vector; the finite-difference checks
+of the test suite call the same cores on one-row batches.
 
 Each ea_l2d batch recounts the cohort's posterior means from a fresh
 context subsample, all experts drawn at once by ``_ContextDraw``: one
@@ -73,7 +73,7 @@ def mode_labels(prediction_matrix: np.ndarray, num_classes: int) -> np.ndarray:
 # --- batched loss/gradient machinery -------------------------------------
 
 
-def _check_labels(labels: np.ndarray, num_classes: int, what: str = "labels") -> None:
+def _check_labels(labels: np.ndarray, num_classes: int, what: str) -> None:
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ValueError(f"{what} must lie in [0, {num_classes})")
 
@@ -171,30 +171,24 @@ def rejector_inputs(rho: np.ndarray, kstar: np.ndarray, mu: np.ndarray) -> np.nd
 _GradOut = tuple[GradientBundle | None, GradientBundle | None]
 
 
-def _quiet() -> np.errstate:
-    """The floating-point state the loss cores run in: an overflow or an
-    invalid operation raises no numpy warning, because its non-finite values
-    make the loss non-finite (or, in training, the updated weights), and
-    that is reported instead."""
-    return np.errstate(over="ignore", invalid="ignore")
-
-
-def ea_l2d_loss_grads(
+def _ea_l2d(
     classifier: DenseNet,
     rejector: DenseNet,
     features: np.ndarray,
     labels: np.ndarray,
     mu: np.ndarray,
-    want_grads: bool = True,
+    want_grads: bool,
+    out: _GradOut = (None, None),
 ):
-    """Loss sums and summed gradients across a batch for a whole cohort.
+    """The ea_l2d loss sums and summed gradients across a batch for a whole
+    cohort.
 
     Returns ``(classifier_sum, deferral_sum, classifier_grads,
     rejector_grads, pattern)``; without ``want_grads`` the last three are
-    ``None``. ``features`` is (batch, dim); ``labels`` (batch,) must lie in
-    [0, K), else ``ValueError``. ``mu`` holds the posterior mean accuracies,
-    shape (experts, K); the sums run over every (example, expert) pair. No
-    expert prediction on the batch is consumed.
+    ``None``. ``features`` is (batch, dim) and ``labels`` (batch,); ``mu``
+    holds the posterior mean accuracies, shape (experts, K), and the sums
+    run over every (example, expert) pair. No expert prediction on the
+    batch is consumed: the experts enter only through ``mu``.
 
     The classifier runs once. The rejector runs once on the
     (experts * batch, 4) block of every expert's inputs, rows ordered
@@ -207,27 +201,16 @@ def ea_l2d_loss_grads(
     both routes are summed over experts before the one classifier backward
     pass. Each network runs forward once; its backward pass and relu
     pattern read the cached layer outputs, and only the rejector's backward
-    computes an input gradient. The returned pattern encodes the discrete
-    choices (relu signs of both networks, the classifier argmax) for
-    finite-difference kink detection.
+    computes an input gradient. The gradients go into ``out``'s bundles, or
+    new ones where ``None``. The pattern encodes the discrete choices (relu
+    signs of both networks, the classifier argmax) for finite-difference
+    kink detection.
+
+    Labels are not checked: the caller ensures they lie in [0, K), as
+    ``train`` does once per call. The caller also enters the floating-point
+    state the loss runs in, ``np.errstate(over="ignore", invalid="ignore")``,
+    as ``_fit`` does around its whole loop.
     """
-    _check_labels(labels, mu.shape[1])
-    with _quiet():
-        return _ea_l2d(classifier, rejector, features, labels, mu, want_grads)
-
-
-def _ea_l2d(
-    classifier: DenseNet,
-    rejector: DenseNet,
-    features: np.ndarray,
-    labels: np.ndarray,
-    mu: np.ndarray,
-    want_grads: bool,
-    out: _GradOut = (None, None),
-):
-    """The body of ``ea_l2d_loss_grads``, for a caller that has checked the
-    labels and entered ``_quiet``; the gradients go into ``out``'s bundles,
-    or new ones where ``None``."""
     experts, num_classes = mu.shape
     batch = len(labels)
     logits, clf_acts = _forward_for(classifier, features, want_grads)
@@ -263,24 +246,6 @@ def _ea_l2d(
     return classifier_sum, deferral_sum, clf_grads, rej_grads, pattern
 
 
-def pop_avg_loss_grads(
-    classifier: DenseNet,
-    rejector: DenseNet,
-    features: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    want_grads: bool = True,
-):
-    """The baseline's counterpart of ``ea_l2d_loss_grads``, with the same
-    return tuple: the rejector consumes the raw features directly, and
-    example i's deferral term is weighted by ``weights[i]``, 1 when the mode
-    of the experts' predictions is its label and 0 otherwise. It is the
-    one-expert case of the same factored joint loss."""
-    _check_labels(labels, classifier.output_dim)
-    with _quiet():
-        return _pop_avg(classifier, rejector, features, labels, weights, want_grads)
-
-
 def _pop_avg(
     classifier: DenseNet,
     rejector: DenseNet,
@@ -290,9 +255,12 @@ def _pop_avg(
     want_grads: bool,
     out: _GradOut = (None, None),
 ):
-    """The body of ``pop_avg_loss_grads``, for a caller that has checked
-    the labels and entered ``_quiet``; the gradients go into ``out``'s
-    bundles, or new ones where ``None``."""
+    """The baseline's counterpart of ``_ea_l2d``, with the same return
+    tuple, ``out`` and caller contract: the rejector consumes the raw
+    features directly, and example i's deferral term is weighted by
+    ``weights[i]``, 1 when the mode of the experts' predictions is its label
+    and 0 otherwise. It is the one-expert case of the same factored joint
+    loss, and its pattern holds the relu signs of both networks."""
     logits, clf_acts = _forward_for(classifier, features, want_grads)
     rej_out, rej_acts = _forward_for(rejector, features, want_grads)
     rho, top, total = softmax(logits)
@@ -437,9 +405,10 @@ def _fit(
     updates the whole vector in place. A non-finite loss, or a non-finite
     weight after the update, raises ``TrainingDivergenceError`` naming the
     epoch and batch, and for a weight which network. Every epoch ends with
-    the validation loss on ``val``. With ``patience``, training stops once
-    it has not improved for more than ``patience`` epochs, and the best
-    epoch's networks are returned. The returned networks own their vectors.
+    the validation loss on ``val``. With ``patience``, the vector is copied
+    whenever the validation loss improves, training stops once it has not
+    improved for more than ``patience`` epochs, and the best epoch's
+    networks are returned. The returned networks own their vectors.
     """
     params = np.concatenate([classifier.params, rejector.params])
     grads = np.empty_like(params)
@@ -456,7 +425,10 @@ def _fit(
     best_params: np.ndarray | None = None
     stale = 0
     pair_count = len(query) * experts
-    with _quiet():
+    # An overflow or an invalid operation raises no numpy warning: its
+    # non-finite values make the loss or the updated weights non-finite,
+    # and that is reported instead.
+    with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(query))
             c_sum = d_sum = 0.0
@@ -493,14 +465,15 @@ def _fit(
             if val_loss < best_loss:
                 best_loss = val_loss
                 best_epoch = epoch
-                best_params = params.copy()
                 stale = 0
+                if patience is not None:
+                    best_params = params.copy()
             else:
                 stale += 1
             if patience is not None and stale > patience:
                 break
 
-    if patience is not None and best_params is not None:
+    if best_params is not None:
         params = best_params
     return TrainResult(
         DenseNet(params[:split].copy(), classifier.layout),

@@ -52,8 +52,9 @@ always, so it joins the block before it. A batch under
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -157,6 +158,12 @@ class DenseNet:
 
 @dataclass
 class TrainConfig:
+    """SGD settings: ``learning_rate`` a finite number > 0, ``weight_decay``
+    a finite number >= 0, and the integers ``batch_size`` >= 1, ``epochs``
+    >= 0 and ``seed`` >= 0. A bool is neither a number nor an integer, and a NumPy
+    scalar is either. Any other value raises ``ValueError`` naming the
+    field."""
+
     learning_rate: float
     batch_size: int
     epochs: int
@@ -164,14 +171,27 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        for name, kind in (
+            ("learning_rate", numbers.Real), ("batch_size", numbers.Integral),
+            ("epochs", numbers.Integral), ("weight_decay", numbers.Real),
+            ("seed", numbers.Integral),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "a number" if kind is numbers.Real else "an integer"
+                raise ValueError(f"{name!r} must be {noun}, got {value!r}")
+        # written so that NaN fails every comparison
+        lr, wd = self.learning_rate, self.weight_decay
+        if not 0 < lr < math.inf:
+            raise ValueError(f"'learning_rate' must be finite and > 0, got {lr!r}")
+        if not 0 <= wd < math.inf:
+            raise ValueError(f"'weight_decay' must be finite and >= 0, got {wd!r}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError(f"'batch_size' must be >= 1, got {self.batch_size!r}")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+            raise ValueError(f"'epochs' must be >= 0, got {self.epochs!r}")
+        if self.seed < 0:
+            raise ValueError(f"'seed' must be >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -385,61 +405,3 @@ def softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         e = np.exp(logits - top)
         total = e.sum(axis=1, keepdims=True)
         return e / total, top[:, 0], total[:, 0]
-
-
-@dataclass
-class FiniteDifferenceReport:
-    max_rel_error: float
-    n_checked: int
-    n_skipped: int
-
-
-def finite_difference_check(
-    net: DenseNet,
-    loss_fn: Callable[[DenseNet], tuple],
-    epsilon: float = 1e-6,
-) -> FiniteDifferenceReport:
-    """Compare analytic gradients against central finite differences.
-
-    ``loss_fn(net)`` must return ``(loss, GradientBundle)`` and may return a
-    third element: an integer/bool array encoding every discrete choice made
-    while evaluating the loss (relu signs, argmax indices). Parameters whose
-    +-epsilon perturbations land on different patterns sit across a kink and
-    are skipped rather than compared.
-
-    The report's ``max_rel_error`` is the maximum over checked parameters
-    of ``|analytic - central| / max(1, |central|)``.
-    """
-    if not (1e-7 <= epsilon <= 1e-3):
-        raise ValueError("epsilon must lie in [1e-7, 1e-3]")
-
-    out = loss_fn(net)
-    _, analytic = out[0], out[1]
-    if not analytic.matches(net):
-        raise ValueError("analytic gradient shapes do not match the network")
-
-    work = net.copy()
-    params = work.params
-    max_err = 0.0
-    n_checked = 0
-    n_skipped = 0
-    for i in range(params.size):
-        original = params[i]
-
-        params[i] = original + epsilon
-        out_plus = loss_fn(work)
-        params[i] = original - epsilon
-        out_minus = loss_fn(work)
-        params[i] = original
-
-        if len(out_plus) > 2 and not np.array_equal(out_plus[2], out_minus[2]):
-            n_skipped += 1
-            continue
-
-        central = (out_plus[0] - out_minus[0]) / (2.0 * epsilon)
-        a = analytic.flat[i]
-        err = abs(a - central) / max(1.0, abs(central))
-        max_err = max(max_err, err)
-        n_checked += 1
-
-    return FiniteDifferenceReport(max_err, n_checked, n_skipped)

@@ -9,6 +9,7 @@ draw over all labels.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -52,6 +53,9 @@ class SyntheticTaskSpec:
             raise ValueError("num_classes must be >= 2")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        for name in ("separation", "noise_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite (got {getattr(self, name)!r})")
         if self.separation < 0:
             raise ValueError("separation must be >= 0")
         if not self.noise_scale > 0:

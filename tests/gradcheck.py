@@ -1,0 +1,86 @@
+"""Gradient-checking helpers for the test suite; pytest does not collect
+this module (its name has no ``test_`` prefix).
+
+``finite_difference_check`` compares a network's analytic gradient with
+central finite differences, skipping parameters whose perturbations straddle
+a kink. ``call_core`` runs a training loss core, ``deferral._ea_l2d`` or
+``deferral._pop_avg``, the way ``deferral._fit`` runs it, so the gradient
+tests check the code training runs.
+"""
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from deferlab.nets import DenseNet
+
+# The floating-point state ``deferral._fit`` runs the loss cores in;
+# ``tests/test_deferral.py`` checks that the two agree.
+FIT_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
+
+
+def call_core(core, classifier, rejector, features, labels, aux, want_grads=True):
+    """``core(classifier, rejector, features, labels, aux, want_grads)``
+    under ``FIT_ERRSTATE``, with new gradient bundles: ``(classifier_sum,
+    deferral_sum, classifier_grads, rejector_grads, pattern)``."""
+    with np.errstate(**FIT_ERRSTATE):
+        return core(classifier, rejector, features, labels, aux, want_grads)
+
+
+@dataclass
+class FiniteDifferenceReport:
+    max_rel_error: float
+    n_checked: int
+    n_skipped: int
+
+
+def finite_difference_check(
+    net: DenseNet,
+    loss_fn: Callable[[DenseNet], tuple],
+    epsilon: float = 1e-6,
+) -> FiniteDifferenceReport:
+    """Compare analytic gradients against central finite differences.
+
+    ``loss_fn(net)`` must return ``(loss, GradientBundle)`` and may return a
+    third element: an integer/bool array encoding every discrete choice made
+    while evaluating the loss (relu signs, argmax indices). Parameters whose
+    +-epsilon perturbations land on different patterns sit across a kink and
+    are skipped rather than compared.
+
+    The report's ``max_rel_error`` is the maximum over checked parameters
+    of ``|analytic - central| / max(1, |central|)``.
+    """
+    if not (1e-7 <= epsilon <= 1e-3):
+        raise ValueError("epsilon must lie in [1e-7, 1e-3]")
+
+    out = loss_fn(net)
+    _, analytic = out[0], out[1]
+    if not analytic.matches(net):
+        raise ValueError("analytic gradient shapes do not match the network")
+
+    work = net.copy()
+    params = work.params
+    max_err = 0.0
+    n_checked = 0
+    n_skipped = 0
+    for i in range(params.size):
+        original = params[i]
+
+        params[i] = original + epsilon
+        out_plus = loss_fn(work)
+        params[i] = original - epsilon
+        out_minus = loss_fn(work)
+        params[i] = original
+
+        if len(out_plus) > 2 and not np.array_equal(out_plus[2], out_minus[2]):
+            n_skipped += 1
+            continue
+
+        central = (out_plus[0] - out_minus[0]) / (2.0 * epsilon)
+        a = analytic.flat[i]
+        err = abs(a - central) / max(1.0, abs(central))
+        max_err = max(max_err, err)
+        n_checked += 1
+
+    return FiniteDifferenceReport(max_err, n_checked, n_skipped)

@@ -13,7 +13,7 @@ import pytest
 
 from deferlab.cli import main
 from deferlab.config import validate_config
-from deferlab.deferral import ea_l2d_loss_grads, mode_labels, pop_avg_loss_grads, rejector_inputs
+from deferlab.deferral import _ea_l2d, _pop_avg, mode_labels, rejector_inputs
 from deferlab.evaluation import Curve, ScoredCases, area_under, build_curves
 from deferlab.experts import (
     PriorElicitation,
@@ -22,7 +22,7 @@ from deferlab.experts import (
     sample_complexity_bound,
 )
 from deferlab.harness import run_experiment, run_priors_study
-from deferlab.nets import dense_net, finite_difference_check, forward
+from deferlab.nets import dense_net, forward
 from deferlab.simulate import (
     SimulatedExpertSpec,
     expert_accuracy_by_class,
@@ -149,6 +149,10 @@ def test_criterion_3_sample_bound_grid():
 
 
 def test_criterion_4_gradient_correctness():
+    # imported here: bench/tests loads this module by its path for
+    # ACCEPTANCE_RAW, without tests/ on sys.path
+    from gradcheck import call_core, finite_difference_check
+
     worst = 0.0
     for trial in range(50):
         rng = np.random.default_rng(10_000 + trial)
@@ -160,11 +164,11 @@ def test_criterion_4_gradient_correctness():
         mu = beta_means(rng.uniform(1, 9, size=(k, 2)))[None, :]
 
         def clf_loss(net):
-            cs, ds, cg, _, pat = ea_l2d_loss_grads(net, rej, x, y, mu)
+            cs, ds, cg, _, pat = call_core(_ea_l2d, net, rej, x, y, mu)
             return cs + ds, cg, pat
 
         def rej_loss(net):
-            cs, ds, _, rg, pat = ea_l2d_loss_grads(clf, net, x, y, mu)
+            cs, ds, _, rg, pat = call_core(_ea_l2d, clf, net, x, y, mu)
             return cs + ds, rg, pat
 
         worst = max(worst, finite_difference_check(clf, clf_loss, 1e-6).max_rel_error)
@@ -182,11 +186,11 @@ def test_criterion_4_gradient_correctness():
         weights = (mode_labels(preds[:, None], k) == y).astype(np.float64)
 
         def clf_loss(net):
-            cs, ds, cg, _, pat = pop_avg_loss_grads(net, rej, x, y, weights)
+            cs, ds, cg, _, pat = call_core(_pop_avg, net, rej, x, y, weights)
             return cs + ds, cg, pat
 
         def rej_loss(net):
-            cs, ds, _, rg, pat = pop_avg_loss_grads(clf, net, x, y, weights)
+            cs, ds, _, rg, pat = call_core(_pop_avg, clf, net, x, y, weights)
             return cs + ds, rg, pat
 
         worst = max(worst, finite_difference_check(clf, clf_loss, 1e-6).max_rel_error)

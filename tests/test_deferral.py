@@ -12,10 +12,10 @@ from deferlab.checkpoint import load_checkpoint, save_checkpoint
 from deferlab.deferral import (
     EpochStats,
     _ContextDraw,
+    _ea_l2d,
+    _pop_avg,
     _resolve_lambda,
-    ea_l2d_loss_grads,
     mode_labels,
-    pop_avg_loss_grads,
     rejector_inputs,
     train,
     train_pop_avg,
@@ -28,7 +28,6 @@ from deferlab.nets import (
     Layer,
     TrainConfig,
     dense_net,
-    finite_difference_check,
     forward,
 )
 from deferlab.simulate import (
@@ -39,6 +38,7 @@ from deferlab.simulate import (
     generate_gaussian_task,
     make_population,
 )
+from gradcheck import call_core, finite_difference_check
 
 
 def rep_from_mu(mu_values):
@@ -82,15 +82,17 @@ def ea_loss(class_logits, deferral_logit, true_label, rep):
     """The ea_l2d (classifier, deferral) loss of a one-row batch whose joint
     logits are given."""
     clf, rej = constant_net(class_logits, 2), constant_net(deferral_logit, 4)
-    return ea_l2d_loss_grads(
-        clf, rej, np.zeros((1, 2)), np.array([true_label]), rep[None, :]
+    return call_core(
+        _ea_l2d, clf, rej, np.zeros((1, 2)), np.array([true_label]), rep[None, :]
     )[:2]
 
 
 def pop_loss(class_logits, deferral_logit, true_label, predictions):
     clf, rej = constant_net(class_logits, 2), constant_net(deferral_logit, 2)
     weights = mode_weight(predictions, true_label, len(class_logits))
-    return pop_avg_loss_grads(clf, rej, np.zeros((1, 2)), np.array([true_label]), weights)[:2]
+    return call_core(
+        _pop_avg, clf, rej, np.zeros((1, 2)), np.array([true_label]), weights
+    )[:2]
 
 
 class TestAssembleRejectorInputs:
@@ -199,11 +201,6 @@ class TestEaL2dLoss:
         _, half = ea_loss(logits, 0.7, 0, rep_from_mu([0.4, 0.2, 0.2]))
         assert half == pytest.approx(full / 2, abs=1e-12)
 
-    def test_out_of_range_label_rejected(self):
-        for label in (3, -1):
-            with pytest.raises(ValueError, match="labels"):
-                ea_loss(np.zeros(3), 0.0, label, rep_from_mu([0.5, 0.5, 0.5]))
-
     def test_far_apart_logits_give_the_exact_finite_loss(self):
         # the label logit and the deferral logit both trail by 800, so their
         # joint softmax entries underflow to 0; the loss is still finite
@@ -213,14 +210,16 @@ class TestEaL2dLoss:
         assert c == pytest.approx(800 + math.log(2), rel=1e-15)
         assert d == pytest.approx(0.9 * (800 + math.log(2)), rel=1e-15)
         clf, rej = constant_net(logits, 2), constant_net(-800.0, 4)
-        _, _, cg, rg, _ = ea_l2d_loss_grads(clf, rej, np.zeros((1, 2)), np.array([0]), rep[None])
+        _, _, cg, rg, _ = call_core(_ea_l2d, clf, rej, np.zeros((1, 2)), np.array([0]), rep[None])
         assert np.isfinite(cg.flat).all()
         # d/dg = (1 + w) sigmoid(g - lse) - w, and sigmoid(-800 - log 2) = 0
         assert rg.flat[-1] == pytest.approx(-0.9, rel=1e-15)
 
     def test_signature_consumes_no_expert_prediction(self):
-        params = list(inspect.signature(ea_l2d_loss_grads).parameters)
-        assert params == ["classifier", "rejector", "features", "labels", "mu", "want_grads"]
+        params = list(inspect.signature(_ea_l2d).parameters)
+        assert params == [
+            "classifier", "rejector", "features", "labels", "mu", "want_grads", "out"
+        ]
 
 
 class TestPopAvgLoss:
@@ -244,11 +243,6 @@ class TestPopAvgLoss:
     def test_empty_predictions_rejected(self):
         with pytest.raises(ValueError):
             pop_loss(np.zeros(3), 0.0, 0, [])
-
-    def test_out_of_range_label_rejected(self):
-        for label in (3, -1):
-            with pytest.raises(ValueError, match="labels"):
-                pop_loss(np.zeros(3), 0.0, label, [0, 1, 2])
 
     def test_mode_helpers(self):
         assert mode_weight([2, 2, 1], 2, 3) == 1.0
@@ -338,11 +332,11 @@ class TestLossGradients:
             mu = (a / (a + b))[None, :]
 
             def clf_loss(net):
-                cs, ds, cg, _, pat = ea_l2d_loss_grads(net, rej, x, y, mu)
+                cs, ds, cg, _, pat = call_core(_ea_l2d, net, rej, x, y, mu)
                 return cs + ds, cg, pat
 
             def rej_loss(net):
-                cs, ds, _, rg, pat = ea_l2d_loss_grads(clf, net, x, y, mu)
+                cs, ds, _, rg, pat = call_core(_ea_l2d, clf, net, x, y, mu)
                 return cs + ds, rg, pat
 
             assert finite_difference_check(clf, clf_loss, 1e-6).max_rel_error < 1e-6
@@ -358,11 +352,11 @@ class TestLossGradients:
             weights = mode_weight(srng.integers(4, size=3), y[0], 4)
 
             def clf_loss(net):
-                cs, ds, cg, _, pat = pop_avg_loss_grads(net, rej, x, y, weights)
+                cs, ds, cg, _, pat = call_core(_pop_avg, net, rej, x, y, weights)
                 return cs + ds, cg, pat
 
             def rej_loss(net):
-                cs, ds, _, rg, pat = pop_avg_loss_grads(clf, net, x, y, weights)
+                cs, ds, _, rg, pat = call_core(_pop_avg, clf, net, x, y, weights)
                 return cs + ds, rg, pat
 
             assert finite_difference_check(clf, clf_loss, 1e-6).max_rel_error < 1e-6
@@ -612,8 +606,8 @@ class TestContextDraw:
 
 
 def reference_train(method, setup, clf, rej, cfg, patience=None):
-    """``run_method``'s training as a plain loop in test code: the public
-    loss functions, and a value-semantics SGD step that builds each
+    """``run_method``'s training as a plain loop in test code: the loss
+    cores through ``call_core``, and a value-semantics SGD step that builds each
     network's next vector as a new array,
     ``w - lr * (grad * scale + weight_decay * w)``. Returns
     ``(classifier, rejector, history, best_epoch)``."""
@@ -624,7 +618,7 @@ def reference_train(method, setup, clf, rej, cfg, patience=None):
             *prior_arrays([None] * len(contexts), 4),
             [c.labels for c in contexts], [c.predictions for c in contexts],
         )
-        loss, aux, cohort = ea_l2d_loss_grads, lambda idx, rng: draw.mu(rng), len(contexts)
+        loss, aux, cohort = _ea_l2d, lambda idx, rng: draw.mu(rng), len(contexts)
     else:
         rng = np.random.default_rng(0)
         weights, val_aux = (
@@ -632,7 +626,7 @@ def reference_train(method, setup, clf, rej, cfg, patience=None):
              == d.labels).astype(np.float64)
             for d in (task.train, task.val)
         )
-        loss, aux, cohort = pop_avg_loss_grads, lambda idx, rng: weights[idx], 1
+        loss, aux, cohort = _pop_avg, lambda idx, rng: weights[idx], 1
 
     def step(net, grads, scale):
         w = net.params
@@ -647,13 +641,15 @@ def reference_train(method, setup, clf, rej, cfg, patience=None):
         c_sum = d_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            c, d, clf_grads, rej_grads, _ = loss(
-                clf, rej, task.train.features[idx], task.train.labels[idx], aux(idx, rng)
+            c, d, clf_grads, rej_grads, _ = call_core(
+                loss, clf, rej, task.train.features[idx], task.train.labels[idx], aux(idx, rng)
             )
             scale = 1.0 / (len(idx) * cohort)
             clf, rej = step(clf, clf_grads, scale), step(rej, rej_grads, scale)
             c_sum, d_sum = c_sum + c, d_sum + d
-        val_c, val_d, *_ = loss(clf, rej, task.val.features, task.val.labels, val_aux, False)
+        val_c, val_d, *_ = call_core(
+            loss, clf, rej, task.val.features, task.val.labels, val_aux, False
+        )
         val_loss = (val_c + val_d) / (len(task.val) * cohort)
         history.append(EpochStats(
             epoch, (c_sum + d_sum) / pairs, c_sum / pairs, d_sum / pairs, val_loss
@@ -781,6 +777,25 @@ class TestPackedTraining:
             train_pop_avg(dense_net([6, 8, 4], 0), dense_net([6, 8, 1], 1), task.train,
                           np.stack([task.train.labels]), cfg, val=val,
                           val_predictions=np.stack([labels.clip(0, 3)]))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_call_core_runs_a_core_in_the_training_error_state(self, method, monkeypatch):
+        # the gradient tests call the cores through ``call_core``; they must
+        # see the floating-point state training runs them in
+        states = []
+        name = {"ea_l2d": "_ea_l2d", "pop_avg": "_pop_avg"}[method]
+        real = getattr(deferlab.deferral, name)
+
+        def recording(*args):
+            states.append(np.geterr())
+            return real(*args)
+
+        monkeypatch.setattr(deferlab.deferral, name, recording)
+        run_method(method, small_training_setup(), TrainConfig(0.1, 80, 1))
+        assert len(states) == 3  # two batches and the validation pass
+        call_core(lambda *args: states.append(np.geterr()), None, None, None, None, None)
+        assert all(state == states[-1] for state in states)
+        assert states[-1] != np.geterr()
 
     def test_labels_checked_once_per_training_call(self, monkeypatch):
         checked = []
@@ -1024,6 +1039,15 @@ class TestCheckpoint:
         ),
         "weight_decay_a_string": (
             lambda arrays, meta: meta["train_config"].update(weight_decay="0"),
+            "weight_decay",
+        ),
+        # JSON ``Infinity`` and ``NaN`` decode to floats
+        "learning_rate_infinite": (
+            lambda arrays, meta: meta["train_config"].update(learning_rate=math.inf),
+            "learning_rate",
+        ),
+        "weight_decay_nan": (
+            lambda arrays, meta: meta["train_config"].update(weight_decay=math.nan),
             "weight_decay",
         ),
     }

@@ -16,7 +16,6 @@ from deferlab.nets import (
     TrainConfig,
     backward,
     dense_net,
-    finite_difference_check,
     forward,
     forward_cached,
     relu_pattern,
@@ -24,6 +23,7 @@ from deferlab.nets import (
     sgd_step,
     softmax,
 )
+from gradcheck import finite_difference_check
 
 
 # Finite values with signed zeros, ones and subnormals drawn often.
@@ -583,88 +583,36 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.1, batch_size=1, epochs=1, weight_decay=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", float("inf")),
+            ("learning_rate", float("nan")),
+            ("learning_rate", True),
+            ("learning_rate", "0.1"),
+            ("weight_decay", float("inf")),
+            ("weight_decay", float("nan")),
+            ("weight_decay", np.float64("nan")),
+            ("weight_decay", False),
+            ("batch_size", True),
+            ("batch_size", 8.0),
+            ("epochs", np.float64(2.0)),
+            ("epochs", "2"),
+            ("seed", True),
+            ("seed", 0.5),
+            ("seed", -1),
+        ],
+    )
+    def test_rejects_a_non_finite_or_mistyped_field_by_name(self, field, value):
+        args = dict(learning_rate=0.1, batch_size=8, epochs=1, weight_decay=0.0, seed=0)
+        args[field] = value
+        with pytest.raises(ValueError, match=repr(field)):
+            TrainConfig(**args)
 
-class TestFiniteDifferenceCheck:
-    def test_linear_net_squared_loss_is_tight(self):
-        rng = np.random.default_rng(21)
-        net = dense_net([3, 2], rng)  # one identity layer: a linear map
-        x = rng.normal(size=(1, 3))
-        y = rng.normal(size=(1, 2))
-
-        def loss_fn(n):
-            out = forward(n, x)
-            return 0.5 * float(((out - y) ** 2).sum()), backward(n, forward_cached(n, x), out - y)
-
-        assert finite_difference_check(net, loss_fn, 1e-5).max_rel_error < 1e-8
-
-    def test_relu_kink_parameter_is_skipped(self):
-        # w=0, x=1 puts the relu pre-activation exactly at the kink
-        net = DenseNet.from_layers(
-            [
-                Layer(np.array([[0.0]]), np.zeros(1)),
-                Layer(np.array([[1.0]]), np.zeros(1)),
-            ]
-        )
-        x = np.array([[1.0]])
-
-        def loss_fn(n):
-            outs = forward_cached(n, x)
-            g = backward(n, outs, np.ones((1, 1)))
-            return float(outs[-1][0, 0]), g, relu_pattern(n, outs).astype(np.int64)
-
-        report = finite_difference_check(net, loss_fn, 1e-6)
-        assert report.n_skipped >= 1
-
-    def test_epsilon_range_enforced(self):
-        net = dense_net([2, 1], 0)
-
-        def loss_fn(n):
-            return 0.0, zero_grads(n)
-
-        with pytest.raises(ValueError):
-            finite_difference_check(net, loss_fn, 1e-8)
-        with pytest.raises(ValueError):
-            finite_difference_check(net, loss_fn, 1e-2)
-
-    def test_report_equals_a_per_layer_perturbation_loop(self):
-        def reference(net, loss_fn, epsilon):
-            analytic = loss_fn(net)[1]
-            work = net.copy()
-            max_err, n_checked, n_skipped = 0.0, 0, 0
-            for layer, (wg, bg) in zip(work.layers, layer_grads(analytic, net)):
-                for arr, grad in ((layer.weights, wg), (layer.bias, bg)):
-                    for idx in np.ndindex(arr.shape):
-                        original = arr[idx]
-                        arr[idx] = original + epsilon
-                        plus = loss_fn(work)
-                        arr[idx] = original - epsilon
-                        minus = loss_fn(work)
-                        arr[idx] = original
-                        if not np.array_equal(plus[2], minus[2]):
-                            n_skipped += 1
-                            continue
-                        central = (plus[0] - minus[0]) / (2.0 * epsilon)
-                        err = abs(grad[idx] - central) / max(1.0, abs(central))
-                        max_err = max(max_err, err)
-                        n_checked += 1
-            return max_err, n_checked, n_skipped
-
-        for seed in range(4):
-            rng = np.random.default_rng(40 + seed)
-            net = dense_net([3, 4, 4, 2], rng)
-            x = rng.normal(size=(3, 3))
-            # one pre-activation exactly at the relu kink, so a parameter is skipped
-            net.layers[0].bias[0] = -(x[0] @ net.layers[0].weights[0])
-
-            def loss_fn(n):
-                outs = forward_cached(n, x)
-                out = outs[-1]
-                return 0.5 * float((out * out).sum()), backward(n, outs, out), relu_pattern(n, outs)
-
-            report = finite_difference_check(net, loss_fn, 1e-6)
-            expected = reference(net, loss_fn, 1e-6)
-            assert (report.max_rel_error, report.n_checked, report.n_skipped) == expected
-            assert report.n_skipped >= 1
+    def test_numpy_scalars_and_int_rates_accepted(self):
+        cfg = TrainConfig(np.float64(0.1), np.int64(8), np.int32(2), np.float32(0.5), np.uint8(3))
+        assert (cfg.batch_size, cfg.epochs, cfg.seed) == (8, 2, 3)
+        assert TrainConfig(1, 8, 1, weight_decay=0).learning_rate == 1
 
 
 class TestDeterminism:

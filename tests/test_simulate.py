@@ -99,6 +99,12 @@ class TestGenerateGaussianTask:
         with pytest.raises(ValueError):
             small_spec(dim=0)
 
+    @pytest.mark.parametrize("field", ["separation", "noise_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scale_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            small_spec(**{field: value})
+
 
 class TestCsvDataset:
     def test_round_trip(self, tmp_path):

@@ -13,14 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deferlab.deferral import (
-    _joint_terms,
-    ea_l2d_loss_grads,
-    mode_labels,
-    pop_avg_loss_grads,
-)
+from deferlab.deferral import _ea_l2d, _joint_terms, _pop_avg, mode_labels
 from deferlab.experts import PriorElicitation, build_representation, prior_arrays
 from deferlab.nets import GradientBundle, backward, dense_net, forward_cached, softmax
+from gradcheck import call_core
 
 
 def reference_softmax(logits):
@@ -138,7 +134,7 @@ class TestStackedMatchesReference:
     def test_loss_and_gradients(self, experts, elicited):
         _, _, _, mu = random_cohort(experts, experts, elicited=elicited)
         clf, rej, features, labels = nets_and_batch(experts)
-        cs, ds, cg, rg, _ = ea_l2d_loss_grads(clf, rej, features, labels, mu)
+        cs, ds, cg, rg, _ = call_core(_ea_l2d, clf, rej, features, labels, mu)
         ref_c, ref_d, ref_cg, ref_rg = reference_cohort(clf, rej, features, labels, mu)
         assert cs == pytest.approx(ref_c, rel=0, abs=1e-12)
         assert ds == pytest.approx(ref_d, rel=0, abs=1e-12)
@@ -157,7 +153,7 @@ class TestStackedMatchesReference:
         assert np.all(np.argmax(mu, axis=1) == 2)
         clf, rej, features, labels = nets_and_batch(experts, num_classes)
         labels[:4] = 2  # make the deferral term active
-        cs, ds, cg, rg, _ = ea_l2d_loss_grads(clf, rej, features, labels, mu)
+        cs, ds, cg, rg, _ = call_core(_ea_l2d, clf, rej, features, labels, mu)
         ref_c, ref_d, ref_cg, ref_rg = reference_cohort(clf, rej, features, labels, mu)
         assert ds > 0
         assert cs == pytest.approx(ref_c, rel=0, abs=1e-12)
@@ -168,8 +164,8 @@ class TestStackedMatchesReference:
     def test_validation_path_gives_the_same_sums(self):
         _, _, _, mu = random_cohort(5, 4)
         clf, rej, features, labels = nets_and_batch(5)
-        with_grads = ea_l2d_loss_grads(clf, rej, features, labels, mu)
-        without = ea_l2d_loss_grads(clf, rej, features, labels, mu, want_grads=False)
+        with_grads = call_core(_ea_l2d, clf, rej, features, labels, mu)
+        without = call_core(_ea_l2d, clf, rej, features, labels, mu, want_grads=False)
         assert without[:2] == with_grads[:2]
         assert without[2:] == (None, None, None)
 
@@ -178,7 +174,7 @@ class TestStackedMatchesReference:
         # networks, then the classifier argmax per example
         _, _, _, mu = random_cohort(2, 1)
         clf, rej, features, labels = nets_and_batch(2, batch=3)
-        *_, pattern = ea_l2d_loss_grads(clf, rej, features, labels, mu)
+        *_, pattern = call_core(_ea_l2d, clf, rej, features, labels, mu)
         assert len(pattern) == 3 * 12 + 3 * (10 + 10) + 3
 
 
@@ -222,8 +218,8 @@ def test_permuting_experts_leaves_loss_and_gradients_unchanged(seed, experts, el
     _, _, _, mu = random_cohort(seed, experts, elicited=elicited)
     clf, rej, features, labels = nets_and_batch(seed % 1000)
     perm = np.random.default_rng(seed).permutation(experts)
-    cs, ds, cg, rg, _ = ea_l2d_loss_grads(clf, rej, features, labels, mu)
-    pcs, pds, pcg, prg, _ = ea_l2d_loss_grads(clf, rej, features, labels, mu[perm])
+    cs, ds, cg, rg, _ = call_core(_ea_l2d, clf, rej, features, labels, mu)
+    pcs, pds, pcg, prg, _ = call_core(_ea_l2d, clf, rej, features, labels, mu[perm])
     assert pcs == pytest.approx(cs, rel=0, abs=1e-12)
     assert pds == pytest.approx(ds, rel=0, abs=1e-12)
     assert_bundles_close(pcg, cg)
@@ -285,25 +281,25 @@ class TestPosteriorArrays:
     pop_avg=st.booleans(),
 )
 def test_batch_sums_equal_the_sum_of_one_row_calls(seed, batch, experts, pop_avg):
-    # what lets the one-row tests of the loss functions speak for batches
+    # what lets the one-row tests of the loss cores speak for batches
     num_classes = 5
     clf, rej, features, labels = nets_and_batch(seed % 1000, num_classes, batch=batch)
     if pop_avg:
         rej = dense_net([features.shape[1], 10, 1], np.random.default_rng(seed))
         preds = np.random.default_rng(seed).integers(num_classes, size=(experts, batch))
         aux = (mode_labels(preds, num_classes) == labels).astype(np.float64)
-        loss = pop_avg_loss_grads
+        core = _pop_avg
     else:
         aux = random_cohort(seed, experts, num_classes)[3]
-        loss = ea_l2d_loss_grads
+        core = _ea_l2d
 
-    cs, ds, cg, rg, _ = loss(clf, rej, features, labels, aux)
+    cs, ds, cg, rg, _ = call_core(core, clf, rej, features, labels, aux)
     sums = np.zeros(2)
     clf_flat, rej_flat = np.zeros_like(clf.params), np.zeros_like(rej.params)
     for i in range(batch):
         one = slice(i, i + 1)
-        rcs, rds, rcg, rrg, _ = loss(
-            clf, rej, features[one], labels[one], aux[one] if pop_avg else aux
+        rcs, rds, rcg, rrg, _ = call_core(
+            core, clf, rej, features[one], labels[one], aux[one] if pop_avg else aux
         )
         sums += (rcs, rds)
         clf_flat += rcg.flat
