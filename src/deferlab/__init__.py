@@ -29,7 +29,6 @@ from .experts import (
 from .harness import run_experiment, run_priors_study, run_theory_checks
 from .nets import (
     DenseNet,
-    GradientBundle,
     TrainConfig,
     backward,
     dense_net,

@@ -43,7 +43,6 @@ from .experts import PriorElicitation, build_representation, posterior_means, pr
 from .nets import (
     Activations,
     DenseNet,
-    GradientBundle,
     TrainConfig,
     backward,
     forward,
@@ -131,15 +130,16 @@ def _joint_terms(
 
 
 def _forward_for(
-    net: DenseNet, x: np.ndarray, want_grads: bool
+    net: DenseNet, x: np.ndarray, cached: bool
 ) -> tuple[np.ndarray, Activations | None]:
-    """Network output, plus every layer's cached output when gradients follow.
+    """Network output, plus every layer's cached output when ``cached``
+    (gradients follow).
 
     Without gradients the plain ``forward`` runs, which keeps no per-layer
     arrays: validation batches are large and would otherwise raise peak
     memory for nothing.
     """
-    if want_grads:
+    if cached:
         outs = forward_cached(net, x)
         return outs[-1], outs
     return forward(net, x), None
@@ -166,26 +166,23 @@ def rejector_inputs(rho: np.ndarray, kstar: np.ndarray, mu: np.ndarray) -> np.nd
     return feats.reshape(experts * batch, 4)
 
 
-# A pair of gradient destinations, (classifier, rejector); ``None`` asks
-# ``backward`` for a new bundle.
-_GradOut = tuple[GradientBundle | None, GradientBundle | None]
-
-
 def _ea_l2d(
     classifier: DenseNet,
     rejector: DenseNet,
     features: np.ndarray,
     labels: np.ndarray,
     mu: np.ndarray,
-    want_grads: bool,
-    out: _GradOut = (None, None),
+    out: tuple[DenseNet, DenseNet] | None = None,
 ):
     """The ea_l2d loss sums and summed gradients across a batch for a whole
     cohort.
 
-    Returns ``(classifier_sum, deferral_sum, classifier_grads,
-    rejector_grads, pattern)``; without ``want_grads`` the last three are
-    ``None``. ``features`` is (batch, dim) and ``labels`` (batch,); ``mu``
+    Returns ``(classifier_sum, deferral_sum, pattern)``. With ``out``, a
+    pair of gradient destinations ``(classifier_grads, rejector_grads)``,
+    each a ``DenseNet`` with its network's layout over a gradient vector,
+    both summed gradients are written into them; without it only the loss
+    sums are computed, as validation needs, and ``pattern`` is ``None``.
+    ``features`` is (batch, dim) and ``labels`` (batch,); ``mu``
     holds the posterior mean accuracies, shape (experts, K), and the sums
     run over every (example, expert) pair. No expert prediction on the
     batch is consumed: the experts enter only through ``mu``.
@@ -201,10 +198,9 @@ def _ea_l2d(
     both routes are summed over experts before the one classifier backward
     pass. Each network runs forward once; its backward pass and relu
     pattern read the cached layer outputs, and only the rejector's backward
-    computes an input gradient. The gradients go into ``out``'s bundles, or
-    new ones where ``None``. The pattern encodes the discrete choices (relu
-    signs of both networks, the classifier argmax) for finite-difference
-    kink detection.
+    computes an input gradient. The pattern encodes the discrete choices
+    (relu signs of both networks, the classifier argmax) for
+    finite-difference kink detection.
 
     Labels are not checked: the caller ensures they lie in [0, K), as
     ``train`` does once per call. The caller also enters the floating-point
@@ -213,24 +209,25 @@ def _ea_l2d(
     """
     experts, num_classes = mu.shape
     batch = len(labels)
-    logits, clf_acts = _forward_for(classifier, features, want_grads)
+    logits, clf_acts = _forward_for(classifier, features, out is not None)
     rho, top, total = softmax(logits)
     lse = top + np.log(total)
     kstar = np.argmax(rho, axis=1)
     estar = np.argmax(mu, axis=1)
-    rej_out, rej_acts = _forward_for(rejector, rejector_inputs(rho, kstar, mu), want_grads)
+    rej_inputs = rejector_inputs(rho, kstar, mu)
+    rej_out, rej_acts = _forward_for(rejector, rej_inputs, out is not None)
     weights = np.where(labels == estar[:, None], mu[:, labels], 0.0)
     classifier_sum, deferral_sum, d_g, d_logits = _joint_terms(
         logits, rho, lse, rej_out.reshape(experts, batch), labels, weights
     )
 
-    if not want_grads:
-        return classifier_sum, deferral_sum, None, None, None
+    if out is None:
+        return classifier_sum, deferral_sum, None
 
-    rej_grads = backward(
-        rejector, rej_acts, d_g.reshape(-1, 1), want_input_grad=True, out=out[1]
-    )
-    d_feats = rej_grads.input_grad.reshape(experts, batch, 4)
+    clf_grads, rej_grads = out
+    d_feats = backward(
+        rejector, rej_acts, d_g.reshape(-1, 1), rej_grads, want_input_grad=True
+    ).reshape(experts, batch, 4)
 
     onehot_estar = np.zeros((experts, num_classes))
     onehot_estar[np.arange(experts), estar] = 1.0
@@ -238,12 +235,12 @@ def _ea_l2d(
     d_rho[np.arange(batch), kstar] += d_feats[:, :, 1].sum(axis=0)
     d_logits += rho * (d_rho - (d_rho * rho).sum(axis=1, keepdims=True))
 
-    clf_grads = backward(classifier, clf_acts, d_logits, out=out[0])
+    backward(classifier, clf_acts, d_logits, clf_grads)
 
     pattern = np.concatenate(
         [relu_pattern(classifier, clf_acts), relu_pattern(rejector, rej_acts), kstar]
     )
-    return classifier_sum, deferral_sum, clf_grads, rej_grads, pattern
+    return classifier_sum, deferral_sum, pattern
 
 
 def _pop_avg(
@@ -252,8 +249,7 @@ def _pop_avg(
     features: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
-    want_grads: bool,
-    out: _GradOut = (None, None),
+    out: tuple[DenseNet, DenseNet] | None = None,
 ):
     """The baseline's counterpart of ``_ea_l2d``, with the same return
     tuple, ``out`` and caller contract: the rejector consumes the raw
@@ -261,23 +257,24 @@ def _pop_avg(
     ``weights[i]``, 1 when the mode of the experts' predictions is its label
     and 0 otherwise. It is the one-expert case of the same factored joint
     loss, and its pattern holds the relu signs of both networks."""
-    logits, clf_acts = _forward_for(classifier, features, want_grads)
-    rej_out, rej_acts = _forward_for(rejector, features, want_grads)
+    logits, clf_acts = _forward_for(classifier, features, out is not None)
+    rej_out, rej_acts = _forward_for(rejector, features, out is not None)
     rho, top, total = softmax(logits)
     lse = top + np.log(total)
     classifier_sum, deferral_sum, d_g, d_logits = _joint_terms(
         logits, rho, lse, rej_out.T, labels, weights[None, :]
     )
 
-    if not want_grads:
-        return classifier_sum, deferral_sum, None, None, None
+    if out is None:
+        return classifier_sum, deferral_sum, None
 
-    rej_grads = backward(rejector, rej_acts, d_g.T, out=out[1])
-    clf_grads = backward(classifier, clf_acts, d_logits, out=out[0])
+    clf_grads, rej_grads = out
+    backward(rejector, rej_acts, d_g.T, rej_grads)
+    backward(classifier, clf_acts, d_logits, clf_grads)
     pattern = np.concatenate(
         [relu_pattern(classifier, clf_acts), relu_pattern(rejector, rej_acts)]
     ).astype(np.int64)
-    return classifier_sum, deferral_sum, clf_grads, rej_grads, pattern
+    return classifier_sum, deferral_sum, pattern
 
 
 # --- training loops -------------------------------------------------------
@@ -400,23 +397,29 @@ def _fit(
 
     Training works on one packed vector, the classifier's parameters then
     the rejector's, copied from the given networks, which stay untouched;
-    both networks are views into it. Each batch's backward passes write
-    into one gradient vector of the same layout, and one ``sgd_step``
-    updates the whole vector in place. A non-finite loss, or a non-finite
-    weight after the update, raises ``TrainingDivergenceError`` naming the
-    epoch and batch, and for a weight which network. Every epoch ends with
-    the validation loss on ``val``. With ``patience``, the vector is copied
-    whenever the validation loss improves, training stops once it has not
-    improved for more than ``patience`` epochs, and the best epoch's
-    networks are returned. The returned networks own their vectors.
+    both networks are views into it. Their gradients' destination is a
+    gradient vector of the same layout, with two networks over its slices
+    built the same way: each batch's backward passes write into it, and one
+    ``sgd_step`` updates the whole vector in place. A non-finite loss, or a
+    non-finite weight after the update, raises ``TrainingDivergenceError``
+    naming the epoch and batch, and for a weight which network. Every epoch
+    ends with the validation loss on ``val``. With ``patience``, the vector
+    is copied whenever the validation loss improves, training stops once it
+    has not improved for more than ``patience`` epochs, and the best epoch's
+    networks are returned. The returned networks own their vectors. A
+    rejector whose output count is not 1 raises ``ValueError``.
     """
+    if rejector.output_dim != 1:
+        raise ValueError(
+            f"the rejector must have one output, its deferral logit; it has "
+            f"{rejector.output_dim}"
+        )
     params = np.concatenate([classifier.params, rejector.params])
     grads = np.empty_like(params)
     split = classifier.params.size
-    nets = (DenseNet(params[:split], classifier.layout), DenseNet(params[split:], rejector.layout))
-    grad_out = (
-        GradientBundle(grads[:split], classifier.layout),
-        GradientBundle(grads[split:], rejector.layout),
+    nets, grad_nets = (
+        (DenseNet(v[:split], classifier.layout), DenseNet(v[split:], rejector.layout))
+        for v in (params, grads)
     )
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
@@ -434,9 +437,8 @@ def _fit(
             c_sum = d_sum = 0.0
             for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
                 idx = order[start : start + cfg.batch_size]
-                batch_c, batch_d, *_ = batch_loss(
-                    *nets, query.features[idx], query.labels[idx], batch_aux(idx, rng), True,
-                    grad_out,
+                batch_c, batch_d, _ = batch_loss(
+                    *nets, query.features[idx], query.labels[idx], batch_aux(idx, rng), grad_nets
                 )
                 if not math.isfinite(batch_c + batch_d):
                     raise TrainingDivergenceError(
@@ -456,7 +458,7 @@ def _fit(
                 c_sum += batch_c
                 d_sum += batch_d
 
-            val_c, val_d, *_ = batch_loss(*nets, val.features, val.labels, val_aux, False)
+            val_c, val_d, _ = batch_loss(*nets, val.features, val.labels, val_aux)
             val_loss = (val_c + val_d) / (len(val) * experts)
             history.append(
                 EpochStats(epoch, (c_sum + d_sum) / pair_count, c_sum / pair_count,

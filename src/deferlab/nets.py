@@ -16,11 +16,12 @@ into ``Layer`` objects, for readers outside the passes such as
 checkpoints. A network may also be built over a slice of a longer vector:
 training packs the classifier and the rejector into one vector.
 
-Gradients use the same layout: ``backward`` writes every layer's gradient
-into one vector, ``GradientBundle.flat``, a new one or the caller's
-``out``. ``sgd_step`` updates a parameter vector in place from a gradient
-vector of the same layout, so one call can step every network packed into
-the vector; it consumes the gradient. The forward and backward passes
+A gradient is laid out as its network: ``backward`` writes every layer's
+gradient into a destination ``DenseNet`` over the caller's gradient vector,
+with the network's layout, through the destination's ``views``.
+``sgd_step`` updates a parameter vector in place from a gradient vector of
+the same layout, so one call can step every network packed into the
+vector; it consumes the gradient. The forward and backward passes
 write nothing but their own results, so a network is safe to share across
 threads while no step runs on it.
 
@@ -151,18 +152,23 @@ class DenseNet:
     def output_dim(self) -> int:
         return self.layout[-1][0]
 
-    def copy(self) -> "DenseNet":
-        """The network over a new vector of its own."""
-        return DenseNet(self.params.copy(), self.layout)
+
+def _finite(value: numbers.Real) -> bool:
+    """Whether ``value`` is a finite float64: NaN is not, and neither is an
+    integer beyond the largest float64, which has no float value."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass
 class TrainConfig:
     """SGD settings: ``learning_rate`` a finite number > 0, ``weight_decay``
     a finite number >= 0, and the integers ``batch_size`` >= 1, ``epochs``
-    >= 0 and ``seed`` >= 0. A bool is neither a number nor an integer, and a NumPy
-    scalar is either. Any other value raises ``ValueError`` naming the
-    field."""
+    >= 0 and ``seed`` >= 0. An integer beyond the largest float64 is not
+    finite. A bool is neither a number nor an integer, and a NumPy scalar is
+    either. Any other value raises ``ValueError`` naming the field."""
 
     learning_rate: float
     batch_size: int
@@ -180,11 +186,10 @@ class TrainConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 noun = "a number" if kind is numbers.Real else "an integer"
                 raise ValueError(f"{name!r} must be {noun}, got {value!r}")
-        # written so that NaN fails every comparison
         lr, wd = self.learning_rate, self.weight_decay
-        if not 0 < lr < math.inf:
+        if not (_finite(lr) and lr > 0):
             raise ValueError(f"'learning_rate' must be finite and > 0, got {lr!r}")
-        if not 0 <= wd < math.inf:
+        if not (_finite(wd) and wd >= 0):
             raise ValueError(f"'weight_decay' must be finite and >= 0, got {wd!r}")
         if self.batch_size < 1:
             raise ValueError(f"'batch_size' must be >= 1, got {self.batch_size!r}")
@@ -192,37 +197,6 @@ class TrainConfig:
             raise ValueError(f"'epochs' must be >= 0, got {self.epochs!r}")
         if self.seed < 0:
             raise ValueError(f"'seed' must be >= 0, got {self.seed!r}")
-
-
-@dataclass
-class GradientBundle:
-    """Gradients in the owning network's flat layout.
-
-    ``flat[i]`` is the gradient of ``net.params[i]``, and ``views`` holds
-    every layer's (weight gradient, bias gradient) as views into ``flat``,
-    built once here, so rebinding ``flat`` would detach them; ``backward``
-    writes through them into a caller's bundle. ``input_grad`` carries the
-    loss gradient with respect to the network input, which is what lets
-    one network's backward pass chain into another's; it is ``None`` unless
-    ``backward`` was asked for it.
-    """
-
-    flat: np.ndarray
-    layout: Layout
-    input_grad: np.ndarray = field(default=None)  # type: ignore[assignment]
-    views: LayerViews = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.flat = np.asarray(self.flat, dtype=np.float64)
-        size = _layout_size(self.layout)
-        if self.flat.shape != (size,):
-            raise ValueError(
-                f"flat gradient shape {self.flat.shape} does not fit a layout of {size} parameters"
-            )
-        self.views = _views(self.flat, self.layout)
-
-    def matches(self, net: DenseNet) -> bool:
-        return self.layout == net.layout
 
 
 def dense_net(dims: Sequence[int], seed: int | np.random.Generator = 0) -> DenseNet:
@@ -316,23 +290,23 @@ def backward(
     net: DenseNet,
     outs: Activations,
     upstream: np.ndarray,
+    out: DenseNet,
     want_input_grad: bool = False,
-    out: GradientBundle | None = None,
-) -> GradientBundle:
-    """Gradients of a scalar loss given d(loss)/d(output).
+) -> np.ndarray | None:
+    """Gradients of a scalar loss given d(loss)/d(output), written into
+    ``out``, a ``DenseNet`` with the network's layout over the gradient
+    vector (another layout raises ``ValueError``); ``out.params[i]`` becomes
+    the gradient of ``net.params[i]``.
 
     ``outs`` is ``forward_cached(net, x)`` for the input the loss was
     computed on; a hidden layer passes the gradient where its relu output
     is positive. The per-example contributions are summed, i.e. the result
     is the gradient of ``sum_i loss_i`` when ``upstream[i]`` is the gradient
     for example i: a weight gradient is ``delta.T @ input`` and a bias
-    gradient ``ones @ delta``, both BLAS products. The gradient with respect
-    to the input, one more product with the first layer's weights, is
-    computed only with ``want_input_grad``; otherwise ``input_grad`` is
-    ``None``.
-
-    The gradients go into a new bundle, or with ``out`` into that bundle of
-    the network's layout, which is overwritten and returned.
+    gradient ``ones @ delta``, both BLAS products. Returns the gradient with
+    respect to the input, which lets one network's backward pass chain into
+    another's; it is one more product with the first layer's weights,
+    computed only with ``want_input_grad``, and ``None`` otherwise.
     """
     if len(outs) != len(net.layout) + 1:
         raise ValueError(
@@ -346,9 +320,7 @@ def backward(
         raise ValueError(
             f"upstream gradient shape {upstream.shape}, expected {expected}"
         )
-    if out is None:
-        out = GradientBundle(np.empty(net.params.size), net.layout)
-    elif not out.matches(net):
+    if out.layout != net.layout:
         raise ValueError("gradient destination layout does not match the network")
 
     ones = np.ones(len(upstream))
@@ -363,8 +335,7 @@ def backward(
         np.matmul(ones, delta, out=b_grad)
         if i or want_input_grad:
             delta = delta @ net.views[i][0]
-    out.input_grad = delta if want_input_grad else None
-    return out
+    return delta if want_input_grad else None
 
 
 def sgd_step(

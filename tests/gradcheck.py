@@ -3,7 +3,9 @@ this module (its name has no ``test_`` prefix).
 
 ``finite_difference_check`` compares a network's analytic gradient with
 central finite differences, skipping parameters whose perturbations straddle
-a kink. ``call_core`` runs a training loss core, ``deferral._ea_l2d`` or
+a kink. ``zero_grads`` builds a gradient destination, a network's layout
+over a zero vector, and ``grads_of`` runs ``backward`` into a new one.
+``call_core`` runs a training loss core, ``deferral._ea_l2d`` or
 ``deferral._pop_avg``, the way ``deferral._fit`` runs it, so the gradient
 tests check the code training runs.
 """
@@ -13,19 +15,39 @@ from typing import Callable
 
 import numpy as np
 
-from deferlab.nets import DenseNet
+from deferlab.nets import DenseNet, backward
 
 # The floating-point state ``deferral._fit`` runs the loss cores in;
 # ``tests/test_deferral.py`` checks that the two agree.
 FIT_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 
 
-def call_core(core, classifier, rejector, features, labels, aux, want_grads=True):
-    """``core(classifier, rejector, features, labels, aux, want_grads)``
-    under ``FIT_ERRSTATE``, with new gradient bundles: ``(classifier_sum,
-    deferral_sum, classifier_grads, rejector_grads, pattern)``."""
+def zero_grads(net: DenseNet) -> DenseNet:
+    """A gradient destination for ``net``: its layout over a new zero vector."""
+    return DenseNet(np.zeros_like(net.params), net.layout)
+
+
+def grads_of(net: DenseNet, outs, upstream) -> DenseNet:
+    """``backward(net, outs, upstream, ...)`` into a new ``zero_grads(net)``,
+    returned, for loss functions that hand their gradient to
+    ``finite_difference_check``."""
+    grads = zero_grads(net)
+    backward(net, outs, upstream, grads)
+    return grads
+
+
+def call_core(core, classifier, rejector, features, labels, aux, grads=True):
+    """``core(classifier, rejector, features, labels, aux, out)`` under
+    ``FIT_ERRSTATE``, with ``out`` two new zeroed gradient destinations, or
+    ``None`` without ``grads``: ``(classifier_sum, deferral_sum,
+    classifier_grads, rejector_grads, pattern)``, where the last three are
+    ``None`` without ``grads``."""
+    out = (zero_grads(classifier), zero_grads(rejector)) if grads else None
     with np.errstate(**FIT_ERRSTATE):
-        return core(classifier, rejector, features, labels, aux, want_grads)
+        classifier_sum, deferral_sum, pattern = core(
+            classifier, rejector, features, labels, aux, out
+        )
+    return (classifier_sum, deferral_sum, *(out or (None, None)), pattern)
 
 
 @dataclass
@@ -42,7 +64,8 @@ def finite_difference_check(
 ) -> FiniteDifferenceReport:
     """Compare analytic gradients against central finite differences.
 
-    ``loss_fn(net)`` must return ``(loss, GradientBundle)`` and may return a
+    ``loss_fn(net)`` must return ``(loss, grads)``, ``grads`` a network
+    with ``net``'s layout over the gradient vector, and may return a
     third element: an integer/bool array encoding every discrete choice made
     while evaluating the loss (relu signs, argmax indices). Parameters whose
     +-epsilon perturbations land on different patterns sit across a kink and
@@ -56,10 +79,10 @@ def finite_difference_check(
 
     out = loss_fn(net)
     _, analytic = out[0], out[1]
-    if not analytic.matches(net):
-        raise ValueError("analytic gradient shapes do not match the network")
+    if analytic.layout != net.layout:
+        raise ValueError("analytic gradient layout does not match the network")
 
-    work = net.copy()
+    work = DenseNet(net.params.copy(), net.layout)
     params = work.params
     max_err = 0.0
     n_checked = 0
@@ -78,7 +101,7 @@ def finite_difference_check(
             continue
 
         central = (out_plus[0] - out_minus[0]) / (2.0 * epsilon)
-        a = analytic.flat[i]
+        a = analytic.params[i]
         err = abs(a - central) / max(1.0, abs(central))
         max_err = max(max_err, err)
         n_checked += 1

@@ -211,14 +211,14 @@ class TestEaL2dLoss:
         assert d == pytest.approx(0.9 * (800 + math.log(2)), rel=1e-15)
         clf, rej = constant_net(logits, 2), constant_net(-800.0, 4)
         _, _, cg, rg, _ = call_core(_ea_l2d, clf, rej, np.zeros((1, 2)), np.array([0]), rep[None])
-        assert np.isfinite(cg.flat).all()
+        assert np.isfinite(cg.params).all()
         # d/dg = (1 + w) sigmoid(g - lse) - w, and sigmoid(-800 - log 2) = 0
-        assert rg.flat[-1] == pytest.approx(-0.9, rel=1e-15)
+        assert rg.params[-1] == pytest.approx(-0.9, rel=1e-15)
 
     def test_signature_consumes_no_expert_prediction(self):
         params = list(inspect.signature(_ea_l2d).parameters)
         assert params == [
-            "classifier", "rejector", "features", "labels", "mu", "want_grads", "out"
+            "classifier", "rejector", "features", "labels", "mu", "out"
         ]
 
 
@@ -630,7 +630,7 @@ def reference_train(method, setup, clf, rej, cfg, patience=None):
 
     def step(net, grads, scale):
         w = net.params
-        new = w - cfg.learning_rate * (grads.flat * scale + cfg.weight_decay * w)
+        new = w - cfg.learning_rate * (grads.params * scale + cfg.weight_decay * w)
         return DenseNet(new, net.layout)
 
     rng = np.random.default_rng(cfg.seed)
@@ -648,7 +648,7 @@ def reference_train(method, setup, clf, rej, cfg, patience=None):
             clf, rej = step(clf, clf_grads, scale), step(rej, rej_grads, scale)
             c_sum, d_sum = c_sum + c, d_sum + d
         val_c, val_d, *_ = call_core(
-            loss, clf, rej, task.val.features, task.val.labels, val_aux, False
+            loss, clf, rej, task.val.features, task.val.labels, val_aux, grads=False
         )
         val_loss = (val_c + val_d) / (len(task.val) * cohort)
         history.append(EpochStats(
@@ -793,7 +793,10 @@ class TestPackedTraining:
         monkeypatch.setattr(deferlab.deferral, name, recording)
         run_method(method, small_training_setup(), TrainConfig(0.1, 80, 1))
         assert len(states) == 3  # two batches and the validation pass
-        call_core(lambda *args: states.append(np.geterr()), None, None, None, None, None)
+        call_core(
+            lambda *args: states.append(np.geterr()) or (0.0, 0.0, None),
+            None, None, None, None, None, grads=False,
+        )
         assert all(state == states[-1] for state in states)
         assert states[-1] != np.geterr()
 
@@ -812,6 +815,26 @@ class TestPackedTraining:
             run_method(method, small_training_setup(), cfg)
             # the query set and the validation set, not every batch
             assert checked == [160, 60]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rejector_with_two_outputs_rejected_by_name(self, method, monkeypatch):
+        # checked once per call, before a loss core meets the extra column
+        def no_core(*args):
+            raise AssertionError("a loss core ran")
+
+        core = {"ea_l2d": "_ea_l2d", "pop_avg": "_pop_avg"}[method]
+        monkeypatch.setattr(deferlab.deferral, core, no_core)
+        task, experts, contexts = small_training_setup()
+        cfg = TrainConfig(learning_rate=0.1, batch_size=16, epochs=1, seed=0)
+        clf = dense_net([6, 8, 4], 0)
+        with pytest.raises(ValueError, match="rejector must have one output.* has 2"):
+            if method == "ea_l2d":
+                train(clf, dense_net([4, 8, 2], 1), task.train, contexts,
+                      [None] * len(contexts), cfg, val=task.val)
+            else:
+                train_pop_avg(clf, dense_net([6, 8, 2], 1), task.train,
+                              np.stack([task.train.labels]), cfg, val=task.val,
+                              val_predictions=np.stack([task.val.labels]))
 
 
 class TestOneForwardPerBatch:
@@ -1049,6 +1072,11 @@ class TestCheckpoint:
         "weight_decay_nan": (
             lambda arrays, meta: meta["train_config"].update(weight_decay=math.nan),
             "weight_decay",
+        ),
+        # JSON integers decode to Python ints of any size
+        "learning_rate_beyond_float64": (
+            lambda arrays, meta: meta["train_config"].update(learning_rate=10**400),
+            "learning_rate",
         ),
     }
 

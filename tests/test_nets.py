@@ -11,7 +11,6 @@ from deferlab.errors import TrainingDivergenceError
 from deferlab.nets import (
     BLOCK_ROWS,
     DenseNet,
-    GradientBundle,
     Layer,
     TrainConfig,
     backward,
@@ -23,7 +22,7 @@ from deferlab.nets import (
     sgd_step,
     softmax,
 )
-from gradcheck import finite_difference_check
+from gradcheck import finite_difference_check, grads_of, zero_grads
 
 
 # Finite values with signed zeros, ones and subnormals drawn often.
@@ -52,9 +51,9 @@ def layered_nets():
 
 def layer_grads(grads, net):
     """Every layer's (weight gradient, bias gradient): views into
-    ``grads.flat`` at ``net.layout``'s offsets."""
+    ``grads.params`` at ``net.layout``'s offsets."""
     return [
-        (grads.flat[w0:b0].reshape(out_dim, in_dim), grads.flat[b0:end])
+        (grads.params[w0:b0].reshape(out_dim, in_dim), grads.params[b0:end])
         for out_dim, in_dim, w0, b0, end in net.layout
     ]
 
@@ -96,10 +95,6 @@ def reference_sgd_step(net, grads, cfg, scale):
         )
         for layer, (wg, bg) in zip(net.layers, layer_grads(grads, net))
     ]
-
-
-def zero_grads(net):
-    return GradientBundle(np.zeros_like(net.params), net.layout)
 
 
 def zero_net(dims):
@@ -350,7 +345,7 @@ class TestSoftmax:
 class TestBackward:
     def test_zero_upstream_gives_zero_bundle(self):
         net = dense_net([3, 5, 2], 1)
-        g = backward(net, forward_cached(net, np.ones((1, 3))), np.zeros((1, 2)))
+        g = grads_of(net, forward_cached(net, np.ones((1, 3))), np.zeros((1, 2)))
         assert all(np.all(wg == 0) for wg, _ in layer_grads(g, net))
         assert all(np.all(bg == 0) for _, bg in layer_grads(g, net))
 
@@ -362,7 +357,7 @@ class TestBackward:
         x = rng.normal(size=(1, 3))
         y = rng.normal(size=(1, 2))
         yhat = forward(net, x)
-        g = backward(net, forward_cached(net, x), yhat - y)
+        g = grads_of(net, forward_cached(net, x), yhat - y)
         [(wg, bg)] = layer_grads(g, net)
         assert np.allclose(wg, np.outer(yhat - y, x), atol=1e-14)
         assert np.allclose(bg, (yhat - y)[0], atol=1e-14)
@@ -374,7 +369,7 @@ class TestBackward:
         def loss_fn(net):
             outs = forward_cached(net, x)
             diff = outs[-1] - target
-            g = backward(net, outs, diff)
+            g = grads_of(net, outs, diff)
             return 0.5 * float((diff * diff).sum()), g
 
         for seed in range(5):
@@ -386,7 +381,7 @@ class TestBackward:
     def test_shape_mismatch_rejected(self):
         net = dense_net([3, 2], 0)
         with pytest.raises(ValueError):
-            backward(net, forward_cached(net, np.ones((1, 3))), np.zeros((1, 3)))
+            backward(net, forward_cached(net, np.ones((1, 3))), np.zeros((1, 3)), zero_grads(net))
 
     def test_runs_no_forward_of_its_own(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -396,37 +391,40 @@ class TestBackward:
         def no_forward(*args, **kwargs):
             raise AssertionError("backward ran a forward pass")
 
+        grads = zero_grads(net)
         for name in ("forward", "forward_cached", "_layer", "_check_input"):
             monkeypatch.setattr(deferlab.nets, name, no_forward)
-        g = backward(net, outs, rng.normal(size=(5, 2)))
-        assert g.matches(net)
+        assert backward(net, outs, rng.normal(size=(5, 2)), grads) is None
+        assert np.any(grads.params != 0)
         assert relu_pattern(net, outs).size == 5 * 12
 
     def test_activations_of_another_depth_rejected(self):
         net = dense_net([3, 2], 0)
         deeper = dense_net([3, 4, 2], 0)
         with pytest.raises(ValueError):
-            backward(net, forward_cached(deeper, np.ones((1, 3))), np.zeros((1, 2)))
+            outs = forward_cached(deeper, np.ones((1, 3)))
+            backward(net, outs, np.zeros((1, 2)), zero_grads(net))
 
     def test_column_view_upstream_matches_contiguous_copy(self):
         rng = np.random.default_rng(14)
         net = dense_net([4, 8, 1], rng)
         outs = forward_cached(net, rng.normal(size=(12, 4)))
         block = rng.normal(size=(12, 3))
-        from_view = backward(net, outs, block[:, 2:], want_input_grad=True)
-        from_copy = backward(net, outs, block[:, 2:].copy(), want_input_grad=True)
-        assert np.array_equal(from_view.flat, from_copy.flat)
-        assert np.array_equal(from_view.input_grad, from_copy.input_grad)
+        from_view, from_copy = zero_grads(net), zero_grads(net)
+        view_in = backward(net, outs, block[:, 2:], from_view, want_input_grad=True)
+        copy_in = backward(net, outs, block[:, 2:].copy(), from_copy, want_input_grad=True)
+        assert np.array_equal(from_view.params, from_copy.params)
+        assert np.array_equal(view_in, copy_in)
 
     def test_batched_grads_sum_per_example(self):
         rng = np.random.default_rng(13)
         net = dense_net([3, 4, 2], rng)
         xs = rng.normal(size=(6, 3))
         ups = rng.normal(size=(6, 2))
-        batched = backward(net, forward_cached(net, xs), ups)
+        batched = grads_of(net, forward_cached(net, xs), ups)
         acc = zero_grads(net)
         for x, u in zip(xs, ups):
-            acc.flat += backward(net, forward_cached(net, x[None, :]), u[None, :]).flat
+            acc.params[:] += grads_of(net, forward_cached(net, x[None, :]), u[None, :]).params
         for (a, _), (b, _) in zip(layer_grads(batched, net), layer_grads(acc, net)):
             assert np.allclose(a, b, atol=1e-12)
 
@@ -434,8 +432,8 @@ class TestBackward:
 def stepped(net, grads, cfg, scale=1.0):
     """A copy of ``net`` after one ``sgd_step`` on copies of its vector and
     of ``grads``; ``net`` and ``grads`` stay untouched."""
-    out = net.copy()
-    sgd_step(out.params, grads.flat.copy(), cfg, scale)
+    out = DenseNet(net.params.copy(), net.layout)
+    sgd_step(out.params, grads.params.copy(), cfg, scale)
     return out
 
 
@@ -453,7 +451,7 @@ class TestSgdStep:
 
     def test_unit_rate_with_self_gradient_zeroes_weights(self):
         net = dense_net([3, 2], 0)
-        grads = GradientBundle(net.params.copy(), net.layout)
+        grads = DenseNet(net.params.copy(), net.layout)
         cfg = TrainConfig(learning_rate=1.0, batch_size=1, epochs=1)
         out = stepped(net, grads, cfg)
         assert all(np.all(l.weights == 0) and np.all(l.bias == 0) for l in out.layers)
@@ -468,9 +466,7 @@ class TestSgdStep:
             return (w - 3.0) ** 2
 
         # flat layout: the one weight, then the one bias
-        grads = GradientBundle(
-            np.array([2 * (net.layers[0].weights[0, 0] - 3.0), 0.0]), net.layout
-        )
+        grads = DenseNet(np.array([2 * (net.layers[0].weights[0, 0] - 3.0), 0.0]), net.layout)
         assert loss(stepped(net, grads, cfg)) < loss(net)
 
     def test_nonfinite_gradient_raises(self):
@@ -479,7 +475,7 @@ class TestSgdStep:
         layer_grads(grads, net)[0][0][0, 0] = np.nan
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
         with pytest.raises(TrainingDivergenceError):
-            sgd_step(net.params, grads.flat, cfg)
+            sgd_step(net.params, grads.params, cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("layer", [0, 1, 2])
@@ -491,13 +487,13 @@ class TestSgdStep:
         arr.flat[arr.size // 2] = bad
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
         with pytest.raises(TrainingDivergenceError):
-            sgd_step(net.params, grads.flat, cfg)
+            sgd_step(net.params, grads.params, cfg)
 
     def test_scale_matches_prescaled_gradient_exactly(self):
         rng = np.random.default_rng(6)
         net = dense_net([3, 5, 2], rng)
-        grads = GradientBundle(rng.normal(size=net.params.size), net.layout)
-        prescaled = GradientBundle(grads.flat * (1 / 96), net.layout)
+        grads = DenseNet(rng.normal(size=net.params.size), net.layout)
+        prescaled = DenseNet(grads.params * (1 / 96), net.layout)
         cfg = TrainConfig(learning_rate=0.2, batch_size=1, epochs=1, weight_decay=1e-3)
         a = stepped(net, grads, cfg, 1 / 96)
         b = stepped(net, prescaled, cfg)
@@ -527,15 +523,15 @@ class TestSgdStep:
     def test_fused_update_equals_per_layer_reference_bit_for_bit(
         self, net, lr, wd, scale, data
     ):
-        grads = GradientBundle(
+        grads = DenseNet(
             data.draw(hnp.arrays(np.float64, net.params.size, elements=VALUES)), net.layout
         )
         cfg = TrainConfig(learning_rate=lr, batch_size=1, epochs=1, weight_decay=wd)
         expected = reference_sgd_step(net, grads, cfg, scale)
         # in place: views taken before the step read the updated weights
-        out = net.copy()
+        out = DenseNet(net.params.copy(), net.layout)
         views, buffer = out.layers, out.params.__array_interface__["data"][0]
-        sgd_step(out.params, grads.flat.copy(), cfg, scale)
+        sgd_step(out.params, grads.params.copy(), cfg, scale)
         assert out.params.__array_interface__["data"][0] == buffer
         for layer, (w, b) in zip(views, expected):
             assert layer.weights.tobytes() == w.tobytes()
@@ -555,7 +551,7 @@ class TestSgdStep:
         ]
         packed = np.concatenate([n.params for n in nets])
         sgd_step(packed, np.concatenate(flats), cfg, scale)
-        alone = [stepped(n, GradientBundle(f, n.layout), cfg, scale) for n, f in zip(nets, flats)]
+        alone = [stepped(n, DenseNet(f, n.layout), cfg, scale) for n, f in zip(nets, flats)]
         assert packed.tobytes() == b"".join(n.params.tobytes() for n in alone)
 
     @settings(max_examples=150, deadline=None)
@@ -568,10 +564,10 @@ class TestSgdStep:
     )
     def test_nonfinite_value_in_any_single_gradient_raises(self, net, wd, scale, bad, data):
         grads = zero_grads(net)
-        grads.flat[data.draw(st.integers(0, net.params.size - 1))] = bad
+        grads.params[data.draw(st.integers(0, net.params.size - 1))] = bad
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1, weight_decay=wd)
         with pytest.raises(TrainingDivergenceError):
-            sgd_step(net.params, grads.flat, cfg, scale)
+            sgd_step(net.params, grads.params, cfg, scale)
 
 
 class TestTrainConfig:
@@ -594,6 +590,9 @@ class TestTrainConfig:
             ("weight_decay", float("nan")),
             ("weight_decay", np.float64("nan")),
             ("weight_decay", False),
+            # integers beyond float64, which ``sgd_step`` could not convert
+            ("learning_rate", 10**400),
+            ("weight_decay", 10**400),
             ("batch_size", True),
             ("batch_size", 8.0),
             ("epochs", np.float64(2.0)),
@@ -661,15 +660,15 @@ class TestFlatLayout:
         with pytest.raises(dataclasses.FrozenInstanceError):
             net.params = net.params.copy()
 
-        grads = GradientBundle(
+        grads = DenseNet(
             data.draw(hnp.arrays(np.float64, net.params.size, elements=VALUES)), net.layout
         )
         cfg = TrainConfig(learning_rate=0.3, batch_size=1, epochs=1, weight_decay=wd)
-        dup = net.copy()
+        dup = DenseNet(net.params.copy(), net.layout)
         assert dup.layout == net.layout
         assert not np.shares_memory(dup.params, net.params)
         views = dup.views
-        sgd_step(dup.params, grads.flat.copy(), cfg, scale)
+        sgd_step(dup.params, grads.params.copy(), cfg, scale)
         assert dup.views is views
         assert net.params.tobytes() == packed
         dup.params[:] = 0.0
@@ -710,49 +709,57 @@ class TestFlatLayout:
             with pytest.raises(ValueError, match="do not fit"):
                 DenseNet(bad, a.layout)
 
-    def test_gradient_bundle_views_and_layout_check(self):
+    def test_gradient_destination_views_and_layout_check(self):
         net = dense_net([3, 5, 2], 3)
         g = zero_grads(net)
         (_, b0), (w1, _) = layer_grads(g, net)
         w1[1, 2] = 4.0
         b0[3] = -1.0
         _, in_dim, w0, _, _ = net.layout[1]
-        assert g.flat[w0 + in_dim + 2] == 4.0
-        assert g.flat[net.layout[0][3] + 3] == -1.0
+        assert g.params[w0 + in_dim + 2] == 4.0
+        assert g.params[net.layout[0][3] + 3] == -1.0
         assert all(
-            np.shares_memory(view, g.flat) and np.array_equal(view, ref)
+            np.shares_memory(view, g.params) and np.array_equal(view, ref)
             for built, refs in zip(g.views, layer_grads(g, net))
             for view, ref in zip(built, refs)
         )
-        assert g.matches(net)
         # same parameter count (32), other shapes
         other = dense_net([2, 6, 2], 0)
         assert other.params.size == net.params.size
-        assert not zero_grads(other).matches(net)
         outs = forward_cached(net, np.ones((1, 3)))
         with pytest.raises(ValueError, match="layout"):
-            backward(net, outs, np.ones((1, 2)), out=zero_grads(other))
+            backward(net, outs, np.ones((1, 2)), zero_grads(other))
         with pytest.raises(ValueError):
-            GradientBundle(np.zeros(net.params.size + 1), net.layout)
+            DenseNet(np.zeros(net.params.size + 1), net.layout)
+
+    def test_destination_over_a_float32_vector_rejected(self):
+        # a float32 buffer cannot hold the gradient in place; converting it
+        # would write into a copy and leave the caller's buffer untouched
+        net = dense_net([3, 5, 2], 3)
+        with pytest.raises(ValueError, match="do not fit"):
+            DenseNet(np.zeros(net.params.size, dtype=np.float32), net.layout)
 
     @settings(max_examples=100, deadline=None)
     @given(net=layered_nets(), rows=st.integers(0, 6), data=st.data())
-    def test_backward_into_a_destination_overwrites_and_returns_it(self, net, rows, data):
+    def test_backward_writes_into_a_destination_over_a_slice_of_a_longer_vector(
+        self, net, rows, data
+    ):
         x = data.draw(hnp.arrays(np.float64, (rows, net.input_dim), elements=VALUES))
         up = data.draw(hnp.arrays(np.float64, (rows, net.output_dim), elements=VALUES))
         outs = forward_cached(net, x)
-        fresh = backward(net, outs, up, want_input_grad=True)
+        fresh = zero_grads(net)
+        fresh_input = backward(net, outs, up, fresh, want_input_grad=True)
         # a slice of a longer vector, filled with garbage first
         buffer = np.full(net.params.size + 3, np.nan)
-        dest = GradientBundle(buffer[2:-1], net.layout)
+        dest = DenseNet(buffer[2:-1], net.layout)
         for want in (True, False):
-            got = backward(net, outs, up, want_input_grad=want, out=dest)
-            assert got is dest and got.flat.base is buffer
-            assert got.flat.tobytes() == fresh.flat.tobytes()
+            got = backward(net, outs, up, dest, want_input_grad=want)
+            assert dest.params.base is buffer
+            assert buffer[2:-1].tobytes() == fresh.params.tobytes()
             if want:
-                assert got.input_grad.tobytes() == fresh.input_grad.tobytes()
+                assert got.tobytes() == fresh_input.tobytes()
             else:
-                assert got.input_grad is None
+                assert got is None
         assert np.isnan(buffer[:2]).all() and np.isnan(buffer[-1])
 
     @settings(max_examples=150, deadline=None)
@@ -760,13 +767,13 @@ class TestFlatLayout:
     def test_backward_fills_the_flat_gradient_per_layer(self, net, rows, data):
         x = data.draw(hnp.arrays(np.float64, (rows, net.input_dim), elements=VALUES))
         up = data.draw(hnp.arrays(np.float64, (rows, net.output_dim), elements=VALUES))
-        g = backward(net, forward_cached(net, x), up, want_input_grad=True)
-        assert g.matches(net) and g.flat.shape == net.params.shape
+        g = zero_grads(net)
+        got_input = backward(net, forward_cached(net, x), up, g, want_input_grad=True)
         flat, input_grad = reference_backward(net, x, up)
-        assert g.flat.tobytes() == flat.tobytes()
-        assert g.input_grad.shape == input_grad.shape
-        assert g.input_grad.tobytes() == input_grad.tobytes()
+        assert g.params.tobytes() == flat.tobytes()
+        assert got_input.shape == input_grad.shape
+        assert got_input.tobytes() == input_grad.tobytes()
         # without the input gradient, the same parameter gradients
-        plain = backward(net, forward_cached(net, x), up)
-        assert plain.input_grad is None
-        assert plain.flat.tobytes() == flat.tobytes()
+        plain = zero_grads(net)
+        assert backward(net, forward_cached(net, x), up, plain) is None
+        assert plain.params.tobytes() == flat.tobytes()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from deferlab.errors import DatasetParseError
 from deferlab.nets import (
-    GradientBundle,
+    DenseNet,
     TrainConfig,
     backward,
     dense_net,
@@ -48,6 +48,7 @@ def train_plain_classifier(data, num_classes, epochs=40, lr=0.3, seed=0):
     """Independent softmax-CE training loop built from the net primitives."""
     net = dense_net([data.train.features.shape[1], 16, num_classes], seed)
     cfg = TrainConfig(learning_rate=lr, batch_size=32, epochs=epochs, seed=seed)
+    grads = DenseNet(np.empty_like(net.params), net.layout)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         order = rng.permutation(len(data.train))
@@ -59,8 +60,8 @@ def train_plain_classifier(data, num_classes, epochs=40, lr=0.3, seed=0):
             q, _, _ = softmax(outs[-1])
             up = q.copy()
             up[np.arange(len(idx)), y] -= 1.0
-            grads = backward(net, outs, up / len(idx))
-            sgd_step(net.params, grads.flat, cfg)
+            backward(net, outs, up / len(idx), grads)
+            sgd_step(net.params, grads.params, cfg)
     preds = np.argmax(forward(net, data.test.features), axis=1)
     return float(np.mean(preds == data.test.labels))
 

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from deferlab.deferral import _ea_l2d, _joint_terms, _pop_avg, mode_labels
 from deferlab.experts import PriorElicitation, build_representation, prior_arrays
-from deferlab.nets import GradientBundle, backward, dense_net, forward_cached, softmax
-from gradcheck import call_core
+from deferlab.nets import backward, dense_net, forward_cached, softmax
+from gradcheck import call_core, grads_of, zero_grads
 
 
 def reference_softmax(logits):
@@ -67,36 +67,35 @@ def reference_expert(classifier, rejector, features, labels, mu):
     cs, ds = joint_loss_sums(q, labels, weights, num_classes)
 
     d_joint = joint_grad_rows(q, labels, weights)
-    rej_grads = backward(
-        rejector, rej_outs, d_joint[:, num_classes][:, None], want_input_grad=True
+    rej_grads = zero_grads(rejector)
+    d_feats = backward(
+        rejector, rej_outs, d_joint[:, num_classes][:, None], rej_grads, want_input_grad=True
     )
-    d_feats = rej_grads.input_grad
     d_rho = np.zeros_like(rho)
     d_rho[:, estar] += d_feats[:, 0]
     d_rho[rows, kstar] += d_feats[:, 1]
     d_logits = d_joint[:, :num_classes] + rho * (
         d_rho - (d_rho * rho).sum(axis=1, keepdims=True)
     )
-    clf_grads = backward(classifier, clf_outs, d_logits)
+    clf_grads = grads_of(classifier, clf_outs, d_logits)
     return cs, ds, clf_grads, rej_grads
 
 
 def reference_cohort(classifier, rejector, features, labels, mu):
-    clf_acc = GradientBundle(np.zeros_like(classifier.params), classifier.layout)
-    rej_acc = GradientBundle(np.zeros_like(rejector.params), rejector.layout)
+    clf_acc, rej_acc = zero_grads(classifier), zero_grads(rejector)
     c_total = d_total = 0.0
     for row in mu:
         cs, ds, cg, rg = reference_expert(classifier, rejector, features, labels, row)
         c_total += cs
         d_total += ds
-        clf_acc.flat += cg.flat
-        rej_acc.flat += rg.flat
+        clf_acc.params[:] += cg.params
+        rej_acc.params[:] += rg.params
     return c_total, d_total, clf_acc, rej_acc
 
 
-def assert_bundles_close(a, b, tol=1e-12):
+def assert_grads_close(a, b, tol=1e-12):
     assert a.layout == b.layout
-    np.testing.assert_allclose(a.flat, b.flat, rtol=0, atol=tol)
+    np.testing.assert_allclose(a.params, b.params, rtol=0, atol=tol)
 
 
 def random_cohort(seed, experts, num_classes=5, context=30, elicited=False):
@@ -138,8 +137,8 @@ class TestStackedMatchesReference:
         ref_c, ref_d, ref_cg, ref_rg = reference_cohort(clf, rej, features, labels, mu)
         assert cs == pytest.approx(ref_c, rel=0, abs=1e-12)
         assert ds == pytest.approx(ref_d, rel=0, abs=1e-12)
-        assert_bundles_close(cg, ref_cg)
-        assert_bundles_close(rg, ref_rg)
+        assert_grads_close(cg, ref_cg)
+        assert_grads_close(rg, ref_rg)
 
     @pytest.mark.parametrize("experts", [1, 3, 7])
     def test_tied_expertise_class(self, experts):
@@ -158,14 +157,14 @@ class TestStackedMatchesReference:
         assert ds > 0
         assert cs == pytest.approx(ref_c, rel=0, abs=1e-12)
         assert ds == pytest.approx(ref_d, rel=0, abs=1e-12)
-        assert_bundles_close(cg, ref_cg)
-        assert_bundles_close(rg, ref_rg)
+        assert_grads_close(cg, ref_cg)
+        assert_grads_close(rg, ref_rg)
 
     def test_validation_path_gives_the_same_sums(self):
         _, _, _, mu = random_cohort(5, 4)
         clf, rej, features, labels = nets_and_batch(5)
         with_grads = call_core(_ea_l2d, clf, rej, features, labels, mu)
-        without = call_core(_ea_l2d, clf, rej, features, labels, mu, want_grads=False)
+        without = call_core(_ea_l2d, clf, rej, features, labels, mu, grads=False)
         assert without[:2] == with_grads[:2]
         assert without[2:] == (None, None, None)
 
@@ -222,8 +221,8 @@ def test_permuting_experts_leaves_loss_and_gradients_unchanged(seed, experts, el
     pcs, pds, pcg, prg, _ = call_core(_ea_l2d, clf, rej, features, labels, mu[perm])
     assert pcs == pytest.approx(cs, rel=0, abs=1e-12)
     assert pds == pytest.approx(ds, rel=0, abs=1e-12)
-    assert_bundles_close(pcg, cg)
-    assert_bundles_close(prg, rg)
+    assert_grads_close(pcg, cg)
+    assert_grads_close(prg, rg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,8 +301,8 @@ def test_batch_sums_equal_the_sum_of_one_row_calls(seed, batch, experts, pop_avg
             core, clf, rej, features[one], labels[one], aux[one] if pop_avg else aux
         )
         sums += (rcs, rds)
-        clf_flat += rcg.flat
-        rej_flat += rrg.flat
+        clf_flat += rcg.params
+        rej_flat += rrg.params
     np.testing.assert_allclose([cs, ds], sums, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(cg.flat, clf_flat, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(rg.flat, rej_flat, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cg.params, clf_flat, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rg.params, rej_flat, rtol=0, atol=1e-12)
