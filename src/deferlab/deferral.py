@@ -85,6 +85,32 @@ def _check_split(data: Dataset, num_classes: int, name: str) -> None:
     _check_labels(data.labels, num_classes, f"{name} labels")
 
 
+def _check_networks(
+    classifier: DenseNet, rejector: DenseNet, rejector_width: int, query: Dataset, val: Dataset
+) -> None:
+    """A training call's networks fit its data: the classifier reads as many
+    inputs as the query and validation features have columns, the rejector
+    reads ``rejector_width`` inputs and has one output, its deferral logit.
+    Checked once per call, before any work, else ``ValueError`` naming the
+    network and both widths."""
+    for name, data in (("query", query), ("validation", val)):
+        if data.features.shape[1] != classifier.input_dim:
+            raise ValueError(
+                f"the classifier reads {classifier.input_dim} inputs but the {name} "
+                f"features have {data.features.shape[1]} columns"
+            )
+    if rejector.input_dim != rejector_width:
+        raise ValueError(
+            f"the rejector reads {rejector.input_dim} inputs but this method gives it "
+            f"{rejector_width}"
+        )
+    if rejector.output_dim != 1:
+        raise ValueError(
+            f"the rejector must have one output, its deferral logit; it has "
+            f"{rejector.output_dim}"
+        )
+
+
 def _joint_terms(
     logits: np.ndarray,
     rho: np.ndarray,
@@ -143,6 +169,10 @@ def _forward_for(
         outs = forward_cached(net, x)
         return outs[-1], outs
     return forward(net, x), None
+
+
+# The width of an ea_l2d rejector's input: the four columns of ``rejector_inputs``.
+REJECTOR_INPUTS = 4
 
 
 def rejector_inputs(rho: np.ndarray, kstar: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -406,14 +436,9 @@ def _fit(
     ends with the validation loss on ``val``. With ``patience``, the vector
     is copied whenever the validation loss improves, training stops once it
     has not improved for more than ``patience`` epochs, and the best epoch's
-    networks are returned. The returned networks own their vectors. A
-    rejector whose output count is not 1 raises ``ValueError``.
+    networks are returned. The returned networks own their vectors. The
+    caller has checked the networks' widths (``_check_networks``).
     """
-    if rejector.output_dim != 1:
-        raise ValueError(
-            f"the rejector must have one output, its deferral logit; it has "
-            f"{rejector.output_dim}"
-        )
     params = np.concatenate([classifier.params, rejector.params])
     grads = np.empty_like(params)
     split = classifier.params.size
@@ -511,6 +536,7 @@ def train(
     Early stopping monitors the validation loss computed with full-context
     posterior means, built by ``build_representation`` before the loop.
     """
+    _check_networks(classifier, rejector, REJECTOR_INPUTS, query, val)
     _check_split(query, classifier.output_dim, "query")
     _check_split(val, classifier.output_dim, "validation")
     if not contexts:
@@ -553,7 +579,9 @@ def train_pop_avg(
     patience: int | None = None,
 ) -> TrainResult:
     """Baseline training loop driven by the mode of expert predictions, which
-    must have one column per row of ``query`` and of ``val``."""
+    must have one column per row of ``query`` and of ``val``. Its rejector
+    reads the raw features."""
+    _check_networks(classifier, rejector, query.features.shape[1], query, val)
     _check_split(query, classifier.output_dim, "query")
     _check_split(val, classifier.output_dim, "validation")
     weights = _mode_weights(query_predictions, query, classifier.output_dim, "query")

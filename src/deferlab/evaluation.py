@@ -73,6 +73,16 @@ class Curve:
             raise ValueError("accuracies must lie in [0, 1]")
 
 
+@functools.lru_cache(maxsize=1)
+def _rate_grid(n: int) -> np.ndarray:
+    """Every deferral rate j/n, j = 0..n, as one read-only array. The curves
+    of one run share n, so every curve built from n cases, trained or
+    oracle, shares this one array as its ``rates``."""
+    rates = np.arange(n + 1) / n
+    rates.flags.writeable = False
+    return rates
+
+
 def deferral_curves(
     priority: np.ndarray, classifier_correct: np.ndarray, expert_correct: np.ndarray
 ) -> tuple[Curve, Curve]:
@@ -81,7 +91,9 @@ def deferral_curves(
     Cases are deferred in priority order (ties keep input order). Correctness
     may be an expectation in [0, 1] rather than 0/1. The expert curve at rate
     0 is extended by continuity from the first deferred case. The three
-    arrays must be 1-D vectors of one length, else ``ValueError``.
+    arrays must be 1-D vectors of one length, else ``ValueError``. Both
+    curves' ``rates`` are the one read-only grid of N (``_rate_grid``), the
+    same array for every call with N cases.
     """
     shapes = [np.shape(a) for a in (priority, classifier_correct, expert_correct)]
     if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
@@ -94,11 +106,10 @@ def deferral_curves(
     clf_prefix = np.concatenate([[0.0], np.cumsum(classifier_correct[order])])
     total_clf = clf_prefix[-1]
 
-    j = np.arange(n + 1)
-    rates = j / n
+    rates = _rate_grid(n)
     system = (exp_prefix + (total_clf - clf_prefix)) / n
     expert = np.empty(n + 1)
-    expert[1:] = exp_prefix[1:] / j[1:]
+    expert[1:] = exp_prefix[1:] / np.arange(1, n + 1)
     expert[0] = expert[1]
     return Curve(rates, system), Curve(rates, expert)
 
@@ -249,9 +260,9 @@ METRIC_CSV_HEADER = ["metric", "d_min", "d_max", "value", "cohort", "seed"]
 
 @functools.lru_cache(maxsize=1)
 def _grid_strings(n: int) -> np.ndarray:
-    """``repr`` of every rate j/n, j = 0..n, as a read-only object array; the
-    curves of one run share n."""
-    table = np.fromiter(map(repr, (np.arange(n + 1) / n).tolist()), dtype=object, count=n + 1)
+    """``repr`` of every rate of ``_rate_grid(n)`` as a read-only object
+    array; the curves of one run share n."""
+    table = np.fromiter(map(repr, _rate_grid(n).tolist()), dtype=object, count=n + 1)
     table.flags.writeable = False
     return table
 
@@ -273,20 +284,23 @@ def _float_strings(values: np.ndarray, n: int) -> list[str]:
 
 def write_curve_csv(path, system_curve: Curve, expert_curve: Curve) -> None:
     """One row per grid point: the bytes ``tables.write_table`` would write,
-    joined here with every on-grid value looked up in the shared ``j/N``
+    formatted here with every on-grid value looked up in the shared ``j/N``
     table, because curves are the bulk of a run's output and on a 60 001-row
-    curve ``write_table`` takes more than twice as long."""
+    curve ``write_table`` takes more than twice as long. Rows are formatted
+    and written one ``nets.row_blocks`` block at a time, so the text held at
+    once is one block's, whatever the curve's length."""
     if not np.array_equal(system_curve.rates, expert_curve.rates):
         raise ValueError("system and expert curves must share a grid")
-    rows = len(system_curve.rates)
-    n = rows - 1
-    parts = [","] * (6 * rows)
-    parts[0::6] = _float_strings(system_curve.rates, n)
-    parts[2::6] = _float_strings(system_curve.accuracies, n)
-    parts[4::6] = _float_strings(expert_curve.accuracies, n)
-    parts[5::6] = ["\n"] * rows
+    n = len(system_curve.rates) - 1
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(CURVE_CSV_HEADER) + "\n" + "".join(parts))
+        fh.write(",".join(CURVE_CSV_HEADER) + "\n")
+        for rows in row_blocks(n + 1):
+            parts = [","] * (6 * (rows.stop - rows.start))
+            parts[0::6] = _float_strings(system_curve.rates[rows], n)
+            parts[2::6] = _float_strings(system_curve.accuracies[rows], n)
+            parts[4::6] = _float_strings(expert_curve.accuracies[rows], n)
+            parts[5::6] = ["\n"] * (rows.stop - rows.start)
+            fh.write("".join(parts))
 
 
 def write_metrics_csv(path, rows: Sequence[tuple]) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import save_checkpoint
 from .config import ConfigError, ExperimentConfig, cell_tag, validate_config
-from .deferral import TrainResult, train, train_pop_avg
+from .deferral import REJECTOR_INPUTS, TrainResult, train, train_pop_avg
 from .errors import TrainingDivergenceError
 from .evaluation import (
     Curve,
@@ -63,7 +63,7 @@ from .theory import (
 
 VERSION_STRING = f"deferlab-{__version__}"
 
-REJECTOR_DIMS = (4, 32, 32, 1)
+REJECTOR_DIMS = (REJECTOR_INPUTS, 32, 32, 1)
 
 
 def _subseed(*parts: int) -> int:
@@ -212,62 +212,84 @@ def _metric_rows(record: Record, ranges: Sequence[tuple[float, float]]) -> list[
     return rows
 
 
+def _evaluate_cell(
+    cfg: ExperimentConfig,
+    task: TaskData,
+    seed: int,
+    pi: int,
+    ei: int,
+    priors_map: dict[int, PriorElicitation] | None,
+) -> tuple[list[Record], list[tuple]]:
+    """Grid cell (overlap ``pi``, expertise ``ei``) of one seed: train every
+    configured method and evaluate it on the in-distribution and held-out
+    cohorts. Returns the methods' records and, per cohort, the oracle's
+    ``(p, expertise, cohort, per-class accuracy matrix)``. The cell's
+    test-size arrays (expert test predictions, logits, priorities, scored
+    cases) are freed when it returns, and a method's before the next one's.
+    """
+    num_classes = cfg.num_classes
+    p, epe = cfg.overlap_probabilities[pi], cfg.expertise_grid()[ei]
+    population, contexts, trained = _train_cell(
+        cfg, task, seed, pi, ei, priors_map, cfg.methods, stream=100 + pi * 10 + ei
+    )
+    test_rng = np.random.default_rng(_subseed(seed, pi, ei, 12))
+    test_preds = _prediction_matrix(population, task.test.labels, num_classes, test_rng)
+    mu = build_representation(
+        *prior_arrays(_cohort_priors(population, priors_map), num_classes),
+        [c.labels for c in contexts],
+        [c.predictions for c in contexts],
+    )
+
+    n_id = cfg.experts_id
+    cohorts = [("id", slice(0, n_id))]
+    if len(population) > n_id:
+        cohorts.append(("ood", slice(n_id, None)))
+
+    records = []
+    for method, result in trained.items():
+        logits = forward(result.classifier, task.test.features)
+        # ea_l2d: one row per expert of the population, which each
+        # cohort slices; pop_avg: one row that every cohort shares
+        priorities = case_priorities(
+            logits, result.rejector, task.test.features,
+            mu if method == "ea_l2d" else None,
+        )
+        for cohort_name, idx in cohorts:
+            pick_rng = np.random.default_rng(
+                _subseed(seed, pi, ei, 13, 0 if cohort_name == "id" else 1)
+            )
+            cases = score_cases(
+                logits, priorities[idx] if method == "ea_l2d" else priorities,
+                task.test, test_preds[idx], pick_rng,
+            )
+            records.append(Record(method, p, epe, seed, cohort_name, *build_curves(cases)))
+        del logits, priorities, cases  # not held through the next method's forward
+
+    oracle_cohorts = [
+        (p, epe, cohort_name,
+         np.stack([expert_accuracy_by_class(e, num_classes) for e in population[idx]]))
+        for cohort_name, idx in cohorts
+    ]
+    return records, oracle_cohorts
+
+
 def _evaluate_seed(
     cfg: ExperimentConfig, seed: int, priors_map: dict[int, PriorElicitation] | None
 ) -> list[Record]:
-    """One seed of ``run_experiment``: on every grid cell, train every
-    configured method and evaluate it and the oracle on the in-distribution
-    and held-out cohorts. The oracle records follow the trained methods'.
-
-    Writes no files, so a divergence in any cell leaves nothing behind.
+    """One seed of ``run_experiment``: every grid cell in turn
+    (``_evaluate_cell``, so one cell's test-size arrays are alive at a time),
+    then the oracle on every cell's cohorts, whose records follow the
+    trained methods'. Writes no files, so a divergence in any cell leaves
+    nothing behind.
     """
-    num_classes = cfg.num_classes
     records: list[Record] = []
-    oracle_cohorts = []  # (p, expertise, cohort, per-class accuracy matrix)
+    oracle_cohorts = []
     task = generate_gaussian_task(cfg.task_spec(seed))
-    for pi, p in enumerate(cfg.overlap_probabilities):
-        for ei, epe in enumerate(cfg.expertise_grid()):
-            population, contexts, trained = _train_cell(
-                cfg, task, seed, pi, ei, priors_map, cfg.methods, stream=100 + pi * 10 + ei
-            )
-            test_rng = np.random.default_rng(_subseed(seed, pi, ei, 12))
-            test_preds = _prediction_matrix(population, task.test.labels, num_classes, test_rng)
-            mu = build_representation(
-                *prior_arrays(_cohort_priors(population, priors_map), num_classes),
-                [c.labels for c in contexts],
-                [c.predictions for c in contexts],
-            )
-
-            n_id = cfg.experts_id
-            cohorts = [("id", slice(0, n_id))]
-            if len(population) > n_id:
-                cohorts.append(("ood", slice(n_id, None)))
-
-            for method, result in trained.items():
-                logits = forward(result.classifier, task.test.features)
-                # ea_l2d: one row per expert of the population, which each
-                # cohort slices; pop_avg: one row that every cohort shares
-                priorities = case_priorities(
-                    logits, result.rejector, task.test.features,
-                    mu if method == "ea_l2d" else None,
-                )
-                for cohort_name, idx in cohorts:
-                    pick_rng = np.random.default_rng(
-                        _subseed(seed, pi, ei, 13, 0 if cohort_name == "id" else 1)
-                    )
-                    cases = score_cases(
-                        logits, priorities[idx] if method == "ea_l2d" else priorities,
-                        task.test, test_preds[idx], pick_rng,
-                    )
-                    records.append(
-                        Record(method, p, epe, seed, cohort_name, *build_curves(cases))
-                    )
-
-            for cohort_name, idx in cohorts:
-                acc_matrix = np.stack(
-                    [expert_accuracy_by_class(e, num_classes) for e in population[idx]]
-                )
-                oracle_cohorts.append((p, epe, cohort_name, acc_matrix))
+    for pi in range(len(cfg.overlap_probabilities)):
+        for ei in range(len(cfg.expertise_grid())):
+            cell_records, cell_cohorts = _evaluate_cell(cfg, task, seed, pi, ei, priors_map)
+            records += cell_records
+            oracle_cohorts += cell_cohorts
 
     # The oracle's class posterior depends only on the task, so every cell
     # and cohort shares one. It is computed after the last cell has trained,

@@ -32,6 +32,7 @@ from deferlab.nets import (
 )
 from deferlab.simulate import (
     ContextSet,
+    Dataset,
     SyntheticTaskSpec,
     draw_context_set,
     expert_predict_batch,
@@ -835,6 +836,49 @@ class TestPackedTraining:
                 train_pop_avg(clf, dense_net([6, 8, 2], 1), task.train,
                               np.stack([task.train.labels]), cfg, val=task.val,
                               val_predictions=np.stack([task.val.labels]))
+
+    @staticmethod
+    def train_with_widths(method, monkeypatch, clf_dims, rej_dims, val_columns=6):
+        # checked once per call, before the representation or a loss core runs
+        def no_work(*args, **kwargs):
+            raise AssertionError("training work ran before the width check")
+
+        for name in ("build_representation", "_ea_l2d", "_pop_avg"):
+            monkeypatch.setattr(deferlab.deferral, name, no_work)
+        task, experts, contexts = small_training_setup()
+        val = Dataset(task.val.features[:, :val_columns], task.val.labels)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=16, epochs=1, seed=0)
+        clf, rej = dense_net(clf_dims, 0), dense_net(rej_dims, 1)
+        if method == "ea_l2d":
+            train(clf, rej, task.train, contexts, [None] * len(contexts), cfg, val=val)
+        else:
+            train_pop_avg(clf, rej, task.train, np.stack([task.train.labels]), cfg, val=val,
+                          val_predictions=np.stack([val.labels]))
+
+    def test_ea_l2d_rejector_of_the_wrong_width_rejected_by_name(self, monkeypatch):
+        with pytest.raises(ValueError, match="rejector reads 5 inputs .* gives it 4$"):
+            self.train_with_widths("ea_l2d", monkeypatch, [6, 8, 4], [5, 8, 1])
+
+    def test_pop_avg_rejector_of_the_wrong_width_rejected_by_name(self, monkeypatch):
+        with pytest.raises(ValueError, match="rejector reads 4 inputs .* gives it 6$"):
+            self.train_with_widths("pop_avg", monkeypatch, [6, 8, 4], [4, 8, 1])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_classifier_of_the_wrong_width_rejected_by_name(self, method, monkeypatch):
+        rej_dims = [4, 8, 1] if method == "ea_l2d" else [6, 8, 1]
+        with pytest.raises(
+            ValueError, match="classifier reads 5 inputs but the query features have 6 columns"
+        ):
+            self.train_with_widths(method, monkeypatch, [5, 8, 4], rej_dims)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_validation_features_of_the_wrong_width_rejected_by_name(self, method, monkeypatch):
+        rej_dims = [4, 8, 1] if method == "ea_l2d" else [6, 8, 1]
+        with pytest.raises(
+            ValueError,
+            match="classifier reads 6 inputs but the validation features have 5 columns",
+        ):
+            self.train_with_widths(method, monkeypatch, [6, 8, 4], rej_dims, val_columns=5)
 
 
 class TestOneForwardPerBatch:

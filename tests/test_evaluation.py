@@ -22,6 +22,7 @@ from deferlab.evaluation import (
     write_curve_csv,
     write_metrics_csv,
 )
+from deferlab.harness import Record
 from deferlab.nets import BLOCK_ROWS, DenseNet, Layer, dense_net, forward
 from deferlab.simulate import Dataset
 from deferlab.tables import write_table
@@ -715,16 +716,56 @@ def reference_curve_csv(path, system_curve, expert_curve):
 
 
 class TestCurveCsvBytes:
-    @pytest.mark.parametrize("n", [1, 7, 5_003, 60_000])
-    def test_matches_write_table(self, tmp_path, n):
+    # The writer formats and writes one ``nets.row_blocks`` block of a curve's
+    # n + 1 rows at a time, so the counts around block edges are checked too.
+    @pytest.mark.parametrize(
+        "n",
+        [1, 7, BLOCK_ROWS - 2, BLOCK_ROWS - 1, BLOCK_ROWS, 3 * BLOCK_ROWS // 2 - 2,
+         3 * BLOCK_ROWS // 2 - 1, 2 * BLOCK_ROWS, 5_003, 60_000],
+    )
+    @pytest.mark.parametrize("shape", ["on-grid", "off-grid"])
+    def test_matches_write_table(self, tmp_path, n, shape):
         rng = np.random.default_rng(n)
-        cases = scored(rng.uniform(-1, 1, size=n), rng.integers(2, size=n), rng.integers(2, size=n))
-        system, expert = build_curves(cases)
+        if shape == "on-grid":
+            # a trained system: 0/1 correctness puts the system column on the grid
+            cases = scored(rng.uniform(-1, 1, size=n), rng.integers(2, size=n),
+                           rng.integers(2, size=n))
+            system, expert = build_curves(cases)
+            assert np.array_equal(np.rint(system.accuracies * n) / n, system.accuracies)
+        else:
+            # as the oracle writes: expected expert correctness puts both
+            # accuracy columns off the grid
+            system, expert = deferral_curves(
+                rng.uniform(-1, 1, size=n), rng.integers(2, size=n).astype(np.float64),
+                rng.uniform(0.2, 0.9, size=n),
+            )
+            if n > 7:
+                for column in (system.accuracies, expert.accuracies):
+                    assert np.mean(np.rint(column * n) / n != column) > 0.9
         if n == 60_000:
             assert repr(float(system.rates[1])) == "1.6666666666666667e-05"
         write_curve_csv(tmp_path / "new.csv", system, expert)
         reference_curve_csv(tmp_path / "ref.csv", system, expert)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_peak_memory_of_a_long_curve_stays_at_one_block(self, tmp_path):
+        # The whole 60 001-row file's text is about 3 MB, and joining it
+        # whole held more than 16 MB at once; one block's text is far less.
+        n = 60_000
+        rng = np.random.default_rng(0)
+        system, expert = deferral_curves(
+            rng.uniform(-1, 1, size=n), rng.integers(2, size=n).astype(np.float64),
+            rng.uniform(0.2, 0.9, size=n),
+        )
+        write_curve_csv(tmp_path / "warm.csv", system, expert)  # fills the grid caches
+        tracemalloc.start()
+        try:
+            write_curve_csv(tmp_path / "curve.csv", system, expert)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "curve.csv").stat().st_size > 3_000_000
+        assert peak < 4_000_000, f"peak {peak / 1e6:.1f} MB"
 
     def test_exact_ends_and_inexact_sums(self, tmp_path):
         rates = np.array([0.0, 0.1 + 0.2, 0.5, 1.0])
@@ -735,6 +776,39 @@ class TestCurveCsvBytes:
         text = (tmp_path / "new.csv").read_text()
         assert "0.30000000000000004,1.0,0.0" in text and text.endswith("\n")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestSharedRateGrid:
+    def test_curves_of_one_case_count_share_one_read_only_grid(self):
+        rng = np.random.default_rng(0)
+        first = build_curves(scored(rng.uniform(-1, 1, 50), rng.integers(2, size=50),
+                                    rng.integers(2, size=50)))
+        second = deferral_curves(rng.uniform(-1, 1, 50), rng.random(50), rng.random(50))
+        grids = [curve.rates for curve in (*first, *second)]
+        assert all(g is grids[0] for g in grids)
+        assert np.array_equal(grids[0], np.arange(51) / 50)
+        with pytest.raises(ValueError, match="read-only"):
+            grids[0][1] = 0.5
+
+    def test_areas_and_record_metrics_read_the_shared_grid(self):
+        system, expert = deferral_curves(
+            np.array([0.5, -0.5, 0.0, 0.25]), np.array([1.0, 0.0, 1.0, 1.0]),
+            np.array([1.0, 1.0, 0.0, 1.0]),
+        )
+        # hand sums: system (3, 3, 3, 2, 3) / 4, expert (1, 1, 2/2, 2/3, 3/4)
+        assert np.array_equal(system.accuracies, np.array([3, 3, 3, 2, 3]) / 4)
+        record = Record("ea_l2d", 0.5, 1, 1, "id", system, expert)
+        assert record.classifier_accuracy == 0.75
+        # trapezoids of width 1/4 over (0.75, 0.75, 0.75, 0.5, 0.75) and,
+        # on [1/4, 3/4], over (1, 1, 2/3)
+        assert record.aursac() == 0.6875
+        assert record.aurdac(0.25, 0.75) == pytest.approx((1 + (1 + 2 / 3) / 2) / 2)
+        # a curve built on a fresh writable copy of the grid validates and
+        # integrates the same
+        copy = Curve(system.rates.copy(), system.accuracies)
+        assert area_under(copy, 0.0, 1.0) == area_under(system, 0.0, 1.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Curve(system.rates[::-1], system.accuracies)
 
 
 # Curve values drawn as grid points j/n, off-grid floats, or the edge values
