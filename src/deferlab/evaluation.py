@@ -184,6 +184,7 @@ def case_priorities(
     whatever the test set size, and a case's priority does not depend on
     the block it falls in. Row e depends only on ``mu[e]``, so the rows of
     a slice of experts equal the same slice of the whole matrix bit for bit.
+    ``score_cases`` calls it on one row block of the test set at a time.
     """
     if mu is None and len(features) != len(logits):
         raise ValueError(
@@ -206,52 +207,74 @@ def case_priorities(
 
 
 def score_cases(
-    logits: np.ndarray,
-    priorities: np.ndarray,
+    classifier: DenseNet,
+    rejector: DenseNet,
     data: Dataset,
-    expert_predictions: np.ndarray,
-    rng: np.random.Generator,
-) -> ScoredCases:
-    """Score every case against a cohort from the classifier's logits on
-    ``data`` and the system's ``case_priorities``: (experts, cases) for an
-    expert-aware system, or (1, cases) for an expert-independent one, whose
-    one row every expert shares.
+    mu: np.ndarray | None,
+    expert_correct: np.ndarray,
+    cohorts: Sequence[tuple[slice, np.random.Generator]],
+) -> list[ScoredCases]:
+    """Score every case of ``data`` against each cohort, one ``ScoredCases``
+    per cohort, in one pass over the cases' ``nets.row_blocks``.
 
-    The logits, ``data``, the priorities and the predictions (experts,
-    cases) must cover the same cases, and the priorities have one row or
-    one per expert, else ``ValueError``. An expert-aware system defers each
-    case to the argmax-priority expert (ties go to the lowest cohort
-    index); an expert-independent one cannot discriminate, so in a cohort
-    of more than one the deferred expert is a uniform seeded draw.
+    ``expert_correct`` is the (experts, cases) bool matrix of whether each
+    expert's prediction of each case is right, and a cohort is a slice of
+    its rows with the generator of its draws. With the experts' (experts, K)
+    posterior means ``mu`` the system is expert-aware: each case goes to
+    its cohort's argmax-priority expert, and ties go to the lowest cohort
+    index. With ``mu=None`` it is expert-independent: every expert shares
+    one priority row, so a cohort of more than one draws each case's expert
+    uniformly from its generator, once for all cases, before the pass.
+
+    Each block takes one classifier ``forward`` and one ``case_priorities``
+    over every expert, and each cohort keeps only its per-case vectors
+    from them, so no (cases, K) logits or (experts, cases) priorities are
+    held whatever the test set size. A case's results do not depend on
+    the block it falls in. ``mu`` must have a row per expert and the
+    matrix a column per case, else ``ValueError`` naming both counts; an
+    empty cohort raises ``ValueError``.
     """
-    preds = np.asarray(expert_predictions, dtype=np.int64)
-    priorities = np.asarray(priorities, dtype=np.float64)
+    correct = np.asarray(expert_correct, dtype=bool)
     n = len(data)
-    if preds.ndim != 2:
-        raise ValueError("expert predictions must be (experts, cases)")
-    cohort = preds.shape[0]
-    if cohort == 0:
-        raise ValueError("cannot score against an empty cohort")
-    if priorities.ndim != 2 or priorities.shape[0] not in (1, cohort):
+    if correct.ndim != 2:
+        raise ValueError(f"expert correctness must be (experts, cases), got shape {correct.shape}")
+    if correct.shape[1] != n:
         raise ValueError(
-            f"priorities of shape {priorities.shape} need 1 or {cohort} rows, "
-            f"one per expert of the predictions"
+            f"expert correctness has {correct.shape[1]} columns but the data has {n} cases"
         )
-    if len(logits) != n:
-        raise ValueError(f"logits have {len(logits)} rows but the data has {n} cases")
-    for name, cols in (("expert predictions", preds.shape[1]), ("priorities", priorities.shape[1])):
-        if cols != n:
-            raise ValueError(f"{name} have {cols} columns but the data has {n} cases")
-    clf_correct = np.argmax(logits, axis=1) == data.labels
+    if mu is not None and len(mu) != len(correct):
+        raise ValueError(
+            f"mu has {len(mu)} rows but the correctness matrix has {len(correct)} experts"
+        )
+    sizes = [len(range(len(correct))[members]) for members, _ in cohorts]
+    if 0 in sizes:
+        raise ValueError("cannot score against an empty cohort")
 
-    if priorities.shape[0] == 1 and cohort > 1:
-        chosen = rng.integers(cohort, size=n)
-        case_priority = priorities[0]
-    else:
-        chosen = np.argmax(priorities, axis=0)
-        case_priority = priorities[chosen, np.arange(n)]
-    expert_correct = preds[chosen, np.arange(n)] == data.labels
-    return ScoredCases(case_priority, clf_correct, expert_correct, chosen)
+    # each cohort's per-case vectors, one row per cohort
+    priority = np.empty((len(cohorts), n))
+    case_correct = np.empty((len(cohorts), n), dtype=bool)
+    chosen = np.zeros((len(cohorts), n), dtype=np.int64)
+    for c, (size, (_, rng)) in enumerate(zip(sizes, cohorts)):
+        if mu is None and size > 1:
+            chosen[c] = rng.integers(size, size=n)
+    clf_correct = np.empty(n, dtype=bool)
+    for rows in row_blocks(n):
+        features, cols = data.features[rows], np.arange(rows.stop - rows.start)
+        logits = forward(classifier, features)
+        clf_correct[rows] = np.argmax(logits, axis=1) == data.labels[rows]
+        priorities = case_priorities(logits, rejector, features, mu)
+        for c, (members, _) in enumerate(cohorts):
+            if mu is None:
+                priority[c, rows] = priorities[0]
+            else:
+                mine = priorities[members]
+                chosen[c, rows] = np.argmax(mine, axis=0)
+                priority[c, rows] = mine[chosen[c, rows], cols]
+            case_correct[c, rows] = correct[members, rows][chosen[c, rows], cols]
+    return [
+        ScoredCases(priority[c], clf_correct, case_correct[c], chosen[c])
+        for c in range(len(cohorts))
+    ]
 
 
 CURVE_CSV_HEADER = ["deferral_rate", "system_accuracy", "expert_accuracy"]

@@ -26,7 +26,6 @@ from .evaluation import (
     Curve,
     area_under,
     build_curves,
-    case_priorities,
     score_cases,
     write_curve_csv,
     write_metrics_csv,
@@ -39,7 +38,7 @@ from .experts import (
     sample_complexity_bound,
     write_prior_file,
 )
-from .nets import dense_net, forward
+from .nets import dense_net
 from .simulate import (
     ContextSet,
     SimulatedExpertSpec,
@@ -111,6 +110,18 @@ def _prediction_matrix(
     rng: np.random.Generator,
 ) -> np.ndarray:
     return np.stack([expert_predict_batch(e, labels, num_classes, rng) for e in experts])
+
+
+def _correctness_matrix(
+    experts: Sequence[SimulatedExpertSpec],
+    labels: np.ndarray,
+    num_classes: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Whether each expert predicts each label right, (experts, cases) bool:
+    the draws of ``_prediction_matrix`` with each expert's int64
+    predictions dropped as soon as they are compared."""
+    return np.stack([expert_predict_batch(e, labels, num_classes, rng) == labels for e in experts])
 
 
 def _cohort_priors(
@@ -223,9 +234,14 @@ def _evaluate_cell(
     """Grid cell (overlap ``pi``, expertise ``ei``) of one seed: train every
     configured method and evaluate it on the in-distribution and held-out
     cohorts. Returns the methods' records and, per cohort, the oracle's
-    ``(p, expertise, cohort, per-class accuracy matrix)``. The cell's
-    test-size arrays (expert test predictions, logits, priorities, scored
-    cases) are freed when it returns, and a method's before the next one's.
+    ``(p, expertise, cohort, per-class accuracy matrix)``.
+
+    The expert test predictions are kept only as the population's
+    (experts, cases) bool correctness matrix. Each method is scored by one
+    ``score_cases`` pass over the test set's row blocks that serves both
+    cohorts, so no test-size logits or priority matrix exists; the cell's
+    test-size arrays (the correctness matrix and a method's scored cases)
+    are freed when it returns, and a method's before the next one's.
     """
     num_classes = cfg.num_classes
     p, epe = cfg.overlap_probabilities[pi], cfg.expertise_grid()[ei]
@@ -233,7 +249,7 @@ def _evaluate_cell(
         cfg, task, seed, pi, ei, priors_map, cfg.methods, stream=100 + pi * 10 + ei
     )
     test_rng = np.random.default_rng(_subseed(seed, pi, ei, 12))
-    test_preds = _prediction_matrix(population, task.test.labels, num_classes, test_rng)
+    test_correct = _correctness_matrix(population, task.test.labels, num_classes, test_rng)
     mu = build_representation(
         *prior_arrays(_cohort_priors(population, priors_map), num_classes),
         [c.labels for c in contexts],
@@ -247,23 +263,18 @@ def _evaluate_cell(
 
     records = []
     for method, result in trained.items():
-        logits = forward(result.classifier, task.test.features)
-        # ea_l2d: one row per expert of the population, which each
-        # cohort slices; pop_avg: one row that every cohort shares
-        priorities = case_priorities(
-            logits, result.rejector, task.test.features,
-            mu if method == "ea_l2d" else None,
+        # every method draws each cohort's cases from the same fresh stream
+        picks = [
+            (idx, np.random.default_rng(_subseed(seed, pi, ei, 13, c)))
+            for c, (_, idx) in enumerate(cohorts)
+        ]
+        scored = score_cases(
+            result.classifier, result.rejector, task.test,
+            mu if method == "ea_l2d" else None, test_correct, picks,
         )
-        for cohort_name, idx in cohorts:
-            pick_rng = np.random.default_rng(
-                _subseed(seed, pi, ei, 13, 0 if cohort_name == "id" else 1)
-            )
-            cases = score_cases(
-                logits, priorities[idx] if method == "ea_l2d" else priorities,
-                task.test, test_preds[idx], pick_rng,
-            )
+        for (cohort_name, _), cases in zip(cohorts, scored):
             records.append(Record(method, p, epe, seed, cohort_name, *build_curves(cases)))
-        del logits, priorities, cases  # not held through the next method's forward
+        del scored, cases  # not held through the next method's pass
 
     oracle_cohorts = [
         (p, epe, cohort_name,
@@ -413,17 +424,19 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
         _, _, trained = _train_cell(cfg, task, seed, 0, 0, priors_map, ["ea_l2d"], stream=500)
         result = trained["ea_l2d"]
         test_rng = np.random.default_rng(_subseed(seed, 0, 0, 12))
-        target_preds = _prediction_matrix([target], task.test.labels, num_classes, test_rng)
+        target_correct = _correctness_matrix([target], task.test.labels, num_classes, test_rng)
         pick_rng = np.random.default_rng(_subseed(seed, 0, 0, 13))
-        logits = forward(result.classifier, task.test.features)
-        records = []
-        for arm, mu in arm_mu.items():
-            cases = score_cases(
-                logits, case_priorities(logits, result.rejector, task.test.features, mu),
-                task.test, target_preds, pick_rng,
-            )
-            records.append(Record("ea_l2d", p, epe, seed, arm, *build_curves(cases)))
-        return records
+        # every arm is the one studied expert under its own prior: one row
+        # of mu per arm over the expert's one correctness row
+        scored = score_cases(
+            result.classifier, result.rejector, task.test, np.concatenate(list(arm_mu.values())),
+            np.broadcast_to(target_correct, (len(arm_mu), len(task.test))),
+            [(slice(i, i + 1), pick_rng) for i in range(len(arm_mu))],
+        )
+        return [
+            Record("ea_l2d", p, epe, seed, arm, *build_curves(cases))
+            for arm, cases in zip(arm_mu, scored)
+        ]
 
     studied, failures = _each_seed(cfg, study_seed)
     if failures:

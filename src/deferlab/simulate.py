@@ -84,16 +84,26 @@ def _balanced_counts(size: int, num_classes: int) -> np.ndarray:
 
 
 def generate_gaussian_task(spec: SyntheticTaskSpec) -> TaskData:
-    """Draw the four disjoint partitions of a Gaussian classification task."""
+    """Draw the four disjoint partitions of a Gaussian classification task.
+
+    Each partition's features are its noise draw with the class means added
+    in place. Its labels are sorted, so each class's rows are one slice and
+    take its mean as one broadcast add: drawing a partition holds its one
+    (size, dim) array, where ``means[labels] + noise`` held a second
+    partition-size array. Float addition commutes, so the bits are those
+    of that sum."""
     rng = np.random.default_rng(spec.seed)
     directions = rng.normal(size=(spec.num_classes, spec.dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     means = spec.separation * directions
 
     def draw(size: int) -> Dataset:
-        labels = np.repeat(np.arange(spec.num_classes), _balanced_counts(size, spec.num_classes))
-        noise = rng.normal(scale=spec.noise_scale, size=(size, spec.dim))
-        return Dataset(means[labels] + noise, labels)
+        counts = _balanced_counts(size, spec.num_classes)
+        labels = np.repeat(np.arange(spec.num_classes), counts)
+        features = rng.normal(scale=spec.noise_scale, size=(size, spec.dim))
+        for mean, stop, count in zip(means, np.cumsum(counts), counts):
+            features[stop - count : stop] += mean
+        return Dataset(features, labels)
 
     return TaskData(
         spec=spec,

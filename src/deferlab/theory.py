@@ -99,19 +99,35 @@ def bayes_optimal_reference(
     the top posterior, and expert correctness enters the curves in
     expectation, so the result is the ceiling any trained system can only
     reach up to sampling noise. ``expert_accuracies`` is one expert's
-    per-class accuracy (K,) or a cohort's (experts, K).
+    per-class accuracy (K,) or a cohort's (experts, K); a column count that
+    is not K, or a label count that is not the posterior's row count,
+    raises ``ValueError`` naming both.
+
+    The posterior is read in ``nets.row_blocks``: each block's (rows,
+    experts) expected correctness is reduced to the case's priority, its
+    best expert's expected correctness on the true label and the
+    classifier's correctness before the next block, so only those three
+    per-case vectors span every case.
     """
     acc = np.atleast_2d(np.asarray(expert_accuracies, dtype=np.float64))
     if acc.shape[1] != posterior.shape[1]:
-        raise ValueError("expert accuracies must have one column per class")
+        raise ValueError(
+            f"expert accuracies need one column per class: {acc.shape[1]} columns "
+            f"for {posterior.shape[1]} classes"
+        )
     if len(labels) != len(posterior):
-        raise ValueError("need one label per posterior row")
+        raise ValueError(
+            f"need one label per posterior row: {len(labels)} labels for {len(posterior)} rows"
+        )
 
-    clf_correct = (np.argmax(posterior, axis=1) == labels).astype(np.float64)
-    value = posterior @ acc.T  # each expert's expected correctness per case
-    best_expert = np.argmax(value, axis=1)
-    expert_correct = acc[best_expert, labels]  # expected correctness on the true label
-    priority = value.max(axis=1) - posterior.max(axis=1)
+    clf_correct, expert_correct, priority = (np.empty(len(posterior)) for _ in range(3))
+    for rows in row_blocks(len(posterior)):
+        post, y = posterior[rows], labels[rows]
+        value = post @ acc.T  # each expert's expected correctness per case
+        clf_correct[rows] = np.argmax(post, axis=1) == y
+        # the best expert's expected correctness on the true label
+        expert_correct[rows] = acc[np.argmax(value, axis=1), y]
+        priority[rows] = value.max(axis=1) - post.max(axis=1)
     return deferral_curves(priority, clf_correct, expert_correct)
 
 

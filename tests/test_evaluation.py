@@ -87,6 +87,13 @@ class TestDeferralPriority:
             assert priority_of(np.zeros(k), 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def flat_classifier(dim, num_classes):
+    """A one-layer classifier whose logits are 0 for every class and case."""
+    return DenseNet.from_layers(
+        [Layer(np.zeros((num_classes, dim)), np.zeros(num_classes))]
+    )
+
+
 def score_cohort(mu_at_expertise, predictions):
     """Score one case (label 0, flat classifier) against experts whose
     expertise class is 0. The rejector's deferral logit is 10 times the
@@ -95,10 +102,12 @@ def score_cohort(mu_at_expertise, predictions):
     data = Dataset(np.zeros((1, 3)), np.zeros(1, dtype=np.int64))
     rejector = linear_rejector([0.0, 0.0, 0.0, 10.0])
     mu = np.stack([rep_from_mu([m, 0.05]) for m in mu_at_expertise])
-    preds = np.array(predictions, dtype=np.int64).reshape(len(mu), 1)
-    logits = np.zeros((1, 2))
-    priorities = case_priorities(logits, rejector, data.features, mu)
-    cases = score_cases(logits, priorities, data, preds, np.random.default_rng(0))
+    correct = np.array(predictions, dtype=np.int64).reshape(len(mu), 1) == data.labels
+    [cases] = score_cases(
+        flat_classifier(3, 2), rejector, data, mu, correct,
+        [(slice(None), np.random.default_rng(0))],
+    )
+    priorities = case_priorities(np.zeros((1, 2)), rejector, data.features, mu)
     return cases, priorities[:, 0]
 
 
@@ -118,7 +127,7 @@ class TestSelectExpert:
         assert cases.priority[0] == priorities[1]
 
     def test_explicit_ids(self):
-        # the chosen index is the expert's row in the prediction matrix
+        # the chosen index is the expert's row in the correctness matrix
         cases, _ = score_cohort([0.1, 0.8], [1, 0])
         assert cases.chosen_expert.tolist() == [1] and cases.expert_correct.tolist() == [True]
         cases, _ = score_cohort([0.1, 0.8], [0, 1])
@@ -128,8 +137,8 @@ class TestSelectExpert:
         data = Dataset(np.zeros((2, 3)), np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError, match="empty cohort"):
             score_cases(
-                np.zeros((2, 2)), np.zeros((0, 2)), data, np.zeros((0, 2), dtype=np.int64),
-                np.random.default_rng(0),
+                flat_classifier(3, 2), linear_rejector([0.0] * 4), data, np.zeros((0, 2)),
+                np.zeros((0, 2), dtype=bool), [(slice(None), np.random.default_rng(0))],
             )
 
 
@@ -296,10 +305,9 @@ class TestScoreCases:
         rej = dense_net([4, 8, 1], 1)
         data = Dataset(np.random.default_rng(0).normal(size=(12, 3)), np.zeros(12, dtype=np.int64))
         mu = np.stack([rep_from_mu([0.9, 0.4, 0.4]), rep_from_mu([0.4, 0.9, 0.4])])
-        preds = np.zeros((2, 12), dtype=np.int64)
-        logits = forward(clf, data.features)
-        matrix = case_priorities(logits, rej, data.features, mu)
-        cases = score_cases(logits, matrix, data, preds, np.random.default_rng(0))
+        correct = np.ones((2, 12), dtype=bool)
+        [cases] = score_cases(clf, rej, data, mu, correct, [(slice(None), np.random.default_rng(0))])
+        matrix = case_priorities(forward(clf, data.features), rej, data.features, mu)
         expected = np.argmax(matrix, axis=0)
         assert cases.chosen_expert.tolist() == expected.tolist()
         assert all(cases.priority[i] == matrix[e, i] for i, e in enumerate(expected))
@@ -308,26 +316,38 @@ class TestScoreCases:
         clf = dense_net([3, 8, 3], 0)
         rej = dense_net([3, 8, 1], 1)
         data = Dataset(np.random.default_rng(1).normal(size=(400, 3)), np.zeros(400, dtype=np.int64))
-        preds = np.zeros((4, 400), dtype=np.int64)
-        logits = forward(clf, data.features)
-        row = case_priorities(logits, rej, data.features, None)
-        cases = score_cases(logits, row, data, preds, np.random.default_rng(5))
-        chosen = cases.chosen_expert
-        counts = np.bincount(chosen, minlength=4)
+        correct = np.ones((4, 400), dtype=bool)
+
+        def chosen(seed):
+            [cases] = score_cases(
+                clf, rej, data, None, correct, [(slice(None), np.random.default_rng(seed))]
+            )
+            return cases.chosen_expert
+
+        counts = np.bincount(chosen(5), minlength=4)
         assert counts.min() > 0.25 * 400 / 4  # roughly uniform
         # same seed draws identically
-        again = score_cases(logits, row, data, preds, np.random.default_rng(5))
-        assert again.chosen_expert.tolist() == chosen.tolist()
+        assert chosen(5).tolist() == chosen(5).tolist()
 
     def test_empty_cohort_rejected(self):
         clf = dense_net([3, 8, 3], 0)
         rej = dense_net([3, 8, 1], 1)
         data = Dataset(np.zeros((2, 3)), np.zeros(2, dtype=np.int64))
-        logits = forward(clf, data.features)
         with pytest.raises(ValueError):
             score_cases(
-                logits, case_priorities(logits, rej, data.features, None), data,
-                np.zeros((0, 2), dtype=np.int64), np.random.default_rng(0),
+                clf, rej, data, None, np.zeros((0, 2), dtype=bool),
+                [(slice(None), np.random.default_rng(0))],
+            )
+
+    @pytest.mark.parametrize("members", [slice(2, 2), slice(3, None), slice(1, 0)])
+    def test_a_cohort_that_selects_no_expert_is_rejected(self, members):
+        clf = dense_net([3, 8, 3], 0)
+        rej = dense_net([3, 8, 1], 1)
+        data = Dataset(np.zeros((2, 3)), np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="empty cohort"):
+            score_cases(
+                clf, rej, data, None, np.ones((3, 2), dtype=bool),
+                [(slice(0, 1), np.random.default_rng(0)), (members, np.random.default_rng(1))],
             )
 
 
@@ -336,45 +356,162 @@ class TestRowAlignment:
     counts instead of truncating or failing to broadcast."""
 
     data = Dataset(np.random.default_rng(3).normal(size=(5, 3)), np.zeros(5, dtype=np.int64))
-    logits = np.random.default_rng(4).normal(size=(5, 2))
+    classifier = dense_net([3, 8, 2], 4)
     rejector = dense_net([3, 8, 1], 5)
 
-    def score(self, logits=None, preds_cols=5, priorities=None):
-        preds = np.zeros((2, preds_cols), dtype=np.int64)
-        if priorities is None:
-            priorities = case_priorities(self.logits, self.rejector, self.data.features, None)
+    def score(self, classifier=None, correct_cols=5, correct=None, mu=None, rejector=None):
+        if correct is None:
+            correct = np.zeros((2, correct_cols), dtype=bool)
         return score_cases(
-            self.logits if logits is None else logits, priorities, self.data, preds,
-            np.random.default_rng(0),
+            self.classifier if classifier is None else classifier,
+            self.rejector if rejector is None else rejector, self.data, mu, correct,
+            [(slice(None), np.random.default_rng(0))],
         )
 
     @pytest.mark.parametrize("cols", [8, 3])
-    def test_prediction_columns_must_match_the_cases(self, cols):
+    def test_correctness_columns_must_match_the_cases(self, cols):
         with pytest.raises(ValueError, match=f"{cols} columns but the data has 5 cases"):
-            self.score(preds_cols=cols)
+            self.score(correct_cols=cols)
 
-    def test_logits_rows_must_match_the_cases(self):
-        with pytest.raises(ValueError, match="logits have 7 rows but the data has 5 cases"):
-            self.score(logits=np.zeros((7, 2)))
+    def test_classifier_inputs_must_match_the_features(self):
+        # the logits are the classifier's on the data, so they cannot
+        # disagree with it in count; a classifier of another width is named
+        with pytest.raises(ValueError, match=r"input shape \(5, 3\) incompatible .* dim 7"):
+            self.score(classifier=dense_net([7, 8, 2], 4))
 
     def test_feature_rows_must_match_the_logits_without_mu(self):
+        logits = np.random.default_rng(4).normal(size=(5, 2))
         with pytest.raises(ValueError, match="features have 9 rows but the logits have 5 cases"):
-            case_priorities(self.logits, self.rejector, np.zeros((9, 3)), None)
+            case_priorities(logits, self.rejector, np.zeros((9, 3)), None)
 
     def test_mu_rows_must_match_the_cohort(self):
         mu = np.stack([rep_from_mu([0.9, 0.4])] * 3)
         rejector = dense_net([4, 8, 1], 5)
-        priorities = case_priorities(self.logits, rejector, self.data.features, mu)
-        with pytest.raises(ValueError, match=r"shape \(3, 5\) need 1 or 2 rows"):
-            self.score(priorities=priorities)
+        with pytest.raises(ValueError, match="mu has 3 rows but the correctness matrix has 2 experts"):
+            self.score(mu=mu, rejector=rejector)
 
-    @pytest.mark.parametrize("shape", [(2, 4), (1, 6), (5,)])
-    def test_priority_columns_must_match_the_cases(self, shape):
-        with pytest.raises(ValueError, match="priorities"):
-            self.score(priorities=np.zeros(shape))
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((2, 4), "4 columns but the data has 5 cases"),
+         ((1, 6), "6 columns but the data has 5 cases"),
+         ((5,), r"must be \(experts, cases\), got shape \(5,\)")],
+    )
+    def test_correctness_shape_must_be_experts_by_cases(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            self.score(correct=np.zeros(shape, dtype=bool))
 
     def test_aligned_inputs_score(self):
-        assert len(self.score()) == 5
+        [cases] = self.score()
+        assert len(cases) == 5
+
+
+def whole_array_scores(classifier, rejector, data, mu, correct, cohorts):
+    """The scorer before row blocks: one classifier forward and one
+    ``case_priorities`` over every case, so whole (cases, K) logits and an
+    (experts, cases) priority matrix, then each cohort's argmax (or, with
+    one shared row and more than one expert, its draw) over all cases."""
+    n = len(data)
+    logits = forward(classifier, data.features)
+    priorities = case_priorities(logits, rejector, data.features, mu)
+    clf_correct = np.argmax(logits, axis=1) == data.labels
+    scored = []
+    for members, rng in cohorts:
+        rows, cohort = (priorities if mu is None else priorities[members]), correct[members]
+        if len(rows) == 1 and len(cohort) > 1:
+            chosen = rng.integers(len(cohort), size=n)
+            priority = rows[0]
+        else:
+            chosen = np.argmax(rows, axis=0)
+            priority = rows[chosen, np.arange(n)]
+        scored.append((priority, clf_correct, cohort[chosen, np.arange(n)], chosen))
+    return scored
+
+
+# case counts on both sides of the row-block edges (2 048-row blocks, and a
+# tail under 1 024 rows joins the block before it)
+BLOCK_EDGE_CASES = [1, 1023, 2047, 2048, 3071, 3072, 5003]
+
+
+class TestBlockwiseScorer:
+    """``score_cases`` walks row blocks and keeps only per-case vectors; it
+    gives the whole-array path's results bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(BLOCK_EDGE_CASES), st.integers(1, 6), st.booleans(), st.booleans(),
+        st.lists(st.booleans(), min_size=5, max_size=5), st.integers(0, 2**32 - 1),
+    )
+    # an expert-aware cohort of one expert
+    @example(n=5003, experts=1, aware=True, tied=False, cuts=[False] * 5, seed=0)
+    # expert-independent cohorts of one and of three
+    @example(n=3072, experts=4, aware=False, tied=False, cuts=[True] + [False] * 4, seed=1)
+    @example(n=1, experts=2, aware=False, tied=False, cuts=[False] * 5, seed=2)
+    # tied priorities within cohorts of one and of more than one
+    @example(n=2047, experts=5, aware=True, tied=True, cuts=[True, False, True, False, False],
+             seed=3)
+    def test_equals_the_whole_array_path_bit_for_bit(self, n, experts, aware, tied, cuts, seed):
+        rng = np.random.default_rng(seed)
+        num_classes, dim = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        data = Dataset(rng.normal(size=(n, dim)), rng.integers(num_classes, size=n))
+        classifier = dense_net([dim, 8, num_classes], rng)
+        rejector = dense_net([4 if aware else dim, 8, 1], rng)
+        mu = None
+        if aware:
+            mu = np.stack(
+                [rep_from_mu(rng.uniform(0.01, 0.99, size=num_classes)) for _ in range(experts)]
+            )
+            if tied:  # identical experts get identical priority rows
+                mu[1:] = mu[0]
+        correct = rng.random((experts, n)) < 0.6
+        edges = [0] + [i + 1 for i in range(experts - 1) if cuts[i]]
+        members = [slice(a, b) for a, b in zip(edges, edges[1:])] + [slice(edges[-1], None)]
+
+        def cohorts():
+            return [(m, np.random.default_rng([seed, c])) for c, m in enumerate(members)]
+
+        got = score_cases(classifier, rejector, data, mu, correct, cohorts())
+        want = whole_array_scores(classifier, rejector, data, mu, correct, cohorts())
+        assert len(got) == len(want) == len(members)
+        for cases, (priority, clf_correct, expert_correct, chosen) in zip(got, want):
+            assert cases.priority.tobytes() == priority.tobytes()
+            assert cases.classifier_correct.tobytes() == clf_correct.tobytes()
+            assert cases.expert_correct.tobytes() == expert_correct.tobytes()
+            assert cases.chosen_expert.dtype == chosen.dtype
+            assert cases.chosen_expert.tobytes() == chosen.tobytes()
+            if aware and tied:
+                assert not cases.chosen_expert.any()  # ties go to the lowest index
+
+    def test_peak_memory_holds_no_test_size_matrix(self):
+        # Scoring one method of 10 experts in two cohorts on 20 000 cases.
+        # The whole-array path held the (cases, K) logits and the
+        # (experts, cases) priority matrix, 3.2 MB together, and peaked at
+        # 4.6 MB traced; the row blocks keep per-case vectors (0.7 MB) and
+        # one block's temporaries, about 2.6 MB.
+        cases, experts, num_classes, dim = 20_000, 10, 10, 16
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.normal(size=(cases, dim)), rng.integers(num_classes, size=cases))
+        classifier = dense_net([dim, 32, num_classes], 1)
+        rejector = dense_net([4, 32, 32, 1], 2)
+        mu = np.stack(
+            [rep_from_mu(rng.uniform(0.01, 0.99, size=num_classes)) for _ in range(experts)]
+        )
+        correct = rng.random((experts, cases)) < 0.5
+
+        def score():
+            return score_cases(
+                classifier, rejector, data, mu, correct,
+                [(slice(0, 5), np.random.default_rng(0)), (slice(5, None), np.random.default_rng(1))],
+            )
+
+        score()  # warm numpy's caches before tracing
+        tracemalloc.start()
+        try:
+            score()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        test_size_matrices = cases * (num_classes + experts) * 8
+        assert peak < test_size_matrices, f"peak {peak / 1e6:.2f} MB"
 
 
 def reference_softmax(logits):

@@ -14,7 +14,7 @@ from deferlab.config import validate_config
 from deferlab.errors import TrainingDivergenceError
 from deferlab.experts import PriorElicitation, write_prior_file
 from deferlab.harness import VERSION_STRING, run_experiment, run_priors_study
-from deferlab.nets import TrainConfig
+from deferlab.nets import TrainConfig, row_blocks
 from deferlab.simulate import generate_gaussian_task
 
 TINY = dict(
@@ -541,8 +541,10 @@ def test_every_benchmark_span_fires_on_evaluate(tmp_path, monkeypatch):
     assert layers["deferral.pair_steps"] == cfg.epochs * cfg.train_size * (cfg.experts_id + 1)
     # one update of both networks' packed parameters per batch
     assert layers["nets.sgd_step.calls"] == layers["deferral.batches"]
-    # one grid cell: each trained method scores every cohort from one
-    # priority matrix, and each cohort picks its own cases
+    # one grid cell of one row block: each trained method scores every
+    # cohort in one score_cases pass, which takes one case_priorities per
+    # block, and each cohort picks its own cases
     assert len(cfg.overlap_probabilities) * len(cfg.expertise_grid()) == 1
+    assert len(row_blocks(cfg.test_size)) == 1
     assert layers["evaluation.case_priorities.calls"] == 2
-    assert layers["evaluation.score_cases.calls"] == 2 * 2
+    assert layers["evaluation.score_cases.calls"] == 2

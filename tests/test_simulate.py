@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -99,6 +101,43 @@ class TestGenerateGaussianTask:
     def test_invalid_dim_rejected(self):
         with pytest.raises(ValueError):
             small_spec(dim=0)
+
+    def test_features_equal_the_means_plus_the_noise_draw_bit_for_bit(self):
+        # The class means are added into the noise draw in place, one
+        # class's rows at a time; the bits are those of
+        # ``means[labels] + noise`` on the whole partition, for partitions
+        # of unequal class counts and of one row.
+        spec = small_spec(
+            num_classes=4, train_size=3071, val_size=2048, test_size=5003, context_pool_size=1
+        )
+        task = generate_gaussian_task(spec)
+        rng = np.random.default_rng(spec.seed)
+        directions = rng.normal(size=(spec.num_classes, spec.dim))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        means = spec.separation * directions
+        for data in (task.train, task.val, task.test, task.context_pool):
+            noise = rng.normal(scale=spec.noise_scale, size=(len(data), spec.dim))
+            want = means[data.labels] + noise
+            assert data.features.tobytes() == want.tobytes()
+
+    def test_peak_memory_of_a_partition_is_its_one_array(self):
+        # A 20 000 x 16 partition keeps 2.56 MB of features. Adding the
+        # means as ``means[labels] + noise`` held a second partition-size
+        # array at once, 5.6 MB traced; adding each class's mean in place
+        # adds no array of the partition's size, about 3.0 MB.
+        spec = small_spec(
+            num_classes=10, dim=16, train_size=0, val_size=0, test_size=20_000,
+            context_pool_size=0,
+        )
+        generate_gaussian_task(spec)  # warm numpy's caches before tracing
+        tracemalloc.start()
+        try:
+            task = generate_gaussian_task(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = task.test.features.nbytes
+        assert peak < 1.5 * kept, f"peak {peak / 1e6:.2f} MB for {kept / 1e6:.2f} MB of features"
 
     @pytest.mark.parametrize("field", ["separation", "noise_scale"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

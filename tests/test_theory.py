@@ -194,9 +194,11 @@ class TestBayesOptimalReference:
     def test_mismatched_shapes_rejected(self):
         task = uniform_task(test_size=50)
         post = gaussian_posterior(task)
-        with pytest.raises(ValueError, match="one column per class"):
+        with pytest.raises(ValueError, match="one column per class: 4 columns for 5 classes"):
             bayes_optimal_reference(post, task.test.labels, np.ones(4))
-        with pytest.raises(ValueError, match="one label per posterior row"):
+        with pytest.raises(ValueError, match="one column per class: 6 columns for 5 classes"):
+            bayes_optimal_reference(post, task.test.labels, np.ones((2, 6)))
+        with pytest.raises(ValueError, match="one label per posterior row: 49 labels for 50 rows"):
             bayes_optimal_reference(post, task.test.labels[:-1], np.ones(5))
 
     @pytest.mark.parametrize("separation", [0.0, 1.5, 3.0])
@@ -206,6 +208,12 @@ class TestBayesOptimalReference:
     def test_matches_broadcast_reference_across_row_blocks(self):
         # 5 003 cases: the posterior runs in two row blocks
         assert_matches_broadcast_reference(uniform_task(test_size=5003, separation=1.5))
+
+    @pytest.mark.parametrize("test_size", [3071, 3072, 6144])
+    def test_matches_broadcast_reference_at_block_edges(self, test_size):
+        # the posterior and the oracle's per-case vectors run in one, two
+        # and three row blocks, against one whole-partition pass here
+        assert_matches_broadcast_reference(uniform_task(test_size=test_size, separation=1.5))
 
     @pytest.mark.parametrize("test_size", [40, 3071, 3072, 6143, 6144])
     def test_shared_posterior_equals_per_cohort_recomputation(self, test_size):
