@@ -17,7 +17,8 @@ rows built by ``rejector_inputs``. The (K+1)-way joint softmax of every
 pair is never built: its K class columns are the same for every expert, so
 ``_joint_terms`` factors it through the class softmax and logsumexp of each
 example, and a batch costs O(experts * batch + batch * K). Both methods
-train through one loop, ``_fit``, which checks nothing per batch and steps
+train through one loop, ``_fit``, which checks nothing per batch, runs
+every pass in one workspace per network (``nets.Workspace``) and steps
 both networks in place as one packed vector; the finite-difference checks
 of the test suite call the same cores on one-row batches.
 
@@ -44,6 +45,7 @@ from .nets import (
     Activations,
     DenseNet,
     TrainConfig,
+    Workspace,
     backward,
     forward,
     forward_cached,
@@ -156,19 +158,19 @@ def _joint_terms(
 
 
 def _forward_for(
-    net: DenseNet, x: np.ndarray, cached: bool
+    net: DenseNet, x: np.ndarray, cached: bool, ws: Workspace | None
 ) -> tuple[np.ndarray, Activations | None]:
     """Network output, plus every layer's cached output when ``cached``
-    (gradients follow).
+    (gradients follow), both written into ``ws``.
 
     Without gradients the plain ``forward`` runs, which keeps no per-layer
     arrays: validation batches are large and would otherwise raise peak
     memory for nothing.
     """
     if cached:
-        outs = forward_cached(net, x)
+        outs = forward_cached(net, x, ws)
         return outs[-1], outs
-    return forward(net, x), None
+    return forward(net, x, ws), None
 
 
 # The width of an ea_l2d rejector's input: the four columns of ``rejector_inputs``.
@@ -203,6 +205,7 @@ def _ea_l2d(
     labels: np.ndarray,
     mu: np.ndarray,
     out: tuple[DenseNet, DenseNet] | None = None,
+    ws: tuple[Workspace, Workspace] | None = None,
 ):
     """The ea_l2d loss sums and summed gradients across a batch for a whole
     cohort.
@@ -212,6 +215,9 @@ def _ea_l2d(
     each a ``DenseNet`` with its network's layout over a gradient vector,
     both summed gradients are written into them; without it only the loss
     sums are computed, as validation needs, and ``pattern`` is ``None``.
+    With ``ws``, a pair ``(classifier_workspace, rejector_workspace)``,
+    every pass writes into those buffers instead of new arrays (see
+    ``nets.Workspace``), with the same bits.
     ``features`` is (batch, dim) and ``labels`` (batch,); ``mu``
     holds the posterior mean accuracies, shape (experts, K), and the sums
     run over every (example, expert) pair. No expert prediction on the
@@ -229,8 +235,10 @@ def _ea_l2d(
     pass. Each network runs forward once; its backward pass and relu
     pattern read the cached layer outputs, and only the rejector's backward
     computes an input gradient. The pattern encodes the discrete choices
-    (relu signs of both networks, the classifier argmax) for
-    finite-difference kink detection.
+    for finite-difference kink detection, as its parts
+    ``(classifier_signs, rejector_signs, kstar)``: the relu signs of each
+    network (bool, views into a workspace) and the classifier argmax.
+    Nothing concatenates them per batch; the finite-difference check does.
 
     Labels are not checked: the caller ensures they lie in [0, K), as
     ``train`` does once per call. The caller also enters the floating-point
@@ -239,13 +247,14 @@ def _ea_l2d(
     """
     experts, num_classes = mu.shape
     batch = len(labels)
-    logits, clf_acts = _forward_for(classifier, features, out is not None)
+    clf_ws, rej_ws = ws or (None, None)
+    logits, clf_acts = _forward_for(classifier, features, out is not None, clf_ws)
     rho, top, total = softmax(logits)
     lse = top + np.log(total)
     kstar = np.argmax(rho, axis=1)
     estar = np.argmax(mu, axis=1)
     rej_inputs = rejector_inputs(rho, kstar, mu)
-    rej_out, rej_acts = _forward_for(rejector, rej_inputs, out is not None)
+    rej_out, rej_acts = _forward_for(rejector, rej_inputs, out is not None, rej_ws)
     weights = np.where(labels == estar[:, None], mu[:, labels], 0.0)
     classifier_sum, deferral_sum, d_g, d_logits = _joint_terms(
         logits, rho, lse, rej_out.reshape(experts, batch), labels, weights
@@ -256,7 +265,7 @@ def _ea_l2d(
 
     clf_grads, rej_grads = out
     d_feats = backward(
-        rejector, rej_acts, d_g.reshape(-1, 1), rej_grads, want_input_grad=True
+        rejector, rej_acts, d_g.reshape(-1, 1), rej_grads, want_input_grad=True, ws=rej_ws
     ).reshape(experts, batch, 4)
 
     onehot_estar = np.zeros((experts, num_classes))
@@ -265,12 +274,10 @@ def _ea_l2d(
     d_rho[np.arange(batch), kstar] += d_feats[:, :, 1].sum(axis=0)
     d_logits += rho * (d_rho - (d_rho * rho).sum(axis=1, keepdims=True))
 
-    backward(classifier, clf_acts, d_logits, clf_grads)
+    backward(classifier, clf_acts, d_logits, clf_grads, ws=clf_ws)
 
-    pattern = np.concatenate(
-        [relu_pattern(classifier, clf_acts), relu_pattern(rejector, rej_acts), kstar]
-    )
-    return classifier_sum, deferral_sum, pattern
+    signs = relu_pattern(classifier, clf_acts, clf_ws), relu_pattern(rejector, rej_acts, rej_ws)
+    return classifier_sum, deferral_sum, (*signs, kstar)
 
 
 def _pop_avg(
@@ -280,15 +287,18 @@ def _pop_avg(
     labels: np.ndarray,
     weights: np.ndarray,
     out: tuple[DenseNet, DenseNet] | None = None,
+    ws: tuple[Workspace, Workspace] | None = None,
 ):
     """The baseline's counterpart of ``_ea_l2d``, with the same return
-    tuple, ``out`` and caller contract: the rejector consumes the raw
+    tuple, ``out``, ``ws`` and caller contract: the rejector consumes the raw
     features directly, and example i's deferral term is weighted by
     ``weights[i]``, 1 when the mode of the experts' predictions is its label
     and 0 otherwise. It is the one-expert case of the same factored joint
-    loss, and its pattern holds the relu signs of both networks."""
-    logits, clf_acts = _forward_for(classifier, features, out is not None)
-    rej_out, rej_acts = _forward_for(rejector, features, out is not None)
+    loss, and its pattern's parts are the relu signs of the two networks,
+    ``(classifier_signs, rejector_signs)``."""
+    clf_ws, rej_ws = ws or (None, None)
+    logits, clf_acts = _forward_for(classifier, features, out is not None, clf_ws)
+    rej_out, rej_acts = _forward_for(rejector, features, out is not None, rej_ws)
     rho, top, total = softmax(logits)
     lse = top + np.log(total)
     classifier_sum, deferral_sum, d_g, d_logits = _joint_terms(
@@ -299,12 +309,10 @@ def _pop_avg(
         return classifier_sum, deferral_sum, None
 
     clf_grads, rej_grads = out
-    backward(rejector, rej_acts, d_g.T, rej_grads)
-    backward(classifier, clf_acts, d_logits, clf_grads)
-    pattern = np.concatenate(
-        [relu_pattern(classifier, clf_acts), relu_pattern(rejector, rej_acts)]
-    ).astype(np.int64)
-    return classifier_sum, deferral_sum, pattern
+    backward(rejector, rej_acts, d_g.T, rej_grads, ws=rej_ws)
+    backward(classifier, clf_acts, d_logits, clf_grads, ws=clf_ws)
+    signs = relu_pattern(classifier, clf_acts, clf_ws), relu_pattern(rejector, rej_acts, rej_ws)
+    return classifier_sum, deferral_sum, signs
 
 
 # --- training loops -------------------------------------------------------
@@ -421,9 +429,19 @@ def _fit(
     labels the caller has checked; its last data argument comes from
     ``batch_aux(idx, rng)`` for the query rows ``idx`` of a batch, and is
     ``val_aux`` on the validation set. Losses are summed over ``experts``
-    terms per example and averaged over all of them. Each epoch draws one
-    permutation from the ``cfg.seed`` stream, then the batches draw their
-    own picks from it in order.
+    terms per example and averaged over all of them; the rejector runs on
+    one row per term. Each epoch draws one permutation from the
+    ``cfg.seed`` stream, then the batches draw their own picks from it in
+    order.
+
+    Each network gets one ``Workspace`` for the call, and every training
+    batch and every validation pass writes into it: the layer outputs,
+    deltas, relu masks and ``ones`` of a batch are its buffers' leading
+    rows, so no batch allocates a layer-sized array. A workspace belongs to
+    this call alone and is never shared between threads. Its output buffers
+    hold a full batch's rows or the largest row block of the validation
+    rows, whichever is more; its deltas and masks a full batch's rows, as
+    backward never runs on validation.
 
     Training works on one packed vector, the classifier's parameters then
     the rejector's, copied from the given networks, which stay untouched;
@@ -446,6 +464,11 @@ def _fit(
         (DenseNet(v[:split], classifier.layout), DenseNet(v[split:], rejector.layout))
         for v in (params, grads)
     )
+    batch_rows = min(cfg.batch_size, len(query))
+    workspaces = (
+        Workspace.of(classifier, batch_rows, len(val)),
+        Workspace.of(rejector, batch_rows * experts, len(val) * experts),
+    )
     rng = np.random.default_rng(cfg.seed)
     history: list[EpochStats] = []
     best_loss = math.inf
@@ -463,7 +486,8 @@ def _fit(
             for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
                 idx = order[start : start + cfg.batch_size]
                 batch_c, batch_d, _ = batch_loss(
-                    *nets, query.features[idx], query.labels[idx], batch_aux(idx, rng), grad_nets
+                    *nets, query.features[idx], query.labels[idx], batch_aux(idx, rng),
+                    grad_nets, workspaces,
                 )
                 if not math.isfinite(batch_c + batch_d):
                     raise TrainingDivergenceError(
@@ -483,7 +507,9 @@ def _fit(
                 c_sum += batch_c
                 d_sum += batch_d
 
-            val_c, val_d, _ = batch_loss(*nets, val.features, val.labels, val_aux)
+            val_c, val_d, _ = batch_loss(
+                *nets, val.features, val.labels, val_aux, None, workspaces
+            )
             val_loss = (val_c + val_d) / (len(val) * experts)
             history.append(
                 EpochStats(epoch, (c_sum + d_sum) / pair_count, c_sum / pair_count,

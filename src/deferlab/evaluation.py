@@ -102,14 +102,21 @@ def deferral_curves(
     if n == 0:
         raise ValueError("cannot build curves from zero cases")
     order = np.argsort(-priority, kind="stable")
-    exp_prefix = np.concatenate([[0.0], np.cumsum(expert_correct[order])])
-    clf_prefix = np.concatenate([[0.0], np.cumsum(classifier_correct[order])])
-    total_clf = clf_prefix[-1]
+    # Both prefix sums go into arrays of N + 1 entries whose first is 0, and
+    # the system curve is formed in place in the classifier's, so few
+    # N-sized arrays are alive at once.
+    exp_prefix, system = np.empty(n + 1), np.empty(n + 1)
+    exp_prefix[0] = system[0] = 0.0
+    np.cumsum(expert_correct[order], out=exp_prefix[1:])
+    np.cumsum(classifier_correct[order], out=system[1:])
+    # system = (exp_prefix + (total_clf - clf_prefix)) / n
+    np.subtract(system[-1], system, out=system)
+    system += exp_prefix
+    system /= n
 
     rates = _rate_grid(n)
-    system = (exp_prefix + (total_clf - clf_prefix)) / n
     expert = np.empty(n + 1)
-    expert[1:] = exp_prefix[1:] / np.arange(1, n + 1)
+    np.divide(exp_prefix[1:], np.arange(1, n + 1), out=expert[1:])
     expert[0] = expert[1]
     return Curve(rates, system), Curve(rates, expert)
 

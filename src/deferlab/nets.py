@@ -21,22 +21,33 @@ gradient into a destination ``DenseNet`` over the caller's gradient vector,
 with the network's layout, through the destination's ``views``.
 ``sgd_step`` updates a parameter vector in place from a gradient vector of
 the same layout, so one call can step every network packed into the
-vector; it consumes the gradient. The forward and backward passes
-write nothing but their own results, so a network is safe to share across
-threads while no step runs on it.
+vector; it consumes the gradient. The passes write nothing but their own
+results and the workspace they are given, so a network is safe to share
+across threads while no step runs on it.
+
+A ``Workspace`` holds one network's pass buffers: every layer's output and
+backward delta, the relu masks and the ``ones`` of the bias gradients.
+``forward``, ``forward_cached``, ``backward`` and ``relu_pattern`` write
+into the leading rows of the one they are given, so a loop that gives
+every pass the same workspace allocates no layer-sized array per pass, and
+its results are the same bits. Without one, ``forward`` writes into new
+arrays and the others into a workspace built for the call. Training builds
+one per network in each ``deferral._fit`` call; a workspace belongs to that
+call alone and is never shared between threads.
 
 Every pass takes a ``(batch, in_dim)`` matrix, one row per example; one
 example is a one-row batch. Both forward passes run the same layer step,
-``z = a @ w.T``, then ``z += b`` and, below the last layer, the relu in
-place, and differ only in what they keep. ``forward_cached`` keeps the
-checked input and every layer's output; use it when gradients follow, and
-hand its list to ``backward`` and ``relu_pattern``, which then run no
-forward of their own. Neither needs the pre-activations: a relu output
-``max(z, 0)`` is positive exactly where ``z`` is, NaN included, so each
-reads a hidden layer's relu mask as ``output > 0``. ``forward`` drops each
-layer's output as soon as the next layer has consumed it; use it for
-inference and for losses without gradients (validation), where holding
-every layer of a large batch would only raise peak memory.
+``z = a @ w.T`` into a destination buffer, then ``z += b`` and, below the
+last layer, the relu in place, and differ only in what they keep.
+``forward_cached`` keeps the checked input and every layer's output; use it
+when gradients follow, and hand its list to ``backward`` and
+``relu_pattern``, which then run no forward of their own. Neither needs
+the pre-activations: a relu output ``max(z, 0)`` is positive exactly where
+``z`` is, NaN included, so each reads a hidden layer's relu mask as
+``output > 0``. ``forward`` keeps only the last layer's output, and holds
+the others for one row block at a time; use it for inference and for
+losses without gradients (validation), where holding every layer of a
+large batch would only raise peak memory.
 
 ``forward`` also runs a large batch in row blocks (``row_blocks``): fixed
 blocks of ``BLOCK_ROWS`` rows from the top, so that one block's activations
@@ -238,52 +249,122 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
-    """One layer's output on rows ``a``, computed in place on a new array."""
-    z = a @ w.T
-    z += b
+@dataclass(frozen=True)
+class Workspace:
+    """Buffers that one network's passes write into instead of new arrays.
+
+    Per layer, ``outs`` holds an output buffer and ``deltas`` a backward
+    delta buffer as wide as the layer's input; ``signs`` holds every hidden
+    layer's relu mask, laid out as ``relu_pattern`` flattens them, and
+    ``ones`` is the vector of the bias gradients' products. A pass on n rows
+    uses the leading n rows of each buffer, contiguous views, so it runs the
+    same BLAS products on the same shapes as on new arrays and gives the
+    same bits. What a pass returns from a workspace is a view into it, valid
+    until the next pass on the workspace. Build one with ``Workspace.of``.
+    """
+
+    outs: tuple[np.ndarray, ...]
+    deltas: tuple[np.ndarray, ...]
+    signs: np.ndarray
+    ones: np.ndarray
+
+    @classmethod
+    def of(cls, net: DenseNet, batch_rows: int, forward_rows: int = 0) -> "Workspace":
+        """A workspace for ``net``'s passes with gradients (``forward_cached``,
+        ``backward``, ``relu_pattern``) on up to ``batch_rows`` rows, and for
+        ``forward`` on ``forward_rows`` rows, which needs output buffers for
+        its largest row block only. Deltas, masks and ``ones`` take
+        ``batch_rows`` rows: only the passes with gradients use them."""
+        rows = max(batch_rows, *(s.stop - s.start for s in row_blocks(forward_rows)))
+        hidden = sum(out_dim for out_dim, *_ in net.layout[:-1])
+        return cls(
+            tuple(np.empty((rows, out_dim)) for out_dim, *_ in net.layout),
+            tuple(np.empty((batch_rows, in_dim)) for _, in_dim, *_ in net.layout),
+            np.empty(batch_rows * hidden, dtype=bool),
+            np.ones(batch_rows),
+        )
+
+    def masks(self, n: int) -> list[np.ndarray]:
+        """Every hidden layer's (n, width) mask buffer, end to end from the
+        start of ``signs``, so that together they are ``signs``' first
+        entries."""
+        views, start = [], 0
+        for out in self.outs[:-1]:
+            width = out.shape[1]
+            views.append(self.signs[start : start + n * width].reshape(n, width))
+            start += n * width
+        return views
+
+
+def _layer(
+    a: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool, out: np.ndarray
+) -> np.ndarray:
+    """One layer's output on rows ``a``, computed in place in ``out``."""
+    np.matmul(a, w.T, out=out)
+    out += b
     if relu:
-        np.maximum(z, 0.0, out=z)
-    return z
+        np.maximum(out, 0.0, out=out)
+    return out
 
 
-def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """Forward pass of a (batch, in_dim) matrix, in ``row_blocks``."""
+def forward(net: DenseNet, x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """Forward pass of a (batch, in_dim) matrix, in ``row_blocks``, into a
+    new array. Each block's last layer is written into its rows of the
+    result, and its hidden layers into ``ws``, or without one into new
+    arrays, each dropped once the next layer has read it: inference makes
+    one call per block, where building a workspace would cost more than it
+    saves."""
     x = _check_input(net, x)
     layers = net.views
     last = len(layers) - 1
     out = np.empty((len(x), net.output_dim))
     for rows in row_blocks(len(x)):
         a = x[rows]
+        n = len(a)
         for i, (w, b) in enumerate(layers):
-            a = _layer(a, w, b, i < last)
-        out[rows] = a
+            if i == last:
+                dest = out[rows]
+            elif ws is None:
+                dest = np.empty((n, w.shape[0]))
+            else:
+                dest = ws.outs[i][:n]
+            a = _layer(a, w, b, i < last, dest)
     return out
 
 
 Activations = list[np.ndarray]
 
 
-def forward_cached(net: DenseNet, x: np.ndarray) -> Activations:
+def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None) -> Activations:
     """Forward pass keeping what backprop needs: the checked input, then
-    every layer's output, so the last entry equals ``forward(net, x)``."""
+    every layer's output, written into ``ws``, so the last entry equals
+    ``forward(net, x)``."""
     outs = [_check_input(net, x)]
+    n = len(outs[0])
+    if ws is None:
+        ws = Workspace.of(net, n)
     last = len(net.layout) - 1
     for i, (w, b) in enumerate(net.views):
-        outs.append(_layer(outs[-1], w, b, i < last))
+        outs.append(_layer(outs[-1], w, b, i < last, ws.outs[i][:n]))
     return outs
 
 
-def relu_pattern(net: DenseNet, outs: Activations) -> np.ndarray:
-    """Sign pattern of every hidden layer's relu pre-activation, flattened.
+def relu_pattern(net: DenseNet, outs: Activations, ws: Workspace | None = None) -> np.ndarray:
+    """Sign pattern of every hidden layer's relu pre-activation, flattened,
+    as a bool vector: the first entries of ``ws.signs``.
 
     ``outs`` is ``forward_cached(net, x)``; a relu output is positive
     exactly where its pre-activation is. Two evaluations with different
     patterns straddle a kink, where finite differences of the loss are
     meaningless.
     """
-    parts = [(a > 0).ravel() for a in outs[1:-1]]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+    n = len(outs[0])
+    if ws is None:
+        ws = Workspace.of(net, n)
+    masks = ws.masks(n)
+    for a, mask in zip(outs[1:-1], masks):
+        np.greater(a, 0.0, out=mask)
+    return ws.signs[: sum(mask.size for mask in masks)]
 
 
 def backward(
@@ -292,6 +373,7 @@ def backward(
     upstream: np.ndarray,
     out: DenseNet,
     want_input_grad: bool = False,
+    ws: Workspace | None = None,
 ) -> np.ndarray | None:
     """Gradients of a scalar loss given d(loss)/d(output), written into
     ``out``, a ``DenseNet`` with the network's layout over the gradient
@@ -306,7 +388,9 @@ def backward(
     gradient ``ones @ delta``, both BLAS products. Returns the gradient with
     respect to the input, which lets one network's backward pass chain into
     another's; it is one more product with the first layer's weights,
-    computed only with ``want_input_grad``, and ``None`` otherwise.
+    computed only with ``want_input_grad``, and ``None`` otherwise. The
+    deltas, the relu masks and ``ones`` are ``ws``'s, so the input gradient
+    is a view into it.
     """
     if len(outs) != len(net.layout) + 1:
         raise ValueError(
@@ -323,18 +407,22 @@ def backward(
     if out.layout != net.layout:
         raise ValueError("gradient destination layout does not match the network")
 
-    ones = np.ones(len(upstream))
+    n = len(upstream)
+    if ws is None:
+        ws = Workspace.of(net, n)
+    masks = ws.masks(n)
+    ones = ws.ones[:n]
     delta = upstream
     last = len(net.layout) - 1
     for i in reversed(range(len(net.layout))):
         if i < last:
-            # below the linear top layer, ``delta`` is this call's own array
-            delta *= outs[i + 1] > 0
+            # below the linear top layer, ``delta`` is a workspace buffer
+            delta *= np.greater(outs[i + 1], 0.0, out=masks[i])
         w_grad, b_grad = out.views[i]
         np.matmul(delta.T, outs[i], out=w_grad)
         np.matmul(ones, delta, out=b_grad)
         if i or want_input_grad:
-            delta = delta @ net.views[i][0]
+            delta = np.matmul(delta, net.views[i][0], out=ws.deltas[i][:n])
     return delta if want_input_grad else None
 
 

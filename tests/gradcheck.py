@@ -36,18 +36,38 @@ def grads_of(net: DenseNet, outs, upstream) -> DenseNet:
     return grads
 
 
-def call_core(core, classifier, rejector, features, labels, aux, grads=True):
-    """``core(classifier, rejector, features, labels, aux, out)`` under
+def call_core(core, classifier, rejector, features, labels, aux, grads=True, ws=None):
+    """``core(classifier, rejector, features, labels, aux, out, ws)`` under
     ``FIT_ERRSTATE``, with ``out`` two new zeroed gradient destinations, or
     ``None`` without ``grads``: ``(classifier_sum, deferral_sum,
     classifier_grads, rejector_grads, pattern)``, where the last three are
-    ``None`` without ``grads``."""
+    ``None`` without ``grads``. The core returns its pattern as parts
+    (each network's relu signs, then ``_ea_l2d``'s classifier argmax);
+    they are joined here into one int64 vector, a copy, so a pattern read
+    from workspaces ``ws`` outlives the next call on them."""
     out = (zero_grads(classifier), zero_grads(rejector)) if grads else None
     with np.errstate(**FIT_ERRSTATE):
-        classifier_sum, deferral_sum, pattern = core(
-            classifier, rejector, features, labels, aux, out
+        classifier_sum, deferral_sum, parts = core(
+            classifier, rejector, features, labels, aux, out, ws
         )
+    pattern = None if parts is None else np.concatenate(parts).astype(np.int64)
     return (classifier_sum, deferral_sum, *(out or (None, None)), pattern)
+
+
+def _pattern(out: tuple) -> np.ndarray:
+    """The pattern of a ``loss_fn`` result, which must be a 1-D bool or
+    integer ndarray, else ``TypeError``."""
+    pattern = out[2]
+    if not (
+        isinstance(pattern, np.ndarray)
+        and pattern.ndim == 1
+        and (pattern.dtype == bool or np.issubdtype(pattern.dtype, np.integer))
+    ):
+        raise TypeError(
+            "a kink pattern must be a 1-D bool or integer ndarray, got "
+            f"{type(pattern).__name__} {getattr(pattern, 'dtype', '')}".rstrip()
+        )
+    return pattern
 
 
 @dataclass
@@ -66,8 +86,10 @@ def finite_difference_check(
 
     ``loss_fn(net)`` must return ``(loss, grads)``, ``grads`` a network
     with ``net``'s layout over the gradient vector, and may return a
-    third element: an integer/bool array encoding every discrete choice made
-    while evaluating the loss (relu signs, argmax indices). Parameters whose
+    third element: a 1-D integer/bool ndarray encoding every discrete choice
+    made while evaluating the loss (relu signs, argmax indices); any other
+    pattern raises ``TypeError``, since comparing, say, two tuples of arrays
+    would call every parameter a kink and check none. Parameters whose
     +-epsilon perturbations land on different patterns sit across a kink and
     are skipped rather than compared.
 
@@ -79,6 +101,8 @@ def finite_difference_check(
 
     out = loss_fn(net)
     _, analytic = out[0], out[1]
+    if len(out) > 2:
+        _pattern(out)
     if analytic.layout != net.layout:
         raise ValueError("analytic gradient layout does not match the network")
 
@@ -96,7 +120,7 @@ def finite_difference_check(
         out_minus = loss_fn(work)
         params[i] = original
 
-        if len(out_plus) > 2 and not np.array_equal(out_plus[2], out_minus[2]):
+        if len(out_plus) > 2 and not np.array_equal(_pattern(out_plus), _pattern(out_minus)):
             n_skipped += 1
             continue
 

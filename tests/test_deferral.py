@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from deferlab.nets import (
     DenseNet,
     Layer,
     TrainConfig,
+    Workspace,
     dense_net,
     forward,
+    row_blocks,
 )
 from deferlab.simulate import (
     ContextSet,
@@ -217,9 +220,11 @@ class TestEaL2dLoss:
         assert rg.params[-1] == pytest.approx(-0.9, rel=1e-15)
 
     def test_signature_consumes_no_expert_prediction(self):
+        # the experts enter through ``mu`` alone; the networks, the batch and
+        # the buffers the passes write into (``out``, ``ws``) are the rest
         params = list(inspect.signature(_ea_l2d).parameters)
         assert params == [
-            "classifier", "rejector", "features", "labels", "mu", "out"
+            "classifier", "rejector", "features", "labels", "mu", "out", "ws"
         ]
 
 
@@ -891,13 +896,13 @@ class TestOneForwardPerBatch:
         real_cached = deferlab.deferral.forward_cached
         real_plain = deferlab.deferral.forward
 
-        def cached(net, x):
+        def cached(net, x, ws=None):
             calls["cached"] += 1
-            return real_cached(net, x)
+            return real_cached(net, x, ws)
 
-        def plain(net, x):
+        def plain(net, x, ws=None):
             calls["plain"] += 1
-            return real_plain(net, x)
+            return real_plain(net, x, ws)
 
         monkeypatch.setattr(deferlab.deferral, "forward_cached", cached)
         monkeypatch.setattr(deferlab.deferral, "forward", plain)
@@ -927,6 +932,82 @@ class TestOneForwardPerBatch:
         train_pop_avg(clf, rej, task.train, qp, cfg, val=task.val, val_predictions=vp)
         # one validation pass: the classifier and the rejector once each
         assert calls == {"cached": 2 * 4, "plain": 2}
+
+
+class TestWorkspace:
+    """Training writes every pass into one workspace per network: it must
+    give the bits of the passes on new arrays, and no batch may allocate a
+    layer-sized array."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_cores_give_the_same_bits_with_and_without_a_workspace(self, method):
+        rng = np.random.default_rng(7)
+        clf = dense_net([6, 12, 5], rng)
+        if method == "ea_l2d":
+            core, rej, experts, val_rows = _ea_l2d, dense_net([4, 10, 10, 1], rng), 5, 1500
+            a, b = rng.uniform(1, 9, size=(2, experts, 5))
+            aux = a / (a + b)
+        else:
+            core, rej, experts, val_rows = _pop_avg, dense_net([6, 10, 1], rng), 1, 7500
+            aux = (rng.random(val_rows) < 0.5).astype(np.float64)
+        features = rng.normal(size=(val_rows, 6))
+        labels = rng.integers(5, size=val_rows)
+        # as ``_fit`` sizes them, for 48-row batches
+        ws = (Workspace.of(clf, 48, val_rows), Workspace.of(rej, 48 * experts, val_rows * experts))
+        # the validation pass spans several row blocks of the rejector
+        assert len(row_blocks(val_rows * experts)) >= 3
+
+        # a full batch, a short last batch after it (stale rows in every
+        # buffer), the validation pass, then a full batch again
+        for rows, grads in (
+            (slice(0, 48), True), (slice(48, 65), True),
+            (slice(0, val_rows), False), (slice(100, 148), True),
+        ):
+            batch_aux = aux if method == "ea_l2d" else aux[rows]
+            args = (core, clf, rej, features[rows], labels[rows], batch_aux)
+            fresh = call_core(*args, grads=grads)
+            reused = call_core(*args, grads=grads, ws=ws)
+            assert reused[:2] == fresh[:2]
+            if not grads:
+                assert reused[2:] == fresh[2:] == (None, None, None)
+                continue
+            for got, want in zip(reused[2:4], fresh[2:4]):
+                assert got.params.tobytes() == want.params.tobytes()
+            assert reused[4].dtype == fresh[4].dtype == np.int64
+            assert np.array_equal(reused[4], fresh[4])
+
+    def test_no_training_batch_allocates_a_layer_sized_array(self, monkeypatch):
+        # 16 experts of a 64-row batch: each 32-wide rejector layer is
+        # 1024 x 32 float64, 256 KB, above the allocator's mmap threshold
+        task, _, contexts = small_training_setup()
+        contexts = contexts * 8
+        cfg = TrainConfig(learning_rate=0.1, batch_size=64, epochs=1, seed=0)
+        layer_bytes = len(contexts) * cfg.batch_size * 32 * 8
+        assert layer_bytes > 128 * 1024
+        peaks = {"train": [], "val": []}
+        real = deferlab.deferral._ea_l2d
+
+        def measured(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = real(*args)
+            peaks["train" if args[5] is not None else "val"].append(
+                tracemalloc.get_traced_memory()[1] - before
+            )
+            return result
+
+        monkeypatch.setattr(deferlab.deferral, "_ea_l2d", measured)
+        tracemalloc.start()
+        try:
+            train(dense_net([6, 16, 4], 0), dense_net([4, 32, 32, 1], 1), task.train,
+                  contexts, [None] * len(contexts), cfg, val=task.val)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks["train"]) == 3 and len(peaks["val"]) == 1
+        # what a pass still allocates (the rejector's 4 inputs and 1 output
+        # per row, the loss terms) is narrower than one hidden layer; the
+        # validation pass's 60 x 16 rejector rows are nearly a batch's 64 x 16
+        assert max(peaks["train"] + peaks["val"]) < layer_bytes, peaks
 
 
 class TestTrainPopAvg:

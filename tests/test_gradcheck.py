@@ -54,6 +54,27 @@ class TestFiniteDifferenceCheck:
         report = finite_difference_check(net, loss_fn, 1e-6)
         assert report.n_skipped >= 1
 
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            (np.zeros(2, dtype=bool), np.zeros(3, dtype=bool)),  # parts, not joined
+            [0, 1],
+            np.zeros((2, 2), dtype=bool),
+            np.zeros(3),
+        ],
+        ids=["tuple", "list", "2-D", "float"],
+    )
+    def test_pattern_not_a_1d_int_or_bool_array_rejected(self, pattern):
+        # ``np.array_equal`` is False on two ragged tuples, so a tuple of
+        # parts would skip every parameter and the check would pass empty
+        net = dense_net([2, 1], 0)
+
+        def loss_fn(n):
+            return 0.0, zero_grads(n), pattern
+
+        with pytest.raises(TypeError, match="1-D bool or integer ndarray"):
+            finite_difference_check(net, loss_fn, 1e-6)
+
     def test_epsilon_range_enforced(self):
         net = dense_net([2, 1], 0)
 
