@@ -16,11 +16,13 @@ forward and backward once, and the rejector once on all (example, expert)
 rows built by ``rejector_inputs``. The (K+1)-way joint softmax of every
 pair is never built: its K class columns are the same for every expert, so
 ``_joint_terms`` factors it through the class softmax and logsumexp of each
-example, and a batch costs O(experts * batch + batch * K). Both methods
+example, and a batch costs O(experts * batch + batch * K). A core returns
+its two loss sums and nothing else: training reads no more. Both methods
 train through one loop, ``_fit``, which checks nothing per batch, runs
 every pass in one workspace per network (``nets.Workspace``) and steps
 both networks in place as one packed vector; the finite-difference checks
-of the test suite call the same cores on one-row batches.
+of the test suite call the same cores on one-row batches, and build the
+relu and argmax kink pattern they compare from passes of their own.
 
 Each ea_l2d batch recounts the cohort's posterior means from a fresh
 context subsample, all experts drawn at once by ``_ContextDraw``: one
@@ -49,7 +51,6 @@ from .nets import (
     backward,
     forward,
     forward_cached,
-    relu_pattern,
     sgd_step,
     softmax,
 )
@@ -210,11 +211,11 @@ def _ea_l2d(
     """The ea_l2d loss sums and summed gradients across a batch for a whole
     cohort.
 
-    Returns ``(classifier_sum, deferral_sum, pattern)``. With ``out``, a
-    pair of gradient destinations ``(classifier_grads, rejector_grads)``,
-    each a ``DenseNet`` with its network's layout over a gradient vector,
-    both summed gradients are written into them; without it only the loss
-    sums are computed, as validation needs, and ``pattern`` is ``None``.
+    Returns ``(classifier_sum, deferral_sum)``. With ``out``, a pair of
+    gradient destinations ``(classifier_grads, rejector_grads)``, each a
+    ``DenseNet`` with its network's layout over a gradient vector, both
+    summed gradients are written into them; without it only the loss sums
+    are computed, as validation needs.
     With ``ws``, a pair ``(classifier_workspace, rejector_workspace)``,
     every pass writes into those buffers instead of new arrays (see
     ``nets.Workspace``), with the same bits.
@@ -232,13 +233,9 @@ def _ea_l2d(
     into the rejector and into the classifier both directly through the
     class logits and through the class softmax feeding the rejector inputs;
     both routes are summed over experts before the one classifier backward
-    pass. Each network runs forward once; its backward pass and relu
-    pattern read the cached layer outputs, and only the rejector's backward
-    computes an input gradient. The pattern encodes the discrete choices
-    for finite-difference kink detection, as its parts
-    ``(classifier_signs, rejector_signs, kstar)``: the relu signs of each
-    network (bool, views into a workspace) and the classifier argmax.
-    Nothing concatenates them per batch; the finite-difference check does.
+    pass. Each network runs forward once; its backward pass reads the
+    cached layer outputs, and only the rejector's backward computes an
+    input gradient.
 
     Labels are not checked: the caller ensures they lie in [0, K), as
     ``train`` does once per call. The caller also enters the floating-point
@@ -261,7 +258,7 @@ def _ea_l2d(
     )
 
     if out is None:
-        return classifier_sum, deferral_sum, None
+        return classifier_sum, deferral_sum
 
     clf_grads, rej_grads = out
     d_feats = backward(
@@ -275,9 +272,7 @@ def _ea_l2d(
     d_logits += rho * (d_rho - (d_rho * rho).sum(axis=1, keepdims=True))
 
     backward(classifier, clf_acts, d_logits, clf_grads, ws=clf_ws)
-
-    signs = relu_pattern(classifier, clf_acts, clf_ws), relu_pattern(rejector, rej_acts, rej_ws)
-    return classifier_sum, deferral_sum, (*signs, kstar)
+    return classifier_sum, deferral_sum
 
 
 def _pop_avg(
@@ -290,12 +285,11 @@ def _pop_avg(
     ws: tuple[Workspace, Workspace] | None = None,
 ):
     """The baseline's counterpart of ``_ea_l2d``, with the same return
-    tuple, ``out``, ``ws`` and caller contract: the rejector consumes the raw
+    pair, ``out``, ``ws`` and caller contract: the rejector consumes the raw
     features directly, and example i's deferral term is weighted by
     ``weights[i]``, 1 when the mode of the experts' predictions is its label
     and 0 otherwise. It is the one-expert case of the same factored joint
-    loss, and its pattern's parts are the relu signs of the two networks,
-    ``(classifier_signs, rejector_signs)``."""
+    loss."""
     clf_ws, rej_ws = ws or (None, None)
     logits, clf_acts = _forward_for(classifier, features, out is not None, clf_ws)
     rej_out, rej_acts = _forward_for(rejector, features, out is not None, rej_ws)
@@ -306,13 +300,12 @@ def _pop_avg(
     )
 
     if out is None:
-        return classifier_sum, deferral_sum, None
+        return classifier_sum, deferral_sum
 
     clf_grads, rej_grads = out
     backward(rejector, rej_acts, d_g.T, rej_grads, ws=rej_ws)
     backward(classifier, clf_acts, d_logits, clf_grads, ws=clf_ws)
-    signs = relu_pattern(classifier, clf_acts, clf_ws), relu_pattern(rejector, rej_acts, rej_ws)
-    return classifier_sum, deferral_sum, signs
+    return classifier_sum, deferral_sum
 
 
 # --- training loops -------------------------------------------------------
@@ -426,13 +419,13 @@ def _fit(
     """The training loop both methods share.
 
     ``batch_loss`` is ``_ea_l2d`` or ``_pop_avg``, the loss cores, whose
-    labels the caller has checked; its last data argument comes from
-    ``batch_aux(idx, rng)`` for the query rows ``idx`` of a batch, and is
-    ``val_aux`` on the validation set. Losses are summed over ``experts``
-    terms per example and averaged over all of them; the rejector runs on
-    one row per term. Each epoch draws one permutation from the
-    ``cfg.seed`` stream, then the batches draw their own picks from it in
-    order.
+    labels the caller has checked and whose two sums are all a batch reads
+    back; its last data argument comes from ``batch_aux(idx, rng)`` for the
+    query rows ``idx`` of a batch, and is ``val_aux`` on the validation
+    set. Losses are summed over ``experts`` terms per example and averaged
+    over all of them; the rejector runs on one row per term. Each epoch
+    draws one permutation from the ``cfg.seed`` stream, then the batches
+    draw their own picks from it in order.
 
     Each network gets one ``Workspace`` for the call, and every training
     batch and every validation pass writes into it: the layer outputs,
@@ -485,7 +478,7 @@ def _fit(
             c_sum = d_sum = 0.0
             for batch, start in enumerate(range(0, len(order), cfg.batch_size)):
                 idx = order[start : start + cfg.batch_size]
-                batch_c, batch_d, _ = batch_loss(
+                batch_c, batch_d = batch_loss(
                     *nets, query.features[idx], query.labels[idx], batch_aux(idx, rng),
                     grad_nets, workspaces,
                 )
@@ -507,7 +500,7 @@ def _fit(
                 c_sum += batch_c
                 d_sum += batch_d
 
-            val_c, val_d, _ = batch_loss(
+            val_c, val_d = batch_loss(
                 *nets, val.features, val.labels, val_aux, None, workspaces
             )
             val_loss = (val_c + val_d) / (len(val) * experts)

@@ -26,25 +26,25 @@ results and the workspace they are given, so a network is safe to share
 across threads while no step runs on it.
 
 A ``Workspace`` holds one network's pass buffers: every layer's output and
-backward delta, the relu masks and the ``ones`` of the bias gradients.
-``forward``, ``forward_cached``, ``backward`` and ``relu_pattern`` write
-into the leading rows of the one they are given, so a loop that gives
-every pass the same workspace allocates no layer-sized array per pass, and
-its results are the same bits. Without one, ``forward`` writes into new
-arrays and the others into a workspace built for the call. Training builds
-one per network in each ``deferral._fit`` call; a workspace belongs to that
-call alone and is never shared between threads.
+backward delta, every hidden layer's relu mask and the ``ones`` of the bias
+gradients. ``forward``, ``forward_cached``, ``backward`` and
+``relu_pattern`` write into the leading rows of the one they are given, so
+a loop that gives every pass the same workspace allocates no layer-sized
+array per pass, and its results are the same bits. Without one, ``forward``
+writes into new arrays and the others into a workspace built for the call.
+Training builds one per network in each ``deferral._fit`` call; a workspace
+belongs to that call alone and is never shared between threads.
 
 Every pass takes a ``(batch, in_dim)`` matrix, one row per example; one
 example is a one-row batch. Both forward passes run the same layer step,
 ``z = a @ w.T`` into a destination buffer, then ``z += b`` and, below the
 last layer, the relu in place, and differ only in what they keep.
 ``forward_cached`` keeps the checked input and every layer's output; use it
-when gradients follow, and hand its list to ``backward`` and
-``relu_pattern``, which then run no forward of their own. Neither needs
-the pre-activations: a relu output ``max(z, 0)`` is positive exactly where
-``z`` is, NaN included, so each reads a hidden layer's relu mask as
-``output > 0``. ``forward`` keeps only the last layer's output, and holds
+when gradients follow, and hand its list to ``backward``, which runs no
+forward of its own. It takes every hidden layer's relu mask from one
+``relu_pattern`` call, which needs no pre-activations: a relu output
+``max(z, 0)`` is positive exactly where ``z`` is, NaN included, so a mask
+is ``output > 0``. ``forward`` keeps only the last layer's output, and holds
 the others for one row block at a time; use it for inference and for
 losses without gradients (validation), where holding every layer of a
 large batch would only raise peak memory.
@@ -254,18 +254,18 @@ class Workspace:
     """Buffers that one network's passes write into instead of new arrays.
 
     Per layer, ``outs`` holds an output buffer and ``deltas`` a backward
-    delta buffer as wide as the layer's input; ``signs`` holds every hidden
-    layer's relu mask, laid out as ``relu_pattern`` flattens them, and
-    ``ones`` is the vector of the bias gradients' products. A pass on n rows
-    uses the leading n rows of each buffer, contiguous views, so it runs the
-    same BLAS products on the same shapes as on new arrays and gives the
-    same bits. What a pass returns from a workspace is a view into it, valid
+    delta buffer as wide as the layer's input; per hidden layer, ``masks``
+    holds a bool buffer as wide as its output, for its relu mask; ``ones``
+    is the vector of the bias gradients' products. A pass on n rows uses the
+    leading n rows of each buffer, contiguous views, so it runs the same
+    BLAS products on the same shapes as on new arrays and gives the same
+    bits. What a pass returns from a workspace is a view into it, valid
     until the next pass on the workspace. Build one with ``Workspace.of``.
     """
 
     outs: tuple[np.ndarray, ...]
     deltas: tuple[np.ndarray, ...]
-    signs: np.ndarray
+    masks: tuple[np.ndarray, ...]
     ones: np.ndarray
 
     @classmethod
@@ -276,24 +276,12 @@ class Workspace:
         its largest row block only. Deltas, masks and ``ones`` take
         ``batch_rows`` rows: only the passes with gradients use them."""
         rows = max(batch_rows, *(s.stop - s.start for s in row_blocks(forward_rows)))
-        hidden = sum(out_dim for out_dim, *_ in net.layout[:-1])
         return cls(
             tuple(np.empty((rows, out_dim)) for out_dim, *_ in net.layout),
             tuple(np.empty((batch_rows, in_dim)) for _, in_dim, *_ in net.layout),
-            np.empty(batch_rows * hidden, dtype=bool),
+            tuple(np.empty((batch_rows, out_dim), bool) for out_dim, *_ in net.layout[:-1]),
             np.ones(batch_rows),
         )
-
-    def masks(self, n: int) -> list[np.ndarray]:
-        """Every hidden layer's (n, width) mask buffer, end to end from the
-        start of ``signs``, so that together they are ``signs``' first
-        entries."""
-        views, start = [], 0
-        for out in self.outs[:-1]:
-            width = out.shape[1]
-            views.append(self.signs[start : start + n * width].reshape(n, width))
-            start += n * width
-        return views
 
 
 def _layer(
@@ -349,22 +337,23 @@ def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None) ->
     return outs
 
 
-def relu_pattern(net: DenseNet, outs: Activations, ws: Workspace | None = None) -> np.ndarray:
-    """Sign pattern of every hidden layer's relu pre-activation, flattened,
-    as a bool vector: the first entries of ``ws.signs``.
+def relu_pattern(
+    net: DenseNet, outs: Activations, ws: Workspace | None = None
+) -> list[np.ndarray]:
+    """Every hidden layer's relu mask, ``output > 0``, as an (n, width) bool
+    array written into the leading rows of its ``ws.masks`` buffer; a
+    network without hidden layers has none. ``backward`` reads its masks
+    from one call.
 
     ``outs`` is ``forward_cached(net, x)``; a relu output is positive
     exactly where its pre-activation is. Two evaluations with different
-    patterns straddle a kink, where finite differences of the loss are
+    masks straddle a kink, where finite differences of the loss are
     meaningless.
     """
     n = len(outs[0])
     if ws is None:
         ws = Workspace.of(net, n)
-    masks = ws.masks(n)
-    for a, mask in zip(outs[1:-1], masks):
-        np.greater(a, 0.0, out=mask)
-    return ws.signs[: sum(mask.size for mask in masks)]
+    return [np.greater(a, 0.0, out=mask[:n]) for a, mask in zip(outs[1:-1], ws.masks)]
 
 
 def backward(
@@ -382,15 +371,15 @@ def backward(
 
     ``outs`` is ``forward_cached(net, x)`` for the input the loss was
     computed on; a hidden layer passes the gradient where its relu output
-    is positive. The per-example contributions are summed, i.e. the result
-    is the gradient of ``sum_i loss_i`` when ``upstream[i]`` is the gradient
-    for example i: a weight gradient is ``delta.T @ input`` and a bias
-    gradient ``ones @ delta``, both BLAS products. Returns the gradient with
-    respect to the input, which lets one network's backward pass chain into
-    another's; it is one more product with the first layer's weights,
-    computed only with ``want_input_grad``, and ``None`` otherwise. The
-    deltas, the relu masks and ``ones`` are ``ws``'s, so the input gradient
-    is a view into it.
+    is positive, by the masks of one ``relu_pattern`` call. The per-example
+    contributions are summed, i.e. the result is the gradient of ``sum_i
+    loss_i`` when ``upstream[i]`` is the gradient for example i: a weight
+    gradient is ``delta.T @ input`` and a bias gradient ``ones @ delta``,
+    both BLAS products. Returns the gradient with respect to the input,
+    which lets one network's backward pass chain into another's; it is one
+    more product with the first layer's weights, computed only with
+    ``want_input_grad``, and ``None`` otherwise. The deltas, the relu masks
+    and ``ones`` are ``ws``'s, so the input gradient is a view into it.
     """
     if len(outs) != len(net.layout) + 1:
         raise ValueError(
@@ -410,14 +399,13 @@ def backward(
     n = len(upstream)
     if ws is None:
         ws = Workspace.of(net, n)
-    masks = ws.masks(n)
+    masks = relu_pattern(net, outs, ws)
     ones = ws.ones[:n]
     delta = upstream
-    last = len(net.layout) - 1
     for i in reversed(range(len(net.layout))):
-        if i < last:
+        if i < len(masks):
             # below the linear top layer, ``delta`` is a workspace buffer
-            delta *= np.greater(outs[i + 1], 0.0, out=masks[i])
+            delta *= masks[i]
         w_grad, b_grad = out.views[i]
         np.matmul(delta.T, outs[i], out=w_grad)
         np.matmul(ones, delta, out=b_grad)

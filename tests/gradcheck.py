@@ -7,7 +7,9 @@ a kink. ``zero_grads`` builds a gradient destination, a network's layout
 over a zero vector, and ``grads_of`` runs ``backward`` into a new one.
 ``call_core`` runs a training loss core, ``deferral._ea_l2d`` or
 ``deferral._pop_avg``, the way ``deferral._fit`` runs it, so the gradient
-tests check the code training runs.
+tests check the code training runs. A core returns only its two loss sums;
+the kink pattern a check compares is built here (``kink_pattern``), from
+each network's own ``forward_cached`` and ``relu_pattern`` passes.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from deferlab.nets import DenseNet, backward
+from deferlab.deferral import _ea_l2d, rejector_inputs
+from deferlab.nets import DenseNet, backward, forward_cached, relu_pattern, softmax
 
 # The floating-point state ``deferral._fit`` runs the loss cores in;
 # ``tests/test_deferral.py`` checks that the two agree.
@@ -36,21 +39,48 @@ def grads_of(net: DenseNet, outs, upstream) -> DenseNet:
     return grads
 
 
+def joined_masks(masks) -> np.ndarray:
+    """``relu_pattern``'s per-layer masks, flattened and joined in layer
+    order into one new bool vector; empty for a network without hidden
+    layers."""
+    return np.concatenate([np.empty(0, bool), *(mask.ravel() for mask in masks)])
+
+
+def _relu_signs(net: DenseNet, x):
+    """``net``'s output on ``x`` and its joined relu masks, from passes of
+    their own."""
+    outs = forward_cached(net, x)
+    return outs[-1], joined_masks(relu_pattern(net, outs))
+
+
+def kink_pattern(core, classifier, rejector, features, aux) -> np.ndarray:
+    """Every discrete choice ``core``'s loss makes on a batch, as one new
+    int64 vector: the classifier's relu masks, then the rejector's on the
+    rows it reads, then, for ``_ea_l2d``, each example's class-softmax
+    argmax. ``_ea_l2d``'s rejector reads ``rejector_inputs`` built from
+    that argmax and the posterior means ``aux``; ``_pop_avg``'s reads the
+    features."""
+    logits, clf_signs = _relu_signs(classifier, features)
+    if core is not _ea_l2d:
+        return np.concatenate([clf_signs, _relu_signs(rejector, features)[1]]).astype(np.int64)
+    rho = softmax(logits)[0]
+    kstar = np.argmax(rho, axis=1)
+    rej_signs = _relu_signs(rejector, rejector_inputs(rho, kstar, aux))[1]
+    return np.concatenate([clf_signs, rej_signs, kstar]).astype(np.int64)
+
+
 def call_core(core, classifier, rejector, features, labels, aux, grads=True, ws=None):
     """``core(classifier, rejector, features, labels, aux, out, ws)`` under
     ``FIT_ERRSTATE``, with ``out`` two new zeroed gradient destinations, or
     ``None`` without ``grads``: ``(classifier_sum, deferral_sum,
     classifier_grads, rejector_grads, pattern)``, where the last three are
-    ``None`` without ``grads``. The core returns its pattern as parts
-    (each network's relu signs, then ``_ea_l2d``'s classifier argmax);
-    they are joined here into one int64 vector, a copy, so a pattern read
-    from workspaces ``ws`` outlives the next call on them."""
+    ``None`` without ``grads``. ``pattern`` is ``kink_pattern``'s, built in
+    the same floating-point state from passes of its own, so it does not
+    depend on the workspaces ``ws``."""
     out = (zero_grads(classifier), zero_grads(rejector)) if grads else None
     with np.errstate(**FIT_ERRSTATE):
-        classifier_sum, deferral_sum, parts = core(
-            classifier, rejector, features, labels, aux, out, ws
-        )
-    pattern = None if parts is None else np.concatenate(parts).astype(np.int64)
+        classifier_sum, deferral_sum = core(classifier, rejector, features, labels, aux, out, ws)
+        pattern = kink_pattern(core, classifier, rejector, features, aux) if grads else None
     return (classifier_sum, deferral_sum, *(out or (None, None)), pattern)
 
 

@@ -93,6 +93,27 @@ def priors_result(tmp_path_factory, seeds):
     return cfg, run_priors_study(cfg, tmp_path_factory.mktemp("priors"))
 
 
+# Context sizes of criterion 12's arms: 25 is gated, 10 only reported.
+SMALL_CONTEXTS = (25, 10)
+
+
+@pytest.fixture(scope="module")
+def small_context_result(tmp_path_factory, seeds):
+    """``ea_l2d`` at p = 0.2 with each of ``SMALL_CONTEXTS`` items per
+    expert's context, by size. ``pop_avg`` reads no context, and a p = 0.2
+    cell does not depend on the grid's other cells, so the grid's p = 0.2
+    records are its arm at every size, as they are ``ea_l2d``'s 150-item
+    arm."""
+    return {
+        size: run_experiment(
+            validate_config(dict(ACCEPTANCE_RAW, seeds=seeds, overlap_probabilities=[0.2],
+                                 method="ea_l2d", context_size=size)),
+            tmp_path_factory.mktemp(f"context{size}"),
+        )
+        for size in SMALL_CONTEXTS
+    }
+
+
 def beta_means(params):
     """Posterior-mean row a / (a + b) of per-class (a, b) rows of ``params``."""
     return params[:, 0] / (params[:, 0] + params[:, 1])
@@ -439,3 +460,30 @@ def test_criterion_11_cli_determinism(tmp_path):
     )
     report(11, "repeated CLI runs produce byte-identical artifacts", ok,
            f"{len(names_a)} files compared")
+
+
+def test_criterion_12_less_expert_annotated_data(grid_result, small_context_result):
+    cfg, result = grid_result
+    grid = {(r.method, r.seed, r.cohort): r for r in result.records if r.p == 0.2}
+    small = {
+        (size, r.seed, r.cohort): r for size, res in small_context_result.items()
+        for r in res.records
+    }
+    ok = not result.failures and not any(res.failures for res in small_context_result.values())
+    share = SMALL_CONTEXTS[0] / cfg.train_size
+    details = [f"{SMALL_CONTEXTS[0]} items, {share:.0%} of pop_avg's {cfg.train_size}"]
+    for cohort in ("id", "ood"):
+        pop = _mean([grid[("pop_avg", s, cohort)].aurdac() for s in cfg.seeds])
+        full = _mean([grid[("ea_l2d", s, cohort)].aurdac() for s in cfg.seeds])
+        ea = {
+            size: _mean([small[(size, s, cohort)].aurdac() for s in cfg.seeds])
+            for size in SMALL_CONTEXTS
+        }
+        gap = ea[25] - pop
+        details.append(
+            f"{cohort} gap {gap:.3f} {against(0.10, gap - 0.10)}, "
+            f"at 10 items {ea[10] - pop:+.3f}, AURDAC 25/{cfg.context_size} {ea[25] / full:.3f}"
+        )
+        ok = ok and gap >= 0.10
+    report(12, "deferral-accuracy gap >= 0.10 with 25 context items per expert",
+           ok, "; ".join(details))

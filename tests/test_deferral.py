@@ -42,7 +42,7 @@ from deferlab.simulate import (
     generate_gaussian_task,
     make_population,
 )
-from gradcheck import call_core, finite_difference_check
+from gradcheck import call_core, finite_difference_check, joined_masks
 
 
 def rep_from_mu(mu_values):
@@ -226,6 +226,14 @@ class TestEaL2dLoss:
         assert params == [
             "classifier", "rejector", "features", "labels", "mu", "out", "ws"
         ]
+        # and it returns its two loss sums, nothing an expert could be read from
+        clf, rej = constant_net([0.2, 0.1, 0.0], 2), constant_net(0.5, 4)
+        out = (DenseNet(np.zeros_like(clf.params), clf.layout),
+               DenseNet(np.zeros_like(rej.params), rej.layout))
+        for grads in (out, None):
+            sums = _ea_l2d(clf, rej, np.zeros((1, 2)), np.array([0]),
+                           rep_from_mu([0.9, 0.5, 0.5])[None], grads)
+            assert len(sums) == 2 and all(isinstance(v, float) for v in sums)
 
 
 class TestPopAvgLoss:
@@ -800,7 +808,7 @@ class TestPackedTraining:
         run_method(method, small_training_setup(), TrainConfig(0.1, 80, 1))
         assert len(states) == 3  # two batches and the validation pass
         call_core(
-            lambda *args: states.append(np.geterr()) or (0.0, 0.0, None),
+            lambda *args: states.append(np.geterr()) or (0.0, 0.0),
             None, None, None, None, None, grads=False,
         )
         assert all(state == states[-1] for state in states)
@@ -975,6 +983,12 @@ class TestWorkspace:
                 assert got.params.tobytes() == want.params.tobytes()
             assert reused[4].dtype == fresh[4].dtype == np.int64
             assert np.array_equal(reused[4], fresh[4])
+            # the masks backward left in the workspaces are the pattern's
+            n = rows.stop - rows.start
+            left = joined_masks(
+                [m[:n] for m in ws[0].masks] + [m[: n * experts] for m in ws[1].masks]
+            )
+            assert np.array_equal(left, reused[4][: left.size])
 
     def test_no_training_batch_allocates_a_layer_sized_array(self, monkeypatch):
         # 16 experts of a 64-row batch: each 32-wide rejector layer is

@@ -11,7 +11,7 @@ from deferlab.nets import (
     forward_cached,
     relu_pattern,
 )
-from gradcheck import finite_difference_check, grads_of, zero_grads
+from gradcheck import finite_difference_check, grads_of, joined_masks, zero_grads
 
 
 def layer_grads(grads, net):
@@ -49,7 +49,7 @@ class TestFiniteDifferenceCheck:
         def loss_fn(n):
             outs = forward_cached(n, x)
             g = grads_of(n, outs, np.ones((1, 1)))
-            return float(outs[-1][0, 0]), g, relu_pattern(n, outs).astype(np.int64)
+            return float(outs[-1][0, 0]), g, joined_masks(relu_pattern(n, outs)).astype(np.int64)
 
         report = finite_difference_check(net, loss_fn, 1e-6)
         assert report.n_skipped >= 1
@@ -57,7 +57,7 @@ class TestFiniteDifferenceCheck:
     @pytest.mark.parametrize(
         "pattern",
         [
-            (np.zeros(2, dtype=bool), np.zeros(3, dtype=bool)),  # parts, not joined
+            (np.zeros(2, dtype=bool), np.zeros(3, dtype=bool)),  # masks, not joined
             [0, 1],
             np.zeros((2, 2), dtype=bool),
             np.zeros(3),
@@ -65,8 +65,9 @@ class TestFiniteDifferenceCheck:
         ids=["tuple", "list", "2-D", "float"],
     )
     def test_pattern_not_a_1d_int_or_bool_array_rejected(self, pattern):
-        # ``np.array_equal`` is False on two ragged tuples, so a tuple of
-        # parts would skip every parameter and the check would pass empty
+        # ``np.array_equal`` is False on two ragged tuples, so per-layer
+        # masks not joined would skip every parameter and the check would
+        # pass empty
         net = dense_net([2, 1], 0)
 
         def loss_fn(n):
@@ -120,7 +121,7 @@ class TestFiniteDifferenceCheck:
                 outs = forward_cached(n, x)
                 out = outs[-1]
                 loss = 0.5 * float((out * out).sum())
-                return loss, grads_of(n, outs, out), relu_pattern(n, outs)
+                return loss, grads_of(n, outs, out), joined_masks(relu_pattern(n, outs))
 
             report = finite_difference_check(net, loss_fn, 1e-6)
             expected = reference(net, loss_fn, 1e-6)

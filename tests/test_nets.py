@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +13,7 @@ from deferlab.nets import (
     DenseNet,
     Layer,
     TrainConfig,
+    Workspace,
     backward,
     dense_net,
     forward,
@@ -22,7 +23,7 @@ from deferlab.nets import (
     sgd_step,
     softmax,
 )
-from gradcheck import finite_difference_check, grads_of, zero_grads
+from gradcheck import finite_difference_check, grads_of, joined_masks, zero_grads
 
 
 # Finite values with signed zeros, ones and subnormals drawn often.
@@ -56,6 +57,26 @@ def layer_grads(grads, net):
         (grads.params[w0:b0].reshape(out_dim, in_dim), grads.params[b0:end])
         for out_dim, in_dim, w0, b0, end in net.layout
     ]
+
+
+@st.composite
+def backward_cases(draw):
+    """A network from ``layered_nets``, an input of 1 to 6 rows and an
+    upstream gradient, every value from ``VALUES``."""
+    net = draw(layered_nets())
+    rows = draw(st.integers(1, 6))
+    x = draw(hnp.arrays(np.float64, (rows, net.input_dim), elements=VALUES))
+    up = draw(hnp.arrays(np.float64, (rows, net.output_dim), elements=VALUES))
+    return net, x, up
+
+
+def squared_error_case(seed):
+    """A [4, 8, 8, 1] network and one input row from ``seed``, with the
+    upstream gradient of the squared error to a fixed target at its output."""
+    rng = np.random.default_rng(seed)
+    net = dense_net([4, 8, 8, 1], rng)
+    x = rng.normal(size=(1, 4))
+    return net, x, forward(net, x) - np.random.default_rng(9).normal(size=(1, 1))
 
 
 def reference_forward_cached(net, x):
@@ -254,13 +275,16 @@ class TestForwardCached:
         rng = np.random.default_rng(19)
         net = dense_net([3, 4, 5, 2], rng)
         x = rng.normal(size=(6, 3))
-        pattern = relu_pattern(net, forward_cached(net, x))
+        masks = relu_pattern(net, forward_cached(net, x))
+        assert [(mask.shape, mask.dtype) for mask in masks] == [((6, 4), bool), ((6, 5), bool)]
+        pattern = joined_masks(masks)
         ref_pre, _ = reference_forward_cached(net, x)
         expected = np.concatenate([(ref_pre[0] > 0).ravel(), (ref_pre[1] > 0).ravel()])
         assert pattern.dtype == bool
         assert np.array_equal(pattern, expected)
         linear = dense_net([3, 2], rng)
-        assert relu_pattern(linear, forward_cached(linear, np.ones((1, 3)))).size == 0
+        assert relu_pattern(linear, forward_cached(linear, np.ones((1, 3)))) == []
+        assert joined_masks([]).size == 0
 
     @settings(max_examples=150, deadline=None)
     @given(net=layered_nets(), rows=st.integers(0, 6), data=st.data())
@@ -362,21 +386,52 @@ class TestBackward:
         assert np.allclose(wg, np.outer(yhat - y, x), atol=1e-14)
         assert np.allclose(bg, (yhat - y)[0], atol=1e-14)
 
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(9)
-        target = rng.normal(size=1)
+    @settings(max_examples=60, deadline=None)
+    @given(case=backward_cases())
+    @example(case=squared_error_case(0))
+    def test_matches_finite_differences(self, case):
+        net, x, up = case
+        # a workspace for more rows than the case has, dirtied by a larger pass
+        ws = Workspace.of(net, 8)
+        big = np.linspace(-2.0, 2.0, 8 * net.input_dim).reshape(8, net.input_dim)
+        backward(net, forward_cached(net, big, ws), np.ones((8, net.output_dim)),
+                 zero_grads(net), ws=ws)
 
-        def loss_fn(net):
-            outs = forward_cached(net, x)
-            diff = outs[-1] - target
-            g = grads_of(net, outs, diff)
-            return 0.5 * float((diff * diff).sum()), g
+        def loss_fn(n):
+            # sum(up * output) is linear in every parameter while the relu
+            # masks hold, so central differences are exact up to rounding,
+            # and epsilon 1e-3 keeps that rounding under the bound for
+            # outputs up to about 3e4 (three 5-wide layers of weights up to 4)
+            outs = forward_cached(n, x, ws)
+            grads = zero_grads(n)
+            backward(n, outs, up, grads, ws=ws)
+            return float((outs[-1] * up).sum()), grads, joined_masks(relu_pattern(n, outs, ws))
 
-        for seed in range(5):
-            srng = np.random.default_rng(seed)
-            net = dense_net([4, 8, 8, 1], srng)
-            x = srng.normal(size=(1, 4))
-            assert finite_difference_check(net, loss_fn, 1e-6).max_rel_error < 1e-5
+        report = finite_difference_check(net, loss_fn, 1e-3)
+        assert report.max_rel_error < 1e-6 and report.n_checked >= 1
+        fresh = grads_of(net, forward_cached(net, x), up)
+        assert loss_fn(net)[1].params.tobytes() == fresh.params.tobytes()
+
+    def test_masks_come_from_one_relu_pattern_call(self, monkeypatch):
+        # through the module attribute, so the benchmark's span wraps it;
+        # all-zero masks stop the gradient below the top layer
+        rng = np.random.default_rng(16)
+        net = dense_net([4, 6, 6, 2], rng)
+        outs = forward_cached(net, rng.normal(size=(5, 4)))
+        calls = []
+        real = deferlab.nets.relu_pattern
+
+        def closed(net, outs, ws):
+            calls.append(net)
+            return [mask * False for mask in real(net, outs, ws)]
+
+        monkeypatch.setattr(deferlab.nets, "relu_pattern", closed)
+        grads = zero_grads(net)
+        backward(net, outs, rng.normal(size=(5, 2)), grads)
+        assert calls == [net]
+        *below, top = layer_grads(grads, net)
+        assert all(not w.any() and not b.any() for w, b in below)
+        assert top[0].any() and top[1].any()
 
     def test_shape_mismatch_rejected(self):
         net = dense_net([3, 2], 0)
@@ -396,7 +451,7 @@ class TestBackward:
             monkeypatch.setattr(deferlab.nets, name, no_forward)
         assert backward(net, outs, rng.normal(size=(5, 2)), grads) is None
         assert np.any(grads.params != 0)
-        assert relu_pattern(net, outs).size == 5 * 12
+        assert joined_masks(relu_pattern(net, outs)).size == 5 * 12
 
     def test_activations_of_another_depth_rejected(self):
         net = dense_net([3, 2], 0)

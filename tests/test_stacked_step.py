@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from deferlab.deferral import _ea_l2d, _joint_terms, _pop_avg, mode_labels
 from deferlab.experts import PriorElicitation, build_representation, prior_arrays
-from deferlab.nets import backward, dense_net, forward_cached, softmax
-from gradcheck import call_core, grads_of, zero_grads
+from deferlab.nets import backward, dense_net, forward_cached, relu_pattern, softmax
+from gradcheck import call_core, grads_of, joined_masks, zero_grads
 
 
 def reference_softmax(logits):
@@ -175,6 +175,9 @@ class TestStackedMatchesReference:
         clf, rej, features, labels = nets_and_batch(2, batch=3)
         *_, pattern = call_core(_ea_l2d, clf, rej, features, labels, mu)
         assert len(pattern) == 3 * 12 + 3 * (10 + 10) + 3
+        clf_outs = forward_cached(clf, features)
+        assert np.array_equal(pattern[: 3 * 12], joined_masks(relu_pattern(clf, clf_outs)))
+        assert np.array_equal(pattern[-3:], np.argmax(clf_outs[-1], axis=1))
 
 
 @settings(max_examples=100, deadline=None)
