@@ -9,12 +9,11 @@ builds every layer's weight and bias as views into the vector once, when
 it is constructed (``DenseNet.views``), and the passes read those; a
 ``DenseNet`` is frozen, so ``params`` is never rebound under its views,
 and a change to the vector's values is a change to the network.
-``DenseNet.from_layers`` builds a network from a list of ``Layer`` objects
-and packs their arrays into a new vector, so a network never shares memory
-with the arrays it was built from; ``net.layers`` turns the views back
-into ``Layer`` objects, for readers outside the passes such as
-checkpoints. A network may also be built over a slice of a longer vector:
-training packs the classifier and the rejector into one vector.
+``layout_of`` builds the one layout of a list of layer widths, input
+first; ``dense_net`` and ``checkpoint.load_checkpoint`` both build theirs
+with it, and a checkpoint stores a network as its vector and its widths. A
+network may also be built over a slice of a longer vector: training packs
+the classifier and the rejector into one vector.
 
 A gradient is laid out as its network: ``backward`` writes every layer's
 gradient into a destination ``DenseNet`` over the caller's gradient vector,
@@ -66,28 +65,19 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import TrainingDivergenceError
 
-@dataclass
-class Layer:
-    """One layer as a network is built from or read by outside code."""
 
-    weights: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray  # (out_dim,)
+class Layer(NamedTuple):
+    """One layer's weights (out_dim, in_dim) and bias (out_dim,): views into
+    a network's vector, as ``DenseNet.views`` holds them."""
 
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ValueError(f"layer weights must be 2-D, got shape {self.weights.shape}")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ValueError(
-                f"bias shape {self.bias.shape} does not match weight rows {self.weights.shape[0]}"
-            )
+    weights: np.ndarray
+    bias: np.ndarray
 
 
 # Per layer: (out_dim, in_dim, weights start, bias start, bias end) in the
@@ -95,13 +85,28 @@ class Layer:
 Layout = tuple[tuple[int, int, int, int, int], ...]
 
 
-LayerViews = tuple[tuple[np.ndarray, np.ndarray], ...]
+def layout_of(widths: Sequence[int]) -> Layout:
+    """The layout of a network with the given layer widths, input first:
+    layer by layer, the weight matrix in row-major order, then the bias.
+    Fewer than two widths, or a width that is not an integer >= 1 (a bool
+    is not an integer), raises ``ValueError``."""
+    if len(widths) < 2:
+        raise ValueError(f"a network needs at least input and output widths, got {widths!r}")
+    for width in widths:
+        if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
+            raise ValueError(f"layer widths must be integers >= 1, got {widths!r}")
+    dims, spans, start = [int(width) for width in widths], [], 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        bias_start = start + fan_out * fan_in
+        spans.append((fan_out, fan_in, start, bias_start, bias_start + fan_out))
+        start = bias_start + fan_out
+    return tuple(spans)
 
 
-def _views(flat: np.ndarray, layout: Layout) -> LayerViews:
+def _views(flat: np.ndarray, layout: Layout) -> tuple[Layer, ...]:
     """Every layer's (weights, bias) as views into ``flat``."""
     return tuple(
-        (flat[w0:b0].reshape(out_dim, in_dim), flat[b0:end])
+        Layer(flat[w0:b0].reshape(out_dim, in_dim), flat[b0:end])
         for out_dim, in_dim, w0, b0, end in layout
     )
 
@@ -114,15 +119,14 @@ def _layout_size(layout: Layout) -> int:
 class DenseNet:
     """A network over ``params``, laid out by ``layout``: relu after every
     layer but the last, which is linear. ``views`` holds every layer's
-    (weights, bias) as views into ``params``, built once here. ``params``
-    must be a float64 vector of the layout's size, else ``ValueError``;
-    the layout is taken as given: build a network with ``from_layers`` or
-    ``dense_net``, and a network over another vector with an existing
-    network's layout."""
+    ``Layer(weights, bias)`` as views into ``params``, built once here.
+    ``params`` must be a float64 vector of the layout's size, else
+    ``ValueError``; the layout is taken as given: build one with
+    ``layout_of``, or take an existing network's."""
 
     params: np.ndarray
     layout: Layout
-    views: LayerViews = field(init=False, repr=False, compare=False)
+    views: tuple[Layer, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         size = _layout_size(self.layout)
@@ -133,27 +137,11 @@ class DenseNet:
             )
         object.__setattr__(self, "views", _views(self.params, self.layout))
 
-    @classmethod
-    def from_layers(cls, layers: Sequence[Layer]) -> "DenseNet":
-        """Check that ``layers`` compose and pack them into a new vector."""
-        if not layers:
-            raise ValueError("a network needs at least one layer")
-        spans, start = [], 0
-        for layer in layers:
-            out_dim, in_dim = layer.weights.shape
-            if spans and spans[-1][0] != in_dim:
-                raise ValueError(f"layer dims do not compose: {spans[-1][0]} -> {in_dim}")
-            bias_start = start + out_dim * in_dim
-            spans.append((out_dim, in_dim, start, bias_start, bias_start + out_dim))
-            start = bias_start + out_dim
-        params = np.concatenate([a.ravel() for l in layers for a in (l.weights, l.bias)])
-        return cls(params, tuple(spans))
-
     @property
     def layers(self) -> list[Layer]:
-        """Every layer over its views into ``params``; for readers outside
-        the passes, which use ``views``."""
-        return [Layer(w, b) for w, b in self.views]
+        """``list(self.views)``. It exists for ``bench/tracing.py``'s flop
+        counter, which reads ``layer.weights``; the package reads ``views``."""
+        return list(self.views)
 
     @property
     def input_dim(self) -> int:
@@ -211,20 +199,21 @@ class TrainConfig:
 
 
 def dense_net(dims: Sequence[int], seed: int | np.random.Generator = 0) -> DenseNet:
-    """Build a network with the given layer widths.
+    """A network with the layer widths ``dims``, input first, over a new
+    vector laid out by ``layout_of(dims)``.
 
-    Weights are drawn uniformly from +-sqrt(6 / (fan_in + fan_out)), biases
-    start at zero; everything is reproducible from the seed.
+    Layer by layer, the weights are drawn uniformly from +-sqrt(6 / (fan_in
+    + fan_out)) with one ``rng.uniform`` call of shape (fan_out, fan_in),
+    and the biases are zero; everything is reproducible from the seed.
     """
-    if len(dims) < 2:
-        raise ValueError("need at least input and output dims")
+    layout = layout_of(dims)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    layers = []
-    for fan_in, fan_out in zip(dims, dims[1:]):
+    net = DenseNet(np.zeros(_layout_size(layout)), layout)
+    for weights, _ in net.views:
+        fan_out, fan_in = weights.shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(Layer(w, np.zeros(fan_out)))
-    return DenseNet.from_layers(layers)
+        weights[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+    return net
 
 
 def _check_input(net: DenseNet, x: np.ndarray) -> np.ndarray:

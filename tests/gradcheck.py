@@ -5,6 +5,7 @@ this module (its name has no ``test_`` prefix).
 central finite differences, skipping parameters whose perturbations straddle
 a kink. ``zero_grads`` builds a gradient destination, a network's layout
 over a zero vector, and ``grads_of`` runs ``backward`` into a new one.
+``net_of`` packs a list of ``(weights, bias)`` pairs into a network.
 ``call_core`` runs a training loss core, ``deferral._ea_l2d`` or
 ``deferral._pop_avg``, the way ``deferral._fit`` runs it, so the gradient
 tests check the code training runs. A core returns only its two loss sums;
@@ -18,11 +19,34 @@ from typing import Callable
 import numpy as np
 
 from deferlab.deferral import _ea_l2d, rejector_inputs
-from deferlab.nets import DenseNet, backward, forward_cached, relu_pattern, softmax
+from deferlab.nets import (
+    DenseNet,
+    backward,
+    forward_cached,
+    layout_of,
+    relu_pattern,
+    softmax,
+)
 
 # The floating-point state ``deferral._fit`` runs the loss cores in;
 # ``tests/test_deferral.py`` checks that the two agree.
 FIT_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
+
+
+def net_of(pairs) -> DenseNet:
+    """A network over a new vector that holds, layer by layer, the bytes of
+    each ``(weights, bias)`` pair as float64, laid out by ``layout_of``
+    from the pairs' widths; a pair whose shapes do not fit those widths
+    raises ``ValueError``."""
+    pairs = [(np.asarray(w, np.float64), np.asarray(b, np.float64)) for w, b in pairs]
+    net = DenseNet(
+        np.concatenate([a.ravel() for pair in pairs for a in pair]),
+        layout_of([pairs[0][0].shape[-1], *(b.size for _, b in pairs)]),
+    )
+    for (w, b), view in zip(pairs, net.views):
+        if (w.shape, b.shape) != (view.weights.shape, view.bias.shape):
+            raise ValueError(f"layer shapes {w.shape}, {b.shape} do not compose")
+    return net
 
 
 def zero_grads(net: DenseNet) -> DenseNet:

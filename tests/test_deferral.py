@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import io
 import json
 import math
 import tracemalloc
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deferlab.deferral
-from deferlab.checkpoint import load_checkpoint, save_checkpoint
+from deferlab.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from deferlab.deferral import (
     EpochStats,
     _ContextDraw,
@@ -26,11 +28,11 @@ from deferlab.evaluation import case_priorities
 from deferlab.experts import PriorElicitation, build_representation, prior_arrays
 from deferlab.nets import (
     DenseNet,
-    Layer,
     TrainConfig,
     Workspace,
     dense_net,
     forward,
+    layout_of,
     row_blocks,
 )
 from deferlab.simulate import (
@@ -42,7 +44,7 @@ from deferlab.simulate import (
     generate_gaussian_task,
     make_population,
 )
-from gradcheck import call_core, finite_difference_check, joined_masks
+from gradcheck import call_core, finite_difference_check, joined_masks, net_of
 
 
 def rep_from_mu(mu_values):
@@ -64,9 +66,7 @@ def inputs_row(rho, rep):
 def constant_net(outputs, input_dim):
     """A one-layer net that outputs ``outputs`` exactly, whatever its input."""
     outputs = np.atleast_1d(np.asarray(outputs, dtype=np.float64))
-    return DenseNet.from_layers(
-        [Layer(np.zeros((len(outputs), input_dim)), outputs)]
-    )
+    return net_of([(np.zeros((len(outputs), input_dim)), outputs)])
 
 
 def joint_softmax(class_logits, deferral_logit):
@@ -137,9 +137,7 @@ class TestAssembleRejectorInputs:
 
 class TestDeferralLogit:
     def test_zero_rejector_outputs_zero(self):
-        rejector = DenseNet.from_layers(
-            [Layer(np.zeros((8, 4)), np.zeros(8)), Layer(np.zeros((1, 8)), np.zeros(1))]
-        )
+        rejector = net_of([(np.zeros((8, 4)), np.zeros(8)), (np.zeros((1, 8)), np.zeros(1))])
         rng = np.random.default_rng(0)
         for _ in range(20):
             q = rng.dirichlet(np.ones(3))
@@ -1061,6 +1059,19 @@ class TestTrainPopAvg:
             train_pop_avg(clf, rej, task.train, qp, cfg, val=task.val, val_predictions=bad)
 
 
+def as_version_1(arrays, meta):
+    """Rewrite a saved file's arrays and meta, in place, into the version-1
+    format: one weight and one bias array per layer, and an activation list
+    per network in the meta."""
+    for prefix, name in (("clf", "classifier"), ("rej", "rejector")):
+        widths = arrays.pop(f"{prefix}_widths").tolist()
+        net = DenseNet(arrays.pop(f"{prefix}_params"), layout_of(widths))
+        for i, (w, b) in enumerate(net.views):
+            arrays[f"{prefix}_w{i}"], arrays[f"{prefix}_b{i}"] = w, b
+        meta[f"{name}_activations"] = ["relu"] * (len(widths) - 2) + ["identity"]
+    meta["format_version"] = 1
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         clf = dense_net([6, 16, 4], 11)
@@ -1070,7 +1081,7 @@ class TestCheckpoint:
         save_checkpoint(path, clf, rej, cfg)
         clf2, rej2, cfg2 = load_checkpoint(path)
         assert cfg2 == cfg
-        for a, b in zip(clf.layers + rej.layers, clf2.layers + rej2.layers):
+        for a, b in zip(clf.views + rej.views, clf2.views + rej2.views):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
 
@@ -1082,35 +1093,62 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "b.npz", clf, rej, cfg)
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
-    def test_flat_layout_round_trip_keeps_per_layer_keys_and_bytes(self, tmp_path):
+    def test_format_2_stores_each_network_as_its_vector_and_widths(self, tmp_path):
         rng = np.random.default_rng(8)
-        arrays = {
+        pairs = {
             "clf": [(rng.normal(size=(5, 3)), rng.normal(size=5)),
                     (rng.normal(size=(2, 5)), rng.normal(size=2))],
             "rej": [(rng.normal(size=(4, 4)), rng.normal(size=4)),
                     (rng.normal(size=(1, 4)), rng.normal(size=1))],
         }
-        clf, rej = (
-            DenseNet.from_layers(
-                [Layer(w, b) for w, b in arrays[k]]
-            )
-            for k in ("clf", "rej")
-        )
+        clf, rej = net_of(pairs["clf"]), net_of(pairs["rej"])
         cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=2, seed=5)
+        assert FORMAT_VERSION == 2
         save_checkpoint(tmp_path / "a.npz", clf, rej, cfg)
         with np.load(tmp_path / "a.npz") as data:
-            assert sorted(data.files) == sorted(
-                ["meta"] + [f"{k}_{p}{i}" for k in ("clf", "rej") for p in "wb" for i in (0, 1)]
-            )
-            for k, layers in arrays.items():
-                for i, (w, b) in enumerate(layers):
-                    assert data[f"{k}_w{i}"].tobytes() == w.tobytes()
-                    assert data[f"{k}_b{i}"].tobytes() == b.tobytes()
+            assert sorted(data.files) == [
+                "clf_params", "clf_widths", "meta", "rej_params", "rej_widths"
+            ]
+            assert json.loads(bytes(data["meta"]).decode()) == {
+                "format_version": 2,
+                "train_config": dataclasses.asdict(cfg),
+            }
+            for k, widths in (("clf", [3, 5, 2]), ("rej", [4, 4, 1])):
+                params = data[f"{k}_params"]
+                assert params.dtype == np.float64
+                assert params.tobytes() == b"".join(
+                    a.tobytes() for pair in pairs[k] for a in pair
+                )
+                assert data[f"{k}_widths"].dtype == np.int64
+                assert data[f"{k}_widths"].tolist() == widths
+        assert np.load(tmp_path / "a.npz")["clf_params"].tobytes() == clf.params.tobytes()
         clf2, rej2, _ = load_checkpoint(tmp_path / "a.npz")
         assert clf2.params.tobytes() == clf.params.tobytes()
         assert rej2.params.tobytes() == rej.params.tobytes()
+        assert (clf2.layout, rej2.layout) == (clf.layout, rej.layout)
+        assert clf2.params.flags.writeable
         save_checkpoint(tmp_path / "b.npz", clf2, rej2, cfg)
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        widths=st.lists(st.lists(st.integers(1, 8), min_size=3, max_size=5), min_size=2, max_size=2),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3),
+    )
+    def test_round_trip_keeps_layout_and_bytes(self, widths, seeds):
+        # 2 to 4 layers of 1 to 8 units per network
+        nets = [dense_net(w, s) for w, s in zip(widths, seeds)]
+        cfg = TrainConfig(learning_rate=0.1, batch_size=8, epochs=2, seed=seeds[2])
+        first, second = io.BytesIO(), io.BytesIO()
+        save_checkpoint(first, *nets, cfg)
+        first.seek(0)
+        *loaded, cfg2 = load_checkpoint(first)
+        assert cfg2 == cfg
+        for net, back in zip(nets, loaded):
+            assert back.layout == net.layout
+            assert back.params.tobytes() == net.params.tobytes()
+        save_checkpoint(second, *loaded, cfg2)
+        assert second.getvalue() == first.getvalue()
 
     # Each defect edits a saved file's arrays and decoded meta in place, and
     # names the key the error must report. An edit that replaces the 'meta'
@@ -1128,19 +1166,42 @@ class TestCheckpoint:
             lambda arrays, meta: arrays.update(meta=np.frombuffer(b"7", dtype=np.uint8)),
             "meta",
         ),
-        "activations_a_string": (
-            lambda arrays, meta: meta.update(classifier_activations="relu"),
+        "widths_as_floats": (
+            lambda arrays, meta: arrays.update(clf_widths=arrays["clf_widths"].astype(float)),
+            "clf_widths",
+        ),
+        "widths_2d": (
+            lambda arrays, meta: arrays.update(clf_widths=arrays["clf_widths"][None, :]),
+            "clf_widths",
+        ),
+        "widths_with_one_entry": (
+            lambda arrays, meta: arrays.update(clf_widths=arrays["clf_widths"][:1]),
+            "clf_widths",
+        ),
+        "widths_with_a_zero": (
+            lambda arrays, meta: arrays.update(clf_widths=np.array([6, 0, 3])),
+            "clf_widths",
+        ),
+        "params_float32": (
+            lambda arrays, meta: arrays.update(rej_params=arrays["rej_params"].astype(np.float32)),
+            "rej_params",
+        ),
+        "params_one_entry_short": (
+            lambda arrays, meta: arrays.update(rej_params=arrays["rej_params"][:-1]),
+            "rej_params",
+        ),
+        # ``np.load`` refuses to unpickle it, with a ValueError of its own
+        "params_a_pickled_object_array": (
+            lambda arrays, meta: arrays.update(clf_params=arrays["clf_params"].astype(object)),
+            "clf_params",
+        ),
+        "extra_array": (lambda arrays, meta: arrays.update(clf_w0=np.zeros((8, 6))), "clf_w0"),
+        "missing_array": (lambda arrays, meta: arrays.pop("rej_widths"), "rej_widths"),
+        "extra_meta_key": (
+            lambda arrays, meta: meta.update(classifier_activations=["relu", "identity"]),
             "classifier_activations",
         ),
-        "one_classifier_activation": (
-            lambda arrays, meta: meta.update(classifier_activations=["identity"]),
-            "clf_b1",
-        ),
-        "extra_classifier_layer": (
-            lambda arrays, meta: arrays.update(clf_w2=np.zeros((3, 3)), clf_b2=np.zeros(3)),
-            "clf_b2",
-        ),
-        "missing_array": (lambda arrays, meta: arrays.pop("rej_w1"), "rej_w1"),
+        "version_1_file": (as_version_1, "format_version"),
         "missing_format_version": (
             lambda arrays, meta: meta.pop("format_version"),
             "format_version",
@@ -1158,29 +1219,13 @@ class TestCheckpoint:
             lambda arrays, meta: meta["train_config"].update(learning_rate=0.0),
             "train_config",
         ),
-        "unknown_activation": (
-            lambda arrays, meta: meta.update(classifier_activations=["tanh", "identity"]),
-            "classifier_activations",
-        ),
-        "all_identity_classifier": (
-            lambda arrays, meta: meta.update(classifier_activations=["identity", "identity"]),
-            "classifier_activations",
-        ),
-        "all_relu_rejector": (
-            lambda arrays, meta: meta.update(rejector_activations=["relu", "relu"]),
-            "rejector_activations",
-        ),
-        "layers_do_not_compose": (
-            lambda arrays, meta: arrays.update(rej_w1=np.zeros((1, 5))),
-            "rejector_activations",
-        ),
         # JSON ``true`` and ``2.0`` compare equal to 1 and 2 in Python
         "format_version_true": (
             lambda arrays, meta: meta.update(format_version=True),
             "format_version",
         ),
         "format_version_float": (
-            lambda arrays, meta: meta.update(format_version=1.0),
+            lambda arrays, meta: meta.update(format_version=2.0),
             "format_version",
         ),
         "batch_size_true": (

@@ -23,9 +23,10 @@ from deferlab.evaluation import (
     write_metrics_csv,
 )
 from deferlab.harness import Record
-from deferlab.nets import BLOCK_ROWS, DenseNet, Layer, dense_net, forward
+from deferlab.nets import BLOCK_ROWS, dense_net, forward
 from deferlab.simulate import Dataset
 from deferlab.tables import write_table
+from gradcheck import net_of
 
 
 def scored(priority, classifier_correct, expert_correct):
@@ -61,9 +62,7 @@ def rep_from_mu(mu_values):
 
 def linear_rejector(weights, bias=0.0):
     """A one-layer rejector whose deferral logit is ``weights @ x + bias``."""
-    return DenseNet.from_layers(
-        [Layer(np.array([weights], dtype=np.float64), np.array([bias]))]
-    )
+    return net_of([(np.array([weights], dtype=np.float64), np.array([bias]))])
 
 
 def priority_of(class_logits, deferral_logit):
@@ -89,9 +88,7 @@ class TestDeferralPriority:
 
 def flat_classifier(dim, num_classes):
     """A one-layer classifier whose logits are 0 for every class and case."""
-    return DenseNet.from_layers(
-        [Layer(np.zeros((num_classes, dim)), np.zeros(num_classes))]
-    )
+    return net_of([(np.zeros((num_classes, dim)), np.zeros(num_classes))])
 
 
 def score_cohort(mu_at_expertise, predictions):
@@ -685,7 +682,7 @@ class TestFactoredPrioritySign:
 def whole_forward(net, x):
     """``nets.forward`` without row blocks: every layer on the whole batch."""
     a = x
-    for i, layer in enumerate(net.layers):
+    for i, layer in enumerate(net.views):
         z = a @ layer.weights.T
         z += layer.bias
         a = np.maximum(z, 0.0) if i < len(net.layout) - 1 else z

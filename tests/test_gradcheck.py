@@ -5,13 +5,12 @@ import pytest
 
 from deferlab.nets import (
     DenseNet,
-    Layer,
     dense_net,
     forward,
     forward_cached,
     relu_pattern,
 )
-from gradcheck import finite_difference_check, grads_of, joined_masks, zero_grads
+from gradcheck import finite_difference_check, grads_of, joined_masks, net_of, zero_grads
 
 
 def layer_grads(grads, net):
@@ -38,12 +37,7 @@ class TestFiniteDifferenceCheck:
 
     def test_relu_kink_parameter_is_skipped(self):
         # w=0, x=1 puts the relu pre-activation exactly at the kink
-        net = DenseNet.from_layers(
-            [
-                Layer(np.array([[0.0]]), np.zeros(1)),
-                Layer(np.array([[1.0]]), np.zeros(1)),
-            ]
-        )
+        net = net_of([(np.array([[0.0]]), np.zeros(1)), (np.array([[1.0]]), np.zeros(1))])
         x = np.array([[1.0]])
 
         def loss_fn(n):
@@ -92,7 +86,7 @@ class TestFiniteDifferenceCheck:
             analytic = loss_fn(net)[1]
             work = DenseNet(net.params.copy(), net.layout)
             max_err, n_checked, n_skipped = 0.0, 0, 0
-            for layer, (wg, bg) in zip(work.layers, layer_grads(analytic, net)):
+            for layer, (wg, bg) in zip(work.views, layer_grads(analytic, net)):
                 for arr, grad in ((layer.weights, wg), (layer.bias, bg)):
                     for idx in np.ndindex(arr.shape):
                         original = arr[idx]
@@ -115,7 +109,7 @@ class TestFiniteDifferenceCheck:
             net = dense_net([3, 4, 4, 2], rng)
             x = rng.normal(size=(3, 3))
             # one pre-activation exactly at the relu kink, so a parameter is skipped
-            net.layers[0].bias[0] = -(x[0] @ net.layers[0].weights[0])
+            net.views[0].bias[0] = -(x[0] @ net.views[0].weights[0])
 
             def loss_fn(n):
                 outs = forward_cached(n, x)

@@ -18,12 +18,13 @@ from deferlab.nets import (
     dense_net,
     forward,
     forward_cached,
+    layout_of,
     relu_pattern,
     row_blocks,
     sgd_step,
     softmax,
 )
-from gradcheck import finite_difference_check, grads_of, joined_masks, zero_grads
+from gradcheck import finite_difference_check, grads_of, joined_masks, net_of, zero_grads
 
 
 # Finite values with signed zeros, ones and subnormals drawn often.
@@ -47,7 +48,7 @@ def layer_stacks(draw, max_width=5):
 
 
 def layered_nets():
-    return layer_stacks().map(DenseNet.from_layers)
+    return layer_stacks().map(net_of)
 
 
 def layer_grads(grads, net):
@@ -84,7 +85,7 @@ def reference_forward_cached(net, x):
     every layer but the last."""
     pre, post = [], [x]
     a = x
-    for i, layer in enumerate(net.layers):
+    for i, layer in enumerate(net.views):
         z = a @ layer.weights.T + layer.bias
         a = np.maximum(z, 0.0) if i < len(net.layout) - 1 else z
         pre.append(z)
@@ -98,7 +99,7 @@ def reference_backward(net, x, upstream):
     gradient, input gradient)."""
     pre, post = reference_forward_cached(net, x)
     parts, delta = [], upstream
-    for i, (layer, z, a) in reversed(list(enumerate(zip(net.layers, pre, post)))):
+    for i, (layer, z, a) in reversed(list(enumerate(zip(net.views, pre, post)))):
         if i < len(net.layout) - 1:
             delta = delta * (z > 0)
         parts[:0] = [(delta.T @ a).ravel(), np.ones(len(delta)) @ delta]
@@ -114,13 +115,12 @@ def reference_sgd_step(net, grads, cfg, scale):
             layer.weights - lr * (wg * scale + wd * layer.weights),
             layer.bias - lr * (bg * scale + wd * layer.bias),
         )
-        for layer, (wg, bg) in zip(net.layers, layer_grads(grads, net))
+        for layer, (wg, bg) in zip(net.views, layer_grads(grads, net))
     ]
 
 
 def zero_net(dims):
-    layers = [Layer(np.zeros((o, i)), np.zeros(o)) for i, o in zip(dims, dims[1:])]
-    return DenseNet.from_layers(layers)
+    return net_of([(np.zeros((o, i)), np.zeros(o)) for i, o in zip(dims, dims[1:])])
 
 
 class TestForward:
@@ -129,7 +129,7 @@ class TestForward:
         assert np.array_equal(forward(net, np.ones((1, 3))), np.zeros((1, 2)))
 
     def test_identity_layer_passes_input_through(self):
-        net = DenseNet.from_layers([Layer(np.eye(4), np.zeros(4))])
+        net = net_of([(np.eye(4), np.zeros(4))])
         v = np.array([[0.5, -2.0, 3.25, 0.0]])
         assert np.array_equal(forward(net, v), v)
 
@@ -139,13 +139,13 @@ class TestForward:
         x = rng.normal(size=4)
         # recompute with explicit loops, no shared helpers
         h = np.empty(8)
-        w0, b0 = net.layers[0].weights, net.layers[0].bias
+        w0, b0 = net.views[0].weights, net.views[0].bias
         for j in range(8):
             z = b0[j]
             for i in range(4):
                 z += w0[j, i] * x[i]
             h[j] = max(z, 0.0)
-        w1, b1 = net.layers[1].weights, net.layers[1].bias
+        w1, b1 = net.views[1].weights, net.views[1].bias
         out = b1[0]
         for j in range(8):
             out += w1[0, j] * h[j]
@@ -175,20 +175,26 @@ class TestForward:
             with pytest.raises(ValueError):
                 forward_cached(net, x)
 
-    def test_mismatched_layer_dims_rejected(self):
-        with pytest.raises(ValueError):
-            DenseNet.from_layers(
-                [
-                    Layer(np.zeros((4, 3)), np.zeros(4)),
-                    Layer(np.zeros((2, 5)), np.zeros(2)),
-                ]
-            )
+    @pytest.mark.parametrize(
+        "widths",
+        [[], [3], [3, 2.0], [3, "2"], [3, True, 2], [3, np.float64(4.0), 2], [3, 0, 2], [-1, 2]],
+    )
+    def test_widths_that_build_no_layout_rejected(self, widths):
+        # fewer than two widths, a width that is not an int, or one below 1
+        with pytest.raises(ValueError, match="widths"):
+            layout_of(widths)
+        with pytest.raises(ValueError, match="widths"):
+            dense_net(widths)
+
+    def test_layout_of_packs_each_layer_weights_then_bias(self):
+        assert layout_of([3, np.int64(4), 2]) == ((4, 3, 0, 12, 16), (2, 4, 16, 24, 26))
+        assert all(type(v) is int for span in layout_of(np.array([3, 4, 2])) for v in span)
 
 
 def whole_forward(net, x):
     """``forward`` without row blocks: every layer on the whole batch."""
     a = x
-    for i, layer in enumerate(net.layers):
+    for i, layer in enumerate(net.views):
         z = a @ layer.weights.T
         z += layer.bias
         a = np.maximum(z, 0.0) if i < len(net.layout) - 1 else z
@@ -377,7 +383,7 @@ class TestBackward:
         # loss = 0.5 * (w x - y)^2, dW = (yhat - y) x^T
         rng = np.random.default_rng(5)
         w = rng.normal(size=(2, 3))
-        net = DenseNet.from_layers([Layer(w, np.zeros(2))])
+        net = net_of([(w, np.zeros(2))])
         x = rng.normal(size=(1, 3))
         y = rng.normal(size=(1, 2))
         yhat = forward(net, x)
@@ -500,7 +506,7 @@ class TestSgdStep:
         net = dense_net([3, 2], 0)
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
         out = stepped(net, zero_grads(net), cfg)
-        for a, b in zip(out.layers, net.layers):
+        for a, b in zip(out.views, net.views):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
 
@@ -509,19 +515,19 @@ class TestSgdStep:
         grads = DenseNet(net.params.copy(), net.layout)
         cfg = TrainConfig(learning_rate=1.0, batch_size=1, epochs=1)
         out = stepped(net, grads, cfg)
-        assert all(np.all(l.weights == 0) and np.all(l.bias == 0) for l in out.layers)
+        assert all(np.all(l.weights == 0) and np.all(l.bias == 0) for l in out.views)
 
     def test_one_step_reduces_quadratic_loss(self):
         # single parameter w, loss = (w - 3)^2
-        net = DenseNet.from_layers([Layer(np.array([[0.0]]), np.zeros(1))])
+        net = net_of([(np.array([[0.0]]), np.zeros(1))])
         cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
 
         def loss(n):
-            w = n.layers[0].weights[0, 0]
+            w = n.views[0].weights[0, 0]
             return (w - 3.0) ** 2
 
         # flat layout: the one weight, then the one bias
-        grads = DenseNet(np.array([2 * (net.layers[0].weights[0, 0] - 3.0), 0.0]), net.layout)
+        grads = DenseNet(np.array([2 * (net.views[0].weights[0, 0] - 3.0), 0.0]), net.layout)
         assert loss(stepped(net, grads, cfg)) < loss(net)
 
     def test_nonfinite_gradient_raises(self):
@@ -552,14 +558,14 @@ class TestSgdStep:
         cfg = TrainConfig(learning_rate=0.2, batch_size=1, epochs=1, weight_decay=1e-3)
         a = stepped(net, grads, cfg, 1 / 96)
         b = stepped(net, prescaled, cfg)
-        for la, lb in zip(a.layers, b.layers):
+        for la, lb in zip(a.views, b.views):
             assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
 
     def test_weight_decay_applied(self):
-        net = DenseNet.from_layers([Layer(np.array([[2.0]]), np.zeros(1))])
+        net = net_of([(np.array([[2.0]]), np.zeros(1))])
         cfg = TrainConfig(learning_rate=0.5, batch_size=1, epochs=1, weight_decay=0.1)
         out = stepped(net, zero_grads(net), cfg)
-        assert out.layers[0].weights[0, 0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0)
+        assert out.views[0].weights[0, 0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0)
 
     def test_shape_mismatch_rejected(self):
         net = dense_net([3, 2], 0)
@@ -585,7 +591,7 @@ class TestSgdStep:
         expected = reference_sgd_step(net, grads, cfg, scale)
         # in place: views taken before the step read the updated weights
         out = DenseNet(net.params.copy(), net.layout)
-        views, buffer = out.layers, out.params.__array_interface__["data"][0]
+        views, buffer = out.views, out.params.__array_interface__["data"][0]
         sgd_step(out.params, grads.params.copy(), cfg, scale)
         assert out.params.__array_interface__["data"][0] == buffer
         for layer, (w, b) in zip(views, expected):
@@ -673,20 +679,41 @@ class TestDeterminism:
     def test_same_seed_same_network(self):
         a = dense_net([4, 8, 3], 42)
         b = dense_net([4, 8, 3], 42)
-        for la, lb in zip(a.layers, b.layers):
+        for la, lb in zip(a.views, b.views):
             assert np.array_equal(la.weights, lb.weights)
 
     def test_different_seed_different_network(self):
         a = dense_net([4, 8, 3], 42)
         b = dense_net([4, 8, 3], 43)
-        assert not np.array_equal(a.layers[0].weights, b.layers[0].weights)
+        assert not np.array_equal(a.views[0].weights, b.views[0].weights)
+
+    @pytest.mark.parametrize("dims", [[3, 2], [4, 8, 3], [5, 7, 6, 1]])
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_draws_are_one_uniform_call_per_layer_then_zero_biases(self, dims, as_generator):
+        # the same draws in the same order as drawing each layer alone
+        seed = 1234 + len(dims)
+        net = dense_net(dims, np.random.default_rng(seed) if as_generator else seed)
+        rng = np.random.default_rng(seed)
+        parts = []
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            parts += [rng.uniform(-limit, limit, (fan_out, fan_in)).ravel(), np.zeros(fan_out)]
+        assert net.params.tobytes() == np.concatenate(parts).tobytes()
+        assert net.layout == layout_of(dims)
+
+    def test_a_given_generator_is_advanced_by_exactly_the_draws(self):
+        given_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+        dense_net([4, 8, 3], given_rng)
+        rng.uniform(size=8 * 4)
+        rng.uniform(size=3 * 8)
+        assert given_rng.uniform() == rng.uniform()
 
     def test_glorot_limits_respected(self):
         net = dense_net([100, 50], 0)
         limit = np.sqrt(6.0 / 150)
-        w = net.layers[0].weights
+        w = net.views[0].weights
         assert np.all(np.abs(w) <= limit)
-        assert np.all(net.layers[0].bias == 0)
+        assert np.all(net.views[0].bias == 0)
 
 
 class TestFlatLayout:
@@ -700,12 +727,15 @@ class TestFlatLayout:
     def test_views_built_once_follow_params_and_copy_owns_a_new_vector(
         self, layers, wd, scale, data
     ):
-        net = DenseNet.from_layers(layers)
+        net = net_of(layers)
         packed = b"".join(a.tobytes() for l in layers for a in (l.weights, l.bias))
         assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
         assert net.params.tobytes() == packed
         assert [f.name for f in dataclasses.fields(net)] == ["params", "layout", "views"]
-        assert [f.name for f in dataclasses.fields(layers[0])] == ["weights", "bias"]
+        assert Layer._fields == ("weights", "bias")
+        assert all(type(view) is Layer for view in net.views)
+        assert len(net.layers) == len(net.views)
+        assert all(a is b for a, b in zip(net.layers, net.views))
         assert net.input_dim == layers[0].weights.shape[1]
         assert net.output_dim == layers[-1].weights.shape[0]
         for l in layers:
@@ -758,7 +788,7 @@ class TestFlatLayout:
         x = np.arange(12.0).reshape(4, 3) / 7
         assert forward(first, x).tobytes() == forward(a, x).tobytes()
         packed[split:] *= 2.0
-        assert np.array_equal(second.layers[-1].bias, 2.0 * b.layers[-1].bias)
+        assert np.array_equal(second.views[-1].bias, 2.0 * b.views[-1].bias)
         assert np.array_equal(second.views[0][0], 2.0 * b.views[0][0])
         for bad in (packed, packed[:split].astype(np.float32), packed[:split].reshape(1, -1)):
             with pytest.raises(ValueError, match="do not fit"):
