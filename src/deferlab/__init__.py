@@ -49,7 +49,6 @@ from .simulate import (
 )
 from .theory import (
     bayes_optimal_reference,
-    gaussian_posterior,
     median_posterior_errors,
     misidentification_rate,
 )

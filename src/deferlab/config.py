@@ -5,11 +5,11 @@ default, or ``...`` for a required key. Unknown keys are rejected so
 sweep-script typos fail loudly. A bool is never a number, every number must
 be finite, and null is accepted only where the table lists it. ``_MIN``
 holds the lower bounds and ``_POSITIVE`` the keys that must be > 0; every
-list-valued key in ``_ENTRIES`` must be nonempty, and its entries (or its
-one bare value) pass the entry check there. No two grid cells may share a
-file tag (``cell_tag``). Evaluation ranges may be given either as fractions
-in [0, 1] or as percentages (any endpoint above 1 switches the pair to the
-percent scale).
+list-valued key must be nonempty, and the entries of a key in ``_ENTRIES``
+(or its one bare value) pass the entry check there. No two grid cells may
+share a file tag (``cell_tag``). Evaluation ranges may be given either as
+fractions in [0, 1] or as percentages (any endpoint above 1 switches the
+pair to the percent scale).
 """
 
 from __future__ import annotations
@@ -225,6 +225,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     method = merged.pop("method")
     merged["methods"] = list(dict.fromkeys([method] if isinstance(method, str) else method))
     merged["classifier_hidden"] = list(merged["classifier_hidden"])
+    if not merged["eval_ranges"]:
+        raise ConfigError("eval_ranges must be nonempty")
     merged["eval_ranges"] = [_normalize_range(r, i) for i, r in enumerate(merged["eval_ranges"])]
     cfg = ExperimentConfig(**merged)
 

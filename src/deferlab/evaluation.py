@@ -89,8 +89,9 @@ def deferral_curves(
     """System and deferred-case expert accuracy at every deferral rate j/N.
 
     Cases are deferred in priority order (ties keep input order). Correctness
-    may be an expectation in [0, 1] rather than 0/1. The expert curve at rate
-    0 is extended by continuity from the first deferred case. The three
+    may be bool or an expectation in [0, 1]; a bool vector's prefix sums are
+    exact counts, the floats its 0/1 float copy would give. The expert curve
+    at rate 0 is extended by continuity from the first deferred case. The three
     arrays must be 1-D vectors of one length, else ``ValueError``. Both
     curves' ``rates`` are the one read-only grid of N (``_rate_grid``), the
     same array for every call with N cases.
@@ -123,11 +124,7 @@ def deferral_curves(
 
 def build_curves(cases: ScoredCases) -> tuple[Curve, Curve]:
     """Deferral-budget curves of scored cases (see ``deferral_curves``)."""
-    return deferral_curves(
-        cases.priority,
-        cases.classifier_correct.astype(np.float64),
-        cases.expert_correct.astype(np.float64),
-    )
+    return deferral_curves(cases.priority, cases.classifier_correct, cases.expert_correct)
 
 
 def area_under(curve: Curve, d_min: float, d_max: float) -> float:

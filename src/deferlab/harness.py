@@ -55,7 +55,6 @@ from .theory import (
     THEORY_CSV_HEADER,
     TheoryCheckRow,
     bayes_optimal_reference,
-    gaussian_posterior,
     median_posterior_errors,
     misidentification_rate,
 )
@@ -302,15 +301,12 @@ def _evaluate_seed(
             records += cell_records
             oracle_cohorts += cell_cohorts
 
-    # The oracle's class posterior depends only on the task, so every cell
-    # and cohort shares one. It is computed after the last cell has trained,
-    # so it is not held through training.
-    posterior = gaussian_posterior(task)
-    for p, epe, cohort_name, acc_matrix in oracle_cohorts:
-        records.append(Record(
-            "oracle", p, epe, seed, cohort_name,
-            *bayes_optimal_reference(posterior, task.test.labels, acc_matrix),
-        ))
+    # The oracle's class posterior depends only on the task, so one pass
+    # over the test cases, after the last cell has trained, serves every
+    # cell and cohort.
+    curves = bayes_optimal_reference(task, [acc for *_, acc in oracle_cohorts])
+    for (p, epe, cohort_name, _), pair in zip(oracle_cohorts, curves):
+        records.append(Record("oracle", p, epe, seed, cohort_name, *pair))
     return records
 
 
@@ -565,9 +561,7 @@ def run_theory_checks(
             seed=_subseed(seed, 23),
         )
         uniform = generate_gaussian_task(spec)
-        oracle_system, _ = bayes_optimal_reference(
-            gaussian_posterior(uniform), uniform.test.labels, np.ones(5)
-        )
+        [(oracle_system, _)] = bayes_optimal_reference(uniform, [np.ones(5)])
         clf_acc = float(oracle_system.accuracies[0])
         sigma3 = 3.0 * math.sqrt(0.2 * 0.8 / 2000)
         rows.append(

@@ -58,14 +58,31 @@ def misidentification_rate(
     return float(np.mean(np.argmax(mu, axis=1) != best))
 
 
-def gaussian_posterior(data: TaskData) -> np.ndarray:
-    """The exact class posterior P(y|x) of every case in a generated
-    Gaussian task's test partition, (cases, K).
+def bayes_optimal_reference(
+    data: TaskData, expert_accuracies: Sequence[np.ndarray]
+) -> list[tuple[Curve, Curve]]:
+    """Optimal system/expert accuracy curves on a generated Gaussian task's
+    test partition, one ``(system, expert)`` pair per entry of
+    ``expert_accuracies``: one expert's per-class accuracy (K,) or a
+    cohort's (experts, K).
 
-    Classes are balanced and the noise isotropic, so the posterior is a
-    softmax over -||x - mean_k||^2 / (2 sigma^2). Cases run in
-    ``nets.row_blocks`` and one class at a time, which keeps every
-    temporary at one block's (rows, dim).
+    The exact class posterior P(y|x) is a softmax over
+    -||x - mean_k||^2 / (2 sigma^2), since classes are balanced and the
+    noise isotropic. The optimal classifier takes its argmax. Deferral value
+    for each case is the best expert's expected correctness
+    Sum_y P(y|x) acc_E(y); cases are deferred in order of that value minus
+    the top posterior, and expert correctness enters the curves in
+    expectation, so the result is the ceiling any trained system can only
+    reach up to sampling noise.
+
+    Cases run in one pass over ``nets.row_blocks``. Each block computes its
+    posterior one class at a time, so every temporary is one block's
+    (rows, dim) or (rows, K), and its classifier correctness once; each
+    entry keeps only its priority and its best expert's expected
+    correctness on the true label, two per-case vectors freed once its
+    curves are built. A non-``TaskData`` input raises
+    ``UnsupportedTaskError``, an empty test partition ``ValueError``, and a
+    column count that is not K ``ValueError`` naming both.
     """
     if not isinstance(data, TaskData):
         raise UnsupportedTaskError(
@@ -73,62 +90,37 @@ def gaussian_posterior(data: TaskData) -> np.ndarray:
             "with known densities"
         )
     task = data.spec
-    x = data.test.features
+    x, labels = data.test.features, data.test.labels
     if len(x) == 0:
         raise ValueError("task has an empty test partition")
-    post = np.empty((len(x), task.num_classes))
+    accs = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in expert_accuracies]
+    for acc in accs:
+        if acc.shape[1] != task.num_classes:
+            raise ValueError(
+                f"expert accuracies need one column per class: {acc.shape[1]} columns "
+                f"for {task.num_classes} classes"
+            )
+
+    clf_correct = np.empty(len(x), dtype=bool)
+    # per entry: its accuracies, priorities and expected expert correctness
+    entries = [(acc, np.empty(len(x)), np.empty(len(x))) for acc in accs]
     for rows in row_blocks(len(x)):
-        block = x[rows]
+        block, y = x[rows], labels[rows]
         d2 = np.empty((len(block), task.num_classes))
         for k, mean in enumerate(data.class_means):
             d2[:, k] = ((block - mean) ** 2).sum(axis=1)
-        post[rows] = softmax(-d2 / (2.0 * task.noise_scale**2))[0]
-    return post
-
-
-def bayes_optimal_reference(
-    posterior: np.ndarray, labels: np.ndarray, expert_accuracies: np.ndarray
-) -> tuple[Curve, Curve]:
-    """Optimal system/expert accuracy curves of the cases whose exact class
-    posterior is ``posterior`` (``gaussian_posterior(task)``, one row per
-    case) and whose true classes are ``labels``.
-
-    The optimal classifier takes the argmax of the posterior. Deferral value
-    for each case is the best expert's expected correctness
-    Sum_y P(y|x) acc_E(y); cases are deferred in order of that value minus
-    the top posterior, and expert correctness enters the curves in
-    expectation, so the result is the ceiling any trained system can only
-    reach up to sampling noise. ``expert_accuracies`` is one expert's
-    per-class accuracy (K,) or a cohort's (experts, K); a column count that
-    is not K, or a label count that is not the posterior's row count,
-    raises ``ValueError`` naming both.
-
-    The posterior is read in ``nets.row_blocks``: each block's (rows,
-    experts) expected correctness is reduced to the case's priority, its
-    best expert's expected correctness on the true label and the
-    classifier's correctness before the next block, so only those three
-    per-case vectors span every case.
-    """
-    acc = np.atleast_2d(np.asarray(expert_accuracies, dtype=np.float64))
-    if acc.shape[1] != posterior.shape[1]:
-        raise ValueError(
-            f"expert accuracies need one column per class: {acc.shape[1]} columns "
-            f"for {posterior.shape[1]} classes"
-        )
-    if len(labels) != len(posterior):
-        raise ValueError(
-            f"need one label per posterior row: {len(labels)} labels for {len(posterior)} rows"
-        )
-
-    clf_correct, expert_correct, priority = (np.empty(len(posterior)) for _ in range(3))
-    for rows in row_blocks(len(posterior)):
-        post, y = posterior[rows], labels[rows]
-        value = post @ acc.T  # each expert's expected correctness per case
+        post = softmax(-d2 / (2.0 * task.noise_scale**2))[0]
         clf_correct[rows] = np.argmax(post, axis=1) == y
-        # the best expert's expected correctness on the true label
-        expert_correct[rows] = acc[np.argmax(value, axis=1), y]
-        priority[rows] = value.max(axis=1) - post.max(axis=1)
-    return deferral_curves(priority, clf_correct, expert_correct)
+        top = post.max(axis=1)
+        for acc, priority, expert_correct in entries:
+            value = post @ acc.T  # each expert's expected correctness per case
+            expert_correct[rows] = acc[np.argmax(value, axis=1), y]
+            priority[rows] = value.max(axis=1) - top
+    curves = []
+    while entries:  # an entry's vectors are freed once its curves are built
+        _, priority, expert_correct = entries.pop(0)
+        curves.append(deferral_curves(priority, clf_correct, expert_correct))
+    return curves
 
 
 @dataclass

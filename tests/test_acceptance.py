@@ -28,11 +28,7 @@ from deferlab.simulate import (
     expert_accuracy_by_class,
     generate_gaussian_task,
 )
-from deferlab.theory import (
-    bayes_optimal_reference,
-    gaussian_posterior,
-    misidentification_rate,
-)
+from deferlab.theory import bayes_optimal_reference, misidentification_rate
 
 FULL = (0.0, 1.0)
 
@@ -425,9 +421,7 @@ def test_criterion_10_bayes_ceiling(grid_result, priors_result):
     acc = expert_accuracy_by_class(target, pcfg.num_classes)
     for rec in presult.records:
         task = generate_gaussian_task(pcfg.task_spec(rec.seed))
-        oracle_system, _ = bayes_optimal_reference(
-            gaussian_posterior(task), task.test.labels, acc
-        )
+        [(oracle_system, _)] = bayes_optimal_reference(task, [acc])
         margin = area_under(rec.system_curve, *FULL) - area_under(oracle_system, *FULL)
         worst = max(worst, margin)
         ok = ok and margin <= 0.02

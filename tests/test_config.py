@@ -191,7 +191,7 @@ def test_numbers_are_finite_and_never_bools(value, message):
 
 
 @pytest.mark.parametrize("key", ["overlap_probabilities", "seeds", "method",
-                                 "expertise_per_expert", "classifier_hidden"])
+                                 "expertise_per_expert", "classifier_hidden", "eval_ranges"])
 def test_list_keys_must_be_nonempty(key):
     with pytest.raises(ConfigError, match=f"^{key} must be nonempty$"):
         validate_config(minimal_raw(**{key: []}))
@@ -268,7 +268,7 @@ VALID_OVERRIDES = st.fixed_dictionaries({}, optional={
     "weight_decay": st.floats(0, 1e6) | st.integers(0, 10**6),
     "patience": st.none() | st.integers(0, 10**6),
     "context_subsample": st.none() | st.integers(1, 20),
-    "eval_ranges": st.lists((FRACTION_PAIRS | PERCENT_PAIRS).map(list), max_size=4),
+    "eval_ranges": st.lists((FRACTION_PAIRS | PERCENT_PAIRS).map(list), min_size=1, max_size=4),
     "classifier_hidden": st.lists(st.integers(1, 10**6), min_size=1),
 })
 

@@ -548,3 +548,6 @@ def test_every_benchmark_span_fires_on_evaluate(tmp_path, monkeypatch):
     assert len(row_blocks(cfg.test_size)) == 1
     assert layers["evaluation.case_priorities.calls"] == 2
     assert layers["evaluation.score_cases.calls"] == 2
+    # one oracle pass per seed serves every cell and cohort
+    assert cfg.seeds == [1]
+    assert layers["theory.bayes_optimal_reference.calls"] == 1

@@ -1,15 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from deferlab.cli import main
 from deferlab.errors import UnsupportedTaskError
-from deferlab.evaluation import area_under
+from deferlab.evaluation import area_under, deferral_curves
 from deferlab.experts import sample_complexity_bound
 from deferlab.harness import run_theory_checks
 from deferlab.simulate import SyntheticTaskSpec, generate_gaussian_task
 from deferlab.theory import (
     bayes_optimal_reference,
-    gaussian_posterior,
     median_posterior_errors,
     misidentification_rate,
 )
@@ -104,21 +105,28 @@ def uniform_task(test_size=2000, separation=0.0):
 
 
 def reference(task, acc):
-    """The oracle's curves on a task, from its posterior computed here."""
-    return bayes_optimal_reference(gaussian_posterior(task), task.test.labels, acc)
+    """The oracle's curves on a task for one expert or cohort."""
+    [curves] = bayes_optimal_reference(task, [acc])
+    return curves
 
 
 def per_call_reference(task, acc):
-    """The oracle with its posterior recomputed per call, for the whole test
-    partition in one pass, one class at a time."""
-    x = task.test.features
+    """The oracle of one expert or cohort on the whole test partition in
+    one pass, its posterior computed one class at a time."""
+    acc = np.atleast_2d(acc)
+    x, y = task.test.features, task.test.labels
     d2 = np.empty((len(x), task.spec.num_classes))
     for k, mean in enumerate(task.class_means):
         d2[:, k] = ((x - mean) ** 2).sum(axis=1)
     z = -d2 / (2.0 * task.spec.noise_scale**2)
     e = np.exp(z - z.max(axis=1, keepdims=True))
     post = e / e.sum(axis=1, keepdims=True)
-    return bayes_optimal_reference(post, task.test.labels, acc)
+    value = post @ acc.T
+    return deferral_curves(
+        value.max(axis=1) - post.max(axis=1),
+        np.argmax(post, axis=1) == y,
+        acc[np.argmax(value, axis=1), y],
+    )
 
 
 def broadcast_reference(task, acc):
@@ -183,23 +191,20 @@ class TestBayesOptimalReference:
 
     def test_non_gaussian_task_rejected(self):
         with pytest.raises(UnsupportedTaskError):
-            gaussian_posterior({"kind": "csv"})
+            bayes_optimal_reference({"kind": "csv"}, [np.ones(5)])
         with pytest.raises(UnsupportedTaskError):
-            gaussian_posterior(uniform_task().spec)
+            bayes_optimal_reference(uniform_task().spec, [np.ones(5)])
 
     def test_empty_test_partition_rejected(self):
         with pytest.raises(ValueError, match="empty test partition"):
-            gaussian_posterior(uniform_task(test_size=0))
+            bayes_optimal_reference(uniform_task(test_size=0), [np.ones(5)])
 
     def test_mismatched_shapes_rejected(self):
         task = uniform_task(test_size=50)
-        post = gaussian_posterior(task)
         with pytest.raises(ValueError, match="one column per class: 4 columns for 5 classes"):
-            bayes_optimal_reference(post, task.test.labels, np.ones(4))
+            bayes_optimal_reference(task, [np.ones(4)])
         with pytest.raises(ValueError, match="one column per class: 6 columns for 5 classes"):
-            bayes_optimal_reference(post, task.test.labels, np.ones((2, 6)))
-        with pytest.raises(ValueError, match="one label per posterior row: 49 labels for 50 rows"):
-            bayes_optimal_reference(post, task.test.labels[:-1], np.ones(5))
+            bayes_optimal_reference(task, [np.ones(5), np.ones((2, 6))])
 
     @pytest.mark.parametrize("separation", [0.0, 1.5, 3.0])
     def test_matches_broadcast_reference_exactly(self, separation):
@@ -216,25 +221,41 @@ class TestBayesOptimalReference:
         assert_matches_broadcast_reference(uniform_task(test_size=test_size, separation=1.5))
 
     @pytest.mark.parametrize("test_size", [40, 3071, 3072, 6143, 6144])
-    def test_shared_posterior_equals_per_cohort_recomputation(self, test_size):
-        # the harness computes one posterior per seed, in row blocks, and
-        # scores every cohort of every cell against it; each cohort
-        # recomputing it in one whole-partition pass gives the same curves
-        # bit for bit
+    def test_one_pass_equals_per_entry_calls(self, test_size):
+        # the harness makes one call per seed, in row blocks, over every
+        # cohort of every cell; one call per cohort, and one whole-partition
+        # pass per cohort, give the same curves bit for bit
         task = uniform_task(test_size=test_size, separation=1.5)
         cohorts = [
             np.array([[0.9, 0.3, 0.5, 0.3, 0.3], [0.3, 0.8, 0.3, 0.6, 0.3]]),
             np.array([[0.2, 0.2, 0.9, 0.2, 0.7]]),
             np.full(5, 0.6),
         ]
-        shared = gaussian_posterior(task)
-        for acc in cohorts:
-            once = bayes_optimal_reference(shared, task.test.labels, acc)
-            again = per_call_reference(task, acc)
-            for a, b in zip(once, again):
-                assert a.rates.tobytes() == b.rates.tobytes()
-                assert a.accuracies.tobytes() == b.accuracies.tobytes()
-        assert shared.tobytes() == gaussian_posterior(task).tobytes()
+        shared = bayes_optimal_reference(task, cohorts)
+        assert len(shared) == len(cohorts)
+        for acc, once in zip(cohorts, shared):
+            for again in (reference(task, acc), per_call_reference(task, acc)):
+                for a, b in zip(once, again):
+                    assert a.rates.tobytes() == b.rates.tobytes()
+                    assert a.accuracies.tobytes() == b.accuracies.tobytes()
+
+    def test_peak_memory_below_one_posterior_matrix(self):
+        # 20 000 cases of 40 classes: a (cases, K) float64 posterior alone
+        # would be 6.4 MB, and the one-pass oracle holds no such matrix
+        n, k = 20_000, 40
+        task = generate_gaussian_task(SyntheticTaskSpec(
+            num_classes=k, dim=8, separation=1.5, noise_scale=1.0, train_size=0,
+            val_size=0, test_size=n, context_pool_size=0, seed=3,
+        ))
+        cohort = np.random.default_rng(0).uniform(0.2, 1.0, size=(5, k))
+        tracemalloc.start()
+        try:
+            curves = bayes_optimal_reference(task, [cohort])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(curves) == 1
+        assert peak < n * k * 8, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestRunTheoryChecks:
