@@ -51,36 +51,37 @@ class ScoredCases:
         return len(self.priority)
 
 
-@dataclass
-class Curve:
-    rates: np.ndarray
-    accuracies: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.rates = np.asarray(self.rates, dtype=np.float64)
-        self.accuracies = np.asarray(self.accuracies, dtype=np.float64)
-        if self.rates.shape != self.accuracies.shape or self.rates.ndim != 1:
-            raise ValueError("curve arrays must be aligned vectors")
-        if len(self.rates) == 0:
-            raise ValueError("curve must have at least one point")
-        if not (np.isfinite(self.rates).all() and np.isfinite(self.accuracies).all()):
-            raise ValueError("curve values must be finite")
-        if np.any(np.diff(self.rates) <= 0):
-            raise ValueError("deferral rates must be strictly increasing")
-        if np.any(self.rates < 0) or np.any(self.rates > 1):
-            raise ValueError("deferral rates must lie in [0, 1]")
-        if np.any(self.accuracies < -1e-12) or np.any(self.accuracies > 1 + 1e-12):
-            raise ValueError("accuracies must lie in [0, 1]")
-
-
 @functools.lru_cache(maxsize=1)
 def _rate_grid(n: int) -> np.ndarray:
     """Every deferral rate j/n, j = 0..n, as one read-only array. The curves
-    of one run share n, so every curve built from n cases, trained or
-    oracle, shares this one array as its ``rates``."""
+    of one run share n, so every curve of n cases, trained or oracle, reads
+    this one array as its ``rates``."""
     rates = np.arange(n + 1) / n
     rates.flags.writeable = False
     return rates
+
+
+@dataclass
+class Curve:
+    """Accuracy with j of N cases deferred, j = 0..N. The rates are not
+    stored: ``rates`` is the shared read-only grid j/N (``_rate_grid``)."""
+
+    accuracies: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.accuracies = np.asarray(self.accuracies, dtype=np.float64)
+        if self.accuracies.ndim != 1 or len(self.accuracies) < 2:
+            raise ValueError(
+                f"curve needs a vector of at least 2 accuracies, got shape {self.accuracies.shape}"
+            )
+        if not np.isfinite(self.accuracies).all():
+            raise ValueError("curve values must be finite")
+        if np.any(self.accuracies < -1e-12) or np.any(self.accuracies > 1 + 1e-12):
+            raise ValueError("accuracies must lie in [0, 1]")
+
+    @property
+    def rates(self) -> np.ndarray:
+        return _rate_grid(len(self.accuracies) - 1)
 
 
 def deferral_curves(
@@ -92,9 +93,7 @@ def deferral_curves(
     may be bool or an expectation in [0, 1]; a bool vector's prefix sums are
     exact counts, the floats its 0/1 float copy would give. The expert curve
     at rate 0 is extended by continuity from the first deferred case. The three
-    arrays must be 1-D vectors of one length, else ``ValueError``. Both
-    curves' ``rates`` are the one read-only grid of N (``_rate_grid``), the
-    same array for every call with N cases.
+    arrays must be 1-D vectors of one length, else ``ValueError``.
     """
     shapes = [np.shape(a) for a in (priority, classifier_correct, expert_correct)]
     if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
@@ -115,11 +114,10 @@ def deferral_curves(
     system += exp_prefix
     system /= n
 
-    rates = _rate_grid(n)
     expert = np.empty(n + 1)
     np.divide(exp_prefix[1:], np.arange(1, n + 1), out=expert[1:])
     expert[0] = expert[1]
-    return Curve(rates, system), Curve(rates, expert)
+    return Curve(system), Curve(expert)
 
 
 def build_curves(cases: ScoredCases) -> tuple[Curve, Curve]:
@@ -128,23 +126,21 @@ def build_curves(cases: ScoredCases) -> tuple[Curve, Curve]:
 
 
 def area_under(curve: Curve, d_min: float, d_max: float) -> float:
-    """Trapezoidal mean of the curve over [d_min, d_max].
+    """Trapezoidal mean of the curve over [d_min, d_max], which its grid
+    covers since it spans [0, 1].
 
     Endpoints between grid points are interpolated linearly; the integral is
     normalized by the range width.
     """
     if not (0.0 <= d_min < d_max <= 1.0):
         raise ValueError("need 0 <= d_min < d_max <= 1")
-    if d_min < curve.rates[0] or d_max > curve.rates[-1]:
-        raise ValueError("curve does not cover the requested range")
-    inside = (curve.rates > d_min) & (curve.rates < d_max)
-    d = np.concatenate([[d_min], curve.rates[inside], [d_max]])
+    rates, accuracies = curve.rates, curve.accuracies
+    # grid points i0..i1-1 lie strictly inside (d_min, d_max)
+    i0, i1 = np.searchsorted(rates, d_min, side="right"), np.searchsorted(rates, d_max)
+    d = np.concatenate([[d_min], rates[i0:i1], [d_max]])
     a = np.concatenate(
-        [
-            [np.interp(d_min, curve.rates, curve.accuracies)],
-            curve.accuracies[inside],
-            [np.interp(d_max, curve.rates, curve.accuracies)],
-        ]
+        [[np.interp(d_min, rates, accuracies)], accuracies[i0:i1],
+         [np.interp(d_max, rates, accuracies)]]
     )
     integral = float(np.sum((a[:-1] + a[1:]) * 0.5 * np.diff(d)))
     return integral / (d_max - d_min)
@@ -298,8 +294,6 @@ def _float_strings(values: np.ndarray, n: int) -> list[str]:
     """``repr`` of every value. Values that equal some j/n bit for bit (so
     not -0.0 for 0.0) are looked up in the shared grid table instead of
     formatted again."""
-    if n == 0:
-        return list(map(repr, values.tolist()))
     j = np.clip(np.rint(values * n), 0, n).astype(np.int64)
     off_grid = (j / n).view(np.int64) != values.view(np.int64)
     strings = _grid_strings(n)[j]
@@ -316,14 +310,17 @@ def write_curve_csv(path, system_curve: Curve, expert_curve: Curve) -> None:
     curve ``write_table`` takes more than twice as long. Rows are formatted
     and written one ``nets.row_blocks`` block at a time, so the text held at
     once is one block's, whatever the curve's length."""
-    if not np.array_equal(system_curve.rates, expert_curve.rates):
-        raise ValueError("system and expert curves must share a grid")
-    n = len(system_curve.rates) - 1
+    n = len(system_curve.accuracies) - 1
+    if len(expert_curve.accuracies) != n + 1:
+        raise ValueError(
+            f"the system curve has {n + 1} points but the expert curve has "
+            f"{len(expert_curve.accuracies)}"
+        )
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CURVE_CSV_HEADER) + "\n")
         for rows in row_blocks(n + 1):
             parts = [","] * (6 * (rows.stop - rows.start))
-            parts[0::6] = _float_strings(system_curve.rates[rows], n)
+            parts[0::6] = _grid_strings(n)[rows].tolist()
             parts[2::6] = _float_strings(system_curve.accuracies[rows], n)
             parts[4::6] = _float_strings(expert_curve.accuracies[rows], n)
             parts[5::6] = ["\n"] * (rows.stop - rows.start)

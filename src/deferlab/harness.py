@@ -409,11 +409,12 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
         prior_p[classes] = PRIOR_STUDY_P
         prior_c[classes] = PRIOR_STUDY_C
         arm_priors[arm] = PriorElicitation(prior_p, prior_c, PRIOR_STUDY_S)
-    # the prior file's repr round trip is exact, so the written file yields these
-    arm_mu = {
-        arm: build_representation(*prior_arrays([prior], num_classes), [[]], [[]])
-        for arm, prior in arm_priors.items()
-    }
+    # one row of prior means per arm, with no context; the prior file's repr
+    # round trip is exact, so the written file yields these
+    no_context = [[]] * len(arm_priors)
+    arm_mu = build_representation(
+        *prior_arrays(list(arm_priors.values()), num_classes), no_context, no_context
+    )
 
     def study_seed(seed: int, priors_map) -> list[Record]:
         task = generate_gaussian_task(cfg.task_spec(seed))
@@ -425,13 +426,13 @@ def run_priors_study(cfg: ExperimentConfig, out_dir) -> PriorsStudyResult:
         # every arm is the one studied expert under its own prior: one row
         # of mu per arm over the expert's one correctness row
         scored = score_cases(
-            result.classifier, result.rejector, task.test, np.concatenate(list(arm_mu.values())),
+            result.classifier, result.rejector, task.test, arm_mu,
             np.broadcast_to(target_correct, (len(arm_mu), len(task.test))),
             [(slice(i, i + 1), pick_rng) for i in range(len(arm_mu))],
         )
         return [
             Record("ea_l2d", p, epe, seed, arm, *build_curves(cases))
-            for arm, cases in zip(arm_mu, scored)
+            for arm, cases in zip(arm_priors, scored)
         ]
 
     studied, failures = _each_seed(cfg, study_seed)
