@@ -2,11 +2,12 @@
 
 A checkpoint is an ``.npz``-compatible archive written with fixed zip
 timestamps. It stores each network as it is held in memory: its float64
-parameter vector (``clf_params``, ``rej_params``) and its integer layer
-widths, input first (``clf_widths``, ``rej_widths``), from which
-``nets.layout_of`` rebuilds its layout. A ``meta`` array holds the JSON of
-``format_version`` and ``train_config``. So a save/load round trip is
-bit-exact, and re-saving identical networks produces byte-identical files.
+parameter vector (``clf_params``, ``rej_params``) and its layer widths,
+input first, as int64 (``clf_widths``, ``rej_widths``); loading checks the
+widths with ``nets.check_widths`` and builds the ``DenseNet`` over the
+vector. A ``meta`` array holds the JSON of ``format_version`` and
+``train_config``. So a save/load round trip is bit-exact, and re-saving
+identical networks produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import zipfile
 
 import numpy as np
 
-from .nets import DenseNet, TrainConfig, layout_of
+from .nets import DenseNet, TrainConfig, check_widths
 
 FORMAT_VERSION = 2
 
@@ -41,9 +42,7 @@ def save_checkpoint(path, classifier: DenseNet, rejector: DenseNet, cfg: TrainCo
     arrays = {"meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)}
     for prefix, net in zip(_PREFIXES, (classifier, rejector)):
         arrays[f"{prefix}_params"] = net.params
-        arrays[f"{prefix}_widths"] = np.array(
-            [net.input_dim, *(out_dim for out_dim, *_ in net.layout)], dtype=np.int64
-        )
+        arrays[f"{prefix}_widths"] = np.array(net.widths, dtype=np.int64)
     _write_arrays(path, arrays)
 
 
@@ -62,9 +61,9 @@ def _load_net(path, data, prefix: str) -> DenseNet:
             raise ValueError(
                 f"dtype {widths.dtype} and shape {widths.shape}, not a 1-D integer vector"
             )
-        layout = layout_of(widths.tolist())
+        widths = check_widths(widths.tolist())
         key = f"{prefix}_params"
-        return DenseNet(data[key], layout)
+        return DenseNet(data[key], widths)
     except ValueError as err:  # an object array too, which ``np.load`` does not unpickle
         raise ValueError(f"checkpoint {path}: array {key!r}: {err}") from err
 
@@ -76,7 +75,7 @@ def load_checkpoint(path) -> tuple[DenseNet, DenseNet, TrainConfig]:
     and ``train_config``, whose ``format_version`` is not the integer
     ``FORMAT_VERSION`` (a version-1 file has another, and no reader here),
     whose arrays are not exactly ``meta`` and each network's ``params`` and
-    ``widths``, whose widths are not a 1-D integer vector that ``layout_of``
+    ``widths``, whose widths are not a 1-D integer vector that ``check_widths``
     accepts, whose parameters are not a float64 vector of the size those
     widths give, or whose ``train_config`` is not a valid ``TrainConfig``
     (whose own checks name the key) raises ``ValueError`` naming the file

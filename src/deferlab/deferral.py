@@ -213,7 +213,7 @@ def _ea_l2d(
 
     Returns ``(classifier_sum, deferral_sum)``. With ``out``, a pair of
     gradient destinations ``(classifier_grads, rejector_grads)``, each a
-    ``DenseNet`` with its network's layout over a gradient vector, both
+    ``DenseNet`` with its network's widths over a gradient vector, both
     summed gradients are written into them; without it only the loss sums
     are computed, as validation needs.
     With ``ws``, a pair ``(classifier_workspace, rejector_workspace)``,
@@ -439,7 +439,7 @@ def _fit(
     Training works on one packed vector, the classifier's parameters then
     the rejector's, copied from the given networks, which stay untouched;
     both networks are views into it. Their gradients' destination is a
-    gradient vector of the same layout, with two networks over its slices
+    gradient vector of the same size, with two networks over its slices
     built the same way: each batch's backward passes write into it, and one
     ``sgd_step`` updates the whole vector in place. A non-finite loss, or a
     non-finite weight after the update, raises ``TrainingDivergenceError``
@@ -454,7 +454,7 @@ def _fit(
     grads = np.empty_like(params)
     split = classifier.params.size
     nets, grad_nets = (
-        (DenseNet(v[:split], classifier.layout), DenseNet(v[split:], rejector.layout))
+        (DenseNet(v[:split], classifier.widths), DenseNet(v[split:], rejector.widths))
         for v in (params, grads)
     )
     batch_rows = min(cfg.batch_size, len(query))
@@ -522,8 +522,8 @@ def _fit(
     if best_params is not None:
         params = best_params
     return TrainResult(
-        DenseNet(params[:split].copy(), classifier.layout),
-        DenseNet(params[split:].copy(), rejector.layout),
+        DenseNet(params[:split].copy(), classifier.widths),
+        DenseNet(params[split:].copy(), rejector.widths),
         history,
         best_epoch,
     )

@@ -2,24 +2,22 @@
 
 Everything is float64 numpy. Every network has one architecture: each
 layer but the last applies relu, and the last is linear. So a network is
-two things: one contiguous parameter vector, ``DenseNet.params`` (layer by
-layer, the weight matrix in row-major order, then the bias), and its
-``layout``, every layer's shape and offsets in that vector. A network
-builds every layer's weight and bias as views into the vector once, when
-it is constructed (``DenseNet.views``), and the passes read those; a
-``DenseNet`` is frozen, so ``params`` is never rebound under its views,
-and a change to the vector's values is a change to the network.
-``layout_of`` builds the one layout of a list of layer widths, input
-first; ``dense_net`` and ``checkpoint.load_checkpoint`` both build theirs
-with it, and a checkpoint stores a network as its vector and its widths. A
-network may also be built over a slice of a longer vector: training packs
-the classifier and the rejector into one vector.
+two things, in memory as in a checkpoint: one contiguous parameter vector,
+``DenseNet.params`` (layer by layer, the weight matrix in row-major order,
+then the bias), and its layer widths, input first, ``DenseNet.widths``.
+``check_widths`` is the one widths validator. A network builds every
+layer's weight and bias as views into the vector once, when it is
+constructed, by walking its widths (``DenseNet.views``), and the passes
+read those; a ``DenseNet`` is frozen, so ``params`` is never rebound under
+its views, and a change to the vector's values is a change to the network.
+A network may also be built over a slice of a longer vector: training
+packs the classifier and the rejector into one vector.
 
-A gradient is laid out as its network: ``backward`` writes every layer's
+A gradient is shaped as its network: ``backward`` writes every layer's
 gradient into a destination ``DenseNet`` over the caller's gradient vector,
-with the network's layout, through the destination's ``views``.
+with the network's widths, through the destination's ``views``.
 ``sgd_step`` updates a parameter vector in place from a gradient vector of
-the same layout, so one call can step every network packed into the
+the same shape, so one call can step every network packed into the
 vector; it consumes the gradient. The passes write nothing but their own
 results and the workspace they are given, so a network is safe to share
 across threads while no step runs on it.
@@ -80,62 +78,56 @@ class Layer(NamedTuple):
     bias: np.ndarray
 
 
-# Per layer: (out_dim, in_dim, weights start, bias start, bias end) in the
-# flat parameter vector.
-Layout = tuple[tuple[int, int, int, int, int], ...]
-
-
-def layout_of(widths: Sequence[int]) -> Layout:
-    """The layout of a network with the given layer widths, input first:
-    layer by layer, the weight matrix in row-major order, then the bias.
-    Fewer than two widths, or a width that is not an integer >= 1 (a bool
-    is not an integer), raises ``ValueError``."""
+def check_widths(widths: Sequence[int]) -> tuple[int, ...]:
+    """Layer widths, input first, as a tuple of ints. Fewer than two widths,
+    or a width that is not an integer >= 1 (a bool is not an integer),
+    raises ``ValueError``."""
     if len(widths) < 2:
         raise ValueError(f"a network needs at least input and output widths, got {widths!r}")
     for width in widths:
         if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
             raise ValueError(f"layer widths must be integers >= 1, got {widths!r}")
-    dims, spans, start = [int(width) for width in widths], [], 0
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        bias_start = start + fan_out * fan_in
-        spans.append((fan_out, fan_in, start, bias_start, bias_start + fan_out))
-        start = bias_start + fan_out
-    return tuple(spans)
+    return tuple(int(width) for width in widths)
 
 
-def _views(flat: np.ndarray, layout: Layout) -> tuple[Layer, ...]:
-    """Every layer's (weights, bias) as views into ``flat``."""
-    return tuple(
-        Layer(flat[w0:b0].reshape(out_dim, in_dim), flat[b0:end])
-        for out_dim, in_dim, w0, b0, end in layout
-    )
-
-
-def _layout_size(layout: Layout) -> int:
-    return layout[-1][4] if layout else 0
+def _size(widths: tuple[int, ...]) -> int:
+    """The parameter count of a network with these checked widths."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
 
 
 @dataclass(frozen=True)
 class DenseNet:
-    """A network over ``params``, laid out by ``layout``: relu after every
-    layer but the last, which is linear. ``views`` holds every layer's
-    ``Layer(weights, bias)`` as views into ``params``, built once here.
-    ``params`` must be a float64 vector of the layout's size, else
-    ``ValueError``; the layout is taken as given: build one with
-    ``layout_of``, or take an existing network's."""
+    """A network over ``params`` with the layer widths ``widths``, input
+    first: relu after every layer but the last, which is linear. The widths
+    must pass ``check_widths``, which also makes them a tuple of ints, and
+    ``params`` must be a float64 vector of the size they give, else
+    ``ValueError``. ``views`` holds every layer's ``Layer(weights, bias)``
+    as views into ``params``, built once here by walking the widths: layer
+    by layer, the weight matrix in row-major order, then the bias. So the
+    views tile the vector exactly."""
 
     params: np.ndarray
-    layout: Layout
+    widths: tuple[int, ...]
     views: tuple[Layer, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        size = _layout_size(self.layout)
+        widths = check_widths(self.widths)
+        size = _size(widths)
         if self.params.dtype != np.float64 or self.params.shape != (size,):
             raise ValueError(
                 f"parameters of dtype {self.params.dtype} and shape {self.params.shape} "
-                f"do not fit a float64 layout of {size} parameters"
+                f"do not fit the {size} float64 parameters of widths {widths}"
             )
-        object.__setattr__(self, "views", _views(self.params, self.layout))
+        views, start = [], 0
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            bias = start + fan_out * fan_in
+            views.append(
+                Layer(self.params[start:bias].reshape(fan_out, fan_in),
+                      self.params[bias : bias + fan_out])
+            )
+            start = bias + fan_out
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "views", tuple(views))
 
     @property
     def layers(self) -> list[Layer]:
@@ -145,11 +137,11 @@ class DenseNet:
 
     @property
     def input_dim(self) -> int:
-        return self.layout[0][1]
+        return self.widths[0]
 
     @property
     def output_dim(self) -> int:
-        return self.layout[-1][0]
+        return self.widths[-1]
 
 
 def _finite(value: numbers.Real) -> bool:
@@ -200,15 +192,15 @@ class TrainConfig:
 
 def dense_net(dims: Sequence[int], seed: int | np.random.Generator = 0) -> DenseNet:
     """A network with the layer widths ``dims``, input first, over a new
-    vector laid out by ``layout_of(dims)``.
+    zero vector of the size they give.
 
     Layer by layer, the weights are drawn uniformly from +-sqrt(6 / (fan_in
     + fan_out)) with one ``rng.uniform`` call of shape (fan_out, fan_in),
     and the biases are zero; everything is reproducible from the seed.
     """
-    layout = layout_of(dims)
+    widths = check_widths(dims)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    net = DenseNet(np.zeros(_layout_size(layout)), layout)
+    net = DenseNet(np.zeros(_size(widths)), widths)
     for weights, _ in net.views:
         fan_out, fan_in = weights.shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -266,9 +258,9 @@ class Workspace:
         ``batch_rows`` rows: only the passes with gradients use them."""
         rows = max(batch_rows, *(s.stop - s.start for s in row_blocks(forward_rows)))
         return cls(
-            tuple(np.empty((rows, out_dim)) for out_dim, *_ in net.layout),
-            tuple(np.empty((batch_rows, in_dim)) for _, in_dim, *_ in net.layout),
-            tuple(np.empty((batch_rows, out_dim), bool) for out_dim, *_ in net.layout[:-1]),
+            tuple(np.empty((rows, width)) for width in net.widths[1:]),
+            tuple(np.empty((batch_rows, width)) for width in net.widths[:-1]),
+            tuple(np.empty((batch_rows, width), bool) for width in net.widths[1:-1]),
             np.ones(batch_rows),
         )
 
@@ -320,7 +312,7 @@ def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None) ->
     n = len(outs[0])
     if ws is None:
         ws = Workspace.of(net, n)
-    last = len(net.layout) - 1
+    last = len(net.views) - 1
     for i, (w, b) in enumerate(net.views):
         outs.append(_layer(outs[-1], w, b, i < last, ws.outs[i][:n]))
     return outs
@@ -354,8 +346,8 @@ def backward(
     ws: Workspace | None = None,
 ) -> np.ndarray | None:
     """Gradients of a scalar loss given d(loss)/d(output), written into
-    ``out``, a ``DenseNet`` with the network's layout over the gradient
-    vector (another layout raises ``ValueError``); ``out.params[i]`` becomes
+    ``out``, a ``DenseNet`` with the network's widths over the gradient
+    vector (other widths raise ``ValueError``); ``out.params[i]`` becomes
     the gradient of ``net.params[i]``.
 
     ``outs`` is ``forward_cached(net, x)`` for the input the loss was
@@ -370,9 +362,9 @@ def backward(
     ``want_input_grad``, and ``None`` otherwise. The deltas, the relu masks
     and ``ones`` are ``ws``'s, so the input gradient is a view into it.
     """
-    if len(outs) != len(net.layout) + 1:
+    if len(outs) != len(net.views) + 1:
         raise ValueError(
-            f"outputs of {len(outs) - 1} layers for a {len(net.layout)}-layer network"
+            f"outputs of {len(outs) - 1} layers for a {len(net.views)}-layer network"
         )
     # Contiguous, so the matmuls below take the same BLAS path whether the
     # caller passes an array or a column view of one.
@@ -382,8 +374,8 @@ def backward(
         raise ValueError(
             f"upstream gradient shape {upstream.shape}, expected {expected}"
         )
-    if out.layout != net.layout:
-        raise ValueError("gradient destination layout does not match the network")
+    if out.widths != net.widths:
+        raise ValueError("gradient destination widths do not match the network's")
 
     n = len(upstream)
     if ws is None:
@@ -391,7 +383,7 @@ def backward(
     masks = relu_pattern(net, outs, ws)
     ones = ws.ones[:n]
     delta = upstream
-    for i in reversed(range(len(net.layout))):
+    for i in reversed(range(len(net.views))):
         if i < len(masks):
             # below the linear top layer, ``delta`` is a workspace buffer
             delta *= masks[i]
@@ -409,7 +401,7 @@ def sgd_step(
     """One SGD update of a parameter vector, in place:
     params <- params - lr * (grads * scale + weight_decay * params).
 
-    ``grads`` is the gradient vector in the same layout; it is consumed, as
+    ``grads`` is the gradient vector of the same shape; it is consumed, as
     the update is formed in it: ``grads *= scale``, ``grads += weight_decay
     * params``, ``grads *= lr``, ``params -= grads``, which gives the bits
     of the one expression above. One call steps every network whose

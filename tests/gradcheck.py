@@ -3,9 +3,11 @@ this module (its name has no ``test_`` prefix).
 
 ``finite_difference_check`` compares a network's analytic gradient with
 central finite differences, skipping parameters whose perturbations straddle
-a kink. ``zero_grads`` builds a gradient destination, a network's layout
+a kink. ``zero_grads`` builds a gradient destination, a network's widths
 over a zero vector, and ``grads_of`` runs ``backward`` into a new one.
-``net_of`` packs a list of ``(weights, bias)`` pairs into a network.
+``net_of`` packs a list of ``(weights, bias)`` pairs into a network, and
+``layer_grads`` splits a gradient vector into its layers by counting
+offsets from the widths itself, a reference independent of ``views``.
 ``call_core`` runs a training loss core, ``deferral._ea_l2d`` or
 ``deferral._pop_avg``, the way ``deferral._fit`` runs it, so the gradient
 tests check the code training runs. A core returns only its two loss sums;
@@ -23,7 +25,6 @@ from deferlab.nets import (
     DenseNet,
     backward,
     forward_cached,
-    layout_of,
     relu_pattern,
     softmax,
 )
@@ -35,13 +36,12 @@ FIT_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 
 def net_of(pairs) -> DenseNet:
     """A network over a new vector that holds, layer by layer, the bytes of
-    each ``(weights, bias)`` pair as float64, laid out by ``layout_of``
-    from the pairs' widths; a pair whose shapes do not fit those widths
-    raises ``ValueError``."""
+    each ``(weights, bias)`` pair as float64, with the pairs' widths; a
+    pair whose shapes do not fit those widths raises ``ValueError``."""
     pairs = [(np.asarray(w, np.float64), np.asarray(b, np.float64)) for w, b in pairs]
     net = DenseNet(
         np.concatenate([a.ravel() for pair in pairs for a in pair]),
-        layout_of([pairs[0][0].shape[-1], *(b.size for _, b in pairs)]),
+        [pairs[0][0].shape[-1], *(b.size for _, b in pairs)],
     )
     for (w, b), view in zip(pairs, net.views):
         if (w.shape, b.shape) != (view.weights.shape, view.bias.shape):
@@ -50,8 +50,22 @@ def net_of(pairs) -> DenseNet:
 
 
 def zero_grads(net: DenseNet) -> DenseNet:
-    """A gradient destination for ``net``: its layout over a new zero vector."""
-    return DenseNet(np.zeros_like(net.params), net.layout)
+    """A gradient destination for ``net``: its widths over a new zero vector."""
+    return DenseNet(np.zeros_like(net.params), net.widths)
+
+
+def layer_grads(grads: DenseNet, net: DenseNet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every layer's (weight gradient, bias gradient): views into
+    ``grads.params`` at offsets counted here from ``net.widths``, layer by
+    layer the weights in row-major order, then the bias."""
+    parts, start = [], 0
+    for fan_in, fan_out in zip(net.widths, net.widths[1:]):
+        bias = start + fan_out * fan_in
+        parts.append(
+            (grads.params[start:bias].reshape(fan_out, fan_in), grads.params[bias : bias + fan_out])
+        )
+        start = bias + fan_out
+    return parts
 
 
 def grads_of(net: DenseNet, outs, upstream) -> DenseNet:
@@ -139,7 +153,7 @@ def finite_difference_check(
     """Compare analytic gradients against central finite differences.
 
     ``loss_fn(net)`` must return ``(loss, grads)``, ``grads`` a network
-    with ``net``'s layout over the gradient vector, and may return a
+    with ``net``'s widths over the gradient vector, and may return a
     third element: a 1-D integer/bool ndarray encoding every discrete choice
     made while evaluating the loss (relu signs, argmax indices); any other
     pattern raises ``TypeError``, since comparing, say, two tuples of arrays
@@ -157,10 +171,10 @@ def finite_difference_check(
     _, analytic = out[0], out[1]
     if len(out) > 2:
         _pattern(out)
-    if analytic.layout != net.layout:
-        raise ValueError("analytic gradient layout does not match the network")
+    if analytic.widths != net.widths:
+        raise ValueError("analytic gradient widths do not match the network's")
 
-    work = DenseNet(net.params.copy(), net.layout)
+    work = DenseNet(net.params.copy(), net.widths)
     params = work.params
     max_err = 0.0
     n_checked = 0

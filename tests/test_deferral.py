@@ -32,7 +32,6 @@ from deferlab.nets import (
     Workspace,
     dense_net,
     forward,
-    layout_of,
     row_blocks,
 )
 from deferlab.simulate import (
@@ -226,8 +225,8 @@ class TestEaL2dLoss:
         ]
         # and it returns its two loss sums, nothing an expert could be read from
         clf, rej = constant_net([0.2, 0.1, 0.0], 2), constant_net(0.5, 4)
-        out = (DenseNet(np.zeros_like(clf.params), clf.layout),
-               DenseNet(np.zeros_like(rej.params), rej.layout))
+        out = (DenseNet(np.zeros_like(clf.params), clf.widths),
+               DenseNet(np.zeros_like(rej.params), rej.widths))
         for grads in (out, None):
             sums = _ea_l2d(clf, rej, np.zeros((1, 2)), np.array([0]),
                            rep_from_mu([0.9, 0.5, 0.5])[None], grads)
@@ -643,7 +642,7 @@ def reference_train(method, setup, clf, rej, cfg, patience=None):
     def step(net, grads, scale):
         w = net.params
         new = w - cfg.learning_rate * (grads.params * scale + cfg.weight_decay * w)
-        return DenseNet(new, net.layout)
+        return DenseNet(new, net.widths)
 
     rng = np.random.default_rng(cfg.seed)
     history, best, best_epoch, stale = [], (math.inf, None), None, 0
@@ -746,9 +745,9 @@ class TestPackedTraining:
         clf = dense_net([6, 8, 4], 0)
         rej = dense_net([4 if method == "ea_l2d" else 6, 8, 1], 1)
         if network == "classifier":
-            clf = DenseNet(clf.params * 1e10, clf.layout)
+            clf = DenseNet(clf.params * 1e10, clf.widths)
         else:
-            rej = DenseNet(rej.params * 1e10, rej.layout)
+            rej = DenseNet(rej.params * 1e10, rej.widths)
         cfg = TrainConfig(learning_rate=1.0, batch_size=32, epochs=2, weight_decay=1e300)
         with pytest.raises(TrainingDivergenceError) as err:
             if method == "ea_l2d":
@@ -1065,7 +1064,7 @@ def as_version_1(arrays, meta):
     per network in the meta."""
     for prefix, name in (("clf", "classifier"), ("rej", "rejector")):
         widths = arrays.pop(f"{prefix}_widths").tolist()
-        net = DenseNet(arrays.pop(f"{prefix}_params"), layout_of(widths))
+        net = DenseNet(arrays.pop(f"{prefix}_params"), widths)
         for i, (w, b) in enumerate(net.views):
             arrays[f"{prefix}_w{i}"], arrays[f"{prefix}_b{i}"] = w, b
         meta[f"{name}_activations"] = ["relu"] * (len(widths) - 2) + ["identity"]
@@ -1125,7 +1124,7 @@ class TestCheckpoint:
         clf2, rej2, _ = load_checkpoint(tmp_path / "a.npz")
         assert clf2.params.tobytes() == clf.params.tobytes()
         assert rej2.params.tobytes() == rej.params.tobytes()
-        assert (clf2.layout, rej2.layout) == (clf.layout, rej.layout)
+        assert (clf2.widths, rej2.widths) == (clf.widths, rej.widths)
         assert clf2.params.flags.writeable
         save_checkpoint(tmp_path / "b.npz", clf2, rej2, cfg)
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
@@ -1145,7 +1144,7 @@ class TestCheckpoint:
         *loaded, cfg2 = load_checkpoint(first)
         assert cfg2 == cfg
         for net, back in zip(nets, loaded):
-            assert back.layout == net.layout
+            assert back.widths == net.widths
             assert back.params.tobytes() == net.params.tobytes()
         save_checkpoint(second, *loaded, cfg2)
         assert second.getvalue() == first.getvalue()

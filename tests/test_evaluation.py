@@ -709,7 +709,7 @@ def whole_forward(net, x):
     for i, layer in enumerate(net.views):
         z = a @ layer.weights.T
         z += layer.bias
-        a = np.maximum(z, 0.0) if i < len(net.layout) - 1 else z
+        a = np.maximum(z, 0.0) if i < len(net.views) - 1 else z
     return a
 
 

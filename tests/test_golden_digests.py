@@ -14,6 +14,7 @@ which prints each ``command: file`` entry it changes and their count.
 
 import hashlib
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -62,6 +63,32 @@ MULTI_CELL_CONFIG = dict(
 # cases x 2 experts = 3 400 rejector rows.
 ROW_BLOCKS_CONFIG = dict(CONFIG, test_size=5003, val_size=1700)
 
+# The config paths no other scenario runs: a prior file (read relative to
+# the working directory, which is the work dir, so the manifest echoes the
+# same path on every run), an explicit context subsample size, weight
+# decay, a two-layer classifier and evaluation ranges on the percent scale.
+KNOBS_CONFIG = dict(
+    CONFIG,
+    prior_file="priors.csv",
+    context_subsample=5,
+    weight_decay=0.001,
+    classifier_hidden=[8, 8],
+    eval_ranges=[[0, 100], [10, 30]],
+)
+
+# Expert 0's and expert 2's elicited accuracy p, confidence c and strength s
+# on each of CONFIG's 4 classes.
+PRIORS_CSV = """expert_id,class,p,c,s
+0,0,0.9,0.8,10
+0,1,0.7,0.5,10
+0,2,0.3,0.6,10
+0,3,0.5,0.2,10
+2,0,0.2,0.9,4
+2,1,0.4,0.4,4
+2,2,0.8,0.7,4
+2,3,0.6,0.3,4
+"""
+
 COMMANDS = {
     "generate": ["generate", "--config", "{config}"],
     "train": ["train", "--config", "{config}"],
@@ -71,6 +98,7 @@ COMMANDS = {
     "theory-check": ["theory-check", "--seed", "0"],
     "sweep-multi-cell": ["sweep", "--config", "{multi_cell_config}"],
     "evaluate-row-blocks": ["evaluate", "--config", "{row_blocks_config}"],
+    "evaluate-knobs": ["evaluate", "--config", "{knobs_config}"],
 }
 
 
@@ -89,26 +117,33 @@ def environment() -> dict:
 
 
 def artifact_digests(work: Path) -> dict:
-    """Run every command into ``work`` and digest what each one wrote."""
+    """Run every command into ``work``, with ``work`` as the working
+    directory, and digest what each one wrote."""
     configs = {
         "config": CONFIG,
         "multi_cell_config": MULTI_CELL_CONFIG,
         "row_blocks_config": ROW_BLOCKS_CONFIG,
+        "knobs_config": KNOBS_CONFIG,
     }
     for key, raw in configs.items():
         (work / f"{key}.json").write_text(json.dumps(raw))
+    (work / "priors.csv").write_text(PRIORS_CSV)
     paths = {key: work / f"{key}.json" for key in configs}
-    digests = {}
-    for name, args in COMMANDS.items():
-        out = work / name
-        argv = [a.format(**paths) for a in args] + ["--out", str(out)]
-        code = main(argv)
-        if code != 0:
-            raise RuntimeError(f"deferlab {' '.join(argv)} exited {code}")
-        digests[name] = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir())
-        }
+    digests, cwd = {}, os.getcwd()
+    os.chdir(work)
+    try:
+        for name, args in COMMANDS.items():
+            out = work / name
+            argv = [a.format(**paths) for a in args] + ["--out", str(out)]
+            code = main(argv)
+            if code != 0:
+                raise RuntimeError(f"deferlab {' '.join(argv)} exited {code}")
+            digests[name] = {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(out.iterdir())
+            }
+    finally:
+        os.chdir(cwd)
     return digests
 
 

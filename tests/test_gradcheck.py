@@ -10,16 +10,14 @@ from deferlab.nets import (
     forward_cached,
     relu_pattern,
 )
-from gradcheck import finite_difference_check, grads_of, joined_masks, net_of, zero_grads
-
-
-def layer_grads(grads, net):
-    """Every layer's (weight gradient, bias gradient): views into
-    ``grads.params`` at ``net.layout``'s offsets."""
-    return [
-        (grads.params[w0:b0].reshape(out_dim, in_dim), grads.params[b0:end])
-        for out_dim, in_dim, w0, b0, end in net.layout
-    ]
+from gradcheck import (
+    finite_difference_check,
+    grads_of,
+    joined_masks,
+    layer_grads,
+    net_of,
+    zero_grads,
+)
 
 
 class TestFiniteDifferenceCheck:
@@ -84,7 +82,7 @@ class TestFiniteDifferenceCheck:
     def test_report_equals_a_per_layer_perturbation_loop(self):
         def reference(net, loss_fn, epsilon):
             analytic = loss_fn(net)[1]
-            work = DenseNet(net.params.copy(), net.layout)
+            work = DenseNet(net.params.copy(), net.widths)
             max_err, n_checked, n_skipped = 0.0, 0, 0
             for layer, (wg, bg) in zip(work.views, layer_grads(analytic, net)):
                 for arr, grad in ((layer.weights, wg), (layer.bias, bg)):

@@ -15,16 +15,23 @@ from deferlab.nets import (
     TrainConfig,
     Workspace,
     backward,
+    check_widths,
     dense_net,
     forward,
     forward_cached,
-    layout_of,
     relu_pattern,
     row_blocks,
     sgd_step,
     softmax,
 )
-from gradcheck import finite_difference_check, grads_of, joined_masks, net_of, zero_grads
+from gradcheck import (
+    finite_difference_check,
+    grads_of,
+    joined_masks,
+    layer_grads,
+    net_of,
+    zero_grads,
+)
 
 
 # Finite values with signed zeros, ones and subnormals drawn often.
@@ -49,15 +56,6 @@ def layer_stacks(draw, max_width=5):
 
 def layered_nets():
     return layer_stacks().map(net_of)
-
-
-def layer_grads(grads, net):
-    """Every layer's (weight gradient, bias gradient): views into
-    ``grads.params`` at ``net.layout``'s offsets."""
-    return [
-        (grads.params[w0:b0].reshape(out_dim, in_dim), grads.params[b0:end])
-        for out_dim, in_dim, w0, b0, end in net.layout
-    ]
 
 
 @st.composite
@@ -87,7 +85,7 @@ def reference_forward_cached(net, x):
     a = x
     for i, layer in enumerate(net.views):
         z = a @ layer.weights.T + layer.bias
-        a = np.maximum(z, 0.0) if i < len(net.layout) - 1 else z
+        a = np.maximum(z, 0.0) if i < len(net.views) - 1 else z
         pre.append(z)
         post.append(a)
     return pre, post
@@ -100,7 +98,7 @@ def reference_backward(net, x, upstream):
     pre, post = reference_forward_cached(net, x)
     parts, delta = [], upstream
     for i, (layer, z, a) in reversed(list(enumerate(zip(net.views, pre, post)))):
-        if i < len(net.layout) - 1:
+        if i < len(net.views) - 1:
             delta = delta * (z > 0)
         parts[:0] = [(delta.T @ a).ravel(), np.ones(len(delta)) @ delta]
         delta = delta @ layer.weights
@@ -182,13 +180,43 @@ class TestForward:
     def test_widths_that_build_no_layout_rejected(self, widths):
         # fewer than two widths, a width that is not an int, or one below 1
         with pytest.raises(ValueError, match="widths"):
-            layout_of(widths)
+            check_widths(widths)
         with pytest.raises(ValueError, match="widths"):
             dense_net(widths)
+        # a network checks its own widths, whatever vector it is given
+        for size in (0, 1, 9):
+            with pytest.raises(ValueError, match="widths"):
+                DenseNet(np.zeros(size), widths)
 
-    def test_layout_of_packs_each_layer_weights_then_bias(self):
-        assert layout_of([3, np.int64(4), 2]) == ((4, 3, 0, 12, 16), (2, 4, 16, 24, 26))
-        assert all(type(v) is int for span in layout_of(np.array([3, 4, 2])) for v in span)
+    def test_views_pack_each_layer_weights_then_bias(self):
+        net = DenseNet(np.arange(26.0), (3, np.int64(4), 2))
+        (w0, b0), (w1, b1) = net.views
+        assert w0.tolist() == np.arange(12.0).reshape(4, 3).tolist()
+        assert b0.tolist() == [12.0, 13.0, 14.0, 15.0]
+        assert w1.tolist() == np.arange(16.0, 24.0).reshape(2, 4).tolist()
+        assert b1.tolist() == [24.0, 25.0]
+        assert net.widths == (3, 4, 2)
+        assert all(type(v) is int for v in net.widths)
+        assert all(type(v) is int for v in check_widths(np.array([3, 4, 2])))
+
+    @settings(max_examples=100, deadline=None)
+    @given(widths=st.lists(st.integers(1, 9), min_size=3, max_size=6))
+    def test_views_tile_the_vector_once_in_order(self, widths):
+        # 2 to 5 layers of 1 to 9 units: every layer's weights then bias,
+        # contiguous views that cover the vector once, in order
+        size = sum((a + 1) * b for a, b in zip(widths, widths[1:]))
+        net = DenseNet(np.zeros(size), widths)
+        base, offset = net.params.__array_interface__["data"][0], 0
+        for (w, b), fan_in, fan_out in zip(net.views, widths, widths[1:]):
+            for arr, shape in ((w, (fan_out, fan_in)), (b, (fan_out,))):
+                assert arr.shape == shape and arr.flags.c_contiguous
+                assert arr.base is net.params
+                assert arr.__array_interface__["data"][0] == base + 8 * offset
+                offset += arr.size
+        assert offset == size
+        for wrong in (size - 1, size + 1):
+            with pytest.raises(ValueError, match="do not fit"):
+                DenseNet(np.zeros(wrong), widths)
 
 
 def whole_forward(net, x):
@@ -197,7 +225,7 @@ def whole_forward(net, x):
     for i, layer in enumerate(net.views):
         z = a @ layer.weights.T
         z += layer.bias
-        a = np.maximum(z, 0.0) if i < len(net.layout) - 1 else z
+        a = np.maximum(z, 0.0) if i < len(net.views) - 1 else z
     return a
 
 
@@ -274,7 +302,7 @@ class TestForwardCached:
             outs = forward_cached(net, x)
         for i, (out, z) in enumerate(zip(outs[1:], ref_pre)):
             assert np.array_equal(out > 0, z > 0)
-            expected = np.maximum(z, 0.0) if i < len(net.layout) - 1 else z
+            expected = np.maximum(z, 0.0) if i < len(net.views) - 1 else z
             assert np.array_equal(out, expected, equal_nan=True)
 
     def test_relu_pattern_reads_signs_of_relu_layers_only(self):
@@ -493,7 +521,7 @@ class TestBackward:
 def stepped(net, grads, cfg, scale=1.0):
     """A copy of ``net`` after one ``sgd_step`` on copies of its vector and
     of ``grads``; ``net`` and ``grads`` stay untouched."""
-    out = DenseNet(net.params.copy(), net.layout)
+    out = DenseNet(net.params.copy(), net.widths)
     sgd_step(out.params, grads.params.copy(), cfg, scale)
     return out
 
@@ -512,7 +540,7 @@ class TestSgdStep:
 
     def test_unit_rate_with_self_gradient_zeroes_weights(self):
         net = dense_net([3, 2], 0)
-        grads = DenseNet(net.params.copy(), net.layout)
+        grads = DenseNet(net.params.copy(), net.widths)
         cfg = TrainConfig(learning_rate=1.0, batch_size=1, epochs=1)
         out = stepped(net, grads, cfg)
         assert all(np.all(l.weights == 0) and np.all(l.bias == 0) for l in out.views)
@@ -527,7 +555,7 @@ class TestSgdStep:
             return (w - 3.0) ** 2
 
         # flat layout: the one weight, then the one bias
-        grads = DenseNet(np.array([2 * (net.views[0].weights[0, 0] - 3.0), 0.0]), net.layout)
+        grads = DenseNet(np.array([2 * (net.views[0].weights[0, 0] - 3.0), 0.0]), net.widths)
         assert loss(stepped(net, grads, cfg)) < loss(net)
 
     def test_nonfinite_gradient_raises(self):
@@ -553,8 +581,8 @@ class TestSgdStep:
     def test_scale_matches_prescaled_gradient_exactly(self):
         rng = np.random.default_rng(6)
         net = dense_net([3, 5, 2], rng)
-        grads = DenseNet(rng.normal(size=net.params.size), net.layout)
-        prescaled = DenseNet(grads.params * (1 / 96), net.layout)
+        grads = DenseNet(rng.normal(size=net.params.size), net.widths)
+        prescaled = DenseNet(grads.params * (1 / 96), net.widths)
         cfg = TrainConfig(learning_rate=0.2, batch_size=1, epochs=1, weight_decay=1e-3)
         a = stepped(net, grads, cfg, 1 / 96)
         b = stepped(net, prescaled, cfg)
@@ -585,12 +613,12 @@ class TestSgdStep:
         self, net, lr, wd, scale, data
     ):
         grads = DenseNet(
-            data.draw(hnp.arrays(np.float64, net.params.size, elements=VALUES)), net.layout
+            data.draw(hnp.arrays(np.float64, net.params.size, elements=VALUES)), net.widths
         )
         cfg = TrainConfig(learning_rate=lr, batch_size=1, epochs=1, weight_decay=wd)
         expected = reference_sgd_step(net, grads, cfg, scale)
         # in place: views taken before the step read the updated weights
-        out = DenseNet(net.params.copy(), net.layout)
+        out = DenseNet(net.params.copy(), net.widths)
         views, buffer = out.views, out.params.__array_interface__["data"][0]
         sgd_step(out.params, grads.params.copy(), cfg, scale)
         assert out.params.__array_interface__["data"][0] == buffer
@@ -612,7 +640,7 @@ class TestSgdStep:
         ]
         packed = np.concatenate([n.params for n in nets])
         sgd_step(packed, np.concatenate(flats), cfg, scale)
-        alone = [stepped(n, DenseNet(f, n.layout), cfg, scale) for n, f in zip(nets, flats)]
+        alone = [stepped(n, DenseNet(f, n.widths), cfg, scale) for n, f in zip(nets, flats)]
         assert packed.tobytes() == b"".join(n.params.tobytes() for n in alone)
 
     @settings(max_examples=150, deadline=None)
@@ -699,7 +727,7 @@ class TestDeterminism:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             parts += [rng.uniform(-limit, limit, (fan_out, fan_in)).ravel(), np.zeros(fan_out)]
         assert net.params.tobytes() == np.concatenate(parts).tobytes()
-        assert net.layout == layout_of(dims)
+        assert net.widths == check_widths(dims)
 
     def test_a_given_generator_is_advanced_by_exactly_the_draws(self):
         given_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
@@ -731,7 +759,7 @@ class TestFlatLayout:
         packed = b"".join(a.tobytes() for l in layers for a in (l.weights, l.bias))
         assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
         assert net.params.tobytes() == packed
-        assert [f.name for f in dataclasses.fields(net)] == ["params", "layout", "views"]
+        assert [f.name for f in dataclasses.fields(net)] == ["params", "widths", "views"]
         assert Layer._fields == ("weights", "bias")
         assert all(type(view) is Layer for view in net.views)
         assert len(net.layers) == len(net.views)
@@ -746,11 +774,11 @@ class TestFlatLayout:
             net.params = net.params.copy()
 
         grads = DenseNet(
-            data.draw(hnp.arrays(np.float64, net.params.size, elements=VALUES)), net.layout
+            data.draw(hnp.arrays(np.float64, net.params.size, elements=VALUES)), net.widths
         )
         cfg = TrainConfig(learning_rate=0.3, batch_size=1, epochs=1, weight_decay=wd)
-        dup = DenseNet(net.params.copy(), net.layout)
-        assert dup.layout == net.layout
+        dup = DenseNet(net.params.copy(), net.widths)
+        assert dup.widths == net.widths
         assert not np.shares_memory(dup.params, net.params)
         views = dup.views
         sgd_step(dup.params, grads.params.copy(), cfg, scale)
@@ -760,13 +788,18 @@ class TestFlatLayout:
         assert net.params.tobytes() == packed
 
         # ``views`` and ``layers`` read every layer as views into ``params``,
-        # in layout order, and follow every change to its values.
+        # layer by layer, and follow every change to its values. The
+        # offsets are counted here from the widths.
         for other in (net, dup):
             start = other.params.__array_interface__["data"][0]
             assert len(other.views) == len(other.layers) == len(layers)
-            for (w, b), view, built, (out_dim, in_dim, w0, b0, end) in zip(
-                other.views, other.layers, layers, other.layout
+            end = 0
+            for (w, b), view, built, in_dim, out_dim in zip(
+                other.views, other.layers, layers, other.widths, other.widths[1:]
             ):
+                w0 = end
+                b0 = w0 + out_dim * in_dim
+                end = b0 + out_dim
                 for arr in (w, view.weights):
                     assert arr.shape == built.weights.shape == (out_dim, in_dim)
                     assert arr.flags.c_contiguous
@@ -784,7 +817,7 @@ class TestFlatLayout:
         a, b = dense_net([3, 4, 2], 0), dense_net([4, 3, 1], 1)
         packed = np.concatenate([a.params, b.params])
         split = a.params.size
-        first, second = DenseNet(packed[:split], a.layout), DenseNet(packed[split:], b.layout)
+        first, second = DenseNet(packed[:split], a.widths), DenseNet(packed[split:], b.widths)
         x = np.arange(12.0).reshape(4, 3) / 7
         assert forward(first, x).tobytes() == forward(a, x).tobytes()
         packed[split:] *= 2.0
@@ -792,7 +825,7 @@ class TestFlatLayout:
         assert np.array_equal(second.views[0][0], 2.0 * b.views[0][0])
         for bad in (packed, packed[:split].astype(np.float32), packed[:split].reshape(1, -1)):
             with pytest.raises(ValueError, match="do not fit"):
-                DenseNet(bad, a.layout)
+                DenseNet(bad, a.widths)
 
     def test_gradient_destination_views_and_layout_check(self):
         net = dense_net([3, 5, 2], 3)
@@ -800,9 +833,12 @@ class TestFlatLayout:
         (_, b0), (w1, _) = layer_grads(g, net)
         w1[1, 2] = 4.0
         b0[3] = -1.0
-        _, in_dim, w0, _, _ = net.layout[1]
-        assert g.params[w0 + in_dim + 2] == 4.0
-        assert g.params[net.layout[0][3] + 3] == -1.0
+        # layer 0's weights, then its bias; layer 1's weights follow
+        n_in, n_hidden, _ = net.widths
+        bias0 = n_hidden * n_in
+        weights1 = bias0 + n_hidden
+        assert g.params[weights1 + n_hidden + 2] == 4.0
+        assert g.params[bias0 + 3] == -1.0
         assert all(
             np.shares_memory(view, g.params) and np.array_equal(view, ref)
             for built, refs in zip(g.views, layer_grads(g, net))
@@ -812,17 +848,17 @@ class TestFlatLayout:
         other = dense_net([2, 6, 2], 0)
         assert other.params.size == net.params.size
         outs = forward_cached(net, np.ones((1, 3)))
-        with pytest.raises(ValueError, match="layout"):
+        with pytest.raises(ValueError, match="widths"):
             backward(net, outs, np.ones((1, 2)), zero_grads(other))
         with pytest.raises(ValueError):
-            DenseNet(np.zeros(net.params.size + 1), net.layout)
+            DenseNet(np.zeros(net.params.size + 1), net.widths)
 
     def test_destination_over_a_float32_vector_rejected(self):
         # a float32 buffer cannot hold the gradient in place; converting it
         # would write into a copy and leave the caller's buffer untouched
         net = dense_net([3, 5, 2], 3)
         with pytest.raises(ValueError, match="do not fit"):
-            DenseNet(np.zeros(net.params.size, dtype=np.float32), net.layout)
+            DenseNet(np.zeros(net.params.size, dtype=np.float32), net.widths)
 
     @settings(max_examples=100, deadline=None)
     @given(net=layered_nets(), rows=st.integers(0, 6), data=st.data())
@@ -836,7 +872,7 @@ class TestFlatLayout:
         fresh_input = backward(net, outs, up, fresh, want_input_grad=True)
         # a slice of a longer vector, filled with garbage first
         buffer = np.full(net.params.size + 3, np.nan)
-        dest = DenseNet(buffer[2:-1], net.layout)
+        dest = DenseNet(buffer[2:-1], net.widths)
         for want in (True, False):
             got = backward(net, outs, up, dest, want_input_grad=want)
             assert dest.params.base is buffer

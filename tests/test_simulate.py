@@ -50,7 +50,7 @@ def train_plain_classifier(data, num_classes, epochs=40, lr=0.3, seed=0):
     """Independent softmax-CE training loop built from the net primitives."""
     net = dense_net([data.train.features.shape[1], 16, num_classes], seed)
     cfg = TrainConfig(learning_rate=lr, batch_size=32, epochs=epochs, seed=seed)
-    grads = DenseNet(np.empty_like(net.params), net.layout)
+    grads = DenseNet(np.empty_like(net.params), net.widths)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         order = rng.permutation(len(data.train))

@@ -94,7 +94,7 @@ def reference_cohort(classifier, rejector, features, labels, mu):
 
 
 def assert_grads_close(a, b, tol=1e-12):
-    assert a.layout == b.layout
+    assert a.widths == b.widths
     np.testing.assert_allclose(a.params, b.params, rtol=0, atol=tol)
 
 
