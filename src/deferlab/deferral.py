@@ -164,9 +164,9 @@ def _forward_for(
     """Network output, plus every layer's cached output when ``cached``
     (gradients follow), both written into ``ws``.
 
-    Without gradients the plain ``forward`` runs, which keeps no per-layer
-    arrays: validation batches are large and would otherwise raise peak
-    memory for nothing.
+    Without gradients the plain ``forward`` runs, which keeps one row
+    block's layers at a time: validation batches are large, and holding
+    every layer of one would raise peak memory for nothing.
     """
     if cached:
         outs = forward_cached(net, x, ws)

@@ -27,29 +27,30 @@ backward delta, every hidden layer's relu mask and the ``ones`` of the bias
 gradients. ``forward``, ``forward_cached``, ``backward`` and
 ``relu_pattern`` write into the leading rows of the one they are given, so
 a loop that gives every pass the same workspace allocates no layer-sized
-array per pass, and its results are the same bits. Without one, ``forward``
-writes into new arrays and the others into a workspace built for the call.
+array per pass, and its results are the same bits. Without one, both
+forward passes write into new arrays, and ``backward`` and ``relu_pattern``
+into a workspace built for the call.
 Training builds one per network in each ``deferral._fit`` call; a workspace
 belongs to that call alone and is never shared between threads.
 
 Every pass takes a ``(batch, in_dim)`` matrix, one row per example; one
-example is a one-row batch. Both forward passes run the same layer step,
-``z = a @ w.T`` into a destination buffer, then ``z += b`` and, below the
-last layer, the relu in place, and differ only in what they keep.
-``forward_cached`` keeps the checked input and every layer's output; use it
-when gradients follow, and hand its list to ``backward``, which runs no
-forward of its own. It takes every hidden layer's relu mask from one
-``relu_pattern`` call, which needs no pre-activations: a relu output
-``max(z, 0)`` is positive exactly where ``z`` is, NaN included, so a mask
-is ``output > 0``. ``forward`` keeps only the last layer's output, and holds
-the others for one row block at a time; use it for inference and for
-losses without gradients (validation), where holding every layer of a
-large batch would only raise peak memory.
+example is a one-row batch. ``forward_cached`` runs the one layer loop:
+per layer, ``z = a @ w.T`` into a destination buffer, then ``z += b`` and,
+below the last layer, the relu in place. It keeps the checked input and
+every layer's output; use it when gradients follow, and hand its list to
+``backward``, which runs no forward of its own. It takes every hidden
+layer's relu mask from one ``relu_pattern`` call, which needs no
+pre-activations: a relu output ``max(z, 0)`` is positive exactly where
+``z`` is, NaN included, so a mask is ``output > 0``. ``forward`` runs
+``forward_cached`` on one row block at a time and copies each block's
+last layer into its result, so it holds one block's layers at a time; use
+it for inference and for losses without gradients (validation), where
+holding every layer of a large batch would only raise peak memory.
 
-``forward`` also runs a large batch in row blocks (``row_blocks``): fixed
-blocks of ``BLOCK_ROWS`` rows from the top, so that one block's activations
-stay in cache instead of streaming every layer of the whole batch through
-memory. Each row's output does not depend on the batch around it in exact
+``forward``'s row blocks (``row_blocks``) are fixed blocks of
+``BLOCK_ROWS`` rows from the top, so that one block's activations stay in
+cache instead of streaming every layer of the whole batch through memory.
+Each row's output does not depend on the batch around it in exact
 arithmetic, but the BLAS matrix product may take a different kernel path
 for a short block, and then the low bits of a row change. Full blocks and
 a tail of at least half a block reproduce the whole-batch bits (checked on
@@ -265,39 +266,15 @@ class Workspace:
         )
 
 
-def _layer(
-    a: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool, out: np.ndarray
-) -> np.ndarray:
-    """One layer's output on rows ``a``, computed in place in ``out``."""
-    np.matmul(a, w.T, out=out)
-    out += b
-    if relu:
-        np.maximum(out, 0.0, out=out)
-    return out
-
-
 def forward(net: DenseNet, x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
-    """Forward pass of a (batch, in_dim) matrix, in ``row_blocks``, into a
-    new array. Each block's last layer is written into its rows of the
-    result, and its hidden layers into ``ws``, or without one into new
-    arrays, each dropped once the next layer has read it: inference makes
-    one call per block, where building a workspace would cost more than it
-    saves."""
+    """Forward pass of a (batch, in_dim) matrix into a new array:
+    ``forward_cached`` runs on each ``row_blocks`` block, on ``ws`` if
+    given, and the block's last layer is copied into its rows of the
+    result, so one block's layers are held at a time."""
     x = _check_input(net, x)
-    layers = net.views
-    last = len(layers) - 1
     out = np.empty((len(x), net.output_dim))
     for rows in row_blocks(len(x)):
-        a = x[rows]
-        n = len(a)
-        for i, (w, b) in enumerate(layers):
-            if i == last:
-                dest = out[rows]
-            elif ws is None:
-                dest = np.empty((n, w.shape[0]))
-            else:
-                dest = ws.outs[i][:n]
-            a = _layer(a, w, b, i < last, dest)
+        out[rows] = forward_cached(net, x[rows], ws)[-1]
     return out
 
 
@@ -306,15 +283,20 @@ Activations = list[np.ndarray]
 
 def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None) -> Activations:
     """Forward pass keeping what backprop needs: the checked input, then
-    every layer's output, written into ``ws``, so the last entry equals
-    ``forward(net, x)``."""
+    every layer's output, ``z = a @ w.T``, ``z += b`` and, below the last
+    layer, the relu in place. Each output is written into the leading rows
+    of its ``ws.outs`` buffer, or without a workspace into a new array. The
+    only layer loop: ``forward`` runs it on each row block, so the last
+    entry equals ``forward(net, x)``."""
     outs = [_check_input(net, x)]
     n = len(outs[0])
-    if ws is None:
-        ws = Workspace.of(net, n)
     last = len(net.views) - 1
     for i, (w, b) in enumerate(net.views):
-        outs.append(_layer(outs[-1], w, b, i < last, ws.outs[i][:n]))
+        z = np.matmul(outs[-1], w.T, out=None if ws is None else ws.outs[i][:n])
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        outs.append(z)
     return outs
 
 

@@ -268,11 +268,37 @@ class TestRowBlocks:
         rng = np.random.default_rng(sum(dims))
         net = dense_net(dims, rng)
         big = rng.normal(size=(BOUNDARY_ROWS[-1], dims[0]))
+        # One workspace for every n, as ``_fit`` reuses one across validation
+        # passes, sized for the largest row block: a lone block of one row
+        # under 1.5 blocks.
+        ws = Workspace.of(net, 64, 3 * BLOCK_ROWS // 2 - 1)
         for n in BOUNDARY_ROWS:
             x = big[:n]
+            expected = whole_forward(net, x).tobytes()
             out = forward(net, x)
             assert out.shape == (n, dims[-1])
-            assert out.tobytes() == whole_forward(net, x).tobytes(), n
+            assert out.tobytes() == expected, n
+            reused = forward(net, x, ws)
+            assert reused.tobytes() == expected, n
+            assert not np.shares_memory(reused, ws.outs[-1])
+            forward(net, -x, ws)
+            assert reused.tobytes() == expected, n
+
+    def test_forward_runs_forward_cached_once_per_block(self, monkeypatch):
+        net = dense_net([4, 8, 1], 0)
+        real = deferlab.nets.forward_cached
+        calls = []
+
+        def counted(net, x, ws=None):
+            calls.append(len(x))
+            return real(net, x, ws)
+
+        monkeypatch.setattr(deferlab.nets, "forward_cached", counted)
+        big = np.ones((BOUNDARY_ROWS[-1], 4))
+        for n in BOUNDARY_ROWS:
+            calls.clear()
+            forward(net, big[:n])
+            assert calls == [s.stop - s.start for s in row_blocks(n)], n
 
     def test_blocked_forward_of_a_strided_input(self):
         rng = np.random.default_rng(5)
@@ -481,7 +507,7 @@ class TestBackward:
             raise AssertionError("backward ran a forward pass")
 
         grads = zero_grads(net)
-        for name in ("forward", "forward_cached", "_layer", "_check_input"):
+        for name in ("forward", "forward_cached", "_check_input"):
             monkeypatch.setattr(deferlab.nets, name, no_forward)
         assert backward(net, outs, rng.normal(size=(5, 2)), grads) is None
         assert np.any(grads.params != 0)
