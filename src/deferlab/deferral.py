@@ -75,27 +75,15 @@ def mode_labels(prediction_matrix: np.ndarray, num_classes: int) -> np.ndarray:
 # --- batched loss/gradient machinery -------------------------------------
 
 
-def _check_labels(labels: np.ndarray, num_classes: int, what: str) -> None:
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(f"{what} must lie in [0, {num_classes})")
-
-
-def _check_split(data: Dataset, num_classes: int, name: str) -> None:
-    """A training call's data split is nonempty and its labels lie in
-    [0, K); checked once per call, so the loss cores check nothing."""
-    if len(data) == 0:
-        raise ValueError(f"{name} data must be nonempty")
-    _check_labels(data.labels, num_classes, f"{name} labels")
-
-
-def _check_networks(
+def _check_call(
     classifier: DenseNet, rejector: DenseNet, rejector_width: int, query: Dataset, val: Dataset
 ) -> None:
-    """A training call's networks fit its data: the classifier reads as many
-    inputs as the query and validation features have columns, the rejector
-    reads ``rejector_width`` inputs and has one output, its deferral logit.
-    Checked once per call, before any work, else ``ValueError`` naming the
-    network and both widths."""
+    """A training call's contract, checked once per call before any work,
+    so the loss cores check nothing: the classifier reads as many inputs as
+    the query and validation features have columns, the rejector reads
+    ``rejector_width`` inputs and has one output, its deferral logit, and
+    both splits are nonempty with labels in [0, K). Else ``ValueError``
+    naming the network and both widths, or the split."""
     for name, data in (("query", query), ("validation", val)):
         if data.features.shape[1] != classifier.input_dim:
             raise ValueError(
@@ -112,6 +100,12 @@ def _check_networks(
             f"the rejector must have one output, its deferral logit; it has "
             f"{rejector.output_dim}"
         )
+    num_classes = classifier.output_dim
+    for name, data in (("query", query), ("validation", val)):
+        if len(data) == 0:
+            raise ValueError(f"{name} data must be nonempty")
+        if data.labels.min() < 0 or data.labels.max() >= num_classes:
+            raise ValueError(f"{name} labels must lie in [0, {num_classes})")
 
 
 def _joint_terms(
@@ -448,7 +442,7 @@ def _fit(
     is copied whenever the validation loss improves, training stops once it
     has not improved for more than ``patience`` epochs, and the best epoch's
     networks are returned. The returned networks own their vectors. The
-    caller has checked the networks' widths (``_check_networks``).
+    caller has checked the networks and the data (``_check_call``).
     """
     params = np.concatenate([classifier.params, rejector.params])
     grads = np.empty_like(params)
@@ -555,9 +549,7 @@ def train(
     Early stopping monitors the validation loss computed with full-context
     posterior means, built by ``build_representation`` before the loop.
     """
-    _check_networks(classifier, rejector, REJECTOR_INPUTS, query, val)
-    _check_split(query, classifier.output_dim, "query")
-    _check_split(val, classifier.output_dim, "validation")
+    _check_call(classifier, rejector, REJECTOR_INPUTS, query, val)
     if not contexts:
         raise ValueError("need at least one expert context set")
     if len(priors) != len(contexts):
@@ -600,9 +592,7 @@ def train_pop_avg(
     """Baseline training loop driven by the mode of expert predictions, which
     must have one column per row of ``query`` and of ``val``. Its rejector
     reads the raw features."""
-    _check_networks(classifier, rejector, query.features.shape[1], query, val)
-    _check_split(query, classifier.output_dim, "query")
-    _check_split(val, classifier.output_dim, "validation")
+    _check_call(classifier, rejector, query.features.shape[1], query, val)
     weights = _mode_weights(query_predictions, query, classifier.output_dim, "query")
     val_weights = _mode_weights(val_predictions, val, classifier.output_dim, "validation")
 

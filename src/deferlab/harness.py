@@ -102,15 +102,6 @@ class ExperimentResult:
     failures: dict[int, TrainingDivergenceError]
 
 
-def _prediction_matrix(
-    experts: Sequence[SimulatedExpertSpec],
-    labels: np.ndarray,
-    num_classes: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    return np.stack([expert_predict_batch(e, labels, num_classes, rng) for e in experts])
-
-
 def _correctness_matrix(
     experts: Sequence[SimulatedExpertSpec],
     labels: np.ndarray,
@@ -118,8 +109,8 @@ def _correctness_matrix(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Whether each expert predicts each label right, (experts, cases) bool:
-    the draws of ``_prediction_matrix`` with each expert's int64
-    predictions dropped as soon as they are compared."""
+    one ``expert_predict_batch`` draw per expert in turn, each expert's
+    int64 predictions dropped as soon as they are compared."""
     return np.stack([expert_predict_batch(e, labels, num_classes, rng) == labels for e in experts])
 
 
@@ -198,7 +189,8 @@ def _train_cell(
         elif method == "pop_avg":
             pred_rng = np.random.default_rng(_subseed(seed, stream, 3))
             query_preds, val_preds = (
-                _prediction_matrix(id_experts, data.labels, cfg.num_classes, pred_rng)
+                np.stack([expert_predict_batch(e, data.labels, cfg.num_classes, pred_rng)
+                          for e in id_experts])
                 for data in (task.train, task.val)
             )
             trained[method] = train_pop_avg(

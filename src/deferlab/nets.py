@@ -254,9 +254,12 @@ class Workspace:
     def of(cls, net: DenseNet, batch_rows: int, forward_rows: int = 0) -> "Workspace":
         """A workspace for ``net``'s passes with gradients (``forward_cached``,
         ``backward``, ``relu_pattern``) on up to ``batch_rows`` rows, and for
-        ``forward`` on ``forward_rows`` rows, which needs output buffers for
-        its largest row block only. Deltas, masks and ``ones`` take
-        ``batch_rows`` rows: only the passes with gradients use them."""
+        ``forward`` on exactly ``forward_rows`` rows, which needs output
+        buffers for its largest row block only. A shorter ``forward`` can
+        have a longer block (3 071 rows run as one), which the buffers do
+        not hold: ``forward_cached`` raises ``ValueError``. Deltas, masks
+        and ``ones`` take ``batch_rows`` rows: only the passes with
+        gradients use them."""
         rows = max(batch_rows, *(s.stop - s.start for s in row_blocks(forward_rows)))
         return cls(
             tuple(np.empty((rows, width)) for width in net.widths[1:]),
@@ -285,11 +288,16 @@ def forward_cached(net: DenseNet, x: np.ndarray, ws: Workspace | None = None) ->
     """Forward pass keeping what backprop needs: the checked input, then
     every layer's output, ``z = a @ w.T``, ``z += b`` and, below the last
     layer, the relu in place. Each output is written into the leading rows
-    of its ``ws.outs`` buffer, or without a workspace into a new array. The
+    of its ``ws.outs`` buffer, or without a workspace into a new array; a
+    workspace with fewer output rows than ``x`` raises ``ValueError``. The
     only layer loop: ``forward`` runs it on each row block, so the last
     entry equals ``forward(net, x)``."""
     outs = [_check_input(net, x)]
     n = len(outs[0])
+    if ws is not None and n > len(ws.outs[0]):
+        raise ValueError(
+            f"a pass on {n} rows does not fit a workspace of {len(ws.outs[0])} output rows"
+        )
     last = len(net.views) - 1
     for i, (w, b) in enumerate(net.views):
         z = np.matmul(outs[-1], w.T, out=None if ws is None else ws.outs[i][:n])

@@ -438,26 +438,6 @@ class TestTrain:
             assert np.array_equal(first.classifier.params, second.classifier.params)
             assert np.array_equal(first.rejector.params, second.rejector.params)
 
-    def test_out_of_range_query_label_rejected(self):
-        # a label of K or -1 would otherwise index the deferral column
-        task, experts, contexts = small_training_setup()
-        preds, val_preds = (
-            np.stack([expert_predict_batch(e, data.labels, 4, np.random.default_rng(0))
-                      for e in experts])
-            for data in (task.train, task.val)
-        )
-        cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
-        for bad in (4, -1):
-            labels = task.train.labels.copy()
-            labels[5] = bad
-            query = type(task.train)(task.train.features, labels)
-            with pytest.raises(ValueError, match="labels"):
-                train(dense_net([6, 8, 4], 0), dense_net([4, 8, 1], 1), query, contexts,
-                      [None] * len(contexts), cfg, val=task.val)
-            with pytest.raises(ValueError, match="labels"):
-                train_pop_avg(dense_net([6, 8, 4], 0), dense_net([6, 8, 1], 1), query, preds,
-                              cfg, val=task.val, val_predictions=val_preds)
-
     def test_divergence_names_the_batch(self):
         setup = small_training_setup()
         cfg = TrainConfig(learning_rate=1e12, batch_size=32, epochs=10, seed=0)
@@ -499,15 +479,6 @@ class TestTrain:
             train(
                 clf, rej, task.train, contexts, [None] * len(contexts), cfg, val=task.val, lam=1000
             )
-
-    def test_empty_query_rejected(self):
-        task, _, contexts = small_training_setup()
-        clf = dense_net([6, 8, 4], 0)
-        rej = dense_net([4, 8, 1], 1)
-        cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
-        empty = type(task.train)(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
-        with pytest.raises(ValueError, match="nonempty"):
-            train(clf, rej, empty, contexts, [None] * len(contexts), cfg, val=task.val)
 
     def test_trained_rejector_prefers_strong_expert_inputs(self):
         # after training, an input where the expert is strong at the
@@ -762,33 +733,6 @@ class TestPackedTraining:
         )
         assert other not in str(err.value)
 
-    def test_empty_validation_set_rejected_by_name(self):
-        task, experts, contexts = small_training_setup()
-        empty = type(task.val)(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
-        cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
-        with pytest.raises(ValueError, match="validation data must be nonempty"):
-            train(dense_net([6, 8, 4], 0), dense_net([4, 8, 1], 1), task.train, contexts,
-                  [None] * len(contexts), cfg, val=empty)
-        with pytest.raises(ValueError, match="validation data must be nonempty"):
-            train_pop_avg(dense_net([6, 8, 4], 0), dense_net([6, 8, 1], 1), task.train,
-                          np.stack([task.train.labels]), cfg, val=empty,
-                          val_predictions=np.zeros((1, 0), dtype=np.int64))
-
-    @pytest.mark.parametrize("bad", [4, -1])
-    def test_out_of_range_validation_label_rejected_by_name(self, bad):
-        task, experts, contexts = small_training_setup()
-        labels = task.val.labels.copy()
-        labels[7] = bad
-        val = type(task.val)(task.val.features, labels)
-        cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=1, seed=0)
-        with pytest.raises(ValueError, match=r"validation labels must lie in \[0, 4\)"):
-            train(dense_net([6, 8, 4], 0), dense_net([4, 8, 1], 1), task.train, contexts,
-                  [None] * len(contexts), cfg, val=val)
-        with pytest.raises(ValueError, match=r"validation labels must lie in \[0, 4\)"):
-            train_pop_avg(dense_net([6, 8, 4], 0), dense_net([6, 8, 1], 1), task.train,
-                          np.stack([task.train.labels]), cfg, val=val,
-                          val_predictions=np.stack([labels.clip(0, 3)]))
-
     @pytest.mark.parametrize("method", METHODS)
     def test_call_core_runs_a_core_in_the_training_error_state(self, method, monkeypatch):
         # the gradient tests call the cores through ``call_core``; they must
@@ -813,82 +757,104 @@ class TestPackedTraining:
 
     def test_labels_checked_once_per_training_call(self, monkeypatch):
         checked = []
-        real = deferlab.deferral._check_labels
+        real = deferlab.deferral._check_call
 
-        def counting(labels, *args):
-            checked.append(len(labels))
-            return real(labels, *args)
+        def counting(classifier, rejector, rejector_width, query, val):
+            checked.append((len(query), len(val)))
+            return real(classifier, rejector, rejector_width, query, val)
 
-        monkeypatch.setattr(deferlab.deferral, "_check_labels", counting)
+        monkeypatch.setattr(deferlab.deferral, "_check_call", counting)
         cfg = TrainConfig(learning_rate=0.1, batch_size=16, epochs=3, seed=0)
         for method in METHODS:
             checked.clear()
             run_method(method, small_training_setup(), cfg)
-            # the query set and the validation set, not every batch
-            assert checked == [160, 60]
+            # once, on the query set and the validation set, not every batch
+            assert checked == [(160, 60)]
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_rejector_with_two_outputs_rejected_by_name(self, method, monkeypatch):
-        # checked once per call, before a loss core meets the extra column
-        def no_core(*args):
-            raise AssertionError("a loss core ran")
 
-        core = {"ea_l2d": "_ea_l2d", "pop_avg": "_pop_avg"}[method]
-        monkeypatch.setattr(deferlab.deferral, core, no_core)
-        task, experts, contexts = small_training_setup()
-        cfg = TrainConfig(learning_rate=0.1, batch_size=16, epochs=1, seed=0)
-        clf = dense_net([6, 8, 4], 0)
-        with pytest.raises(ValueError, match="rejector must have one output.* has 2"):
-            if method == "ea_l2d":
-                train(clf, dense_net([4, 8, 2], 1), task.train, contexts,
-                      [None] * len(contexts), cfg, val=task.val)
-            else:
-                train_pop_avg(clf, dense_net([6, 8, 2], 1), task.train,
-                              np.stack([task.train.labels]), cfg, val=task.val,
-                              val_predictions=np.stack([task.val.labels]))
+def narrowed(data):
+    return Dataset(data.features[:, :5], data.labels)
+
+
+def emptied(data):
+    return Dataset(data.features[:0], data.labels[:0])
+
+
+def relabeled(label):
+    def change(data):
+        labels = data.labels.copy()
+        labels[5] = label
+        return Dataset(data.features, labels)
+
+    return change
+
+
+# Every defect of a training call's contract, in the order the checks run:
+# its name, the argument it changes, the change and the exact message;
+# ``{width}`` is the method's rejector input width. Unchecked, a label of K
+# or -1 would index the deferral column.
+REJECTOR_WIDTH = {"ea_l2d": 4, "pop_avg": 6}
+CONTRACT_DEFECTS = [
+    ("query columns", "query", narrowed,
+     "the classifier reads 6 inputs but the query features have 5 columns"),
+    ("validation columns", "val", narrowed,
+     "the classifier reads 6 inputs but the validation features have 5 columns"),
+    ("rejector inputs", "rej", lambda dims: [5, *dims[1:]],
+     "the rejector reads 5 inputs but this method gives it {width}"),
+    ("rejector outputs", "rej", lambda dims: [*dims[:-1], 2],
+     "the rejector must have one output, its deferral logit; it has 2"),
+    ("empty query", "query", emptied, "query data must be nonempty"),
+    ("query label K", "query", relabeled(4), "query labels must lie in [0, 4)"),
+    ("query label -1", "query", relabeled(-1), "query labels must lie in [0, 4)"),
+    ("empty validation", "val", emptied, "validation data must be nonempty"),
+    ("validation label K", "val", relabeled(4), "validation labels must lie in [0, 4)"),
+    ("validation label -1", "val", relabeled(-1), "validation labels must lie in [0, 4)"),
+]
+
+
+class TestCallContract:
+    """Each training call checks its contract once, before any work:
+    networks that fit the data, then a nonempty query and validation split
+    with labels in [0, K). Every defect raises its own ``ValueError``."""
 
     @staticmethod
-    def train_with_widths(method, monkeypatch, clf_dims, rej_dims, val_columns=6):
-        # checked once per call, before the representation or a loss core runs
+    def message_of(method, monkeypatch, defects):
+        """The ``ValueError`` text of one training call with every
+        ``(argument, change)`` of ``defects`` applied, last first."""
         def no_work(*args, **kwargs):
-            raise AssertionError("training work ran before the width check")
+            raise AssertionError("training work ran before the contract check")
 
         for name in ("build_representation", "_ea_l2d", "_pop_avg"):
             monkeypatch.setattr(deferlab.deferral, name, no_work)
-        task, experts, contexts = small_training_setup()
-        val = Dataset(task.val.features[:, :val_columns], task.val.labels)
+        task, _, contexts = small_training_setup()
+        args = {"rej": [REJECTOR_WIDTH[method], 8, 1], "query": task.train, "val": task.val}
+        for key, change in reversed(defects):
+            args[key] = change(args[key])
+        clf, rej = dense_net([6, 8, 4], 0), dense_net(args["rej"], 1)
+        query, val = args["query"], args["val"]
         cfg = TrainConfig(learning_rate=0.1, batch_size=16, epochs=1, seed=0)
-        clf, rej = dense_net(clf_dims, 0), dense_net(rej_dims, 1)
-        if method == "ea_l2d":
-            train(clf, rej, task.train, contexts, [None] * len(contexts), cfg, val=val)
-        else:
-            train_pop_avg(clf, rej, task.train, np.stack([task.train.labels]), cfg, val=val,
-                          val_predictions=np.stack([val.labels]))
+        with pytest.raises(ValueError) as err:
+            if method == "ea_l2d":
+                train(clf, rej, query, contexts, [None] * len(contexts), cfg, val=val)
+            else:
+                train_pop_avg(clf, rej, query, np.stack([query.labels.clip(0, 3)]), cfg,
+                              val=val, val_predictions=np.stack([val.labels.clip(0, 3)]))
+        return str(err.value)
 
-    def test_ea_l2d_rejector_of_the_wrong_width_rejected_by_name(self, monkeypatch):
-        with pytest.raises(ValueError, match="rejector reads 5 inputs .* gives it 4$"):
-            self.train_with_widths("ea_l2d", monkeypatch, [6, 8, 4], [5, 8, 1])
-
-    def test_pop_avg_rejector_of_the_wrong_width_rejected_by_name(self, monkeypatch):
-        with pytest.raises(ValueError, match="rejector reads 4 inputs .* gives it 6$"):
-            self.train_with_widths("pop_avg", monkeypatch, [6, 8, 4], [4, 8, 1])
-
+    @pytest.mark.parametrize("defect", CONTRACT_DEFECTS, ids=lambda d: d[0])
     @pytest.mark.parametrize("method", METHODS)
-    def test_classifier_of_the_wrong_width_rejected_by_name(self, method, monkeypatch):
-        rej_dims = [4, 8, 1] if method == "ea_l2d" else [6, 8, 1]
-        with pytest.raises(
-            ValueError, match="classifier reads 5 inputs but the query features have 6 columns"
-        ):
-            self.train_with_widths(method, monkeypatch, [5, 8, 4], rej_dims)
+    def test_each_defect_raises_its_message_before_any_work(self, method, defect, monkeypatch):
+        _, key, change, message = defect
+        width = REJECTOR_WIDTH[method]
+        assert self.message_of(method, monkeypatch, [(key, change)]) == message.format(width=width)
 
+    @pytest.mark.parametrize("first", range(len(CONTRACT_DEFECTS)))
     @pytest.mark.parametrize("method", METHODS)
-    def test_validation_features_of_the_wrong_width_rejected_by_name(self, method, monkeypatch):
-        rej_dims = [4, 8, 1] if method == "ea_l2d" else [6, 8, 1]
-        with pytest.raises(
-            ValueError,
-            match="classifier reads 6 inputs but the validation features have 5 columns",
-        ):
-            self.train_with_widths(method, monkeypatch, [6, 8, 4], rej_dims, val_columns=5)
+    def test_the_earliest_check_names_the_defect(self, method, first, monkeypatch):
+        # every defect from ``first`` on at once: the first check to run wins
+        defects = [(key, change) for _, key, change, _ in CONTRACT_DEFECTS[first:]]
+        message = CONTRACT_DEFECTS[first][3].format(width=REJECTOR_WIDTH[method])
+        assert self.message_of(method, monkeypatch, defects) == message
 
 
 class TestOneForwardPerBatch:

@@ -1,10 +1,16 @@
+import contextlib
+import csv
+import io
 import json
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deferlab
 import deferlab.harness
@@ -337,6 +343,7 @@ class TestCli:
 
 METHODS = ("ea_l2d", "pop_avg")
 DIVERGED = "training diverged: loss became non-finite\n"
+SEEDS = [1, 2, 3]
 
 
 def seed_files(command, seed):
@@ -439,11 +446,12 @@ CLI_CONTRACT = [
 
 
 def diverge_for_seeds(monkeypatch, seeds):
-    """Make both training loops raise the divergence error for ``seeds``."""
+    """Make the training loops raise the divergence error for ``seeds``: both
+    loops for a seed of a sequence, the loop it names for a seed of a dict."""
     for name in ("train", "train_pop_avg"):
-        def maybe_diverge(*args, _real=getattr(deferlab.harness, name), **kwargs):
+        def maybe_diverge(*args, _real=getattr(deferlab.harness, name), _name=name, **kwargs):
             cfg = next(a for a in args if isinstance(a, TrainConfig))
-            if cfg.seed in seeds:
+            if cfg.seed in seeds and (not isinstance(seeds, dict) or seeds[cfg.seed] == _name):
                 raise TrainingDivergenceError("loss became non-finite")
             return _real(*args, **kwargs)
 
@@ -488,6 +496,36 @@ def test_cli_contract_matrix(
             assert got == want.format(**fill)
         else:
             assert want.fullmatch(got)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "priors-study"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_a_diverged_seed_leaves_nothing_behind(command, data):
+    # priors-study trains ea_l2d only, so only ``train`` can fail its seeds
+    loops = ["train"] if command == "priors-study" else ["train", "train_pop_avg"]
+    failed = data.draw(st.dictionaries(st.sampled_from(SEEDS), st.sampled_from(loops)))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        out = Path(tmp) / "out"
+        diverge_for_seeds(mp, failed)
+        argv = [command, "--config", str(write_config(Path(tmp), seeds=SEEDS)), "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        if command == "priors-study":
+            # the study fails as a whole when any seed diverges
+            assert (code, out.exists()) == ((3, False) if failed else (0, True))
+            return
+        assert code == (3 if len(failed) == len(SEEDS) else 0)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["failures"]) == {str(seed) for seed in failed}
+        names = [p.name for p in out.iterdir()]
+        for seed in SEEDS:
+            assert any(f"_seed{seed}" in n for n in names) == (seed not in failed), seed
+        for name in names:
+            if name.startswith("metrics_"):
+                with open(out / name, newline="") as fh:
+                    seeds = {int(row["seed"]) for row in csv.DictReader(fh)}
+                assert seeds == set(SEEDS) - set(failed)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep", "priors-study"])

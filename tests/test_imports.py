@@ -1,5 +1,6 @@
 """Every helper has one home: no package module imports another module's
-underscore name, and the package exports no name that only tests use."""
+underscore name, the package exports no name that only tests use, and no
+underscore name is left that no package code reads."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,50 @@ def test_exported_only_names_are_the_readers_of_cli_files():
     # read back what the CLI writes; any other such name is an API that only
     # tests use, and belongs in the tests.
     assert exported_only(PACKAGE) == {"load_checkpoint", "load_csv_dataset"}
+
+
+def dead_private_names(package: Path) -> set[str]:
+    """Every module-level underscore name of ``package`` that no package
+    code reads outside the statement defining it: as a name, an attribute
+    or an import."""
+    defined, read = set(), set()
+    for path in package.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            own = set()
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            defined.update(name for name in own if private(name))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+                    continue
+                else:
+                    continue
+                if name not in own:
+                    read.add(name)
+    return defined - read
+
+
+def test_detector_finds_private_names_only_their_definitions_read(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_K = 1\n_DEAD = 2\n"
+        "def _walk(n): return _walk(n - 1)\n"
+        "def _used(): return _K\n"
+        "def run(): return _used()\n"
+        "class _Box:\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text("from . import a\nx = a._Box\n")
+    assert dead_private_names(tmp_path) == {"_DEAD", "_walk"}
+
+
+def test_every_private_name_is_read_by_package_code():
+    # A helper that only tests read is an API that only tests use: delete it
+    # and port its assertions to the path that replaced it.
+    assert dead_private_names(PACKAGE) == set()

@@ -300,6 +300,45 @@ class TestRowBlocks:
             forward(net, big[:n])
             assert calls == [s.stop - s.start for s in row_blocks(n)], n
 
+    def test_a_block_longer_than_the_workspace_is_named(self):
+        # a workspace for 13 312 rows holds blocks of 2 048 rows, but 2 049
+        # to 3 071 rows run as one longer block
+        net = dense_net([4, 8, 1], 0)
+        x = np.random.default_rng(3).normal(size=(13 * BLOCK_ROWS // 2, 4))
+        ws = Workspace.of(net, 64, len(x))
+        assert len(ws.outs[0]) == BLOCK_ROWS
+        for n in (BLOCK_ROWS + 1, 3 * BLOCK_ROWS // 2 - 1):
+            message = f"a pass on {n} rows does not fit a workspace of {BLOCK_ROWS} output rows"
+            for run in (forward, forward_cached):
+                with pytest.raises(ValueError) as err:
+                    run(net, x[:n], ws)
+                assert str(err.value) == message
+        for n in (BLOCK_ROWS, 3 * BLOCK_ROWS // 2, len(x)):
+            assert forward(net, x[:n], ws).tobytes() == forward(net, x[:n]).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        batch_rows=st.integers(1, 3 * BLOCK_ROWS),
+        val_rows=st.integers(1, 7 * BLOCK_ROWS),
+        experts=st.sampled_from([1, 3]),
+    )
+    @example(batch_rows=BLOCK_ROWS + 1, val_rows=13 * BLOCK_ROWS // 2, experts=1)
+    @example(batch_rows=64, val_rows=3 * BLOCK_ROWS // 2 - 1, experts=3)
+    def test_the_workspaces_of_a_training_call_fit_its_passes(
+        self, batch_rows, val_rows, experts
+    ):
+        # ``_fit``'s shapes: the full batch and a shorter last one with
+        # gradients, and the whole validation split through ``forward``,
+        # each times the cohort size for the rejector
+        net = dense_net([4, 8, 1], 0)
+        batch, val = batch_rows * experts, val_rows * experts
+        ws = Workspace.of(net, batch, val)
+        x = np.ones((max(batch, val), 4))
+        for n in (batch, batch - experts):
+            outs = forward_cached(net, x[:n], ws)
+            backward(net, outs, np.ones((n, 1)), zero_grads(net), ws=ws)
+        assert forward(net, x[:val], ws).shape == (val, 1)
+
     def test_blocked_forward_of_a_strided_input(self):
         rng = np.random.default_rng(5)
         net = dense_net([4, 32, 32, 1], rng)
